@@ -11,16 +11,18 @@ DOF set (no penalty terms).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from .mesh import InterfaceMesh, MeshError
 
 __all__ = [
     "Materials",
     "DiscreteOperators",
+    "InterfaceSchur",
     "LoadModel",
     "assemble",
     "stiffness_matrix",
@@ -135,7 +137,7 @@ class DiscreteOperators:
     A_mu         mu-weighted stiffness (symmetric PSD, kernel = constants per body)
     A_eta        eta-weighted stiffness
     M_unit       unit-density mass, used for L2 norms and consistent loads
-    A_unit       unit-coefficient stiffness, used for H1 norms and the trace constant
+    A_unit       unit-coefficient stiffness, used for H1 norms
     B            jump operator (n_pairs x n_nodes)
     weights      interface quadrature weights w_j
     free_dofs    non-Dirichlet node indices
@@ -151,18 +153,10 @@ class DiscreteOperators:
     B: sp.csr_matrix
     weights: np.ndarray
     free_dofs: np.ndarray
-    _trace_constant: float | None = field(default=None, repr=False)
 
     @property
     def n_nodes(self) -> int:
         return self.M.shape[0]
-
-    def trace_constant(self) -> float:
-        """Cached unit-coefficient trace constant of the mesh."""
-        if self._trace_constant is None:
-            from .mesh import estimate_trace_constant
-            self._trace_constant = estimate_trace_constant(self.mesh)
-        return self._trace_constant
 
     def l2_norm(self, u: np.ndarray) -> float:
         return float(np.sqrt(max(u @ (self.M_unit @ u), 0.0)))
@@ -172,9 +166,9 @@ class DiscreteOperators:
         return float(np.sqrt(max(q, 0.0)))
 
 
-def assemble(mesh: InterfaceMesh, materials: Materials, lumped_mass: bool = False) -> DiscreteOperators:
+def assemble(mesh: InterfaceMesh, materials: Materials) -> DiscreteOperators:
     """Build all sparse operators for the given mesh and materials."""
-    M = mass_matrix(mesh, (materials.rho_plus, materials.rho_minus), lumped=lumped_mass)
+    M = mass_matrix(mesh, (materials.rho_plus, materials.rho_minus))
     A_mu = stiffness_matrix(mesh, (materials.mu_plus, materials.mu_minus))
     A_eta = stiffness_matrix(mesh, (materials.eta_plus, materials.eta_minus))
     return DiscreteOperators(
@@ -189,6 +183,30 @@ def assemble(mesh: InterfaceMesh, materials: Materials, lumped_mass: bool = Fals
         weights=mesh.interface_weights.copy(),
         free_dofs=mesh.free_nodes,
     )
+
+
+class InterfaceSchur:
+    """Interface Schur complement ``S = B K^-1 B'`` of an SPD free-DOF block.
+
+    ``K`` is factorized once.  ``X = K^-1 B'`` holds one column per interface
+    pair and ``S = B X`` is symmetrised.  Minimizing ``u' K u`` subject to
+    prescribed jumps ``B u = j`` leaves ``j' S^-1 j``, the interface problem
+    that FETI condenses onto (Farhat & Roux, IJNME 32, 1991).
+    """
+
+    def __init__(self, K_ff: sp.spmatrix, B_f: sp.spmatrix):
+        self._lu = spla.splu(K_ff.tocsc())
+        self.X = self._lu.solve(B_f.T.toarray())      # (n_free, n_pairs)
+        S = B_f @ self.X
+        self.S = 0.5 * (S + S.T)                       # (n_pairs, n_pairs)
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        return self._lu.solve(rhs)
+
+    def lambda_max(self, weights: np.ndarray) -> float:
+        """Largest eigenvalue of ``W^1/2 S W^1/2`` with ``W = diag(weights)``."""
+        sqrt_w = np.sqrt(weights)
+        return float(np.linalg.eigvalsh(sqrt_w[:, None] * self.S * sqrt_w[None, :])[-1])
 
 
 def _assemble_bulk_load(mesh: InterfaceMesh, fn, t: float) -> np.ndarray:

@@ -1,6 +1,6 @@
 """Command-line front end.
 
-    cohesim run <config.json> --out <dir> [--jobs N]
+    cohesim run <config.json> --out <dir>
     cohesim study <study.json> --out <dir> [--jobs N]
     cohesim check-law <config.json>
 
@@ -219,11 +219,16 @@ def cmd_study(args) -> int:
     except OSError as exc:
         print(f"cannot read study: {exc}", file=sys.stderr)
         return EXIT_IO
-    out_root = ensure_dir(args.out)
     jobs = max(1, args.jobs)
     cap = os.environ.get("COHESIM_THREADS")
     if cap:
-        jobs = min(jobs, max(1, int(cap)))
+        try:
+            jobs = min(jobs, max(1, int(cap)))
+        except ValueError:
+            print(f"config error: COHESIM_THREADS must be an integer, got {cap!r}",
+                  file=sys.stderr)
+            return EXIT_CONFIG
+    out_root = ensure_dir(args.out)
 
     if spec.kind == "eps_continuation":
         return _study_eps(spec, out_root)
@@ -333,7 +338,6 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run", help="run one scenario and write CSV/VTK artifacts")
     p_run.add_argument("config")
     p_run.add_argument("--out", default=None)
-    p_run.add_argument("--jobs", type=int, default=1)
     p_run.set_defaults(fn=cmd_run)
 
     p_study = sub.add_parser("study", help="run a refinement or continuation study")

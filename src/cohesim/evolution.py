@@ -228,7 +228,7 @@ def run(scenario: Scenario, callbacks=None, tol: float = 1e-10,
     first = StepProblem(tau, u_prev, u_prev2, xi, f1, ops, law, ws)
     if not convexity_guard(first):
         raise ConvexityError(
-            "incremental functional not provably convex; reduce the time step tau")
+            "incremental functional not strictly convex; reduce the time step tau")
 
     P = scenario.mesh.n_pairs
     rec = TrajectoryRecord(

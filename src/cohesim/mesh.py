@@ -327,20 +327,14 @@ def estimate_trace_constant(mesh: InterfaceMesh, mu_field=None) -> float:
     result is the purely geometric constant (scales like ``1/l`` under domain
     scaling by ``l``).
     """
-    from .assembly import stiffness_matrix
+    from .assembly import InterfaceSchur, stiffness_matrix
 
     if mesh.n_pairs == 0:
         raise MeshError("trace constant requires interface pairs")
-    A = stiffness_matrix(mesh, mu_field)
     free = mesh.free_nodes
-    A_ff = A[np.ix_(free, free)].tocsc()
-    B_f = mesh.jump_operator()[:, free].toarray()
-    solve = sp.linalg.splu(A_ff)
-    X = solve.solve(B_f.T)                # A^-1 B^T, columns per interface pair
-    sqrt_w = np.sqrt(mesh.interface_weights)
-    S = (B_f @ X) * sqrt_w[None, :] * sqrt_w[:, None]
-    S = 0.5 * (S + S.T)
-    lam_max = float(np.linalg.eigvalsh(S)[-1])
+    A_ff = stiffness_matrix(mesh, mu_field)[np.ix_(free, free)]
+    lam_max = InterfaceSchur(A_ff, mesh.jump_operator()[:, free]).lambda_max(
+        mesh.interface_weights)
     if lam_max <= 0.0:
         raise MeshError("interface Schur complement is singular")
     return 1.0 / lam_max

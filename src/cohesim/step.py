@@ -15,12 +15,20 @@ This max-rule makes the discrete complementarity conditions hold exactly:
 
 The solver is a damped Newton method on the C1 gradient (the history floor
 ``xi_prev > 0`` keeps the cohesive term differentiable): the SPD leading
-block ``M/tau^2 + A_eta/tau + A_mu`` is factorized once and reused, with the
-rank-``n_pairs`` interface curvature folded in through a dense Woodbury
-correction.  The interface curvature uses the secant stiffness ``c_xi`` on
-the elastic branch and drops the (nonpositive) softening curvature, so every
-Newton matrix is SPD and each direction is a descent direction; an Armijo
-backtracking line search guarantees monotone energy decrease.
+block ``H0 = M/tau^2 + A_eta/tau + A_mu`` is factorized once, together with
+its interface Schur complement ``S = B H0^-1 B'``, and the interface
+curvature ``D`` is folded in by the Woodbury identity over all pairs,
+``(H0 + B' D B)^-1 g = y - X D (I + S D)^-1 B y`` with ``y = H0^-1 g`` and
+``X = H0^-1 B'``.  ``I + S D`` is nonsingular for every ``D >= 0``, so pairs
+with zero curvature need no special case and no fallback.  The interface
+curvature uses the secant stiffness ``c_xi`` on the elastic branch and drops
+the (nonpositive) softening curvature, so every Newton matrix is SPD and
+each direction is a descent direction; an Armijo backtracking line search
+guarantees monotone energy decrease.
+
+The step is well posed when the functional is strictly convex, which
+:func:`convexity_guard` decides exactly from the Schur complement of
+``A_eta/tau + A_mu``.
 """
 
 from __future__ import annotations
@@ -28,10 +36,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
-from .assembly import DiscreteOperators
+from .assembly import DiscreteOperators, InterfaceSchur
 from .law import CohesiveLaw
 
 __all__ = [
@@ -60,11 +66,11 @@ class StepSolverError(RuntimeError):
 
 
 class ConvexityError(RuntimeError):
-    """The incremental functional is not provably convex for this time step."""
+    """The incremental functional is not strictly convex for this time step."""
 
 
 class StepWorkspace:
-    """Reusable factorization of the history-independent SPD block.
+    """Reusable factorization of the history-independent SPD block ``H0``.
 
     ``tau=None`` builds the static variant (elastic stiffness only), used for
     the equilibrium recomputation of initial data.
@@ -85,28 +91,14 @@ class StepWorkspace:
         else:
             H0 = self.M_ff / tau**2 + self.Aeta_ff / tau + self.Amu_ff
         self.H0_ff = H0.tocsr()
-        self._lu = spla.splu(H0.tocsc())
-        # interface columns of the inverse, for the Woodbury correction
-        self.X = self._lu.solve(self.B_f.T.toarray())     # (n_free, n_pairs)
-        self.BX = self.B_f @ self.X                       # (n_pairs, n_pairs)
-
-    def solve_h0(self, rhs: np.ndarray) -> np.ndarray:
-        return self._lu.solve(rhs)
+        self.schur = InterfaceSchur(self.H0_ff, self.B_f)
 
     def newton_direction(self, g: np.ndarray, d_curv: np.ndarray) -> np.ndarray:
         """Solve ``(H0 + B' diag(d_curv) B) d = -g`` via the Woodbury identity."""
-        y = self.solve_h0(g)
-        act = np.flatnonzero(d_curv > 0.0)
-        if act.size:
-            S = self.BX[np.ix_(act, act)].copy()
-            S[np.diag_indices(act.size)] += 1.0 / d_curv[act]
-            try:
-                z = np.linalg.solve(S, (self.B_f @ y)[act])
-                y = y - self.X[:, act] @ z
-            except np.linalg.LinAlgError:
-                H = self.H0_ff + self.B_f.T @ sp.diags(d_curv) @ self.B_f
-                y = spla.splu(H.tocsc()).solve(g)
-        return -y
+        y = self.schur.solve(g)
+        z = np.linalg.solve(np.eye(d_curv.size) + self.schur.S * d_curv[None, :],
+                            self.B_f @ y)
+        return self.schur.X @ (d_curv * z) - y
 
 
 @dataclass
@@ -333,33 +325,19 @@ def solve_static(ops: DiscreteOperators, law: CohesiveLaw, xi: np.ndarray,
     return u
 
 
-def convexity_guard(prob: StepProblem, margin: float = 0.0) -> bool:
-    """Sufficient convexity check for the incremental functional.
+def convexity_guard(prob: StepProblem) -> bool:
+    """Exact test of the step's convexity condition.
 
-    True when either (a) the coercivity condition (H4) holds on this mesh,
-    ``mu_min * c_hat - beta >= margin``, or (b) the matrix
-    ``A_eta / tau + A_mu - beta B' W B`` restricted to the free DOFs admits a
-    Cholesky factorization (positive definite).
+    True when ``K - beta B' W B`` is positive definite on the free DOFs, with
+    ``K = A_eta / tau + A_mu`` and ``beta`` the law's curvature bound; the
+    incremental functional is then strictly convex for every history (the
+    mass term ``M / tau^2`` only adds to it and is left out).  As ``K`` is
+    SPD, the condition holds exactly when ``beta * lambda_max(W^1/2 S W^1/2)
+    < 1`` for the interface Schur complement ``S = B K^-1 B'``.
     """
-    beta = prob.law.beta
-    try:
-        c_hat = prob.ops.trace_constant()
-        if prob.ops.materials.mu_min * c_hat - beta >= margin:
-            return True
-    except Exception:
-        pass  # toy operators without a mesh fall through to the algebraic check
-
     ops, tau = prob.ops, prob.tau
     free = ops.free_dofs
     ix = np.ix_(free, free)
-    B_f = ops.B[:, free]
-    C = (ops.A_eta[ix] / tau + ops.A_mu[ix]
-         - beta * (B_f.T @ sp.diags(ops.weights) @ B_f)).tocsc()
-    if free.size <= 2500:
-        try:
-            np.linalg.cholesky(C.toarray())
-            return True
-        except np.linalg.LinAlgError:
-            return False
-    lam = spla.eigsh(C, k=1, which="SA", return_eigenvectors=False, tol=1e-8)
-    return bool(lam[0] > 0.0)
+    K = ops.A_eta[ix] / tau + ops.A_mu[ix]
+    schur = InterfaceSchur(K, ops.B[:, free])
+    return bool(prob.law.beta * schur.lambda_max(ops.weights) < 1.0)

@@ -203,6 +203,13 @@ class TestCli:
 
         assert margin(small) > 0 > margin(large)
 
+    def test_non_integer_thread_cap_exits_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("COHESIM_THREADS", "two")
+        out = tmp_path / "out"
+        assert main(["study", str(SCENARIOS / "study_tau.json"), "--out", str(out)]) == 2
+        assert "config error: COHESIM_THREADS" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_study_tau_refinement_rest(self, tmp_path):
         doc = {"kind": "tau_refinement", "levels": 3, "base": base_doc()}
         doc["base"]["loads"] = {}

@@ -4,10 +4,11 @@ monotonicity, convexity guard."""
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from cohesim.assembly import DiscreteOperators, Materials, assemble
 from cohesim.law import CohesiveLaw, PrototypeEnvelope, TabulatedEnvelope
-from cohesim.mesh import build_rectangle_mesh, scaled
+from cohesim.mesh import build_rectangle_mesh, estimate_trace_constant, scaled
 from cohesim.step import (
     StepProblem,
     StepWorkspace,
@@ -216,6 +217,20 @@ class TestSolveStep:
         res_b = solve_step(prob_b, tol=1e-12)
         assert np.allclose(res_a.u_new, res_b.u_new, atol=1e-14)
 
+    def test_newton_direction_matches_sparse_solve(self):
+        mesh = build_rectangle_mesh(1.0, 4, 4)
+        ops = assemble(mesh, Materials(1.0, 2.0, 1.0, 3.0, 0.5, 2.0))
+        ws = StepWorkspace(ops, 0.05)
+        rng = np.random.default_rng(11)
+        g = rng.normal(size=ws.free.size)
+        # zero curvature (fully debonded) next to elastic/softening pairs
+        d_curv = np.where(np.arange(mesh.n_pairs) % 2 == 0, 0.0,
+                          rng.uniform(0.1, 100.0, mesh.n_pairs))
+        H = ws.H0_ff + ws.B_f.T @ sp.diags(d_curv) @ ws.B_f
+        ref = spla.spsolve(H.tocsc(), -g)
+        d = ws.newton_direction(g, d_curv)
+        assert np.abs(d - ref).max() <= 1e-12 * np.abs(ref).max()
+
 
 class TestSolveStatic:
     def test_zero_load_gives_zero(self):
@@ -257,7 +272,7 @@ class TestConvexityGuard:
         mesh = build_rectangle_mesh(1.0, 4, 4)
         ops = assemble(mesh, Materials.constant(1.0, 1.0, 1.0))
         law = CohesiveLaw(PrototypeEnvelope(1.0, 0.2))  # beta = 50
-        assert ops.materials.mu_min * ops.trace_constant() < law.beta
+        assert ops.materials.mu_min * estimate_trace_constant(mesh) < law.beta
         prob = StepProblem(1e3, np.zeros(ops.n_nodes), np.zeros(ops.n_nodes),
                            np.full(mesh.n_pairs, 0.1), np.zeros(ops.n_nodes), ops, law)
         assert not convexity_guard(prob)
@@ -273,7 +288,43 @@ class TestConvexityGuard:
         mesh = scaled(build_rectangle_mesh(1.0, 4, 4), 0.05)
         ops = assemble(mesh, Materials.constant(1.0, 1.0, 1.0))
         law = CohesiveLaw(PrototypeEnvelope(1.0, 1.0))  # beta = 2
-        assert ops.materials.mu_min * ops.trace_constant() > law.beta
+        assert ops.materials.mu_min * estimate_trace_constant(mesh) > law.beta
         prob = StepProblem(1e6, np.zeros(ops.n_nodes), np.zeros(ops.n_nodes),
                            np.full(mesh.n_pairs, 0.1), np.zeros(ops.n_nodes), ops, law)
         assert convexity_guard(prob)
+
+    @pytest.mark.parametrize("materials", [
+        Materials.constant(1.0, 1.0, 1.0),
+        Materials(1.0, 2.0, 1.0, 3.0, 0.5, 2.0),
+    ])
+    def test_exact_against_dense_eigenvalue_oracle(self, materials):
+        mesh = build_rectangle_mesh(1.0, 4, 4)
+        ops = assemble(mesh, materials)
+        law = CohesiveLaw(PrototypeEnvelope(1.0, 0.2))  # beta = 50
+        free = ops.free_dofs
+        ix = np.ix_(free, free)
+        B_f = ops.B[:, free]
+        BWB = (B_f.T @ sp.diags(ops.weights) @ B_f).toarray()
+        c_hat = estimate_trace_constant(mesh)
+
+        def oracle(tau):
+            C = (ops.A_eta[ix] / tau + ops.A_mu[ix]).toarray() - law.beta * BWB
+            return bool(np.linalg.eigvalsh(C)[0] > 0.0)
+
+        # C decreases with tau: bisect the oracle's threshold, then test
+        # both sides of it closely as well as a wide range of time steps
+        lo, hi = 1e-4, 1e2
+        assert oracle(lo) and not oracle(hi)
+        for _ in range(60):
+            mid = np.sqrt(lo * hi)
+            lo, hi = (mid, hi) if oracle(mid) else (lo, mid)
+        taus = [*np.geomspace(1e-4, 1e2, 13), 0.999 * lo, 1.001 * hi]
+        for tau in taus:
+            prob = StepProblem(tau, np.zeros(ops.n_nodes), np.zeros(ops.n_nodes),
+                               np.full(mesh.n_pairs, 0.1), np.zeros(ops.n_nodes),
+                               ops, law)
+            assert convexity_guard(prob) == oracle(tau)
+            if materials.mu_plus == materials.mu_minus:
+                # equal coefficients on both bodies: the (H4)-type criterion
+                eta, mu = materials.eta_plus, materials.mu_plus
+                assert ((eta / tau + mu) * c_hat > law.beta) == oracle(tau)
