@@ -192,6 +192,12 @@ class InterfaceSchur:
     pair and ``S = B X`` is symmetrised.  Minimizing ``u' K u`` subject to
     prescribed jumps ``B u = j`` leaves ``j' S^-1 j``, the interface problem
     that FETI condenses onto (Farhat & Roux, IJNME 32, 1991).
+
+    For ``K = H0`` it is the time step's interface operator: the step solver
+    runs Newton on the interface multipliers with ``S`` and recovers the
+    displacement with one ``solve`` (see :mod:`cohesim.step`).  The trace
+    constant and the convexity guard use it for ``K = A`` and
+    ``K = A_eta/tau + A_mu``.
     """
 
     def __init__(self, K_ff: sp.spmatrix, B_f: sp.spmatrix):

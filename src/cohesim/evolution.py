@@ -223,12 +223,12 @@ def run(scenario: Scenario, callbacks=None, tol: float = 1e-10,
     u_prev2 = u0 - tau * v0
     xi = xi0.copy()
 
-    ws = StepWorkspace(ops, tau)
+    # the guard needs no workspace: a rejected tau fails before H0 is factorized
     f1 = load_vector(scenario.loads, tau)
-    first = StepProblem(tau, u_prev, u_prev2, xi, f1, ops, law, ws)
-    if not convexity_guard(first):
+    if not convexity_guard(StepProblem(tau, u_prev, u_prev2, xi, f1, ops, law)):
         raise ConvexityError(
             "incremental functional not strictly convex; reduce the time step tau")
+    ws = StepWorkspace(ops, tau)
 
     P = scenario.mesh.n_pairs
     rec = TrajectoryRecord(

@@ -13,18 +13,29 @@ This max-rule makes the discrete complementarity conditions hold exactly:
 ``|[u]_j| <= xi_j``, ``(xi_j - xi_prev_j)(|[u]_j| - xi_j) = 0`` and
 ``|xi_j - xi_prev_j| <= |[u]_j - [u_prev]_j|``.
 
-The solver is a damped Newton method on the C1 gradient (the history floor
-``xi_prev > 0`` keeps the cohesive term differentiable): the SPD leading
-block ``H0 = M/tau^2 + A_eta/tau + A_mu`` is factorized once, together with
-its interface Schur complement ``S = B H0^-1 B'``, and the interface
-curvature ``D`` is folded in by the Woodbury identity over all pairs,
-``(H0 + B' D B)^-1 g = y - X D (I + S D)^-1 B y`` with ``y = H0^-1 g`` and
-``X = H0^-1 B'``.  ``I + S D`` is nonsingular for every ``D >= 0``, so pairs
-with zero curvature need no special case and no fallback.  The interface
-curvature uses the secant stiffness ``c_xi`` on the elastic branch and drops
-the (nonpositive) softening curvature, so every Newton matrix is SPD and
-each direction is a descent direction; an Armijo backtracking line search
-guarantees monotone energy decrease.
+The bulk part of the functional is quadratic, ``1/2 u' H0 u + b . u`` with
+the SPD block ``H0 = M/tau^2 + A_eta/tau + A_mu`` and ``b`` collecting the
+previous states and the load; only the ``n_pairs`` jumps are nonlinear.  The
+step is therefore condensed onto the interface (static condensation, as in
+the FETI interface problem): with ``X = H0^-1 B'`` and ``S = B X``, the
+minimizer is ``u(lam) = H0^-1 (B' lam - b)`` for the interface multipliers
+``lam`` (minus the cohesive forces at the solution) that minimize
+
+    phi(lam) = 1/2 lam' S lam + sum_j w_j psi(j_lin + S lam, xi_prev_j),
+
+``j_lin = -X' b``, which equals the incremental functional at ``u(lam)`` up
+to a constant.  The full-space gradient at ``u(lam)`` is ``B' r`` with
+``r = lam + w psi'(j)``; interface nodes are never Dirichlet nodes and each
+node lies in at most one pair, so ``|B' r|_inf = |r|_inf`` and the
+convergence test on ``r`` is the full-space one.  A damped Newton method
+(the history floor ``xi_prev > 0`` keeps ``psi`` C1) solves
+``(I + D S) delta = -r``: the interface curvature ``D`` uses the secant
+stiffness ``c_xi`` on the elastic branch and drops the (nonpositive)
+softening curvature, so ``I + D S`` is nonsingular for every ``D >= 0`` and
+each direction descends; an Armijo backtracking line search on ``phi``
+guarantees monotone decrease.  ``H0`` is factorized once per time step size;
+each step costs one ``X' b`` product, Newton iterations in ``n_pairs``
+unknowns and one sparse solve to recover ``u``.
 
 The step is well posed when the functional is strictly convex, which
 :func:`convexity_guard` decides exactly from the Schur complement of
@@ -54,6 +65,7 @@ __all__ = [
 
 _ARMIJO_C1 = 1e-4
 _MIN_STEP = 1e-14
+_ROUNDING = 64.0 * np.finfo(float).eps
 
 
 class StepSolverError(RuntimeError):
@@ -80,25 +92,27 @@ class StepWorkspace:
         free = ops.free_dofs
         ix = np.ix_(free, free)
         self.free = free
+        self.n_nodes = ops.n_nodes
         self.M_ff = ops.M[ix].tocsr()
         self.Aeta_ff = ops.A_eta[ix].tocsr()
-        self.Amu_ff = ops.A_mu[ix].tocsr()
         self.B_f = ops.B[:, free].tocsr()
         self.weights = ops.weights
         self.tau = tau
-        if tau is None:
-            H0 = self.Amu_ff
-        else:
-            H0 = self.M_ff / tau**2 + self.Aeta_ff / tau + self.Amu_ff
+        H0 = ops.A_mu[ix]
+        if tau is not None:
+            H0 = self.M_ff / tau**2 + self.Aeta_ff / tau + H0
         self.H0_ff = H0.tocsr()
         self.schur = InterfaceSchur(self.H0_ff, self.B_f)
 
-    def newton_direction(self, g: np.ndarray, d_curv: np.ndarray) -> np.ndarray:
-        """Solve ``(H0 + B' diag(d_curv) B) d = -g`` via the Woodbury identity."""
-        y = self.schur.solve(g)
-        z = np.linalg.solve(np.eye(d_curv.size) + self.schur.S * d_curv[None, :],
-                            self.B_f @ y)
-        return self.schur.X @ (d_curv * z) - y
+    def newton_direction(self, r: np.ndarray, d_curv: np.ndarray) -> np.ndarray:
+        """Interface Newton direction: solve ``(I + diag(d_curv) S) delta = -r``."""
+        return np.linalg.solve(np.eye(d_curv.size) + d_curv[:, None] * self.schur.S, -r)
+
+    def displacement(self, lam: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Nodal field ``u(lam) = H0^-1 (B' lam - b)``, zero on the Dirichlet nodes."""
+        u = np.zeros(self.n_nodes)
+        u[self.free] = self.schur.solve(self.B_f.T @ lam - b)
+        return u
 
 
 @dataclass
@@ -126,6 +140,7 @@ class StepResult:
     newton_iters: int
     grad_norm: float
     el_residual: float
+    energy: float            # incremental functional at u_new
 
 
 def _full_vector(u, prob: StepProblem) -> np.ndarray:
@@ -164,90 +179,79 @@ def _interface_curvature(law: CohesiveLaw, jumps: np.ndarray, xi: np.ndarray,
     return weights * np.where(elastic, c_el, c_soft)
 
 
-def _minimize(ws: StepWorkspace, law: CohesiveLaw, xi: np.ndarray,
-              quad_grad, value, u0_f: np.ndarray, tol_abs: float,
-              max_iter: int, trace=None):
-    """Damped Newton with Armijo backtracking; returns (u_f, iters, grad_norm)."""
-    w = ws.weights
-    u = u0_f.copy()
+def _minimize(ws: StepWorkspace, law: CohesiveLaw, xi: np.ndarray, b: np.ndarray,
+              lam0: np.ndarray, tol_abs: float, max_iter: int, trace=None,
+              energy=None):
+    """Damped Newton with Armijo backtracking on the interface functional
+    ``phi(lam) = 1/2 lam' S lam + sum_j w_j psi(j_lin + S lam, xi_j)``.
 
-    def gradient(uf):
-        jumps = ws.B_f @ uf
-        return quad_grad(uf) + ws.B_f.T @ (w * law.dpsi_dw(jumps, xi)), jumps
+    Returns ``(lam, iters, residual_norm)``.  ``trace`` receives the values
+    of ``energy`` (the full-space functional) along the iterates.
+    """
+    S, w = ws.schur.S, ws.weights
+    j_lin = -(ws.schur.X.T @ b)
 
-    g, jumps = gradient(u)
-    gnorm = float(np.abs(g).max(initial=0.0))
-    J = value(u)
+    def value(lam):
+        S_lam = S @ lam
+        return 0.5 * float(lam @ S_lam) + float(w @ law.psi(j_lin + S_lam, xi))
+
+    def residual(lam):
+        # the full-space gradient at u(lam) is B' r, and |B' r|_inf = |r|_inf
+        jumps = j_lin + S @ lam
+        r = lam + w * law.dpsi_dw(jumps, xi)
+        return r, jumps, float(np.abs(r).max(initial=0.0))
+
+    lam = lam0.copy()
+    r, jumps, rnorm = residual(lam)
+    phi = value(lam)
     if trace is not None:
-        trace.append(J)
+        zero = np.zeros_like(lam)
+        offset = energy(ws.displacement(zero, b)) - value(zero)
+        trace.append(phi + offset)
     iters = 0
-    while gnorm > tol_abs and iters < max_iter:
-        d_curv = _interface_curvature(law, jumps, xi, w)
-        d = ws.newton_direction(g, d_curv)
-        slope = float(g @ d)
-        if slope >= 0.0:  # SPD construction should prevent this
-            d = -g
-            slope = -float(g @ g)
+    while rnorm > tol_abs and iters < max_iter:
+        delta = ws.newton_direction(r, _interface_curvature(law, jumps, xi, w))
+        slope = float((S @ r) @ delta)
         alpha = 1.0
-        J_try = value(u + d)
-        accepted_by_residual = False
-        if J_try <= J + _ARMIJO_C1 * slope:
-            # expand: the clamped softening curvature can overestimate the
-            # true one near the branch kink, making unit steps far too short
-            while alpha < 2.0**30:
-                J_next = value(u + 2.0 * alpha * d)
-                if J_next >= J_try:
-                    break
-                alpha *= 2.0
-                J_try = J_next
-        elif abs(J_try - J) <= 64.0 * np.finfo(float).eps * max(1.0, abs(J)):
-            # energy differences are below rounding resolution; accept the
-            # full Newton step on strict residual decrease instead
-            g_new, jumps_new = gradient(u + d)
-            gn_new = float(np.abs(g_new).max(initial=0.0))
-            if gn_new <= 0.9 * gnorm:
-                accepted_by_residual = True
-            else:
+        phi_try = value(lam + delta)
+        descent = phi_try <= phi + _ARMIJO_C1 * slope
+        if not descent and abs(phi_try - phi) <= _ROUNDING * max(1.0, abs(phi)):
+            # differences are below rounding resolution; accept the full
+            # Newton step on strict residual decrease instead
+            if residual(lam + delta)[2] > 0.9 * rnorm:
                 raise StepSolverError(
                     "Newton stagnation at the energy rounding floor",
-                    u_last=u, grad_norm=gnorm)
-        else:
+                    u_last=ws.displacement(lam, b), grad_norm=rnorm)
+        elif not descent:
             while True:
                 alpha *= 0.5
                 if alpha < _MIN_STEP:
                     raise StepSolverError(
                         "Newton stagnation: no descent step above minimal length",
-                        u_last=u, grad_norm=gnorm)
-                J_try = value(u + alpha * d)
-                if J_try <= J + _ARMIJO_C1 * alpha * slope:
+                        u_last=ws.displacement(lam, b), grad_norm=rnorm)
+                phi_try = value(lam + alpha * delta)
+                if phi_try <= phi + _ARMIJO_C1 * alpha * slope:
                     break
-        u = u + alpha * d
-        J = J_try
+        lam = lam + alpha * delta
+        phi = phi_try
         if trace is not None:
-            trace.append(J)
-        if accepted_by_residual:
-            g, jumps, gnorm = g_new, jumps_new, gn_new
-        else:
-            g, jumps = gradient(u)
-            gnorm = float(np.abs(g).max(initial=0.0))
+            trace.append(phi + offset)
+        r, jumps, rnorm = residual(lam)
         iters += 1
-    if gnorm > tol_abs:
+    if rnorm > tol_abs:
         raise StepSolverError(
-            f"Newton did not converge in {max_iter} iterations (residual {gnorm:.3e})",
-            u_last=u, grad_norm=gnorm)
+            f"Newton did not converge in {max_iter} iterations (residual {rnorm:.3e})",
+            u_last=ws.displacement(lam, b), grad_norm=rnorm)
     # polish: a few full steps to push the residual toward machine precision,
     # so traction/transmission audits are solver-noise free
     for _ in range(3):
-        d_curv = _interface_curvature(law, jumps, xi, w)
-        d = ws.newton_direction(g, d_curv)
-        u_try = u + d
-        g_try, jumps_try = gradient(u_try)
-        gn_try = float(np.abs(g_try).max(initial=0.0))
-        if gn_try >= gnorm:
+        lam_try = lam + ws.newton_direction(r, _interface_curvature(law, jumps, xi, w))
+        r_try, jumps_try, rn_try = residual(lam_try)
+        if rn_try >= rnorm:
             break
-        u, g, jumps, gnorm = u_try, g_try, jumps_try, gn_try
+        lam, r, jumps, rnorm = lam_try, r_try, jumps_try, rn_try
         iters += 1
-    return u, iters, gnorm
+    return lam, iters, rnorm
 
 
 def solve_step(prob: StepProblem, tol: float = 1e-10, max_iter: int = 60,
@@ -269,28 +273,25 @@ def solve_step(prob: StepProblem, tol: float = 1e-10, max_iter: int = 60,
     # constant part of the quadratic gradient
     b = -(ws.M_ff @ (2.0 * u1 - u2)) / tau**2 - (ws.Aeta_ff @ u1) / tau - f
 
-    def quad_grad(uf):
-        return ws.H0_ff @ uf + b
-
-    def value(uf):
-        return incremental_energy(uf, prob)
-
     tol_abs = tol * (1.0 + float(np.abs(prob.f_k).max(initial=0.0)))
-    u0 = 2.0 * u1 - u2  # second-order accurate predictor
-    u_f, iters, gnorm = _minimize(ws, prob.law, prob.xi_prev, quad_grad, value,
-                                  u0, tol_abs, max_iter, trace)
+    # warm start: the cohesive tractions at the second-order predicted jumps
+    u_pred = 2.0 * prob.u_prev - prob.u_prev2
+    lam0 = -ws.weights * prob.law.dpsi_dw(ops.B @ u_pred, prob.xi_prev)
+    lam, iters, rnorm = _minimize(ws, prob.law, prob.xi_prev, b, lam0, tol_abs,
+                                  max_iter, trace, lambda u: incremental_energy(u, prob))
 
-    u_new = np.zeros(ops.n_nodes)
-    u_new[free] = u_f
+    u_new = ws.displacement(lam, b)
     jumps = ops.B @ u_new
     xi_new = np.maximum(prob.xi_prev, np.abs(jumps))
 
     # a-posteriori form: the Euler-Lagrange residual with the updated history
-    g_post = quad_grad(u_f) + ws.B_f.T @ (ws.weights * prob.law.dpsi_dw(jumps, xi_new))
+    g_post = (ws.H0_ff @ u_new[free] + b
+              + ws.B_f.T @ (ws.weights * prob.law.dpsi_dw(jumps, xi_new)))
     el_residual = float(np.abs(g_post).max(initial=0.0))
 
     return StepResult(u_new=u_new, xi_new=xi_new, newton_iters=iters,
-                      grad_norm=gnorm, el_residual=el_residual)
+                      grad_norm=rnorm, el_residual=el_residual,
+                      energy=incremental_energy(u_new, prob))
 
 
 def solve_static(ops: DiscreteOperators, law: CohesiveLaw, xi: np.ndarray,
@@ -304,25 +305,10 @@ def solve_static(ops: DiscreteOperators, law: CohesiveLaw, xi: np.ndarray,
     if np.any(xi <= 0.0):
         raise ValueError("xi must be strictly positive (regularized regime)")
     ws = workspace if workspace is not None else StepWorkspace(ops, None)
-    free = ws.free
-    f = f_eff[free]
-
-    def quad_grad(uf):
-        return ws.Amu_ff @ uf - f
-
-    def value(uf):
-        full = np.zeros(ops.n_nodes)
-        full[free] = uf
-        jumps = ops.B @ full
-        return float(0.5 * (uf @ (ws.Amu_ff @ uf)) - f @ uf
-                     + ops.weights @ law.psi(jumps, xi))
-
+    b = -f_eff[ws.free]
     tol_abs = tol * (1.0 + float(np.abs(f_eff).max(initial=0.0)))
-    u_f, _, _ = _minimize(ws, law, xi, quad_grad, value,
-                          np.zeros(free.size), tol_abs, max_iter)
-    u = np.zeros(ops.n_nodes)
-    u[free] = u_f
-    return u
+    lam, _, _ = _minimize(ws, law, xi, b, np.zeros(ws.weights.size), tol_abs, max_iter)
+    return ws.displacement(lam, b)
 
 
 def convexity_guard(prob: StepProblem) -> bool:

@@ -71,6 +71,14 @@ class TestRun:
         with pytest.raises(ConvexityError, match="time step"):
             run(sc)
 
+    def test_convexity_guard_runs_before_workspace(self, monkeypatch):
+        def no_workspace(*args, **kwargs):
+            raise AssertionError("step workspace built before the convexity guard")
+
+        monkeypatch.setattr(evolution, "StepWorkspace", no_workspace)
+        with pytest.raises(ConvexityError, match="time step"):
+            run(standard_ramp(n=2, n_x=4, n_y=2, T=2e6))
+
     def test_step_failure_attaches_partial_trajectory(self, monkeypatch):
         calls = {"k": 0}
         real = evolution.solve_step

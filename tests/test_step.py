@@ -1,12 +1,14 @@
 """Step-solver tests: 2-DOF oracle equivalence, KKT exactness, energy
 monotonicity, convexity guard."""
 
+import itertools
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from cohesim.assembly import DiscreteOperators, Materials, assemble
+from cohesim.assembly import DiscreteOperators, LoadModel, Materials, assemble
 from cohesim.law import CohesiveLaw, PrototypeEnvelope, TabulatedEnvelope
 from cohesim.mesh import build_rectangle_mesh, estimate_trace_constant, scaled
 from cohesim.step import (
@@ -222,14 +224,47 @@ class TestSolveStep:
         ops = assemble(mesh, Materials(1.0, 2.0, 1.0, 3.0, 0.5, 2.0))
         ws = StepWorkspace(ops, 0.05)
         rng = np.random.default_rng(11)
-        g = rng.normal(size=ws.free.size)
+        r = rng.normal(size=mesh.n_pairs)
         # zero curvature (fully debonded) next to elastic/softening pairs
         d_curv = np.where(np.arange(mesh.n_pairs) % 2 == 0, 0.0,
                           rng.uniform(0.1, 100.0, mesh.n_pairs))
+        # push-through: (H0 + B'DB)^-1 B' = X (I + DS)^-1 with X = H0^-1 B'
         H = ws.H0_ff + ws.B_f.T @ sp.diags(d_curv) @ ws.B_f
-        ref = spla.spsolve(H.tocsc(), -g)
-        d = ws.newton_direction(g, d_curv)
+        ref = spla.spsolve(H.tocsc(), -(ws.B_f.T @ r))
+        d = ws.schur.X @ ws.newton_direction(r, d_curv)
         assert np.abs(d - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_full_space_stationarity_through_unloading_and_reloading(self):
+        mesh = build_rectangle_mesh(1.0, 8, 4)
+        ops = assemble(mesh, Materials(0.1, 0.2, 2.0, 3.0, 4.0, 2.0))
+        law = CohesiveLaw(PrototypeEnvelope(g_c=1.0, xi_c=2.0))  # concave: loading softens
+        n, tol, floor = 60, 1e-10, 1e-3
+        tau = 1.0 / n
+        loads = LoadModel.from_functions(
+            mesh, np.linspace(0.0, 1.0, n + 1),
+            bulk=lambda x, y, t: 25.0 * np.interp(t, [0.0, 0.3, 0.5, 1.0],
+                                                  [0.0, 1.0, 0.2, 1.6])
+            * np.sin(np.pi * x) * y)
+        ws = StepWorkspace(ops, tau)
+        free = ops.free_dofs
+        u1 = u2 = np.zeros(ops.n_nodes)
+        xi = np.full(mesh.n_pairs, floor)
+        phases = []
+        for k in range(1, n + 1):
+            f = loads.at(k * tau)
+            prob = StepProblem(tau, u1, u2, xi, f, ops, law, ws)
+            res = solve_step(prob, tol=tol)
+            u = res.u_new
+            # Euler-Lagrange gradient of the full-space functional, old history
+            g = (ops.M @ (u - 2.0 * u1 + u2) / tau**2 + ops.A_eta @ (u - u1) / tau
+                 + ops.A_mu @ u - f
+                 + ops.B.T @ (ops.weights * law.dpsi_dw(ops.B @ u, xi)))
+            assert np.abs(g[free]).max() <= tol * (1.0 + np.abs(f).max())
+            assert res.energy == incremental_energy(u, prob)
+            phases.append("load" if np.any(res.xi_new > xi)
+                          else "unload" if np.any(res.xi_new > floor) else "rest")
+            u2, u1, xi = u1, u, res.xi_new
+        assert [p for p, _ in itertools.groupby(phases)] == ["rest", "load", "unload", "load"]
 
 
 class TestSolveStatic:

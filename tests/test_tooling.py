@@ -1,17 +1,39 @@
 """The benchmark's traced path wraps cohesim callables by name; it must find
-every one of them."""
+every one of them, and the spans it counts must keep their meaning."""
 
 import subprocess
 import sys
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
+PATHS = [str(REPO / "perfbench"), str(REPO / "src"), str(REPO / "tests")]
+
+
+def run_python(code):
+    proc = subprocess.run([sys.executable, "-c", code, *PATHS],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 def test_benchmark_tracing_installs():
-    code = ("import sys; sys.path[:0] = [sys.argv[1], sys.argv[2]]; "
-            "import tracing; tracing.install(tracing.Tracer())")
-    proc = subprocess.run(
-        [sys.executable, "-c", code, str(REPO / "perfbench"), str(REPO / "src")],
-        capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
+    run_python("import sys; sys.path[:0] = sys.argv[1:]; "
+               "import tracing; tracing.install(tracing.Tracer())")
+
+
+def test_traced_run_counts_one_energy_evaluation_per_step():
+    # the benchmark divides Newton iterations by the incremental_energy spans
+    out = run_python(
+        "import sys; sys.path[:0] = sys.argv[1:]\n"
+        "import tracing\n"
+        "tracer = tracing.Tracer()\n"
+        "tracing.install(tracer)\n"
+        "import cohesim.evolution\n"
+        "from scenarios import unloading_tent\n"
+        "cohesim.evolution.run(unloading_tent(n=3, n_x=4, n_y=2))\n"
+        "names = [s['name'] for s in tracer.spans]\n"
+        "print(names.count('step.newton_direction'), "
+        "names.count('step.incremental_energy'))\n")
+    directions, energies = map(int, out.split())
+    assert directions >= 1
+    assert energies == 3
