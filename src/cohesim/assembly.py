@@ -215,76 +215,101 @@ class InterfaceSchur:
         return float(np.linalg.eigvalsh(sqrt_w[:, None] * self.S * sqrt_w[None, :])[-1])
 
 
-def _assemble_bulk_load(mesh: InterfaceMesh, fn, t: float) -> np.ndarray:
+class _LoadRule:
+    """Points ``xq``, weights ``c`` and sparse shape values ``P`` of one rule.
+
+    ``P @ (c * f(xq, t))`` is the consistent load of ``f``.  Entry ``k`` maps
+    point ``cols[k]`` to node ``rows[k]`` with value ``vals[k]``; each row
+    keeps its entries, zeros included, in the given order and sums them so.
+    """
+
+    def __init__(self, n_nodes: int, xq, c, rows, cols, vals):
+        self.xq, self.c = xq, c
+        order = np.argsort(rows, kind="stable")
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n_nodes))])
+        self.P = sp.csr_matrix((vals[order], cols[order], indptr), shape=(n_nodes, c.size))
+
+    def apply(self, fn, t: float) -> np.ndarray:
+        fv = np.asarray(fn(self.xq[:, 0], self.xq[:, 1], t), dtype=float)
+        return self.P @ (self.c * np.broadcast_to(fv, self.c.shape))
+
+
+def _load_rules(mesh: InterfaceMesh) -> tuple:
+    """Bulk and surface rules.  Bulk points run by rule point, then triangle;
+    surface points by Gauss point, then edge end, then edge (each Gauss point
+    once per end), so every node sums its contributions in loop order.
+    """
     p, area, _ = _geometry(mesh)
-    F = np.zeros(mesh.n_nodes)
-    for (l1, l2), wq in zip(_TRI_QP, _TRI_QW):
-        lam = np.array([1.0 - l1 - l2, l1, l2])
-        xq = np.einsum("i,tij->tj", lam, p)
-        fv = np.asarray(fn(xq[:, 0], xq[:, 1], t), dtype=float)
-        fv = np.broadcast_to(fv, (area.size,))
-        contrib = (wq * area * fv)[:, None] * lam[None, :]
-        np.add.at(F, mesh.triangles.ravel(), contrib.ravel())
-    return F
-
-
-def _assemble_surface_load(mesh: InterfaceMesh, fn, t: float) -> np.ndarray:
-    F = np.zeros(mesh.n_nodes)
-    if mesh.neumann_edges.size == 0:
-        return F
-    a = mesh.nodes[mesh.neumann_edges[:, 0]]
-    b = mesh.nodes[mesh.neumann_edges[:, 1]]
+    lam = np.column_stack([1.0 - _TRI_QP[:, 0] - _TRI_QP[:, 1], _TRI_QP])
+    bulk = _LoadRule(mesh.n_nodes,
+                     np.concatenate([np.einsum("i,tij->tj", l, p) for l in lam]),
+                     np.concatenate([wq * area for wq in _TRI_QW]),
+                     np.tile(mesh.triangles.ravel(), 3), np.repeat(np.arange(3 * area.size), 3),
+                     np.repeat(lam, area.size, axis=0).ravel())
+    e = mesh.neumann_edges
+    a, b = mesh.nodes[e[:, 0]], mesh.nodes[e[:, 1]]
     lengths = np.linalg.norm(b - a, axis=1)
-    for s, wq in zip(_EDGE_QP, _EDGE_QW):
-        xq = (1.0 - s) * a + s * b
-        fv = np.asarray(fn(xq[:, 0], xq[:, 1], t), dtype=float)
-        fv = np.broadcast_to(fv, (lengths.size,))
-        common = wq * lengths * fv
-        np.add.at(F, mesh.neumann_edges[:, 0], common * (1.0 - s))
-        np.add.at(F, mesh.neumann_edges[:, 1], common * s)
-    return F
+    s = np.repeat(_EDGE_QP, 2)[:, None, None]           # (Gauss point, end)
+    phi = np.column_stack([1.0 - _EDGE_QP, _EDGE_QP]).ravel()
+    surface = _LoadRule(mesh.n_nodes, ((1.0 - s) * a + s * b).reshape(-1, 2),
+                        (np.repeat(_EDGE_QW, 2)[:, None] * lengths).ravel(),
+                        np.tile(e.T, (2, 1)).ravel(), np.arange(4 * len(e)),
+                        np.repeat(phi, len(e)))
+    return bulk, surface
 
 
 class LoadModel:
     """External load sampled in time with piecewise-affine reconstruction.
 
-    Consistent load vectors are assembled at the sample instants (bulk
-    3-point rule per triangle, surface 2-point Gauss per Neumann edge, both
-    exact against the P1 test space for affine data); between samples the
-    assembled vectors are interpolated affinely, which commutes with the
-    (linear) assembly.
+    One :class:`_LoadRule` per load is built once (bulk: 3-point rule per
+    triangle, surface: 2-point Gauss per Neumann edge; both exact against the
+    P1 test space for affine data).  Samples are evaluated on demand and the
+    last two kept, so a time loop evaluates each once and no (samples x
+    nodes) table is stored.  Each sample is bit-identical to assembly triangle
+    by triangle: every node sums its contributions in the same order.  Between
+    samples the vectors are interpolated affinely, which commutes with the
+    (linear) assembly.  Concurrent reads are safe: the cache is replaced,
+    never modified, so a race costs at most a repeated evaluation.
     """
 
-    def __init__(self, times: np.ndarray, vectors: np.ndarray, surface_is_zero: bool):
+    def __init__(self, times, rules: tuple, bulk=None, surface=None):
         times = np.asarray(times, dtype=float)
-        vectors = np.asarray(vectors, dtype=float)
         if times.ndim != 1 or times.size < 1 or np.any(np.diff(times) <= 0.0):
             raise ValueError("load sample times must be strictly increasing")
-        if vectors.shape[0] != times.size:
-            raise ValueError("one assembled load vector per sample time required")
         self.times = times
-        self.vectors = vectors
-        self.surface_is_zero = bool(surface_is_zero)
+        self.rules = rules
+        self.bulk, self.surface = bulk, surface
+        self.surface_is_zero = surface is None
+        self._cache = ()      # up to two (sample index, vector) pairs
 
     @classmethod
     def from_functions(cls, mesh: InterfaceMesh, times, bulk=None, surface=None) -> "LoadModel":
-        """Sample ``bulk(x, y, t)`` and ``surface(x, y, t)`` on the given times."""
-        times = np.asarray(times, dtype=float)
-        F = np.zeros((times.size, mesh.n_nodes))
-        for i, t in enumerate(times):
-            if bulk is not None:
-                F[i] += _assemble_bulk_load(mesh, bulk, float(t))
-            if surface is not None:
-                F[i] += _assemble_surface_load(mesh, surface, float(t))
-        return cls(times, F, surface_is_zero=surface is None)
+        """Loads ``bulk(x, y, t)`` and ``surface(x, y, t)`` sampled on the given times.
+
+        Sample 0 is evaluated here, so a malformed callable fails at once.
+        """
+        loads = cls(times, _load_rules(mesh), bulk, surface)
+        loads._sample(0)
+        return loads
 
     @classmethod
     def zero(cls, mesh: InterfaceMesh, t_final: float) -> "LoadModel":
-        return cls(np.array([0.0, t_final]), np.zeros((2, mesh.n_nodes)), surface_is_zero=True)
+        return cls.from_functions(mesh, [0.0, t_final])
 
     @property
     def t_final(self) -> float:
         return float(self.times[-1])
+
+    def _sample(self, i: int) -> np.ndarray:
+        cache = self._cache
+        F = dict(cache).get(i)
+        if F is None:
+            F = np.zeros(self.rules[0].P.shape[0])
+            for rule, fn in zip(self.rules, (self.bulk, self.surface)):
+                if fn is not None:
+                    F += rule.apply(fn, float(self.times[i]))
+            self._cache = cache[-1:] + ((i, F),)
+        return F
 
     def at(self, t: float) -> np.ndarray:
         ts = self.times
@@ -294,9 +319,9 @@ class LoadModel:
         t = min(max(t, ts[0]), ts[-1])
         k = int(np.searchsorted(ts, t, side="right") - 1)
         if k >= ts.size - 1:
-            return self.vectors[-1].copy()
+            return self._sample(ts.size - 1).copy()
         theta = (t - ts[k]) / (ts[k + 1] - ts[k])
-        return (1.0 - theta) * self.vectors[k] + theta * self.vectors[k + 1]
+        return (1.0 - theta) * self._sample(k) + theta * self._sample(k + 1)
 
 
 def load_vector(loads: LoadModel, t: float) -> np.ndarray:

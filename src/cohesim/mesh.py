@@ -35,10 +35,6 @@ class MeshError(ValueError):
     """Invalid mesh topology, tagging, or geometry."""
 
 
-def _edge_key(a: int, b: int):
-    return (a, b) if a < b else (b, a)
-
-
 def _triangle_areas(nodes, triangles):
     p = nodes[triangles]
     return 0.5 * ((p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
@@ -155,14 +151,13 @@ class InterfaceMesh:
                 raise MeshError("empty Dirichlet set on one body")
 
         # boundary edges = edges adjacent to exactly one triangle
-        edge_count: dict = {}
-        for tri in tris:
-            for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
-                k = _edge_key(int(a), int(b))
-                edge_count[k] = edge_count.get(k, 0) + 1
-        boundary = {k for k, c in edge_count.items() if c == 1}
+        ends = np.sort(tris[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+        keys, counts = np.unique(ends[:, 0] * N + ends[:, 1], return_counts=True)
+        edges = np.column_stack(np.divmod(keys, N))     # sorted (a, b), a < b
+        boundary_sorted = [tuple(k) for k in edges[counts == 1].tolist()]
+        boundary = set(boundary_sorted)
 
-        neumann_set = {_edge_key(int(a), int(b)) for a, b in self.neumann_edges}
+        neumann_set = set(map(tuple, np.sort(self.neumann_edges, axis=1).tolist()))
         if len(neumann_set) != self.neumann_edges.shape[0]:
             raise MeshError("duplicate Neumann edge")
         missing = neumann_set - boundary
@@ -172,7 +167,7 @@ class InterfaceMesh:
         plus_set, minus_set = set(plus.tolist()), set(minus.tolist())
         dir_set = set(self.dirichlet_nodes.tolist())
         iface_edges = []
-        for a, b in sorted(boundary):
+        for a, b in boundary_sorted:
             on_iface = (a in plus_set and b in plus_set) or (a in minus_set and b in minus_set)
             on_dir = a in dir_set and b in dir_set
             on_neu = (a, b) in neumann_set
@@ -190,8 +185,7 @@ class InterfaceMesh:
         # the minus side must mirror every plus-side interface edge
         pair_of = dict(zip(plus.tolist(), minus.tolist()))
         for a, b in iface_edges:
-            k = _edge_key(pair_of[int(a)], pair_of[int(b)])
-            if k not in boundary:
+            if tuple(sorted((pair_of[a], pair_of[b]))) not in boundary:
                 raise MeshError(f"interface edge ({a}, {b}) has no minus-side counterpart")
 
         # trapezoid weights: half the length of the adjacent interface edges
@@ -213,8 +207,7 @@ class InterfaceMesh:
         if abs(total - arclen) > 1e-12 * max(arclen, 1.0):
             raise MeshError("interface weights do not sum to the interface arclength")
 
-        edges_all = np.array(list(edge_count.keys()), dtype=np.int64)
-        lengths = np.linalg.norm(nodes[edges_all[:, 0]] - nodes[edges_all[:, 1]], axis=1)
+        lengths = np.linalg.norm(nodes[edges[:, 0]] - nodes[edges[:, 1]], axis=1)
         self.h_max = float(lengths.max())
 
 
@@ -231,29 +224,22 @@ def build_rectangle_mesh(L: float, n_x: int, n_y: int) -> InterfaceMesh:
     if n_x < 1 or n_y < 1:
         raise MeshError("cell counts must be >= 1")
     hx, hy = L / n_x, 1.0 / n_y
+    xi, yj = np.arange(n_x + 1), np.arange(n_y + 1)
+    cj, ci = np.divmod(np.arange(n_x * n_y), n_x)      # cell (i, j), row by row
 
     def body(y0: float, offset: int):
-        xs = np.arange(n_x + 1) * hx
-        ys = y0 + np.arange(n_y + 1) * hy
-        corners = np.array([[x, y] for y in ys for x in xs])
-        centers = np.array([[(i + 0.5) * hx, y0 + (j + 0.5) * hy]
-                            for j in range(n_y) for i in range(n_x)])
-        n_corner = corners.shape[0]
+        corners = np.column_stack([np.tile(xi * hx, n_y + 1),
+                                   np.repeat(y0 + yj * hy, n_x + 1)])
+        centers = np.column_stack([(ci + 0.5) * hx, y0 + (cj + 0.5) * hy])
 
         def cid(i, j):
             return offset + j * (n_x + 1) + i
 
-        def ctr(i, j):
-            return offset + n_corner + j * n_x + i
-
-        tris = []
-        for j in range(n_y):
-            for i in range(n_x):
-                c0, c1 = cid(i, j), cid(i + 1, j)
-                c2, c3 = cid(i + 1, j + 1), cid(i, j + 1)
-                m = ctr(i, j)
-                tris += [(c0, c1, m), (c1, c2, m), (c2, c3, m), (c3, c0, m)]
-        return np.vstack([corners, centers]), np.array(tris), cid
+        c0, c1 = cid(ci, cj), cid(ci + 1, cj)
+        c2, c3 = cid(ci + 1, cj + 1), cid(ci, cj + 1)
+        m = offset + corners.shape[0] + np.arange(n_x * n_y)
+        tris = np.column_stack([c0, c1, m, c1, c2, m, c2, c3, m, c3, c0, m]).reshape(-1, 3)
+        return np.vstack([corners, centers]), tris, cid
 
     plus_nodes, plus_tris, plus_cid = body(0.0, 0)
     off = plus_nodes.shape[0]
@@ -264,17 +250,13 @@ def build_rectangle_mesh(L: float, n_x: int, n_y: int) -> InterfaceMesh:
     tri_side = np.concatenate([np.ones(len(plus_tris), dtype=np.int64),
                                -np.ones(len(minus_tris), dtype=np.int64)])
 
-    pairs = np.array([[plus_cid(i, 0), minus_cid(i, n_y)] for i in range(n_x + 1)])
-    dirichlet = np.array([plus_cid(i, n_y) for i in range(n_x + 1)]
-                         + [minus_cid(i, 0) for i in range(n_x + 1)])
-    neumann = []
-    for j in range(n_y):
-        neumann += [(plus_cid(0, j), plus_cid(0, j + 1)),
-                    (plus_cid(n_x, j), plus_cid(n_x, j + 1)),
-                    (minus_cid(0, j), minus_cid(0, j + 1)),
-                    (minus_cid(n_x, j), minus_cid(n_x, j + 1))]
+    pairs = np.column_stack([plus_cid(xi, 0), minus_cid(xi, n_y)])
+    dirichlet = np.concatenate([plus_cid(xi, n_y), minus_cid(xi, 0)])
+    # per row j: left and right edge of the plus body, then of the minus body
+    neumann = np.stack([np.column_stack([body_cid(i, yj[:-1]), body_cid(i, yj[1:])])
+                        for body_cid in (plus_cid, minus_cid) for i in (0, n_x)], axis=1)
 
-    return InterfaceMesh(nodes, triangles, tri_side, pairs, dirichlet, np.array(neumann))
+    return InterfaceMesh(nodes, triangles, tri_side, pairs, dirichlet, neumann.reshape(-1, 2))
 
 
 def scaled(mesh: InterfaceMesh, factor: float) -> InterfaceMesh:

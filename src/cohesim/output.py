@@ -90,26 +90,19 @@ def write_study_csv(path, rows) -> None:
 def write_vtk_frame(path, mesh, point_fields: dict) -> None:
     """Legacy ASCII unstructured-grid frame with nodal scalar fields."""
     tris = mesh.triangles
+    m = tris.shape[0]
+    parts = ["# vtk DataFile Version 2.0\ncohesim fields\nASCII\nDATASET UNSTRUCTURED_GRID\n"
+             f"POINTS {mesh.n_nodes} double\n",
+             "".join([f"{x!r} {y!r} 0\n" for x, y in mesh.nodes.tolist()]),
+             f"CELLS {m} {4 * m}\n",
+             "".join([f"3 {a} {b} {c}\n" for a, b, c in tris.tolist()]),
+             f"CELL_TYPES {m}\n", "5\n" * m,
+             f"POINT_DATA {mesh.n_nodes}\n"]
+    for name, values in point_fields.items():
+        parts += [f"SCALARS {name} double\nLOOKUP_TABLE default\n",
+                  "".join([f"{v!r}\n" for v in np.asarray(values, dtype=float).tolist()])]
     with open(path, "w") as f:
-        f.write("# vtk DataFile Version 2.0\n")
-        f.write("cohesim fields\n")
-        f.write("ASCII\n")
-        f.write("DATASET UNSTRUCTURED_GRID\n")
-        f.write(f"POINTS {mesh.n_nodes} double\n")
-        for x, y in mesh.nodes:
-            f.write(f"{_fmt(x)} {_fmt(y)} 0\n")
-        f.write(f"CELLS {tris.shape[0]} {4 * tris.shape[0]}\n")
-        for a, b, c in tris:
-            f.write(f"3 {a} {b} {c}\n")
-        f.write(f"CELL_TYPES {tris.shape[0]}\n")
-        for _ in range(tris.shape[0]):
-            f.write("5\n")
-        f.write(f"POINT_DATA {mesh.n_nodes}\n")
-        for name, values in point_fields.items():
-            f.write(f"SCALARS {name} double\n")
-            f.write("LOOKUP_TABLE default\n")
-            for v in values:
-                f.write(_fmt(v) + "\n")
+        f.write("".join(parts))
 
 
 def interface_field_on_nodes(mesh, values: np.ndarray) -> np.ndarray:

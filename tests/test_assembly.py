@@ -155,3 +155,145 @@ class TestLoads:
         # total = length of the Neumann boundary: four lateral edges of length 1
         assert F.sum() == pytest.approx(4.0, abs=1e-13)
         assert not loads.surface_is_zero
+
+
+# The per-sample assemblers that LoadModel replaced, kept as the reference:
+# one element loop per quadrature point, accumulated with np.add.at.
+TRI_QP = np.array([[0.5, 0.0], [0.5, 0.5], [0.0, 0.5]])
+TRI_QW = np.array([1.0, 1.0, 1.0]) / 3.0
+EDGE_QP = np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)])
+EDGE_QW = np.array([0.5, 0.5])
+
+
+def reference_bulk_load(mesh, fn, t):
+    p = mesh.nodes[mesh.triangles]
+    v1, v2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
+    area = 0.5 * (v1[:, 0] * v2[:, 1] - v2[:, 0] * v1[:, 1])
+    F = np.zeros(mesh.n_nodes)
+    for (l1, l2), wq in zip(TRI_QP, TRI_QW):
+        lam = np.array([1.0 - l1 - l2, l1, l2])
+        xq = np.einsum("i,tij->tj", lam, p)
+        fv = np.broadcast_to(np.asarray(fn(xq[:, 0], xq[:, 1], t), dtype=float), (area.size,))
+        contrib = (wq * area * fv)[:, None] * lam[None, :]
+        np.add.at(F, mesh.triangles.ravel(), contrib.ravel())
+    return F
+
+
+def reference_surface_load(mesh, fn, t):
+    F = np.zeros(mesh.n_nodes)
+    a = mesh.nodes[mesh.neumann_edges[:, 0]]
+    b = mesh.nodes[mesh.neumann_edges[:, 1]]
+    lengths = np.linalg.norm(b - a, axis=1)
+    for s, wq in zip(EDGE_QP, EDGE_QW):
+        xq = (1.0 - s) * a + s * b
+        fv = np.broadcast_to(np.asarray(fn(xq[:, 0], xq[:, 1], t), dtype=float),
+                             (lengths.size,))
+        common = wq * lengths * fv
+        np.add.at(F, mesh.neumann_edges[:, 0], common * (1.0 - s))
+        np.add.at(F, mesh.neumann_edges[:, 1], common * s)
+    return F
+
+
+def reference_sample(mesh, t, bulk=None, surface=None):
+    F = np.zeros(mesh.n_nodes)
+    if bulk is not None:
+        F += reference_bulk_load(mesh, bulk, t)
+    if surface is not None:
+        F += reference_surface_load(mesh, surface, t)
+    return F
+
+
+def counted(fn, calls):
+    def wrapped(x, y, t):
+        calls.append(t)
+        return fn(x, y, t)
+    return wrapped
+
+
+class TestLoadOperator:
+    BULK = staticmethod(lambda x, y, t: np.exp(x * y) * np.cos(3.0 * t + y) - x ** 2 / (1.0 + t))
+    SURFACE = staticmethod(lambda x, y, t: np.sin(7.0 * y - t) * (1.0 + x * x) - 0.3)
+
+    @pytest.mark.parametrize("n_x, n_y", [(3, 2), (16, 8)])
+    @pytest.mark.parametrize("which", ["bulk", "surface", "both", "scalar"])
+    def test_bit_identical_to_per_sample_assembly(self, n_x, n_y, which):
+        mesh = build_rectangle_mesh(1.3, n_x, n_y)
+        fns = {"bulk": dict(bulk=self.BULK), "surface": dict(surface=self.SURFACE),
+               "both": dict(bulk=self.BULK, surface=self.SURFACE),
+               "scalar": dict(bulk=lambda x, y, t: -2.5 * t, surface=lambda x, y, t: t)}[which]
+        times = np.linspace(0.0, 2.0, 9)
+        loads = LoadModel.from_functions(mesh, times, **fns)
+        ref = [reference_sample(mesh, float(t), **fns) for t in times]
+        for k, t in enumerate(times):
+            assert np.array_equal(loads.at(float(t)), ref[k])
+        for k, theta in [(0, 0.5), (3, 0.125), (7, 0.9)]:
+            t = times[k] + theta * (times[k + 1] - times[k])
+            th = (t - times[k]) / (times[k + 1] - times[k])
+            assert np.array_equal(loads.at(t), (1.0 - th) * ref[k] + th * ref[k + 1])
+
+    def test_samples_are_evaluated_on_demand(self, mesh):
+        bulk_calls, surface_calls = [], []
+        loads = LoadModel.from_functions(mesh, np.linspace(0.0, 1.0, 10001),
+                                         bulk=counted(self.BULK, bulk_calls),
+                                         surface=counted(self.SURFACE, surface_calls))
+        assert bulk_calls == [0.0] and surface_calls == [0.0]
+        for t in (0.5, 0.50005, 0.25, 1.0, 1e-5):
+            before = len(bulk_calls)
+            loads.at(t)
+            assert len(bulk_calls) - before <= 2
+            after = len(bulk_calls)
+            loads.at(t)
+            assert len(bulk_calls) == after
+        assert len(surface_calls) == len(bulk_calls)
+
+    def test_time_loop_evaluates_each_sample_once(self, mesh):
+        calls = []
+        times = np.linspace(0.0, 1.0, 11)
+        loads = LoadModel.from_functions(mesh, times, bulk=counted(self.BULK, calls))
+        for t in times:
+            loads.at(float(t))
+            loads.at(float(t))
+        assert calls == times.tolist()
+
+    def test_mutating_a_result_leaves_later_results_unchanged(self, mesh):
+        loads = LoadModel.from_functions(mesh, [0.0, 0.5, 1.0], bulk=self.BULK)
+        for t in (0.0, 0.25, 1.0):
+            first = loads.at(t)
+            expected = first.copy()
+            first[:] = np.nan
+            assert np.array_equal(loads.at(t), expected)
+
+    def test_malformed_callable_fails_at_construction(self, mesh):
+        with pytest.raises(ValueError):
+            LoadModel.from_functions(mesh, np.linspace(0.0, 1.0, 5),
+                                     bulk=lambda x, y, t: np.ones(7))
+
+    def test_concurrent_reads_agree_with_serial(self, mesh):
+        import sys
+        import threading
+
+        times = np.linspace(0.0, 1.0, 41)
+        serial = LoadModel.from_functions(mesh, times, bulk=self.BULK)
+        query = np.random.default_rng(3).uniform(0.0, 1.0, size=200)
+        expected = [serial.at(t) for t in query]
+        shared = LoadModel.from_functions(mesh, times, bulk=self.BULK)
+        mismatches = []
+
+        def reader(offset):
+            for i in range(len(query)):
+                j = (i + offset) % len(query)
+                if not np.array_equal(shared.at(query[j]), expected[j]):
+                    mismatches.append(j)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=reader, args=(17 * k,)) for k in range(4)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert mismatches == []

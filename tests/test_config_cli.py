@@ -254,3 +254,48 @@ class TestCli:
         rows = (out / "study.csv").read_text().splitlines()[1:]
         assert len(rows) == 2
         assert rows[0].split(",")[5] != ""  # nested-mesh distance computed
+
+
+def reference_vtk_frame(path, mesh, point_fields):
+    """The line-by-line VTK writer that write_vtk_frame replaced."""
+    def fmt(x):
+        return str(int(x)) if isinstance(x, (int, np.integer)) else repr(float(x))
+
+    tris = mesh.triangles
+    with open(path, "w") as f:
+        f.write("# vtk DataFile Version 2.0\n")
+        f.write("cohesim fields\n")
+        f.write("ASCII\n")
+        f.write("DATASET UNSTRUCTURED_GRID\n")
+        f.write(f"POINTS {mesh.n_nodes} double\n")
+        for x, y in mesh.nodes:
+            f.write(f"{fmt(x)} {fmt(y)} 0\n")
+        f.write(f"CELLS {tris.shape[0]} {4 * tris.shape[0]}\n")
+        for a, b, c in tris:
+            f.write(f"3 {a} {b} {c}\n")
+        f.write(f"CELL_TYPES {tris.shape[0]}\n")
+        for _ in range(tris.shape[0]):
+            f.write("5\n")
+        f.write(f"POINT_DATA {mesh.n_nodes}\n")
+        for name, values in point_fields.items():
+            f.write(f"SCALARS {name} double\n")
+            f.write("LOOKUP_TABLE default\n")
+            for v in values:
+                f.write(fmt(v) + "\n")
+
+
+class TestVtkWriter:
+    @pytest.mark.parametrize("n_x, n_y", [(1, 1), (5, 3)])
+    def test_bytes_equal_reference_writer(self, tmp_path, n_x, n_y):
+        from cohesim.mesh import build_rectangle_mesh
+        from cohesim.output import write_vtk_frame
+
+        mesh = build_rectangle_mesh(0.7, n_x, n_y)
+        rng = np.random.default_rng(11)
+        u = rng.normal(size=mesh.n_nodes) * 10.0 ** rng.integers(-20, 20, mesh.n_nodes)
+        special = np.array([0.0, -0.0, -1.5, 1e-300, -1e-300, 1e300, -1e300, 0.1, 5e-324])
+        v = np.resize(special, mesh.n_nodes)
+        fields = {"u": u, "v": v, "xi": np.zeros(mesh.n_nodes)}
+        write_vtk_frame(tmp_path / "new.vtk", mesh, fields)
+        reference_vtk_frame(tmp_path / "ref.vtk", mesh, fields)
+        assert (tmp_path / "new.vtk").read_bytes() == (tmp_path / "ref.vtk").read_bytes()

@@ -63,6 +63,90 @@ class TestRectangleGenerator:
             build_rectangle_mesh(1.0, 0, 2)
 
 
+def loop_rectangle_arrays(L, n_x, n_y):
+    """The per-cell loop construction that build_rectangle_mesh replaced."""
+    hx, hy = L / n_x, 1.0 / n_y
+
+    def body(y0, offset):
+        xs = np.arange(n_x + 1) * hx
+        ys = y0 + np.arange(n_y + 1) * hy
+        corners = np.array([[x, y] for y in ys for x in xs])
+        centers = np.array([[(i + 0.5) * hx, y0 + (j + 0.5) * hy]
+                            for j in range(n_y) for i in range(n_x)])
+
+        def cid(i, j):
+            return offset + j * (n_x + 1) + i
+
+        tris = []
+        for j in range(n_y):
+            for i in range(n_x):
+                c0, c1, c2, c3 = cid(i, j), cid(i + 1, j), cid(i + 1, j + 1), cid(i, j + 1)
+                m = offset + corners.shape[0] + j * n_x + i
+                tris += [(c0, c1, m), (c1, c2, m), (c2, c3, m), (c3, c0, m)]
+        return np.vstack([corners, centers]), np.array(tris), cid
+
+    plus_nodes, plus_tris, pc = body(0.0, 0)
+    minus_nodes, minus_tris, mc = body(-1.0, plus_nodes.shape[0])
+    neumann = []
+    for j in range(n_y):
+        neumann += [(pc(0, j), pc(0, j + 1)), (pc(n_x, j), pc(n_x, j + 1)),
+                    (mc(0, j), mc(0, j + 1)), (mc(n_x, j), mc(n_x, j + 1))]
+    return {
+        "nodes": np.vstack([plus_nodes, minus_nodes]),
+        "triangles": np.vstack([plus_tris, minus_tris]),
+        "tri_side": np.concatenate([np.ones(len(plus_tris), dtype=np.int64),
+                                    -np.ones(len(minus_tris), dtype=np.int64)]),
+        "interface_pairs": np.array([[pc(i, 0), mc(i, n_y)] for i in range(n_x + 1)]),
+        "dirichlet_nodes": np.unique([pc(i, n_y) for i in range(n_x + 1)]
+                                     + [mc(i, 0) for i in range(n_x + 1)]),
+        "neumann_edges": np.array(neumann),
+    }
+
+
+def loop_edge_counts(triangles):
+    """Triangles adjacent to each edge, counted edge by edge."""
+    count = {}
+    for tri in triangles.tolist():
+        for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
+            key = (min(a, b), max(a, b))
+            count[key] = count.get(key, 0) + 1
+    return count
+
+
+class TestVectorizedBuild:
+    @pytest.mark.parametrize("n_x, n_y", [(1, 1), (3, 2), (16, 8)])
+    def test_arrays_equal_loop_reference(self, n_x, n_y):
+        mesh = build_rectangle_mesh(1.7, n_x, n_y)
+        for name, ref in loop_rectangle_arrays(1.7, n_x, n_y).items():
+            got = getattr(mesh, name)
+            assert got.dtype == ref.dtype and np.array_equal(got, ref), name
+        edges = np.array(list(loop_edge_counts(mesh.triangles)))
+        lengths = np.linalg.norm(mesh.nodes[edges[:, 0]] - mesh.nodes[edges[:, 1]], axis=1)
+        assert mesh.h_max == lengths.max()
+
+    def test_first_untagged_edge_is_named(self):
+        mesh = build_rectangle_mesh(1.0, 3, 2)
+        count = loop_edge_counts(mesh.triangles)
+        tagged = [set(mesh.interface_pairs[:, 0].tolist()),
+                  set(mesh.interface_pairs[:, 1].tolist()), set(mesh.dirichlet_nodes.tolist())]
+        untagged = sorted(k for k, c in count.items()
+                          if c == 1 and not any(k[0] in s and k[1] in s for s in tagged))
+        with pytest.raises(MeshError, match=rf"untagged boundary edge \({untagged[0][0]}, "
+                                            rf"{untagged[0][1]}\)$"):
+            InterfaceMesh(mesh.nodes, mesh.triangles, mesh.tri_side, mesh.interface_pairs,
+                          mesh.dirichlet_nodes, np.zeros((0, 2)))
+
+    def test_first_interior_neumann_edge_is_named(self):
+        mesh = build_rectangle_mesh(1.0, 3, 2)
+        count = loop_edge_counts(mesh.triangles)
+        interior = sorted(k for k, c in count.items() if c == 2)
+        extra = np.array([interior[5][::-1], interior[2]])
+        with pytest.raises(MeshError, match=rf"Neumann edge \({interior[2][0]}, "
+                                            rf"{interior[2][1]}\) is not a boundary edge"):
+            InterfaceMesh(mesh.nodes, mesh.triangles, mesh.tri_side, mesh.interface_pairs,
+                          mesh.dirichlet_nodes, np.vstack([mesh.neumann_edges, extra]))
+
+
 class TestMeshFile:
     def test_round_trip(self, tmp_path):
         mesh = build_rectangle_mesh(1.0, 2, 2)

@@ -37,3 +37,24 @@ def test_traced_run_counts_one_energy_evaluation_per_step():
     directions, energies = map(int, out.split())
     assert directions >= 1
     assert energies == 3
+
+
+def test_traced_config_run_counts_load_spans():
+    # loads are sampled on demand: the operator is built once when the
+    # scenario is parsed, and every step's lookup evaluates its samples
+    out = run_python(
+        "import sys; sys.path[:0] = sys.argv[1:]\n"
+        "import tracing\n"
+        "tracer = tracing.Tracer()\n"
+        "tracing.install(tracer)\n"
+        "import cohesim.config, cohesim.evolution\n"
+        "from test_config_cli import base_doc\n"
+        "doc = base_doc(time={'T': 0.3, 'n': 3})\n"
+        "cfg = cohesim.config.parse_scenario(doc)\n"
+        "cohesim.evolution.run(cfg.scenario)\n"
+        "names = [s['name'] for s in tracer.spans]\n"
+        "print(names.count('assembly.load_sampling'), "
+        "names.count('evolution.load_lookup'))\n")
+    sampling, lookups = map(int, out.split())
+    assert sampling == 1
+    assert lookups >= 3
