@@ -4,14 +4,14 @@
     cohesim study <study.json> --out <dir> [--jobs N]
     cohesim check-law <config.json>
 
-Exit codes: 0 ok, 2 configuration, 3 solver, 4 I/O.  The environment
-variable COHESIM_THREADS caps the number of concurrent study levels.
+Exit codes: 0 ok, 2 configuration, 3 solver, 4 I/O.  A study runs its
+levels one after another in the calling thread; ``--jobs`` is accepted so
+that existing command lines keep working, and has no effect.
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import os
 import sys
@@ -71,7 +71,9 @@ class _TractionCollector:
 
 
 def _execute_run(cfg: ScenarioConfig, out_dir: str, write_vtk: bool | None = None):
-    """Run one scenario and write its artifacts; returns (record, summary)."""
+    """Run one scenario and write its artifacts.
+
+    Returns (record, energy ledger, KKT report, one-line summary)."""
     from .assembly import assemble
 
     ensure_dir(out_dir)
@@ -99,7 +101,7 @@ def _execute_run(cfg: ScenarioConfig, out_dir: str, write_vtk: bool | None = Non
     summary = (f"steps={record.n_steps} "
                f"max_energy_residual={ledger.max_residual:.6e} "
                f"max_kkt_violation={report.max_violation:.6e}")
-    return record, summary
+    return record, ledger, report, summary
 
 
 def cmd_run(args) -> int:
@@ -117,7 +119,7 @@ def cmd_run(args) -> int:
               file=sys.stderr)
         return EXIT_CONFIG
     try:
-        _, summary = _execute_run(cfg, out_dir)
+        *_, summary = _execute_run(cfg, out_dir)
     except ConvexityError as exc:
         print(f"solver failure at step 1: {exc}", file=sys.stderr)
         return EXIT_SOLVER
@@ -179,9 +181,7 @@ def _node_injection(coarse_mesh, fine_mesh) -> np.ndarray:
 
 def _run_level(label, cfg, out_root):
     try:
-        record, _ = _execute_run(cfg, os.path.join(out_root, label))
-        ledger = energy_ledger(record)
-        report = kkt_report(record)
+        record, ledger, report, _ = _execute_run(cfg, os.path.join(out_root, label))
         return {"record": record, "ok": True,
                 "max_R": ledger.max_residual, "max_kkt": report.max_violation}
     except (ConvexityError, EvolutionError) as exc:
@@ -219,15 +219,6 @@ def cmd_study(args) -> int:
     except OSError as exc:
         print(f"cannot read study: {exc}", file=sys.stderr)
         return EXIT_IO
-    jobs = max(1, args.jobs)
-    cap = os.environ.get("COHESIM_THREADS")
-    if cap:
-        try:
-            jobs = min(jobs, max(1, int(cap)))
-        except ValueError:
-            print(f"config error: COHESIM_THREADS must be an integer, got {cap!r}",
-                  file=sys.stderr)
-            return EXIT_CONFIG
     out_root = ensure_dir(args.out)
 
     if spec.kind == "eps_continuation":
@@ -240,13 +231,7 @@ def cmd_study(args) -> int:
         else:
             cfg.output.snapshot_stride = 1
 
-    if jobs == 1:
-        results = [_run_level(label, cfg, out_root) for label, _, cfg in levels]
-    else:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(_run_level, label, cfg, out_root)
-                       for label, _, cfg in levels]
-            results = [f.result() for f in futures]
+    results = [_run_level(label, cfg, out_root) for label, _, cfg in levels]
 
     distances = [None] * len(levels)
     for i in range(len(levels) - 1):
@@ -343,7 +328,10 @@ def main(argv=None) -> int:
     p_study = sub.add_parser("study", help="run a refinement or continuation study")
     p_study.add_argument("study")
     p_study.add_argument("--out", required=True)
-    p_study.add_argument("--jobs", type=int, default=1)
+    p_study.add_argument(
+        "--jobs", type=int, default=1,
+        help="has no effect: levels run one after another; accepted so that "
+             "existing command lines keep working")
     p_study.set_defaults(fn=cmd_study)
 
     p_check = sub.add_parser("check-law", help="validate the law and report constants")

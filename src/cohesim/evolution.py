@@ -338,8 +338,9 @@ def eps_continuation(scenario: Scenario, eps_list, tol: float = 1e-10) -> EpsCon
     """Run the evolution once per history floor and report Cauchy distances.
 
     ``eps_list`` must be decreasing and positive.  The distance between
-    consecutive entries is ``max_k || u^i_k - u^j_k ||_L2``; failed runs are
-    recorded and skipped in the distance list.
+    consecutive entries is ``max_k || u^i_k - u^j_k ||_L2``.  Runs that fail
+    the convexity guard or the step solver are recorded and skipped in the
+    distance list; any other exception propagates.
     """
     eps_list = [float(e) for e in eps_list]
     if any(e <= 0.0 for e in eps_list):
@@ -352,7 +353,7 @@ def eps_continuation(scenario: Scenario, eps_list, tol: float = 1e-10) -> EpsCon
         try:
             records.append(run(scenario.with_eps(eps), tol=tol, snapshot_stride=1))
             errors.append(None)
-        except Exception as exc:  # keep sweeping; mark the entry failed
+        except (ConvexityError, EvolutionError) as exc:
             records.append(None)
             errors.append(exc)
 

@@ -267,7 +267,6 @@ class CohesiveLaw:
     """
 
     def __init__(self, envelope):
-        validate_envelope(envelope)
         self.env = envelope
         self._constants = law_constants(envelope)
 

@@ -3,11 +3,13 @@ determinism and golden headers."""
 
 import json
 import os
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cohesim.cli
 from cohesim.cli import main
 from cohesim.config import ConfigError, parse_scenario, parse_study
 from cohesim.expressions import ExpressionError, compile_expression
@@ -203,13 +205,6 @@ class TestCli:
 
         assert margin(small) > 0 > margin(large)
 
-    def test_non_integer_thread_cap_exits_2(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("COHESIM_THREADS", "two")
-        out = tmp_path / "out"
-        assert main(["study", str(SCENARIOS / "study_tau.json"), "--out", str(out)]) == 2
-        assert "config error: COHESIM_THREADS" in capsys.readouterr().err
-        assert not out.exists()
-
     def test_study_tau_refinement_rest(self, tmp_path):
         doc = {"kind": "tau_refinement", "levels": 3, "base": base_doc()}
         doc["base"]["loads"] = {}
@@ -254,6 +249,63 @@ class TestCli:
         rows = (out / "study.csv").read_text().splitlines()[1:]
         assert len(rows) == 2
         assert rows[0].split(",")[5] != ""  # nested-mesh distance computed
+
+
+class TestStudyCli:
+    @staticmethod
+    def write_study(tmp_path, **base_overrides):
+        doc = {"kind": "tau_refinement", "levels": 3, "base": base_doc(**base_overrides)}
+        study = tmp_path / "study.json"
+        study.write_text(json.dumps(doc))
+        return str(study)
+
+    def test_levels_run_in_calling_thread(self, tmp_path, monkeypatch):
+        idents = []
+        real_run = cohesim.cli.run
+
+        def recording_run(*args, **kwargs):
+            idents.append(threading.get_ident())
+            return real_run(*args, **kwargs)
+
+        monkeypatch.setattr(cohesim.cli, "run", recording_run)
+        study = self.write_study(tmp_path)
+        assert main(["study", study, "--out", str(tmp_path / "out"), "--jobs", "2"]) == 0
+        assert idents == [threading.get_ident()] * 3
+
+    def test_jobs_values_write_identical_outputs(self, tmp_path):
+        study = self.write_study(tmp_path)
+        out_1, out_2 = tmp_path / "jobs1", tmp_path / "jobs2"
+        assert main(["study", study, "--out", str(out_1), "--jobs", "1"]) == 0
+        assert main(["study", study, "--out", str(out_2), "--jobs", "2"]) == 0
+        names = sorted(p.relative_to(out_1) for p in out_1.rglob("*.csv"))
+        assert len(names) == 1 + 3 * 3  # study.csv and three CSVs per level
+        assert names == sorted(p.relative_to(out_2) for p in out_2.rglob("*.csv"))
+        for name in names:
+            assert (out_1 / name).read_bytes() == (out_2 / name).read_bytes()
+
+    def test_failing_coarse_level_exits_3(self, tmp_path, capsys):
+        # beta = 8: the guard rejects tau = 1/12 and accepts 1/24 and 1/48
+        study = self.write_study(tmp_path, law={"kind": "prototype", "g_c": 1.0,
+                                                "xi_c": 0.5},
+                                 time={"T": 1.0, "n": 12})
+        out = tmp_path / "out"
+        assert main(["study", study, "--out", str(out)]) == 3
+        assert "partial failure: 3 levels" in capsys.readouterr().out
+        rows = [line.split(",") for line in (out / "study.csv").read_text().splitlines()[1:]]
+        assert [row[2] for row in rows] == ["failed", "ok", "ok"]
+        assert rows[0][3] == "" and rows[0][5] == ""  # no residual or distance
+        assert rows[1][5] != ""  # the passing levels are still compared
+        for label, steps in (("level_01", 24), ("level_02", 48)):
+            energies = (out / label / "energies.csv").read_text().splitlines()
+            assert len(energies) == steps + 2
+            assert (out / label / "kkt.csv").exists()
+            assert (out / label / "tractions.csv").exists()
+
+    def test_missing_study_exits_4(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["study", str(tmp_path / "nope.json"), "--out", str(out)]) == 4
+        assert "cannot read study" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def reference_vtk_frame(path, mesh, point_fields):

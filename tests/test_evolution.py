@@ -176,3 +176,25 @@ class TestEpsContinuation:
         sc = small_ramp(n=4, n_x=4, n_y=2)
         with pytest.raises(ValueError, match="decreasing"):
             eps_continuation(sc, [1e-2, 1e-1])
+
+    def test_solver_failure_is_recorded(self, monkeypatch):
+        real_run = evolution.run
+
+        def run_failing_first(scenario, **kwargs):
+            if scenario.eps_bar == 1e-1:
+                raise ConvexityError("not strictly convex")
+            return real_run(scenario, **kwargs)
+
+        monkeypatch.setattr(evolution, "run", run_failing_first)
+        res = eps_continuation(mild_ramp(n=4), [1e-1, 1e-2, 1e-3])
+        assert res.records[0] is None and isinstance(res.errors[0], ConvexityError)
+        assert res.errors[1:] == [None, None]
+        assert res.distances[0] is None and res.distances[1] is not None
+
+    def test_programming_error_propagates(self, monkeypatch):
+        def broken_run(scenario, **kwargs):
+            raise TypeError("unexpected argument")
+
+        monkeypatch.setattr(evolution, "run", broken_run)
+        with pytest.raises(TypeError, match="unexpected argument"):
+            eps_continuation(mild_ramp(n=4), [1e-1, 1e-2])
