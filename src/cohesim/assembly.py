@@ -58,11 +58,6 @@ class Materials:
     def constant(cls, rho: float, mu: float, eta: float) -> "Materials":
         return cls(rho, rho, mu, mu, eta, eta)
 
-    def field_values(self, which: str, tri_side: np.ndarray) -> np.ndarray:
-        plus = getattr(self, which + "_plus")
-        minus = getattr(self, which + "_minus")
-        return np.where(tri_side > 0, plus, minus)
-
     @property
     def mu_min(self) -> float:
         return min(self.mu_plus, self.mu_minus)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembly import DiscreteOperators
-from .evolution import EvolutionState, TrajectoryRecord
+from .evolution import EvolutionState, StepColumns, TrajectoryRecord
 from .law import CohesiveLaw
 
 __all__ = [
@@ -43,17 +43,12 @@ __all__ = [
 
 
 @dataclass
-class EnergyLedger:
-    """Energy bookkeeping of one trajectory (arrays over steps 0..n)."""
+class EnergyLedger(StepColumns):
+    """Energy bookkeeping of one trajectory: the residuals ``R`` and
+    ``R_split`` over steps 0..n, next to the step table they are computed
+    from (``ledger.E``, ``ledger.D_cum``, ... read its columns)."""
 
-    ts: np.ndarray
-    E: np.ndarray
-    K: np.ndarray
-    Psi: np.ndarray
-    Psi_s: np.ndarray
-    Psi_d: np.ndarray
-    D_cum: np.ndarray
-    P_cum: np.ndarray
+    steps: np.ndarray
     R: np.ndarray
     R_split: np.ndarray
 
@@ -77,20 +72,23 @@ def energy_ledger(traj: TrajectoryRecord) -> EnergyLedger:
     stored0 = traj.E[0] + traj.Psi_s[0] + traj.K[0]
     R_split = ((traj.E + traj.Psi_s + traj.K) - stored0
                - traj.P_cum + traj.D_cum + diss_cum)
-    return EnergyLedger(ts=traj.ts, E=traj.E, K=traj.K, Psi=traj.Psi,
-                        Psi_s=traj.Psi_s, Psi_d=traj.Psi_d,
-                        D_cum=traj.D_cum, P_cum=traj.P_cum, R=R, R_split=R_split)
+    return EnergyLedger(traj.steps, R, R_split)
 
 
 @dataclass
-class KKTReport:
+class KKTReport(StepColumns):
     """Max violations per step of the three discrete complementarity
-    conditions plus the history slope bound."""
+    conditions plus the history slope bound.
 
-    ts: np.ndarray
-    admissibility: np.ndarray      # max(0, |[u_k]| - xi_k)
-    complementarity: np.ndarray    # max |(xi_k - xi_{k-1})(|[u_k]| - xi_k)|
-    slope: np.ndarray              # max(0, |xi_k - xi_{k-1}| - |[u_k] - [u_{k-1}]|)
+    ``admissibility``, ``complementarity`` and ``slope`` read the ``kkt_*``
+    columns of the step table: ``max(0, |[u_k]| - xi_k)``,
+    ``max |(xi_k - xi_{k-1})(|[u_k]| - xi_k)|`` and
+    ``max(0, |xi_k - xi_{k-1}| - |[u_k] - [u_{k-1}]|)``.
+    """
+
+    _column_prefixes = ("kkt_",)
+
+    steps: np.ndarray
     xi_monotone: np.ndarray        # max(0, xi_{k-1} - xi_k)
 
     @property
@@ -100,14 +98,10 @@ class KKTReport:
 
 
 def kkt_report(traj: TrajectoryRecord) -> KKTReport:
-    xi_drop = np.zeros(traj.ts.size)
-    if traj.ts.size > 1:
+    xi_drop = np.zeros(traj.steps.size)
+    if traj.steps.size > 1:
         xi_drop[1:] = np.maximum(0.0, (traj.xis[:-1] - traj.xis[1:]).max(axis=1))
-    return KKTReport(ts=traj.ts,
-                     admissibility=traj.kkt_admissibility.copy(),
-                     complementarity=traj.kkt_complementarity.copy(),
-                     slope=traj.kkt_slope.copy(),
-                     xi_monotone=xi_drop)
+    return KKTReport(traj.steps, xi_drop)
 
 
 def _bulk_residual(prev: EvolutionState, state: EvolutionState,

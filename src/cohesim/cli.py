@@ -134,24 +134,26 @@ def cmd_run(args) -> int:
 
 
 def _study_levels(spec):
-    """Expand a study into per-level (label, parameter, ScenarioConfig)."""
+    """Expand a study into per-level (label, parameter, ScenarioConfig).
+
+    Level 0 of a refinement study is the base scenario, which is parsed once.
+    """
     base_doc = spec.base.raw
     if spec.kind == "single":
         return [("level_00", spec.base.scenario.n, spec.base)]
+    if spec.kind == "h_refinement" and "path" in base_doc.get("mesh", {}):
+        raise ConfigError("h_refinement requires an inline rectangle mesh")
     levels = []
-    if spec.kind == "tau_refinement":
-        for i in range(spec.levels):
-            doc = json.loads(json.dumps(base_doc))
-            doc["time"]["n"] = base_doc["time"]["n"] * 2**i
-            levels.append((f"level_{i:02d}", doc["time"]["n"], parse_scenario(doc)))
-    elif spec.kind == "h_refinement":
-        if "path" in base_doc.get("mesh", {}):
-            raise ConfigError("h_refinement requires an inline rectangle mesh")
-        for i in range(spec.levels):
-            doc = json.loads(json.dumps(base_doc))
-            doc["mesh"]["n_x"] = base_doc["mesh"]["n_x"] * 2**i
-            doc["mesh"]["n_y"] = base_doc["mesh"]["n_y"] * 2**i
-            levels.append((f"level_{i:02d}", doc["mesh"]["n_x"], parse_scenario(doc)))
+    for i in range(spec.levels):
+        doc = json.loads(json.dumps(base_doc))
+        if spec.kind == "tau_refinement":
+            doc["time"]["n"] *= 2**i
+            param = doc["time"]["n"]
+        else:
+            doc["mesh"]["n_x"] *= 2**i
+            doc["mesh"]["n_y"] *= 2**i
+            param = doc["mesh"]["n_x"]
+        levels.append((f"level_{i:02d}", param, parse_scenario(doc) if i else spec.base))
     return levels
 
 
@@ -184,9 +186,8 @@ def _run_level(label, cfg, out_root):
         record, ledger, report, _ = _execute_run(cfg, os.path.join(out_root, label))
         return {"record": record, "ok": True,
                 "max_R": ledger.max_residual, "max_kkt": report.max_violation}
-    except (ConvexityError, EvolutionError) as exc:
-        return {"record": None, "ok": False, "error": str(exc),
-                "max_R": None, "max_kkt": None}
+    except (ConvexityError, EvolutionError):
+        return {"record": None, "ok": False, "max_R": None, "max_kkt": None}
 
 
 def _tau_distance(coarse_rec, fine_rec) -> float:
@@ -233,9 +234,8 @@ def cmd_study(args) -> int:
 
     results = [_run_level(label, cfg, out_root) for label, _, cfg in levels]
 
-    distances = [None] * len(levels)
-    for i in range(len(levels) - 1):
-        ra, rb = results[i], results[i + 1]
+    distances = [None] * (len(levels) - 1)
+    for i, (ra, rb) in enumerate(zip(results, results[1:])):
         if not (ra["ok"] and rb["ok"]):
             continue
         if spec.kind == "tau_refinement":
@@ -244,47 +244,36 @@ def cmd_study(args) -> int:
             inj = _node_injection(levels[i][2].scenario.mesh,
                                   levels[i + 1][2].scenario.mesh)
             distances[i] = _h_distance(ra["record"], rb["record"], inj)
-
-    rows = []
-    for i, (label, param, _cfg) in enumerate(levels):
-        res = results[i]
-        order = None
-        if (i + 1 < len(levels) and distances[i] not in (None, 0.0)
-                and i + 1 < len(distances) and distances[i + 1] not in (None, 0.0)):
-            order = float(np.log2(distances[i] / distances[i + 1]))
-        rows.append((i, param, "ok" if res["ok"] else "failed",
-                     res["max_R"], res["max_kkt"], distances[i], order))
-    write_study_csv(os.path.join(out_root, "study.csv"), rows)
-
-    ok = all(r["ok"] for r in results)
-    print(f"{'ok' if ok else 'partial failure'}: {len(levels)} levels, "
-          f"results in {out_root}/study.csv")
-    return EXIT_OK if ok else EXIT_SOLVER
+    return _finish_study(out_root, [param for _, param, _ in levels], results, distances)
 
 
 def _study_eps(spec, out_root) -> int:
-    scenario = spec.base.scenario
-    result = eps_continuation(scenario, list(spec.eps_list))
+    result = eps_continuation(spec.base.scenario, list(spec.eps_list))
+    results = [{"ok": rec is not None,
+                "max_R": energy_ledger(rec).max_residual if rec is not None else None,
+                "max_kkt": kkt_report(rec).max_violation if rec is not None else None}
+               for rec in result.records]
+    return _finish_study(out_root, result.eps_list, results, result.distances)
+
+
+def _finish_study(out_root, params, results, distances) -> int:
+    """Write study.csv, print the summary line and return the exit code.
+
+    ``distances[i]`` compares level ``i`` with level ``i + 1`` (None when one
+    of them failed); the order of level ``i`` is ``log2(d_i / d_{i+1})``.
+    """
+    dist = list(distances) + [None]
     rows = []
-    for i, eps in enumerate(result.eps_list):
-        rec, err = result.records[i], result.errors[i]
-        if rec is not None:
-            ledger = energy_ledger(rec)
-            report = kkt_report(rec)
-            max_r, max_k = ledger.max_residual, report.max_violation
-        else:
-            max_r = max_k = None
-        dist = result.distances[i] if i < len(result.distances) else None
+    for i, (param, res, d, d_next) in enumerate(
+            zip(params, results, dist, dist[1:] + [None])):
         order = None
-        if (i + 1 < len(result.distances)
-                and dist not in (None, 0.0)
-                and result.distances[i + 1] not in (None, 0.0)):
-            order = float(np.log2(dist / result.distances[i + 1]))
-        rows.append((i, eps, "ok" if err is None else "failed",
-                     max_r, max_k, dist, order))
+        if d not in (None, 0.0) and d_next not in (None, 0.0):
+            order = float(np.log2(d / d_next))
+        rows.append((i, param, "ok" if res["ok"] else "failed",
+                     res["max_R"], res["max_kkt"], d, order))
     write_study_csv(os.path.join(out_root, "study.csv"), rows)
-    ok = result.all_succeeded
-    print(f"{'ok' if ok else 'partial failure'}: {len(result.eps_list)} levels, "
+    ok = all(res["ok"] for res in results)
+    print(f"{'ok' if ok else 'partial failure'}: {len(params)} levels, "
           f"results in {out_root}/study.csv")
     return EXIT_OK if ok else EXIT_SOLVER
 

@@ -14,14 +14,16 @@ displacement is recomputed as the minimizer of the static energy augmented
 by the viscous and inertial pairings of ``(v0, w0)``, which restores the
 initial equilibrium condition for the floored history variable.
 
-Per-step scalar diagnostics (energies, dissipation and work increments, KKT
-violations, solver stats, velocity/acceleration norms) are recorded at every
-step; full field snapshots are kept every ``snapshot_stride`` steps.
+Per-step diagnostics (energies, dissipation and work, KKT violations, solver
+stats, velocity/acceleration norms, per-pair history and jumps) go into one
+table, a structured array with one row per step whose dtype ``step_dtype``
+declares every column; full field snapshots are kept every
+``snapshot_stride`` steps.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -118,9 +120,7 @@ class Scenario:
         return self.T / self.n
 
     def with_eps(self, eps_bar: float) -> "Scenario":
-        return Scenario(self.mesh, self.materials, self.law, self.loads, self.T,
-                        self.n, self.u0, self.v0, self.xi0, eps_bar,
-                        self.regularity_mode, self.w0)
+        return replace(self, eps_bar=eps_bar)
 
 
 @dataclass
@@ -132,28 +132,48 @@ class EvolutionState:
     k: int
 
 
-@dataclass
-class TrajectoryRecord:
-    """Per-step diagnostics of one run; all arrays have length ``n + 1``."""
+_FLOAT_COLUMNS = ("ts", "E", "K", "Psi", "Psi_s", "Psi_d", "D_cum", "P_cum",
+                  "kkt_admissibility", "kkt_complementarity", "kkt_slope",
+                  "grad_norms", "el_residuals", "v_h1", "a_l2")
 
-    ts: np.ndarray
-    E: np.ndarray
-    K: np.ndarray
-    Psi: np.ndarray
-    Psi_s: np.ndarray
-    Psi_d: np.ndarray
-    D_cum: np.ndarray
-    P_cum: np.ndarray
-    kkt_admissibility: np.ndarray
-    kkt_complementarity: np.ndarray
-    kkt_slope: np.ndarray
-    newton_iters: np.ndarray
-    grad_norms: np.ndarray
-    el_residuals: np.ndarray
-    v_h1: np.ndarray
-    a_l2: np.ndarray
-    xis: np.ndarray          # (n+1, n_pairs)
-    jumps: np.ndarray        # (n+1, n_pairs)
+
+def step_dtype(n_pairs: int) -> np.dtype:
+    """Row type of ``TrajectoryRecord.steps``: scalars, Newton iterations, and
+    the history ``xis`` and jump ``jumps`` of each interface pair."""
+    return np.dtype([(name, float) for name in _FLOAT_COLUMNS]
+                    + [("newton_iters", int), ("xis", float, (n_pairs,)),
+                       ("jumps", float, (n_pairs,))])
+
+
+class StepColumns:
+    """Reads the columns of ``self.steps`` as attributes (``obj.E``).
+
+    A name not found is retried with each of ``_column_prefixes``.
+    """
+
+    _column_prefixes = ()
+
+    def __getattr__(self, name):
+        steps = self.__dict__.get("steps")
+        if steps is not None:
+            for column in (name, *(p + name for p in self._column_prefixes)):
+                if column in steps.dtype.names:
+                    return steps[column]
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+
+
+@dataclass
+class TrajectoryRecord(StepColumns):
+    """Diagnostics and snapshots of one run.
+
+    ``steps`` holds one row of ``step_dtype`` per step ``0..n`` (fewer in the
+    partial record of a failed run); its columns read as attributes, so
+    ``rec.E`` is the elastic energy over the steps and ``rec.xis[k]`` the
+    history at step ``k``.  Row 0 carries the initial data; the increments and
+    solver columns of row 0 are zero.
+    """
+
+    steps: np.ndarray
     snapshot_steps: list
     us: dict
     vs: dict
@@ -166,7 +186,7 @@ class TrajectoryRecord:
 
     @property
     def n_steps(self) -> int:
-        return self.ts.size - 1
+        return self.steps.size - 1
 
     def state(self, k: int) -> EvolutionState:
         """Reconstruct the state at a snapshot step."""
@@ -230,39 +250,30 @@ def run(scenario: Scenario, callbacks=None, tol: float = 1e-10,
             "incremental functional not strictly convex; reduce the time step tau")
     ws = StepWorkspace(ops, tau)
 
-    P = scenario.mesh.n_pairs
-    rec = TrajectoryRecord(
-        ts=np.arange(n + 1) * tau,
-        E=np.zeros(n + 1), K=np.zeros(n + 1), Psi=np.zeros(n + 1),
-        Psi_s=np.zeros(n + 1), Psi_d=np.zeros(n + 1),
-        D_cum=np.zeros(n + 1), P_cum=np.zeros(n + 1),
-        kkt_admissibility=np.zeros(n + 1), kkt_complementarity=np.zeros(n + 1),
-        kkt_slope=np.zeros(n + 1),
-        newton_iters=np.zeros(n + 1, dtype=int), grad_norms=np.zeros(n + 1),
-        el_residuals=np.zeros(n + 1), v_h1=np.zeros(n + 1), a_l2=np.zeros(n + 1),
-        xis=np.zeros((n + 1, P)), jumps=np.zeros((n + 1, P)),
-        snapshot_steps=[], us={}, vs={},
-        ops=ops, law=law, loads=scenario.loads, tau=tau,
-        initial_data=(u0, v0, xi0),
-    )
+    steps = np.zeros(n + 1, dtype=step_dtype(scenario.mesh.n_pairs))
+    steps["ts"] = np.arange(n + 1) * tau
+    rec = TrajectoryRecord(steps=steps, snapshot_steps=[], us={}, vs={},
+                           ops=ops, law=law, loads=scenario.loads, tau=tau,
+                           initial_data=(u0, v0, xi0))
 
     weights = ops.weights
 
-    def record_scalars(k, u, v, xi_now):
-        rec.E[k] = 0.5 * (u @ (ops.A_mu @ u))
-        rec.K[k] = 0.5 * (v @ (ops.M @ v))
+    def record_state(row, u, v, xi_now):
+        row["E"] = 0.5 * (u @ (ops.A_mu @ u))
+        row["K"] = 0.5 * (v @ (ops.M @ v))
         jumps = ops.B @ u
         psi_s, psi_d = law.split(jumps, xi_now)
-        rec.Psi[k] = weights @ (psi_s + psi_d)
-        rec.Psi_s[k] = weights @ psi_s
-        rec.Psi_d[k] = weights @ psi_d
-        rec.xis[k] = xi_now
-        rec.jumps[k] = jumps
-        rec.v_h1[k] = ops.h1_norm(v)
+        row["Psi"] = weights @ (psi_s + psi_d)
+        row["Psi_s"] = weights @ psi_s
+        row["Psi_d"] = weights @ psi_d
+        row["xis"] = xi_now
+        row["jumps"] = jumps
+        row["v_h1"] = ops.h1_norm(v)
+        return jumps
 
-    record_scalars(0, u0, v0, xi0)
+    record_state(steps[0], u0, v0, xi0)
     if scenario.regularity_mode:
-        rec.a_l2[0] = ops.l2_norm(scenario.w0)
+        steps[0]["a_l2"] = ops.l2_norm(scenario.w0)
     rec.snapshot_steps.append(0)
     rec.us[0], rec.vs[0] = u0.copy(), v0.copy()
 
@@ -274,26 +285,26 @@ def run(scenario: Scenario, callbacks=None, tol: float = 1e-10,
         try:
             res = solve_step(prob, tol=tol)
         except StepSolverError as exc:
-            _truncate(rec, k - 1)
+            rec.steps = steps[:k]
             raise EvolutionError(f"step {k} failed: {exc}", partial=rec,
                                  step=k) from exc
         u_k = res.u_new
         v_k = (u_k - u_prev) / tau
         xi_k = res.xi_new
 
-        record_scalars(k, u_k, v_k, xi_k)
-        rec.D_cum[k] = rec.D_cum[k - 1] + tau * (v_k @ (ops.A_eta @ v_k))
-        rec.P_cum[k] = rec.P_cum[k - 1] + tau * (f_k @ v_k)
-        jumps_k, jumps_prev = rec.jumps[k], rec.jumps[k - 1]
-        rec.kkt_admissibility[k] = max(0.0, float((np.abs(jumps_k) - xi_k).max()))
-        rec.kkt_complementarity[k] = float(
+        row, prev = steps[k], steps[k - 1]
+        jumps_k = record_state(row, u_k, v_k, xi_k)
+        row["D_cum"] = prev["D_cum"] + tau * (v_k @ (ops.A_eta @ v_k))
+        row["P_cum"] = prev["P_cum"] + tau * (f_k @ v_k)
+        row["kkt_admissibility"] = max(0.0, float((np.abs(jumps_k) - xi_k).max()))
+        row["kkt_complementarity"] = float(
             np.abs((xi_k - xi) * (np.abs(jumps_k) - xi_k)).max())
-        rec.kkt_slope[k] = max(0.0, float(
-            (np.abs(xi_k - xi) - np.abs(jumps_k - jumps_prev)).max()))
-        rec.newton_iters[k] = res.newton_iters
-        rec.grad_norms[k] = res.grad_norm
-        rec.el_residuals[k] = res.el_residual
-        rec.a_l2[k] = ops.l2_norm((v_k - v_prev) / tau)
+        row["kkt_slope"] = max(0.0, float(
+            (np.abs(xi_k - xi) - np.abs(jumps_k - prev["jumps"])).max()))
+        row["newton_iters"] = res.newton_iters
+        row["grad_norms"] = res.grad_norm
+        row["el_residuals"] = res.el_residual
+        row["a_l2"] = ops.l2_norm((v_k - v_prev) / tau)
 
         if k % snapshot_stride == 0 or k == n:
             rec.snapshot_steps.append(k)
@@ -310,14 +321,6 @@ def run(scenario: Scenario, callbacks=None, tol: float = 1e-10,
 
     rec.final_state = EvolutionState(t=n * tau, u=u_prev, v=v_prev, xi=xi, k=n)
     return rec
-
-
-def _truncate(rec: TrajectoryRecord, last_k: int):
-    for name in ("ts", "E", "K", "Psi", "Psi_s", "Psi_d", "D_cum", "P_cum",
-                 "kkt_admissibility", "kkt_complementarity", "kkt_slope",
-                 "newton_iters", "grad_norms", "el_residuals", "v_h1", "a_l2",
-                 "xis", "jumps"):
-        setattr(rec, name, getattr(rec, name)[: last_k + 1])
 
 
 @dataclass

@@ -57,17 +57,20 @@ def _write_rows(path, header: str, rows) -> None:
             f.write(",".join(_fmt(v) for v in row) + "\n")
 
 
+def _write_steps(path, header: str, table) -> None:
+    """One row per step: its index, then the column of ``table`` named by
+    each further header field (``t`` reads ``ts``)."""
+    columns = [getattr(table, "ts" if name == "t" else name)
+               for name in header.split(",")[1:]]
+    _write_rows(path, header, zip(range(len(columns[0])), *columns))
+
+
 def write_energy_csv(path, ledger: EnergyLedger) -> None:
-    rows = zip(range(ledger.ts.size), ledger.ts, ledger.E, ledger.K, ledger.Psi,
-               ledger.Psi_s, ledger.Psi_d, ledger.D_cum, ledger.P_cum,
-               ledger.R, ledger.R_split)
-    _write_rows(path, ENERGY_HEADER, rows)
+    _write_steps(path, ENERGY_HEADER, ledger)
 
 
 def write_kkt_csv(path, report: KKTReport) -> None:
-    rows = zip(range(report.ts.size), report.ts, report.admissibility,
-               report.complementarity, report.slope, report.xi_monotone)
-    _write_rows(path, KKT_HEADER, rows)
+    _write_steps(path, KKT_HEADER, report)
 
 
 def write_traction_csv(path, rows) -> None:

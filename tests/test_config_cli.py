@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import cohesim.cli
+import cohesim.config
 from cohesim.cli import main
 from cohesim.config import ConfigError, parse_scenario, parse_study
 from cohesim.expressions import ExpressionError, compile_expression
@@ -300,6 +301,20 @@ class TestStudyCli:
             assert len(energies) == steps + 2
             assert (out / label / "kkt.csv").exists()
             assert (out / label / "tractions.csv").exists()
+
+    def test_tau_study_parses_each_level_once(self, tmp_path, monkeypatch):
+        parses = []
+        real_parse = cohesim.config.parse_scenario
+
+        def counting_parse(doc):
+            parses.append(doc["time"]["n"])
+            return real_parse(doc)
+
+        for module in (cohesim.config, cohesim.cli):
+            monkeypatch.setattr(module, "parse_scenario", counting_parse)
+        study = str(SCENARIOS / "study_tau.json")
+        assert main(["study", study, "--out", str(tmp_path / "out")]) == 0
+        assert parses == [120, 240, 480]  # base (level 0), then levels 1 and 2
 
     def test_missing_study_exits_4(self, tmp_path, capsys):
         out = tmp_path / "out"

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import cohesim.evolution as evolution
+from cohesim.audit import energy_ledger, kkt_report
 from cohesim.evolution import (
     EvolutionError,
     Scenario,
@@ -95,7 +96,18 @@ class TestRun:
             run(mild_ramp(n=10))
         assert err.value.step == 4
         assert err.value.partial is not None
-        assert err.value.partial.ts.shape[0] == 4  # steps 0..3 retained
+        partial = err.value.partial
+        assert partial.ts.shape[0] == 4  # steps 0..3 retained
+        names = partial.steps.dtype.names
+        assert {"xis", "jumps", "newton_iters", "kkt_admissibility",
+                "kkt_complementarity", "kkt_slope", "v_h1", "a_l2"} <= set(names)
+        for name in names:
+            assert getattr(partial, name).shape[0] == 4, name
+        assert partial.xis.shape == partial.jumps.shape == (4, partial.ops.mesh.n_pairs)
+        led, rep = energy_ledger(partial), kkt_report(partial)
+        for column in (led.ts, led.E, led.R, led.R_split, rep.admissibility,
+                       rep.complementarity, rep.slope, rep.xi_monotone):
+            assert column.shape == (4,)
 
 
 class TestSelfConvergence:
@@ -171,6 +183,14 @@ class TestEpsContinuation:
         res = eps_continuation(sc, [1e-1, 1e-2, 1e-3])
         assert res.all_succeeded
         assert all(d is not None and np.isfinite(d) for d in res.distances)
+
+    def test_with_eps_replaces_only_the_floor_and_validates(self):
+        sc = mild_ramp(n=10)
+        other = sc.with_eps(0.05)
+        assert other.eps_bar == 0.05 and sc.eps_bar != 0.05
+        assert other.mesh is sc.mesh and other.loads is sc.loads and other.n == sc.n
+        with pytest.raises(ValueError, match="eps_bar"):
+            sc.with_eps(0.0)
 
     def test_non_decreasing_eps_list_rejected(self):
         sc = small_ramp(n=4, n_x=4, n_y=2)
