@@ -43,7 +43,7 @@ from .output import (
     write_traction_csv,
     write_vtk_frame,
 )
-from .step import ConvexityError
+from .step import ConvexityError, StepWorkspace
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -272,13 +272,16 @@ def _finish_study(out_root, params, results, distances) -> int:
         rows.append((i, param, "ok" if res["ok"] else "failed",
                      res["max_R"], res["max_kkt"], d, order))
     write_study_csv(os.path.join(out_root, "study.csv"), rows)
-    ok = all(res["ok"] for res in results)
-    print(f"{'ok' if ok else 'partial failure'}: {len(params)} levels, "
-          f"results in {out_root}/study.csv")
-    return EXIT_OK if ok else EXIT_SOLVER
+    n_ok = sum(res["ok"] for res in results)
+    status = ("ok" if n_ok == len(results) else "failed" if n_ok == 0
+              else "partial failure")
+    print(f"{status}: {len(params)} levels, results in {out_root}/study.csv")
+    return EXIT_OK if status == "ok" else EXIT_SOLVER
 
 
 def cmd_check_law(args) -> int:
+    from .assembly import assemble
+
     try:
         cfg = load_scenario_file(args.config)
     except ConfigError as exc:
@@ -292,6 +295,9 @@ def cmd_check_law(args) -> int:
     c = law.constants
     c_hat = estimate_trace_constant(scenario.mesh)
     margin = scenario.materials.mu_min * c_hat - c.beta
+    ops = assemble(scenario.mesh, scenario.materials)
+    lam_max = StepWorkspace(ops, scenario.tau).schur.lambda_max(ops.weights)
+    step_margin = 1.0 - c.beta * lam_max
     print(f"law kind: {scenario.law.env.kind}")
     print(f"beta = {c.beta!r}")
     print(f"psi_prime_0 = {c.psi_prime_0!r}")
@@ -300,6 +306,8 @@ def cmd_check_law(args) -> int:
     print(f"c_hat = {c_hat!r}")
     print(f"H4 margin (mu*c_hat - beta) = {margin!r} "
           f"({'holds' if margin > 0 else 'does not hold'})")
+    print(f"step margin (1 - beta*lambda_max, tau = {scenario.tau!r}) = {step_margin!r} "
+          f"({'convex' if step_margin > 0 else 'not convex'})")
     return EXIT_OK
 
 

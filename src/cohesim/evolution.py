@@ -243,12 +243,12 @@ def run(scenario: Scenario, callbacks=None, tol: float = 1e-10,
     u_prev2 = u0 - tau * v0
     xi = xi0.copy()
 
-    # the guard needs no workspace: a rejected tau fails before H0 is factorized
+    # the guard reads the step's own factorization of H0
+    ws = StepWorkspace(ops, tau)
     f1 = load_vector(scenario.loads, tau)
-    if not convexity_guard(StepProblem(tau, u_prev, u_prev2, xi, f1, ops, law)):
+    if not convexity_guard(StepProblem(tau, u_prev, u_prev2, xi, f1, ops, law, ws)):
         raise ConvexityError(
             "incremental functional not strictly convex; reduce the time step tau")
-    ws = StepWorkspace(ops, tau)
 
     steps = np.zeros(n + 1, dtype=step_dtype(scenario.mesh.n_pairs))
     steps["ts"] = np.arange(n + 1) * tau

@@ -33,13 +33,14 @@ convergence test on ``r`` is the full-space one.  A damped Newton method
 stiffness ``c_xi`` on the elastic branch and drops the (nonpositive)
 softening curvature, so ``I + D S`` is nonsingular for every ``D >= 0`` and
 each direction descends; an Armijo backtracking line search on ``phi``
-guarantees monotone decrease.  ``H0`` is factorized once per time step size;
+guarantees monotone decrease.  ``H0`` is factorized once per time step size,
+with a symmetric minimum-degree ordering (:class:`~cohesim.assembly.InterfaceSchur`);
 each step costs one ``X' b`` product, Newton iterations in ``n_pairs``
 unknowns and one sparse solve to recover ``u``.
 
-The step is well posed when the functional is strictly convex, which
-:func:`convexity_guard` decides exactly from the Schur complement of
-``A_eta/tau + A_mu``.
+The step is well posed when ``H0 - beta B' W B`` is positive definite, which
+makes the functional strictly convex for every history; :func:`convexity_guard`
+decides this exactly from the same ``S``, so a run factorizes ``H0`` once.
 """
 
 from __future__ import annotations
@@ -96,6 +97,7 @@ class StepWorkspace:
         self.M_ff = ops.M[ix].tocsr()
         self.Aeta_ff = ops.A_eta[ix].tocsr()
         self.B_f = ops.B[:, free].tocsr()
+        self.Bt_f = self.B_f.T.tocsr()
         self.weights = ops.weights
         self.tau = tau
         H0 = ops.A_mu[ix]
@@ -111,7 +113,7 @@ class StepWorkspace:
     def displacement(self, lam: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Nodal field ``u(lam) = H0^-1 (B' lam - b)``, zero on the Dirichlet nodes."""
         u = np.zeros(self.n_nodes)
-        u[self.free] = self.schur.solve(self.B_f.T @ lam - b)
+        u[self.free] = self.schur.solve(self.Bt_f @ lam - b)
         return u
 
 
@@ -254,6 +256,13 @@ def _minimize(ws: StepWorkspace, law: CohesiveLaw, xi: np.ndarray, b: np.ndarray
     return lam, iters, rnorm
 
 
+def _workspace(prob: StepProblem) -> StepWorkspace:
+    ws = prob.workspace if prob.workspace is not None else StepWorkspace(prob.ops, prob.tau)
+    if ws.tau != prob.tau:
+        raise ValueError("workspace was built for a different time step")
+    return ws
+
+
 def solve_step(prob: StepProblem, tol: float = 1e-10, max_iter: int = 60,
                trace=None) -> StepResult:
     """Minimize the incremental functional and apply the history max-update."""
@@ -262,9 +271,7 @@ def solve_step(prob: StepProblem, tol: float = 1e-10, max_iter: int = 60,
     if np.any(prob.xi_prev <= 0.0):
         raise ValueError("xi_prev must be strictly positive (regularized regime)")
     ops, tau = prob.ops, prob.tau
-    ws = prob.workspace if prob.workspace is not None else StepWorkspace(ops, tau)
-    if ws.tau != tau:
-        raise ValueError("workspace was built for a different time step")
+    ws = _workspace(prob)
     free = ws.free
 
     u1 = prob.u_prev[free]
@@ -286,7 +293,7 @@ def solve_step(prob: StepProblem, tol: float = 1e-10, max_iter: int = 60,
 
     # a-posteriori form: the Euler-Lagrange residual with the updated history
     g_post = (ws.H0_ff @ u_new[free] + b
-              + ws.B_f.T @ (ws.weights * prob.law.dpsi_dw(jumps, xi_new)))
+              + ws.Bt_f @ (ws.weights * prob.law.dpsi_dw(jumps, xi_new)))
     el_residual = float(np.abs(g_post).max(initial=0.0))
 
     return StepResult(u_new=u_new, xi_new=xi_new, newton_iters=iters,
@@ -314,16 +321,13 @@ def solve_static(ops: DiscreteOperators, law: CohesiveLaw, xi: np.ndarray,
 def convexity_guard(prob: StepProblem) -> bool:
     """Exact test of the step's convexity condition.
 
-    True when ``K - beta B' W B`` is positive definite on the free DOFs, with
-    ``K = A_eta / tau + A_mu`` and ``beta`` the law's curvature bound; the
-    incremental functional is then strictly convex for every history (the
-    mass term ``M / tau^2`` only adds to it and is left out).  As ``K`` is
-    SPD, the condition holds exactly when ``beta * lambda_max(W^1/2 S W^1/2)
-    < 1`` for the interface Schur complement ``S = B K^-1 B'``.
+    True when ``H0 - beta B' W B`` is positive definite on the free DOFs, with
+    ``H0 = M / tau^2 + A_eta / tau + A_mu`` the quadratic part of the
+    incremental functional and ``beta`` the law's curvature bound; the
+    functional is then strictly convex for every history.  As ``H0`` is SPD,
+    the condition holds exactly when ``beta * lambda_max(W^1/2 S W^1/2) < 1``
+    for the step's own interface Schur complement ``S = B H0^-1 B'``, read
+    from ``prob.workspace`` (built here when it is None).
     """
-    ops, tau = prob.ops, prob.tau
-    free = ops.free_dofs
-    ix = np.ix_(free, free)
-    K = ops.A_eta[ix] / tau + ops.A_mu[ix]
-    schur = InterfaceSchur(K, ops.B[:, free])
-    return bool(prob.law.beta * schur.lambda_max(ops.weights) < 1.0)
+    ws = _workspace(prob)
+    return bool(prob.law.beta * ws.schur.lambda_max(ws.weights) < 1.0)

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from cohesim.assembly import (
+    _SCHUR_BLOCK,
+    InterfaceSchur,
     LoadModel,
     Materials,
     assemble,
@@ -100,6 +102,23 @@ class TestOperators:
     def test_material_positivity_enforced(self):
         with pytest.raises(ValueError, match="mu_minus"):
             Materials(1.0, 1.0, 1.0, -2.0, 1.0, 1.0)
+
+
+class TestInterfaceSchur:
+    def test_blocked_X_equals_one_shot_solve(self):
+        mesh = build_rectangle_mesh(1.0, 40, 2)        # 41 pairs: blocks of 32 and 9
+        assert mesh.n_pairs > _SCHUR_BLOCK
+        ops = assemble(mesh, Materials(1.0, 2.0, 1.0, 3.0, 0.5, 2.0))
+        free = ops.free_dofs
+        ix = np.ix_(free, free)
+        B_f = ops.B[:, free]
+        schur = InterfaceSchur(ops.M[ix] / 0.01**2 + ops.A_eta[ix] / 0.01 + ops.A_mu[ix],
+                               B_f)
+        assert schur.X.flags.f_contiguous
+        X = schur._lu.solve(B_f.T.toarray())
+        assert np.array_equal(schur.X, X)
+        S = B_f @ X
+        assert np.array_equal(schur.S, 0.5 * (S + S.T))
 
 
 def sp_diag(A):

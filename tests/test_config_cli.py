@@ -206,6 +206,19 @@ class TestCli:
 
         assert margin(small) > 0 > margin(large)
 
+    def test_check_law_step_margin_positive_on_both_domains(self, capsys):
+        # (H4) fails on the large domain, yet at tau = 0.1 the mass and
+        # viscous terms of H0 keep the step strictly convex on both
+        def step_margin(name):
+            assert main(["check-law", str(SCENARIOS / name)]) == 0
+            line = [l for l in capsys.readouterr().out.splitlines()
+                    if l.startswith("step margin")][0]
+            assert "tau = 0.1" in line and line.endswith("(convex)")
+            return float(line.split("=")[-1].split("(")[0])
+
+        assert 0.0 < step_margin("check_law_small_domain.json") < 1.0
+        assert 0.0 < step_margin("check_law_large_domain.json") < 1.0
+
     def test_study_tau_refinement_rest(self, tmp_path):
         doc = {"kind": "tau_refinement", "levels": 3, "base": base_doc()}
         doc["base"]["loads"] = {}
@@ -254,8 +267,8 @@ class TestCli:
 
 class TestStudyCli:
     @staticmethod
-    def write_study(tmp_path, **base_overrides):
-        doc = {"kind": "tau_refinement", "levels": 3, "base": base_doc(**base_overrides)}
+    def write_study(tmp_path, levels=3, **base_overrides):
+        doc = {"kind": "tau_refinement", "levels": levels, "base": base_doc(**base_overrides)}
         study = tmp_path / "study.json"
         study.write_text(json.dumps(doc))
         return str(study)
@@ -285,10 +298,11 @@ class TestStudyCli:
             assert (out_1 / name).read_bytes() == (out_2 / name).read_bytes()
 
     def test_failing_coarse_level_exits_3(self, tmp_path, capsys):
-        # beta = 8: the guard rejects tau = 1/12 and accepts 1/24 and 1/48
+        # beta = 8: the H0 oracle refuses tau above 0.173 on this mesh, so the
+        # guard rejects tau = 1/4 and accepts 1/8 and 1/16
         study = self.write_study(tmp_path, law={"kind": "prototype", "g_c": 1.0,
                                                 "xi_c": 0.5},
-                                 time={"T": 1.0, "n": 12})
+                                 time={"T": 1.0, "n": 4})
         out = tmp_path / "out"
         assert main(["study", study, "--out", str(out)]) == 3
         assert "partial failure: 3 levels" in capsys.readouterr().out
@@ -296,11 +310,22 @@ class TestStudyCli:
         assert [row[2] for row in rows] == ["failed", "ok", "ok"]
         assert rows[0][3] == "" and rows[0][5] == ""  # no residual or distance
         assert rows[1][5] != ""  # the passing levels are still compared
-        for label, steps in (("level_01", 24), ("level_02", 48)):
+        for label, steps in (("level_01", 8), ("level_02", 16)):
             energies = (out / label / "energies.csv").read_text().splitlines()
             assert len(energies) == steps + 2
             assert (out / label / "kkt.csv").exists()
             assert (out / label / "tractions.csv").exists()
+
+    def test_all_levels_failing_reports_failed(self, tmp_path, capsys):
+        # beta = 8: the guard rejects both tau = 1/2 and tau = 1/4
+        study = self.write_study(tmp_path, levels=2,
+                                 law={"kind": "prototype", "g_c": 1.0, "xi_c": 0.5},
+                                 time={"T": 1.0, "n": 2})
+        out = tmp_path / "out"
+        assert main(["study", study, "--out", str(out)]) == 3
+        assert capsys.readouterr().out.startswith("failed: 2 levels")
+        rows = [line.split(",") for line in (out / "study.csv").read_text().splitlines()[1:]]
+        assert [row[2] for row in rows] == ["failed", "failed"]
 
     def test_tau_study_parses_each_level_once(self, tmp_path, monkeypatch):
         parses = []

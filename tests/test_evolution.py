@@ -3,6 +3,7 @@ regularization, self-convergence and the history-floor sweep."""
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 import cohesim.evolution as evolution
 from cohesim.audit import energy_ledger, kkt_report
@@ -72,13 +73,22 @@ class TestRun:
         with pytest.raises(ConvexityError, match="time step"):
             run(sc)
 
-    def test_convexity_guard_runs_before_workspace(self, monkeypatch):
-        def no_workspace(*args, **kwargs):
-            raise AssertionError("step workspace built before the convexity guard")
+    def test_run_factorizes_once_with_symmetric_ordering(self, monkeypatch):
+        orderings = []
+        real_splu = spla.splu
 
-        monkeypatch.setattr(evolution, "StepWorkspace", no_workspace)
+        def recording_splu(*args, **kwargs):
+            orderings.append(kwargs.get("permc_spec"))
+            return real_splu(*args, **kwargs)
+
+        monkeypatch.setattr(spla, "splu", recording_splu)
+        run(mild_ramp(n=5))
+        assert orderings == ["MMD_AT_PLUS_A"]
+        # a refused time step is decided on the same single factorization
+        orderings.clear()
         with pytest.raises(ConvexityError, match="time step"):
             run(standard_ramp(n=2, n_x=4, n_y=2, T=2e6))
+        assert orderings == ["MMD_AT_PLUS_A"]
 
     def test_step_failure_attaches_partial_trajectory(self, monkeypatch):
         calls = {"k": 0}

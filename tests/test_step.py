@@ -308,13 +308,15 @@ class TestConvexityGuard:
         ops = assemble(mesh, Materials.constant(1.0, 1.0, 1.0))
         law = CohesiveLaw(PrototypeEnvelope(1.0, 0.2))  # beta = 50
         assert ops.materials.mu_min * estimate_trace_constant(mesh) < law.beta
-        prob = StepProblem(1e3, np.zeros(ops.n_nodes), np.zeros(ops.n_nodes),
+        tau = 1e3
+        prob = StepProblem(tau, np.zeros(ops.n_nodes), np.zeros(ops.n_nodes),
                            np.full(mesh.n_pairs, 0.1), np.zeros(ops.n_nodes), ops, law)
         assert not convexity_guard(prob)
-        # eigenvalue oracle confirms indefiniteness
+        # eigenvalue oracle on H0 - beta B'WB confirms indefiniteness
         free = ops.free_dofs
+        ix = np.ix_(free, free)
         B_f = ops.B[:, free]
-        C = (ops.A_eta[np.ix_(free, free)] / 1e3 + ops.A_mu[np.ix_(free, free)]
+        C = (ops.M[ix] / tau**2 + ops.A_eta[ix] / tau + ops.A_mu[ix]
              - law.beta * (B_f.T @ sp.diags(ops.weights) @ B_f))
         lam_min = np.linalg.eigvalsh(C.toarray())[0]
         assert lam_min < 0.0
@@ -343,10 +345,10 @@ class TestConvexityGuard:
         c_hat = estimate_trace_constant(mesh)
 
         def oracle(tau):
-            C = (ops.A_eta[ix] / tau + ops.A_mu[ix]).toarray() - law.beta * BWB
-            return bool(np.linalg.eigvalsh(C)[0] > 0.0)
+            H0 = ops.M[ix] / tau**2 + ops.A_eta[ix] / tau + ops.A_mu[ix]
+            return bool(np.linalg.eigvalsh(H0.toarray() - law.beta * BWB)[0] > 0.0)
 
-        # C decreases with tau: bisect the oracle's threshold, then test
+        # H0 decreases with tau: bisect the oracle's threshold, then test
         # both sides of it closely as well as a wide range of time steps
         lo, hi = 1e-4, 1e2
         assert oracle(lo) and not oracle(hi)
@@ -354,12 +356,19 @@ class TestConvexityGuard:
             mid = np.sqrt(lo * hi)
             lo, hi = (mid, hi) if oracle(mid) else (lo, mid)
         taus = [*np.geomspace(1e-4, 1e2, 13), 0.999 * lo, 1.001 * hi]
+        only_h0 = 0
         for tau in taus:
             prob = StepProblem(tau, np.zeros(ops.n_nodes), np.zeros(ops.n_nodes),
                                np.full(mesh.n_pairs, 0.1), np.zeros(ops.n_nodes),
                                ops, law)
-            assert convexity_guard(prob) == oracle(tau)
+            accepted = convexity_guard(prob)
+            assert accepted == oracle(tau)
             if materials.mu_plus == materials.mu_minus:
                 # equal coefficients on both bodies: the (H4)-type criterion
+                # leaves out M / tau^2, so it is sufficient, not necessary
                 eta, mu = materials.eta_plus, materials.mu_plus
-                assert ((eta / tau + mu) * c_hat > law.beta) == oracle(tau)
+                algebraic = (eta / tau + mu) * c_hat > law.beta
+                assert accepted or not algebraic
+                only_h0 += accepted and not algebraic
+        if materials.mu_plus == materials.mu_minus:
+            assert only_h0 > 0
