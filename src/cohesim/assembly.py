@@ -12,6 +12,7 @@ DOF set (no penalty terms).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -155,6 +156,14 @@ class DiscreteOperators:
     def n_nodes(self) -> int:
         return self.M.shape[0]
 
+    @cached_property
+    def interface_rows(self) -> tuple:
+        """``(rows, M, A_eta, A_mu)`` restricted to the interface-node rows,
+        the plus sides of the pairs first, then the minus sides.  Each row
+        keeps its entries in order, so a product sums them as the full one."""
+        rows = self.mesh.interface_pairs.T.ravel()
+        return rows, self.M[rows], self.A_eta[rows], self.A_mu[rows]
+
     def l2_norm(self, u: np.ndarray) -> float:
         return float(np.sqrt(max(u @ (self.M_unit @ u), 0.0)))
 
@@ -228,16 +237,20 @@ class _LoadRule:
     ``P @ (c * f(xq, t))`` is the consistent load of ``f``.  Entry ``k`` maps
     point ``cols[k]`` to node ``rows[k]`` with value ``vals[k]``; each row
     keeps its entries, zeros included, in the given order and sums them so.
+    ``f`` receives the same two read-only coordinate views on every call, so
+    a compiled expression evaluates its time-free factors once.
     """
 
     def __init__(self, n_nodes: int, xq, c, rows, cols, vals):
-        self.xq, self.c = xq, c
+        xq.flags.writeable = False
+        self.x, self.y = xq[:, 0], xq[:, 1]
+        self.c = c
         order = np.argsort(rows, kind="stable")
         indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n_nodes))])
         self.P = sp.csr_matrix((vals[order], cols[order], indptr), shape=(n_nodes, c.size))
 
     def apply(self, fn, t: float) -> np.ndarray:
-        fv = np.asarray(fn(self.xq[:, 0], self.xq[:, 1], t), dtype=float)
+        fv = np.asarray(fn(self.x, self.y, t), dtype=float)
         return self.P @ (self.c * np.broadcast_to(fv, self.c.shape))
 
 
@@ -273,10 +286,14 @@ class LoadModel:
     P1 test space for affine data).  Samples are evaluated on demand and the
     last two kept, so a time loop evaluates each once and no (samples x
     nodes) table is stored.  Each sample is bit-identical to assembly triangle
-    by triangle: every node sums its contributions in the same order.  Between
-    samples the vectors are interpolated affinely, which commutes with the
-    (linear) assembly.  Concurrent reads are safe: the cache is replaced,
-    never modified, so a race costs at most a repeated evaluation.
+    by triangle: every node sums its contributions in the same order.  Each
+    rule passes the load the same coordinate arrays at every sample, so a
+    compiled expression (:func:`~cohesim.expressions.compile_expression`)
+    evaluates its factors that do not depend on ``t`` once per run, not once
+    per sample.  Between samples the vectors are interpolated affinely, which
+    commutes with the (linear) assembly.  Concurrent reads are safe: the
+    cache is replaced, never modified, so a race costs at most a repeated
+    evaluation.
     """
 
     def __init__(self, times, rules: tuple, bulk=None, surface=None):

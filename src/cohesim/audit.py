@@ -105,19 +105,21 @@ def kkt_report(traj: TrajectoryRecord) -> KKTReport:
 
 
 def _bulk_residual(prev: EvolutionState, state: EvolutionState,
-                   ops: DiscreteOperators, f_k: np.ndarray) -> np.ndarray:
+                   M, A_eta, A_mu, f: np.ndarray) -> np.ndarray:
+    """``M a + A_eta v + A_mu u - f`` on the rows that ``M``, ``A_eta``,
+    ``A_mu`` and ``f`` hold."""
     tau = state.t - prev.t
     if tau <= 0.0:
         raise ValueError("states must be consecutive in time")
     accel = (state.v - prev.v) / tau
-    return ops.M @ accel + ops.A_eta @ state.v + ops.A_mu @ state.u - f_k
+    return M @ accel + A_eta @ state.v + A_mu @ state.u - f
 
 
 def weak_residual(prev: EvolutionState, state: EvolutionState,
                   ops: DiscreteOperators, law: CohesiveLaw,
                   f_k: np.ndarray) -> float:
     """Sup-norm of the discrete Euler-Lagrange defect at ``(u_k, v_k, xi_k)``."""
-    r = _bulk_residual(prev, state, ops, f_k)
+    r = _bulk_residual(prev, state, ops.M, ops.A_eta, ops.A_mu, f_k)
     r += ops.B.T @ (ops.weights * law.dpsi_dw(ops.B @ state.u, state.xi))
     return float(np.abs(r[ops.free_dofs]).max(initial=0.0))
 
@@ -143,12 +145,17 @@ class TractionField:
 def traction_extraction(prev: EvolutionState, state: EvolutionState,
                         ops: DiscreteOperators, law: CohesiveLaw,
                         f_k: np.ndarray) -> TractionField:
-    """Discrete Neumann extraction of ``sigma nu`` on both sides of K."""
-    r = _bulk_residual(prev, state, ops, f_k)
-    pairs = ops.mesh.interface_pairs
+    """Discrete Neumann extraction of ``sigma nu`` on both sides of K.
+
+    The bulk residual is formed on the interface-node rows only
+    (:attr:`~cohesim.assembly.DiscreteOperators.interface_rows`); each row
+    sums as in the full residual, so the values are the same bit for bit.
+    """
+    rows, M, A_eta, A_mu = ops.interface_rows
+    r = _bulk_residual(prev, state, M, A_eta, A_mu, f_k[rows])
     w = ops.weights
-    sigma_plus = -r[pairs[:, 0]] / w
-    sigma_minus = r[pairs[:, 1]] / w
+    sigma_plus = -r[:w.size] / w
+    sigma_minus = r[w.size:] / w
     cohesive = law.dpsi_dw(ops.B @ state.u, state.xi)
     return TractionField(
         sigma_plus=sigma_plus,

@@ -30,7 +30,6 @@ from .evolution import (
     EvolutionError,
     EvolutionState,
     eps_continuation,
-    regularize_initial_data,
     run,
 )
 from .mesh import estimate_trace_constant
@@ -52,16 +51,19 @@ EXIT_IO = 4
 
 
 class _TractionCollector:
-    """Streams per-step traction summaries through the on_step callback."""
+    """Streams per-step traction summaries through the on_step callback.
+
+    The extraction at step ``k`` reads only the time and velocity of step
+    ``k - 1``.  At step 1 these are ``t = 0`` and ``v0``, which the
+    initial-data regularization leaves as given, so the collector starts from
+    them and the regularized data are computed once, by ``run()``.
+    """
 
     def __init__(self, scenario, ops):
         self.scenario = scenario
         self.ops = ops
-        self.prev = None
+        self.prev = EvolutionState(t=0.0, u=None, v=scenario.v0, xi=None, k=0)
         self.rows = []
-
-    def prime(self, u0, v0, xi0):
-        self.prev = EvolutionState(t=0.0, u=u0, v=v0, xi=xi0, k=0)
 
     def __call__(self, state, step_result):
         f_k = self.scenario.loads.at(min(state.t, self.scenario.loads.t_final))
@@ -80,7 +82,6 @@ def _execute_run(cfg: ScenarioConfig, out_dir: str, write_vtk: bool | None = Non
     scenario = cfg.scenario
     ops = assemble(scenario.mesh, scenario.materials)
     collector = _TractionCollector(scenario, ops)
-    collector.prime(*regularize_initial_data(scenario, ops))
     record = run(scenario, callbacks=collector, ops=ops,
                  snapshot_stride=cfg.output.snapshot_stride)
 

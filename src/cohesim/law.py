@@ -44,6 +44,7 @@ __all__ = [
     "TabulatedEnvelope",
     "LawConstants",
     "CohesiveLaw",
+    "FrozenHistory",
     "law_constants",
 ]
 
@@ -396,3 +397,51 @@ class CohesiveLaw:
             raise ValueError("secant stiffness requires xi > 0")
         out = self.env.slope(xi) / xi
         return float(out) if sx else out
+
+    def frozen(self, xi) -> "FrozenHistory":
+        """The density and its derivatives at a fixed history ``xi > 0``."""
+        return FrozenHistory(self.env, xi)
+
+
+class FrozenHistory:
+    """``psi(., xi)``, ``dpsi_dw(., xi)`` and the Newton curvature for one
+    fixed history array ``xi > 0``, as a time step sees it.
+
+    The history terms ``psi_hat(xi)``, ``psi_hat'(xi)``, ``xi**2``, ``2 xi``
+    and ``c_xi = psi_hat'(xi) / xi`` are computed once, so :meth:`evaluate`
+    costs one ``psi_hat`` and one ``psi_hat'`` pass over the openings.  The
+    expressions, and their evaluation order, are those of
+    :meth:`CohesiveLaw.psi` and :meth:`CohesiveLaw.dpsi_dw`, so the values
+    are bit-identical to theirs.
+    """
+
+    def __init__(self, env, xi):
+        xi = np.asarray(xi, dtype=float)
+        if np.any(xi <= 0.0):
+            raise ValueError("a frozen history requires xi > 0")
+        self.env = env
+        self.xi = xi
+        self.psi_xi = env.value(xi)
+        self.slope_xi = env.slope(xi)
+        self.xi_sq = xi**2
+        self.two_xi = 2.0 * xi
+        self.c_xi = self.slope_xi / xi
+
+    def evaluate(self, w):
+        """``(psi, dpsi_dw, |w|, elastic)`` at the openings ``w``.
+
+        ``elastic`` is ``|w| <= xi``.  On the tie ``|w| = xi``, where both
+        branches agree, ``psi`` takes the loading branch and ``dpsi_dw`` the
+        elastic one, as in :class:`CohesiveLaw`.
+        """
+        aw = np.abs(w)
+        elastic = aw <= self.xi
+        unload = self.psi_xi - self.slope_xi * (self.xi_sq - w**2) / self.two_xi
+        psi = np.where(aw >= self.xi, self.env.value(aw), unload)
+        dpsi = np.where(elastic, self.c_xi * w, self.env.slope(aw) * np.sign(w))
+        return psi, dpsi, aw, elastic
+
+    def curvature(self, aw, elastic):
+        """Newton curvature: the secant stiffness ``c_xi`` on the elastic
+        branch and the softening curvature clipped at zero elsewhere."""
+        return np.where(elastic, self.c_xi, np.maximum(self.env.curvature(aw), 0.0))

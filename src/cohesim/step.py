@@ -34,9 +34,17 @@ stiffness ``c_xi`` on the elastic branch and drops the (nonpositive)
 softening curvature, so ``I + D S`` is nonsingular for every ``D >= 0`` and
 each direction descends; an Armijo backtracking line search on ``phi``
 guarantees monotone decrease.  ``H0`` is factorized once per time step size,
-with a symmetric minimum-degree ordering (:class:`~cohesim.assembly.InterfaceSchur`);
-each step costs one ``X' b`` product, Newton iterations in ``n_pairs``
-unknowns and one sparse solve to recover ``u``.
+with a symmetric minimum-degree ordering (:class:`~cohesim.assembly.InterfaceSchur`).
+
+Per step, the work follows what changes within it.  ``xi_prev`` is fixed for
+the whole step, so its terms (``psi_hat(xi)``, ``psi_hat'(xi)``, ``xi^2``,
+``2 xi`` and ``c_xi``) are computed once (:class:`~cohesim.law.FrozenHistory`);
+the step then costs one ``X' b`` product, the Newton iterations in the
+``n_pairs`` unknowns and one sparse solve to recover ``u``.  Each Newton
+trial point costs one ``S @ lam`` and one fused law pass giving ``phi``,
+``r``, ``|r|_inf`` and the branch masks; an accepted point reuses them for
+its residual test and its curvature ``D``, so a point is never evaluated
+twice.
 
 The step is well posed when ``H0 - beta B' W B`` is positive definite, which
 makes the functional strictly convex for every history; :func:`convexity_guard`
@@ -46,11 +54,12 @@ decides this exactly from the same ``S``, so a run factorizes ``H0`` once.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .assembly import DiscreteOperators, InterfaceSchur
-from .law import CohesiveLaw
+from .law import CohesiveLaw, FrozenHistory
 
 __all__ = [
     "StepSolverError",
@@ -172,18 +181,19 @@ def incremental_energy(u, prob: StepProblem) -> float:
     return float(val)
 
 
-def _interface_curvature(law: CohesiveLaw, jumps: np.ndarray, xi: np.ndarray,
-                         weights: np.ndarray) -> np.ndarray:
-    aw = np.abs(jumps)
-    elastic = aw <= xi
-    c_el = law.env.slope(xi) / xi
-    c_soft = np.maximum(law.env.curvature(aw), 0.0)
-    return weights * np.where(elastic, c_el, c_soft)
+class _Point(NamedTuple):
+    """One trial point of the interface Newton method."""
+
+    lam: np.ndarray
+    phi: float
+    r: np.ndarray             # gradient of phi up to S: lam + w psi'(jumps)
+    rnorm: float
+    aw: np.ndarray            # |jumps|
+    elastic: np.ndarray       # |jumps| <= xi
 
 
-def _minimize(ws: StepWorkspace, law: CohesiveLaw, xi: np.ndarray, b: np.ndarray,
-              lam0: np.ndarray, tol_abs: float, max_iter: int, trace=None,
-              energy=None):
+def _minimize(ws: StepWorkspace, hist: FrozenHistory, b: np.ndarray, lam0: np.ndarray,
+              tol_abs: float, max_iter: int, trace=None, energy=None):
     """Damped Newton with Armijo backtracking on the interface functional
     ``phi(lam) = 1/2 lam' S lam + sum_j w_j psi(j_lin + S lam, xi_j)``.
 
@@ -193,67 +203,63 @@ def _minimize(ws: StepWorkspace, law: CohesiveLaw, xi: np.ndarray, b: np.ndarray
     S, w = ws.schur.S, ws.weights
     j_lin = -(ws.schur.X.T @ b)
 
-    def value(lam):
+    def point(lam) -> _Point:
         S_lam = S @ lam
-        return 0.5 * float(lam @ S_lam) + float(w @ law.psi(j_lin + S_lam, xi))
-
-    def residual(lam):
+        psi, dpsi, aw, elastic = hist.evaluate(j_lin + S_lam)
         # the full-space gradient at u(lam) is B' r, and |B' r|_inf = |r|_inf
-        jumps = j_lin + S @ lam
-        r = lam + w * law.dpsi_dw(jumps, xi)
-        return r, jumps, float(np.abs(r).max(initial=0.0))
+        r = lam + w * dpsi
+        phi = 0.5 * float(lam @ S_lam) + float(w @ psi)
+        return _Point(lam, phi, r, float(np.abs(r).max(initial=0.0)), aw, elastic)
 
-    lam = lam0.copy()
-    r, jumps, rnorm = residual(lam)
-    phi = value(lam)
+    def direction(p: _Point) -> np.ndarray:
+        return ws.newton_direction(p.r, w * hist.curvature(p.aw, p.elastic))
+
+    def stagnation(message, p: _Point):
+        return StepSolverError(message, u_last=ws.displacement(p.lam, b), grad_norm=p.rnorm)
+
+    cur = point(lam0)
     if trace is not None:
-        zero = np.zeros_like(lam)
-        offset = energy(ws.displacement(zero, b)) - value(zero)
-        trace.append(phi + offset)
+        zero = np.zeros_like(lam0)
+        offset = energy(ws.displacement(zero, b)) - point(zero).phi
+        trace.append(cur.phi + offset)
     iters = 0
-    while rnorm > tol_abs and iters < max_iter:
-        delta = ws.newton_direction(r, _interface_curvature(law, jumps, xi, w))
-        slope = float((S @ r) @ delta)
+    while cur.rnorm > tol_abs and iters < max_iter:
+        delta = direction(cur)
+        slope = float((S @ cur.r) @ delta)
         alpha = 1.0
-        phi_try = value(lam + delta)
-        descent = phi_try <= phi + _ARMIJO_C1 * slope
-        if not descent and abs(phi_try - phi) <= _ROUNDING * max(1.0, abs(phi)):
+        trial = point(cur.lam + delta)
+        descent = trial.phi <= cur.phi + _ARMIJO_C1 * slope
+        if not descent and abs(trial.phi - cur.phi) <= _ROUNDING * max(1.0, abs(cur.phi)):
             # differences are below rounding resolution; accept the full
             # Newton step on strict residual decrease instead
-            if residual(lam + delta)[2] > 0.9 * rnorm:
-                raise StepSolverError(
-                    "Newton stagnation at the energy rounding floor",
-                    u_last=ws.displacement(lam, b), grad_norm=rnorm)
+            if trial.rnorm > 0.9 * cur.rnorm:
+                raise stagnation("Newton stagnation at the energy rounding floor", cur)
         elif not descent:
             while True:
                 alpha *= 0.5
                 if alpha < _MIN_STEP:
-                    raise StepSolverError(
-                        "Newton stagnation: no descent step above minimal length",
-                        u_last=ws.displacement(lam, b), grad_norm=rnorm)
-                phi_try = value(lam + alpha * delta)
-                if phi_try <= phi + _ARMIJO_C1 * alpha * slope:
+                    raise stagnation(
+                        "Newton stagnation: no descent step above minimal length", cur)
+                trial = point(cur.lam + alpha * delta)
+                if trial.phi <= cur.phi + _ARMIJO_C1 * alpha * slope:
                     break
-        lam = lam + alpha * delta
-        phi = phi_try
+        cur = trial
         if trace is not None:
-            trace.append(phi + offset)
-        r, jumps, rnorm = residual(lam)
+            trace.append(cur.phi + offset)
         iters += 1
-    if rnorm > tol_abs:
-        raise StepSolverError(
-            f"Newton did not converge in {max_iter} iterations (residual {rnorm:.3e})",
-            u_last=ws.displacement(lam, b), grad_norm=rnorm)
+    if cur.rnorm > tol_abs:
+        raise stagnation(
+            f"Newton did not converge in {max_iter} iterations (residual {cur.rnorm:.3e})",
+            cur)
     # polish: a few full steps to push the residual toward machine precision,
     # so traction/transmission audits are solver-noise free
     for _ in range(3):
-        lam_try = lam + ws.newton_direction(r, _interface_curvature(law, jumps, xi, w))
-        r_try, jumps_try, rn_try = residual(lam_try)
-        if rn_try >= rnorm:
+        trial = point(cur.lam + direction(cur))
+        if trial.rnorm >= cur.rnorm:
             break
-        lam, r, jumps, rnorm = lam_try, r_try, jumps_try, rn_try
+        cur = trial
         iters += 1
-    return lam, iters, rnorm
+    return cur.lam, iters, cur.rnorm
 
 
 def _workspace(prob: StepProblem) -> StepWorkspace:
@@ -281,11 +287,12 @@ def solve_step(prob: StepProblem, tol: float = 1e-10, max_iter: int = 60,
     b = -(ws.M_ff @ (2.0 * u1 - u2)) / tau**2 - (ws.Aeta_ff @ u1) / tau - f
 
     tol_abs = tol * (1.0 + float(np.abs(prob.f_k).max(initial=0.0)))
+    hist = prob.law.frozen(prob.xi_prev)
     # warm start: the cohesive tractions at the second-order predicted jumps
     u_pred = 2.0 * prob.u_prev - prob.u_prev2
-    lam0 = -ws.weights * prob.law.dpsi_dw(ops.B @ u_pred, prob.xi_prev)
-    lam, iters, rnorm = _minimize(ws, prob.law, prob.xi_prev, b, lam0, tol_abs,
-                                  max_iter, trace, lambda u: incremental_energy(u, prob))
+    lam0 = -ws.weights * hist.evaluate(ops.B @ u_pred)[1]
+    lam, iters, rnorm = _minimize(ws, hist, b, lam0, tol_abs, max_iter, trace,
+                                  lambda u: incremental_energy(u, prob))
 
     u_new = ws.displacement(lam, b)
     jumps = ops.B @ u_new
@@ -314,7 +321,7 @@ def solve_static(ops: DiscreteOperators, law: CohesiveLaw, xi: np.ndarray,
     ws = workspace if workspace is not None else StepWorkspace(ops, None)
     b = -f_eff[ws.free]
     tol_abs = tol * (1.0 + float(np.abs(f_eff).max(initial=0.0)))
-    lam, _, _ = _minimize(ws, law, xi, b, np.zeros(ws.weights.size), tol_abs, max_iter)
+    lam, _, _ = _minimize(ws, law.frozen(xi), b, np.zeros(ws.weights.size), tol_abs, max_iter)
     return ws.displacement(lam, b)
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from cohesim.audit import (
+    _bulk_residual,
     energy_ledger,
     kkt_report,
     regularity_norms,
@@ -131,6 +132,18 @@ class TestTractionExtraction:
             tf = traction_extraction(prev, cur, ramp_record.ops, ramp_record.law, f)
             assert tf.max_interior(tf.sigma_plus) <= bound
             assert tf.max_interior(tf.sigma_minus) <= bound
+
+    def test_interface_rows_match_full_residual_bitwise(self):
+        rec = run(unloading_tent(n=40, n_x=8, n_y=4), snapshot_stride=1, tol=TOL)
+        ops, pairs, w = rec.ops, rec.ops.mesh.interface_pairs, rec.ops.weights
+        for k in range(1, rec.n_steps + 1):
+            prev, cur = rec.state(k - 1), rec.state(k)
+            f = rec.loads.at(cur.t)
+            tf = traction_extraction(prev, cur, ops, rec.law, f)
+            r = _bulk_residual(prev, cur, ops.M, ops.A_eta, ops.A_mu, f)
+            assert np.array_equal(tf.sigma_plus, -r[pairs[:, 0]] / w)
+            assert np.array_equal(tf.sigma_minus, r[pairs[:, 1]] / w)
+            assert np.any(tf.sigma_plus != 0.0)
 
 
 class TestElasticUnloading:

@@ -11,6 +11,7 @@ import pytest
 
 import cohesim.cli
 import cohesim.config
+import cohesim.expressions
 from cohesim.cli import main
 from cohesim.config import ConfigError, parse_scenario, parse_study
 from cohesim.expressions import ExpressionError, compile_expression
@@ -62,6 +63,45 @@ class TestExpressions:
     def test_attribute_access_rejected(self):
         with pytest.raises(ExpressionError):
             compile_expression("x.real")
+
+    def test_time_free_factors_evaluated_once_per_binding(self, monkeypatch):
+        sin_calls = []
+
+        def counted_sin(a):
+            sin_calls.append(np.sin(a))
+            return sin_calls[-1]
+
+        monkeypatch.setitem(cohesim.expressions._FUNCTIONS, "sin", counted_sin)
+        source = ("25 * min(t / 0.4, max(1 + (t - 0.4) * -3, 0.1 + (t - 0.7) * 0.5))"
+                  " * sin(pi * x) * y + exp(t) * cos(x * y)")
+        f = compile_expression(source)
+        rng = np.random.default_rng(3)
+        x, y = rng.uniform(0.0, 1.0, 257), rng.uniform(-1.0, 1.0, 257)
+
+        def plain(x, y, t):
+            return (25 * min(t / 0.4, max(1 + (t - 0.4) * -3, 0.1 + (t - 0.7) * 0.5))
+                    * np.sin(np.pi * x) * y + np.exp(t) * np.cos(x * y))
+
+        outs = [f(x=x, y=y, t=t) for t in np.linspace(0.0, 1.0, 7)]
+        assert len(sin_calls) == 1
+        for t, out in zip(np.linspace(0.0, 1.0, 7), outs):
+            assert np.array_equal(out, plain(x, y, t))
+            # a fresh binding (equal values, new objects) recomputes, same bits
+            assert np.array_equal(out, f(x=x.copy(), y=y.copy(), t=t))
+        assert len(sin_calls) == 1 + 7
+        # the cached factor is read-only, and the result is not a view of it
+        cached = sin_calls[0]
+        assert not cached.flags.writeable
+        assert not np.shares_memory(outs[-1], cached)
+
+    def test_time_free_root_is_returned_as_a_copy(self):
+        f = compile_expression("sin(pi * x) * y")
+        x, y = np.linspace(0.0, 1.0, 5), np.linspace(-1.0, 1.0, 5)
+        a, b = f(x=x, y=y, t=0.0), f(x=x, y=y, t=1.0)
+        assert np.array_equal(a, np.sin(np.pi * x) * y) and np.array_equal(a, b)
+        assert not np.shares_memory(a, b)
+        a[...] = 0.0
+        assert np.array_equal(f(x=x, y=y, t=2.0), b)
 
 
 class TestScenarioSchema:

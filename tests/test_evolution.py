@@ -1,11 +1,14 @@
 """Evolution-driver tests: fixed points, history monotonicity, initial-data
 regularization, self-convergence and the history-floor sweep."""
 
+import json
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
 import cohesim.evolution as evolution
+from cohesim.cli import main
 from cohesim.audit import energy_ledger, kkt_report
 from cohesim.evolution import (
     EvolutionError,
@@ -89,6 +92,35 @@ class TestRun:
         with pytest.raises(ConvexityError, match="time step"):
             run(standard_ramp(n=2, n_x=4, n_y=2, T=2e6))
         assert orderings == ["MMD_AT_PLUS_A"]
+
+    def test_regularity_mode_cli_run_factorizes_each_block_once(self, monkeypatch,
+                                                                tmp_path):
+        # the static solve of the initial data factorizes A_mu, the time
+        # loop H0; the traction audit must not trigger a second static solve
+        shapes = []
+        real_splu = spla.splu
+
+        def recording_splu(A, **kwargs):
+            shapes.append((A.shape, kwargs.get("permc_spec")))
+            return real_splu(A, **kwargs)
+
+        monkeypatch.setattr(spla, "splu", recording_splu)
+        doc = {
+            "mesh": {"kind": "rectangle", "L": 1.0, "n_x": 8, "n_y": 4},
+            "materials": {"rho": 1.0, "mu": 1.0, "eta": 1.0},
+            "law": {"kind": "prototype", "g_c": 1.0, "xi_c": 0.2},
+            "loads": {"bulk": "100 * (t + 0.05) * sin(pi * x) * y"},
+            "time": {"T": 0.1, "n": 20},
+            "initial": {"v0": "0.1 * sin(pi * x) * (1 - y * y)",
+                        "w0": "sin(pi * x) * y"},
+            "regularization": {"eps_bar": 0.001, "regularity_mode": True},
+            "output": {"snapshot_stride": 10, "vtk": False},
+        }
+        path = tmp_path / "regularity.json"
+        path.write_text(json.dumps(doc))
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+        assert shapes == [((136, 136), "MMD_AT_PLUS_A")] * 2
+        assert (tmp_path / "out" / "tractions.csv").read_text().count("\n") == 21
 
     def test_step_failure_attaches_partial_trajectory(self, monkeypatch):
         calls = {"k": 0}

@@ -265,3 +265,46 @@ class TestLambdaConvexity:
 
         mid = g(0.5 * (a + b))
         assert np.all(mid <= 0.5 * (g(a) + g(b)) + 1e-10)
+
+
+class TestFrozenHistory:
+    """The per-step terms of a fixed history give the law's own values, bit
+    for bit, on both envelopes."""
+
+    @staticmethod
+    def laws():
+        # tabulated: a cubic softening envelope, psi_hat = 1 - (1 - w)^3 on [0, 1]
+        grid = np.linspace(0.0, 1.0, 17)
+        cubic = TabulatedEnvelope(grid, 1.0 - (1.0 - grid) ** 3, 3.0 * (1.0 - grid) ** 2)
+        return [CohesiveLaw(PrototypeEnvelope(1.0, 0.2)), CohesiveLaw(cubic)]
+
+    @staticmethod
+    def old_curvature(law, w, xi):
+        aw = np.abs(w)
+        c_el = law.env.slope(xi) / xi
+        return np.where(aw <= xi, c_el, np.maximum(law.env.curvature(aw), 0.0))
+
+    def test_bit_identical_to_law(self):
+        rng = np.random.default_rng(2024)
+        for law in self.laws():
+            xi_c = law.xi_c
+            xi = np.concatenate([rng.uniform(1e-4, 1.5 * xi_c, 400),
+                                 rng.uniform(1.01 * xi_c, 3.0 * xi_c, 100)])
+            w = rng.uniform(-2.0, 2.0, xi.size) * xi
+            # the tie |w| = xi, on both signs, and openings beyond xi_c
+            w[:40] = xi[:40]
+            w[40:80] = -xi[40:80]
+            w[80:120] = np.sign(w[80:120]) * rng.uniform(1.1, 4.0, 40) * xi_c
+            hist = law.frozen(xi)
+            psi, dpsi, aw, elastic = hist.evaluate(w)
+            assert np.array_equal(psi, law.psi(w, xi))
+            assert np.array_equal(dpsi, law.dpsi_dw(w, xi))
+            assert np.array_equal(aw, np.abs(w))
+            assert np.array_equal(elastic, np.abs(w) <= xi)
+            assert np.array_equal(hist.curvature(aw, elastic),
+                                  self.old_curvature(law, w, xi))
+            assert np.array_equal(hist.c_xi, law.secant_stiffness(xi))
+
+    def test_nonpositive_history_rejected(self, proto):
+        with pytest.raises(ValueError, match="xi > 0"):
+            proto.frozen(np.array([0.1, 0.0]))

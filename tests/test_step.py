@@ -9,7 +9,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from cohesim.assembly import DiscreteOperators, LoadModel, Materials, assemble
-from cohesim.law import CohesiveLaw, PrototypeEnvelope, TabulatedEnvelope
+from cohesim.law import CohesiveLaw, FrozenHistory, PrototypeEnvelope, TabulatedEnvelope
 from cohesim.mesh import build_rectangle_mesh, estimate_trace_constant, scaled
 from cohesim.step import (
     StepProblem,
@@ -265,6 +265,36 @@ class TestSolveStep:
                           else "unload" if np.any(res.xi_new > floor) else "rest")
             u2, u1, xi = u1, u, res.xi_new
         assert [p for p, _ in itertools.groupby(phases)] == ["rest", "load", "unload", "load"]
+
+    def test_one_law_pass_per_trial_point(self, monkeypatch):
+        # a softening step with backtracking on an 8x4 mesh
+        mesh = build_rectangle_mesh(1.0, 8, 4)
+        ops = assemble(mesh, Materials.constant(rho=1.0, mu=1.0, eta=1.0))
+        law = CohesiveLaw(PrototypeEnvelope(g_c=1.0, xi_c=0.2))
+        tau = 1.0 / 40
+        loads = LoadModel.from_functions(
+            mesh, [0.0, 1.0], bulk=lambda x, y, t: 400.0 * t * np.sin(np.pi * x) * y)
+        zero = np.zeros(ops.n_nodes)
+        prob = StepProblem(tau, zero, zero, np.full(mesh.n_pairs, 1e-3), loads.at(0.25),
+                           ops, law, StepWorkspace(ops, tau))
+        calls = {"value": 0, "slope": 0, "trial": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(law.env, "value", counted("value", law.env.value))
+        monkeypatch.setattr(law.env, "slope", counted("slope", law.env.slope))
+        monkeypatch.setattr(FrozenHistory, "evaluate",
+                            counted("trial", FrozenHistory.evaluate))
+        res = solve_step(prob)
+        assert calls["trial"] > res.newton_iters >= 5
+        # per trial point one psi_hat and one psi_hat' pass; per step the
+        # history terms (2), the a-posteriori residual (2) and
+        # StepResult.energy (3); the warm start is one more evaluate() call
+        assert calls["value"] + calls["slope"] <= 2 * calls["trial"] + 7
 
 
 class TestSolveStatic:
