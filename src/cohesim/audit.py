@@ -17,7 +17,11 @@ residual ``M a + A_eta v + A_mu u - f`` with them isolates the boundary term
 of one body, and dividing by the interface weight gives the nodal traction.
 By the step's Euler-Lagrange equation this must match the cohesive traction
 ``dpsi_dw([u], xi)`` up to solver tolerance, with equal values from both
-sides (transmission) and magnitude below the activation threshold.
+sides (transmission) and magnitude below the activation threshold.  Inside
+the time loop the cohesive traction and the load of a step come from the
+step itself (:attr:`cohesim.step.StepResult.traction`,
+:attr:`cohesim.evolution.EvolutionState.f`), so an audit of every step
+makes no law pass and samples no load of its own.
 """
 
 from __future__ import annotations
@@ -144,19 +148,23 @@ class TractionField:
 
 def traction_extraction(prev: EvolutionState, state: EvolutionState,
                         ops: DiscreteOperators, law: CohesiveLaw,
-                        f_k: np.ndarray) -> TractionField:
+                        f_k: np.ndarray, cohesive: np.ndarray | None = None) -> TractionField:
     """Discrete Neumann extraction of ``sigma nu`` on both sides of K.
 
     The bulk residual is formed on the interface-node rows only
     (:attr:`~cohesim.assembly.DiscreteOperators.interface_rows`); each row
     sums as in the full residual, so the values are the same bit for bit.
+    ``cohesive`` is ``dpsi_dw([u_k], xi_k)`` when the caller has it (the
+    step's :attr:`~cohesim.step.StepResult.traction`); it is computed here
+    when None.
     """
     rows, M, A_eta, A_mu = ops.interface_rows
     r = _bulk_residual(prev, state, M, A_eta, A_mu, f_k[rows])
     w = ops.weights
     sigma_plus = -r[:w.size] / w
     sigma_minus = r[w.size:] / w
-    cohesive = law.dpsi_dw(ops.B @ state.u, state.xi)
+    if cohesive is None:
+        cohesive = law.dpsi_dw(ops.B @ state.u, state.xi)
     return TractionField(
         sigma_plus=sigma_plus,
         sigma_minus=sigma_minus,

@@ -36,6 +36,7 @@ from .mesh import estimate_trace_constant
 from .output import (
     ensure_dir,
     interface_field_on_nodes,
+    vtk_geometry,
     write_energy_csv,
     write_kkt_csv,
     write_study_csv,
@@ -56,18 +57,20 @@ class _TractionCollector:
     The extraction at step ``k`` reads only the time and velocity of step
     ``k - 1``.  At step 1 these are ``t = 0`` and ``v0``, which the
     initial-data regularization leaves as given, so the collector starts from
-    them and the regularized data are computed once, by ``run()``.
+    them and the regularized data are computed once, by ``run()``.  The load
+    and the cohesive traction are the step's own (``state.f`` and
+    ``step_result.traction``).
     """
 
     def __init__(self, scenario, ops):
-        self.scenario = scenario
+        self.law = scenario.law
         self.ops = ops
         self.prev = EvolutionState(t=0.0, u=None, v=scenario.v0, xi=None, k=0)
         self.rows = []
 
     def __call__(self, state, step_result):
-        f_k = self.scenario.loads.at(min(state.t, self.scenario.loads.t_final))
-        tf = traction_extraction(self.prev, state, self.ops, self.scenario.law, f_k)
+        tf = traction_extraction(self.prev, state, self.ops, self.law, state.f,
+                                 cohesive=step_result.traction)
         self.rows.append((state.k, state.t, tf))
         self.prev = state
 
@@ -91,6 +94,7 @@ def _execute_run(cfg: ScenarioConfig, out_dir: str, write_vtk: bool | None = Non
     write_kkt_csv(os.path.join(out_dir, "kkt.csv"), report)
     write_traction_csv(os.path.join(out_dir, "tractions.csv"), collector.rows)
     if write_vtk if write_vtk is not None else cfg.output.vtk:
+        geometry = vtk_geometry(scenario.mesh)
         for frame, k in enumerate(record.snapshot_steps):
             fields = {
                 "u": record.us[k],
@@ -98,7 +102,7 @@ def _execute_run(cfg: ScenarioConfig, out_dir: str, write_vtk: bool | None = Non
                 "xi": interface_field_on_nodes(scenario.mesh, record.xis[k]),
             }
             write_vtk_frame(os.path.join(out_dir, f"fields_{frame:04d}.vtk"),
-                            scenario.mesh, fields)
+                            scenario.mesh, fields, geometry)
     summary = (f"steps={record.n_steps} "
                f"max_energy_residual={ledger.max_residual:.6e} "
                f"max_kkt_violation={report.max_violation:.6e}")
@@ -221,8 +225,17 @@ def cmd_study(args) -> int:
     except OSError as exc:
         print(f"cannot read study: {exc}", file=sys.stderr)
         return EXIT_IO
-    out_root = ensure_dir(args.out)
+    try:
+        return _run_study(spec, levels, args.out)
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return EXIT_IO
 
+
+def _run_study(spec, levels, out) -> int:
+    """Run every level, write the level artifacts and study.csv under ``out``
+    and return the exit code; output errors propagate as OSError."""
+    out_root = ensure_dir(out)
     if spec.kind == "eps_continuation":
         return _study_eps(spec, out_root)
 

@@ -18,7 +18,12 @@ Per-step diagnostics (energies, dissipation and work, KKT violations, solver
 stats, velocity/acceleration norms, per-pair history and jumps) go into one
 table, a structured array with one row per step whose dtype ``step_dtype``
 declares every column; full field snapshots are kept every
-``snapshot_stride`` steps.
+``snapshot_stride`` steps.  A step's row reads the jumps, ``psi`` and
+``psi(0, xi_k)`` of the step's post-step pass (:class:`~cohesim.step.StepResult`)
+and forms ``M v``, ``A_eta v`` and the H1 norm of ``v`` with one stacked
+product (:meth:`~cohesim.assembly.DiscreteOperators.velocity_forms`); each
+callback receives the state with the step's load vector ``f``, so no consumer
+forms these values again.
 """
 
 from __future__ import annotations
@@ -130,6 +135,7 @@ class EvolutionState:
     v: np.ndarray
     xi: np.ndarray
     k: int
+    f: np.ndarray | None = None     # the load vector of step k (time loop only)
 
 
 _FLOAT_COLUMNS = ("ts", "E", "K", "Psi", "Psi_s", "Psi_d", "D_cum", "P_cum",
@@ -243,10 +249,13 @@ def run(scenario: Scenario, callbacks=None, tol: float = 1e-10,
     u_prev2 = u0 - tau * v0
     xi = xi0.copy()
 
-    # the guard reads the step's own factorization of H0
+    callbacks = () if callbacks is None else tuple(np.atleast_1d(callbacks))
+
+    # the guard reads the step's own factorization of H0 (and no load: it is
+    # handed step 1's, which step 1 then uses)
     ws = StepWorkspace(ops, tau)
-    f1 = load_vector(scenario.loads, tau)
-    if not convexity_guard(StepProblem(tau, u_prev, u_prev2, xi, f1, ops, law, ws)):
+    f_k = load_vector(scenario.loads, min(tau, scenario.loads.t_final))
+    if not convexity_guard(StepProblem(tau, u_prev, u_prev2, xi, f_k, ops, law, ws)):
         raise ConvexityError(
             "incremental functional not strictly convex; reduce the time step tau")
 
@@ -258,20 +267,24 @@ def run(scenario: Scenario, callbacks=None, tol: float = 1e-10,
 
     weights = ops.weights
 
-    def record_state(row, u, v, xi_now):
+    def record_state(row, u, v, xi_now, jumps, psi, psi_d):
+        """Write the state columns of ``row``; return ``v' A_eta v``."""
+        vMv, vAv, v_h1 = ops.velocity_forms(v)
         row["E"] = 0.5 * (u @ (ops.A_mu @ u))
-        row["K"] = 0.5 * (v @ (ops.M @ v))
-        jumps = ops.B @ u
-        psi_s, psi_d = law.split(jumps, xi_now)
+        row["K"] = 0.5 * vMv
+        psi_s = psi - psi_d
         row["Psi"] = weights @ (psi_s + psi_d)
         row["Psi_s"] = weights @ psi_s
         row["Psi_d"] = weights @ psi_d
         row["xis"] = xi_now
         row["jumps"] = jumps
-        row["v_h1"] = ops.h1_norm(v)
-        return jumps
+        row["v_h1"] = v_h1
+        return vAv
 
-    record_state(steps[0], u0, v0, xi0)
+    jumps0 = ops.B @ u0
+    hist0 = law.frozen(xi0)
+    record_state(steps[0], u0, v0, xi0, jumps0, hist0.evaluate(jumps0)[0],
+                 hist0.psi_at_zero())
     if scenario.regularity_mode:
         steps[0]["a_l2"] = ops.l2_norm(scenario.w0)
     rec.snapshot_steps.append(0)
@@ -280,7 +293,8 @@ def run(scenario: Scenario, callbacks=None, tol: float = 1e-10,
     v_prev = v0.copy()
     for k in range(1, n + 1):
         t_k = k * tau
-        f_k = load_vector(scenario.loads, min(t_k, scenario.loads.t_final))
+        if k > 1:
+            f_k = load_vector(scenario.loads, min(t_k, scenario.loads.t_final))
         prob = StepProblem(tau, u_prev, u_prev2, xi, f_k, ops, law, ws)
         try:
             res = solve_step(prob, tol=tol)
@@ -293,8 +307,9 @@ def run(scenario: Scenario, callbacks=None, tol: float = 1e-10,
         xi_k = res.xi_new
 
         row, prev = steps[k], steps[k - 1]
-        jumps_k = record_state(row, u_k, v_k, xi_k)
-        row["D_cum"] = prev["D_cum"] + tau * (v_k @ (ops.A_eta @ v_k))
+        jumps_k = res.jumps
+        vAv = record_state(row, u_k, v_k, xi_k, jumps_k, res.psi, res.psi_d)
+        row["D_cum"] = prev["D_cum"] + tau * vAv
         row["P_cum"] = prev["P_cum"] + tau * (f_k @ v_k)
         row["kkt_admissibility"] = max(0.0, float((np.abs(jumps_k) - xi_k).max()))
         row["kkt_complementarity"] = float(
@@ -310,10 +325,9 @@ def run(scenario: Scenario, callbacks=None, tol: float = 1e-10,
             rec.snapshot_steps.append(k)
             rec.us[k], rec.vs[k] = u_k.copy(), v_k.copy()
 
-        state = EvolutionState(t=t_k, u=u_k, v=v_k, xi=xi_k, k=k)
-        if callbacks is not None:
-            for cb in np.atleast_1d(callbacks):
-                cb(state, res)
+        state = EvolutionState(t=t_k, u=u_k, v=v_k, xi=xi_k, k=k, f=f_k)
+        for cb in callbacks:
+            cb(state, res)
 
         u_prev2, u_prev = u_prev, u_k
         v_prev = v_k

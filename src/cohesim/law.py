@@ -441,6 +441,11 @@ class FrozenHistory:
         dpsi = np.where(elastic, self.c_xi * w, self.env.slope(aw) * np.sign(w))
         return psi, dpsi, aw, elastic
 
+    def psi_at_zero(self):
+        """``psi(0, xi)``, the dissipated part ``psi_d(xi)``, from the history
+        terms alone; bit-identical to :meth:`CohesiveLaw.psi_d`."""
+        return self.psi_xi - self.slope_xi * self.xi_sq / self.two_xi
+
     def curvature(self, aw, elastic):
         """Newton curvature: the secant stiffness ``c_xi`` on the elastic
         branch and the softening curvature clipped at zero elsewhere."""

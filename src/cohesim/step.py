@@ -46,6 +46,14 @@ trial point costs one ``S @ lam`` and one fused law pass giving ``phi``,
 its residual test and its curvature ``D``, so a point is never evaluated
 twice.
 
+After the solve, one post-step pass forms the jumps ``[u_k]`` once and makes
+one law pass at the updated history ``xi_k``.  :class:`StepResult` carries
+its values, ``psi([u_k], xi_k)``, the dissipated part ``psi(0, xi_k)`` and
+the cohesive traction ``psi'([u_k], xi_k)``; the a-posteriori residual, the
+time loop's energy and jump columns and the traction audit all read them, so
+none of them evaluates the law again.  Each value is bit-identical to the
+corresponding :class:`~cohesim.law.CohesiveLaw` call.
+
 The step is well posed when ``H0 - beta B' W B`` is positive definite, which
 makes the functional strictly convex for every history; :func:`convexity_guard`
 decides this exactly from the same ``S``, so a run factorizes ``H0`` once.
@@ -146,30 +154,26 @@ class StepProblem:
 
 @dataclass
 class StepResult:
+    """The new state and the post-step pass's interface values at it."""
+
     u_new: np.ndarray
     xi_new: np.ndarray
     newton_iters: int
     grad_norm: float
     el_residual: float
     energy: float            # incremental functional at u_new
-
-
-def _full_vector(u, prob: StepProblem) -> np.ndarray:
-    u = np.asarray(u, dtype=float)
-    n = prob.ops.n_nodes
-    free = prob.ops.free_dofs
-    if u.shape == (n,):
-        return u
-    if u.shape == (free.size,):
-        full = np.zeros(n)
-        full[free] = u
-        return full
-    raise ValueError(f"displacement vector has size {u.size}, expected {n} or {free.size}")
+    jumps: np.ndarray        # [u_new]
+    psi: np.ndarray          # psi([u_new], xi_new)
+    psi_d: np.ndarray        # psi(0, xi_new), the dissipated part
+    traction: np.ndarray     # psi'([u_new], xi_new), the cohesive traction
 
 
 def incremental_energy(u, prob: StepProblem) -> float:
-    """Value of the incremental functional at ``u`` (free or full vector)."""
-    u = _full_vector(u, prob)
+    """Value of the incremental functional at the nodal vector ``u``."""
+    u = np.asarray(u, dtype=float)
+    n = prob.ops.n_nodes
+    if u.shape != (n,):
+        raise ValueError(f"displacement vector has size {u.size}, expected {n}")
     ops, tau = prob.ops, prob.tau
     d2 = u - 2.0 * prob.u_prev + prob.u_prev2
     d1 = u - prob.u_prev
@@ -297,15 +301,18 @@ def solve_step(prob: StepProblem, tol: float = 1e-10, max_iter: int = 60,
     u_new = ws.displacement(lam, b)
     jumps = ops.B @ u_new
     xi_new = np.maximum(prob.xi_prev, np.abs(jumps))
+    # the post-step pass: one law evaluation at the updated history
+    hist_new = prob.law.frozen(xi_new)
+    psi, traction = hist_new.evaluate(jumps)[:2]
 
     # a-posteriori form: the Euler-Lagrange residual with the updated history
-    g_post = (ws.H0_ff @ u_new[free] + b
-              + ws.Bt_f @ (ws.weights * prob.law.dpsi_dw(jumps, xi_new)))
+    g_post = ws.H0_ff @ u_new[free] + b + ws.Bt_f @ (ws.weights * traction)
     el_residual = float(np.abs(g_post).max(initial=0.0))
 
     return StepResult(u_new=u_new, xi_new=xi_new, newton_iters=iters,
                       grad_norm=rnorm, el_residual=el_residual,
-                      energy=incremental_energy(u_new, prob))
+                      energy=incremental_energy(u_new, prob), jumps=jumps,
+                      psi=psi, psi_d=hist_new.psi_at_zero(), traction=traction)
 
 
 def solve_static(ops: DiscreteOperators, law: CohesiveLaw, xi: np.ndarray,

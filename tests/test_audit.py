@@ -145,6 +145,26 @@ class TestTractionExtraction:
             assert np.array_equal(tf.sigma_minus, r[pairs[:, 1]] / w)
             assert np.any(tf.sigma_plus != 0.0)
 
+    def test_step_traction_and_load_match_recomputation_bitwise(self):
+        # the time loop hands the audit the step's own traction and load
+        steps = []
+        rec = run(unloading_tent(n=40, n_x=8, n_y=4), tol=TOL,
+                  callbacks=lambda state, res: steps.append((state, res)))
+        prev = rec.state(0)
+        fields = ("sigma_plus", "sigma_minus", "cohesive", "transmission_defect",
+                  "cohesive_defect", "interior")
+        for state, res in steps:
+            f = rec.loads.at(state.t)
+            assert state.f.tobytes() == f.tobytes()
+            given = traction_extraction(prev, state, rec.ops, rec.law, state.f,
+                                        cohesive=res.traction)
+            own = traction_extraction(prev, state, rec.ops, rec.law, f)
+            for name in fields:
+                assert getattr(given, name).tobytes() == getattr(own, name).tobytes()
+            assert given.bound == own.bound
+            prev = state
+        assert len(steps) == 40
+
 
 class TestElasticUnloading:
     def test_unload_freezes_history_and_traction_line(self):

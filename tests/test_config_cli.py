@@ -367,6 +367,23 @@ class TestStudyCli:
         rows = [line.split(",") for line in (out / "study.csv").read_text().splitlines()[1:]]
         assert [row[2] for row in rows] == ["failed", "failed"]
 
+    def test_out_naming_a_file_exits_4(self, tmp_path, capsys):
+        study = self.write_study(tmp_path, levels=2)
+        out = tmp_path / "out"
+        out.write_text("")
+        assert main(["study", study, "--out", str(out)]) == 4
+        assert "output error" in capsys.readouterr().err
+
+    def test_level_directory_blocked_by_a_file_exits_4(self, tmp_path, capsys):
+        study = self.write_study(tmp_path, levels=2)
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "level_01").write_text("")
+        assert main(["study", study, "--out", str(out)]) == 4
+        assert "output error" in capsys.readouterr().err
+        # the level that ran keeps its artifacts
+        assert (out / "level_00" / "energies.csv").exists()
+
     def test_tau_study_parses_each_level_once(self, tmp_path, monkeypatch):
         parses = []
         real_parse = cohesim.config.parse_scenario
@@ -431,3 +448,46 @@ class TestVtkWriter:
         write_vtk_frame(tmp_path / "new.vtk", mesh, fields)
         reference_vtk_frame(tmp_path / "ref.vtk", mesh, fields)
         assert (tmp_path / "new.vtk").read_bytes() == (tmp_path / "ref.vtk").read_bytes()
+
+
+def reference_csv(header, rows):
+    """The cell-by-cell CSV formatting that the column writers replaced."""
+    def fmt(x):
+        return str(int(x)) if isinstance(x, (int, np.integer)) else repr(float(x))
+
+    return header + "\n" + "".join(",".join(fmt(v) for v in row) + "\n" for row in rows)
+
+
+class TestCsvWriters:
+    def test_bytes_equal_cell_by_cell_reference(self, tmp_path):
+        from cohesim.assembly import assemble
+        from cohesim.audit import TractionField, energy_ledger, kkt_report
+        from cohesim.cli import _TractionCollector
+        from cohesim.evolution import run
+        from cohesim.output import (ENERGY_HEADER, KKT_HEADER, TRACTION_HEADER,
+                                    write_energy_csv, write_kkt_csv, write_traction_csv)
+
+        scenario = parse_scenario(base_doc()).scenario
+        ops = assemble(scenario.mesh, scenario.materials)
+        collector = _TractionCollector(scenario, ops)
+        rec = run(scenario, callbacks=collector, ops=ops)
+        # a row without interior nodes reads 0 in every maximum
+        n_pairs = scenario.mesh.n_pairs
+        spikes = np.full(n_pairs, -7.5)
+        rows = collector.rows + [(99, 9.5, TractionField(
+            spikes, spikes, spikes, spikes, spikes, np.zeros(n_pairs, dtype=bool), 1.0))]
+        write_traction_csv(tmp_path / "t.csv", rows)
+        expected = reference_csv(TRACTION_HEADER, [
+            (k, t, tf.max_interior(tf.sigma_plus), tf.max_interior(tf.sigma_minus),
+             tf.max_interior(tf.transmission_defect), tf.max_interior(tf.cohesive_defect),
+             tf.bound) for k, t, tf in rows])
+        assert (tmp_path / "t.csv").read_text() == expected
+        assert expected.splitlines()[-1] == "99,9.5,0.0,0.0,0.0,0.0,1.0"
+
+        for header, table, writer in ((ENERGY_HEADER, energy_ledger(rec), write_energy_csv),
+                                      (KKT_HEADER, kkt_report(rec), write_kkt_csv)):
+            writer(tmp_path / "s.csv", table)
+            columns = [getattr(table, "ts" if name == "t" else name)
+                       for name in header.split(",")[1:]]
+            expected = reference_csv(header, zip(range(rec.steps.size), *columns))
+            assert (tmp_path / "s.csv").read_text() == expected

@@ -8,6 +8,8 @@ import pytest
 import scipy.sparse.linalg as spla
 
 import cohesim.evolution as evolution
+import cohesim.step as step_module
+from cohesim.assembly import LoadModel
 from cohesim.cli import main
 from cohesim.audit import energy_ledger, kkt_report
 from cohesim.evolution import (
@@ -17,9 +19,14 @@ from cohesim.evolution import (
     regularize_initial_data,
     run,
 )
+from cohesim.law import CohesiveLaw, FrozenHistory, PrototypeEnvelope
 from cohesim.step import ConvexityError, StepSolverError
 
-from scenarios import mild_ramp, rest_scenario, small_ramp, standard_ramp
+from scenarios import mild_ramp, rest_scenario, small_ramp, standard_ramp, unloading_tent
+
+
+def same_bits(a, b) -> bool:
+    return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
 
 
 @pytest.fixture(scope="module")
@@ -121,6 +128,89 @@ class TestRun:
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
         assert shapes == [((136, 136), "MMD_AT_PLUS_A")] * 2
         assert (tmp_path / "out" / "tractions.csv").read_text().count("\n") == 21
+
+    def test_recorded_columns_equal_their_recomputation_bitwise(self):
+        # the post-step pass and the stacked velocity product stand in for
+        # law.split, B @ u, M @ v, A_eta @ v and h1_norm, bit for bit
+        rec = run(unloading_tent(n=40, n_x=8, n_y=4), snapshot_stride=1)
+        ops, law, w, tau = rec.ops, rec.law, rec.ops.weights, rec.tau
+        # pairs unload along the elastic branch above the history floor
+        assert np.any((np.abs(rec.jumps) < rec.xis) & (rec.xis > 2e-3))
+        for k in range(rec.n_steps + 1):
+            u, v, xi, row = rec.us[k], rec.vs[k], rec.xis[k], rec.steps[k]
+            jumps = ops.B @ u
+            psi_s, psi_d = law.split(jumps, xi)
+            expected = {"jumps": jumps,
+                        "E": 0.5 * (u @ (ops.A_mu @ u)),
+                        "K": 0.5 * (v @ (ops.M @ v)),
+                        "Psi": w @ (psi_s + psi_d),
+                        "Psi_s": w @ psi_s,
+                        "Psi_d": w @ psi_d,
+                        "v_h1": ops.h1_norm(v)}
+            if k:
+                expected["D_cum"] = (rec.steps[k - 1]["D_cum"]
+                                     + tau * (v @ (ops.A_eta @ v)))
+            for name, value in expected.items():
+                assert same_bits(row[name], value), (k, name)
+
+    def test_cli_run_evaluates_law_and_load_once_after_newton(self, monkeypatch,
+                                                              tmp_path):
+        # between the end of a step's Newton loop and the start of the next
+        # step's solve: one frozen history and one evaluate() (the post-step
+        # pass), StepResult.energy's law.psi (3 envelope calls) and no other
+        # law call; one load lookup per step in the whole run
+        post = []          # per step, the counts after its Newton loop
+        loads_at = []
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                if post and post[-1]["open"]:
+                    post[-1][name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        real_minimize, real_solve = step_module._minimize, evolution.solve_step
+        real_at = LoadModel.at
+
+        def minimize(*args, **kwargs):
+            out = real_minimize(*args, **kwargs)
+            post.append({"frozen": 0, "evaluate": 0, "value": 0, "slope": 0, "open": True})
+            return out
+
+        def solve_step(*args, **kwargs):
+            if post:
+                post[-1]["open"] = False
+            return real_solve(*args, **kwargs)
+
+        def at(loads, t):
+            loads_at.append(t)
+            return real_at(loads, t)
+
+        monkeypatch.setattr(step_module, "_minimize", minimize)
+        monkeypatch.setattr(evolution, "solve_step", solve_step)
+        monkeypatch.setattr(LoadModel, "at", at)
+        monkeypatch.setattr(CohesiveLaw, "frozen", counting("frozen", CohesiveLaw.frozen))
+        for name in ("evaluate", "value", "slope"):
+            owner = FrozenHistory if name == "evaluate" else PrototypeEnvelope
+            monkeypatch.setattr(owner, name, counting(name, getattr(owner, name)))
+        doc = {
+            "mesh": {"kind": "rectangle", "L": 1.0, "n_x": 8, "n_y": 4},
+            "materials": {"rho": 1.0, "mu": 1.0, "eta": 1.0},
+            "law": {"kind": "prototype", "g_c": 1.0, "xi_c": 0.2},
+            "loads": {"bulk": "100 * t * sin(pi * x) * y"},
+            "time": {"T": 0.5, "n": 20},
+            "initial": {},
+            "regularization": {"eps_bar": 0.001},
+            "output": {"snapshot_stride": 10, "vtk": False},
+        }
+        path = tmp_path / "ramp.json"
+        path.write_text(json.dumps(doc))
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+        assert len(post) == 20
+        for counts in post:
+            assert counts["frozen"] <= 1 and counts["evaluate"] <= 1
+            assert counts["value"] + counts["slope"] <= 2 + 2 + 3
+        assert len(loads_at) == 20
 
     def test_step_failure_attaches_partial_trajectory(self, monkeypatch):
         calls = {"k": 0}

@@ -292,8 +292,9 @@ class TestSolveStep:
         res = solve_step(prob)
         assert calls["trial"] > res.newton_iters >= 5
         # per trial point one psi_hat and one psi_hat' pass; per step the
-        # history terms (2), the a-posteriori residual (2) and
-        # StepResult.energy (3); the warm start is one more evaluate() call
+        # history terms at xi_prev (2) and at xi_new (2) and
+        # StepResult.energy (3); the warm start and the post-step pass are
+        # two more evaluate() calls
         assert calls["value"] + calls["slope"] <= 2 * calls["trial"] + 7
 
 

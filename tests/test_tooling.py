@@ -58,3 +58,24 @@ def test_traced_config_run_counts_load_spans():
     sampling, lookups = map(int, out.split())
     assert sampling == 1
     assert lookups >= 3
+
+
+def test_traced_cli_run_counts_one_audit_lookup_and_energy_per_step(tmp_path):
+    # audit.traction_s, evolution.load_lookup_s and step.iters_per_eval read
+    # one span of each per step
+    out = run_python(
+        "import json, os, sys; sys.path[:0] = sys.argv[1:]\n"
+        "import tracing\n"
+        "tracer = tracing.Tracer()\n"
+        "tracing.install(tracer)\n"
+        "import cohesim.cli\n"
+        "from test_config_cli import base_doc\n"
+        f"tmp = {str(tmp_path)!r}\n"
+        "path = os.path.join(tmp, 'cfg.json')\n"
+        "with open(path, 'w') as f:\n"
+        "    json.dump(base_doc(time={'T': 0.3, 'n': 3}), f)\n"
+        "assert cohesim.cli.main(['run', path, '--out', os.path.join(tmp, 'out')]) == 0\n"
+        "names = [s['name'] for s in tracer.spans]\n"
+        "print(*(names.count(name) for name in ("
+        "'audit.traction', 'evolution.load_lookup', 'step.incremental_energy')))\n")
+    assert list(map(int, out.splitlines()[-1].split())) == [3, 3, 3]
