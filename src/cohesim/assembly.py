@@ -37,8 +37,8 @@ _TRI_QW = np.array([1.0, 1.0, 1.0]) / 3.0
 # 2-point Gauss on [0, 1]
 _EDGE_QP = np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)])
 _EDGE_QW = np.array([0.5, 0.5])
-# interface pairs per block of X = K^-1 B' (bounds the dense temporaries)
-_SCHUR_BLOCK = 32
+# interface pairs per block of K^-1 B' (bounds the dense temporaries)
+_SCHUR_BLOCK = 8
 
 
 @dataclass(frozen=True)
@@ -100,7 +100,8 @@ def stiffness_matrix(mesh: InterfaceMesh, coef=None) -> sp.csr_matrix:
     """Assemble ``sum_T coef_T  int_T grad phi_i . grad phi_j``."""
     c = _coefficients(mesh, coef)
     _, area, grads = _geometry(mesh)
-    local = np.einsum("tik,tjk->tij", grads, grads) * (c * area)[:, None, None]
+    local = np.einsum("tik,tjk->tij", grads, grads)
+    local *= (c * area)[:, None, None]
     return _scatter(mesh, local)
 
 
@@ -118,7 +119,8 @@ def mass_matrix(mesh: InterfaceMesh, coef=None, lumped: bool = False) -> sp.csr_
 
 
 def _scatter(mesh: InterfaceMesh, local: np.ndarray) -> sp.csr_matrix:
-    tris = mesh.triangles
+    # int32, the index type the sparse constructors convert to anyway
+    tris = mesh.triangles.astype(np.int32)
     rows = np.repeat(tris, 3, axis=1).ravel()
     cols = np.tile(tris, (1, 3)).ravel()
     A = sp.coo_matrix((local.ravel(), (rows, cols)),
@@ -164,17 +166,9 @@ class DiscreteOperators:
         rows = self.mesh.interface_pairs.T.ravel()
         return rows, self.M[rows], self.A_eta[rows], self.A_mu[rows]
 
-    @cached_property
-    def _velocity_stack(self) -> sp.csr_matrix:
-        return sp.vstack([self.M, self.A_eta, self.A_unit, self.M_unit], format="csr")
-
     def velocity_forms(self, v: np.ndarray) -> tuple:
-        """``(v' M v, v' A_eta v, |v|_H1)`` from one product of the row-stacked
-        ``M``, ``A_eta``, ``A_unit`` and ``M_unit``.  Stacking keeps each row's
-        entries in order, so each row sums as in its own operator and the
-        values equal the separate products bit for bit."""
-        Mv, Aeta_v, Aunit_v, Munit_v = np.split(self._velocity_stack @ v, 4)
-        return v @ Mv, v @ Aeta_v, _root(v @ Aunit_v + v @ Munit_v)
+        """``(v' M v, v' A_eta v, |v|_H1)``."""
+        return v @ (self.M @ v), v @ (self.A_eta @ v), self.h1_norm(v)
 
     def l2_norm(self, u: np.ndarray) -> float:
         return _root(u @ (self.M_unit @ u))
@@ -212,29 +206,28 @@ class InterfaceSchur:
     ``K`` is factorized once, with the symmetric minimum-degree ordering
     ``MMD_AT_PLUS_A`` (Liu, ACM TOMS 11, 1985), which suits SPD blocks far
     better than SuperLU's default COLAMD (on the 64x32 ``H0``: ``nnz(L + U)``
-    552k -> 222k).  ``X = K^-1 B'`` (one column per interface pair) and
-    ``S = B X`` are formed ``_SCHUR_BLOCK`` pairs at a time, so no dense array
-    but ``X`` is ever full size; ``S`` is symmetrised.  Minimizing ``u' K u``
+    552k -> 222k).  ``S`` is formed ``_SCHUR_BLOCK`` pairs at a time, each
+    block of ``K^-1 B'`` dropped once its columns of ``S`` are formed, so
+    the object keeps only the factorization and ``S`` (symmetrised); no
+    dense array of free DOFs x pairs is ever held.  Minimizing ``u' K u``
     subject to prescribed jumps ``B u = j`` leaves ``j' S^-1 j``, the
     interface problem that FETI condenses onto (Farhat & Roux, IJNME 32, 1991).
 
     For ``K = H0`` it is the time step's interface operator: the step solver
-    runs Newton on the interface multipliers with ``S``, recovers the
-    displacement with one ``solve`` and decides convexity from ``lambda_max``
-    (see :mod:`cohesim.step`).  The trace constant uses it for ``K = A``.
+    runs Newton on the interface multipliers with ``S``, gets the linear part
+    of the jumps and the displacement from one ``solve`` each and decides
+    convexity from ``lambda_max`` (see :mod:`cohesim.step`).  The trace
+    constant uses it for ``K = A``.
     """
 
     def __init__(self, K_ff: sp.spmatrix, B_f: sp.spmatrix):
         self._lu = spla.splu(K_ff.tocsc(), permc_spec="MMD_AT_PLUS_A")
         B_f = B_f.tocsr()
-        n_pairs, n_free = B_f.shape
-        self.X = np.empty((n_free, n_pairs), order="F")
+        n_pairs = B_f.shape[0]
         S = np.empty((n_pairs, n_pairs))
         for j in range(0, n_pairs, _SCHUR_BLOCK):
             cols = slice(j, j + _SCHUR_BLOCK)
-            X_j = self._lu.solve(B_f[cols].T.toarray())
-            self.X[:, cols] = X_j
-            S[:, cols] = B_f @ X_j
+            S[:, cols] = B_f @ self._lu.solve(B_f[cols].T.toarray())
         self.S = 0.5 * (S + S.T)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
@@ -264,9 +257,22 @@ class _LoadRule:
         indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n_nodes))])
         self.P = sp.csr_matrix((vals[order], cols[order], indptr), shape=(n_nodes, c.size))
 
-    def apply(self, fn, t: float) -> np.ndarray:
-        fv = np.asarray(fn(self.x, self.y, t), dtype=float)
-        return self.P @ (self.c * np.broadcast_to(fv, self.c.shape))
+    def assemble(self, fv) -> np.ndarray:
+        """The consistent load of the point values ``fv`` (broadcast)."""
+        return self.P @ (self.c * np.broadcast_to(np.asarray(fv, dtype=float), self.c.shape))
+
+    def load(self, fn):
+        """The function of ``t`` that gives the consistent load of ``fn``.
+
+        When ``fn`` carries the ``terms`` ``(g_i, F_i)`` of a sum of products
+        (see :func:`~cohesim.expressions.compile_expression`), each ``F_i`` is
+        assembled here into ``V_i`` and a sample is ``sum_i g_i(t) V_i``, so
+        the returned function keeps neither the points nor ``P``."""
+        terms = getattr(fn, "terms", None)
+        if terms is None:
+            return lambda t: self.assemble(fn(self.x, self.y, t))
+        fields = [(g, self.assemble(F(x=self.x, y=self.y))) for g, F in terms]
+        return lambda t: sum(float(g(t=t)) * V for g, V in fields)
 
 
 def _load_rules(mesh: InterfaceMesh) -> tuple:
@@ -298,38 +304,45 @@ class LoadModel:
 
     One :class:`_LoadRule` per load is built once (bulk: 3-point rule per
     triangle, surface: 2-point Gauss per Neumann edge; both exact against the
-    P1 test space for affine data).  Samples are evaluated on demand and the
-    last two kept, so a time loop evaluates each once and no (samples x
-    nodes) table is stored.  Each sample is bit-identical to assembly triangle
-    by triangle: every node sums its contributions in the same order.  Each
-    rule passes the load the same coordinate arrays at every sample, so a
-    compiled expression (:func:`~cohesim.expressions.compile_expression`)
-    evaluates its factors that do not depend on ``t`` once per run, not once
-    per sample.  Between samples the vectors are interpolated affinely, which
-    commutes with the (linear) assembly.  Concurrent reads are safe: the
-    cache is replaced, never modified, so a race costs at most a repeated
-    evaluation.
+    P1 test space for affine data).  A load that is a compiled expression
+    with separable ``terms`` ``g_i(t) * F_i(x, y)`` is assembled once, one
+    nodal vector ``V_i`` per term, and its rule is then dropped; a sample is
+    ``sum_i g_i(t) V_i``, equal to assembly triangle by triangle up to
+    rounding.  Any other load (a Python callable, or an expression such as
+    ``sin(x * t)``) is evaluated at the rule's points and assembled per
+    sample; such a sample is bit-identical to assembly triangle by triangle,
+    as every node sums its contributions in the same order, and the rule
+    passes the same coordinate arrays at every sample, so a compiled
+    expression evaluates its factors that do not depend on ``t`` once per run.
+
+    Samples are formed on demand and the last two kept, so a time loop forms
+    each once and no (samples x nodes) table is stored.  Between samples the
+    vectors are interpolated affinely, which commutes with the (linear)
+    assembly.  Concurrent reads are safe: the cache is replaced, never
+    modified, so a race costs at most a repeated evaluation.
     """
 
-    def __init__(self, times, rules: tuple, bulk=None, surface=None):
+    def __init__(self, times, n_nodes: int, loads: tuple, surface_is_zero: bool):
         times = np.asarray(times, dtype=float)
         if times.ndim != 1 or times.size < 1 or np.any(np.diff(times) <= 0.0):
             raise ValueError("load sample times must be strictly increasing")
         self.times = times
-        self.rules = rules
-        self.bulk, self.surface = bulk, surface
-        self.surface_is_zero = surface is None
+        self.n_nodes = n_nodes
+        self.loads = loads     # functions t -> nodal load, summed in order
+        self.surface_is_zero = surface_is_zero
         self._cache = ()      # up to two (sample index, vector) pairs
 
     @classmethod
     def from_functions(cls, mesh: InterfaceMesh, times, bulk=None, surface=None) -> "LoadModel":
         """Loads ``bulk(x, y, t)`` and ``surface(x, y, t)`` sampled on the given times.
 
-        Sample 0 is evaluated here, so a malformed callable fails at once.
+        Sample 0 is formed here, so a malformed load fails at once.
         """
-        loads = cls(times, _load_rules(mesh), bulk, surface)
-        loads._sample(0)
-        return loads
+        loads = tuple(rule.load(fn) for rule, fn in zip(_load_rules(mesh), (bulk, surface))
+                      if fn is not None)
+        model = cls(times, mesh.n_nodes, loads, surface_is_zero=surface is None)
+        model._sample(0)
+        return model
 
     @classmethod
     def zero(cls, mesh: InterfaceMesh, t_final: float) -> "LoadModel":
@@ -343,10 +356,9 @@ class LoadModel:
         cache = self._cache
         F = dict(cache).get(i)
         if F is None:
-            F = np.zeros(self.rules[0].P.shape[0])
-            for rule, fn in zip(self.rules, (self.bulk, self.surface)):
-                if fn is not None:
-                    F += rule.apply(fn, float(self.times[i]))
+            F = np.zeros(self.n_nodes)
+            for load in self.loads:
+                F += load(float(self.times[i]))
             self._cache = cache[-1:] + ((i, F),)
         return F
 

@@ -310,7 +310,7 @@ def cmd_check_law(args) -> int:
     c_hat = estimate_trace_constant(scenario.mesh)
     margin = scenario.materials.mu_min * c_hat - c.beta
     ops = assemble(scenario.mesh, scenario.materials)
-    lam_max = StepWorkspace(ops, scenario.tau).schur.lambda_max(ops.weights)
+    lam_max = StepWorkspace(ops, scenario.tau).lambda_max
     step_margin = 1.0 - c.beta * lam_max
     print(f"law kind: {scenario.law.env.kind}")
     print(f"beta = {c.beta!r}")

@@ -196,10 +196,8 @@ def parse_scenario(doc: dict) -> ScenarioConfig:
     times = np.linspace(0.0, T, samples)
     loads = LoadModel.from_functions(
         mesh, times,
-        bulk=None if "bulk" not in lsec else
-        (lambda x, y, t: bulk(x=x, y=y, t=t)),
-        surface=None if surface_zero else
-        (lambda x, y, t: surface(x=x, y=y, t=t)))
+        bulk=bulk if "bulk" in lsec else None,
+        surface=None if surface_zero else surface)
 
     isec = _section(doc, "initial", required=(), optional=("u0", "v0", "xi0", "w0"))
     xs, ys = mesh.nodes[:, 0], mesh.nodes[:, 1]

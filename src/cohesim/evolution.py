@@ -20,10 +20,10 @@ table, a structured array with one row per step whose dtype ``step_dtype``
 declares every column; full field snapshots are kept every
 ``snapshot_stride`` steps.  A step's row reads the jumps, ``psi`` and
 ``psi(0, xi_k)`` of the step's post-step pass (:class:`~cohesim.step.StepResult`)
-and forms ``M v``, ``A_eta v`` and the H1 norm of ``v`` with one stacked
-product (:meth:`~cohesim.assembly.DiscreteOperators.velocity_forms`); each
-callback receives the state with the step's load vector ``f``, so no consumer
-forms these values again.
+and the velocity forms ``v' M v``, ``v' A_eta v`` and ``|v|_H1``
+(:meth:`~cohesim.assembly.DiscreteOperators.velocity_forms`); each callback
+receives the state with the step's load vector ``f``, so no consumer forms
+these values again.
 """
 
 from __future__ import annotations

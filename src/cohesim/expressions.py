@@ -8,7 +8,9 @@ grammar can execute.
 
 A compiled expression evaluates each maximal subtree that does not use ``t``
 once per binding of the other variables: a load sampled in time at fixed
-quadrature points computes ``sin(pi * x) * y``-like factors once.
+quadrature points computes ``sin(pi * x) * y``-like factors once.  An
+expression that is a sum of products ``g_i(t) * F_i(x, y)`` also carries
+these terms, so a load can assemble each ``F_i`` once per run.
 """
 
 from __future__ import annotations
@@ -45,14 +47,58 @@ class ExpressionError(ValueError):
     """Expression outside the supported grammar."""
 
 
+def _names(node, variables) -> set:
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)} & variables
+
+
 def _time_free(node, variables) -> bool:
     """True for an operation node whose value depends on variables other
     than ``t`` but not on ``t``; ``+e`` is skipped, as its value is ``e``."""
     if not (isinstance(node, (ast.BinOp, ast.Call))
             or isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub)):
         return False
-    names = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)} & variables
+    names = _names(node, variables)
     return bool(names) and "t" not in names
+
+
+def _join(a, op, b):
+    """``a op b`` of two factors, where None stands for the factor 1."""
+    if b is None:
+        return a
+    if a is None and isinstance(op, ast.Mult):
+        return b
+    return ast.BinOp(left=ast.Constant(1.0) if a is None else a, op=op, right=b)
+
+
+def _terms(node, variables):
+    """``node`` as a list of terms ``(g, F)`` whose sum it is, ``g`` a factor
+    in ``t`` alone (or constant) and ``F`` one free of ``t``, each an AST node
+    or None for 1; None when sums, differences, products and quotients do not
+    split it so (``sin(x * t)``, ``(x + t) ** 2``, ``x / (2 + x + t)``)."""
+    names = _names(node, variables)
+    if "t" not in names:
+        return [(None, node)] if names else [(node, None)]
+    if names == {"t"}:
+        return [(node, None)]
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
+        terms = _terms(node.operand, variables)
+        if terms is None or isinstance(node.op, ast.UAdd):
+            return terms
+        return [(_join(ast.Constant(-1.0), ast.Mult(), g), F) for g, F in terms]
+    if not (isinstance(node, ast.BinOp)
+            and isinstance(node.op, (ast.Add, ast.Sub, ast.Mult, ast.Div))):
+        return None
+    left, right = _terms(node.left, variables), _terms(node.right, variables)
+    if left is None or right is None:
+        return None
+    if isinstance(node.op, ast.Add):
+        return left + right
+    if isinstance(node.op, ast.Sub):
+        return left + [(_join(ast.Constant(-1.0), ast.Mult(), g), F) for g, F in right]
+    if isinstance(node.op, ast.Div) and len(right) > 1:
+        return None
+    return [(_join(ga, node.op, gb), _join(Fa, node.op, Fb))
+            for ga, Fa in left for gb, Fb in right]
 
 
 def _hoisted(fn):
@@ -124,10 +170,10 @@ def _compile_node(node, variables, hoist=False):
 
 
 def compile_expression(source, variables=("x", "y", "t")):
-    """Compile ``source`` into ``f(**vars) -> array``; numbers pass through.
+    """Compile ``source`` into ``f(*vars) -> array``; numbers pass through.
 
     The returned callable broadcasts over array-valued variables and accepts
-    the listed variable names as keyword arguments.
+    them positionally, in the order of ``variables``, or by name.
 
     When ``t`` is a variable, every maximal subtree that does not use ``t``
     is evaluated once per binding of the other variables, that is, as long
@@ -137,17 +183,25 @@ def compile_expression(source, variables=("x", "y", "t")):
     result is never one of them, so the values are those of a plain
     evaluation, bit for bit.  A new binding replaces the cache whole, so
     concurrent calls are safe.
+
+    When ``t`` is a variable and the expression is a sum of products
+    ``g_i(t) * F_i`` of a factor in ``t`` alone and one free of ``t``, the
+    callable's ``terms`` attribute holds the pairs ``(g_i, F_i)``, each
+    called with its variables by name; otherwise ``terms`` is None.  Their
+    sum equals the expression up to rounding, as it reorders products.
     """
     variables = tuple(variables)
     if isinstance(source, (int, float)) and not isinstance(source, bool):
         val = float(source)
 
-        def constant(**env):
+        def constant(*args, **env):
+            env.update(zip(variables, args))
             if env:
                 shape = np.broadcast(*[np.asarray(v) for v in env.values()]).shape
                 return np.full(shape, val)
             return val
 
+        constant.terms = ((lambda **env: val, _factor(None, ())),) if "t" in variables else None
         return constant
     if not isinstance(source, str):
         raise ExpressionError(f"expected a number or expression string, got {type(source).__name__}")
@@ -161,7 +215,8 @@ def compile_expression(source, variables=("x", "y", "t")):
     space = tuple(v for v in variables if v != "t")
     binding = [((None,) * len(space), {})]   # (space variables, hoisted values)
 
-    def evaluate(**env):
+    def evaluate(*args, **env):
+        env.update(zip(variables, args))
         unknown = set(env) - set(variables)
         if unknown:
             raise ExpressionError(f"unexpected variables {sorted(unknown)}")
@@ -180,4 +235,15 @@ def compile_expression(source, variables=("x", "y", "t")):
             out = np.broadcast_arrays(*(list(env.values()) + [np.asarray(out, float)]))[-1]
         return out
 
+    terms = _terms(tree.body, frozenset(variables)) if hoist else None
+    evaluate.terms = None if terms is None else tuple(
+        (_factor(g, ("t",)), _factor(F, space)) for g, F in terms)
     return evaluate
+
+
+def _factor(node, variables):
+    """``node`` compiled to ``f(**vars)``; None compiles to the constant 1."""
+    if node is None:
+        return lambda **env: 1.0
+    fn = _compile_node(node, frozenset(variables))
+    return lambda **env: fn(env)

@@ -448,5 +448,6 @@ class FrozenHistory:
 
     def curvature(self, aw, elastic):
         """Newton curvature: the secant stiffness ``c_xi`` on the elastic
-        branch and the softening curvature clipped at zero elsewhere."""
-        return np.where(elastic, self.c_xi, np.maximum(self.env.curvature(aw), 0.0))
+        branch and the envelope's own curvature ``psi_hat''(|w|)`` elsewhere,
+        which is at least ``-beta``."""
+        return np.where(elastic, self.c_xi, self.env.curvature(aw))

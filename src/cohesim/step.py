@@ -17,34 +17,44 @@ The bulk part of the functional is quadratic, ``1/2 u' H0 u + b . u`` with
 the SPD block ``H0 = M/tau^2 + A_eta/tau + A_mu`` and ``b`` collecting the
 previous states and the load; only the ``n_pairs`` jumps are nonlinear.  The
 step is therefore condensed onto the interface (static condensation, as in
-the FETI interface problem): with ``X = H0^-1 B'`` and ``S = B X``, the
-minimizer is ``u(lam) = H0^-1 (B' lam - b)`` for the interface multipliers
-``lam`` (minus the cohesive forces at the solution) that minimize
+the FETI interface problem): with ``S = B H0^-1 B'``, the minimizer is
+``u(lam) = H0^-1 (B' lam - b)`` for the interface multipliers ``lam``
+(minus the cohesive forces at the solution) that minimize
 
     phi(lam) = 1/2 lam' S lam + sum_j w_j psi(j_lin + S lam, xi_prev_j),
 
-``j_lin = -X' b``, which equals the incremental functional at ``u(lam)`` up
-to a constant.  The full-space gradient at ``u(lam)`` is ``B' r`` with
-``r = lam + w psi'(j)``; interface nodes are never Dirichlet nodes and each
-node lies in at most one pair, so ``|B' r|_inf = |r|_inf`` and the
-convergence test on ``r`` is the full-space one.  A damped Newton method
-(the history floor ``xi_prev > 0`` keeps ``psi`` C1) solves
-``(I + D S) delta = -r``: the interface curvature ``D`` uses the secant
-stiffness ``c_xi`` on the elastic branch and drops the (nonpositive)
-softening curvature, so ``I + D S`` is nonsingular for every ``D >= 0`` and
-each direction descends; an Armijo backtracking line search on ``phi``
-guarantees monotone decrease.  ``H0`` is factorized once per time step size,
-with a symmetric minimum-degree ordering (:class:`~cohesim.assembly.InterfaceSchur`).
+``j_lin = -B H0^-1 b``, which equals the incremental functional at
+``u(lam)`` up to a constant.  The full-space gradient at ``u(lam)`` is
+``B' r`` with ``r = lam + w psi'(j)``; interface nodes are never Dirichlet
+nodes and each node lies in at most one pair, so ``|B' r|_inf = |r|_inf``
+and the convergence test on ``r`` is the full-space one.
+
+A damped Newton method (the history floor ``xi_prev > 0`` keeps ``psi`` C1)
+solves ``(I + D S) delta = -r``, where ``D`` is ``w`` times the secant
+stiffness ``c_xi`` on the elastic branch and the softening curvature
+``psi_hat''(|w|) >= -beta`` elsewhere.  When the step's margin
+``1 - beta * lambda_max(W^1/2 S W^1/2)`` is positive, as the convexity guard
+certifies before every run, ``I + D S`` is nonsingular for ``D >= -beta W``,
+every direction descends and the method is a semismooth Newton method with a
+quadratic rate (Qi & Sun, Math. Programming 58, 1993); one polish step then
+takes the residual to rounding level.  Without that margin the softening
+curvature is clipped at zero, which keeps ``D >= 0``.  An Armijo backtracking
+line search on ``phi`` guarantees monotone decrease.  ``H0`` is factorized
+once per time step size, with a symmetric minimum-degree ordering
+(:class:`~cohesim.assembly.InterfaceSchur`).
 
 Per step, the work follows what changes within it.  ``xi_prev`` is fixed for
 the whole step, so its terms (``psi_hat(xi)``, ``psi_hat'(xi)``, ``xi^2``,
 ``2 xi`` and ``c_xi``) are computed once (:class:`~cohesim.law.FrozenHistory`);
-the step then costs one ``X' b`` product, the Newton iterations in the
-``n_pairs`` unknowns and one sparse solve to recover ``u``.  Each Newton
+the step then costs one sparse solve for ``j_lin``, the Newton iterations in
+the ``n_pairs`` unknowns and one sparse solve to recover ``u``.  Each Newton
 trial point costs one ``S @ lam`` and one fused law pass giving ``phi``,
 ``r``, ``|r|_inf`` and the branch masks; an accepted point reuses them for
 its residual test and its curvature ``D``, so a point is never evaluated
-twice.
+twice.  The workspace keeps the factorization of ``H0``, ``H0`` itself (for
+the a-posteriori residual), ``S`` and the free columns of ``B``; ``b`` comes
+from the free rows of the full ``M`` and ``A_eta``, so no operator is kept
+twice and no dense free DOFs x pairs array is kept at all.
 
 After the solve, one post-step pass forms the jumps ``[u_k]`` once and makes
 one law pass at the updated history ``xi_k``.  :class:`StepResult` carries
@@ -62,6 +72,7 @@ decides this exactly from the same ``S``, so a run factorizes ``H0`` once.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -111,17 +122,21 @@ class StepWorkspace:
         ix = np.ix_(free, free)
         self.free = free
         self.n_nodes = ops.n_nodes
-        self.M_ff = ops.M[ix].tocsr()
-        self.Aeta_ff = ops.A_eta[ix].tocsr()
         self.B_f = ops.B[:, free].tocsr()
         self.Bt_f = self.B_f.T.tocsr()
         self.weights = ops.weights
         self.tau = tau
         H0 = ops.A_mu[ix]
         if tau is not None:
-            H0 = self.M_ff / tau**2 + self.Aeta_ff / tau + H0
+            H0 = ops.M[ix] / tau**2 + ops.A_eta[ix] / tau + H0
         self.H0_ff = H0.tocsr()
         self.schur = InterfaceSchur(self.H0_ff, self.B_f)
+
+    @cached_property
+    def lambda_max(self) -> float:
+        """Largest eigenvalue of ``W^1/2 S W^1/2``; the step is strictly convex
+        for every history when ``beta * lambda_max < 1``."""
+        return self.schur.lambda_max(self.weights)
 
     def newton_direction(self, r: np.ndarray, d_curv: np.ndarray) -> np.ndarray:
         """Interface Newton direction: solve ``(I + diag(d_curv) S) delta = -r``."""
@@ -129,8 +144,12 @@ class StepWorkspace:
 
     def displacement(self, lam: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Nodal field ``u(lam) = H0^-1 (B' lam - b)``, zero on the Dirichlet nodes."""
+        return self.nodal(self.schur.solve(self.Bt_f @ lam - b))
+
+    def nodal(self, u_f: np.ndarray) -> np.ndarray:
+        """The nodal vector with free-DOF values ``u_f``, zero on the Dirichlet nodes."""
         u = np.zeros(self.n_nodes)
-        u[self.free] = self.schur.solve(self.Bt_f @ lam - b)
+        u[self.free] = u_f
         return u
 
 
@@ -196,8 +215,8 @@ class _Point(NamedTuple):
     elastic: np.ndarray       # |jumps| <= xi
 
 
-def _minimize(ws: StepWorkspace, hist: FrozenHistory, b: np.ndarray, lam0: np.ndarray,
-              tol_abs: float, max_iter: int, trace=None, energy=None):
+def _minimize(ws: StepWorkspace, hist: FrozenHistory, beta: float, b: np.ndarray,
+              lam0: np.ndarray, tol_abs: float, max_iter: int, trace=None, energy=None):
     """Damped Newton with Armijo backtracking on the interface functional
     ``phi(lam) = 1/2 lam' S lam + sum_j w_j psi(j_lin + S lam, xi_j)``.
 
@@ -205,7 +224,8 @@ def _minimize(ws: StepWorkspace, hist: FrozenHistory, b: np.ndarray, lam0: np.nd
     of ``energy`` (the full-space functional) along the iterates.
     """
     S, w = ws.schur.S, ws.weights
-    j_lin = -(ws.schur.X.T @ b)
+    j_lin = -(ws.B_f @ ws.schur.solve(b))
+    certified = beta * ws.lambda_max < 1.0
 
     def point(lam) -> _Point:
         S_lam = S @ lam
@@ -216,7 +236,9 @@ def _minimize(ws: StepWorkspace, hist: FrozenHistory, b: np.ndarray, lam0: np.nd
         return _Point(lam, phi, r, float(np.abs(r).max(initial=0.0)), aw, elastic)
 
     def direction(p: _Point) -> np.ndarray:
-        return ws.newton_direction(p.r, w * hist.curvature(p.aw, p.elastic))
+        d = hist.curvature(p.aw, p.elastic)
+        # without the margin, I + D S may be singular for a softening D < 0
+        return ws.newton_direction(p.r, w * (d if certified else np.maximum(d, 0.0)))
 
     def stagnation(message, p: _Point):
         return StepSolverError(message, u_last=ws.displacement(p.lam, b), grad_norm=p.rnorm)
@@ -255,12 +277,10 @@ def _minimize(ws: StepWorkspace, hist: FrozenHistory, b: np.ndarray, lam0: np.nd
         raise stagnation(
             f"Newton did not converge in {max_iter} iterations (residual {cur.rnorm:.3e})",
             cur)
-    # polish: a few full steps to push the residual toward machine precision,
-    # so traction/transmission audits are solver-noise free
-    for _ in range(3):
-        trial = point(cur.lam + direction(cur))
-        if trial.rnorm >= cur.rnorm:
-            break
+    # polish: one full step pushes the residual toward machine precision, so
+    # traction/transmission audits are solver-noise free
+    trial = point(cur.lam + direction(cur))
+    if trial.rnorm < cur.rnorm:
         cur = trial
         iters += 1
     return cur.lam, iters, cur.rnorm
@@ -284,19 +304,18 @@ def solve_step(prob: StepProblem, tol: float = 1e-10, max_iter: int = 60,
     ws = _workspace(prob)
     free = ws.free
 
-    u1 = prob.u_prev[free]
-    u2 = prob.u_prev2[free]
-    f = prob.f_k[free]
-    # constant part of the quadratic gradient
-    b = -(ws.M_ff @ (2.0 * u1 - u2)) / tau**2 - (ws.Aeta_ff @ u1) / tau - f
+    # constant part of the quadratic gradient, from the free rows of the
+    # full operators (a free-DOF copy of them is not kept)
+    u_pred = 2.0 * prob.u_prev - prob.u_prev2
+    b = (-(ops.M @ ws.nodal(u_pred[free]))[free] / tau**2
+         - (ops.A_eta @ ws.nodal(prob.u_prev[free]))[free] / tau - prob.f_k[free])
 
     tol_abs = tol * (1.0 + float(np.abs(prob.f_k).max(initial=0.0)))
     hist = prob.law.frozen(prob.xi_prev)
     # warm start: the cohesive tractions at the second-order predicted jumps
-    u_pred = 2.0 * prob.u_prev - prob.u_prev2
     lam0 = -ws.weights * hist.evaluate(ops.B @ u_pred)[1]
-    lam, iters, rnorm = _minimize(ws, hist, b, lam0, tol_abs, max_iter, trace,
-                                  lambda u: incremental_energy(u, prob))
+    lam, iters, rnorm = _minimize(ws, hist, prob.law.beta, b, lam0, tol_abs, max_iter,
+                                  trace, lambda u: incremental_energy(u, prob))
 
     u_new = ws.displacement(lam, b)
     jumps = ops.B @ u_new
@@ -328,7 +347,8 @@ def solve_static(ops: DiscreteOperators, law: CohesiveLaw, xi: np.ndarray,
     ws = workspace if workspace is not None else StepWorkspace(ops, None)
     b = -f_eff[ws.free]
     tol_abs = tol * (1.0 + float(np.abs(f_eff).max(initial=0.0)))
-    lam, _, _ = _minimize(ws, law.frozen(xi), b, np.zeros(ws.weights.size), tol_abs, max_iter)
+    lam, _, _ = _minimize(ws, law.frozen(xi), law.beta, b, np.zeros(ws.weights.size),
+                          tol_abs, max_iter)
     return ws.displacement(lam, b)
 
 
@@ -343,5 +363,4 @@ def convexity_guard(prob: StepProblem) -> bool:
     for the step's own interface Schur complement ``S = B H0^-1 B'``, read
     from ``prob.workspace`` (built here when it is None).
     """
-    ws = _workspace(prob)
-    return bool(prob.law.beta * ws.schur.lambda_max(ws.weights) < 1.0)
+    return bool(prob.law.beta * _workspace(prob).lambda_max < 1.0)

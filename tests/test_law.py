@@ -279,10 +279,11 @@ class TestFrozenHistory:
         return [CohesiveLaw(PrototypeEnvelope(1.0, 0.2)), CohesiveLaw(cubic)]
 
     @staticmethod
-    def old_curvature(law, w, xi):
+    def exact_curvature(law, w, xi):
+        # the secant stiffness on the elastic branch, psi_hat''(|w|) elsewhere
         aw = np.abs(w)
         c_el = law.env.slope(xi) / xi
-        return np.where(aw <= xi, c_el, np.maximum(law.env.curvature(aw), 0.0))
+        return np.where(aw <= xi, c_el, law.env.curvature(aw))
 
     def test_bit_identical_to_law(self):
         rng = np.random.default_rng(2024)
@@ -302,7 +303,7 @@ class TestFrozenHistory:
             assert np.array_equal(aw, np.abs(w))
             assert np.array_equal(elastic, np.abs(w) <= xi)
             assert np.array_equal(hist.curvature(aw, elastic),
-                                  self.old_curvature(law, w, xi))
+                                  self.exact_curvature(law, w, xi))
             assert np.array_equal(hist.c_xi, law.secant_stiffness(xi))
 
     def test_nonpositive_history_rejected(self, proto):

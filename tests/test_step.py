@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scenarios import unloading_tent
 
 from cohesim.assembly import DiscreteOperators, LoadModel, Materials, assemble
 from cohesim.law import CohesiveLaw, FrozenHistory, PrototypeEnvelope, TabulatedEnvelope
 from cohesim.mesh import build_rectangle_mesh, estimate_trace_constant, scaled
+from cohesim.evolution import run
 from cohesim.step import (
     StepProblem,
     StepWorkspace,
@@ -228,10 +230,10 @@ class TestSolveStep:
         # zero curvature (fully debonded) next to elastic/softening pairs
         d_curv = np.where(np.arange(mesh.n_pairs) % 2 == 0, 0.0,
                           rng.uniform(0.1, 100.0, mesh.n_pairs))
-        # push-through: (H0 + B'DB)^-1 B' = X (I + DS)^-1 with X = H0^-1 B'
+        # push-through: (H0 + B'DB)^-1 B' = H0^-1 B' (I + DS)^-1
         H = ws.H0_ff + ws.B_f.T @ sp.diags(d_curv) @ ws.B_f
         ref = spla.spsolve(H.tocsc(), -(ws.B_f.T @ r))
-        d = ws.schur.X @ ws.newton_direction(r, d_curv)
+        d = ws.schur.solve(ws.B_f.T @ ws.newton_direction(r, d_curv))
         assert np.abs(d - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_full_space_stationarity_through_unloading_and_reloading(self):
@@ -296,6 +298,70 @@ class TestSolveStep:
         # StepResult.energy (3); the warm start and the post-step pass are
         # two more evaluate() calls
         assert calls["value"] + calls["slope"] <= 2 * calls["trial"] + 7
+
+
+class TestCertifiedNewton:
+    def test_directions_per_step_on_the_unloading_tent(self, monkeypatch):
+        # under the run's certified margin the Newton curvature is the law's
+        # own and the rate quadratic, so each step of the 8x4 unloading tent
+        # takes one Newton and one polish direction
+        calls = []
+        real = StepWorkspace.newton_direction
+
+        def counted(self, r, d_curv):
+            calls.append(d_curv)
+            return real(self, r, d_curv)
+
+        monkeypatch.setattr(StepWorkspace, "newton_direction", counted)
+        ends = []
+        rec = run(unloading_tent(n_x=8, n_y=4),
+                  callbacks=lambda state, res: ends.append(len(calls)))
+        per_step = np.diff([0] + ends)
+        assert per_step.max() <= 3
+        assert per_step.sum() <= 2.5 * rec.n_steps
+        # the softening curvature was used as it is, negative
+        assert min(d.min() for d in calls) < 0.0
+
+    def test_uncertified_solve_clips_the_softening_curvature(self, monkeypatch):
+        # beta * lambda_max >= 1: I + D S may be singular with D < 0
+        mesh = build_rectangle_mesh(1.0, 4, 2)
+        ops = assemble(mesh, Materials.constant(rho=1.0, mu=1.0, eta=1.0))
+        law = CohesiveLaw(PrototypeEnvelope(g_c=1.0, xi_c=0.5))
+        ws = StepWorkspace(ops, None)
+        assert law.beta * ws.lambda_max >= 1.0
+        raw, used = [], []
+        real_curvature = FrozenHistory.curvature
+        real_direction = StepWorkspace.newton_direction
+
+        def curvature(self, aw, elastic):
+            raw.append(real_curvature(self, aw, elastic))
+            return raw[-1]
+
+        def direction(self, r, d_curv):
+            used.append(d_curv)
+            return real_direction(self, r, d_curv)
+
+        monkeypatch.setattr(FrozenHistory, "curvature", curvature)
+        monkeypatch.setattr(StepWorkspace, "newton_direction", direction)
+        f = np.zeros(ops.n_nodes)
+        f[ops.free_dofs] = 0.03 * np.sign(mesh.nodes[ops.free_dofs, 1])
+        solve_static(ops, law, np.full(mesh.n_pairs, 1e-3), f, workspace=ws)
+        assert min(c.min() for c in raw) < 0.0
+        assert min(d.min() for d in used) >= 0.0
+
+
+class TestWorkspaceMemory:
+    def test_no_dense_free_dofs_by_pairs_array(self):
+        mesh = build_rectangle_mesh(1.0, 16, 8)
+        ops = assemble(mesh, Materials.constant(rho=1.0, mu=1.0, eta=1.0))
+        ws = StepWorkspace(ops, 0.01)
+        assert ws.lambda_max > 0.0
+        full = ws.free.size * mesh.n_pairs
+        for obj in (ws, ws.schur):
+            for name, value in vars(obj).items():
+                arrays = ([value] if isinstance(value, np.ndarray)
+                          else [value.data, value.indices] if sp.issparse(value) else [])
+                assert all(a.size < full for a in arrays), name
 
 
 class TestSolveStatic:
