@@ -5,8 +5,8 @@ All bilinear forms carry the physical factor-1/2 convention of the energies:
 ``v' A_eta v = D(v)`` (viscous dissipation rate, no 1/2).
 
 Assembly is vectorized over elements; the resulting operators are immutable.
-Dirichlet conditions are homogeneous and handled by restriction to the free
-DOF set (no penalty terms).
+Dirichlet conditions are homogeneous and handled by elimination, in
+:class:`InterfaceSchur` only (no penalty terms).
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ _EDGE_QP = np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)])
 _EDGE_QW = np.array([0.5, 0.5])
 # interface pairs per block of K^-1 B' (bounds the dense temporaries)
 _SCHUR_BLOCK = 8
+_MASS = (np.ones((3, 3)) + np.eye(3)) / 12.0    # consistent element mass / area
 
 
 @dataclass(frozen=True)
@@ -96,25 +97,24 @@ def _geometry(mesh: InterfaceMesh):
     return p, area, grads
 
 
+def _form(mesh: InterfaceMesh, unit, area: np.ndarray, coef) -> sp.csr_matrix:
+    """Assemble the element matrices ``unit`` scaled by ``coef_T * area_T``."""
+    return _scatter(mesh, unit * (_coefficients(mesh, coef) * area)[:, None, None])
+
+
 def stiffness_matrix(mesh: InterfaceMesh, coef=None) -> sp.csr_matrix:
     """Assemble ``sum_T coef_T  int_T grad phi_i . grad phi_j``."""
-    c = _coefficients(mesh, coef)
     _, area, grads = _geometry(mesh)
-    local = np.einsum("tik,tjk->tij", grads, grads)
-    local *= (c * area)[:, None, None]
-    return _scatter(mesh, local)
+    return _form(mesh, np.einsum("tik,tjk->tij", grads, grads), area, coef)
 
 
 def mass_matrix(mesh: InterfaceMesh, coef=None, lumped: bool = False) -> sp.csr_matrix:
     """Assemble ``sum_T coef_T int_T phi_i phi_j`` (consistent or lumped)."""
-    c = _coefficients(mesh, coef)
     _, area, _ = _geometry(mesh)
-    if lumped:
-        local = np.zeros((area.size, 3, 3))
-        local[:, [0, 1, 2], [0, 1, 2]] = (c * area / 3.0)[:, None]
-    else:
-        base = (np.ones((3, 3)) + np.eye(3)) / 12.0
-        local = base[None, :, :] * (c * area)[:, None, None]
+    if not lumped:
+        return _form(mesh, _MASS, area, coef)
+    local = np.zeros((area.size, 3, 3))
+    local[:, [0, 1, 2], [0, 1, 2]] = (_coefficients(mesh, coef) * area / 3.0)[:, None]
     return _scatter(mesh, local)
 
 
@@ -182,18 +182,17 @@ def _root(q: float) -> float:
 
 
 def assemble(mesh: InterfaceMesh, materials: Materials) -> DiscreteOperators:
-    """Build all sparse operators for the given mesh and materials."""
-    M = mass_matrix(mesh, (materials.rho_plus, materials.rho_minus))
-    A_mu = stiffness_matrix(mesh, (materials.mu_plus, materials.mu_minus))
-    A_eta = stiffness_matrix(mesh, (materials.eta_plus, materials.eta_minus))
+    """Build all sparse operators, from one geometry and unit stiffness pass."""
+    _, area, grads = _geometry(mesh)
+    stiffness = np.einsum("tik,tjk->tij", grads, grads)
     return DiscreteOperators(
         mesh=mesh,
         materials=materials,
-        M=M,
-        A_mu=A_mu,
-        A_eta=A_eta,
-        M_unit=mass_matrix(mesh),
-        A_unit=stiffness_matrix(mesh),
+        M=_form(mesh, _MASS, area, (materials.rho_plus, materials.rho_minus)),
+        A_mu=_form(mesh, stiffness, area, (materials.mu_plus, materials.mu_minus)),
+        A_eta=_form(mesh, stiffness, area, (materials.eta_plus, materials.eta_minus)),
+        M_unit=_form(mesh, _MASS, area, None),
+        A_unit=_form(mesh, stiffness, area, None),
         B=mesh.jump_operator(),
         weights=mesh.interface_weights.copy(),
         free_dofs=mesh.free_nodes,
@@ -201,17 +200,20 @@ def assemble(mesh: InterfaceMesh, materials: Materials) -> DiscreteOperators:
 
 
 class InterfaceSchur:
-    """Interface Schur complement ``S = B K^-1 B'`` of an SPD free-DOF block.
+    """Interface Schur complement ``S = B K^-1 B'`` of an SPD operator ``K``
+    on the nodes ``free``, the only code that eliminates the Dirichlet nodes.
 
-    ``K`` is factorized once, with the symmetric minimum-degree ordering
-    ``MMD_AT_PLUS_A`` (Liu, ACM TOMS 11, 1985), which suits SPD blocks far
-    better than SuperLU's default COLAMD (on the 64x32 ``H0``: ``nnz(L + U)``
-    552k -> 222k).  ``S`` is formed ``_SCHUR_BLOCK`` pairs at a time, each
-    block of ``K^-1 B'`` dropped once its columns of ``S`` are formed, so
-    the object keeps only the factorization and ``S`` (symmetrised); no
-    dense array of free DOFs x pairs is ever held.  Minimizing ``u' K u``
-    subject to prescribed jumps ``B u = j`` leaves ``j' S^-1 j``, the
-    interface problem that FETI condenses onto (Farhat & Roux, IJNME 32, 1991).
+    ``K`` and ``B`` act on all nodes; ``B`` vanishes off ``free``.  The other
+    rows and columns of ``K`` become identity rows, so a right-hand side that
+    vanishes there gives a solution that vanishes there exactly and equals
+    the free-DOF block's elsewhere.  ``K`` is factorized once, with the
+    symmetric minimum-degree ordering ``MMD_AT_PLUS_A`` (Liu, ACM TOMS 11,
+    1985), which suits SPD blocks far better than SuperLU's default COLAMD
+    (on the 64x32 ``H0``: ``nnz(L + U)`` 552k -> 222k).  ``S`` is formed
+    ``_SCHUR_BLOCK`` pairs at a time from blocks of ``K^-1 B'`` that are
+    dropped at once.  Minimizing ``u' K u`` subject to ``B u = j`` leaves
+    ``j' S^-1 j``, the interface problem that FETI condenses onto (Farhat &
+    Roux, IJNME 32, 1991).
 
     For ``K = H0`` it is the time step's interface operator: the step solver
     runs Newton on the interface multipliers with ``S``, gets the linear part
@@ -220,18 +222,28 @@ class InterfaceSchur:
     constant uses it for ``K = A``.
     """
 
-    def __init__(self, K_ff: sp.spmatrix, B_f: sp.spmatrix):
-        self._lu = spla.splu(K_ff.tocsc(), permc_spec="MMD_AT_PLUS_A")
-        B_f = B_f.tocsr()
-        n_pairs = B_f.shape[0]
+    def __init__(self, K: sp.spmatrix, B: sp.spmatrix, free):
+        self._free = np.zeros(K.shape[0], dtype=bool)
+        self._free[free] = True
+        d = np.flatnonzero(~self._free)
+        K = K.tocoo()     # entrywise, so the free block keeps its explicit zeros
+        keep = self._free[K.row] & self._free[K.col]
+        self.K = sp.csr_matrix((np.r_[K.data[keep], np.ones(d.size)],
+                                (np.r_[K.row[keep], d], np.r_[K.col[keep], d])), shape=K.shape)
+        self._lu = spla.splu(self.K.tocsc(), permc_spec="MMD_AT_PLUS_A")
+        self.solve = self._lu.solve
+        self.B = B = B.tocsr()
+        self.Bt = B.T.tocsr()
+        n_pairs = B.shape[0]
         S = np.empty((n_pairs, n_pairs))
         for j in range(0, n_pairs, _SCHUR_BLOCK):
             cols = slice(j, j + _SCHUR_BLOCK)
-            S[:, cols] = B_f @ self._lu.solve(B_f[cols].T.toarray())
+            S[:, cols] = B @ self._lu.solve(B[cols].T.toarray())
         self.S = 0.5 * (S + S.T)
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        return self._lu.solve(rhs)
+    def constrained(self, v: np.ndarray) -> np.ndarray:
+        """The nodal vector ``v`` with zeros on the Dirichlet nodes (a copy)."""
+        return np.where(self._free, v, 0.0)
 
     def lambda_max(self, weights: np.ndarray) -> float:
         """Largest eigenvalue of ``W^1/2 S W^1/2`` with ``W = diag(weights)``."""

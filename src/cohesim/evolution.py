@@ -220,9 +220,9 @@ def regularize_initial_data(scenario: Scenario, ops: DiscreteOperators | None = 
     f0 = load_vector(scenario.loads, 0.0)
     f_eff = f0 - ops.A_eta @ scenario.v0 - ops.M @ scenario.w0
     u0_eff = solve_static(ops, scenario.law, xi_hat, f_eff, tol=tol)
-    xi0_eff = np.maximum(xi_hat, np.abs(ops.B @ u0_eff))
-    # equilibrium of the recomputed triple (history replaced a posteriori)
     jumps = ops.B @ u0_eff
+    xi0_eff = np.maximum(xi_hat, np.abs(jumps))
+    # equilibrium of the recomputed triple (history replaced a posteriori)
     r = (ops.A_mu @ u0_eff - f0 + ops.A_eta @ scenario.v0 + ops.M @ scenario.w0
          + ops.B.T @ (ops.weights * scenario.law.dpsi_dw(jumps, xi0_eff)))
     res = float(np.abs(r[ops.free_dofs]).max(initial=0.0))
@@ -267,24 +267,24 @@ def run(scenario: Scenario, callbacks=None, tol: float = 1e-10,
 
     weights = ops.weights
 
-    def record_state(row, u, v, xi_now, jumps, psi, psi_d):
-        """Write the state columns of ``row``; return ``v' A_eta v``."""
+    def record_state(row, u, v, jumps, psi, hist):
+        """Write the state columns of ``row`` at history ``hist``; return ``v' A_eta v``."""
         vMv, vAv, v_h1 = ops.velocity_forms(v)
         row["E"] = 0.5 * (u @ (ops.A_mu @ u))
         row["K"] = 0.5 * vMv
+        psi_d = hist.psi_at_zero()
         psi_s = psi - psi_d
         row["Psi"] = weights @ (psi_s + psi_d)
         row["Psi_s"] = weights @ psi_s
         row["Psi_d"] = weights @ psi_d
-        row["xis"] = xi_now
+        row["xis"] = hist.xi
         row["jumps"] = jumps
         row["v_h1"] = v_h1
         return vAv
 
     jumps0 = ops.B @ u0
-    hist0 = law.frozen(xi0)
-    record_state(steps[0], u0, v0, xi0, jumps0, hist0.evaluate(jumps0)[0],
-                 hist0.psi_at_zero())
+    hist = law.frozen(xi)
+    record_state(steps[0], u0, v0, jumps0, hist.evaluate(jumps0)[0], hist)
     if scenario.regularity_mode:
         steps[0]["a_l2"] = ops.l2_norm(scenario.w0)
     rec.snapshot_steps.append(0)
@@ -295,7 +295,7 @@ def run(scenario: Scenario, callbacks=None, tol: float = 1e-10,
         t_k = k * tau
         if k > 1:
             f_k = load_vector(scenario.loads, min(t_k, scenario.loads.t_final))
-        prob = StepProblem(tau, u_prev, u_prev2, xi, f_k, ops, law, ws)
+        prob = StepProblem(tau, u_prev, u_prev2, xi, f_k, ops, law, ws, hist)
         try:
             res = solve_step(prob, tol=tol)
         except StepSolverError as exc:
@@ -308,7 +308,7 @@ def run(scenario: Scenario, callbacks=None, tol: float = 1e-10,
 
         row, prev = steps[k], steps[k - 1]
         jumps_k = res.jumps
-        vAv = record_state(row, u_k, v_k, xi_k, jumps_k, res.psi, res.psi_d)
+        vAv = record_state(row, u_k, v_k, jumps_k, res.psi, res.history)
         row["D_cum"] = prev["D_cum"] + tau * vAv
         row["P_cum"] = prev["P_cum"] + tau * (f_k @ v_k)
         row["kkt_admissibility"] = max(0.0, float((np.abs(jumps_k) - xi_k).max()))
@@ -331,7 +331,7 @@ def run(scenario: Scenario, callbacks=None, tol: float = 1e-10,
 
         u_prev2, u_prev = u_prev, u_k
         v_prev = v_k
-        xi = xi_k
+        xi, hist = xi_k, res.history
 
     rec.final_state = EvolutionState(t=n * tau, u=u_prev, v=v_prev, xi=xi, k=n)
     return rec

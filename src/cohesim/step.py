@@ -45,23 +45,24 @@ once per time step size, with a symmetric minimum-degree ordering
 
 Per step, the work follows what changes within it.  ``xi_prev`` is fixed for
 the whole step, so its terms (``psi_hat(xi)``, ``psi_hat'(xi)``, ``xi^2``,
-``2 xi`` and ``c_xi``) are computed once (:class:`~cohesim.law.FrozenHistory`);
-the step then costs one sparse solve for ``j_lin``, the Newton iterations in
-the ``n_pairs`` unknowns and one sparse solve to recover ``u``.  Each Newton
-trial point costs one ``S @ lam`` and one fused law pass giving ``phi``,
-``r``, ``|r|_inf`` and the branch masks; an accepted point reuses them for
-its residual test and its curvature ``D``, so a point is never evaluated
-twice.  The workspace keeps the factorization of ``H0``, ``H0`` itself (for
-the a-posteriori residual), ``S`` and the free columns of ``B``; ``b`` comes
-from the free rows of the full ``M`` and ``A_eta``, so no operator is kept
-twice and no dense free DOFs x pairs array is kept at all.
+``2 xi`` and ``c_xi``) are computed once, in a run by the previous step's
+post-step pass (:class:`~cohesim.law.FrozenHistory`); the step then costs
+one sparse solve for ``j_lin``, the Newton iterations in the ``n_pairs``
+unknowns and one sparse solve to recover ``u``.  Each Newton trial point
+costs one ``S @ lam`` and one fused law pass giving ``phi``, ``r``,
+``|r|_inf`` and the branch masks; an accepted point reuses them for its
+residual test and its curvature ``D``, so a point is never evaluated twice.
+The workspace keeps ``H0`` with its Dirichlet nodes eliminated (for the
+a-posteriori residual), its factorization and ``S``; vectors are nodal and
+``b`` vanishes on the Dirichlet nodes; no dense nodes x pairs array is kept.
 
 After the solve, one post-step pass forms the jumps ``[u_k]`` once and makes
 one law pass at the updated history ``xi_k``.  :class:`StepResult` carries
-its values, ``psi([u_k], xi_k)``, the dissipated part ``psi(0, xi_k)`` and
-the cohesive traction ``psi'([u_k], xi_k)``; the a-posteriori residual, the
-time loop's energy and jump columns and the traction audit all read them, so
-none of them evaluates the law again.  Each value is bit-identical to the
+its values ``psi([u_k], xi_k)`` and ``psi'([u_k], xi_k)`` (the cohesive
+traction) and the frozen history at ``xi_k``, with ``psi(0, xi_k)``, the
+dissipated part; the a-posteriori residual, the time loop's energy and jump
+columns, the traction audit and the next step read them, so none of them
+evaluates the law again.  Each value is bit-identical to the
 corresponding :class:`~cohesim.law.CohesiveLaw` call.
 
 The step is well posed when ``H0 - beta B' W B`` is positive definite, which
@@ -118,19 +119,10 @@ class StepWorkspace:
     """
 
     def __init__(self, ops: DiscreteOperators, tau: float | None):
-        free = ops.free_dofs
-        ix = np.ix_(free, free)
-        self.free = free
-        self.n_nodes = ops.n_nodes
-        self.B_f = ops.B[:, free].tocsr()
-        self.Bt_f = self.B_f.T.tocsr()
         self.weights = ops.weights
         self.tau = tau
-        H0 = ops.A_mu[ix]
-        if tau is not None:
-            H0 = ops.M[ix] / tau**2 + ops.A_eta[ix] / tau + H0
-        self.H0_ff = H0.tocsr()
-        self.schur = InterfaceSchur(self.H0_ff, self.B_f)
+        H0 = ops.A_mu if tau is None else ops.M / tau**2 + ops.A_eta / tau + ops.A_mu
+        self.schur = InterfaceSchur(H0, ops.B, ops.free_dofs)
 
     @cached_property
     def lambda_max(self) -> float:
@@ -144,13 +136,7 @@ class StepWorkspace:
 
     def displacement(self, lam: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Nodal field ``u(lam) = H0^-1 (B' lam - b)``, zero on the Dirichlet nodes."""
-        return self.nodal(self.schur.solve(self.Bt_f @ lam - b))
-
-    def nodal(self, u_f: np.ndarray) -> np.ndarray:
-        """The nodal vector with free-DOF values ``u_f``, zero on the Dirichlet nodes."""
-        u = np.zeros(self.n_nodes)
-        u[self.free] = u_f
-        return u
+        return self.schur.solve(self.schur.Bt @ lam - b)
 
 
 @dataclass
@@ -169,6 +155,7 @@ class StepProblem:
     ops: DiscreteOperators
     law: CohesiveLaw
     workspace: StepWorkspace | None = None
+    history: FrozenHistory | None = None     # law.frozen(xi_prev), if at hand
 
 
 @dataclass
@@ -183,8 +170,8 @@ class StepResult:
     energy: float            # incremental functional at u_new
     jumps: np.ndarray        # [u_new]
     psi: np.ndarray          # psi([u_new], xi_new)
-    psi_d: np.ndarray        # psi(0, xi_new), the dissipated part
     traction: np.ndarray     # psi'([u_new], xi_new), the cohesive traction
+    history: FrozenHistory   # law.frozen(xi_new), for psi(0, xi_new) and the next step
 
 
 def incremental_energy(u, prob: StepProblem) -> float:
@@ -224,7 +211,7 @@ def _minimize(ws: StepWorkspace, hist: FrozenHistory, beta: float, b: np.ndarray
     of ``energy`` (the full-space functional) along the iterates.
     """
     S, w = ws.schur.S, ws.weights
-    j_lin = -(ws.B_f @ ws.schur.solve(b))
+    j_lin = -(ws.schur.B @ ws.schur.solve(b))
     certified = beta * ws.lambda_max < 1.0
 
     def point(lam) -> _Point:
@@ -302,16 +289,17 @@ def solve_step(prob: StepProblem, tol: float = 1e-10, max_iter: int = 60,
         raise ValueError("xi_prev must be strictly positive (regularized regime)")
     ops, tau = prob.ops, prob.tau
     ws = _workspace(prob)
-    free = ws.free
+    constrained = ws.schur.constrained
 
-    # constant part of the quadratic gradient, from the free rows of the
-    # full operators (a free-DOF copy of them is not kept)
-    u_pred = 2.0 * prob.u_prev - prob.u_prev2
-    b = (-(ops.M @ ws.nodal(u_pred[free]))[free] / tau**2
-         - (ops.A_eta @ ws.nodal(prob.u_prev[free]))[free] / tau - prob.f_k[free])
+    # constant part of the quadratic gradient; data on Dirichlet nodes count as 0
+    u_prev = constrained(prob.u_prev)
+    u_pred = 2.0 * u_prev - constrained(prob.u_prev2)
+    b = constrained(-(ops.M @ u_pred) / tau**2 - (ops.A_eta @ u_prev) / tau - prob.f_k)
 
     tol_abs = tol * (1.0 + float(np.abs(prob.f_k).max(initial=0.0)))
-    hist = prob.law.frozen(prob.xi_prev)
+    hist = prob.history
+    if hist is None or hist.xi is not prob.xi_prev or hist.env is not prob.law.env:
+        hist = prob.law.frozen(prob.xi_prev)
     # warm start: the cohesive tractions at the second-order predicted jumps
     lam0 = -ws.weights * hist.evaluate(ops.B @ u_pred)[1]
     lam, iters, rnorm = _minimize(ws, hist, prob.law.beta, b, lam0, tol_abs, max_iter,
@@ -325,13 +313,13 @@ def solve_step(prob: StepProblem, tol: float = 1e-10, max_iter: int = 60,
     psi, traction = hist_new.evaluate(jumps)[:2]
 
     # a-posteriori form: the Euler-Lagrange residual with the updated history
-    g_post = ws.H0_ff @ u_new[free] + b + ws.Bt_f @ (ws.weights * traction)
+    g_post = ws.schur.K @ u_new + b + ws.schur.Bt @ (ws.weights * traction)
     el_residual = float(np.abs(g_post).max(initial=0.0))
 
     return StepResult(u_new=u_new, xi_new=xi_new, newton_iters=iters,
                       grad_norm=rnorm, el_residual=el_residual,
                       energy=incremental_energy(u_new, prob), jumps=jumps,
-                      psi=psi, psi_d=hist_new.psi_at_zero(), traction=traction)
+                      psi=psi, traction=traction, history=hist_new)
 
 
 def solve_static(ops: DiscreteOperators, law: CohesiveLaw, xi: np.ndarray,
@@ -345,7 +333,7 @@ def solve_static(ops: DiscreteOperators, law: CohesiveLaw, xi: np.ndarray,
     if np.any(xi <= 0.0):
         raise ValueError("xi must be strictly positive (regularized regime)")
     ws = workspace if workspace is not None else StepWorkspace(ops, None)
-    b = -f_eff[ws.free]
+    b = ws.schur.constrained(-f_eff)
     tol_abs = tol * (1.0 + float(np.abs(f_eff).max(initial=0.0)))
     lam, _, _ = _minimize(ws, law.frozen(xi), law.beta, b, np.zeros(ws.weights.size),
                           tol_abs, max_iter)

@@ -5,6 +5,7 @@ import gc
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from cohesim.assembly import (
     _SCHUR_BLOCK,
@@ -84,6 +85,20 @@ class TestOperators:
         assert ones @ (Ml @ ones) == pytest.approx(ones @ (Mc @ ones), rel=1e-13)
         assert (Ml - sp_diag(Ml)).nnz == 0
 
+    def test_assemble_equals_the_single_operator_builders(self, mesh):
+        # assemble shares the geometry and the unit element stiffness
+        # between its operators; each equals its own builder bit for bit
+        materials = Materials(1.3, 0.7, 2.0, 3.0, 0.5, 1.5)
+        ops = assemble(mesh, materials)
+        for op, ref in (
+                (ops.M, mass_matrix(mesh, (materials.rho_plus, materials.rho_minus))),
+                (ops.A_mu, stiffness_matrix(mesh, (materials.mu_plus, materials.mu_minus))),
+                (ops.A_eta, stiffness_matrix(mesh, (materials.eta_plus, materials.eta_minus))),
+                (ops.M_unit, mass_matrix(mesh)),
+                (ops.A_unit, stiffness_matrix(mesh))):
+            for name in ("indptr", "indices", "data"):
+                assert getattr(op, name).tobytes() == getattr(ref, name).tobytes()
+
     def test_dirichlet_elimination_matches_penalty(self, ops, mesh):
         # solve A_mu u = f with u = 0 on the Dirichlet set, both ways
         rng = np.random.default_rng(4)
@@ -114,13 +129,41 @@ class TestInterfaceSchur:
         mesh = build_rectangle_mesh(1.0, 40, 2)        # 41 pairs: blocks of 8 and 1
         assert mesh.n_pairs % _SCHUR_BLOCK != 0
         ops = assemble(mesh, Materials(1.0, 2.0, 1.0, 3.0, 0.5, 2.0))
-        free = ops.free_dofs
+        schur = InterfaceSchur(ops.M / 0.01**2 + ops.A_eta / 0.01 + ops.A_mu, ops.B,
+                               ops.free_dofs)
+        S = ops.B @ schur._lu.solve(ops.B.T.toarray())
+        assert np.array_equal(schur.S, 0.5 * (S + S.T))
+
+    @pytest.mark.parametrize("n_x, n_y, tau", [(8, 4, 0.01), (16, 8, 0.05), (16, 8, None)])
+    def test_dirichlet_elimination_equals_the_free_dof_block(self, n_x, n_y, tau):
+        # reference: the free-DOF block and the free columns of B, factorized
+        # with the same ordering; S, solves and K agree bit for bit
+        mesh = build_rectangle_mesh(1.0, n_x, n_y)
+        ops = assemble(mesh, Materials(1.0, 2.0, 1.0, 3.0, 0.5, 2.0))
+        free, dirichlet = ops.free_dofs, mesh.dirichlet_nodes
         ix = np.ix_(free, free)
         B_f = ops.B[:, free]
-        schur = InterfaceSchur(ops.M[ix] / 0.01**2 + ops.A_eta[ix] / 0.01 + ops.A_mu[ix],
-                               B_f)
-        S = B_f @ schur._lu.solve(B_f.T.toarray())
+        if tau is None:
+            K, K_ff = ops.A_mu, ops.A_mu[ix]
+        else:
+            K = ops.M / tau**2 + ops.A_eta / tau + ops.A_mu
+            K_ff = ops.M[ix] / tau**2 + ops.A_eta[ix] / tau + ops.A_mu[ix]
+        lu = spla.splu(K_ff.tocsc(), permc_spec="MMD_AT_PLUS_A")
+        S = B_f @ lu.solve(B_f.T.toarray())
+        schur = InterfaceSchur(K, ops.B, free)
         assert np.array_equal(schur.S, 0.5 * (S + S.T))
+
+        rhs = np.random.default_rng(5).normal(size=ops.n_nodes)
+        rhs[dirichlet] = 0.0
+        u = schur.solve(rhs)
+        assert np.all(u[dirichlet] == 0.0)
+        assert np.array_equal(u[free], lu.solve(rhs[free]))
+        assert np.array_equal(schur.K[ix].toarray(), K_ff.toarray())
+        assert np.array_equal(schur.K[dirichlet].toarray(),
+                              np.eye(ops.n_nodes)[dirichlet])
+        shifted = schur.constrained(rhs + 1.0)
+        assert not shifted[dirichlet].any()
+        assert np.array_equal(shifted[free], rhs[free] + 1.0)
 
 
 def sp_diag(A):

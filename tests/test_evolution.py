@@ -20,6 +20,7 @@ from cohesim.evolution import (
     run,
 )
 from cohesim.law import CohesiveLaw, FrozenHistory, PrototypeEnvelope
+from cohesim.mesh import build_rectangle_mesh
 from cohesim.step import ConvexityError, StepSolverError
 
 from scenarios import mild_ramp, rest_scenario, small_ramp, standard_ramp, unloading_tent
@@ -126,7 +127,9 @@ class TestRun:
         path = tmp_path / "regularity.json"
         path.write_text(json.dumps(doc))
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
-        assert shapes == [((136, 136), "MMD_AT_PLUS_A")] * 2
+        # the blocks are nodal; InterfaceSchur eliminates the Dirichlet nodes
+        n_nodes = build_rectangle_mesh(1.0, 8, 4).n_nodes
+        assert shapes == [((n_nodes, n_nodes), "MMD_AT_PLUS_A")] * 2
         assert (tmp_path / "out" / "tractions.csv").read_text().count("\n") == 21
 
     def test_recorded_columns_equal_their_recomputation_bitwise(self):
@@ -211,6 +214,33 @@ class TestRun:
             assert counts["frozen"] <= 1 and counts["evaluate"] <= 1
             assert counts["value"] + counts["slope"] <= 2 + 2 + 3
         assert len(loads_at) == 20
+
+    def test_each_step_freezes_the_history_once(self, monkeypatch):
+        # a step starts from the frozen history its predecessor's post-step
+        # pass built, so a run of n steps freezes n + 1 histories: row 0's
+        # and one per step
+        frozen = []
+        real = CohesiveLaw.frozen
+
+        def counted(law, xi):
+            frozen.append(xi)
+            return real(law, xi)
+
+        monkeypatch.setattr(CohesiveLaw, "frozen", counted)
+        ref = run(unloading_tent(n=20, n_x=8, n_y=4))
+        assert len(frozen) == 21
+        assert all(same_bits(xi, ref.xis[k]) for k, xi in enumerate(frozen))
+
+    def test_rounding_on_dirichlet_nodes_of_u0_leaves_the_steps_unchanged(self):
+        sc = mild_ramp(n=10)
+        ref = run(sc)
+        u0 = sc.u0.copy()
+        u0[sc.mesh.dirichlet_nodes[::3]] = 1e-13
+        rec = run(Scenario(sc.mesh, sc.materials, sc.law, sc.loads, sc.T, sc.n, u0=u0,
+                           v0=sc.v0, xi0=sc.xi0, eps_bar=sc.eps_bar))
+        for k in range(1, sc.n + 1):
+            assert same_bits(rec.us[k], ref.us[k])
+            assert not rec.us[k][sc.mesh.dirichlet_nodes].any()
 
     def test_step_failure_attaches_partial_trajectory(self, monkeypatch):
         calls = {"k": 0}

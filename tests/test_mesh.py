@@ -211,6 +211,23 @@ class TestTraceConstant:
         lam = eigh(BtWB, A, eigvals_only=True)
         assert c_hat == pytest.approx(1.0 / lam[-1], rel=1e-8)
 
+    @pytest.mark.parametrize("n_x, n_y", [(8, 4), (16, 8)])
+    def test_equals_the_free_dof_reference_bitwise(self, n_x, n_y):
+        import scipy.sparse.linalg as spla
+
+        from cohesim.assembly import stiffness_matrix
+
+        # reference: the free-DOF stiffness block and the free columns of B
+        mesh = build_rectangle_mesh(1.0, n_x, n_y)
+        free = mesh.free_nodes
+        B_f = mesh.jump_operator()[:, free]
+        lu = spla.splu(stiffness_matrix(mesh)[np.ix_(free, free)].tocsc(),
+                       permc_spec="MMD_AT_PLUS_A")
+        S = B_f @ lu.solve(B_f.T.toarray())
+        sqrt_w = np.sqrt(mesh.interface_weights)
+        lam = np.linalg.eigvalsh(sqrt_w[:, None] * (0.5 * (S + S.T)) * sqrt_w[None, :])
+        assert estimate_trace_constant(mesh) == 1.0 / float(lam[-1])
+
     def test_scaling_inverse_in_domain_size(self):
         mesh = build_rectangle_mesh(1.0, 4, 4)
         base = estimate_trace_constant(mesh)

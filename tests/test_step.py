@@ -230,11 +230,23 @@ class TestSolveStep:
         # zero curvature (fully debonded) next to elastic/softening pairs
         d_curv = np.where(np.arange(mesh.n_pairs) % 2 == 0, 0.0,
                           rng.uniform(0.1, 100.0, mesh.n_pairs))
-        # push-through: (H0 + B'DB)^-1 B' = H0^-1 B' (I + DS)^-1
-        H = ws.H0_ff + ws.B_f.T @ sp.diags(d_curv) @ ws.B_f
-        ref = spla.spsolve(H.tocsc(), -(ws.B_f.T @ r))
-        d = ws.schur.solve(ws.B_f.T @ ws.newton_direction(r, d_curv))
+        # push-through: (H0 + B'DB)^-1 B' = H0^-1 B' (I + DS)^-1, with H0
+        # the workspace's (Dirichlet rows and columns replaced by identity)
+        H = ws.schur.K + ops.B.T @ sp.diags(d_curv) @ ops.B
+        ref = spla.spsolve(H.tocsc(), -(ops.B.T @ r))
+        d = ws.schur.solve(ops.B.T @ ws.newton_direction(r, d_curv))
         assert np.abs(d - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_displacement_is_exactly_zero_on_dirichlet_nodes(self):
+        mesh = build_rectangle_mesh(1.0, 8, 4)
+        ops = assemble(mesh, Materials.constant(rho=1.0, mu=1.0, eta=1.0))
+        law = CohesiveLaw(PrototypeEnvelope(g_c=1.0, xi_c=0.2))
+        zero = np.zeros(ops.n_nodes)
+        # a load that is nonzero on the Dirichlet rows too
+        f = 10.0 * np.random.default_rng(3).normal(size=ops.n_nodes)
+        res = solve_step(StepProblem(1.0 / 40, zero, zero, np.full(mesh.n_pairs, 0.05), f,
+                                     ops, law))
+        assert np.all(res.u_new[mesh.dirichlet_nodes] == 0.0)
 
     def test_full_space_stationarity_through_unloading_and_reloading(self):
         mesh = build_rectangle_mesh(1.0, 8, 4)
@@ -356,7 +368,7 @@ class TestWorkspaceMemory:
         ops = assemble(mesh, Materials.constant(rho=1.0, mu=1.0, eta=1.0))
         ws = StepWorkspace(ops, 0.01)
         assert ws.lambda_max > 0.0
-        full = ws.free.size * mesh.n_pairs
+        full = ops.n_nodes * mesh.n_pairs
         for obj in (ws, ws.schur):
             for name, value in vars(obj).items():
                 arrays = ([value] if isinstance(value, np.ndarray)
