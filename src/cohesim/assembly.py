@@ -99,26 +99,7 @@ def _geometry(mesh: InterfaceMesh):
 
 def _form(mesh: InterfaceMesh, unit, area: np.ndarray, coef) -> sp.csr_matrix:
     """Assemble the element matrices ``unit`` scaled by ``coef_T * area_T``."""
-    return _scatter(mesh, unit * (_coefficients(mesh, coef) * area)[:, None, None])
-
-
-def stiffness_matrix(mesh: InterfaceMesh, coef=None) -> sp.csr_matrix:
-    """Assemble ``sum_T coef_T  int_T grad phi_i . grad phi_j``."""
-    _, area, grads = _geometry(mesh)
-    return _form(mesh, np.einsum("tik,tjk->tij", grads, grads), area, coef)
-
-
-def mass_matrix(mesh: InterfaceMesh, coef=None, lumped: bool = False) -> sp.csr_matrix:
-    """Assemble ``sum_T coef_T int_T phi_i phi_j`` (consistent or lumped)."""
-    _, area, _ = _geometry(mesh)
-    if not lumped:
-        return _form(mesh, _MASS, area, coef)
-    local = np.zeros((area.size, 3, 3))
-    local[:, [0, 1, 2], [0, 1, 2]] = (_coefficients(mesh, coef) * area / 3.0)[:, None]
-    return _scatter(mesh, local)
-
-
-def _scatter(mesh: InterfaceMesh, local: np.ndarray) -> sp.csr_matrix:
+    local = unit * (_coefficients(mesh, coef) * area)[:, None, None]
     # int32, the index type the sparse constructors convert to anyway
     tris = mesh.triangles.astype(np.int32)
     rows = np.repeat(tris, 3, axis=1).ravel()
@@ -127,6 +108,18 @@ def _scatter(mesh: InterfaceMesh, local: np.ndarray) -> sp.csr_matrix:
                       shape=(mesh.n_nodes, mesh.n_nodes)).tocsr()
     A.sum_duplicates()
     return A
+
+
+def stiffness_matrix(mesh: InterfaceMesh, coef=None) -> sp.csr_matrix:
+    """Assemble ``sum_T coef_T  int_T grad phi_i . grad phi_j``."""
+    _, area, grads = _geometry(mesh)
+    return _form(mesh, np.einsum("tik,tjk->tij", grads, grads), area, coef)
+
+
+def mass_matrix(mesh: InterfaceMesh, coef=None) -> sp.csr_matrix:
+    """Assemble ``sum_T coef_T int_T phi_i phi_j`` (consistent mass)."""
+    _, area, _ = _geometry(mesh)
+    return _form(mesh, _MASS, area, coef)
 
 
 @dataclass
@@ -257,12 +250,9 @@ class _LoadRule:
     ``P @ (c * f(xq, t))`` is the consistent load of ``f``.  Entry ``k`` maps
     point ``cols[k]`` to node ``rows[k]`` with value ``vals[k]``; each row
     keeps its entries, zeros included, in the given order and sums them so.
-    ``f`` receives the same two read-only coordinate views on every call, so
-    a compiled expression evaluates its time-free factors once.
     """
 
     def __init__(self, n_nodes: int, xq, c, rows, cols, vals):
-        xq.flags.writeable = False
         self.x, self.y = xq[:, 0], xq[:, 1]
         self.c = c
         order = np.argsort(rows, kind="stable")
@@ -323,9 +313,7 @@ class LoadModel:
     rounding.  Any other load (a Python callable, or an expression such as
     ``sin(x * t)``) is evaluated at the rule's points and assembled per
     sample; such a sample is bit-identical to assembly triangle by triangle,
-    as every node sums its contributions in the same order, and the rule
-    passes the same coordinate arrays at every sample, so a compiled
-    expression evaluates its factors that do not depend on ``t`` once per run.
+    as every node sums its contributions in the same order.
 
     Samples are formed on demand and the last two kept, so a time loop forms
     each once and no (samples x nodes) table is stored.  Between samples the

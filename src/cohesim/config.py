@@ -151,13 +151,10 @@ def build_law(doc: dict) -> CohesiveLaw:
         env = PrototypeEnvelope(_positive(sec, "law", "g_c"),
                                 _positive(sec, "law", "xi_c"))
     elif sec["kind"] == "tabulated":
-        sec = _section(doc, "law", required=("kind", "w", "psi", "dpsi"),
-                       optional=("d2psi",))
+        sec = _section(doc, "law", required=("kind", "w", "psi", "dpsi"))
         env = TabulatedEnvelope(np.asarray(sec["w"], float),
                                 np.asarray(sec["psi"], float),
-                                np.asarray(sec["dpsi"], float),
-                                None if "d2psi" not in sec
-                                else np.asarray(sec["d2psi"], float))
+                                np.asarray(sec["dpsi"], float))
     else:
         raise ConfigError("'law.kind' must be 'prototype' or 'tabulated'")
     return CohesiveLaw(env)
@@ -167,6 +164,9 @@ def parse_scenario(doc: dict) -> ScenarioConfig:
     """Validate a scenario document and construct the runnable Scenario."""
     if not isinstance(doc, dict):
         raise ConfigError("scenario document must be a JSON object")
+    if {"kind", "base"} <= doc.keys():
+        raise ConfigError("this is a study document ('kind' and 'base'), not a "
+                          "scenario: run it with 'cohesim study'")
     known = {"mesh", "materials", "law", "loads", "time", "initial",
              "regularization", "output"}
     for key in doc:

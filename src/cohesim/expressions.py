@@ -6,11 +6,9 @@ Load and initial-data fields accept strings over the variables ``x``, ``y``,
 into the Python AST and compiled against a whitelist; nothing outside the
 grammar can execute.
 
-A compiled expression evaluates each maximal subtree that does not use ``t``
-once per binding of the other variables: a load sampled in time at fixed
-quadrature points computes ``sin(pi * x) * y``-like factors once.  An
-expression that is a sum of products ``g_i(t) * F_i(x, y)`` also carries
-these terms, so a load can assemble each ``F_i`` once per run.
+A compiled expression in ``t`` that is a sum of products
+``g_i(t) * F_i(x, y)`` also carries these terms, so a load can assemble each
+``F_i`` once per run.
 """
 
 from __future__ import annotations
@@ -39,26 +37,12 @@ _BINOPS = {
 }
 
 
-# env key of the hoisted values; no variable name can take it
-_HOISTED = " hoisted"
-
-
 class ExpressionError(ValueError):
     """Expression outside the supported grammar."""
 
 
 def _names(node, variables) -> set:
     return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)} & variables
-
-
-def _time_free(node, variables) -> bool:
-    """True for an operation node whose value depends on variables other
-    than ``t`` but not on ``t``; ``+e`` is skipped, as its value is ``e``."""
-    if not (isinstance(node, (ast.BinOp, ast.Call))
-            or isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub)):
-        return False
-    names = _names(node, variables)
-    return bool(names) and "t" not in names
 
 
 def _join(a, op, b):
@@ -101,28 +85,9 @@ def _terms(node, variables):
             for ga, Fa in left for gb, Fb in right]
 
 
-def _hoisted(fn):
-    """Evaluate ``fn`` once per binding; the cached array is read-only."""
-    slot = object()
-
-    def cached(env):
-        values = env[_HOISTED]
-        out = values.get(slot)
-        if out is None:
-            out = fn(env)
-            if isinstance(out, np.ndarray):
-                out.flags.writeable = False
-            values[slot] = out
-        return out
-
-    return cached
-
-
-def _compile_node(node, variables, hoist=False):
-    if hoist and _time_free(node, variables):
-        return _hoisted(_compile_node(node, variables))
+def _compile_node(node, variables):
     if isinstance(node, ast.Expression):
-        return _compile_node(node.body, variables, hoist)
+        return _compile_node(node.body, variables)
     if isinstance(node, ast.Constant):
         if isinstance(node.value, (int, float)):
             val = float(node.value)
@@ -136,14 +101,14 @@ def _compile_node(node, variables, hoist=False):
             return lambda env: env[name]
         raise ExpressionError(f"unknown name '{node.id}' (variables: {sorted(variables)})")
     if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
-        inner = _compile_node(node.operand, variables, hoist)
+        inner = _compile_node(node.operand, variables)
         if isinstance(node.op, ast.USub):
             return lambda env: -inner(env)
         return inner
     if isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
         op = _BINOPS[type(node.op)]
-        left = _compile_node(node.left, variables, hoist)
-        right = _compile_node(node.right, variables, hoist)
+        left = _compile_node(node.left, variables)
+        right = _compile_node(node.right, variables)
         return lambda env: op(left(env), right(env))
     if isinstance(node, ast.Call):
         if not isinstance(node.func, ast.Name) or node.func.id not in _FUNCTIONS:
@@ -151,7 +116,7 @@ def _compile_node(node, variables, hoist=False):
         if node.keywords:
             raise ExpressionError("keyword arguments are not supported")
         fn = _FUNCTIONS[node.func.id]
-        args = [_compile_node(a, variables, hoist) for a in node.args]
+        args = [_compile_node(a, variables) for a in node.args]
         if node.func.id in ("min", "max"):
             if len(args) < 2:
                 raise ExpressionError(f"{node.func.id} needs at least two arguments")
@@ -173,16 +138,9 @@ def compile_expression(source, variables=("x", "y", "t")):
     """Compile ``source`` into ``f(*vars) -> array``; numbers pass through.
 
     The returned callable broadcasts over array-valued variables and accepts
-    them positionally, in the order of ``variables``, or by name.
-
-    When ``t`` is a variable, every maximal subtree that does not use ``t``
-    is evaluated once per binding of the other variables, that is, as long
-    as each is passed as the same object, and reused from then on.  Callers
-    that sample in time pass the same coordinate arrays on every call and
-    must not modify them in place.  The cached arrays are read-only and the
-    result is never one of them, so the values are those of a plain
-    evaluation, bit for bit.  A new binding replaces the cache whole, so
-    concurrent calls are safe.
+    them positionally, in the order of ``variables``, or by name.  Each call
+    evaluates the whole expression on the values it is given, so it sees any
+    change made to an array in place since the last call.
 
     When ``t`` is a variable and the expression is a sum of products
     ``g_i(t) * F_i`` of a factor in ``t`` alone and one free of ``t``, the
@@ -209,33 +167,20 @@ def compile_expression(source, variables=("x", "y", "t")):
         tree = ast.parse(source, mode="eval")
     except SyntaxError as exc:
         raise ExpressionError(f"invalid expression {source!r}: {exc.msg}") from exc
-    hoist = "t" in variables
-    fn = _compile_node(tree, frozenset(variables), hoist)
-    root_cached = hoist and _time_free(tree.body, frozenset(variables))
-    space = tuple(v for v in variables if v != "t")
-    binding = [((None,) * len(space), {})]   # (space variables, hoisted values)
+    fn = _compile_node(tree, frozenset(variables))
 
     def evaluate(*args, **env):
         env.update(zip(variables, args))
         unknown = set(env) - set(variables)
         if unknown:
             raise ExpressionError(f"unexpected variables {sorted(unknown)}")
-        if hoist:
-            key = tuple(env.get(v) for v in space)
-            bound, values = binding[0]
-            if any(a is not b for a, b in zip(bound, key)):
-                values = {}
-                binding[0] = (key, values)
-            out = fn({**env, _HOISTED: values})
-            if root_cached and isinstance(out, np.ndarray):
-                out = out.copy()
-        else:
-            out = fn(env)
+        out = fn(env)
         if env:
             out = np.broadcast_arrays(*(list(env.values()) + [np.asarray(out, float)]))[-1]
         return out
 
-    terms = _terms(tree.body, frozenset(variables)) if hoist else None
+    terms = _terms(tree.body, frozenset(variables)) if "t" in variables else None
+    space = tuple(v for v in variables if v != "t")
     evaluate.terms = None if terms is None else tuple(
         (_factor(g, ("t",)), _factor(F, space)) for g, F in terms)
     return evaluate

@@ -109,14 +109,13 @@ class TabulatedEnvelope:
     Evaluation uses the cubic Hermite interpolant of the sampled values and
     slopes, so validation (concavity, positivity) operates on the function
     actually used by the simulator.  Beyond ``xi_c`` the envelope is constant
-    with zero slope.  Optional second-derivative samples are accepted for
-    reference but the interpolant's own (piecewise-linear) second derivative
-    defines the curvature.
+    with zero slope.  The interpolant's own (piecewise-linear) second
+    derivative defines the curvature.
     """
 
     kind = "tabulated"
 
-    def __init__(self, w, psi, dpsi, d2psi=None):
+    def __init__(self, w, psi, dpsi):
         from scipy.interpolate import CubicHermiteSpline
 
         w = np.asarray(w, dtype=float)
@@ -135,7 +134,6 @@ class TabulatedEnvelope:
         self._spline = CubicHermiteSpline(w, psi, dpsi)
         self._d1 = self._spline.derivative(1)
         self._d2 = self._spline.derivative(2)
-        self.d2psi_samples = None if d2psi is None else np.asarray(d2psi, dtype=float)
 
     @property
     def psi_at_cap(self) -> float:

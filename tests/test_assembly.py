@@ -78,13 +78,6 @@ class TestOperators:
         oracle = quadrature_stiffness_oracle(mesh, 1.3, 0.4)
         assert np.allclose(A, oracle, atol=1e-12)
 
-    def test_lumped_mass_preserves_total(self, mesh):
-        Mc = mass_matrix(mesh, (2.0, 3.0))
-        Ml = mass_matrix(mesh, (2.0, 3.0), lumped=True)
-        ones = np.ones(mesh.n_nodes)
-        assert ones @ (Ml @ ones) == pytest.approx(ones @ (Mc @ ones), rel=1e-13)
-        assert (Ml - sp_diag(Ml)).nnz == 0
-
     def test_assemble_equals_the_single_operator_builders(self, mesh):
         # assemble shares the geometry and the unit element stiffness
         # between its operators; each equals its own builder bit for bit
@@ -164,12 +157,6 @@ class TestInterfaceSchur:
         shifted = schur.constrained(rhs + 1.0)
         assert not shifted[dirichlet].any()
         assert np.array_equal(shifted[free], rhs[free] + 1.0)
-
-
-def sp_diag(A):
-    import scipy.sparse as sp
-
-    return sp.diags(A.diagonal())
 
 
 class TestLoads:

@@ -11,7 +11,6 @@ import pytest
 
 import cohesim.cli
 import cohesim.config
-import cohesim.expressions
 from cohesim.cli import main
 from cohesim.config import ConfigError, parse_scenario, parse_study
 from cohesim.expressions import ExpressionError, compile_expression
@@ -64,14 +63,7 @@ class TestExpressions:
         with pytest.raises(ExpressionError):
             compile_expression("x.real")
 
-    def test_time_free_factors_evaluated_once_per_binding(self, monkeypatch):
-        sin_calls = []
-
-        def counted_sin(a):
-            sin_calls.append(np.sin(a))
-            return sin_calls[-1]
-
-        monkeypatch.setitem(cohesim.expressions._FUNCTIONS, "sin", counted_sin)
+    def test_time_dependent_expression_equals_plain_numpy(self):
         source = ("25 * min(t / 0.4, max(1 + (t - 0.4) * -3, 0.1 + (t - 0.7) * 0.5))"
                   " * sin(pi * x) * y + exp(t) * cos(x * y)")
         f = compile_expression(source)
@@ -82,17 +74,18 @@ class TestExpressions:
             return (25 * min(t / 0.4, max(1 + (t - 0.4) * -3, 0.1 + (t - 0.7) * 0.5))
                     * np.sin(np.pi * x) * y + np.exp(t) * np.cos(x * y))
 
-        outs = [f(x=x, y=y, t=t) for t in np.linspace(0.0, 1.0, 7)]
-        assert len(sin_calls) == 1
-        for t, out in zip(np.linspace(0.0, 1.0, 7), outs):
+        for t in np.linspace(0.0, 1.0, 7):
+            out = f(x=x, y=y, t=t)
             assert np.array_equal(out, plain(x, y, t))
-            # a fresh binding (equal values, new objects) recomputes, same bits
+            # equal values in new objects give the same bits
             assert np.array_equal(out, f(x=x.copy(), y=y.copy(), t=t))
-        assert len(sin_calls) == 1 + 7
-        # the cached factor is read-only, and the result is not a view of it
-        cached = sin_calls[0]
-        assert not cached.flags.writeable
-        assert not np.shares_memory(outs[-1], cached)
+
+    def test_in_place_changes_of_the_variables_are_seen(self):
+        f = compile_expression("sin(pi * x) * y + cos(x * t)")
+        x, y = np.linspace(0.0, 1.0, 9), np.linspace(-1.0, 1.0, 9)
+        f(x, y, 0.5)
+        x += 0.3
+        assert np.array_equal(f(x, y, 0.5), np.sin(np.pi * x) * y + np.cos(x * 0.5))
 
     def test_time_free_root_is_returned_as_a_copy(self):
         f = compile_expression("sin(pi * x) * y")
@@ -144,6 +137,22 @@ class TestScenarioSchema:
         doc["initial"] = {"xi0": "0.5 + 0 * x"}
         cfg = parse_scenario(doc)
         assert np.all(cfg.scenario.xi0 == 0.5)
+
+    def test_law_d2psi_rejected_as_unknown_key(self):
+        doc = base_doc()
+        doc["law"] = {"kind": "tabulated", "w": [0.0, 0.5, 1.0], "psi": [0.0, 0.8, 1.0],
+                      "dpsi": [2.0, 0.7, 0.0], "d2psi": [-2.0, -2.0, -2.0]}
+        with pytest.raises(ConfigError, match="unknown key 'law.d2psi'"):
+            parse_scenario(doc)
+
+    def test_shipped_loads_split_into_separable_terms(self):
+        # each term is then assembled once per run, not once per sample
+        for path in sorted(SCENARIOS.glob("*.json")):
+            doc = json.loads(path.read_text())
+            loads = doc.get("base", doc)["loads"]
+            for key in ("bulk", "surface"):
+                if key in loads:
+                    assert compile_expression(loads[key]).terms is not None, (path.name, key)
 
     def test_study_requires_levels(self):
         with pytest.raises(ConfigError, match="levels"):
@@ -212,6 +221,14 @@ class TestCli:
         cfg.write_text(json.dumps(doc))
         assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 3
         assert "step 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "check-law"])
+    def test_study_document_exits_2_naming_the_study_command(self, command, tmp_path, capsys):
+        argv = [command, str(SCENARIOS / "study_tau.json")]
+        assert main(argv + (["--out", str(tmp_path / "o")] if command == "run" else [])) == 2
+        err = capsys.readouterr().err
+        assert "study document" in err and "cohesim study" in err
+        assert not (tmp_path / "o").exists()
 
     def test_missing_config_exits_4(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "nope.json"),

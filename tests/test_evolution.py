@@ -242,6 +242,29 @@ class TestRun:
             assert same_bits(rec.us[k], ref.us[k])
             assert not rec.us[k][sc.mesh.dirichlet_nodes].any()
 
+    def test_rounding_on_dirichlet_nodes_of_the_initial_data_is_not_recorded(self):
+        from cohesim.assembly import assemble
+        from cohesim.cli import _TractionCollector
+
+        sc = mild_ramp(n=10)
+        dnodes = sc.mesh.dirichlet_nodes
+        u0, v0 = sc.u0.copy(), sc.v0.copy()
+        u0[dnodes[::3]] = v0[dnodes[::3]] = 1e-13
+        rounded = Scenario(sc.mesh, sc.materials, sc.law, sc.loads, sc.T, sc.n, u0=u0,
+                           v0=v0, xi0=sc.xi0, eps_bar=sc.eps_bar)
+        ops = assemble(sc.mesh, sc.materials)
+        (ref, ref_rows), (rec, rows) = [
+            (run(s, callbacks=c, ops=ops), c.rows)
+            for s, c in ((sc, _TractionCollector(sc, ops)),
+                         (rounded, _TractionCollector(rounded, ops)))]
+        assert len(rows) == sc.n and not rec.vs[1][dnodes].any()
+        assert rec.steps.tobytes() == ref.steps.tobytes()
+        for a, b in zip(rec.initial_data, ref.initial_data):
+            assert same_bits(a, b)
+        for (_, _, tf), (_, _, tf_ref) in zip(rows, ref_rows):
+            assert same_bits(tf.sigma_plus, tf_ref.sigma_plus)
+            assert same_bits(tf.sigma_minus, tf_ref.sigma_minus)
+
     def test_step_failure_attaches_partial_trajectory(self, monkeypatch):
         calls = {"k": 0}
         real = evolution.solve_step
