@@ -22,6 +22,7 @@ from .evolution import (
     eps_continuation,
     regularize_initial_data,
     run,
+    trajectory_distance,
 )
 from .law import (
     CohesiveLaw,

@@ -4,8 +4,10 @@
     cohesim study <study.json> --out <dir> [--jobs N]
     cohesim check-law <config.json>
 
-Exit codes: 0 ok, 2 configuration, 3 solver, 4 I/O.  A study runs its
-levels one after another in the calling thread; ``--jobs`` is accepted so
+Exit codes: 0 ok, 2 configuration, 3 solver, 4 I/O.  A study of any kind
+runs its levels one after another in the calling thread, each like
+``cohesim run`` into ``<dir>/level_XX``, and compares consecutive levels with
+:func:`~cohesim.evolution.trajectory_distance`.  ``--jobs`` is accepted so
 that existing command lines keep working, and has no effect.
 """
 
@@ -15,6 +17,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -26,12 +29,7 @@ from .config import (
     load_study_file,
     parse_scenario,
 )
-from .evolution import (
-    EvolutionError,
-    EvolutionState,
-    eps_continuation,
-    run,
-)
+from .evolution import EvolutionError, EvolutionState, run, trajectory_distance
 from .mesh import estimate_trace_constant
 from .output import (
     ensure_dir,
@@ -141,25 +139,35 @@ def cmd_run(args) -> int:
 def _study_levels(spec):
     """Expand a study into per-level (label, parameter, ScenarioConfig).
 
-    Level 0 of a refinement study is the base scenario, which is parsed once.
+    Level 0 of a refinement study is the base scenario, which is parsed once;
+    the levels of an eps study share the base's mesh and loads.  Each level
+    gets the snapshot stride that aligns its comparison times with the next
+    level's: ``2**i`` for tau level ``i``, 1 otherwise.
     """
-    base_doc = spec.base.raw
-    if spec.kind == "single":
-        return [("level_00", spec.base.scenario.n, spec.base)]
-    if spec.kind == "h_refinement" and "path" in base_doc.get("mesh", {}):
+    base = spec.base
+    if spec.kind == "h_refinement" and "path" in base.raw.get("mesh", {}):
         raise ConfigError("h_refinement requires an inline rectangle mesh")
-    levels = []
-    for i in range(spec.levels):
-        doc = json.loads(json.dumps(base_doc))
-        if spec.kind == "tau_refinement":
-            doc["time"]["n"] *= 2**i
-            param = doc["time"]["n"]
-        else:
-            doc["mesh"]["n_x"] *= 2**i
-            doc["mesh"]["n_y"] *= 2**i
-            param = doc["mesh"]["n_x"]
-        levels.append((f"level_{i:02d}", param, parse_scenario(doc) if i else spec.base))
-    return levels
+    if spec.kind == "single":
+        configs = [(base.scenario.n, base)]
+    elif spec.eps_list:
+        configs = [(eps, replace(base, scenario=base.scenario.with_eps(eps)))
+                   for eps in map(float, spec.eps_list)]
+    else:
+        configs = []
+        for i in range(spec.levels):
+            doc = json.loads(json.dumps(base.raw))
+            if spec.kind == "tau_refinement":
+                doc["time"]["n"] *= 2**i
+                param = doc["time"]["n"]
+            else:
+                doc["mesh"]["n_x"] *= 2**i
+                doc["mesh"]["n_y"] *= 2**i
+                param = doc["mesh"]["n_x"]
+            configs.append((param, parse_scenario(doc) if i else base))
+    tau = spec.kind == "tau_refinement"
+    return [(f"level_{i:02d}", param,
+             replace(cfg, output=replace(cfg.output, snapshot_stride=2**i if tau else 1)))
+            for i, (param, cfg) in enumerate(configs)]
 
 
 def _node_injection(coarse_mesh, fine_mesh) -> np.ndarray:
@@ -186,35 +194,6 @@ def _node_injection(coarse_mesh, fine_mesh) -> np.ndarray:
     return out
 
 
-def _run_level(label, cfg, out_root):
-    try:
-        record, ledger, report, _ = _execute_run(cfg, os.path.join(out_root, label))
-        return {"record": record, "ok": True,
-                "max_R": ledger.max_residual, "max_kkt": report.max_violation}
-    except (ConvexityError, EvolutionError):
-        return {"record": None, "ok": False, "max_R": None, "max_kkt": None}
-
-
-def _tau_distance(coarse_rec, fine_rec) -> float:
-    ops = coarse_rec.ops
-    d = 0.0
-    for k in coarse_rec.snapshot_steps:
-        t = coarse_rec.ts[k]
-        kf = int(round(t / fine_rec.tau))
-        if kf in fine_rec.us:
-            d = max(d, ops.l2_norm(coarse_rec.us[k] - fine_rec.us[kf]))
-    return d
-
-
-def _h_distance(coarse_rec, fine_rec, injection) -> float:
-    ops = coarse_rec.ops
-    d = 0.0
-    for k in coarse_rec.snapshot_steps:
-        if k in fine_rec.us:
-            d = max(d, ops.l2_norm(coarse_rec.us[k] - fine_rec.us[k][injection]))
-    return d
-
-
 def cmd_study(args) -> int:
     try:
         spec = load_study_file(args.study)
@@ -233,63 +212,43 @@ def cmd_study(args) -> int:
 
 
 def _run_study(spec, levels, out) -> int:
-    """Run every level, write the level artifacts and study.csv under ``out``
-    and return the exit code; output errors propagate as OSError."""
-    out_root = ensure_dir(out)
-    if spec.kind == "eps_continuation":
-        return _study_eps(spec, out_root)
+    """Run the levels in order, write their artifacts and study.csv under
+    ``out``, print the summary line and return the exit code; output errors
+    propagate as OSError.
 
-    # snapshot strides that align comparison times across levels
-    for i, (label, param, cfg) in enumerate(levels):
-        if spec.kind == "tau_refinement":
-            cfg.output.snapshot_stride = 2**i
-        else:
-            cfg.output.snapshot_stride = 1
-
-    results = [_run_level(label, cfg, out_root) for label, _, cfg in levels]
-
-    distances = [None] * (len(levels) - 1)
-    for i, (ra, rb) in enumerate(zip(results, results[1:])):
-        if not (ra["ok"] and rb["ok"]):
-            continue
-        if spec.kind == "tau_refinement":
-            distances[i] = _tau_distance(ra["record"], rb["record"])
-        elif spec.kind == "h_refinement":
-            inj = _node_injection(levels[i][2].scenario.mesh,
-                                  levels[i + 1][2].scenario.mesh)
-            distances[i] = _h_distance(ra["record"], rb["record"], inj)
-    return _finish_study(out_root, [param for _, param, _ in levels], results, distances)
-
-
-def _study_eps(spec, out_root) -> int:
-    result = eps_continuation(spec.base.scenario, list(spec.eps_list))
-    results = [{"ok": rec is not None,
-                "max_R": energy_ledger(rec).max_residual if rec is not None else None,
-                "max_kkt": kkt_report(rec).max_violation if rec is not None else None}
-               for rec in result.records]
-    return _finish_study(out_root, result.eps_list, results, result.distances)
-
-
-def _finish_study(out_root, params, results, distances) -> int:
-    """Write study.csv, print the summary line and return the exit code.
-
-    ``distances[i]`` compares level ``i`` with level ``i + 1`` (None when one
-    of them failed); the order of level ``i`` is ``log2(d_i / d_{i+1})``.
+    Each level runs like ``cohesim run`` into its own directory.  Once level
+    ``i + 1`` has run, its distance ``d_i`` to level ``i`` is computed and
+    level ``i``'s record is dropped, so a study holds at most two
+    trajectories.  ``d_i`` is None when either level failed; the order of
+    level ``i`` is ``log2(d_i / d_{i+1})``.
     """
-    dist = list(distances) + [None]
-    rows = []
-    for i, (param, res, d, d_next) in enumerate(
-            zip(params, results, dist, dist[1:] + [None])):
-        order = None
+    out_root = ensure_dir(out)
+    rows, prev = [], None
+    for i, (label, param, cfg) in enumerate(levels):
+        try:
+            record, ledger, report, _ = _execute_run(cfg, os.path.join(out_root, label))
+            rows.append([i, param, "ok", ledger.max_residual, report.max_violation,
+                         None, None])
+        except (ConvexityError, EvolutionError):
+            record = None
+            rows.append([i, param, "failed", None, None, None, None])
+        if prev is not None and record is not None:
+            injection = None
+            if spec.kind == "h_refinement":
+                injection = _node_injection(levels[i - 1][2].scenario.mesh,
+                                            cfg.scenario.mesh)
+            rows[i - 1][5] = trajectory_distance(prev, record, injection)
+        prev = record
+
+    for row, next_row in zip(rows, rows[1:]):
+        d, d_next = row[5], next_row[5]
         if d not in (None, 0.0) and d_next not in (None, 0.0):
-            order = float(np.log2(d / d_next))
-        rows.append((i, param, "ok" if res["ok"] else "failed",
-                     res["max_R"], res["max_kkt"], d, order))
+            row[6] = float(np.log2(d / d_next))
     write_study_csv(os.path.join(out_root, "study.csv"), rows)
-    n_ok = sum(res["ok"] for res in results)
-    status = ("ok" if n_ok == len(results) else "failed" if n_ok == 0
+    n_ok = sum(row[2] == "ok" for row in rows)
+    status = ("ok" if n_ok == len(rows) else "failed" if n_ok == 0
               else "partial failure")
-    print(f"{status}: {len(params)} levels, results in {out_root}/study.csv")
+    print(f"{status}: {len(rows)} levels, results in {out_root}/study.csv")
     return EXIT_OK if status == "ok" else EXIT_SOLVER
 
 

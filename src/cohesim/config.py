@@ -17,7 +17,7 @@ Unknown keys are rejected everywhere; every diagnostic names the offending
 
 and a study document is {"kind": ..., "base": <scenario>, ...} with kinds
 ``single``, ``tau_refinement``/``h_refinement`` (+ ``levels``) and
-``eps_continuation`` (+ ``eps_list``).
+``eps_continuation`` (+ ``eps_list``), and no key of another kind.
 """
 
 from __future__ import annotations
@@ -62,6 +62,12 @@ def _positive(sec: dict, section: str, key: str) -> float:
     if not isinstance(val, (int, float)) or isinstance(val, bool) or val <= 0:
         raise ConfigError(f"'{section}.{key}' must be a positive number")
     return float(val)
+
+
+def _integer(val, name: str, minimum: int) -> int:
+    if not isinstance(val, int) or isinstance(val, bool) or val < minimum:
+        raise ConfigError(f"'{name}' must be an integer >= {minimum}")
+    return val
 
 
 def _expr(sec: dict, section: str, key: str, variables, default=None):
@@ -109,9 +115,8 @@ def _build_mesh(doc: dict) -> InterfaceMesh:
     if sec["kind"] != "rectangle":
         raise ConfigError("'mesh.kind' must be 'rectangle' (or use mesh.path)")
     L = _positive(sec, "mesh", "L")
-    n_x, n_y = sec["n_x"], sec["n_y"]
-    if not (isinstance(n_x, int) and isinstance(n_y, int) and n_x >= 1 and n_y >= 1):
-        raise ConfigError("'mesh.n_x' and 'mesh.n_y' must be integers >= 1")
+    n_x = _integer(sec["n_x"], "mesh.n_x", 1)
+    n_y = _integer(sec["n_y"], "mesh.n_y", 1)
     try:
         mesh = build_rectangle_mesh(L, n_x, n_y)
     except MeshError as exc:
@@ -182,16 +187,12 @@ def parse_scenario(doc: dict) -> ScenarioConfig:
 
     tsec = _section(doc, "time", required=("T", "n"))
     T = _positive(tsec, "time", "T")
-    n = tsec["n"]
-    if not isinstance(n, int) or n < 1:
-        raise ConfigError("'time.n' must be an integer >= 1")
+    n = _integer(tsec["n"], "time.n", 1)
 
     lsec = _section(doc, "loads", required=(), optional=("bulk", "surface", "samples"))
     bulk = _expr(lsec, "loads", "bulk", ("x", "y", "t"), default=0.0)
     surface = _expr(lsec, "loads", "surface", ("x", "y", "t"), default=0.0)
-    samples = lsec.get("samples", n + 1)
-    if not isinstance(samples, int) or samples < 2:
-        raise ConfigError("'loads.samples' must be an integer >= 2")
+    samples = _integer(lsec.get("samples", n + 1), "loads.samples", 2)
     surface_zero = "surface" not in lsec or lsec["surface"] == 0
     times = np.linspace(0.0, T, samples)
     loads = LoadModel.from_functions(
@@ -219,9 +220,7 @@ def parse_scenario(doc: dict) -> ScenarioConfig:
 
     osec = _section(doc, "output", required=(),
                     optional=("dir", "snapshot_stride", "vtk")) if "output" in doc else {}
-    stride = osec.get("snapshot_stride", 1)
-    if not isinstance(stride, int) or stride < 1:
-        raise ConfigError("'output.snapshot_stride' must be an integer >= 1")
+    stride = _integer(osec.get("snapshot_stride", 1), "output.snapshot_stride", 1)
     vtk = osec.get("vtk", False)
     if not isinstance(vtk, bool):
         raise ConfigError("'output.vtk' must be a boolean")
@@ -243,35 +242,39 @@ class StudySpec:
     eps_list: tuple = ()
 
 
+_STUDY_KEYS = {
+    "single": {"kind", "base"},
+    "tau_refinement": {"kind", "base", "levels"},
+    "h_refinement": {"kind", "base", "levels"},
+    "eps_continuation": {"kind", "base", "eps_list"},
+}
+
+
 def parse_study(doc: dict) -> StudySpec:
     if not isinstance(doc, dict):
         raise ConfigError("study document must be a JSON object")
-    for key in doc:
-        if key not in {"kind", "base", "levels", "eps_list"}:
-            raise ConfigError(f"unknown key '{key}'")
     kind = doc.get("kind")
-    if kind not in {"single", "tau_refinement", "eps_continuation", "h_refinement"}:
+    if not isinstance(kind, str) or kind not in _STUDY_KEYS:
         raise ConfigError("'kind' must be one of single, tau_refinement, "
                           "eps_continuation, h_refinement")
+    for key in doc:
+        if key not in _STUDY_KEYS[kind]:
+            raise ConfigError(f"unknown key '{key}' for kind '{kind}'")
     if "base" not in doc:
         raise ConfigError("missing key 'base'")
-    base = parse_scenario(doc["base"])
-    levels = 0
-    eps_list: tuple = ()
-    if kind in ("tau_refinement", "h_refinement"):
-        levels = doc.get("levels")
-        if not isinstance(levels, int) or levels < 2:
-            raise ConfigError("'levels' must be an integer >= 2 for refinement studies")
+    spec = StudySpec(kind=kind, base=parse_scenario(doc["base"]))
+    if "levels" in _STUDY_KEYS[kind]:
+        spec.levels = _integer(doc.get("levels"), "levels", 2)
     if kind == "eps_continuation":
-        eps_list = tuple(doc.get("eps_list", ()))
-        if len(eps_list) < 2 or any(not isinstance(e, (int, float)) or e <= 0
-                                    for e in eps_list):
+        eps_list = doc.get("eps_list")
+        if (not isinstance(eps_list, list) or len(eps_list) < 2
+                or any(not isinstance(e, (int, float)) or isinstance(e, bool) or e <= 0
+                       for e in eps_list)):
             raise ConfigError("'eps_list' must hold >= 2 positive numbers")
         if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
             raise ConfigError("'eps_list' must be strictly decreasing")
-    if kind == "single" and ("levels" in doc or "eps_list" in doc):
-        raise ConfigError("'single' studies take no levels/eps_list")
-    return StudySpec(kind=kind, base=base, levels=levels, eps_list=eps_list)
+        spec.eps_list = tuple(eps_list)
+    return spec
 
 
 def load_scenario_file(path) -> ScenarioConfig:

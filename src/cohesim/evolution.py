@@ -28,7 +28,7 @@ these values again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -53,6 +53,7 @@ __all__ = [
     "EpsContinuationResult",
     "regularize_initial_data",
     "run",
+    "trajectory_distance",
     "eps_continuation",
 ]
 
@@ -341,6 +342,24 @@ def run(scenario: Scenario, callbacks=None, tol: float = 1e-10,
     return rec
 
 
+def trajectory_distance(coarse: TrajectoryRecord, fine: TrajectoryRecord,
+                        injection: np.ndarray | None = None) -> float:
+    """``max_t || u_c(t) - u_f(t)[injection] ||_L2`` in the coarse mass.
+
+    The maximum runs over the coarse snapshot times ``t`` that are also fine
+    snapshot times; fine step ``round(t / fine.tau)`` is matched with ``t``.
+    ``injection`` indexes the fine node coincident with each coarse node
+    (None when both records live on the same mesh).
+    """
+    d = 0.0
+    for k in coarse.snapshot_steps:
+        kf = int(round(coarse.ts[k] / fine.tau))
+        if kf in fine.us:
+            u_f = fine.us[kf] if injection is None else fine.us[kf][injection]
+            d = max(d, coarse.ops.l2_norm(coarse.us[k] - u_f))
+    return d
+
+
 @dataclass
 class EpsContinuationResult:
     """Records and pairwise trajectory distances of a history-floor sweep."""
@@ -348,7 +367,7 @@ class EpsContinuationResult:
     eps_list: list
     records: list            # TrajectoryRecord or None per entry
     errors: list             # exception or None per entry
-    distances: list = field(default_factory=list)  # d(eps_i, eps_{i+1}) or None
+    distances: list          # d(eps_i, eps_{i+1}), None when either run failed
 
     @property
     def all_succeeded(self) -> bool:
@@ -359,9 +378,11 @@ def eps_continuation(scenario: Scenario, eps_list, tol: float = 1e-10) -> EpsCon
     """Run the evolution once per history floor and report Cauchy distances.
 
     ``eps_list`` must be decreasing and positive.  The distance between
-    consecutive entries is ``max_k || u^i_k - u^j_k ||_L2``.  Runs that fail
-    the convexity guard or the step solver are recorded and skipped in the
-    distance list; any other exception propagates.
+    consecutive entries is :func:`trajectory_distance`, here
+    ``max_k || u^i_k - u^j_k ||_L2`` over all steps.  Runs that fail the
+    convexity guard or the step solver are recorded and skipped in the
+    distance list; any other exception propagates.  Every record is kept;
+    ``cohesim study`` runs the same sweep holding at most two.
     """
     eps_list = [float(e) for e in eps_list]
     if any(e <= 0.0 for e in eps_list):
@@ -378,15 +399,6 @@ def eps_continuation(scenario: Scenario, eps_list, tol: float = 1e-10) -> EpsCon
             records.append(None)
             errors.append(exc)
 
-    result = EpsContinuationResult(eps_list, records, errors)
-    ops = None
-    for ra, rb in zip(records, records[1:]):
-        if ra is None or rb is None:
-            result.distances.append(None)
-            continue
-        ops = ra.ops
-        d = 0.0
-        for k in range(ra.n_steps + 1):
-            d = max(d, ops.l2_norm(ra.us[k] - rb.us[k]))
-        result.distances.append(d)
-    return result
+    distances = [None if ra is None or rb is None else trajectory_distance(ra, rb)
+                 for ra, rb in zip(records, records[1:])]
+    return EpsContinuationResult(eps_list, records, errors, distances)

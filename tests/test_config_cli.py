@@ -1,9 +1,11 @@
 """Expression grammar, scenario schema validation, CLI exit codes, CSV
 determinism and golden headers."""
 
+import gc
 import json
 import os
 import threading
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -163,6 +165,22 @@ class TestScenarioSchema:
             parse_study({"kind": "eps_continuation", "eps_list": [0.1, 0.2],
                          "base": base_doc()})
 
+    @pytest.mark.parametrize("kind, key, value", [
+        ("single", "levels", 2),
+        ("single", "eps_list", [0.1, 0.01]),
+        ("tau_refinement", "eps_list", "junk"),
+        ("h_refinement", "eps_list", [0.1, 0.01]),
+        ("eps_continuation", "levels", 5),
+    ])
+    def test_study_key_of_another_kind_rejected(self, kind, key, value):
+        doc = {"kind": kind, "base": base_doc(), key: value}
+        if kind.endswith("_refinement"):
+            doc["levels"] = 2
+        if kind == "eps_continuation":
+            doc["eps_list"] = [0.1, 0.01]
+        with pytest.raises(ConfigError, match=f"unknown key '{key}' for kind '{kind}'"):
+            parse_study(doc)
+
 
 class TestCli:
     def test_run_rest_scenario(self, tmp_path, capsys):
@@ -229,6 +247,35 @@ class TestCli:
         err = capsys.readouterr().err
         assert "study document" in err and "cohesim study" in err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("key", ["mesh.n_x", "mesh.n_y", "time.n", "loads.samples",
+                                     "output.snapshot_stride", "levels", "eps_list"])
+    def test_json_true_is_not_an_integer(self, key, tmp_path, capsys):
+        # Python reads JSON true as a bool, which is an int equal to 1
+        if key == "levels":
+            command, doc = "study", {"kind": "tau_refinement", "levels": True,
+                                     "base": base_doc()}
+        elif key == "eps_list":
+            command, doc = "study", {"kind": "eps_continuation", "eps_list": [2, True],
+                                     "base": base_doc()}
+        else:
+            command, doc = "run", base_doc(output={})
+            section, field = key.split(".")
+            doc[section][field] = True
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        assert main([command, str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert f"'{key}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc, key", [
+        ({"kind": ["tau_refinement"]}, "kind"),
+        ({"kind": "eps_continuation", "eps_list": 5}, "eps_list"),
+    ])
+    def test_malformed_study_exits_2(self, doc, key, tmp_path, capsys):
+        study = tmp_path / "study.json"
+        study.write_text(json.dumps({**doc, "base": base_doc()}))
+        assert main(["study", str(study), "--out", str(tmp_path / "o")]) == 2
+        assert f"'{key}'" in capsys.readouterr().err
 
     def test_missing_config_exits_4(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "nope.json"),
@@ -323,6 +370,46 @@ class TestCli:
 
 
 class TestStudyCli:
+    @pytest.mark.parametrize("path", sorted(SCENARIOS.glob("study_*.json")),
+                             ids=lambda path: path.name)
+    def test_shipped_study_writes_every_level(self, path, tmp_path):
+        out = tmp_path / "out"
+        assert main(["study", str(path), "--out", str(out)]) == 0
+        doc = json.loads(path.read_text())
+        n_levels = len((out / "study.csv").read_text().splitlines()) - 1
+        assert sorted(p.name for p in out.glob("level_*")) == [
+            f"level_{i:02d}" for i in range(n_levels)]
+        for i in range(n_levels):
+            n = doc["base"]["time"]["n"] * (2**i if doc["kind"] == "tau_refinement" else 1)
+            for name, lines in (("energies.csv", n + 2), ("kkt.csv", n + 2),
+                                ("tractions.csv", n + 1)):
+                text = (out / f"level_{i:02d}" / name).read_text()
+                assert len(text.splitlines()) == lines, (i, name)
+
+    @pytest.mark.parametrize("kind", ["tau_refinement", "h_refinement", "eps_continuation"])
+    def test_study_drops_each_record_once_compared(self, kind, tmp_path, monkeypatch):
+        alive, refs = [], []
+        real_run = cohesim.cli.run
+
+        def weak_run(*args, **kwargs):
+            gc.collect()
+            alive.append([ref() is not None for ref in refs])
+            record = real_run(*args, **kwargs)
+            refs.append(weakref.ref(record))
+            return record
+
+        monkeypatch.setattr(cohesim.cli, "run", weak_run)
+        doc = {"kind": kind, "base": base_doc()}
+        if kind == "eps_continuation":
+            doc["eps_list"] = [1e-1, 1e-2, 1e-3, 1e-4]
+        else:
+            doc["levels"] = 4
+        study = tmp_path / "study.json"
+        study.write_text(json.dumps(doc))
+        assert main(["study", str(study), "--out", str(tmp_path / "out")]) == 0
+        # on entry to level i + 2, level i's record is gone
+        assert alive == [[], [True], [False, True], [False, False, True]]
+
     @staticmethod
     def write_study(tmp_path, levels=3, **base_overrides):
         doc = {"kind": "tau_refinement", "levels": levels, "base": base_doc(**base_overrides)}

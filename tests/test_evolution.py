@@ -10,7 +10,7 @@ import scipy.sparse.linalg as spla
 import cohesim.evolution as evolution
 import cohesim.step as step_module
 from cohesim.assembly import LoadModel
-from cohesim.cli import main
+from cohesim.cli import _node_injection, main
 from cohesim.audit import energy_ledger, kkt_report
 from cohesim.evolution import (
     EvolutionError,
@@ -18,6 +18,7 @@ from cohesim.evolution import (
     eps_continuation,
     regularize_initial_data,
     run,
+    trajectory_distance,
 )
 from cohesim.law import CohesiveLaw, FrozenHistory, PrototypeEnvelope
 from cohesim.mesh import build_rectangle_mesh
@@ -403,3 +404,37 @@ class TestEpsContinuation:
         monkeypatch.setattr(evolution, "run", broken_run)
         with pytest.raises(TypeError, match="unexpected argument"):
             eps_continuation(mild_ramp(n=4), [1e-1, 1e-2])
+
+
+class TestTrajectoryDistance:
+    """Bitwise agreement with the loop each study kind used to run."""
+
+    def test_tau_levels_matched_by_time(self):
+        coarse = run(mild_ramp(n=10), snapshot_stride=1)
+        fine = run(mild_ramp(n=20), snapshot_stride=2)
+        d = 0.0
+        for k in coarse.snapshot_steps:
+            kf = int(round(coarse.ts[k] / fine.tau))
+            if kf in fine.us:
+                d = max(d, coarse.ops.l2_norm(coarse.us[k] - fine.us[kf]))
+        assert d > 0.0 and same_bits(trajectory_distance(coarse, fine), d)
+
+    def test_h_levels_through_node_injection(self):
+        coarse = run(mild_ramp(n=10, n_x=4, n_y=2), snapshot_stride=1)
+        fine = run(mild_ramp(n=10, n_x=8, n_y=4), snapshot_stride=1)
+        injection = _node_injection(coarse.ops.mesh, fine.ops.mesh)
+        d = 0.0
+        for k in coarse.snapshot_steps:
+            if k in fine.us:
+                d = max(d, coarse.ops.l2_norm(coarse.us[k] - fine.us[k][injection]))
+        assert d > 0.0 and same_bits(trajectory_distance(coarse, fine, injection), d)
+
+    def test_eps_levels_over_every_step(self):
+        sc = mild_ramp(n=10)
+        ra = run(sc.with_eps(1e-1), snapshot_stride=1)
+        rb = run(sc.with_eps(1e-2), snapshot_stride=1)
+        d = 0.0
+        for k in range(ra.n_steps + 1):
+            d = max(d, ra.ops.l2_norm(ra.us[k] - rb.us[k]))
+        assert d > 0.0 and same_bits(trajectory_distance(ra, rb), d)
+        assert same_bits(eps_continuation(sc, [1e-1, 1e-2]).distances[0], d)
