@@ -68,11 +68,9 @@ class Materials:
 
 
 def _coefficients(mesh: InterfaceMesh, coef) -> np.ndarray:
-    """Per-triangle coefficient: None -> 1, Materials field pair, or array."""
+    """Per-triangle coefficient: None -> 1, or an array."""
     if coef is None:
         return np.ones(mesh.triangles.shape[0])
-    if isinstance(coef, tuple) and len(coef) == 2:
-        return np.where(mesh.tri_side > 0, coef[0], coef[1])
     c = np.asarray(coef, dtype=float)
     if c.shape != (mesh.triangles.shape[0],):
         raise ValueError("coefficient array must have one value per triangle")
@@ -98,7 +96,11 @@ def _geometry(mesh: InterfaceMesh):
 
 
 def _form(mesh: InterfaceMesh, unit, area: np.ndarray, coef) -> sp.csr_matrix:
-    """Assemble the element matrices ``unit`` scaled by ``coef_T * area_T``."""
+    """Assemble the element matrices ``unit`` scaled by ``coef_T * area_T``;
+    a Materials field pair scales the unit form by node instead (see
+    :class:`DiscreteOperators`)."""
+    if isinstance(coef, tuple) and len(coef) == 2:
+        return _row_scaled(_form(mesh, unit, area, None), _node_values(mesh, coef))
     local = unit * (_coefficients(mesh, coef) * area)[:, None, None]
     # int32, the index type the sparse constructors convert to anyway
     tris = mesh.triangles.astype(np.int32)
@@ -108,6 +110,19 @@ def _form(mesh: InterfaceMesh, unit, area: np.ndarray, coef) -> sp.csr_matrix:
                       shape=(mesh.n_nodes, mesh.n_nodes)).tocsr()
     A.sum_duplicates()
     return A
+
+
+def _node_values(mesh: InterfaceMesh, pair) -> np.ndarray:
+    """Per-node value of a Materials field pair; the bodies share no node."""
+    c = np.full(mesh.n_nodes, float(pair[1]))
+    c[mesh.triangles[mesh.tri_side > 0]] = pair[0]
+    return c
+
+
+def _row_scaled(A: sp.csr_matrix, c: np.ndarray) -> sp.csr_matrix:
+    """``diag(c) A`` on the pattern of ``A`` (shared, not copied)."""
+    return sp.csr_matrix((np.repeat(c, np.diff(A.indptr)) * A.data, A.indices, A.indptr),
+                         shape=A.shape)
 
 
 def stiffness_matrix(mesh: InterfaceMesh, coef=None) -> sp.csr_matrix:
@@ -126,30 +141,65 @@ def mass_matrix(mesh: InterfaceMesh, coef=None) -> sp.csr_matrix:
 class DiscreteOperators:
     """Assembled operators of one (mesh, materials) pair.
 
-    M            rho-weighted consistent mass (SPD)
-    A_mu         mu-weighted stiffness (symmetric PSD, kernel = constants per body)
-    A_eta        eta-weighted stiffness
-    M_unit       unit-density mass, used for L2 norms and consistent loads
-    A_unit       unit-coefficient stiffness, used for H1 norms
+    M_unit       unit-density consistent mass (SPD), for L2 norms and loads
+    A_unit       unit-coefficient stiffness (symmetric PSD, kernel = constants
+                 per body), on the sparsity pattern of ``M_unit``
     B            jump operator (n_pairs x n_nodes)
     weights      interface quadrature weights w_j
     free_dofs    non-Dirichlet node indices
+    rho, mu, eta nodal density, shear modulus and Kelvin-Voigt viscosity
+
+    The two bodies share no node (the crack duplicates the interface nodes),
+    so every triangle at a node carries that node's material values and each
+    material operator is a unit form scaled row by row: the rho-weighted mass
+    ``M = diag(rho) M_unit`` and the stiffnesses ``A_mu = diag(mu) A_unit``
+    and ``A_eta = diag(eta) A_unit``.  Only the unit forms are stored; a time
+    loop takes the :meth:`products` of each state once and scales them by
+    node, and :attr:`M`, :attr:`A_mu` and :attr:`A_eta` are formed on request.
     """
 
     mesh: InterfaceMesh
     materials: Materials
-    M: sp.csr_matrix
-    A_mu: sp.csr_matrix
-    A_eta: sp.csr_matrix
     M_unit: sp.csr_matrix
     A_unit: sp.csr_matrix
     B: sp.csr_matrix
     weights: np.ndarray
     free_dofs: np.ndarray
+    rho: np.ndarray
+    mu: np.ndarray
+    eta: np.ndarray
+
+    def __post_init__(self):
+        M, A = self.M_unit, self.A_unit
+        if not (np.array_equal(M.indptr, A.indptr) and np.array_equal(M.indices, A.indices)):
+            raise ValueError("M_unit and A_unit must share one sparsity pattern")
 
     @property
     def n_nodes(self) -> int:
-        return self.M.shape[0]
+        return self.M_unit.shape[0]
+
+    @property
+    def M(self) -> sp.csr_matrix:
+        return _row_scaled(self.M_unit, self.rho)
+
+    @property
+    def A_mu(self) -> sp.csr_matrix:
+        return _row_scaled(self.A_unit, self.mu)
+
+    @property
+    def A_eta(self) -> sp.csr_matrix:
+        return _row_scaled(self.A_unit, self.eta)
+
+    def combination(self, mass: np.ndarray, stiffness: np.ndarray) -> sp.csr_matrix:
+        """``diag(mass) M_unit + diag(stiffness) A_unit`` for nodal coefficients."""
+        M, A = self.M_unit, self.A_unit
+        counts = np.diff(M.indptr)
+        data = np.repeat(mass, counts) * M.data + np.repeat(stiffness, counts) * A.data
+        return sp.csr_matrix((data, M.indices, M.indptr), shape=M.shape)
+
+    def products(self, u: np.ndarray) -> tuple:
+        """``(M_unit u, A_unit u)``, the only full-size products a state needs."""
+        return self.M_unit @ u, self.A_unit @ u
 
     @cached_property
     def interface_rows(self) -> tuple:
@@ -157,38 +207,30 @@ class DiscreteOperators:
         the plus sides of the pairs first, then the minus sides.  Each row
         keeps its entries in order, so a product sums them as the full one."""
         rows = self.mesh.interface_pairs.T.ravel()
-        return rows, self.M[rows], self.A_eta[rows], self.A_mu[rows]
-
-    def velocity_forms(self, v: np.ndarray) -> tuple:
-        """``(v' M v, v' A_eta v, |v|_H1)``."""
-        return v @ (self.M @ v), v @ (self.A_eta @ v), self.h1_norm(v)
+        M_unit, A_unit = self.M_unit[rows], self.A_unit[rows]
+        return (rows, _row_scaled(M_unit, self.rho[rows]), _row_scaled(A_unit, self.eta[rows]),
+                _row_scaled(A_unit, self.mu[rows]))
 
     def l2_norm(self, u: np.ndarray) -> float:
-        return _root(u @ (self.M_unit @ u))
-
-    def h1_norm(self, u: np.ndarray) -> float:
-        return _root(u @ (self.A_unit @ u) + u @ (self.M_unit @ u))
-
-
-def _root(q: float) -> float:
-    return float(np.sqrt(max(q, 0.0)))
+        return float(np.sqrt(max(u @ (self.M_unit @ u), 0.0)))
 
 
 def assemble(mesh: InterfaceMesh, materials: Materials) -> DiscreteOperators:
-    """Build all sparse operators, from one geometry and unit stiffness pass."""
+    """Build the unit forms, from one geometry pass, and the nodal materials."""
     _, area, grads = _geometry(mesh)
     stiffness = np.einsum("tik,tjk->tij", grads, grads)
+    m = materials
     return DiscreteOperators(
         mesh=mesh,
         materials=materials,
-        M=_form(mesh, _MASS, area, (materials.rho_plus, materials.rho_minus)),
-        A_mu=_form(mesh, stiffness, area, (materials.mu_plus, materials.mu_minus)),
-        A_eta=_form(mesh, stiffness, area, (materials.eta_plus, materials.eta_minus)),
         M_unit=_form(mesh, _MASS, area, None),
         A_unit=_form(mesh, stiffness, area, None),
         B=mesh.jump_operator(),
         weights=mesh.interface_weights.copy(),
         free_dofs=mesh.free_nodes,
+        rho=_node_values(mesh, (m.rho_plus, m.rho_minus)),
+        mu=_node_values(mesh, (m.mu_plus, m.mu_minus)),
+        eta=_node_values(mesh, (m.eta_plus, m.eta_minus)),
     )
 
 
@@ -221,9 +263,9 @@ class InterfaceSchur:
         d = np.flatnonzero(~self._free)
         K = K.tocoo()     # entrywise, so the free block keeps its explicit zeros
         keep = self._free[K.row] & self._free[K.col]
-        self.K = sp.csr_matrix((np.r_[K.data[keep], np.ones(d.size)],
-                                (np.r_[K.row[keep], d], np.r_[K.col[keep], d])), shape=K.shape)
-        self._lu = spla.splu(self.K.tocsc(), permc_spec="MMD_AT_PLUS_A")
+        K = sp.csc_matrix((np.r_[K.data[keep], np.ones(d.size)],
+                           (np.r_[K.row[keep], d], np.r_[K.col[keep], d])), shape=K.shape)
+        self._lu = spla.splu(K, permc_spec="MMD_AT_PLUS_A")
         self.solve = self._lu.solve
         self.B = B = B.tocsr()
         self.Bt = B.T.tocsr()

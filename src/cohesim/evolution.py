@@ -18,10 +18,12 @@ Per-step diagnostics (energies, dissipation and work, KKT violations, solver
 stats, velocity/acceleration norms, per-pair history and jumps) go into one
 table, a structured array with one row per step whose dtype ``step_dtype``
 declares every column; full field snapshots are kept every
-``snapshot_stride`` steps.  A step's row reads the jumps, ``psi`` and
-``psi(0, xi_k)`` of the step's post-step pass (:class:`~cohesim.step.StepResult`)
-and the velocity forms ``v' M v``, ``v' A_eta v`` and ``|v|_H1``
-(:meth:`~cohesim.assembly.DiscreteOperators.velocity_forms`); each callback
+``snapshot_stride`` steps.  A step's row reads the jumps, ``psi``,
+``psi(0, xi_k)`` and the products ``(M_unit u_k, A_unit u_k)`` of the step
+(:class:`~cohesim.step.StepResult`): the bulk energies, ``v' A_eta v``,
+``|v|_H1`` and ``|a|_L2`` are nodal scalings of these products and their
+differences, as ``M v_k = rho (M_unit u_k - M_unit u_{k-1}) / tau``, so a step
+makes no sparse product beyond the two of its own state.  Each callback
 receives the state with the step's load vector ``f``, so no consumer forms
 these values again.
 """
@@ -223,12 +225,14 @@ def regularize_initial_data(scenario: Scenario, ops: DiscreteOperators | None = 
     if ops is None:
         ops = assemble(scenario.mesh, scenario.materials)
     f0 = load_vector(scenario.loads, 0.0)
-    f_eff = f0 - ops.A_eta @ scenario.v0 - ops.M @ scenario.w0
+    # the fixed pairings A_eta v0 + M w0
+    pairings = ops.eta * (ops.A_unit @ scenario.v0) + ops.rho * (ops.M_unit @ scenario.w0)
+    f_eff = f0 - pairings
     u0_eff = solve_static(ops, scenario.law, xi_hat, f_eff, tol=tol)
     jumps = ops.B @ u0_eff
     xi0_eff = np.maximum(xi_hat, np.abs(jumps))
     # equilibrium of the recomputed triple (history replaced a posteriori)
-    r = (ops.A_mu @ u0_eff - f0 + ops.A_eta @ scenario.v0 + ops.M @ scenario.w0
+    r = (ops.mu * (ops.A_unit @ u0_eff) - f0 + pairings
          + ops.B.T @ (ops.weights * scenario.law.dpsi_dw(jumps, xi0_eff)))
     res = float(np.abs(r[ops.free_dofs]).max(initial=0.0))
     tol_abs = 10.0 * tol * (1.0 + float(np.abs(f_eff).max(initial=0.0)))
@@ -272,11 +276,12 @@ def run(scenario: Scenario, callbacks=None, tol: float = 1e-10,
 
     weights = ops.weights
 
-    def record_state(row, u, v, jumps, psi, hist):
-        """Write the state columns of ``row`` at history ``hist``; return ``v' A_eta v``."""
-        vMv, vAv, v_h1 = ops.velocity_forms(v)
-        row["E"] = 0.5 * (u @ (ops.A_mu @ u))
-        row["K"] = 0.5 * vMv
+    def record_state(row, u, v, products, v_products, jumps, psi, hist):
+        """Write the state columns of ``row`` at history ``hist`` from the
+        products of ``u`` and ``v`` (``ops.products``); return ``v' A_eta v``."""
+        m_v, a_v = v_products
+        row["E"] = 0.5 * (u @ (ops.mu * products[1]))
+        row["K"] = 0.5 * (v @ (ops.rho * m_v))
         psi_d = hist.psi_at_zero()
         psi_s = psi - psi_d
         row["Psi"] = weights @ (psi_s + psi_d)
@@ -284,12 +289,15 @@ def run(scenario: Scenario, callbacks=None, tol: float = 1e-10,
         row["Psi_d"] = weights @ psi_d
         row["xis"] = hist.xi
         row["jumps"] = jumps
-        row["v_h1"] = v_h1
-        return vAv
+        row["v_h1"] = np.sqrt(max(v @ a_v + v @ m_v, 0.0))
+        return v @ (ops.eta * a_v)
 
     jumps0 = ops.B @ u0
     hist = law.frozen(xi)
-    record_state(steps[0], u0, v0, jumps0, hist.evaluate(jumps0)[0], hist)
+    products, products2 = ops.products(u0), ops.products(u_prev2)
+    v_products = ops.products(v0)
+    record_state(steps[0], u0, v0, products, v_products, jumps0, hist.evaluate(jumps0)[0],
+                 hist)
     if scenario.regularity_mode:
         steps[0]["a_l2"] = ops.l2_norm(scenario.w0)
     rec.snapshot_steps.append(0)
@@ -300,7 +308,8 @@ def run(scenario: Scenario, callbacks=None, tol: float = 1e-10,
         t_k = k * tau
         if k > 1:
             f_k = load_vector(scenario.loads, min(t_k, scenario.loads.t_final))
-        prob = StepProblem(tau, u_prev, u_prev2, xi, f_k, ops, law, ws, hist)
+        prob = StepProblem(tau, u_prev, u_prev2, xi, f_k, ops, law, ws, hist,
+                           (products, products2))
         try:
             res = solve_step(prob, tol=tol)
         except StepSolverError as exc:
@@ -313,7 +322,10 @@ def run(scenario: Scenario, callbacks=None, tol: float = 1e-10,
 
         row, prev = steps[k], steps[k - 1]
         jumps_k = res.jumps
-        vAv = record_state(row, u_k, v_k, jumps_k, res.psi, res.history)
+        # M_unit v_k and A_unit v_k, from the products of u_k and u_{k-1}
+        v_products_k = tuple((p_k - p) / tau for p_k, p in zip(res.products, products))
+        vAv = record_state(row, u_k, v_k, res.products, v_products_k, jumps_k, res.psi,
+                           res.history)
         row["D_cum"] = prev["D_cum"] + tau * vAv
         row["P_cum"] = prev["P_cum"] + tau * (f_k @ v_k)
         row["kkt_admissibility"] = max(0.0, float((np.abs(jumps_k) - xi_k).max()))
@@ -324,7 +336,8 @@ def run(scenario: Scenario, callbacks=None, tol: float = 1e-10,
         row["newton_iters"] = res.newton_iters
         row["grad_norms"] = res.grad_norm
         row["el_residuals"] = res.el_residual
-        row["a_l2"] = ops.l2_norm((v_k - v_prev) / tau)
+        accel = (v_k - v_prev) / tau
+        row["a_l2"] = np.sqrt(max(accel @ ((v_products_k[0] - v_products[0]) / tau), 0.0))
 
         if k % snapshot_stride == 0 or k == n:
             rec.snapshot_steps.append(k)
@@ -335,7 +348,8 @@ def run(scenario: Scenario, callbacks=None, tol: float = 1e-10,
             cb(state, res)
 
         u_prev2, u_prev = u_prev, u_k
-        v_prev = v_k
+        products2, products = products, res.products
+        v_prev, v_products = v_k, v_products_k
         xi, hist = xi_k, res.history
 
     rec.final_state = EvolutionState(t=n * tau, u=u_prev, v=v_prev, xi=xi, k=n)

@@ -46,15 +46,22 @@ once per time step size, with a symmetric minimum-degree ordering
 Per step, the work follows what changes within it.  ``xi_prev`` is fixed for
 the whole step, so its terms (``psi_hat(xi)``, ``psi_hat'(xi)``, ``xi^2``,
 ``2 xi`` and ``c_xi``) are computed once, in a run by the previous step's
-post-step pass (:class:`~cohesim.law.FrozenHistory`); the step then costs
-one sparse solve for ``j_lin``, the Newton iterations in the ``n_pairs``
-unknowns and one sparse solve to recover ``u``.  Each Newton trial point
-costs one ``S @ lam`` and one fused law pass giving ``phi``, ``r``,
-``|r|_inf`` and the branch masks; an accepted point reuses them for its
-residual test and its curvature ``D``, so a point is never evaluated twice.
-The workspace keeps ``H0`` with its Dirichlet nodes eliminated (for the
-a-posteriori residual), its factorization and ``S``; vectors are nodal and
-``b`` vanishes on the Dirichlet nodes; no dense nodes x pairs array is kept.
+post-step pass (:class:`~cohesim.law.FrozenHistory`).  The bulk operators are
+unit forms scaled by node (``M = diag(rho) M_unit``, ``A_eta = diag(eta)
+A_unit``, ``A_mu = diag(mu) A_unit``; see
+:class:`~cohesim.assembly.DiscreteOperators`), so every bulk quantity of the
+step (``b``, the a-posteriori residual ``H0 u_new``, the incremental energy)
+is a nodal scaling of the products ``(M_unit u, A_unit u)`` of ``u_new``,
+``u_prev`` and ``u_prev2``; a run forms those of ``u_new`` once and hands
+them on (:attr:`StepProblem.products`, :attr:`StepResult.products`).  A step
+then costs one sparse solve for ``j_lin``, the Newton iterations in the
+``n_pairs`` unknowns, one sparse solve to recover ``u`` and two full-size
+sparse products.  Each Newton trial point costs one ``S @ lam`` and one fused
+law pass giving ``phi``, ``r``, ``|r|_inf`` and the branch masks; an accepted
+point reuses them for its residual test and its curvature ``D``, so a point
+is never evaluated twice.  The workspace keeps the nodal coefficients of
+``H0``, its factorization and ``S``; vectors are nodal and ``b`` vanishes on
+the Dirichlet nodes; no dense nodes x pairs array is kept.
 
 After the solve, one post-step pass forms the jumps ``[u_k]`` once and makes
 one law pass at the updated history ``xi_k``.  :class:`StepResult` carries
@@ -72,7 +79,7 @@ decides this exactly from the same ``S``, so a run factorizes ``H0`` once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import NamedTuple
 
@@ -112,7 +119,9 @@ class ConvexityError(RuntimeError):
 
 
 class StepWorkspace:
-    """Reusable factorization of the history-independent SPD block ``H0``.
+    """Reusable factorization of the history-independent SPD block
+    ``H0 = diag(mass) M_unit + diag(stiffness) A_unit``, with the nodal
+    coefficients ``mass = rho / tau^2`` and ``stiffness = eta / tau + mu``.
 
     ``tau=None`` builds the static variant (elastic stiffness only), used for
     the equilibrium recomputation of initial data.
@@ -121,8 +130,12 @@ class StepWorkspace:
     def __init__(self, ops: DiscreteOperators, tau: float | None):
         self.weights = ops.weights
         self.tau = tau
-        H0 = ops.A_mu if tau is None else ops.M / tau**2 + ops.A_eta / tau + ops.A_mu
-        self.schur = InterfaceSchur(H0, ops.B, ops.free_dofs)
+        if tau is None:
+            self.mass, self.stiffness = np.zeros(ops.n_nodes), ops.mu
+        else:
+            self.mass, self.stiffness = ops.rho / tau**2, ops.eta / tau + ops.mu
+        self.schur = InterfaceSchur(ops.combination(self.mass, self.stiffness), ops.B,
+                                    ops.free_dofs)
 
     @cached_property
     def lambda_max(self) -> float:
@@ -144,7 +157,8 @@ class StepProblem:
     """Data of one incremental minimization.
 
     ``xi_prev`` must be strictly positive everywhere (regularized regime);
-    the cohesive term is then continuously differentiable.
+    the cohesive term is then continuously differentiable.  ``u_prev`` and
+    ``u_prev2`` vanish on the Dirichlet nodes, as every state of a run does.
     """
 
     tau: float
@@ -156,6 +170,7 @@ class StepProblem:
     law: CohesiveLaw
     workspace: StepWorkspace | None = None
     history: FrozenHistory | None = None     # law.frozen(xi_prev), if at hand
+    products: tuple | None = None   # (ops.products(u_prev), ops.products(u_prev2)), if at hand
 
 
 @dataclass
@@ -172,20 +187,33 @@ class StepResult:
     psi: np.ndarray          # psi([u_new], xi_new)
     traction: np.ndarray     # psi'([u_new], xi_new), the cohesive traction
     history: FrozenHistory   # law.frozen(xi_new), for psi(0, xi_new) and the next step
+    products: tuple          # ops.products(u_new), for the record and the next step
 
 
-def incremental_energy(u, prob: StepProblem) -> float:
-    """Value of the incremental functional at the nodal vector ``u``."""
+def _products(prob: StepProblem) -> tuple:
+    """``prob.products``, formed when not at hand."""
+    if prob.products is not None:
+        return prob.products
+    return prob.ops.products(prob.u_prev), prob.ops.products(prob.u_prev2)
+
+
+def incremental_energy(u, prob: StepProblem, products: tuple | None = None) -> float:
+    """Value of the incremental functional at the nodal vector ``u``.
+
+    ``products`` is ``prob.ops.products(u)`` when the caller has it; with the
+    products of ``prob`` it makes every bulk term a nodal scaling."""
     u = np.asarray(u, dtype=float)
     n = prob.ops.n_nodes
     if u.shape != (n,):
         raise ValueError(f"displacement vector has size {u.size}, expected {n}")
     ops, tau = prob.ops, prob.tau
+    m, a = ops.products(u) if products is None else products
+    (m1, a1), (m2, _) = _products(prob)
     d2 = u - 2.0 * prob.u_prev + prob.u_prev2
     d1 = u - prob.u_prev
-    val = 0.5 / tau**2 * (d2 @ (ops.M @ d2))
-    val += 0.5 / tau * (d1 @ (ops.A_eta @ d1))
-    val += 0.5 * (u @ (ops.A_mu @ u)) - prob.f_k @ u
+    val = 0.5 / tau**2 * (d2 @ (ops.rho * (m - 2.0 * m1 + m2)))
+    val += 0.5 / tau * (d1 @ (ops.eta * (a - a1)))
+    val += 0.5 * (u @ (ops.mu * a)) - prob.f_k @ u
     jumps = ops.B @ u
     val += float(ops.weights @ prob.law.psi(jumps, prob.xi_prev))
     return float(val)
@@ -291,10 +319,13 @@ def solve_step(prob: StepProblem, tol: float = 1e-10, max_iter: int = 60,
     ws = _workspace(prob)
     constrained = ws.schur.constrained
 
-    # constant part of the quadratic gradient; data on Dirichlet nodes count as 0
-    u_prev = constrained(prob.u_prev)
-    u_pred = 2.0 * u_prev - constrained(prob.u_prev2)
-    b = constrained(-(ops.M @ u_pred) / tau**2 - (ops.A_eta @ u_prev) / tau - prob.f_k)
+    # constant part of the quadratic gradient, M u_pred / tau^2 + A_eta u_prev /
+    # tau - f_k from the products; load entries on Dirichlet nodes count as 0
+    if prob.products is None:
+        prob = replace(prob, products=_products(prob))
+    (m1, a1), (m2, _) = prob.products
+    u_pred = 2.0 * prob.u_prev - prob.u_prev2
+    b = constrained(-ws.mass * (2.0 * m1 - m2) - (ops.eta * a1) / tau - prob.f_k)
 
     tol_abs = tol * (1.0 + float(np.abs(prob.f_k).max(initial=0.0)))
     hist = prob.history
@@ -306,6 +337,7 @@ def solve_step(prob: StepProblem, tol: float = 1e-10, max_iter: int = 60,
                                   trace, lambda u: incremental_energy(u, prob))
 
     u_new = ws.displacement(lam, b)
+    m, a = products_new = ops.products(u_new)
     jumps = ops.B @ u_new
     xi_new = np.maximum(prob.xi_prev, np.abs(jumps))
     # the post-step pass: one law evaluation at the updated history
@@ -313,13 +345,15 @@ def solve_step(prob: StepProblem, tol: float = 1e-10, max_iter: int = 60,
     psi, traction = hist_new.evaluate(jumps)[:2]
 
     # a-posteriori form: the Euler-Lagrange residual with the updated history
-    g_post = ws.schur.K @ u_new + b + ws.schur.Bt @ (ws.weights * traction)
+    # (H0 u_new on the free rows, as u_new vanishes on the Dirichlet nodes)
+    g_post = (constrained(ws.mass * m + ws.stiffness * a) + b
+              + ws.schur.Bt @ (ws.weights * traction))
     el_residual = float(np.abs(g_post).max(initial=0.0))
 
     return StepResult(u_new=u_new, xi_new=xi_new, newton_iters=iters,
                       grad_norm=rnorm, el_residual=el_residual,
-                      energy=incremental_energy(u_new, prob), jumps=jumps,
-                      psi=psi, traction=traction, history=hist_new)
+                      energy=incremental_energy(u_new, prob, products_new), jumps=jumps,
+                      psi=psi, traction=traction, history=hist_new, products=products_new)
 
 
 def solve_static(ops: DiscreteOperators, law: CohesiveLaw, xi: np.ndarray,

@@ -1,9 +1,12 @@
 """Audit tests: energy ledger identities, KKT report, weak residual and
 traction extraction."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from cohesim.assembly import Materials
 from cohesim.audit import (
     _bulk_residual,
     energy_ledger,
@@ -188,6 +191,35 @@ class TestElasticUnloading:
             line = law.secant_stiffness(rec.xis[k][sel]) * rec.jumps[k][sel]
             defect = np.abs(tf.sigma_plus[sel] - line).max()
             assert defect <= 10.0 * TOL * (1.0 + np.abs(f).max()) / ops.weights.min()
+
+
+class TestTwoMaterials:
+    def test_every_gate_holds_across_the_material_jump(self):
+        # the steps and the audit read node-scaled unit forms; each node is in
+        # one body, so the identity holds on both sides of the interface
+        materials = Materials(1.3, 0.7, 2.0, 3.0, 0.5, 1.5)
+        maxima = []
+        for n in (120, 240, 480):
+            states = []
+            rec = run(replace(small_ramp(n=n, n_x=4, n_y=2), materials=materials), tol=TOL,
+                      snapshot_stride=n, callbacks=lambda state, res: states.append((state, res)))
+            assert kkt_report(rec).max_violation == 0.0
+            led = energy_ledger(rec)
+            assert led.max_split_gap <= 1e-12 * max(1.0, np.abs(led.E + led.K + led.Psi).max())
+            maxima.append(led.max_residual)
+            prev, law, ops = rec.state(0), rec.law, rec.ops
+            for state, res in states:
+                tf = traction_extraction(prev, state, ops, law, state.f, cohesive=res.traction)
+                tol_abs = 10.0 * TOL * (1.0 + np.abs(state.f).max()) / ops.weights.min()
+                assert tf.max_interior(tf.cohesive_defect) <= tol_abs
+                assert tf.max_interior(tf.transmission_defect) <= tol_abs
+                bound = law.psi_prime_0 * (1.0 + 1e-8)
+                assert tf.max_interior(tf.sigma_plus) <= bound
+                assert tf.max_interior(tf.sigma_minus) <= bound
+                prev = state
+            assert np.any(rec.xis[-1] > rec.xis[0])     # the interface opened
+        orders = [np.log2(a / b) for a, b in zip(maxima, maxima[1:])]
+        assert all(o >= 0.5 for o in orders), orders
 
 
 class TestRegularityNorms:

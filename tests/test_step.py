@@ -29,15 +29,14 @@ PAIR_WEIGHT = 0.6
 
 
 def toy_ops(weight=PAIR_WEIGHT):
-    """Two free DOFs joined by a single interface pair."""
-    M = sp.csr_matrix(np.diag(M_DIAG))
-    A_eta = sp.csr_matrix(np.diag(ETA_DIAG))
-    A_mu = sp.csr_matrix(np.diag(MU_DIAG))
+    """Two free DOFs joined by a single interface pair; the operators are the
+    diagonals above, as unit forms (identities) scaled by node."""
     B = sp.csr_matrix(np.array([[1.0, -1.0]]))
     eye = sp.identity(2, format="csr")
-    return DiscreteOperators(mesh=None, materials=None, M=M, A_mu=A_mu, A_eta=A_eta,
-                             M_unit=eye, A_unit=eye, B=B,
-                             weights=np.array([weight]), free_dofs=np.arange(2))
+    return DiscreteOperators(mesh=None, materials=None, M_unit=eye, A_unit=eye, B=B,
+                             weights=np.array([weight]), free_dofs=np.arange(2),
+                             rho=np.array(M_DIAG), mu=np.array(MU_DIAG),
+                             eta=np.array(ETA_DIAG))
 
 
 def toy_problem(tau, f, xi_prev, u_prev=(0.0, 0.0), u_prev2=(0.0, 0.0), law=None):
@@ -232,7 +231,11 @@ class TestSolveStep:
                           rng.uniform(0.1, 100.0, mesh.n_pairs))
         # push-through: (H0 + B'DB)^-1 B' = H0^-1 B' (I + DS)^-1, with H0
         # the workspace's (Dirichlet rows and columns replaced by identity)
-        H = ws.schur.K + ops.B.T @ sp.diags(d_curv) @ ops.B
+        H0 = (ops.M / 0.05**2 + ops.A_eta / 0.05 + ops.A_mu).toarray()
+        dirichlet = mesh.dirichlet_nodes
+        H0[dirichlet, :] = H0[:, dirichlet] = 0.0
+        H0[dirichlet, dirichlet] = 1.0
+        H = sp.csr_matrix(H0) + ops.B.T @ sp.diags(d_curv) @ ops.B
         ref = spla.spsolve(H.tocsc(), -(ops.B.T @ r))
         d = ws.schur.solve(ops.B.T @ ws.newton_direction(r, d_curv))
         assert np.abs(d - ref).max() <= 1e-12 * np.abs(ref).max()
