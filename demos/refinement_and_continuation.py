@@ -19,8 +19,8 @@ from cohesim import (
     Scenario,
     build_rectangle_mesh,
     energy_ledger,
-    eps_continuation,
     run,
+    trajectory_distance,
 )
 
 mesh = build_rectangle_mesh(1.0, 8, 4)
@@ -47,8 +47,9 @@ for n in (120, 240, 480, 960):
 
 print()
 print("history-floor continuation (trajectory distances should shrink):")
-result = eps_continuation(scenario(120), [1e-1, 1e-2, 1e-3, 1e-4])
-for eps, rec in zip(result.eps_list, result.records):
+eps_list = [1e-1, 1e-2, 1e-3, 1e-4]
+records = [run(scenario(120).with_eps(eps), snapshot_stride=1) for eps in eps_list]
+for eps, rec in zip(eps_list, records):
     print(f"  eps = {eps:.0e}   final max opening = {rec.xis[-1].max():.5f}")
-for (a, b), d in zip(zip(result.eps_list, result.eps_list[1:]), result.distances):
-    print(f"  d(eps={a:.0e}, eps={b:.0e}) = {d:.4e}")
+for a, b, ra, rb in zip(eps_list, eps_list[1:], records, records[1:]):
+    print(f"  d(eps={a:.0e}, eps={b:.0e}) = {trajectory_distance(ra, rb):.4e}")

@@ -14,12 +14,10 @@ from .audit import (
     weak_residual,
 )
 from .evolution import (
-    EpsContinuationResult,
     EvolutionError,
     EvolutionState,
     Scenario,
     TrajectoryRecord,
-    eps_continuation,
     regularize_initial_data,
     run,
     trajectory_distance,

@@ -55,8 +55,8 @@ class Materials:
 
     def __post_init__(self):
         for name in ("rho_plus", "rho_minus", "mu_plus", "mu_minus", "eta_plus", "eta_minus"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"material parameter {name} must be positive")
+            if not (0.0 < getattr(self, name) < np.inf):
+                raise ValueError(f"material parameter {name} must be positive and finite")
 
     @classmethod
     def constant(cls, rho: float, mu: float, eta: float) -> "Materials":

@@ -97,8 +97,9 @@ class KKTReport(StepColumns):
 
     @property
     def max_violation(self) -> float:
-        return float(max(self.admissibility.max(), self.complementarity.max(),
-                         self.slope.max()))
+        # np.max, unlike Python's max, lets a NaN through
+        return float(np.max([self.admissibility.max(), self.complementarity.max(),
+                             self.slope.max()]))
 
 
 def kkt_report(traj: TrajectoryRecord) -> KKTReport:

@@ -4,11 +4,17 @@
     cohesim study <study.json> --out <dir> [--jobs N]
     cohesim check-law <config.json>
 
-Exit codes: 0 ok, 2 configuration, 3 solver, 4 I/O.  A study of any kind
-runs its levels one after another in the calling thread, each like
-``cohesim run`` into ``<dir>/level_XX``, and compares consecutive levels with
-:func:`~cohesim.evolution.trajectory_distance`.  ``--jobs`` is accepted so
-that existing command lines keep working, and has no effect.
+Exit codes: 0 ok, 2 configuration, 3 solver, 4 I/O.  :func:`main` is the one
+place that maps a failure to its exit code and its one-line message
+(``config error: ...``, ``solver failure at step k: ...``,
+``I/O error: ...``); any other exception propagates.
+
+A study of any kind runs its levels one after another in the calling thread,
+each like ``cohesim run`` into ``<dir>/level_XX``, and compares consecutive
+levels with :func:`~cohesim.evolution.trajectory_distance`.  This level loop
+is the only study sweep: a library caller writes the same loop with
+``run(scenario.with_eps(eps))`` and ``trajectory_distance``.  ``--jobs`` is
+accepted so that existing command lines keep working, and has no effect.
 """
 
 from __future__ import annotations
@@ -73,7 +79,7 @@ class _TractionCollector:
         self.prev = state
 
 
-def _execute_run(cfg: ScenarioConfig, out_dir: str, write_vtk: bool | None = None):
+def _execute_run(cfg: ScenarioConfig, out_dir: str):
     """Run one scenario and write its artifacts.
 
     Returns (record, energy ledger, KKT report, one-line summary)."""
@@ -91,7 +97,7 @@ def _execute_run(cfg: ScenarioConfig, out_dir: str, write_vtk: bool | None = Non
     write_energy_csv(os.path.join(out_dir, "energies.csv"), ledger)
     write_kkt_csv(os.path.join(out_dir, "kkt.csv"), report)
     write_traction_csv(os.path.join(out_dir, "tractions.csv"), collector.rows)
-    if write_vtk if write_vtk is not None else cfg.output.vtk:
+    if cfg.output.vtk:
         geometry = vtk_geometry(scenario.mesh)
         for frame, k in enumerate(record.snapshot_steps):
             fields = {
@@ -108,32 +114,20 @@ def _execute_run(cfg: ScenarioConfig, out_dir: str, write_vtk: bool | None = Non
 
 
 def cmd_run(args) -> int:
-    try:
-        cfg = load_scenario_file(args.config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
-        print(f"cannot read config: {exc}", file=sys.stderr)
-        return EXIT_IO
+    cfg = load_scenario_file(args.config)
     out_dir = args.out or cfg.output.directory
     if not out_dir:
-        print("config error: no output directory (use --out or output.dir)",
-              file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        *_, summary = _execute_run(cfg, out_dir)
-    except ConvexityError as exc:
-        print(f"solver failure at step 1: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-    except EvolutionError as exc:
-        print(f"solver failure at step {exc.step}: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-    except OSError as exc:
-        print(f"output error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        raise ConfigError("no output directory (use --out or output.dir)")
+    *_, summary = _execute_run(cfg, out_dir)
     print(f"ok: {summary}")
     return EXIT_OK
+
+
+def _solver_failure(exc) -> str:
+    """The message of a run that the convexity guard (before step 1) or the
+    step solver stopped."""
+    step = 1 if isinstance(exc, ConvexityError) else exc.step
+    return f"solver failure at step {step}: {exc}"
 
 
 def _study_levels(spec):
@@ -195,26 +189,15 @@ def _node_injection(coarse_mesh, fine_mesh) -> np.ndarray:
 
 
 def cmd_study(args) -> int:
-    try:
-        spec = load_study_file(args.study)
-        levels = _study_levels(spec)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
-        print(f"cannot read study: {exc}", file=sys.stderr)
-        return EXIT_IO
-    try:
-        return _run_study(spec, levels, args.out)
-    except OSError as exc:
-        print(f"output error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    spec = load_study_file(args.study)
+    return _run_study(spec, _study_levels(spec), args.out)
 
 
 def _run_study(spec, levels, out) -> int:
     """Run the levels in order, write their artifacts and study.csv under
-    ``out``, print the summary line and return the exit code; output errors
-    propagate as OSError.
+    ``out``, print the summary line and return the exit code.  A level that
+    the guard or the solver stops is reported on stderr and recorded as
+    failed; every other exception, output errors included, propagates.
 
     Each level runs like ``cohesim run`` into its own directory.  Once level
     ``i + 1`` has run, its distance ``d_i`` to level ``i`` is computed and
@@ -229,7 +212,8 @@ def _run_study(spec, levels, out) -> int:
             record, ledger, report, _ = _execute_run(cfg, os.path.join(out_root, label))
             rows.append([i, param, "ok", ledger.max_residual, report.max_violation,
                          None, None])
-        except (ConvexityError, EvolutionError):
+        except (ConvexityError, EvolutionError) as exc:
+            print(f"{label}: {_solver_failure(exc)}", file=sys.stderr)
             record = None
             rows.append([i, param, "failed", None, None, None, None])
         if prev is not None and record is not None:
@@ -255,15 +239,7 @@ def _run_study(spec, levels, out) -> int:
 def cmd_check_law(args) -> int:
     from .assembly import assemble
 
-    try:
-        cfg = load_scenario_file(args.config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
-        print(f"cannot read config: {exc}", file=sys.stderr)
-        return EXIT_IO
-    scenario = cfg.scenario
+    scenario = load_scenario_file(args.config).scenario
     law = scenario.law
     c = law.constants
     c_hat = estimate_trace_constant(scenario.mesh)
@@ -309,7 +285,17 @@ def main(argv=None) -> int:
     p_check.set_defaults(fn=cmd_check_law)
 
     args = parser.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except (ConvexityError, EvolutionError) as exc:
+        print(_solver_failure(exc), file=sys.stderr)
+        return EXIT_SOLVER
+    except OSError as exc:
+        print(f"I/O error: {exc}", file=sys.stderr)
+        return EXIT_IO
 
 
 if __name__ == "__main__":

@@ -41,6 +41,9 @@ class ConfigError(ValueError):
     """Schema violation; the message names the offending field."""
 
 
+_FLOAT_MAX = np.finfo(float).max
+
+
 def _section(doc: dict, name: str, required=(), optional=()) -> dict:
     if name not in doc:
         raise ConfigError(f"missing section '{name}'")
@@ -57,10 +60,17 @@ def _section(doc: dict, name: str, required=(), optional=()) -> dict:
     return sec
 
 
+def _is_positive(val) -> bool:
+    """A JSON number in ``(0, float max]``: not a bool, NaN or infinity (the
+    ``NaN`` and ``Infinity`` tokens that ``json.load`` accepts)."""
+    return (isinstance(val, (int, float)) and not isinstance(val, bool)
+            and 0 < val <= _FLOAT_MAX)
+
+
 def _positive(sec: dict, section: str, key: str) -> float:
     val = sec[key]
-    if not isinstance(val, (int, float)) or isinstance(val, bool) or val <= 0:
-        raise ConfigError(f"'{section}.{key}' must be a positive number")
+    if not _is_positive(val):
+        raise ConfigError(f"'{section}.{key}' must be a finite positive number")
     return float(val)
 
 
@@ -132,18 +142,12 @@ def _build_materials(doc: dict) -> Materials:
         raise ConfigError("missing section 'materials'")
     if "rho" in sec or "mu" in sec or "eta" in sec:
         sec = _section(doc, "materials", required=("rho", "mu", "eta"))
-        try:
-            return Materials.constant(_positive(sec, "materials", "rho"),
-                                      _positive(sec, "materials", "mu"),
-                                      _positive(sec, "materials", "eta"))
-        except ValueError as exc:
-            raise ConfigError(f"materials: {exc}") from exc
+        return Materials.constant(_positive(sec, "materials", "rho"),
+                                  _positive(sec, "materials", "mu"),
+                                  _positive(sec, "materials", "eta"))
     keys = ("rho_plus", "rho_minus", "mu_plus", "mu_minus", "eta_plus", "eta_minus")
     sec = _section(doc, "materials", required=keys)
-    try:
-        return Materials(*[_positive(sec, "materials", k) for k in keys])
-    except ValueError as exc:
-        raise ConfigError(f"materials: {exc}") from exc
+    return Materials(*[_positive(sec, "materials", k) for k in keys])
 
 
 def build_law(doc: dict) -> CohesiveLaw:
@@ -268,9 +272,8 @@ def parse_study(doc: dict) -> StudySpec:
     if kind == "eps_continuation":
         eps_list = doc.get("eps_list")
         if (not isinstance(eps_list, list) or len(eps_list) < 2
-                or any(not isinstance(e, (int, float)) or isinstance(e, bool) or e <= 0
-                       for e in eps_list)):
-            raise ConfigError("'eps_list' must hold >= 2 positive numbers")
+                or not all(map(_is_positive, eps_list))):
+            raise ConfigError("'eps_list' must hold >= 2 finite positive numbers")
         if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
             raise ConfigError("'eps_list' must be strictly decreasing")
         spec.eps_list = tuple(eps_list)

@@ -52,11 +52,9 @@ __all__ = [
     "EvolutionState",
     "TrajectoryRecord",
     "EvolutionError",
-    "EpsContinuationResult",
     "regularize_initial_data",
     "run",
     "trajectory_distance",
-    "eps_continuation",
 ]
 
 
@@ -88,10 +86,10 @@ class Scenario:
     w0: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.T <= 0.0 or self.n < 1:
-            raise ValueError("time horizon must be positive with n >= 1 steps")
-        if self.eps_bar <= 0.0:
-            raise ValueError("history floor eps_bar must be positive")
+        if not (0.0 < self.T < np.inf) or self.n < 1:
+            raise ValueError("time horizon T must be positive and finite with n >= 1 steps")
+        if not (0.0 < self.eps_bar < np.inf):
+            raise ValueError("history floor eps_bar must be positive and finite")
         N, P = self.mesh.n_nodes, self.mesh.n_pairs
         self.u0 = np.asarray(self.u0, dtype=float)
         self.v0 = np.asarray(self.v0, dtype=float)
@@ -372,47 +370,3 @@ def trajectory_distance(coarse: TrajectoryRecord, fine: TrajectoryRecord,
             u_f = fine.us[kf] if injection is None else fine.us[kf][injection]
             d = max(d, coarse.ops.l2_norm(coarse.us[k] - u_f))
     return d
-
-
-@dataclass
-class EpsContinuationResult:
-    """Records and pairwise trajectory distances of a history-floor sweep."""
-
-    eps_list: list
-    records: list            # TrajectoryRecord or None per entry
-    errors: list             # exception or None per entry
-    distances: list          # d(eps_i, eps_{i+1}), None when either run failed
-
-    @property
-    def all_succeeded(self) -> bool:
-        return all(e is None for e in self.errors)
-
-
-def eps_continuation(scenario: Scenario, eps_list, tol: float = 1e-10) -> EpsContinuationResult:
-    """Run the evolution once per history floor and report Cauchy distances.
-
-    ``eps_list`` must be decreasing and positive.  The distance between
-    consecutive entries is :func:`trajectory_distance`, here
-    ``max_k || u^i_k - u^j_k ||_L2`` over all steps.  Runs that fail the
-    convexity guard or the step solver are recorded and skipped in the
-    distance list; any other exception propagates.  Every record is kept;
-    ``cohesim study`` runs the same sweep holding at most two.
-    """
-    eps_list = [float(e) for e in eps_list]
-    if any(e <= 0.0 for e in eps_list):
-        raise ValueError("history floors must be positive")
-    if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
-        raise ValueError("eps_list must be strictly decreasing")
-
-    records, errors = [], []
-    for eps in eps_list:
-        try:
-            records.append(run(scenario.with_eps(eps), tol=tol, snapshot_stride=1))
-            errors.append(None)
-        except (ConvexityError, EvolutionError) as exc:
-            records.append(None)
-            errors.append(exc)
-
-    distances = [None if ra is None or rb is None else trajectory_distance(ra, rb)
-                 for ra, rb in zip(records, records[1:])]
-    return EpsContinuationResult(eps_list, records, errors, distances)

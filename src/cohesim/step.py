@@ -258,13 +258,21 @@ def _minimize(ws: StepWorkspace, hist: FrozenHistory, beta: float, b: np.ndarray
     def stagnation(message, p: _Point):
         return StepSolverError(message, u_last=ws.displacement(p.lam, b), grad_norm=p.rnorm)
 
+    def check_finite(p: _Point):
+        # an overflowed load or state is no minimizer, though an infinite
+        # tol_abs would accept its residual
+        if not (np.isfinite(p.phi) and np.isfinite(p.rnorm)):
+            raise stagnation(f"non-finite state (phi {p.phi:.3e}, residual {p.rnorm:.3e})",
+                             p)
+
     cur = point(lam0)
+    check_finite(cur)
     if trace is not None:
         zero = np.zeros_like(lam0)
         offset = energy(ws.displacement(zero, b)) - point(zero).phi
         trace.append(cur.phi + offset)
     iters = 0
-    while cur.rnorm > tol_abs and iters < max_iter:
+    while not (cur.rnorm <= tol_abs) and iters < max_iter:
         delta = direction(cur)
         slope = float((S @ cur.r) @ delta)
         alpha = 1.0
@@ -288,7 +296,8 @@ def _minimize(ws: StepWorkspace, hist: FrozenHistory, beta: float, b: np.ndarray
         if trace is not None:
             trace.append(cur.phi + offset)
         iters += 1
-    if cur.rnorm > tol_abs:
+    check_finite(cur)
+    if not (cur.rnorm <= tol_abs):
         raise stagnation(
             f"Newton did not converge in {max_iter} iterations (residual {cur.rnorm:.3e})",
             cur)

@@ -128,8 +128,9 @@ class TestOperators:
         assert np.allclose(u_elim, u_pen, atol=1e-6 * scale)
 
     def test_material_positivity_enforced(self):
-        with pytest.raises(ValueError, match="mu_minus"):
-            Materials(1.0, 1.0, 1.0, -2.0, 1.0, 1.0)
+        for bad in (-2.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="mu_minus"):
+                Materials(1.0, 1.0, 1.0, bad, 1.0, 1.0)
 
 
 class TestInterfaceSchur:

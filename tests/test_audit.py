@@ -63,6 +63,14 @@ class TestKKTReport:
         assert rep.max_violation <= 1e-12
         assert np.all(rep.xi_monotone == 0.0)
 
+    @pytest.mark.parametrize("column", ["kkt_admissibility", "kkt_complementarity",
+                                        "kkt_slope"])
+    def test_nan_in_one_column_reaches_max_violation(self, ramp_record, column):
+        steps = ramp_record.steps.copy()
+        steps[column][3] = np.nan
+        rep = kkt_report(replace(ramp_record, steps=steps))
+        assert np.isnan(rep.max_violation)
+
     def test_idle_node_has_constant_history(self, ramp_record):
         # with the small-amplitude run some node never leaves the floor
         rec = run(small_ramp(n=120, amplitude=60.0), snapshot_stride=120)

@@ -165,6 +165,13 @@ class TestScenarioSchema:
             parse_study({"kind": "eps_continuation", "eps_list": [0.1, 0.2],
                          "base": base_doc()})
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_study_eps_list_must_be_finite(self, bad):
+        # a NaN floor passes both the `<= 0` and the decreasing test
+        with pytest.raises(ConfigError, match="finite positive"):
+            parse_study({"kind": "eps_continuation", "eps_list": [0.1, bad],
+                         "base": base_doc()})
+
     @pytest.mark.parametrize("kind, key, value", [
         ("single", "levels", 2),
         ("single", "eps_list", [0.1, 0.01]),
@@ -280,6 +287,56 @@ class TestCli:
     def test_missing_config_exits_4(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path / "o")]) == 4
+
+    def test_check_law_missing_config_exits_4(self, tmp_path, capsys):
+        assert main(["check-law", str(tmp_path / "nope.json")]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("I/O error: ") and str(tmp_path / "nope.json") in err
+
+    @staticmethod
+    def probe(command, tmp_path, key, value):
+        """``command`` on the standard ramp at 8x4 cells with ``key`` set to
+        ``value``; a study runs it as its one level.  Returns the exit code."""
+        doc = json.loads((SCENARIOS / "standard_ramp.json").read_text())
+        doc["mesh"].update(n_x=8, n_y=4)
+        doc["output"] = {}
+        section, field = key.split(".")
+        doc[section][field] = value
+        if command == "study":
+            doc = {"kind": "single", "base": doc}
+        path = tmp_path / "probe.json"
+        path.write_text(json.dumps(doc))  # NaN and inf as the JSON NaN and Infinity
+        argv = [command, str(path)]
+        if command != "check-law":
+            argv += ["--out", str(tmp_path / "o")]
+        return main(argv)
+
+    @pytest.mark.parametrize("command", ["run", "study", "check-law"])
+    @pytest.mark.parametrize("key, value", [("time.T", float("nan")),
+                                            ("materials.rho", float("inf")),
+                                            ("law.g_c", float("nan"))])
+    def test_non_finite_number_exits_2_naming_it(self, command, key, value, tmp_path,
+                                                 capsys):
+        code = self.probe(command, tmp_path, key, value)
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == f"config error: '{key}' must be a finite positive number\n"
+
+    @pytest.mark.parametrize("command", ["run", "study"])
+    @pytest.mark.parametrize("bulk, step", [("1e308 * 1e308 * t", 1), ("1e200 * t", 2),
+                                            ("exp(1000 * t) * y", 141)])
+    def test_non_finite_state_exits_3_at_its_step(self, command, bulk, step, tmp_path,
+                                                  capsys):
+        code = self.probe(command, tmp_path, "loads.bulk", bulk)
+        out, err = capsys.readouterr()
+        assert code == 3 and "Traceback" not in err
+        if command == "study":
+            assert out.startswith("failed: 1 levels")
+            assert err.startswith("level_00: ")
+            err = err[len("level_00: "):]
+        else:
+            assert out == ""
+        assert err.startswith(f"solver failure at step {step}: ") and err.count("\n") == 1
 
     def test_ramp_run_row_count(self, tmp_path):
         doc = base_doc()
@@ -476,7 +533,8 @@ class TestStudyCli:
         out = tmp_path / "out"
         out.write_text("")
         assert main(["study", study, "--out", str(out)]) == 4
-        assert "output error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("I/O error: ") and str(out) in err
 
     def test_level_directory_blocked_by_a_file_exits_4(self, tmp_path, capsys):
         study = self.write_study(tmp_path, levels=2)
@@ -484,7 +542,8 @@ class TestStudyCli:
         out.mkdir()
         (out / "level_01").write_text("")
         assert main(["study", study, "--out", str(out)]) == 4
-        assert "output error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("I/O error: ") and str(out / "level_01") in err
         # the level that ran keeps its artifacts
         assert (out / "level_00" / "energies.csv").exists()
 
@@ -505,7 +564,8 @@ class TestStudyCli:
     def test_missing_study_exits_4(self, tmp_path, capsys):
         out = tmp_path / "out"
         assert main(["study", str(tmp_path / "nope.json"), "--out", str(out)]) == 4
-        assert "cannot read study" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("I/O error: ") and str(tmp_path / "nope.json") in err
         assert not out.exists()
 
 

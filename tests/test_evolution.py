@@ -1,5 +1,6 @@
 """Evolution-driver tests: fixed points, history monotonicity, initial-data
-regularization, self-convergence and the history-floor sweep."""
+regularization, self-convergence and the history-floor sweep (run by
+``cohesim study``)."""
 
 import json
 
@@ -8,6 +9,7 @@ import pytest
 import scipy.sparse.linalg as spla
 from scipy.sparse._compressed import _cs_matrix
 
+import cohesim.cli
 import cohesim.evolution as evolution
 import cohesim.step as step_module
 from cohesim.assembly import LoadModel, mass_matrix, stiffness_matrix
@@ -16,7 +18,6 @@ from cohesim.audit import energy_ledger, kkt_report
 from cohesim.evolution import (
     EvolutionError,
     Scenario,
-    eps_continuation,
     regularize_initial_data,
     run,
     trajectory_distance,
@@ -390,52 +391,51 @@ class TestRegularizeInitialData:
 
 
 class TestEpsContinuation:
-    def test_inert_when_xi0_dominates(self):
-        sc = mild_ramp(n=10, xi0=0.3)
-        res = eps_continuation(sc, [0.2, 0.05, 0.01])
-        assert res.all_succeeded
-        assert all(d == 0.0 for d in res.distances)
-
-    def test_zero_xi0_reports_finite_distances(self):
-        sc = mild_ramp(n=20)
-        res = eps_continuation(sc, [1e-1, 1e-2, 1e-3])
-        assert res.all_succeeded
-        assert all(d is not None and np.isfinite(d) for d in res.distances)
-
     def test_with_eps_replaces_only_the_floor_and_validates(self):
         sc = mild_ramp(n=10)
         other = sc.with_eps(0.05)
         assert other.eps_bar == 0.05 and sc.eps_bar != 0.05
         assert other.mesh is sc.mesh and other.loads is sc.loads and other.n == sc.n
-        with pytest.raises(ValueError, match="eps_bar"):
-            sc.with_eps(0.0)
+        for bad in (0.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="eps_bar"):
+                sc.with_eps(bad)
 
-    def test_non_decreasing_eps_list_rejected(self):
-        sc = small_ramp(n=4, n_x=4, n_y=2)
-        with pytest.raises(ValueError, match="decreasing"):
-            eps_continuation(sc, [1e-2, 1e-1])
+    @staticmethod
+    def eps_study(tmp_path, eps_list):
+        doc = {"kind": "eps_continuation", "eps_list": eps_list,
+               "base": {"mesh": {"kind": "rectangle", "L": 1.0, "n_x": 4, "n_y": 2},
+                        "materials": {"rho": 1.0, "mu": 1.0, "eta": 1.0},
+                        "law": {"kind": "prototype", "g_c": 1.0, "xi_c": 1.0},
+                        "loads": {"bulk": "20 * t * sin(pi * x) * y"},
+                        "time": {"T": 1.0, "n": 4},
+                        "initial": {}, "regularization": {"eps_bar": 1e-3}}}
+        study = tmp_path / "study.json"
+        study.write_text(json.dumps(doc))
+        return ["study", str(study), "--out", str(tmp_path / "out")]
 
-    def test_solver_failure_is_recorded(self, monkeypatch):
-        real_run = evolution.run
+    def test_solver_failure_is_recorded(self, tmp_path, monkeypatch, capsys):
+        real_run = cohesim.cli.run
 
         def run_failing_first(scenario, **kwargs):
             if scenario.eps_bar == 1e-1:
                 raise ConvexityError("not strictly convex")
             return real_run(scenario, **kwargs)
 
-        monkeypatch.setattr(evolution, "run", run_failing_first)
-        res = eps_continuation(mild_ramp(n=4), [1e-1, 1e-2, 1e-3])
-        assert res.records[0] is None and isinstance(res.errors[0], ConvexityError)
-        assert res.errors[1:] == [None, None]
-        assert res.distances[0] is None and res.distances[1] is not None
+        monkeypatch.setattr(cohesim.cli, "run", run_failing_first)
+        assert main(self.eps_study(tmp_path, [1e-1, 1e-2, 1e-3])) == 3
+        assert "level_00: solver failure at step 1" in capsys.readouterr().err
+        rows = [line.split(",") for line in
+                (tmp_path / "out" / "study.csv").read_text().splitlines()[1:]]
+        assert [row[2] for row in rows] == ["failed", "ok", "ok"]
+        assert rows[0][5] == "" and rows[1][5] != ""
 
-    def test_programming_error_propagates(self, monkeypatch):
+    def test_programming_error_propagates(self, tmp_path, monkeypatch):
         def broken_run(scenario, **kwargs):
             raise TypeError("unexpected argument")
 
-        monkeypatch.setattr(evolution, "run", broken_run)
+        monkeypatch.setattr(cohesim.cli, "run", broken_run)
         with pytest.raises(TypeError, match="unexpected argument"):
-            eps_continuation(mild_ramp(n=4), [1e-1, 1e-2])
+            main(self.eps_study(tmp_path, [1e-1, 1e-2]))
 
 
 class TestTrajectoryDistance:
@@ -469,4 +469,3 @@ class TestTrajectoryDistance:
         for k in range(ra.n_steps + 1):
             d = max(d, ra.ops.l2_norm(ra.us[k] - rb.us[k]))
         assert d > 0.0 and same_bits(trajectory_distance(ra, rb), d)
-        assert same_bits(eps_continuation(sc, [1e-1, 1e-2]).distances[0], d)
