@@ -37,9 +37,10 @@ _TRI_QW = np.array([1.0, 1.0, 1.0]) / 3.0
 # 2-point Gauss on [0, 1]
 _EDGE_QP = np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)])
 _EDGE_QW = np.array([0.5, 0.5])
-# interface pairs per block of K^-1 B' (bounds the dense temporaries)
-_SCHUR_BLOCK = 8
 _MASS = (np.ones((3, 3)) + np.eye(3)) / 12.0    # consistent element mass / area
+# SuperLU in the given order without pivoting; the smallest supernodes keep
+# the factors' memory low
+_NO_PIVOT = {"permc_spec": "NATURAL", "diag_pivot_thresh": 0.0, "relax": 1, "panel_size": 1}
 
 
 @dataclass(frozen=True)
@@ -202,6 +203,11 @@ class DiscreteOperators:
         return self.M_unit @ u, self.A_unit @ u
 
     @cached_property
+    def Bt(self) -> sp.csr_matrix:
+        """``B'`` as CSR, for the time loop: ``B.T`` builds a new matrix per call."""
+        return self.B.T.tocsr()
+
+    @cached_property
     def interface_rows(self) -> tuple:
         """``(rows, M, A_eta, A_mu)`` restricted to the interface-node rows,
         the plus sides of the pairs first, then the minus sides.  Each row
@@ -234,47 +240,114 @@ def assemble(mesh: InterfaceMesh, materials: Materials) -> DiscreteOperators:
     )
 
 
+def _minimum_degree(nodes: np.ndarray, row, col, data, n: int) -> np.ndarray:
+    """``nodes`` in SuperLU's symmetric minimum-degree order (``MMD_AT_PLUS_A``)
+    of the block on them of the ``n x n`` matrix with entries ``(row, col, data)``.
+
+    An ILU that drops every entry gives the order of ``splu`` at a fraction
+    of its time and memory; its ``perm_c`` maps an index to its position."""
+    if nodes.size == 0:
+        return nodes
+    rank = np.full(n, -1)
+    rank[nodes] = np.arange(nodes.size)
+    r, c = rank[row], rank[col]
+    block = (r >= 0) & (c >= 0)
+    perm_c = spla.spilu(sp.csc_matrix((data[block], (r[block], c[block])),
+                                      shape=(nodes.size, nodes.size)),
+                        permc_spec="MMD_AT_PLUS_A", drop_tol=np.inf, fill_factor=1.0,
+                        diag_pivot_thresh=0.0).perm_c
+    order = np.empty_like(perm_c)     # the inverse of perm_c, without a sort
+    order[perm_c] = np.arange(nodes.size)
+    return nodes[order]
+
+
 class InterfaceSchur:
     """Interface Schur complement ``S = B K^-1 B'`` of an SPD operator ``K``
-    on the nodes ``free``, the only code that eliminates the Dirichlet nodes.
+    on the nodes ``free``, from one factorization ``K = L D L'`` with the
+    interface nodes last; the only code that eliminates the Dirichlet nodes.
 
     ``K`` and ``B`` act on all nodes; ``B`` vanishes off ``free``.  The other
     rows and columns of ``K`` become identity rows, so a right-hand side that
-    vanishes there gives a solution that vanishes there exactly and equals
-    the free-DOF block's elsewhere.  ``K`` is factorized once, with the
-    symmetric minimum-degree ordering ``MMD_AT_PLUS_A`` (Liu, ACM TOMS 11,
-    1985), which suits SPD blocks far better than SuperLU's default COLAMD
-    (on the 64x32 ``H0``: ``nnz(L + U)`` 552k -> 222k).  ``S`` is formed
-    ``_SCHUR_BLOCK`` pairs at a time from blocks of ``K^-1 B'`` that are
-    dropped at once.  Minimizing ``u' K u`` subject to ``B u = j`` leaves
-    ``j' S^-1 j``, the interface problem that FETI condenses onto (Farhat &
-    Roux, IJNME 32, 1991).
+    vanishes there gives a solution that vanishes there exactly (``+0.0``).
+    The order is: Dirichlet nodes, interior nodes by SuperLU's symmetric
+    minimum-degree order of their block (``MMD_AT_PLUS_A``, Liu, ACM TOMS 11,
+    1985), then the ``m`` nodes that ``B`` reads (its columns there are
+    ``B_G``); the factorization does not pivot.  Only ``U = D L'`` is kept,
+    refactorized as a triangle so that one ``solve`` sweeps it alone:
+    ``U^-1`` is the backward sweep and ``L^-1 = D U'^-1`` the forward one.
+    ``L^-1`` maps a vector on the trailing rows, such as ``B' lam``, through
+    the trailing block ``L_S`` alone, so with the dense ``Z = L_S^-1 B_G'``
+    (``m x n_pairs``) the interface operator is ``S = Z' D_S^-1 Z`` (the
+    Schur-complement option of sparse direct solvers: MUMPS ICNTL(19),
+    Amestoy et al., SIMAX 23, 2001) and ``K^-1 (B' lam - b)`` is one
+    :meth:`forward` and one :meth:`backward` sweep.  ``Z`` and ``S`` are
+    solved with the trailing block ``U_S`` of ``U``, also by SuperLU, which
+    keeps dense LAPACK and BLAS kernels out of a small run's memory.
+    Minimizing ``u' K u`` subject to ``B u = j`` leaves ``j' S^-1 j``, the
+    interface problem that FETI condenses onto (Farhat & Roux, IJNME 32,
+    1991).
 
     For ``K = H0`` it is the time step's interface operator: the step solver
     runs Newton on the interface multipliers with ``S``, gets the linear part
-    of the jumps and the displacement from one ``solve`` each and decides
-    convexity from ``lambda_max`` (see :mod:`cohesim.step`).  The trace
-    constant uses it for ``K = A``.
+    of the jumps from the forward sweep and the displacement from the
+    backward one, and decides convexity from ``lambda_max`` (see
+    :mod:`cohesim.step`).  The trace constant uses it for ``K = A``.
     """
 
     def __init__(self, K: sp.spmatrix, B: sp.spmatrix, free):
-        self._free = np.zeros(K.shape[0], dtype=bool)
+        n = K.shape[0]
+        self._free = np.zeros(n, dtype=bool)
         self._free[free] = True
-        d = np.flatnonzero(~self._free)
+        B = B.tocsc()
+        G = np.flatnonzero(np.diff(B.indptr))
+        self._G = slice(n - G.size, n)
         K = K.tocoo()     # entrywise, so the free block keeps its explicit zeros
         keep = self._free[K.row] & self._free[K.col]
-        K = sp.csc_matrix((np.r_[K.data[keep], np.ones(d.size)],
-                           (np.r_[K.row[keep], d], np.r_[K.col[keep], d])), shape=K.shape)
-        self._lu = spla.splu(K, permc_spec="MMD_AT_PLUS_A")
-        self.solve = self._lu.solve
-        self.B = B = B.tocsr()
-        self.Bt = B.T.tocsr()
-        n_pairs = B.shape[0]
-        S = np.empty((n_pairs, n_pairs))
-        for j in range(0, n_pairs, _SCHUR_BLOCK):
-            cols = slice(j, j + _SCHUR_BLOCK)
-            S[:, cols] = B @ self._lu.solve(B[cols].T.toarray())
+        row, col, data = K.row[keep], K.col[keep], K.data[keep]
+        del K, keep
+        inner = self._free.copy()
+        inner[G] = False
+        d = np.flatnonzero(~self._free)
+        inner = _minimum_degree(np.flatnonzero(inner), row, col, data, n)
+        self._order = np.concatenate([d, inner, G])
+        pos = np.empty(n, dtype=np.int32)
+        pos[self._order] = np.arange(n, dtype=np.int32)
+        K = sp.csc_matrix((np.r_[data, np.ones(d.size)],
+                           (np.r_[pos[row], np.arange(d.size)],
+                            np.r_[pos[col], np.arange(d.size)])), shape=(n, n))
+        del row, col, data
+        lu = spla.splu(K, options={"SymmetricMode": True}, **_NO_PIVOT)
+        del K
+        identity = np.arange(n)
+        if not (np.array_equal(lu.perm_r, identity) and np.array_equal(lu.perm_c, identity)):
+            raise RuntimeError("the interface-last factorization pivoted")
+        U = lu.U
+        del lu     # before the sweep factor, so that one factor is held at a time
+        self._D = U.diagonal()
+        D_S = self._D[self._G]
+        U_S = spla.splu(U[self._G, self._G], **_NO_PIVOT)
+        self._sweep = spla.splu(U, **_NO_PIVOT)
+        del U
+        B_G = B[:, G]
+        self._Z = D_S[:, None] * U_S.solve(B_G.T.toarray(), trans="T")
+        S = B_G @ U_S.solve(self._Z)      # Z' D_S^-1 = B_G U_S^-1
         self.S = 0.5 * (S + S.T)
+
+    def forward(self, b: np.ndarray) -> tuple:
+        """The forward sweep ``y = L^-1 b`` (in factor order) of a nodal ``b``
+        that vanishes on the Dirichlet nodes, and the jumps ``-B K^-1 b`` of
+        ``backward(0, y)``."""
+        y = self._D * self._sweep.solve(b[self._order], trans="T")
+        return y, -(self._Z.T @ (y[self._G] / self._D[self._G]))
+
+    def backward(self, lam: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """``K^-1 (B' lam - b)`` by one backward sweep, from ``y`` of
+        :meth:`forward` of ``b``; zero (``+0.0``) on the Dirichlet nodes."""
+        e = 0.0 - y       # not -y, which turns a Dirichlet entry +0.0 into -0.0
+        e[self._G] += self._Z @ lam
+        u = np.empty(y.size)
+        u[self._order] = self._sweep.solve(e)
+        return u
 
     def constrained(self, v: np.ndarray) -> np.ndarray:
         """The nodal vector ``v`` with zeros on the Dirichlet nodes (a copy)."""

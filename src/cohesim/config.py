@@ -60,11 +60,15 @@ def _section(doc: dict, name: str, required=(), optional=()) -> dict:
     return sec
 
 
-def _is_positive(val) -> bool:
-    """A JSON number in ``(0, float max]``: not a bool, NaN or infinity (the
+def _is_finite(val) -> bool:
+    """A JSON number in the float range: not a bool, NaN or infinity (the
     ``NaN`` and ``Infinity`` tokens that ``json.load`` accepts)."""
     return (isinstance(val, (int, float)) and not isinstance(val, bool)
-            and 0 < val <= _FLOAT_MAX)
+            and -_FLOAT_MAX <= val <= _FLOAT_MAX)
+
+
+def _is_positive(val) -> bool:
+    return _is_finite(val) and val > 0
 
 
 def _positive(sec: dict, section: str, key: str) -> float:
@@ -150,6 +154,23 @@ def _build_materials(doc: dict) -> Materials:
     return Materials(*[_positive(sec, "materials", k) for k in keys])
 
 
+def _table(sec: dict, key: str) -> np.ndarray:
+    val = sec[key]
+    if not (isinstance(val, list) and all(map(_is_finite, val))):
+        raise ConfigError(f"'law.{key}' must be a list of finite numbers")
+    return np.asarray(val, dtype=float)
+
+
+def _initial(sec: dict, key: str, x, y) -> np.ndarray:
+    """The ``initial`` field ``key`` at the points ``(x, y)`` (0 when absent)."""
+    with np.errstate(all="ignore"):     # the finiteness test below names the field
+        val = np.asarray(_expr(sec, "initial", key, ("x", "y"), default=0.0)(x=x, y=y),
+                         dtype=float)
+    if not np.all(np.isfinite(val)):
+        raise ConfigError(f"'initial.{key}' must be finite at every node")
+    return val
+
+
 def build_law(doc: dict) -> CohesiveLaw:
     """Build and validate the cohesive law from the 'law' section."""
     sec = doc.get("law")
@@ -161,9 +182,7 @@ def build_law(doc: dict) -> CohesiveLaw:
                                 _positive(sec, "law", "xi_c"))
     elif sec["kind"] == "tabulated":
         sec = _section(doc, "law", required=("kind", "w", "psi", "dpsi"))
-        env = TabulatedEnvelope(np.asarray(sec["w"], float),
-                                np.asarray(sec["psi"], float),
-                                np.asarray(sec["dpsi"], float))
+        env = TabulatedEnvelope(*[_table(sec, key) for key in ("w", "psi", "dpsi")])
     else:
         raise ConfigError("'law.kind' must be 'prototype' or 'tabulated'")
     return CohesiveLaw(env)
@@ -192,6 +211,14 @@ def parse_scenario(doc: dict) -> ScenarioConfig:
     tsec = _section(doc, "time", required=("T", "n"))
     T = _positive(tsec, "time", "T")
     n = _integer(tsec["n"], "time.n", 1)
+    # the step's coefficients tau^2, rho / tau^2 and eta / tau must be floats too
+    tau = T / n
+    rho = max(materials.rho_plus, materials.rho_minus)
+    eta = max(materials.eta_plus, materials.eta_minus)
+    if not (0.0 < tau * tau <= _FLOAT_MAX and rho / (tau * tau) <= _FLOAT_MAX
+            and eta / tau <= _FLOAT_MAX):
+        raise ConfigError(f"'time.T' over 'time.n' gives the time step tau = {tau:.3g}, for "
+                          "which tau^2, rho / tau^2 or eta / tau is out of the float range")
 
     lsec = _section(doc, "loads", required=(), optional=("bulk", "surface", "samples"))
     bulk = _expr(lsec, "loads", "bulk", ("x", "y", "t"), default=0.0)
@@ -206,14 +233,11 @@ def parse_scenario(doc: dict) -> ScenarioConfig:
 
     isec = _section(doc, "initial", required=(), optional=("u0", "v0", "xi0", "w0"))
     xs, ys = mesh.nodes[:, 0], mesh.nodes[:, 1]
-    u0 = np.asarray(_expr(isec, "initial", "u0", ("x", "y"), default=0.0)(x=xs, y=ys))
-    v0 = np.asarray(_expr(isec, "initial", "v0", ("x", "y"), default=0.0)(x=xs, y=ys))
+    u0 = _initial(isec, "u0", xs, ys)
+    v0 = _initial(isec, "v0", xs, ys)
     px = mesh.nodes[mesh.interface_pairs[:, 0]]
-    xi0 = np.asarray(_expr(isec, "initial", "xi0", ("x", "y"), default=0.0)(
-        x=px[:, 0], y=px[:, 1]))
-    w0 = None
-    if "w0" in isec:
-        w0 = np.asarray(_expr(isec, "initial", "w0", ("x", "y"))(x=xs, y=ys))
+    xi0 = _initial(isec, "xi0", px[:, 0], px[:, 1])
+    w0 = _initial(isec, "w0", xs, ys) if "w0" in isec else None
 
     rsec = _section(doc, "regularization", required=("eps_bar",),
                     optional=("regularity_mode",))

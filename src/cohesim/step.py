@@ -39,8 +39,8 @@ every direction descends and the method is a semismooth Newton method with a
 quadratic rate (Qi & Sun, Math. Programming 58, 1993); one polish step then
 takes the residual to rounding level.  Without that margin the softening
 curvature is clipped at zero, which keeps ``D >= 0``.  An Armijo backtracking
-line search on ``phi`` guarantees monotone decrease.  ``H0`` is factorized
-once per time step size, with a symmetric minimum-degree ordering
+line search on ``phi`` guarantees monotone decrease.  ``H0 = L D L'`` is
+factorized once per time step size, with the interface nodes last
 (:class:`~cohesim.assembly.InterfaceSchur`).
 
 Per step, the work follows what changes within it.  ``xi_prev`` is fixed for
@@ -54,14 +54,15 @@ step (``b``, the a-posteriori residual ``H0 u_new``, the incremental energy)
 is a nodal scaling of the products ``(M_unit u, A_unit u)`` of ``u_new``,
 ``u_prev`` and ``u_prev2``; a run forms those of ``u_new`` once and hands
 them on (:attr:`StepProblem.products`, :attr:`StepResult.products`).  A step
-then costs one sparse solve for ``j_lin``, the Newton iterations in the
-``n_pairs`` unknowns, one sparse solve to recover ``u`` and two full-size
-sparse products.  Each Newton trial point costs one ``S @ lam`` and one fused
+then costs one forward sweep ``y = L^-1 b``, which gives ``j_lin`` from its
+interface rows, the Newton iterations in the ``n_pairs`` unknowns, one
+backward sweep from ``y`` to recover ``u`` and two full-size sparse
+products.  Each Newton trial point costs one ``S @ lam`` and one fused
 law pass giving ``phi``, ``r``, ``|r|_inf`` and the branch masks; an accepted
 point reuses them for its residual test and its curvature ``D``, so a point
 is never evaluated twice.  The workspace keeps the nodal coefficients of
-``H0``, its factorization and ``S``; vectors are nodal and ``b`` vanishes on
-the Dirichlet nodes; no dense nodes x pairs array is kept.
+``H0``, the triangular factor ``U = D L'`` and ``S``; vectors are nodal and
+``b`` vanishes on the Dirichlet nodes; no dense nodes x pairs array is kept.
 
 After the solve, one post-step pass forms the jumps ``[u_k]`` once and makes
 one law pass at the updated history ``xi_k``.  :class:`StepResult` carries
@@ -119,9 +120,10 @@ class ConvexityError(RuntimeError):
 
 
 class StepWorkspace:
-    """Reusable factorization of the history-independent SPD block
-    ``H0 = diag(mass) M_unit + diag(stiffness) A_unit``, with the nodal
-    coefficients ``mass = rho / tau^2`` and ``stiffness = eta / tau + mu``.
+    """Reusable interface-last factorization of the history-independent SPD
+    block ``H0 = diag(mass) M_unit + diag(stiffness) A_unit``, with the nodal
+    coefficients ``mass = rho / tau^2`` and ``stiffness = eta / tau + mu``:
+    ``schur`` holds ``S`` and sweeps the factor forward and backward.
 
     ``tau=None`` builds the static variant (elastic stiffness only), used for
     the equilibrium recomputation of initial data.
@@ -146,10 +148,6 @@ class StepWorkspace:
     def newton_direction(self, r: np.ndarray, d_curv: np.ndarray) -> np.ndarray:
         """Interface Newton direction: solve ``(I + diag(d_curv) S) delta = -r``."""
         return np.linalg.solve(np.eye(d_curv.size) + d_curv[:, None] * self.schur.S, -r)
-
-    def displacement(self, lam: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Nodal field ``u(lam) = H0^-1 (B' lam - b)``, zero on the Dirichlet nodes."""
-        return self.schur.solve(self.schur.Bt @ lam - b)
 
 
 @dataclass
@@ -235,11 +233,13 @@ def _minimize(ws: StepWorkspace, hist: FrozenHistory, beta: float, b: np.ndarray
     """Damped Newton with Armijo backtracking on the interface functional
     ``phi(lam) = 1/2 lam' S lam + sum_j w_j psi(j_lin + S lam, xi_j)``.
 
-    Returns ``(lam, iters, residual_norm)``.  ``trace`` receives the values
-    of ``energy`` (the full-space functional) along the iterates.
+    Returns ``(u, iters, residual_norm)`` with the minimizer's displacement
+    ``u = H0^-1 (B' lam - b)``: the forward sweep of ``b`` gives ``j_lin`` and
+    the backward sweep from it ``u``.  ``trace`` receives the values of
+    ``energy`` (the full-space functional) along the iterates.
     """
     S, w = ws.schur.S, ws.weights
-    j_lin = -(ws.schur.B @ ws.schur.solve(b))
+    y, j_lin = ws.schur.forward(b)
     certified = beta * ws.lambda_max < 1.0
 
     def point(lam) -> _Point:
@@ -256,7 +256,7 @@ def _minimize(ws: StepWorkspace, hist: FrozenHistory, beta: float, b: np.ndarray
         return ws.newton_direction(p.r, w * (d if certified else np.maximum(d, 0.0)))
 
     def stagnation(message, p: _Point):
-        return StepSolverError(message, u_last=ws.displacement(p.lam, b), grad_norm=p.rnorm)
+        return StepSolverError(message, u_last=ws.schur.backward(p.lam, y), grad_norm=p.rnorm)
 
     def check_finite(p: _Point):
         # an overflowed load or state is no minimizer, though an infinite
@@ -269,7 +269,7 @@ def _minimize(ws: StepWorkspace, hist: FrozenHistory, beta: float, b: np.ndarray
     check_finite(cur)
     if trace is not None:
         zero = np.zeros_like(lam0)
-        offset = energy(ws.displacement(zero, b)) - point(zero).phi
+        offset = energy(ws.schur.backward(zero, y)) - point(zero).phi
         trace.append(cur.phi + offset)
     iters = 0
     while not (cur.rnorm <= tol_abs) and iters < max_iter:
@@ -307,7 +307,7 @@ def _minimize(ws: StepWorkspace, hist: FrozenHistory, beta: float, b: np.ndarray
     if trial.rnorm < cur.rnorm:
         cur = trial
         iters += 1
-    return cur.lam, iters, cur.rnorm
+    return ws.schur.backward(cur.lam, y), iters, cur.rnorm
 
 
 def _workspace(prob: StepProblem) -> StepWorkspace:
@@ -342,10 +342,8 @@ def solve_step(prob: StepProblem, tol: float = 1e-10, max_iter: int = 60,
         hist = prob.law.frozen(prob.xi_prev)
     # warm start: the cohesive tractions at the second-order predicted jumps
     lam0 = -ws.weights * hist.evaluate(ops.B @ u_pred)[1]
-    lam, iters, rnorm = _minimize(ws, hist, prob.law.beta, b, lam0, tol_abs, max_iter,
-                                  trace, lambda u: incremental_energy(u, prob))
-
-    u_new = ws.displacement(lam, b)
+    u_new, iters, rnorm = _minimize(ws, hist, prob.law.beta, b, lam0, tol_abs, max_iter,
+                                    trace, lambda u: incremental_energy(u, prob))
     m, a = products_new = ops.products(u_new)
     jumps = ops.B @ u_new
     xi_new = np.maximum(prob.xi_prev, np.abs(jumps))
@@ -356,7 +354,7 @@ def solve_step(prob: StepProblem, tol: float = 1e-10, max_iter: int = 60,
     # a-posteriori form: the Euler-Lagrange residual with the updated history
     # (H0 u_new on the free rows, as u_new vanishes on the Dirichlet nodes)
     g_post = (constrained(ws.mass * m + ws.stiffness * a) + b
-              + ws.schur.Bt @ (ws.weights * traction))
+              + ops.Bt @ (ws.weights * traction))
     el_residual = float(np.abs(g_post).max(initial=0.0))
 
     return StepResult(u_new=u_new, xi_new=xi_new, newton_iters=iters,
@@ -378,9 +376,8 @@ def solve_static(ops: DiscreteOperators, law: CohesiveLaw, xi: np.ndarray,
     ws = workspace if workspace is not None else StepWorkspace(ops, None)
     b = ws.schur.constrained(-f_eff)
     tol_abs = tol * (1.0 + float(np.abs(f_eff).max(initial=0.0)))
-    lam, _, _ = _minimize(ws, law.frozen(xi), law.beta, b, np.zeros(ws.weights.size),
-                          tol_abs, max_iter)
-    return ws.displacement(lam, b)
+    return _minimize(ws, law.frozen(xi), law.beta, b, np.zeros(ws.weights.size), tol_abs,
+                     max_iter)[0]
 
 
 def convexity_guard(prob: StepProblem) -> bool:

@@ -8,7 +8,6 @@ import pytest
 import scipy.sparse.linalg as spla
 
 from cohesim.assembly import (
-    _SCHUR_BLOCK,
     InterfaceSchur,
     LoadModel,
     Materials,
@@ -134,21 +133,12 @@ class TestOperators:
 
 
 class TestInterfaceSchur:
-    def test_blocked_X_equals_one_shot_solve(self):
-        # S from the blocks of X = K^-1 B' equals S from X in one solve, bit
-        # for bit; X itself is not kept
-        mesh = build_rectangle_mesh(1.0, 40, 2)        # 41 pairs: blocks of 8 and 1
-        assert mesh.n_pairs % _SCHUR_BLOCK != 0
-        ops = assemble(mesh, Materials(1.0, 2.0, 1.0, 3.0, 0.5, 2.0))
-        schur = InterfaceSchur(ops.M / 0.01**2 + ops.A_eta / 0.01 + ops.A_mu, ops.B,
-                               ops.free_dofs)
-        S = ops.B @ schur._lu.solve(ops.B.T.toarray())
-        assert np.array_equal(schur.S, 0.5 * (S + S.T))
-
-    @pytest.mark.parametrize("n_x, n_y, tau", [(8, 4, 0.01), (16, 8, 0.05), (16, 8, None)])
+    @pytest.mark.parametrize("n_x, n_y, tau", [(8, 4, 0.01), (16, 8, 0.05), (16, 8, None),
+                                               (40, 2, 0.01)])
     def test_dirichlet_elimination_equals_the_free_dof_block(self, n_x, n_y, tau):
         # reference: the free-DOF block and the free columns of B, factorized
-        # with the same ordering; S, solves and K agree bit for bit
+        # directly; S and a forward sweep followed by a backward sweep agree
+        # with it to rounding
         mesh = build_rectangle_mesh(1.0, n_x, n_y)
         ops = assemble(mesh, Materials(1.0, 2.0, 1.0, 3.0, 0.5, 2.0))
         free, dirichlet = ops.free_dofs, mesh.dirichlet_nodes
@@ -162,20 +152,29 @@ class TestInterfaceSchur:
         lu = spla.splu(K_ff.tocsc(), permc_spec="MMD_AT_PLUS_A")
         S = B_f @ lu.solve(B_f.T.toarray())
         schur = InterfaceSchur(K, ops.B, free)
-        assert np.array_equal(schur.S, 0.5 * (S + S.T))
+        assert np.array_equal(schur.S, schur.S.T)
+        assert np.abs(schur.S - S).max() <= 1e-13 * np.abs(S).max()
 
-        rhs = np.random.default_rng(5).normal(size=ops.n_nodes)
+        rng = np.random.default_rng(5)
+        rhs = rng.normal(size=ops.n_nodes)
         rhs[dirichlet] = 0.0
-        u = schur.solve(rhs)
-        assert np.all(u[dirichlet] == 0.0)
-        assert np.array_equal(u[free], lu.solve(rhs[free]))
+        lam = rng.normal(size=mesh.n_pairs)
+        y, j_lin = schur.forward(rhs)
+        u = schur.backward(lam, y)
+        ref = lu.solve(B_f.T @ lam - rhs[free])
+        assert np.abs(u[free] - ref).max() <= 1e-12 * np.abs(ref).max()
+        j_ref = -(B_f @ lu.solve(rhs[free]))
+        assert np.abs(j_lin - j_ref).max() <= 1e-12 * np.abs(j_ref).max()
+        # exactly +0.0 on the Dirichlet nodes, so no "-0" reaches the output
+        assert not np.any(u[dirichlet]) and not np.signbit(u[dirichlet]).any()
         # the eliminated operator, built here: the free-DOF block of K and
         # identity rows and columns on the Dirichlet nodes; the schur keeps
-        # only its factorization
+        # only its factor
         K_elim = K.toarray()
         K_elim[dirichlet, :] = K_elim[:, dirichlet] = 0.0
         K_elim[dirichlet, dirichlet] = 1.0
-        assert np.abs(K_elim @ u - rhs).max() <= 1e-12 * np.abs(rhs).max()
+        rhs_u = ops.B.T @ lam - rhs
+        assert np.abs(K_elim @ u - rhs_u).max() <= 1e-12 * np.abs(rhs_u).max()
         assert not hasattr(schur, "K")
         shifted = schur.constrained(rhs + 1.0)
         assert not shifted[dirichlet].any()

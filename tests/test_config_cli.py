@@ -311,16 +311,44 @@ class TestCli:
             argv += ["--out", str(tmp_path / "o")]
         return main(argv)
 
+    NUMBER_PROBES = [
+        ("time.T", float("nan"), "must be a finite positive number"),
+        ("materials.rho", float("inf"), "must be a finite positive number"),
+        ("law.g_c", float("nan"), "must be a finite positive number"),
+        # finite, but tau^2 = (T / 200)^2 overflows
+        ("time.T", 1e300, "over 'time.n' gives the time step tau = 5e+297, for which "
+                          "tau^2, rho / tau^2 or eta / tau is out of the float range"),
+        ("initial.u0", "1e400 * x", "must be finite at every node"),
+        ("initial.xi0", "0 * x + 1e400", "must be finite at every node"),
+    ]
+
     @pytest.mark.parametrize("command", ["run", "study", "check-law"])
-    @pytest.mark.parametrize("key, value", [("time.T", float("nan")),
-                                            ("materials.rho", float("inf")),
-                                            ("law.g_c", float("nan"))])
-    def test_non_finite_number_exits_2_naming_it(self, command, key, value, tmp_path,
-                                                 capsys):
+    @pytest.mark.parametrize("key, value, message",
+                             [pytest.param(*p, id=f"{p[0]}-{p[1]}") for p in NUMBER_PROBES])
+    def test_non_finite_number_exits_2_naming_it(self, command, key, value, message,
+                                                 tmp_path, capsys):
         code = self.probe(command, tmp_path, key, value)
         out, err = capsys.readouterr()
         assert code == 2 and out == ""
-        assert err == f"config error: '{key}' must be a finite positive number\n"
+        assert err == f"config error: '{key}' {message}\n"
+
+    @pytest.mark.parametrize("command", ["run", "check-law"])
+    @pytest.mark.parametrize("key, bad", [("w", float("nan")), ("psi", "0.8"),
+                                          ("dpsi", float("nan")), ("dpsi", [0.7])])
+    def test_tabulated_law_entry_not_a_finite_number_exits_2(self, command, key, bad,
+                                                             tmp_path, capsys):
+        law = {"kind": "tabulated", "w": [0.0, 0.5, 1.0], "psi": [0.0, 0.8, 1.0],
+               "dpsi": [2.0, 0.7, 0.0]}
+        law[key][1] = bad
+        doc = base_doc()
+        doc["law"] = law
+        path = tmp_path / "law.json"
+        path.write_text(json.dumps(doc))
+        argv = [command, str(path)] + (["--out", str(tmp_path / "o")] if command == "run"
+                                       else [])
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"config error: 'law.{key}' must be a list of finite numbers\n"
 
     @pytest.mark.parametrize("command", ["run", "study"])
     @pytest.mark.parametrize("bulk, step", [("1e308 * 1e308 * t", 1), ("1e200 * t", 2),

@@ -87,35 +87,61 @@ class TestRun:
         with pytest.raises(ConvexityError, match="time step"):
             run(sc)
 
+    @staticmethod
+    def record_factors(monkeypatch):
+        """Record the orderings and factorizations a run makes; each factor
+        counts its solves by ``trans`` (of the kept factor ``U``, ``"T"`` is a
+        forward sweep and ``"N"`` a backward sweep)."""
+        calls, factors = [], []
+        real_splu, real_spilu = spla.splu, spla.spilu
+
+        class Counted:
+            def __init__(self, lu):
+                self.lu, self.sweeps = lu, []
+
+            def __getattr__(self, name):
+                return getattr(self.lu, name)
+
+            def solve(self, rhs, trans="N"):
+                self.sweeps.append(trans)
+                return self.lu.solve(rhs, trans)
+
+        def splu(A, **kwargs):
+            calls.append(("splu", A.shape, kwargs["permc_spec"]))
+            factors.append(Counted(real_splu(A, **kwargs)))
+            return factors[-1]
+
+        def spilu(A, **kwargs):
+            calls.append(("spilu", A.shape, kwargs["permc_spec"]))
+            return real_spilu(A, **kwargs)
+
+        monkeypatch.setattr(spla, "splu", splu)
+        monkeypatch.setattr(spla, "spilu", spilu)
+        return calls, factors
+
     def test_run_factorizes_once_with_symmetric_ordering(self, monkeypatch):
-        orderings = []
-        real_splu = spla.splu
-
-        def recording_splu(*args, **kwargs):
-            orderings.append(kwargs.get("permc_spec"))
-            return real_splu(*args, **kwargs)
-
-        monkeypatch.setattr(spla, "splu", recording_splu)
+        # one minimum-degree order of the interior block, one interface-last
+        # factorization of H0, then the factors of the trailing block of its U
+        # (solved twice, for Z and S) and of U itself, the one kept; each step
+        # sweeps U once forward and once backward, the first factor never
+        factorization = [("spilu", "MMD_AT_PLUS_A")] + [("splu", "NATURAL")] * 3
+        calls, factors = self.record_factors(monkeypatch)
         run(mild_ramp(n=5))
-        assert orderings == ["MMD_AT_PLUS_A"]
+        assert [(kind, spec) for kind, _, spec in calls] == factorization
+        assert [f.sweeps for f in factors] == [[], ["T", "N"], ["T", "N"] * 5]
         # a refused time step is decided on the same single factorization
-        orderings.clear()
+        calls.clear()
+        factors.clear()
         with pytest.raises(ConvexityError, match="time step"):
             run(standard_ramp(n=2, n_x=4, n_y=2, T=2e6))
-        assert orderings == ["MMD_AT_PLUS_A"]
+        assert [(kind, spec) for kind, _, spec in calls] == factorization
+        assert [f.sweeps for f in factors] == [[], ["T", "N"], []]
 
     def test_regularity_mode_cli_run_factorizes_each_block_once(self, monkeypatch,
                                                                 tmp_path):
         # the static solve of the initial data factorizes A_mu, the time
         # loop H0; the traction audit must not trigger a second static solve
-        shapes = []
-        real_splu = spla.splu
-
-        def recording_splu(A, **kwargs):
-            shapes.append((A.shape, kwargs.get("permc_spec")))
-            return real_splu(A, **kwargs)
-
-        monkeypatch.setattr(spla, "splu", recording_splu)
+        calls, factors = self.record_factors(monkeypatch)
         doc = {
             "mesh": {"kind": "rectangle", "L": 1.0, "n_x": 8, "n_y": 4},
             "materials": {"rho": 1.0, "mu": 1.0, "eta": 1.0},
@@ -131,8 +157,15 @@ class TestRun:
         path.write_text(json.dumps(doc))
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
         # the blocks are nodal; InterfaceSchur eliminates the Dirichlet nodes
-        n_nodes = build_rectangle_mesh(1.0, 8, 4).n_nodes
-        assert shapes == [((n_nodes, n_nodes), "MMD_AT_PLUS_A")] * 2
+        # and orders the interior nodes (neither Dirichlet nor interface) alone
+        mesh = build_rectangle_mesh(1.0, 8, 4)
+        n, m = mesh.n_nodes, 2 * mesh.n_pairs
+        n_inner = mesh.free_nodes.size - m
+        assert calls == [("spilu", (n_inner, n_inner), "MMD_AT_PLUS_A"),
+                         ("splu", (n, n), "NATURAL"), ("splu", (m, m), "NATURAL"),
+                         ("splu", (n, n), "NATURAL")] * 2
+        assert [f.sweeps for f in factors] == [[], ["T", "N"], ["T", "N"],
+                                               [], ["T", "N"], ["T", "N"] * 20]
         assert (tmp_path / "out" / "tractions.csv").read_text().count("\n") == 21
 
     def test_recorded_columns_equal_their_recomputation(self):
