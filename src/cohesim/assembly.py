@@ -24,6 +24,7 @@ __all__ = [
     "Materials",
     "DiscreteOperators",
     "InterfaceSchur",
+    "LoadError",
     "LoadModel",
     "assemble",
     "stiffness_matrix",
@@ -203,9 +204,17 @@ class DiscreteOperators:
         return self.M_unit @ u, self.A_unit @ u
 
     @cached_property
-    def Bt(self) -> sp.csr_matrix:
-        """``B'`` as CSR, for the time loop: ``B.T`` builds a new matrix per call."""
-        return self.B.T.tocsr()
+    def pairs(self) -> tuple:
+        """``(plus, minus)``: the nodes where each row of ``B`` is ``+1`` and
+        ``-1``; the time loop reads jumps and ``B' r`` there, not by products."""
+        cols, plus = self.B.indices.reshape(-1, 2), self.B.data.reshape(-1, 2) > 0.0
+        return cols[plus], cols[~plus]
+
+    def jumps(self, u: np.ndarray) -> np.ndarray:
+        """``B @ u`` bit for bit: a row of ``B`` sums from ``+0.0``, so no
+        jump is ``-0.0``."""
+        plus, minus = self.pairs
+        return (0.0 + u[plus]) - u[minus]
 
     @cached_property
     def interface_rows(self) -> tuple:
@@ -280,7 +289,8 @@ class InterfaceSchur:
     (``m x n_pairs``) the interface operator is ``S = Z' D_S^-1 Z`` (the
     Schur-complement option of sparse direct solvers: MUMPS ICNTL(19),
     Amestoy et al., SIMAX 23, 2001) and ``K^-1 (B' lam - b)`` is one
-    :meth:`forward` and one :meth:`backward` sweep.  ``Z`` and ``S`` are
+    :meth:`forward` and one :meth:`backward` sweep (its factor is built on
+    the first sweep, so ``S`` alone needs none).  ``Z`` and ``S`` are
     solved with the trailing block ``U_S`` of ``U``, also by SuperLU, which
     keeps dense LAPACK and BLAS kernels out of a small run's memory.
     Minimizing ``u' K u`` subject to ``B u = j`` leaves ``j' S^-1 j``, the
@@ -321,17 +331,20 @@ class InterfaceSchur:
         identity = np.arange(n)
         if not (np.array_equal(lu.perm_r, identity) and np.array_equal(lu.perm_c, identity)):
             raise RuntimeError("the interface-last factorization pivoted")
-        U = lu.U
-        del lu     # before the sweep factor, so that one factor is held at a time
-        self._D = U.diagonal()
+        self._U = lu.U
+        del lu     # before the next factor, so that one factor is held at a time
+        self._D = self._U.diagonal()
         D_S = self._D[self._G]
-        U_S = spla.splu(U[self._G, self._G], **_NO_PIVOT)
-        self._sweep = spla.splu(U, **_NO_PIVOT)
-        del U
+        U_S = spla.splu(self._U[self._G, self._G], **_NO_PIVOT)
         B_G = B[:, G]
         self._Z = D_S[:, None] * U_S.solve(B_G.T.toarray(), trans="T")
         S = B_G @ U_S.solve(self._Z)      # Z' D_S^-1 = B_G U_S^-1
         self.S = 0.5 * (S + S.T)
+
+    @cached_property
+    def _sweep(self):
+        """The factor of ``U`` that the sweeps solve; it replaces ``U``."""
+        return spla.splu(self.__dict__.pop("_U"), **_NO_PIVOT)
 
     def forward(self, b: np.ndarray) -> tuple:
         """The forward sweep ``y = L^-1 b`` (in factor order) of a nodal ``b``
@@ -416,6 +429,14 @@ def _load_rules(mesh: InterfaceMesh) -> tuple:
     return bulk, surface
 
 
+class LoadError(FloatingPointError):
+    """A load sample that is not finite; ``args`` are the load's name
+    (``bulk`` or ``surface``) and the sample's time."""
+
+    def __str__(self):
+        return "the {} load is not finite at t = {!r}".format(*self.args)
+
+
 class LoadModel:
     """External load sampled in time with piecewise-affine reconstruction.
 
@@ -431,19 +452,20 @@ class LoadModel:
     as every node sums its contributions in the same order.
 
     Samples are formed on demand and the last two kept, so a time loop forms
-    each once and no (samples x nodes) table is stored.  Between samples the
-    vectors are interpolated affinely, which commutes with the (linear)
-    assembly.  Concurrent reads are safe: the cache is replaced, never
-    modified, so a race costs at most a repeated evaluation.
+    each once and no (samples x nodes) table is stored; one that is not
+    finite raises :class:`LoadError`.  :meth:`at` returns the sample at a
+    sample time and interpolates affinely between samples, which commutes
+    with the (linear) assembly.  Concurrent reads are safe: the cache is
+    replaced, never modified, so a race costs at most a repeated evaluation.
     """
 
-    def __init__(self, times, n_nodes: int, loads: tuple, surface_is_zero: bool):
+    def __init__(self, times, n_nodes: int, loads: dict, surface_is_zero: bool):
         times = np.asarray(times, dtype=float)
         if times.ndim != 1 or times.size < 1 or np.any(np.diff(times) <= 0.0):
             raise ValueError("load sample times must be strictly increasing")
         self.times = times
         self.n_nodes = n_nodes
-        self.loads = loads     # functions t -> nodal load, summed in order
+        self.loads = loads     # name -> function t -> nodal load, summed in order
         self.surface_is_zero = surface_is_zero
         self._cache = ()      # up to two (sample index, vector) pairs
 
@@ -453,8 +475,9 @@ class LoadModel:
 
         Sample 0 is formed here, so a malformed load fails at once.
         """
-        loads = tuple(rule.load(fn) for rule, fn in zip(_load_rules(mesh), (bulk, surface))
-                      if fn is not None)
+        loads = {name: rule.load(fn) for name, rule, fn
+                 in zip(("bulk", "surface"), _load_rules(mesh), (bulk, surface))
+                 if fn is not None}
         model = cls(times, mesh.n_nodes, loads, surface_is_zero=surface is None)
         model._sample(0)
         return model
@@ -471,9 +494,13 @@ class LoadModel:
         cache = self._cache
         F = dict(cache).get(i)
         if F is None:
+            t = float(self.times[i])
             F = np.zeros(self.n_nodes)
-            for load in self.loads:
-                F += load(float(self.times[i]))
+            for name, load in self.loads.items():
+                with np.errstate(all="ignore"):
+                    F += load(t)
+                if not np.isfinite(F).all():
+                    raise LoadError(name, t)
             self._cache = cache[-1:] + ((i, F),)
         return F
 
@@ -484,8 +511,8 @@ class LoadModel:
             raise ValueError(f"load requested at t={t} outside [{ts[0]}, {ts[-1]}]")
         t = min(max(t, ts[0]), ts[-1])
         k = int(np.searchsorted(ts, t, side="right") - 1)
-        if k >= ts.size - 1:
-            return self._sample(ts.size - 1).copy()
+        if k == ts.size - 1 or t == ts[k]:
+            return self._sample(k).copy()
         theta = (t - ts[k]) / (ts[k + 1] - ts[k])
         return (1.0 - theta) * self._sample(k) + theta * self._sample(k + 1)
 

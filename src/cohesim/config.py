@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import LoadModel, Materials
+from .assembly import LoadError, LoadModel, Materials
 from .evolution import Scenario
 from .expressions import ExpressionError, compile_expression
 from .law import CohesiveLaw, HypothesisError, PrototypeEnvelope, TabulatedEnvelope
@@ -226,10 +226,11 @@ def parse_scenario(doc: dict) -> ScenarioConfig:
     samples = _integer(lsec.get("samples", n + 1), "loads.samples", 2)
     surface_zero = "surface" not in lsec or lsec["surface"] == 0
     times = np.linspace(0.0, T, samples)
-    loads = LoadModel.from_functions(
-        mesh, times,
-        bulk=bulk if "bulk" in lsec else None,
-        surface=None if surface_zero else surface)
+    try:
+        loads = LoadModel.from_functions(mesh, times, bulk=bulk if "bulk" in lsec else None,
+                                         surface=None if surface_zero else surface)
+    except LoadError as exc:
+        raise ConfigError("'loads.{}' is not finite at t = {!r}".format(*exc.args)) from exc
 
     isec = _section(doc, "initial", required=(), optional=("u0", "v0", "xi0", "w0"))
     xs, ys = mesh.nodes[:, 0], mesh.nodes[:, 1]

@@ -34,7 +34,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .assembly import DiscreteOperators, LoadModel, Materials, assemble, load_vector
+from .assembly import (DiscreteOperators, LoadError, LoadModel, Materials, assemble,
+                       load_vector)
 from .law import CohesiveLaw
 from .mesh import InterfaceMesh
 from .step import (
@@ -240,9 +241,12 @@ def regularize_initial_data(scenario: Scenario, ops: DiscreteOperators | None = 
     return u0_eff, scenario.v0.copy(), xi0_eff
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def run(scenario: Scenario, callbacks=None, tol: float = 1e-10,
         snapshot_stride: int = 1, ops: DiscreteOperators | None = None) -> TrajectoryRecord:
-    """Execute the full time loop and return the trajectory record."""
+    """Execute the full time loop and return the trajectory record.  A load
+    that is not finite fails its step (:class:`~cohesim.assembly.LoadError`)
+    and a state that overflows the next one, so numpy's warnings are off."""
     if snapshot_stride < 1:
         raise ValueError("snapshot_stride must be >= 1")
     if ops is None:
@@ -258,11 +262,10 @@ def run(scenario: Scenario, callbacks=None, tol: float = 1e-10,
 
     callbacks = () if callbacks is None else tuple(np.atleast_1d(callbacks))
 
-    # the guard reads the step's own factorization of H0 (and no load: it is
-    # handed step 1's, which step 1 then uses)
+    # the guard reads the step's own factorization of H0, and no load
     ws = StepWorkspace(ops, tau)
-    f_k = load_vector(scenario.loads, min(tau, scenario.loads.t_final))
-    if not convexity_guard(StepProblem(tau, u_prev, u_prev2, xi, f_k, ops, law, ws)):
+    if not convexity_guard(StepProblem(tau, u_prev, u_prev2, xi, np.zeros_like(u_prev), ops,
+                                       law, ws)):
         raise ConvexityError(
             "incremental functional not strictly convex; reduce the time step tau")
 
@@ -290,7 +293,7 @@ def run(scenario: Scenario, callbacks=None, tol: float = 1e-10,
         row["v_h1"] = np.sqrt(max(v @ a_v + v @ m_v, 0.0))
         return v @ (ops.eta * a_v)
 
-    jumps0 = ops.B @ u0
+    jumps0 = ops.jumps(u0)
     hist = law.frozen(xi)
     products, products2 = ops.products(u0), ops.products(u_prev2)
     v_products = ops.products(v0)
@@ -304,13 +307,11 @@ def run(scenario: Scenario, callbacks=None, tol: float = 1e-10,
     v_prev = v0.copy()
     for k in range(1, n + 1):
         t_k = k * tau
-        if k > 1:
-            f_k = load_vector(scenario.loads, min(t_k, scenario.loads.t_final))
-        prob = StepProblem(tau, u_prev, u_prev2, xi, f_k, ops, law, ws, hist,
-                           (products, products2))
         try:
-            res = solve_step(prob, tol=tol)
-        except StepSolverError as exc:
+            f_k = load_vector(scenario.loads, min(t_k, scenario.loads.t_final))
+            res = solve_step(StepProblem(tau, u_prev, u_prev2, xi, f_k, ops, law, ws, hist,
+                                         (products, products2)), tol=tol)
+        except (LoadError, StepSolverError) as exc:
             rec.steps = steps[:k]
             raise EvolutionError(f"step {k} failed: {exc}", partial=rec,
                                  step=k) from exc

@@ -94,6 +94,13 @@ class PrototypeEnvelope:
         s = np.where(w <= self.xi_c, 2.0 * (self.g_c / self.xi_c) * (1.0 - w / self.xi_c), 0.0)
         return float(s) if scalar else s
 
+    def value_slope(self, w: np.ndarray) -> tuple:
+        """``(value(w), slope(w))`` from one pass over the array ``w``; equal
+        to them bit for bit (a NaN opening gives a NaN slope)."""
+        x = np.minimum(w, self.xi_c) / self.xi_c
+        # beyond the cap x = 1 exactly, so the slope is +0.0 there
+        return self.g_c * x * (2.0 - x), 2.0 * (self.g_c / self.xi_c) * (1.0 - x)
+
     def curvature(self, w):
         w, scalar = _as_array(w)
         c = np.where(w <= self.xi_c, -2.0 * self.g_c / self.xi_c**2, 0.0)
@@ -150,6 +157,10 @@ class TabulatedEnvelope:
         w, scalar = _as_array(w)
         s = np.where(w <= self.xi_c, self._d1(np.minimum(w, self.xi_c)), 0.0)
         return float(s) if scalar else s
+
+    def value_slope(self, w: np.ndarray) -> tuple:
+        """``(value(w), slope(w))``."""
+        return self.value(w), self.slope(w)
 
     def curvature(self, w):
         w, scalar = _as_array(w)
@@ -289,21 +300,20 @@ class CohesiveLaw:
 
     # -- density and derivatives -------------------------------------------
 
-    def psi(self, w, xi):
-        """Density ``psi(w, xi)``; even in ``w``, nondecreasing in ``|w|`` and ``xi``."""
+    @staticmethod
+    def _broadcast(w, xi) -> tuple:
+        """``(w, xi, scalar)``: the two broadcast as arrays, ``xi >= 0`` checked."""
         w, sw = _as_array(w)
         xi, sx = _as_array(xi)
         if np.any(xi < 0.0):
             raise ValueError("history variable xi must be nonnegative")
-        w, xi = np.broadcast_arrays(w, xi)
-        aw = np.abs(w)
-        loading = aw >= xi
-        # guard: the unloading formula divides by xi; on the loading branch
-        # the guarded value is discarded by np.where
-        xi_safe = np.where(loading, 1.0, xi)
-        unload = self.env.value(xi) - self.env.slope(xi) * (xi**2 - w**2) / (2.0 * xi_safe)
-        out = np.where(loading, self.env.value(aw), unload)
-        return float(out) if (sw and sx) else out
+        return *np.broadcast_arrays(w, xi), sw and sx
+
+    def psi(self, w, xi):
+        """Density ``psi(w, xi)``; even in ``w``, nondecreasing in ``|w|`` and ``xi``."""
+        w, xi, scalar = self._broadcast(w, xi)
+        out = FrozenHistory(self.env, xi).evaluate(w)[0]
+        return float(out) if scalar else out
 
     def dpsi_dw(self, w, xi):
         """Partial derivative in the opening; undefined at the origin.
@@ -313,23 +323,14 @@ class CohesiveLaw:
         ``|w| = xi != 0``; at ``(0, 0)`` only directional derivatives exist
         and a ValueError points to :meth:`dpsi_dw_directional`.
         """
-        w, sw = _as_array(w)
-        xi, sx = _as_array(xi)
-        if np.any(xi < 0.0):
-            raise ValueError("history variable xi must be nonnegative")
-        w, xi = np.broadcast_arrays(w, xi)
+        w, xi, scalar = self._broadcast(w, xi)
         if np.any((w == 0.0) & (xi == 0.0)):
             raise ValueError(
                 "dpsi_dw is undefined at (w, xi) = (0, 0); "
                 "use dpsi_dw_directional for the one-sided slopes"
             )
-        aw = np.abs(w)
-        elastic = aw <= xi  # tie |w| = xi resolved to the elastic branch (values agree)
-        xi_safe = np.where(elastic, np.maximum(xi, 1e-300), 1.0)
-        out = np.where(elastic,
-                       (self.env.slope(xi) / xi_safe) * w,
-                       self.env.slope(aw) * np.sign(w))
-        return float(out) if (sw and sx) else out
+        out = FrozenHistory(self.env, xi).evaluate(w)[1]
+        return float(out) if scalar else out
 
     def dpsi_dw_directional(self, w, xi, phi):
         """Directional derivative of ``psi(., xi)`` at ``w`` in direction ``phi``.
@@ -338,21 +339,13 @@ class CohesiveLaw:
         from the origin and ``psi_hat'(0) |phi|`` at ``(0, 0)``; bounded by
         ``psi_hat'(0) |phi|`` everywhere.
         """
-        w, sw = _as_array(w)
-        xi, sx = _as_array(xi)
+        w, xi, scalar = self._broadcast(w, xi)
         phi, sp = _as_array(phi)
         w, xi, phi = np.broadcast_arrays(w, xi, phi)
         origin = (w == 0.0) & (xi == 0.0)
-        w_safe = np.where(origin, 1.0, w)
-        xi_safe = np.where(origin, 1.0, xi)
-        aw = np.abs(w_safe)
-        elastic = aw <= xi_safe
-        xi_div = np.where(elastic, np.maximum(xi_safe, 1e-300), 1.0)
-        smooth = np.where(elastic,
-                          (self.env.slope(xi_safe) / xi_div) * w_safe,
-                          self.env.slope(aw) * np.sign(w_safe)) * phi
+        smooth = self.dpsi_dw(np.where(origin, 1.0, w), np.where(origin, 1.0, xi)) * phi
         out = np.where(origin, self.env.slope(0.0) * np.abs(phi), smooth)
-        return float(out) if (sw and sx and sp) else out
+        return float(out) if (scalar and sp) else out
 
     def dpsi_dxi(self, w, xi):
         """One-sided derivative of ``psi`` in the history variable (always >= 0).
@@ -362,11 +355,7 @@ class CohesiveLaw:
         ``psi_hat'(0) / 2`` per unit increment.  On ``|w| = xi > 0``, at
         ``xi = xi_c`` (right derivative) and beyond the cap it vanishes.
         """
-        w, sw = _as_array(w)
-        xi, sx = _as_array(xi)
-        if np.any(xi < 0.0):
-            raise ValueError("history variable xi must be nonnegative")
-        w, xi = np.broadcast_arrays(w, xi)
+        w, xi, scalar = self._broadcast(w, xi)
         origin = (w == 0.0) & (xi == 0.0)
         aw = np.abs(w)
         inside = (aw < xi) & (xi < self.env.xi_c)
@@ -375,7 +364,7 @@ class CohesiveLaw:
             * (xi**2 - w**2) / xi_safe**2
         out = np.where(inside, val, 0.0)
         out = np.where(origin, 0.5 * self.env.slope(0.0), out)
-        return float(out) if (sw and sx) else out
+        return float(out) if scalar else out
 
     def psi_d(self, xi):
         """Dissipated part ``psi_d(xi) = psi(0, xi)`` (nondecreasing)."""
@@ -398,32 +387,33 @@ class CohesiveLaw:
 
     def frozen(self, xi) -> "FrozenHistory":
         """The density and its derivatives at a fixed history ``xi > 0``."""
+        xi = np.asarray(xi, dtype=float)
+        if np.any(xi <= 0.0):
+            raise ValueError("a frozen history requires xi > 0")
         return FrozenHistory(self.env, xi)
 
 
 class FrozenHistory:
     """``psi(., xi)``, ``dpsi_dw(., xi)`` and the Newton curvature for one
-    fixed history array ``xi > 0``, as a time step sees it.
+    fixed history array ``xi``, as a time step sees it (:meth:`CohesiveLaw.frozen`,
+    ``xi > 0``); the one implementation of the density, which
+    :meth:`CohesiveLaw.psi` and :meth:`CohesiveLaw.dpsi_dw` evaluate too.
 
     The history terms ``psi_hat(xi)``, ``psi_hat'(xi)``, ``xi**2``, ``2 xi``
     and ``c_xi = psi_hat'(xi) / xi`` are computed once, so :meth:`evaluate`
-    costs one ``psi_hat`` and one ``psi_hat'`` pass over the openings.  The
-    expressions, and their evaluation order, are those of
-    :meth:`CohesiveLaw.psi` and :meth:`CohesiveLaw.dpsi_dw`, so the values
-    are bit-identical to theirs.
+    costs one envelope pass (``value_slope``) over the openings.  An entry
+    ``xi = 0`` is on the loading branch for every opening; its terms divide
+    by 1 instead.
     """
 
-    def __init__(self, env, xi):
-        xi = np.asarray(xi, dtype=float)
-        if np.any(xi <= 0.0):
-            raise ValueError("a frozen history requires xi > 0")
+    def __init__(self, env, xi: np.ndarray):
         self.env = env
         self.xi = xi
-        self.psi_xi = env.value(xi)
-        self.slope_xi = env.slope(xi)
+        self.psi_xi, self.slope_xi = env.value_slope(xi)
         self.xi_sq = xi**2
-        self.two_xi = 2.0 * xi
-        self.c_xi = self.slope_xi / xi
+        xi_div = np.where(xi > 0.0, xi, 1.0)
+        self.two_xi = 2.0 * xi_div
+        self.c_xi = self.slope_xi / xi_div
 
     def evaluate(self, w):
         """``(psi, dpsi_dw, |w|, elastic)`` at the openings ``w``.
@@ -434,9 +424,10 @@ class FrozenHistory:
         """
         aw = np.abs(w)
         elastic = aw <= self.xi
+        value, slope = self.env.value_slope(aw)
         unload = self.psi_xi - self.slope_xi * (self.xi_sq - w**2) / self.two_xi
-        psi = np.where(aw >= self.xi, self.env.value(aw), unload)
-        dpsi = np.where(elastic, self.c_xi * w, self.env.slope(aw) * np.sign(w))
+        psi = np.where(aw >= self.xi, value, unload)
+        dpsi = np.where(elastic, self.c_xi * w, slope * np.sign(w))
         return psi, dpsi, aw, elastic
 
     def psi_at_zero(self):

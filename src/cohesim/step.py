@@ -36,33 +36,38 @@ stiffness ``c_xi`` on the elastic branch and the softening curvature
 ``1 - beta * lambda_max(W^1/2 S W^1/2)`` is positive, as the convexity guard
 certifies before every run, ``I + D S`` is nonsingular for ``D >= -beta W``,
 every direction descends and the method is a semismooth Newton method with a
-quadratic rate (Qi & Sun, Math. Programming 58, 1993); one polish step then
-takes the residual to rounding level.  Without that margin the softening
-curvature is clipped at zero, which keeps ``D >= 0``.  An Armijo backtracking
-line search on ``phi`` guarantees monotone decrease.  ``H0 = L D L'`` is
-factorized once per time step size, with the interface nodes last
-(:class:`~cohesim.assembly.InterfaceSchur`).
+quadratic rate (Qi & Sun, Math. Programming 58, 1993).  Without that margin
+the softening curvature is clipped at zero, which keeps ``D >= 0``.  An Armijo
+backtracking line search on ``phi`` guarantees monotone decrease.  A
+converged residual above the rounding floor of the multipliers
+(``_ROUNDING * max|lam|``) takes one polish step toward it; one at the floor,
+where a step that converges in one iteration usually lands, makes no further
+direction.  ``H0 = L D L'`` is factorized once per time step size, with the
+interface nodes last (:class:`~cohesim.assembly.InterfaceSchur`).
 
-Per step, the work follows what changes within it.  ``xi_prev`` is fixed for
-the whole step, so its terms (``psi_hat(xi)``, ``psi_hat'(xi)``, ``xi^2``,
-``2 xi`` and ``c_xi``) are computed once, in a run by the previous step's
-post-step pass (:class:`~cohesim.law.FrozenHistory`).  The bulk operators are
-unit forms scaled by node (``M = diag(rho) M_unit``, ``A_eta = diag(eta)
-A_unit``, ``A_mu = diag(mu) A_unit``; see
-:class:`~cohesim.assembly.DiscreteOperators`), so every bulk quantity of the
-step (``b``, the a-posteriori residual ``H0 u_new``, the incremental energy)
-is a nodal scaling of the products ``(M_unit u, A_unit u)`` of ``u_new``,
-``u_prev`` and ``u_prev2``; a run forms those of ``u_new`` once and hands
-them on (:attr:`StepProblem.products`, :attr:`StepResult.products`).  A step
-then costs one forward sweep ``y = L^-1 b``, which gives ``j_lin`` from its
-interface rows, the Newton iterations in the ``n_pairs`` unknowns, one
-backward sweep from ``y`` to recover ``u`` and two full-size sparse
-products.  Each Newton trial point costs one ``S @ lam`` and one fused
-law pass giving ``phi``, ``r``, ``|r|_inf`` and the branch masks; an accepted
-point reuses them for its residual test and its curvature ``D``, so a point
-is never evaluated twice.  The workspace keeps the nodal coefficients of
-``H0``, the triangular factor ``U = D L'`` and ``S``; vectors are nodal and
-``b`` vanishes on the Dirichlet nodes; no dense nodes x pairs array is kept.
+Per step, each quantity is formed once.  ``xi_prev`` is fixed for the whole
+step, so its terms (``psi_hat(xi)``, ``psi_hat'(xi)``, ``xi^2``, ``2 xi`` and
+``c_xi``) come from the previous step's post-step pass
+(:class:`~cohesim.law.FrozenHistory`).  The bulk operators are unit forms
+scaled by node (``M = diag(rho) M_unit``, ``A_eta = diag(eta) A_unit``,
+``A_mu = diag(mu) A_unit``; see :class:`~cohesim.assembly.DiscreteOperators`),
+so every bulk quantity of the step (``b``, the a-posteriori residual
+``H0 u_new``, the incremental energy) is a nodal scaling of the products
+``(M_unit u, A_unit u)`` of ``u_new``, ``u_prev`` and ``u_prev2``; a run forms
+those of ``u_new`` once and hands them on (:attr:`StepProblem.products`,
+:attr:`StepResult.products`).  Jumps and ``B' r`` are read at the pairs'
+nodes (:attr:`~cohesim.assembly.DiscreteOperators.pairs`), not by sparse
+products.  A step then costs one forward sweep ``y = L^-1 b``, which gives
+``j_lin`` from its interface rows, the Newton iterations in the ``n_pairs``
+unknowns, one backward sweep from ``y`` to recover ``u`` and two full-size
+sparse products.  A trial point costs one ``S @ lam`` and one law pass with
+one envelope pass (``value_slope``), giving ``phi``, ``r``, ``|r|_inf`` and
+the branch masks; an accepted point reuses them for its residual test and its
+curvature ``D``, so a point is never evaluated twice, and a direction forms
+``I + D S`` in place for one dense solve.  The workspace keeps the nodal
+coefficients of ``H0``, the triangular factor ``U = D L'`` and ``S``; vectors
+are nodal and ``b`` vanishes on the Dirichlet nodes; no dense nodes x pairs
+array is kept.
 
 After the solve, one post-step pass forms the jumps ``[u_k]`` once and makes
 one law pass at the updated history ``xi_k``.  :class:`StepResult` carries
@@ -70,7 +75,9 @@ its values ``psi([u_k], xi_k)`` and ``psi'([u_k], xi_k)`` (the cohesive
 traction) and the frozen history at ``xi_k``, with ``psi(0, xi_k)``, the
 dissipated part; the a-posteriori residual, the time loop's energy and jump
 columns, the traction audit and the next step read them, so none of them
-evaluates the law again.  Each value is bit-identical to the
+evaluates the law again.  :attr:`StepResult.energy` is one
+:func:`incremental_energy` call, whose cohesive term is one law pass at the
+step's frozen history ``xi_prev``.  Each value is bit-identical to the
 corresponding :class:`~cohesim.law.CohesiveLaw` call.
 
 The step is well posed when ``H0 - beta B' W B`` is positive definite, which
@@ -147,7 +154,9 @@ class StepWorkspace:
 
     def newton_direction(self, r: np.ndarray, d_curv: np.ndarray) -> np.ndarray:
         """Interface Newton direction: solve ``(I + diag(d_curv) S) delta = -r``."""
-        return np.linalg.solve(np.eye(d_curv.size) + d_curv[:, None] * self.schur.S, -r)
+        A = d_curv[:, None] * self.schur.S
+        A.flat[::d_curv.size + 1] += 1.0
+        return np.linalg.solve(A, -r)
 
 
 @dataclass
@@ -188,32 +197,39 @@ class StepResult:
     products: tuple          # ops.products(u_new), for the record and the next step
 
 
-def _products(prob: StepProblem) -> tuple:
-    """``prob.products``, formed when not at hand."""
-    if prob.products is not None:
-        return prob.products
-    return prob.ops.products(prob.u_prev), prob.ops.products(prob.u_prev2)
+def _at_hand(prob: StepProblem) -> StepProblem:
+    """``prob`` with the products of its previous states and the frozen
+    history at ``xi_prev``, each formed when not at hand."""
+    hist = prob.history
+    if hist is None or hist.xi is not prob.xi_prev or hist.env is not prob.law.env:
+        hist = prob.law.frozen(prob.xi_prev)
+    if prob.products is None or hist is not prob.history:
+        ops = prob.ops
+        prob = replace(prob, history=hist, products=prob.products
+                       or (ops.products(prob.u_prev), ops.products(prob.u_prev2)))
+    return prob
 
 
 def incremental_energy(u, prob: StepProblem, products: tuple | None = None) -> float:
     """Value of the incremental functional at the nodal vector ``u``.
 
     ``products`` is ``prob.ops.products(u)`` when the caller has it; with the
-    products of ``prob`` it makes every bulk term a nodal scaling."""
+    products of ``prob`` it makes every bulk term a nodal scaling.  The
+    cohesive term reads the frozen history of ``prob``."""
     u = np.asarray(u, dtype=float)
     n = prob.ops.n_nodes
     if u.shape != (n,):
         raise ValueError(f"displacement vector has size {u.size}, expected {n}")
+    prob = _at_hand(prob)
     ops, tau = prob.ops, prob.tau
     m, a = ops.products(u) if products is None else products
-    (m1, a1), (m2, _) = _products(prob)
+    (m1, a1), (m2, _) = prob.products
     d2 = u - 2.0 * prob.u_prev + prob.u_prev2
     d1 = u - prob.u_prev
     val = 0.5 / tau**2 * (d2 @ (ops.rho * (m - 2.0 * m1 + m2)))
     val += 0.5 / tau * (d1 @ (ops.eta * (a - a1)))
     val += 0.5 * (u @ (ops.mu * a)) - prob.f_k @ u
-    jumps = ops.B @ u
-    val += float(ops.weights @ prob.law.psi(jumps, prob.xi_prev))
+    val += float(ops.weights @ prob.history.evaluate(ops.jumps(u))[0])
     return float(val)
 
 
@@ -301,12 +317,14 @@ def _minimize(ws: StepWorkspace, hist: FrozenHistory, beta: float, b: np.ndarray
         raise stagnation(
             f"Newton did not converge in {max_iter} iterations (residual {cur.rnorm:.3e})",
             cur)
-    # polish: one full step pushes the residual toward machine precision, so
-    # traction/transmission audits are solver-noise free
-    trial = point(cur.lam + direction(cur))
-    if trial.rnorm < cur.rnorm:
-        cur = trial
-        iters += 1
+    # polish: a residual above the rounding floor of the multipliers takes one
+    # more full step toward it, so traction/transmission audits are
+    # solver-noise free; at the floor a direction would gain nothing
+    if cur.rnorm > _ROUNDING * float(np.abs(cur.lam).max(initial=0.0)):
+        trial = point(cur.lam + direction(cur))
+        if trial.rnorm < cur.rnorm:
+            cur = trial
+            iters += 1
     return ws.schur.backward(cur.lam, y), iters, cur.rnorm
 
 
@@ -328,33 +346,34 @@ def solve_step(prob: StepProblem, tol: float = 1e-10, max_iter: int = 60,
     ws = _workspace(prob)
     constrained = ws.schur.constrained
 
+    prob = _at_hand(prob)
+    hist = prob.history
     # constant part of the quadratic gradient, M u_pred / tau^2 + A_eta u_prev /
     # tau - f_k from the products; load entries on Dirichlet nodes count as 0
-    if prob.products is None:
-        prob = replace(prob, products=_products(prob))
     (m1, a1), (m2, _) = prob.products
     u_pred = 2.0 * prob.u_prev - prob.u_prev2
     b = constrained(-ws.mass * (2.0 * m1 - m2) - (ops.eta * a1) / tau - prob.f_k)
 
     tol_abs = tol * (1.0 + float(np.abs(prob.f_k).max(initial=0.0)))
-    hist = prob.history
-    if hist is None or hist.xi is not prob.xi_prev or hist.env is not prob.law.env:
-        hist = prob.law.frozen(prob.xi_prev)
     # warm start: the cohesive tractions at the second-order predicted jumps
-    lam0 = -ws.weights * hist.evaluate(ops.B @ u_pred)[1]
+    lam0 = -ws.weights * hist.evaluate(ops.jumps(u_pred))[1]
     u_new, iters, rnorm = _minimize(ws, hist, prob.law.beta, b, lam0, tol_abs, max_iter,
                                     trace, lambda u: incremental_energy(u, prob))
     m, a = products_new = ops.products(u_new)
-    jumps = ops.B @ u_new
+    jumps = ops.jumps(u_new)
     xi_new = np.maximum(prob.xi_prev, np.abs(jumps))
     # the post-step pass: one law evaluation at the updated history
     hist_new = prob.law.frozen(xi_new)
     psi, traction = hist_new.evaluate(jumps)[:2]
 
     # a-posteriori form: the Euler-Lagrange residual with the updated history
-    # (H0 u_new on the free rows, as u_new vanishes on the Dirichlet nodes)
-    g_post = (constrained(ws.mass * m + ws.stiffness * a) + b
-              + ops.Bt @ (ws.weights * traction))
+    # (H0 u_new on the free rows, as u_new vanishes on the Dirichlet nodes),
+    # B' (w traction) added at the pairs' nodes
+    g_post = constrained(ws.mass * m + ws.stiffness * a) + b
+    plus, minus = ops.pairs
+    cohesive = ws.weights * traction
+    g_post[plus] += cohesive
+    g_post[minus] -= cohesive
     el_residual = float(np.abs(g_post).max(initial=0.0))
 
     return StepResult(u_new=u_new, xi_new=xi_new, newton_iters=iters,

@@ -181,6 +181,25 @@ class TestInterfaceSchur:
         assert np.array_equal(shifted[free], rhs[free] + 1.0)
 
 
+class TestPairIndices:
+    def test_pairs_are_the_signed_columns_of_B(self, ops, mesh):
+        plus, minus = ops.pairs
+        assert np.array_equal(np.column_stack([plus, minus]), mesh.interface_pairs)
+
+    def test_jumps_equal_B_products_bit_for_bit(self):
+        # signed zeros included: a row of B sums from +0.0, so -0.0 - +0.0
+        # gives a +0.0 jump, not -0.0
+        ops = assemble(build_rectangle_mesh(1.0, 8, 4), Materials.constant(1.0, 1.0, 1.0))
+        rng = np.random.default_rng(5)
+        plus, minus = ops.pairs
+        for _ in range(5):
+            u = rng.normal(size=ops.n_nodes)
+            u[plus[:4]], u[minus[:4]] = [-0.0, -0.0, 0.0, 0.0], [0.0, -0.0, -0.0, 0.0]
+            u[plus[4]] = u[minus[4]]
+            assert ops.jumps(u).tobytes() == (ops.B @ u).tobytes()
+            assert not np.signbit(ops.jumps(u)[:5]).any()
+
+
 class TestLoads:
     def test_zero_loads_give_zero_vector(self, mesh):
         loads = LoadModel.zero(mesh, 1.0)
@@ -190,6 +209,24 @@ class TestLoads:
         loads = LoadModel.from_functions(mesh, [0.0, 1.0], bulk=lambda x, y, t: 1.0)
         F = load_vector(loads, 0.5)
         assert F.sum() == pytest.approx(2.0, abs=1e-13)
+
+    def test_at_a_sample_time_returns_that_sample_alone(self, mesh):
+        # bit for bit, and without forming the next sample, which here
+        # overflows: 0 * inf would turn the finite sample into NaN
+        times = []
+
+        def load(x, y, t):
+            times.append(t)
+            return np.exp(1000.0 * t) * (x + 0.5 * y - 0.25)
+
+        ts = np.linspace(0.0, 0.71, 3)
+        loads = LoadModel.from_functions(mesh, ts, bulk=load)
+        alone = LoadModel.from_functions(mesh, [ts[1], 1.0], bulk=load)
+        times.clear()
+        assert loads.at(ts[1]).tobytes() == alone.at(ts[1]).tobytes()
+        assert times == [ts[1]]
+        with pytest.raises(FloatingPointError, match="bulk load is not finite at t = 0.71"):
+            loads.at(ts[2])
 
     def test_affine_time_interpolation(self, mesh):
         g = lambda x, y, t: t * (x + 0.5 * y)

@@ -351,10 +351,25 @@ class TestCli:
         assert out == "" and err == f"config error: 'law.{key}' must be a list of finite numbers\n"
 
     @pytest.mark.parametrize("command", ["run", "study"])
-    @pytest.mark.parametrize("bulk, step", [("1e308 * 1e308 * t", 1), ("1e200 * t", 2),
-                                            ("exp(1000 * t) * y", 141)])
-    def test_non_finite_state_exits_3_at_its_step(self, command, bulk, step, tmp_path,
-                                                  capsys):
+    def test_non_finite_load_at_sample_0_exits_2_naming_it(self, command, tmp_path, capsys,
+                                                           recwarn):
+        # the time factor 1e308 * 1e308 * t is inf * 0 at t = 0
+        code = self.probe(command, tmp_path, "loads.bulk", "1e308 * 1e308 * t")
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == "config error: 'loads.bulk' is not finite at t = 0.0\n"
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+    # 1e200 * t: a finite load whose state overflows in step 1, so step 2's
+    # Newton check fails; exp(1000 * t) * y: the first load that overflows is
+    # step 142's, at t = 0.71
+    @pytest.mark.parametrize("command", ["run", "study"])
+    @pytest.mark.parametrize("bulk, step, cause", [
+        pytest.param("1e200 * t", 2, "non-finite state", id="1e200 * t-2"),
+        pytest.param("exp(1000 * t) * y", 142, "the bulk load is not finite at t = 0.71",
+                     id="exp(1000 * t) * y-142")])
+    def test_non_finite_state_exits_3_at_its_step(self, command, bulk, step, cause, tmp_path,
+                                                  capsys, recwarn):
         code = self.probe(command, tmp_path, "loads.bulk", bulk)
         out, err = capsys.readouterr()
         assert code == 3 and "Traceback" not in err
@@ -364,7 +379,9 @@ class TestCli:
             err = err[len("level_00: "):]
         else:
             assert out == ""
-        assert err.startswith(f"solver failure at step {step}: ") and err.count("\n") == 1
+        assert err.startswith(f"solver failure at step {step}: step {step} failed: {cause}")
+        assert err.count("\n") == 1
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
     def test_ramp_run_row_count(self, tmp_path):
         doc = base_doc()

@@ -3,6 +3,7 @@ regularization, self-convergence and the history-floor sweep (run by
 ``cohesim study``)."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +28,8 @@ from cohesim.mesh import build_rectangle_mesh
 from cohesim.step import ConvexityError, StepSolverError
 
 from scenarios import mild_ramp, rest_scenario, small_ramp, standard_ramp, unloading_tent
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 def same_bits(a, b) -> bool:
@@ -122,20 +125,30 @@ class TestRun:
     def test_run_factorizes_once_with_symmetric_ordering(self, monkeypatch):
         # one minimum-degree order of the interior block, one interface-last
         # factorization of H0, then the factors of the trailing block of its U
-        # (solved twice, for Z and S) and of U itself, the one kept; each step
-        # sweeps U once forward and once backward, the first factor never
+        # (solved twice, for Z and S) and, on the first sweep, of U itself, the
+        # one kept; each step sweeps U once forward and once backward, the
+        # first factor never
         factorization = [("spilu", "MMD_AT_PLUS_A")] + [("splu", "NATURAL")] * 3
         calls, factors = self.record_factors(monkeypatch)
         run(mild_ramp(n=5))
         assert [(kind, spec) for kind, _, spec in calls] == factorization
         assert [f.sweeps for f in factors] == [[], ["T", "N"], ["T", "N"] * 5]
-        # a refused time step is decided on the same single factorization
+        # a refused time step is decided on the same single factorization,
+        # and sweeps nothing, so U is not factorized
         calls.clear()
         factors.clear()
         with pytest.raises(ConvexityError, match="time step"):
             run(standard_ramp(n=2, n_x=4, n_y=2, T=2e6))
-        assert [(kind, spec) for kind, _, spec in calls] == factorization
-        assert [f.sweeps for f in factors] == [[], ["T", "N"], []]
+        assert [(kind, spec) for kind, _, spec in calls] == factorization[:3]
+        assert [f.sweeps for f in factors] == [[], ["T", "N"]]
+
+    def test_check_law_factorizes_no_sweep_factor(self, monkeypatch, capsys):
+        # the trace constant and the step margin read S alone: 2
+        # factorizations each, and U is never swept, so never factorized
+        calls, factors = self.record_factors(monkeypatch)
+        assert main(["check-law", str(SCENARIOS / "check_law_small_domain.json")]) == 0
+        assert [kind for kind, _, _ in calls] == ["spilu", "splu", "splu"] * 2
+        assert [f.sweeps for f in factors] == [[], ["T", "N"]] * 2
 
     def test_regularity_mode_cli_run_factorizes_each_block_once(self, monkeypatch,
                                                                 tmp_path):
@@ -205,30 +218,36 @@ class TestRun:
 
     def test_two_full_size_sparse_products_per_step(self, monkeypatch):
         # a step forms M_unit u_k and A_unit u_k; every other bulk quantity of
-        # the step and its record is a nodal scaling of stored products
+        # the step and its record is a nodal scaling of stored products, and
+        # the jumps and B' r are read at the pairs' nodes, with no product
+        # with B or B'
         scenario = unloading_tent(n=20, n_x=8, n_y=4)
-        n_nodes = scenario.mesh.n_nodes
-        count = [0]
+        n_nodes, n_pairs = scenario.mesh.n_nodes, scenario.mesh.n_pairs
+        count = {"full": 0, "B": 0}
 
         def counted(real):
             def wrapper(self, other):
                 if self.shape == (n_nodes, n_nodes):
-                    count[0] += 1
+                    count["full"] += 1
+                elif self.shape in ((n_pairs, n_nodes), (n_nodes, n_pairs)):
+                    count["B"] += 1
                 return real(self, other)
             return wrapper
 
         for name in ("_matmul_vector", "_matmul_multivector"):
             monkeypatch.setattr(_cs_matrix, name, counted(getattr(_cs_matrix, name)))
         ends = []
-        run(scenario, callbacks=lambda state, res: ends.append(count[0]))
-        assert np.diff(ends).tolist() == [2] * 19
+        run(scenario, callbacks=lambda state, res: ends.append(dict(count)))
+        assert np.diff([e["full"] for e in ends]).tolist() == [2] * 19
+        assert np.diff([e["B"] for e in ends]).tolist() == [0] * 19
 
     def test_cli_run_evaluates_law_and_load_once_after_newton(self, monkeypatch,
                                                               tmp_path):
         # between the end of a step's Newton loop and the start of the next
         # step's solve: one frozen history and one evaluate() (the post-step
-        # pass), StepResult.energy's law.psi (3 envelope calls) and no other
-        # law call; one load lookup per step in the whole run
+        # pass), one evaluate() at the step's frozen history for
+        # StepResult.energy, one envelope pass in each of the three and no
+        # other law call; one load lookup per step in the whole run
         post = []          # per step, the counts after its Newton loop
         loads_at = []
 
@@ -244,7 +263,8 @@ class TestRun:
 
         def minimize(*args, **kwargs):
             out = real_minimize(*args, **kwargs)
-            post.append({"frozen": 0, "evaluate": 0, "value": 0, "slope": 0, "open": True})
+            post.append({"frozen": 0, "evaluate": 0, "value": 0, "slope": 0,
+                         "value_slope": 0, "open": True})
             return out
 
         def solve_step(*args, **kwargs):
@@ -260,7 +280,7 @@ class TestRun:
         monkeypatch.setattr(evolution, "solve_step", solve_step)
         monkeypatch.setattr(LoadModel, "at", at)
         monkeypatch.setattr(CohesiveLaw, "frozen", counting("frozen", CohesiveLaw.frozen))
-        for name in ("evaluate", "value", "slope"):
+        for name in ("evaluate", "value", "slope", "value_slope"):
             owner = FrozenHistory if name == "evaluate" else PrototypeEnvelope
             monkeypatch.setattr(owner, name, counting(name, getattr(owner, name)))
         doc = {
@@ -278,8 +298,8 @@ class TestRun:
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
         assert len(post) == 20
         for counts in post:
-            assert counts["frozen"] <= 1 and counts["evaluate"] <= 1
-            assert counts["value"] + counts["slope"] <= 2 + 2 + 3
+            assert counts["frozen"] == 1 and counts["evaluate"] == 2
+            assert counts["value_slope"] == 3 and counts["value"] + counts["slope"] == 0
         assert len(loads_at) == 20
 
     def test_each_step_freezes_the_history_once(self, monkeypatch):

@@ -268,8 +268,8 @@ class TestLambdaConvexity:
 
 
 class TestFrozenHistory:
-    """The per-step terms of a fixed history give the law's own values, bit
-    for bit, on both envelopes."""
+    """The per-step terms of a fixed history, which the law evaluates too,
+    give the branch formulas' values bit for bit, on both envelopes."""
 
     @staticmethod
     def laws():
@@ -285,6 +285,19 @@ class TestFrozenHistory:
         c_el = law.env.slope(xi) / xi
         return np.where(aw <= xi, c_el, law.env.curvature(aw))
 
+    @staticmethod
+    def branch_formulas(law, w, xi):
+        """``psi`` and ``dpsi_dw`` entry by entry, from the envelope's value
+        and slope at ``|w|`` and ``xi``."""
+        env, psi, dpsi = law.env, [], []
+        for wj, xj in zip(w, xi):
+            aw = abs(wj)
+            psi.append(env.value(aw) if aw >= xj
+                       else env.value(xj) - env.slope(xj) * (xj * xj - wj * wj) / (2.0 * xj))
+            dpsi.append(env.slope(xj) / xj * wj if aw <= xj
+                        else env.slope(aw) * np.sign(wj))
+        return np.array(psi), np.array(dpsi)
+
     def test_bit_identical_to_law(self):
         rng = np.random.default_rng(2024)
         for law in self.laws():
@@ -298,13 +311,26 @@ class TestFrozenHistory:
             w[80:120] = np.sign(w[80:120]) * rng.uniform(1.1, 4.0, 40) * xi_c
             hist = law.frozen(xi)
             psi, dpsi, aw, elastic = hist.evaluate(w)
-            assert np.array_equal(psi, law.psi(w, xi))
-            assert np.array_equal(dpsi, law.dpsi_dw(w, xi))
+            ref_psi, ref_dpsi = self.branch_formulas(law, w, xi)
+            assert psi.tobytes() == ref_psi.tobytes() == law.psi(w, xi).tobytes()
+            assert dpsi.tobytes() == ref_dpsi.tobytes() == law.dpsi_dw(w, xi).tobytes()
             assert np.array_equal(aw, np.abs(w))
             assert np.array_equal(elastic, np.abs(w) <= xi)
             assert np.array_equal(hist.curvature(aw, elastic),
                                   self.exact_curvature(law, w, xi))
             assert np.array_equal(hist.c_xi, law.secant_stiffness(xi))
+
+    def test_value_slope_is_value_and_slope_bit_for_bit(self):
+        # one envelope pass gives both, signed zeros included, at the origin,
+        # at the cap and beyond it
+        rng = np.random.default_rng(7)
+        for law in self.laws():
+            env = law.env
+            w = np.concatenate([[0.0, env.xi_c, 2.0 * env.xi_c, np.inf],
+                                rng.uniform(0.0, 1.5 * env.xi_c, 200)])
+            value, slope = env.value_slope(w)
+            assert value.tobytes() == env.value(w).tobytes()
+            assert slope.tobytes() == env.slope(w).tobytes()
 
     def test_nonpositive_history_rejected(self, proto):
         with pytest.raises(ValueError, match="xi > 0"):

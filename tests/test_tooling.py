@@ -62,7 +62,8 @@ def test_traced_config_run_counts_load_spans():
 
 def test_traced_cli_run_counts_one_audit_lookup_and_energy_per_step(tmp_path):
     # audit.traction_s, evolution.load_lookup_s and step.iters_per_eval read
-    # one span of each per step
+    # one span of each per step; a converged step makes no polish direction,
+    # so the step.newton_direction spans are the Newton iterations
     out = run_python(
         "import json, os, sys; sys.path[:0] = sys.argv[1:]\n"
         "import tracing\n"
@@ -70,6 +71,8 @@ def test_traced_cli_run_counts_one_audit_lookup_and_energy_per_step(tmp_path):
         "tracing.install(tracer)\n"
         "import cohesim.cli\n"
         "from test_config_cli import base_doc\n"
+        "records, real_run = [], cohesim.cli.run\n"
+        "cohesim.cli.run = lambda *a, **k: records.append(real_run(*a, **k)) or records[-1]\n"
         f"tmp = {str(tmp_path)!r}\n"
         "path = os.path.join(tmp, 'cfg.json')\n"
         "with open(path, 'w') as f:\n"
@@ -77,5 +80,8 @@ def test_traced_cli_run_counts_one_audit_lookup_and_energy_per_step(tmp_path):
         "assert cohesim.cli.main(['run', path, '--out', os.path.join(tmp, 'out')]) == 0\n"
         "names = [s['name'] for s in tracer.spans]\n"
         "print(*(names.count(name) for name in ("
-        "'audit.traction', 'evolution.load_lookup', 'step.incremental_energy')))\n")
-    assert list(map(int, out.splitlines()[-1].split())) == [3, 3, 3]
+        "'audit.traction', 'evolution.load_lookup', 'step.incremental_energy',"
+        "'step.newton_direction')), records[0].newton_iters.sum())\n")
+    *per_step, directions, iters = map(int, out.splitlines()[-1].split())
+    assert per_step == [3, 3, 3]
+    assert directions == iters >= 3
