@@ -206,7 +206,8 @@ class DiscreteOperators:
     @cached_property
     def pairs(self) -> tuple:
         """``(plus, minus)``: the nodes where each row of ``B`` is ``+1`` and
-        ``-1``; the time loop reads jumps and ``B' r`` there, not by products."""
+        ``-1``; the time loop reads jumps, ``B' r`` and the bulk residual of
+        the traction audit there, not by products."""
         cols, plus = self.B.indices.reshape(-1, 2), self.B.data.reshape(-1, 2) > 0.0
         return cols[plus], cols[~plus]
 
@@ -215,16 +216,6 @@ class DiscreteOperators:
         jump is ``-0.0``."""
         plus, minus = self.pairs
         return (0.0 + u[plus]) - u[minus]
-
-    @cached_property
-    def interface_rows(self) -> tuple:
-        """``(rows, M, A_eta, A_mu)`` restricted to the interface-node rows,
-        the plus sides of the pairs first, then the minus sides.  Each row
-        keeps its entries in order, so a product sums them as the full one."""
-        rows = self.mesh.interface_pairs.T.ravel()
-        M_unit, A_unit = self.M_unit[rows], self.A_unit[rows]
-        return (rows, _row_scaled(M_unit, self.rho[rows]), _row_scaled(A_unit, self.eta[rows]),
-                _row_scaled(A_unit, self.mu[rows]))
 
     def l2_norm(self, u: np.ndarray) -> float:
         return float(np.sqrt(max(u @ (self.M_unit @ u), 0.0)))
@@ -396,13 +387,21 @@ class _LoadRule:
 
         When ``fn`` carries the ``terms`` ``(g_i, F_i)`` of a sum of products
         (see :func:`~cohesim.expressions.compile_expression`), each ``F_i`` is
-        assembled here into ``V_i`` and a sample is ``sum_i g_i(t) V_i``, so
-        the returned function keeps neither the points nor ``P``."""
+        assembled here into ``V_i`` and a sample is ``sum_i g_i(t) V_i``, added
+        in place from the first term on, so the returned function keeps
+        neither the points nor ``P``."""
         terms = getattr(fn, "terms", None)
         if terms is None:
             return lambda t: self.assemble(fn(self.x, self.y, t))
         fields = [(g, self.assemble(F(x=self.x, y=self.y))) for g, F in terms]
-        return lambda t: sum(float(g(t=t)) * V for g, V in fields)
+        (g0, V0), *rest = fields
+
+        def sample(t):
+            F = float(g0(t=t)) * V0
+            for g, V in rest:
+                F += float(g(t=t)) * V
+            return F
+        return sample
 
 
 def _load_rules(mesh: InterfaceMesh) -> tuple:

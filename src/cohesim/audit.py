@@ -18,10 +18,11 @@ of one body, and dividing by the interface weight gives the nodal traction.
 By the step's Euler-Lagrange equation this must match the cohesive traction
 ``dpsi_dw([u], xi)`` up to solver tolerance, with equal values from both
 sides (transmission) and magnitude below the activation threshold.  Inside
-the time loop the cohesive traction and the load of a step come from the
-step itself (:attr:`cohesim.step.StepResult.traction`,
-:attr:`cohesim.evolution.EvolutionState.f`), so an audit of every step
-makes no law pass and samples no load of its own.
+the time loop the cohesive traction and the bulk residual at the interface
+nodes come from the step itself (:attr:`cohesim.step.StepResult.traction`,
+:attr:`cohesim.step.StepResult.residual`, the bulk part of the step's
+a-posteriori residual, ``H0 u_k + b``), so an audit of every step makes no
+law pass, samples no load of its own and makes no sparse product.
 """
 
 from __future__ import annotations
@@ -149,21 +150,24 @@ class TractionField:
 
 def traction_extraction(prev: EvolutionState, state: EvolutionState,
                         ops: DiscreteOperators, law: CohesiveLaw,
-                        f_k: np.ndarray, cohesive: np.ndarray | None = None) -> TractionField:
+                        f_k: np.ndarray, cohesive: np.ndarray | None = None,
+                        residual: np.ndarray | None = None) -> TractionField:
     """Discrete Neumann extraction of ``sigma nu`` on both sides of K.
 
-    The bulk residual is formed on the interface-node rows only
-    (:attr:`~cohesim.assembly.DiscreteOperators.interface_rows`); each row
-    sums as in the full residual, so the values are the same bit for bit.
-    ``cohesive`` is ``dpsi_dw([u_k], xi_k)`` when the caller has it (the
-    step's :attr:`~cohesim.step.StepResult.traction`); it is computed here
-    when None.
+    ``residual`` is the bulk residual at the pairs' plus and minus nodes
+    (:attr:`~cohesim.assembly.DiscreteOperators.pairs`) when the caller has it (the step's
+    :attr:`~cohesim.step.StepResult.residual`, equal to the one formed here
+    up to rounding); otherwise it is read from the full residual of
+    ``prev``, ``state`` and ``f_k``.  ``cohesive`` is ``dpsi_dw([u_k], xi_k)``
+    when the caller has it (the step's
+    :attr:`~cohesim.step.StepResult.traction`); it is computed here when None.
     """
-    rows, M, A_eta, A_mu = ops.interface_rows
-    r = _bulk_residual(prev, state, M, A_eta, A_mu, f_k[rows])
+    if residual is None:
+        r = _bulk_residual(prev, state, ops.M, ops.A_eta, ops.A_mu, f_k)
+        residual = tuple(r[nodes] for nodes in ops.pairs)
     w = ops.weights
-    sigma_plus = -r[:w.size] / w
-    sigma_minus = r[w.size:] / w
+    sigma_plus = -residual[0] / w
+    sigma_minus = residual[1] / w
     if cohesive is None:
         cohesive = law.dpsi_dw(ops.B @ state.u, state.xi)
     return TractionField(

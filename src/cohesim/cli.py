@@ -58,12 +58,11 @@ EXIT_IO = 4
 class _TractionCollector:
     """Streams per-step traction summaries through the on_step callback.
 
-    The extraction at step ``k`` reads only the time and velocity of step
-    ``k - 1``.  At step 1 these are ``t = 0`` and ``v0``, which the
-    initial-data regularization leaves as given, so the collector starts from
-    them and the regularized data are computed once, by ``run()``.  The load
-    and the cohesive traction are the step's own (``state.f`` and
-    ``step_result.traction``).
+    The extraction reads the step's own bulk residual and cohesive traction
+    (``step_result.residual`` and ``step_result.traction``), so it makes no
+    sparse product and no law pass.  The previous state it is handed starts
+    at ``t = 0`` and ``v0``, which the initial-data regularization leaves as
+    given.
     """
 
     def __init__(self, scenario, ops):
@@ -74,7 +73,8 @@ class _TractionCollector:
 
     def __call__(self, state, step_result):
         tf = traction_extraction(self.prev, state, self.ops, self.law, state.f,
-                                 cohesive=step_result.traction)
+                                 cohesive=step_result.traction,
+                                 residual=step_result.residual)
         self.rows.append((state.k, state.t, tf))
         self.prev = state
 

@@ -225,7 +225,12 @@ def parse_scenario(doc: dict) -> ScenarioConfig:
     surface = _expr(lsec, "loads", "surface", ("x", "y", "t"), default=0.0)
     samples = _integer(lsec.get("samples", n + 1), "loads.samples", 2)
     surface_zero = "surface" not in lsec or lsec["surface"] == 0
-    times = np.linspace(0.0, T, samples)
+    try:
+        times = np.linspace(0.0, T, samples)
+    except MemoryError as exc:
+        key = "loads.samples" if "samples" in lsec else "time.n"
+        raise ConfigError(f"'{key}' asks for {samples} load samples, which do not fit "
+                          "in memory") from exc
     try:
         loads = LoadModel.from_functions(mesh, times, bulk=bulk if "bulk" in lsec else None,
                                          surface=None if surface_zero else surface)

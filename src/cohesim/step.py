@@ -75,10 +75,11 @@ its values ``psi([u_k], xi_k)`` and ``psi'([u_k], xi_k)`` (the cohesive
 traction) and the frozen history at ``xi_k``, with ``psi(0, xi_k)``, the
 dissipated part; the a-posteriori residual, the time loop's energy and jump
 columns, the traction audit and the next step read them, so none of them
-evaluates the law again.  :attr:`StepResult.energy` is one
-:func:`incremental_energy` call, whose cohesive term is one law pass at the
-step's frozen history ``xi_prev``.  Each value is bit-identical to the
-corresponding :class:`~cohesim.law.CohesiveLaw` call.
+evaluates the law again; :attr:`StepResult.energy` reads its ``psi`` too.
+Each value is bit-identical to the corresponding
+:class:`~cohesim.law.CohesiveLaw` call.  The bulk part ``H0 u_k + b`` of the
+a-posteriori residual at the pairs' nodes (:attr:`StepResult.residual`) is
+the residual ``M a_k + A_eta v_k + A_mu u_k - f_k`` of the traction audit.
 
 The step is well posed when ``H0 - beta B' W B`` is positive definite, which
 makes the functional strictly convex for every history; :func:`convexity_guard`
@@ -193,6 +194,7 @@ class StepResult:
     jumps: np.ndarray        # [u_new]
     psi: np.ndarray          # psi([u_new], xi_new)
     traction: np.ndarray     # psi'([u_new], xi_new), the cohesive traction
+    residual: tuple          # H0 u_new + b at each of ops.pairs, for the traction audit
     history: FrozenHistory   # law.frozen(xi_new), for psi(0, xi_new) and the next step
     products: tuple          # ops.products(u_new), for the record and the next step
 
@@ -210,12 +212,14 @@ def _at_hand(prob: StepProblem) -> StepProblem:
     return prob
 
 
-def incremental_energy(u, prob: StepProblem, products: tuple | None = None) -> float:
+def incremental_energy(u, prob: StepProblem, products: tuple | None = None,
+                       psi: np.ndarray | None = None) -> float:
     """Value of the incremental functional at the nodal vector ``u``.
 
     ``products`` is ``prob.ops.products(u)`` when the caller has it; with the
-    products of ``prob`` it makes every bulk term a nodal scaling.  The
-    cohesive term reads the frozen history of ``prob``."""
+    products of ``prob`` it makes every bulk term a nodal scaling.  ``psi``
+    is ``psi([u], xi_prev)`` when the caller has it; otherwise the cohesive
+    term is a law pass at the frozen history of ``prob``."""
     u = np.asarray(u, dtype=float)
     n = prob.ops.n_nodes
     if u.shape != (n,):
@@ -229,7 +233,9 @@ def incremental_energy(u, prob: StepProblem, products: tuple | None = None) -> f
     val = 0.5 / tau**2 * (d2 @ (ops.rho * (m - 2.0 * m1 + m2)))
     val += 0.5 / tau * (d1 @ (ops.eta * (a - a1)))
     val += 0.5 * (u @ (ops.mu * a)) - prob.f_k @ u
-    val += float(ops.weights @ prob.history.evaluate(ops.jumps(u))[0])
+    if psi is None:
+        psi = prob.history.evaluate(ops.jumps(u))[0]
+    val += float(ops.weights @ psi)
     return float(val)
 
 
@@ -368,18 +374,22 @@ def solve_step(prob: StepProblem, tol: float = 1e-10, max_iter: int = 60,
 
     # a-posteriori form: the Euler-Lagrange residual with the updated history
     # (H0 u_new on the free rows, as u_new vanishes on the Dirichlet nodes),
-    # B' (w traction) added at the pairs' nodes
+    # B' (w traction) added at the pairs' nodes after the audit's bulk part
     g_post = constrained(ws.mass * m + ws.stiffness * a) + b
     plus, minus = ops.pairs
+    residual = g_post[plus], g_post[minus]
     cohesive = ws.weights * traction
-    g_post[plus] += cohesive
-    g_post[minus] -= cohesive
+    g_post[plus] = residual[0] + cohesive
+    g_post[minus] = residual[1] - cohesive
     el_residual = float(np.abs(g_post).max(initial=0.0))
 
+    # psi([u_k], xi_k) is psi([u_k], xi_{k-1}) bit for bit: the history grows
+    # only on the loading branch, which reads no history
     return StepResult(u_new=u_new, xi_new=xi_new, newton_iters=iters,
                       grad_norm=rnorm, el_residual=el_residual,
-                      energy=incremental_energy(u_new, prob, products_new), jumps=jumps,
-                      psi=psi, traction=traction, history=hist_new, products=products_new)
+                      energy=incremental_energy(u_new, prob, products_new, psi), jumps=jumps,
+                      psi=psi, traction=traction, residual=residual, history=hist_new,
+                      products=products_new)
 
 
 def solve_static(ops: DiscreteOperators, law: CohesiveLaw, xi: np.ndarray,

@@ -177,6 +177,30 @@ class TestTractionExtraction:
         assert len(steps) == 40
 
 
+    @pytest.mark.parametrize("scenario", [small_ramp(n=60), unloading_tent(n=40, n_x=8, n_y=4)],
+                             ids=["ramp", "tent"])
+    def test_step_residual_matches_recomputation(self, scenario):
+        # the step's bulk residual H0 u_k + b and the one formed from the
+        # states, M a + A_eta v + A_mu u - f, agree up to rounding, and both
+        # pass the transmission gate
+        steps = []
+        rec = run(scenario, tol=TOL, callbacks=lambda state, res: steps.append((state, res)))
+        ops, law = rec.ops, rec.law
+        prev = rec.state(0)
+        for state, res in steps:
+            given = traction_extraction(prev, state, ops, law, state.f, cohesive=res.traction,
+                                        residual=res.residual)
+            own = traction_extraction(prev, state, ops, law, state.f)
+            scale = 1.0 + max(np.abs(own.sigma_plus).max(), np.abs(own.sigma_minus).max())
+            for name in ("sigma_plus", "sigma_minus"):
+                assert np.abs(getattr(given, name) - getattr(own, name)).max() <= 1e-10 * scale
+            tol_abs = 10.0 * TOL * (1.0 + np.abs(state.f).max()) / ops.weights.min()
+            for tf in (given, own):
+                assert tf.max_interior(tf.transmission_defect) <= tol_abs
+            prev = state
+        assert len(steps) == rec.n_steps and np.any(rec.xis[-1] > rec.xis[0])
+
+
 class TestElasticUnloading:
     def test_unload_freezes_history_and_traction_line(self):
         rec = run(unloading_tent(n=120, n_x=8, n_y=4), snapshot_stride=1, tol=TOL)

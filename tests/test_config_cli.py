@@ -320,6 +320,10 @@ class TestCli:
                           "tau^2, rho / tau^2 or eta / tau is out of the float range"),
         ("initial.u0", "1e400 * x", "must be finite at every node"),
         ("initial.xi0", "0 * x + 1e400", "must be finite at every node"),
+        # numpy refuses a time grid this size at once, without touching memory
+        ("time.n", 10**12, "asks for 1000000000001 load samples, which do not fit in memory"),
+        ("loads.samples", 10**12,
+         "asks for 1000000000000 load samples, which do not fit in memory"),
     ]
 
     @pytest.mark.parametrize("command", ["run", "study", "check-law"])

@@ -216,17 +216,19 @@ class TestRun:
             assert np.abs(rec.steps[name] - value).max() <= 1e-13 * np.abs(value).max(), name
             assert np.abs(value).max() > 0.0, name
 
-    def test_two_full_size_sparse_products_per_step(self, monkeypatch):
+    def test_two_full_size_sparse_products_per_step(self, monkeypatch, tmp_path):
         # a step forms M_unit u_k and A_unit u_k; every other bulk quantity of
         # the step and its record is a nodal scaling of stored products, and
         # the jumps and B' r are read at the pairs' nodes, with no product
-        # with B or B'
+        # with B or B'; a CLI run's traction audit reads the step's own bulk
+        # residual, so the step's two are the only sparse products of any shape
         scenario = unloading_tent(n=20, n_x=8, n_y=4)
         n_nodes, n_pairs = scenario.mesh.n_nodes, scenario.mesh.n_pairs
-        count = {"full": 0, "B": 0}
+        count = {"full": 0, "B": 0, "any": 0}
 
         def counted(real):
             def wrapper(self, other):
+                count["any"] += 1
                 if self.shape == (n_nodes, n_nodes):
                     count["full"] += 1
                 elif self.shape in ((n_pairs, n_nodes), (n_nodes, n_pairs)):
@@ -241,13 +243,32 @@ class TestRun:
         assert np.diff([e["full"] for e in ends]).tolist() == [2] * 19
         assert np.diff([e["B"] for e in ends]).tolist() == [0] * 19
 
+        # the CLI: one step is its load lookup, solve, record and audit
+        audits = []
+        real_audit = cohesim.cli.traction_extraction
+
+        def audit(*args, **kwargs):
+            out = real_audit(*args, **kwargs)
+            audits.append(count["any"])
+            return out
+
+        monkeypatch.setattr(cohesim.cli, "traction_extraction", audit)
+        path = tmp_path / "tent.json"
+        doc = json.loads((SCENARIOS / "unloading_tent.json").read_text())
+        doc["mesh"].update(n_x=8, n_y=4)
+        doc["time"]["n"] = 20
+        doc["output"] = {"vtk": False}
+        path.write_text(json.dumps(doc))
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+        assert np.diff(audits).tolist() == [2] * 19
+
     def test_cli_run_evaluates_law_and_load_once_after_newton(self, monkeypatch,
                                                               tmp_path):
         # between the end of a step's Newton loop and the start of the next
         # step's solve: one frozen history and one evaluate() (the post-step
-        # pass), one evaluate() at the step's frozen history for
-        # StepResult.energy, one envelope pass in each of the three and no
-        # other law call; one load lookup per step in the whole run
+        # pass, whose psi StepResult.energy and the record read), one
+        # envelope pass in each of the two and no other law call, the traction
+        # audit included; one load lookup per step in the whole run
         post = []          # per step, the counts after its Newton loop
         loads_at = []
 
@@ -298,8 +319,8 @@ class TestRun:
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
         assert len(post) == 20
         for counts in post:
-            assert counts["frozen"] == 1 and counts["evaluate"] == 2
-            assert counts["value_slope"] == 3 and counts["value"] + counts["slope"] == 0
+            assert counts["frozen"] == 1 and counts["evaluate"] == 1
+            assert counts["value_slope"] == 2 and counts["value"] + counts["slope"] == 0
         assert len(loads_at) == 20
 
     def test_each_step_freezes_the_history_once(self, monkeypatch):
@@ -380,6 +401,30 @@ class TestRun:
         for column in (led.ts, led.E, led.R, led.R_split, rep.admissibility,
                        rep.complementarity, rep.slope, rep.xi_monotone):
             assert column.shape == (4,)
+
+
+    def test_failed_run_keeps_the_rows_of_the_run_without_the_failure(self, monkeypatch):
+        # the columns filled after the loop (KKT, D_cum, P_cum) are filled on
+        # the partial table too, bit for bit as in the whole run
+        scenario = unloading_tent(n=20, n_x=8, n_y=4)
+        ref = run(scenario)
+        real = evolution.solve_step
+        calls = {"k": 0}
+
+        def failing(prob, tol=1e-10):
+            calls["k"] += 1
+            if calls["k"] == 5:
+                raise StepSolverError("forced failure", u_last=prob.u_prev, grad_norm=1.0)
+            return real(prob, tol=tol)
+
+        monkeypatch.setattr(evolution, "solve_step", failing)
+        with pytest.raises(EvolutionError) as err:
+            run(scenario)
+        partial = err.value.partial.steps
+        assert err.value.step == 5 and partial.size == 5
+        for name in partial.dtype.names:
+            assert partial[name].tobytes() == ref.steps[name][:5].tobytes(), name
+        assert np.any(ref.steps["D_cum"][1:5] > 0.0) and np.any(ref.steps["P_cum"][1:5] != 0.0)
 
 
 class TestSelfConvergence:
