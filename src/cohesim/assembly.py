@@ -98,11 +98,7 @@ def _geometry(mesh: InterfaceMesh):
 
 
 def _form(mesh: InterfaceMesh, unit, area: np.ndarray, coef) -> sp.csr_matrix:
-    """Assemble the element matrices ``unit`` scaled by ``coef_T * area_T``;
-    a Materials field pair scales the unit form by node instead (see
-    :class:`DiscreteOperators`)."""
-    if isinstance(coef, tuple) and len(coef) == 2:
-        return _row_scaled(_form(mesh, unit, area, None), _node_values(mesh, coef))
+    """Assemble the element matrices ``unit`` scaled by ``coef_T * area_T``."""
     local = unit * (_coefficients(mesh, coef) * area)[:, None, None]
     # int32, the index type the sparse constructors convert to anyway
     tris = mesh.triangles.astype(np.int32)
@@ -458,14 +454,13 @@ class LoadModel:
     replaced, never modified, so a race costs at most a repeated evaluation.
     """
 
-    def __init__(self, times, n_nodes: int, loads: dict, surface_is_zero: bool):
+    def __init__(self, times, n_nodes: int, loads: dict):
         times = np.asarray(times, dtype=float)
         if times.ndim != 1 or times.size < 1 or np.any(np.diff(times) <= 0.0):
             raise ValueError("load sample times must be strictly increasing")
         self.times = times
         self.n_nodes = n_nodes
         self.loads = loads     # name -> function t -> nodal load, summed in order
-        self.surface_is_zero = surface_is_zero
         self._cache = ()      # up to two (sample index, vector) pairs
 
     @classmethod
@@ -477,13 +472,17 @@ class LoadModel:
         loads = {name: rule.load(fn) for name, rule, fn
                  in zip(("bulk", "surface"), _load_rules(mesh), (bulk, surface))
                  if fn is not None}
-        model = cls(times, mesh.n_nodes, loads, surface_is_zero=surface is None)
+        model = cls(times, mesh.n_nodes, loads)
         model._sample(0)
         return model
 
     @classmethod
     def zero(cls, mesh: InterfaceMesh, t_final: float) -> "LoadModel":
         return cls.from_functions(mesh, [0.0, t_final])
+
+    @property
+    def surface_is_zero(self) -> bool:
+        return "surface" not in self.loads
 
     @property
     def t_final(self) -> float:

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembly import DiscreteOperators
-from .evolution import EvolutionState, StepColumns, TrajectoryRecord
+from .evolution import KKT_COLUMNS, EvolutionState, StepColumns, TrajectoryRecord
 from .law import CohesiveLaw
 
 __all__ = [
@@ -83,31 +83,24 @@ def energy_ledger(traj: TrajectoryRecord) -> EnergyLedger:
 @dataclass
 class KKTReport(StepColumns):
     """Max violations per step of the three discrete complementarity
-    conditions plus the history slope bound.
+    conditions, the history slope bound and the history's monotonicity: a
+    view of the step table's four KKT columns, which ``kkt.csv`` writes.
 
-    ``admissibility``, ``complementarity`` and ``slope`` read the ``kkt_*``
-    columns of the step table: ``max(0, |[u_k]| - xi_k)``,
-    ``max |(xi_k - xi_{k-1})(|[u_k]| - xi_k)|`` and
-    ``max(0, |xi_k - xi_{k-1}| - |[u_k] - [u_{k-1}]|)``.
+    ``admissibility``, ``complementarity``, ``slope`` and ``xi_monotone`` are
+    ``max(0, |[u_k]| - xi_k)``, ``max |(xi_k - xi_{k-1})(|[u_k]| - xi_k)|``,
+    ``max(0, |xi_k - xi_{k-1}| - |[u_k] - [u_{k-1}]|)`` and ``max(0, xi_{k-1} - xi_k)``.
     """
 
-    _column_prefixes = ("kkt_",)
-
     steps: np.ndarray
-    xi_monotone: np.ndarray        # max(0, xi_{k-1} - xi_k)
 
     @property
     def max_violation(self) -> float:
         # np.max, unlike Python's max, lets a NaN through
-        return float(np.max([self.admissibility.max(), self.complementarity.max(),
-                             self.slope.max()]))
+        return float(np.max([self.steps[name].max() for name in KKT_COLUMNS]))
 
 
 def kkt_report(traj: TrajectoryRecord) -> KKTReport:
-    xi_drop = np.zeros(traj.steps.size)
-    if traj.steps.size > 1:
-        xi_drop[1:] = np.maximum(0.0, (traj.xis[:-1] - traj.xis[1:]).max(axis=1))
-    return KKTReport(traj.steps, xi_drop)
+    return KKTReport(traj.steps)
 
 
 def _bulk_residual(prev: EvolutionState, state: EvolutionState,

@@ -240,13 +240,11 @@ def cmd_check_law(args) -> int:
     from .assembly import assemble
 
     scenario = load_scenario_file(args.config).scenario
-    law = scenario.law
-    c = law.constants
+    c = scenario.law.constants
     c_hat = estimate_trace_constant(scenario.mesh)
     margin = scenario.materials.mu_min * c_hat - c.beta
     ops = assemble(scenario.mesh, scenario.materials)
-    lam_max = StepWorkspace(ops, scenario.tau).lambda_max
-    step_margin = 1.0 - c.beta * lam_max
+    step_margin = StepWorkspace(ops, scenario.tau).margin(c.beta)
     print(f"law kind: {scenario.law.env.kind}")
     print(f"beta = {c.beta!r}")
     print(f"psi_prime_0 = {c.psi_prime_0!r}")

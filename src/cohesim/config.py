@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembly import LoadError, LoadModel, Materials
-from .evolution import Scenario
+from .evolution import Scenario, step_dtype
 from .expressions import ExpressionError, compile_expression
 from .law import CohesiveLaw, HypothesisError, PrototypeEnvelope, TabulatedEnvelope
 from .mesh import InterfaceMesh, MeshError, build_rectangle_mesh, load_mesh, scaled
@@ -231,6 +231,11 @@ def parse_scenario(doc: dict) -> ScenarioConfig:
         key = "loads.samples" if "samples" in lsec else "time.n"
         raise ConfigError(f"'{key}' asks for {samples} load samples, which do not fit "
                           "in memory") from exc
+    try:
+        np.empty(n + 1, dtype=step_dtype(mesh.n_pairs))     # run()'s step table
+    except MemoryError as exc:
+        raise ConfigError(f"'time.n' asks for a step table of {n + 1} rows, which does not "
+                          "fit in memory") from exc
     try:
         loads = LoadModel.from_functions(mesh, times, bulk=bulk if "bulk" in lsec else None,
                                          surface=None if surface_zero else surface)

@@ -26,10 +26,11 @@ jumps, ``|v|_H1``, ``|a|_L2`` and the step's viscous dissipation and load
 work, as nodal scalings of these products and their differences
 (``M v_k = rho (M_unit u_k - M_unit u_{k-1}) / tau``), so a step makes no
 sparse product beyond the two of its own state.  The columns that read only
-the table, the KKT violations and the running sums ``D_cum`` and ``P_cum``,
-are filled in one pass after the loop, also on the partial table of a failed
-run.  Each callback receives the state with the step's load vector ``f``, so
-no consumer forms these values again.
+the table, the four KKT violations that ``kkt.csv`` writes and
+:class:`~cohesim.audit.KKTReport` reads, and the running sums ``D_cum`` and
+``P_cum``, are filled in one blocked pass after the loop, also on the partial
+table of a failed run.  Each callback receives the state with the step's load
+vector ``f``, so no consumer forms these values again.
 """
 
 from __future__ import annotations
@@ -148,8 +149,8 @@ class EvolutionState:
     f: np.ndarray | None = None     # the load vector of step k (time loop only)
 
 
-_FLOAT_COLUMNS = ("ts", "E", "K", "Psi", "Psi_s", "Psi_d", "D_cum", "P_cum",
-                  "kkt_admissibility", "kkt_complementarity", "kkt_slope",
+KKT_COLUMNS = ("admissibility", "complementarity", "slope", "xi_monotone")   # as in kkt.csv
+_FLOAT_COLUMNS = ("ts", "E", "K", "Psi", "Psi_s", "Psi_d", "D_cum", "P_cum", *KKT_COLUMNS,
                   "grad_norms", "el_residuals", "v_h1", "a_l2")
 
 
@@ -162,19 +163,12 @@ def step_dtype(n_pairs: int) -> np.dtype:
 
 
 class StepColumns:
-    """Reads the columns of ``self.steps`` as attributes (``obj.E``).
-
-    A name not found is retried with each of ``_column_prefixes``.
-    """
-
-    _column_prefixes = ()
+    """Reads the columns of ``self.steps`` as attributes (``obj.E``)."""
 
     def __getattr__(self, name):
         steps = self.__dict__.get("steps")
-        if steps is not None:
-            for column in (name, *(p + name for p in self._column_prefixes)):
-                if column in steps.dtype.names:
-                    return steps[column]
+        if steps is not None and name in steps.dtype.names:
+            return steps[name]
         raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
 
 
@@ -251,10 +245,10 @@ _BLOCK = 1024
 
 
 def _finish_step_table(steps: np.ndarray) -> np.ndarray:
-    """Fill the columns that read only the step table and return it: the KKT
-    violations from ``xis`` and ``jumps``, vectorized over blocks of rows, and
-    ``D_cum`` and ``P_cum`` as running sums of the per-step increments they
-    hold.  ``np.cumsum`` adds in row order, as a step-by-step sum would."""
+    """Fill the columns that read only the step table and return it: the four
+    KKT violations from ``xis`` and ``jumps``, vectorized over blocks of rows,
+    and ``D_cum`` and ``P_cum`` as running sums of the per-step increments
+    they hold.  ``np.cumsum`` adds in row order, as a step-by-step sum would."""
     xis, jumps = steps["xis"], steps["jumps"]
     rows = max(1, _BLOCK // xis.shape[1])
     for lo in range(1, steps.size, rows):
@@ -262,10 +256,12 @@ def _finish_step_table(steps: np.ndarray) -> np.ndarray:
         k, prev = slice(lo, hi), slice(lo - 1, hi - 1)
         gap = np.abs(jumps[k]) - xis[k]           # |[u_k]| - xi_k
         growth = xis[k] - xis[prev]
-        steps["kkt_admissibility"][k] = np.maximum(0.0, gap.max(axis=1))
-        steps["kkt_complementarity"][k] = np.abs(growth * gap).max(axis=1)
-        steps["kkt_slope"][k] = np.maximum(
+        steps["admissibility"][k] = np.maximum(0.0, gap.max(axis=1))
+        steps["complementarity"][k] = np.abs(growth * gap).max(axis=1)
+        steps["slope"][k] = np.maximum(
             0.0, (np.abs(growth) - np.abs(jumps[k] - jumps[prev])).max(axis=1))
+        # not -growth, whose +0.0 entries would turn -0.0
+        steps["xi_monotone"][k] = np.maximum(0.0, (xis[prev] - xis[k]).max(axis=1))
     for name in ("D_cum", "P_cum"):
         np.cumsum(steps[name], out=steps[name])
     return steps

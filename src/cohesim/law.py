@@ -117,7 +117,7 @@ class TabulatedEnvelope:
     slopes, so validation (concavity, positivity) operates on the function
     actually used by the simulator.  Beyond ``xi_c`` the envelope is constant
     with zero slope.  The interpolant's own (piecewise-linear) second
-    derivative defines the curvature.
+    derivative defines the curvature, which :meth:`beta` bounds exactly.
     """
 
     kind = "tabulated"
@@ -168,45 +168,10 @@ class TabulatedEnvelope:
         return float(c) if scalar else c
 
     def beta(self) -> float:
-        return -_min_curvature(self)
-
-
-def _golden_min(f, a: float, b: float, tol: float = 1e-10) -> float:
-    """Golden-section search for the minimizer of ``f`` on ``[a, b]``."""
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    f1, f2 = f(x1), f(x2)
-    while b - a > tol:
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            f2 = f(x2)
-    return 0.5 * (a + b)
-
-
-def _min_curvature(env) -> float:
-    """Minimum of ``psi_hat''`` over ``[0, xi_c]``.
-
-    A coarse grid scan (plus spline knots when available) brackets the
-    minimum, then golden-section search polishes it to 1e-10.
-    """
-    candidates = np.linspace(0.0, env.xi_c, 257)
-    knots = getattr(env, "grid", None)
-    if knots is not None:
-        candidates = np.unique(np.concatenate([candidates, knots]))
-    vals = env.curvature(candidates)
-    i = int(np.argmin(vals))
-    lo = candidates[max(i - 1, 0)]
-    hi = candidates[min(i + 1, candidates.size - 1)]
-    if hi > lo:
-        x = _golden_min(lambda t: float(env.curvature(t)), float(lo), float(hi))
-        return float(min(vals[i], env.curvature(x)))
-    return float(vals[i])
+        """``-min psi_hat''``, exactly: ``psi_hat''`` is linear on each piece, so
+        its minimum is an end value of one, a one-sided limit at a knot."""
+        c, h = self._d2.c, np.diff(self.grid)
+        return -float(min(c[1].min(), (c[0] * h + c[1]).min()))
 
 
 @dataclass(frozen=True)
@@ -226,16 +191,19 @@ class LawConstants:
     h3_holds: bool
 
 
-def validate_envelope(env, n_samples: int = 513) -> None:
-    """Check (H1)/(H2) on a sample grid; raise :class:`HypothesisError` naming
-    the violated hypothesis."""
+_N_SAMPLES = 513     # openings at which validate_envelope samples (H1)
+
+
+def validate_envelope(env) -> None:
+    """Check (H1) on a sample grid and (H2) through ``env.beta()``; raise
+    :class:`HypothesisError` naming the violated hypothesis."""
     xi_c = env.xi_c
     if xi_c <= 0.0:
         raise HypothesisError("(H1) violated: critical opening xi_c must be positive")
     tol = 1e-10 * max(1.0, abs(env.psi_at_cap))
     if abs(env.value(0.0)) > tol:
         raise HypothesisError("(H1) violated: psi_hat(0) != 0")
-    ws = np.linspace(0.0, xi_c, n_samples)
+    ws = np.linspace(0.0, xi_c, _N_SAMPLES)
     vals = env.value(ws)
     if np.any(vals[1:] <= 0.0):
         raise HypothesisError("(H1) violated: psi_hat must be positive for w > 0")
@@ -249,7 +217,7 @@ def validate_envelope(env, n_samples: int = 513) -> None:
     for w_far in (1.5 * xi_c, 3.0 * xi_c):
         if abs(env.value(w_far) - env.psi_at_cap) > tol or env.slope(w_far) != 0.0:
             raise HypothesisError("(H1) violated: psi_hat must be constant beyond xi_c")
-    if -_min_curvature(env) <= 0.0:
+    if env.beta() <= 0.0:
         raise HypothesisError(
             "(H2) violated: beta = -min psi_hat'' must be positive (linear envelope)"
         )
@@ -258,7 +226,7 @@ def validate_envelope(env, n_samples: int = 513) -> None:
 def law_constants(env) -> LawConstants:
     """Validate ``env`` and compute its derived constants."""
     validate_envelope(env)
-    beta = env.beta() if hasattr(env, "beta") else -_min_curvature(env)
+    beta = env.beta()
     psi_prime_0 = float(env.slope(0.0))
     # h3: discrete midpoint concavity of psi_hat' on [0, xi_c]
     ws = np.linspace(0.0, env.xi_c, 257)
@@ -438,5 +406,5 @@ class FrozenHistory:
     def curvature(self, aw, elastic):
         """Newton curvature: the secant stiffness ``c_xi`` on the elastic
         branch and the envelope's own curvature ``psi_hat''(|w|)`` elsewhere,
-        which is at least ``-beta``."""
+        which is at least ``-beta`` (exact), as the certified step requires."""
         return np.where(elastic, self.c_xi, self.env.curvature(aw))

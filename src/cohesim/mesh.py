@@ -298,23 +298,22 @@ def load_mesh(path) -> InterfaceMesh:
         raise MeshError(f"mesh file missing section {exc}") from exc
 
 
-def estimate_trace_constant(mesh: InterfaceMesh, mu_field=None) -> float:
+def estimate_trace_constant(mesh: InterfaceMesh) -> float:
     """Smallest discrete Rayleigh quotient ``|grad u|^2 / |[u]|^2`` over the mesh.
 
     Computed as ``1 / lambda_max(W^1/2 B A^-1 B^T W^1/2)`` where ``A`` is the
-    (optionally ``mu``-weighted) stiffness, Dirichlet nodes eliminated by
+    unit-coefficient stiffness, Dirichlet nodes eliminated by
     :class:`~cohesim.assembly.InterfaceSchur`, ``B`` the jump operator and
     ``W`` the interface weights: minimizing ``u' A u`` subject to prescribed
     jumps reduces the quotient to the Schur complement on the interface.
-    With ``mu_field=None`` the coefficient is one and the result is the
-    purely geometric constant (scales like ``1/l`` under domain scaling by
-    ``l``).
+    The result is a purely geometric constant (scales like ``1/l`` under
+    domain scaling by ``l``).
     """
     from .assembly import InterfaceSchur, stiffness_matrix
 
     if mesh.n_pairs == 0:
         raise MeshError("trace constant requires interface pairs")
-    lam_max = InterfaceSchur(stiffness_matrix(mesh, mu_field), mesh.jump_operator(),
+    lam_max = InterfaceSchur(stiffness_matrix(mesh), mesh.jump_operator(),
                              mesh.free_nodes).lambda_max(mesh.interface_weights)
     if lam_max <= 0.0:
         raise MeshError("interface Schur complement is singular")

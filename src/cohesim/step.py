@@ -149,9 +149,13 @@ class StepWorkspace:
 
     @cached_property
     def lambda_max(self) -> float:
-        """Largest eigenvalue of ``W^1/2 S W^1/2``; the step is strictly convex
-        for every history when ``beta * lambda_max < 1``."""
+        """Largest eigenvalue of ``W^1/2 S W^1/2``."""
         return self.schur.lambda_max(self.weights)
+
+    def margin(self, beta: float) -> float:
+        """``1 - beta * lambda_max``: the step is strictly convex for every
+        history of a law with curvature bound ``beta`` exactly when it is positive."""
+        return 1.0 - beta * self.lambda_max
 
     def newton_direction(self, r: np.ndarray, d_curv: np.ndarray) -> np.ndarray:
         """Interface Newton direction: solve ``(I + diag(d_curv) S) delta = -r``."""
@@ -262,7 +266,7 @@ def _minimize(ws: StepWorkspace, hist: FrozenHistory, beta: float, b: np.ndarray
     """
     S, w = ws.schur.S, ws.weights
     y, j_lin = ws.schur.forward(b)
-    certified = beta * ws.lambda_max < 1.0
+    certified = ws.margin(beta) > 0.0
 
     def point(lam) -> _Point:
         S_lam = S @ lam
@@ -393,8 +397,7 @@ def solve_step(prob: StepProblem, tol: float = 1e-10, max_iter: int = 60,
 
 
 def solve_static(ops: DiscreteOperators, law: CohesiveLaw, xi: np.ndarray,
-                 f_eff: np.ndarray, tol: float = 1e-10, max_iter: int = 60,
-                 workspace: StepWorkspace | None = None) -> np.ndarray:
+                 f_eff: np.ndarray, tol: float = 1e-10, max_iter: int = 60) -> np.ndarray:
     """Minimize ``1/2 u' A_mu u - f_eff . u + sum_j w_j psi([u]_j, xi_j)``.
 
     Used for the equilibrium recomputation of initial data; ``f_eff`` already
@@ -402,7 +405,7 @@ def solve_static(ops: DiscreteOperators, law: CohesiveLaw, xi: np.ndarray,
     """
     if np.any(xi <= 0.0):
         raise ValueError("xi must be strictly positive (regularized regime)")
-    ws = workspace if workspace is not None else StepWorkspace(ops, None)
+    ws = StepWorkspace(ops, None)
     b = ws.schur.constrained(-f_eff)
     tol_abs = tol * (1.0 + float(np.abs(f_eff).max(initial=0.0)))
     return _minimize(ws, law.frozen(xi), law.beta, b, np.zeros(ws.weights.size), tol_abs,
@@ -416,8 +419,8 @@ def convexity_guard(prob: StepProblem) -> bool:
     ``H0 = M / tau^2 + A_eta / tau + A_mu`` the quadratic part of the
     incremental functional and ``beta`` the law's curvature bound; the
     functional is then strictly convex for every history.  As ``H0`` is SPD,
-    the condition holds exactly when ``beta * lambda_max(W^1/2 S W^1/2) < 1``
+    the condition holds exactly when :meth:`StepWorkspace.margin` is positive
     for the step's own interface Schur complement ``S = B H0^-1 B'``, read
     from ``prob.workspace`` (built here when it is None).
     """
-    return bool(prob.law.beta * _workspace(prob).lambda_max < 1.0)
+    return bool(_workspace(prob).margin(prob.law.beta) > 0.0)

@@ -63,8 +63,8 @@ class TestKKTReport:
         assert rep.max_violation <= 1e-12
         assert np.all(rep.xi_monotone == 0.0)
 
-    @pytest.mark.parametrize("column", ["kkt_admissibility", "kkt_complementarity",
-                                        "kkt_slope"])
+    @pytest.mark.parametrize("column", ["admissibility", "complementarity", "slope",
+                                        "xi_monotone"])
     def test_nan_in_one_column_reaches_max_violation(self, ramp_record, column):
         steps = ramp_record.steps.copy()
         steps[column][3] = np.nan

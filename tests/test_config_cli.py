@@ -294,14 +294,16 @@ class TestCli:
         assert err.startswith("I/O error: ") and str(tmp_path / "nope.json") in err
 
     @staticmethod
-    def probe(command, tmp_path, key, value):
+    def probe(command, tmp_path, key, value, *more):
         """``command`` on the standard ramp at 8x4 cells with ``key`` set to
-        ``value``; a study runs it as its one level.  Returns the exit code."""
+        ``value``, and each further ``(key, value)`` of ``more``; a study runs
+        it as its one level.  Returns the exit code."""
         doc = json.loads((SCENARIOS / "standard_ramp.json").read_text())
         doc["mesh"].update(n_x=8, n_y=4)
         doc["output"] = {}
-        section, field = key.split(".")
-        doc[section][field] = value
+        for key, value in ((key, value), *more):
+            section, field = key.split(".")
+            doc[section][field] = value
         if command == "study":
             doc = {"kind": "single", "base": doc}
         path = tmp_path / "probe.json"
@@ -335,6 +337,16 @@ class TestCli:
         out, err = capsys.readouterr()
         assert code == 2 and out == ""
         assert err == f"config error: '{key}' {message}\n"
+
+    @pytest.mark.parametrize("command", ["run", "study", "check-law"])
+    def test_step_table_beyond_memory_exits_2_naming_time_n(self, command, tmp_path, capsys):
+        # 3 load samples fit; numpy refuses the step table of 10**12 + 1 rows
+        # at once, without touching memory
+        code = self.probe(command, tmp_path, "loads.samples", 3, ("time.n", 10**12))
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == ("config error: 'time.n' asks for a step table of 1000000000001 rows, "
+                       "which does not fit in memory\n")
 
     @pytest.mark.parametrize("command", ["run", "check-law"])
     @pytest.mark.parametrize("key, bad", [("w", float("nan")), ("psi", "0.8"),

@@ -392,8 +392,8 @@ class TestRun:
         partial = err.value.partial
         assert partial.ts.shape[0] == 4  # steps 0..3 retained
         names = partial.steps.dtype.names
-        assert {"xis", "jumps", "newton_iters", "kkt_admissibility",
-                "kkt_complementarity", "kkt_slope", "v_h1", "a_l2"} <= set(names)
+        assert {"xis", "jumps", "newton_iters", "admissibility", "complementarity", "slope",
+                "xi_monotone", "v_h1", "a_l2"} <= set(names)
         for name in names:
             assert getattr(partial, name).shape[0] == 4, name
         assert partial.xis.shape == partial.jumps.shape == (4, partial.ops.mesh.n_pairs)

@@ -235,6 +235,18 @@ class TestLawConstants:
         c = law_constants(TabulatedEnvelope(grid, psi, dpsi))
         assert c.beta == pytest.approx(eps, rel=1e-6)
 
+    def test_tabulated_beta_bounds_every_curvature_value(self):
+        # psi_hat'' is linear on each Hermite piece; here its minimum, -4.8,
+        # is the first piece's value at its right end, the left limit at the
+        # knot w = 0.5, which an evaluation only approaches
+        env = TabulatedEnvelope([0.0, 0.5, 1.0], [0.0, 0.8, 1.0], [2.0, 0.8, 0.0])
+        c0, c1 = env._d2.c[:, 0]
+        assert env.beta() == -(c0 * 0.5 + c1) == 4.8000000000000025
+        ws = np.concatenate([np.linspace(0.0, 1.0, 100001), env.grid,
+                             np.nextafter(env.grid[1:], 0.0), np.nextafter(env.grid[:-1], 1.0)])
+        assert np.all(env.curvature(ws) >= -env.beta())
+        assert env.curvature(np.nextafter(0.5, 0.0)) < -4.8
+
     def test_validation_names_h1(self):
         grid = np.linspace(0.0, 1.0, 5)
         with pytest.raises(HypothesisError, match=r"\(H1\)"):

@@ -234,9 +234,3 @@ class TestTraceConstant:
         for factor in (0.5, 2.0):
             val = estimate_trace_constant(scaled(mesh, factor))
             assert val == pytest.approx(base / factor, rel=0.05)
-
-    def test_mu_weighted_variant(self):
-        mesh = build_rectangle_mesh(1.0, 3, 3)
-        base = estimate_trace_constant(mesh)
-        weighted = estimate_trace_constant(mesh, (2.0, 2.0))
-        assert weighted == pytest.approx(2.0 * base, rel=1e-10)
