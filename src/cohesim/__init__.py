@@ -9,9 +9,7 @@ from .audit import (
     TractionField,
     energy_ledger,
     kkt_report,
-    regularity_norms,
     traction_extraction,
-    weak_residual,
 )
 from .evolution import (
     EvolutionError,
@@ -36,7 +34,6 @@ from .mesh import (
     build_rectangle_mesh,
     estimate_trace_constant,
     load_mesh,
-    save_mesh,
     scaled,
 )
 from .step import (

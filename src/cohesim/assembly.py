@@ -5,8 +5,11 @@ All bilinear forms carry the physical factor-1/2 convention of the energies:
 ``v' A_eta v = D(v)`` (viscous dissipation rate, no 1/2).
 
 Assembly is vectorized over elements; the resulting operators are immutable.
-Dirichlet conditions are homogeneous and handled by elimination, in
-:class:`InterfaceSchur` only (no penalty terms).
+Only the unit forms ``M_unit`` and ``A_unit`` are assembled: ``M``, ``A_mu``
+and ``A_eta`` are nodal scalings of them that a run reads through products,
+never as matrices (:class:`DiscreteOperators`).  Dirichlet conditions are
+homogeneous and handled by elimination, in :class:`InterfaceSchur` only (no
+penalty terms).
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ __all__ = [
     "LoadModel",
     "assemble",
     "stiffness_matrix",
-    "mass_matrix",
     "load_vector",
 ]
 
@@ -69,16 +71,6 @@ class Materials:
         return min(self.mu_plus, self.mu_minus)
 
 
-def _coefficients(mesh: InterfaceMesh, coef) -> np.ndarray:
-    """Per-triangle coefficient: None -> 1, or an array."""
-    if coef is None:
-        return np.ones(mesh.triangles.shape[0])
-    c = np.asarray(coef, dtype=float)
-    if c.shape != (mesh.triangles.shape[0],):
-        raise ValueError("coefficient array must have one value per triangle")
-    return c
-
-
 def _geometry(mesh: InterfaceMesh):
     p = mesh.nodes[mesh.triangles]            # (M, 3, 2)
     v1 = p[:, 1] - p[:, 0]
@@ -97,9 +89,9 @@ def _geometry(mesh: InterfaceMesh):
     return p, area, grads
 
 
-def _form(mesh: InterfaceMesh, unit, area: np.ndarray, coef) -> sp.csr_matrix:
-    """Assemble the element matrices ``unit`` scaled by ``coef_T * area_T``."""
-    local = unit * (_coefficients(mesh, coef) * area)[:, None, None]
+def _form(mesh: InterfaceMesh, unit, area: np.ndarray) -> sp.csr_matrix:
+    """Assemble the element matrices ``unit`` scaled by ``area_T``."""
+    local = unit * area[:, None, None]
     # int32, the index type the sparse constructors convert to anyway
     tris = mesh.triangles.astype(np.int32)
     rows = np.repeat(tris, 3, axis=1).ravel()
@@ -117,22 +109,10 @@ def _node_values(mesh: InterfaceMesh, pair) -> np.ndarray:
     return c
 
 
-def _row_scaled(A: sp.csr_matrix, c: np.ndarray) -> sp.csr_matrix:
-    """``diag(c) A`` on the pattern of ``A`` (shared, not copied)."""
-    return sp.csr_matrix((np.repeat(c, np.diff(A.indptr)) * A.data, A.indices, A.indptr),
-                         shape=A.shape)
-
-
-def stiffness_matrix(mesh: InterfaceMesh, coef=None) -> sp.csr_matrix:
-    """Assemble ``sum_T coef_T  int_T grad phi_i . grad phi_j``."""
+def stiffness_matrix(mesh: InterfaceMesh) -> sp.csr_matrix:
+    """Assemble ``sum_T int_T grad phi_i . grad phi_j``."""
     _, area, grads = _geometry(mesh)
-    return _form(mesh, np.einsum("tik,tjk->tij", grads, grads), area, coef)
-
-
-def mass_matrix(mesh: InterfaceMesh, coef=None) -> sp.csr_matrix:
-    """Assemble ``sum_T coef_T int_T phi_i phi_j`` (consistent mass)."""
-    _, area, _ = _geometry(mesh)
-    return _form(mesh, _MASS, area, coef)
+    return _form(mesh, np.einsum("tik,tjk->tij", grads, grads), area)
 
 
 @dataclass
@@ -151,13 +131,12 @@ class DiscreteOperators:
     so every triangle at a node carries that node's material values and each
     material operator is a unit form scaled row by row: the rho-weighted mass
     ``M = diag(rho) M_unit`` and the stiffnesses ``A_mu = diag(mu) A_unit``
-    and ``A_eta = diag(eta) A_unit``.  Only the unit forms are stored; a time
+    and ``A_eta = diag(eta) A_unit``.  Only the unit forms are stored: a time
     loop takes the :meth:`products` of each state once and scales them by
-    node, and :attr:`M`, :attr:`A_mu` and :attr:`A_eta` are formed on request.
+    node, and :meth:`combination` forms ``H0`` on their shared pattern.
     """
 
     mesh: InterfaceMesh
-    materials: Materials
     M_unit: sp.csr_matrix
     A_unit: sp.csr_matrix
     B: sp.csr_matrix
@@ -175,18 +154,6 @@ class DiscreteOperators:
     @property
     def n_nodes(self) -> int:
         return self.M_unit.shape[0]
-
-    @property
-    def M(self) -> sp.csr_matrix:
-        return _row_scaled(self.M_unit, self.rho)
-
-    @property
-    def A_mu(self) -> sp.csr_matrix:
-        return _row_scaled(self.A_unit, self.mu)
-
-    @property
-    def A_eta(self) -> sp.csr_matrix:
-        return _row_scaled(self.A_unit, self.eta)
 
     def combination(self, mass: np.ndarray, stiffness: np.ndarray) -> sp.csr_matrix:
         """``diag(mass) M_unit + diag(stiffness) A_unit`` for nodal coefficients."""
@@ -224,9 +191,8 @@ def assemble(mesh: InterfaceMesh, materials: Materials) -> DiscreteOperators:
     m = materials
     return DiscreteOperators(
         mesh=mesh,
-        materials=materials,
-        M_unit=_form(mesh, _MASS, area, None),
-        A_unit=_form(mesh, stiffness, area, None),
+        M_unit=_form(mesh, _MASS, area),
+        A_unit=_form(mesh, stiffness, area),
         B=mesh.jump_operator(),
         weights=mesh.interface_weights.copy(),
         free_dofs=mesh.free_nodes,
@@ -475,10 +441,6 @@ class LoadModel:
         model = cls(times, mesh.n_nodes, loads)
         model._sample(0)
         return model
-
-    @classmethod
-    def zero(cls, mesh: InterfaceMesh, t_final: float) -> "LoadModel":
-        return cls.from_functions(mesh, [0.0, t_final])
 
     @property
     def surface_is_zero(self) -> bool:

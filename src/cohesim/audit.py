@@ -1,5 +1,5 @@
-"""Per-run verification: energy balance, complementarity, weak residual and
-interface traction recovery.
+"""Per-run verification: energy balance, complementarity and interface
+traction recovery.
 
 The discrete energy ledger tracks, step by step,
 
@@ -17,12 +17,12 @@ residual ``M a + A_eta v + A_mu u - f`` with them isolates the boundary term
 of one body, and dividing by the interface weight gives the nodal traction.
 By the step's Euler-Lagrange equation this must match the cohesive traction
 ``dpsi_dw([u], xi)`` up to solver tolerance, with equal values from both
-sides (transmission) and magnitude below the activation threshold.  Inside
-the time loop the cohesive traction and the bulk residual at the interface
-nodes come from the step itself (:attr:`cohesim.step.StepResult.traction`,
-:attr:`cohesim.step.StepResult.residual`, the bulk part of the step's
-a-posteriori residual, ``H0 u_k + b``), so an audit of every step makes no
-law pass, samples no load of its own and makes no sparse product.
+sides (transmission) and magnitude below the activation threshold.  Both come
+from the step itself: the bulk residual at the interface nodes is the bulk
+part ``H0 u_k + b`` of the step's a-posteriori residual
+(:attr:`cohesim.step.StepResult.residual`) and the cohesive traction is
+:attr:`cohesim.step.StepResult.traction`, so an audit of every step makes no
+law pass, samples no load and makes no sparse product.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembly import DiscreteOperators
-from .evolution import KKT_COLUMNS, EvolutionState, StepColumns, TrajectoryRecord
+from .evolution import KKT_COLUMNS, StepColumns, TrajectoryRecord
 from .law import CohesiveLaw
 
 __all__ = [
@@ -41,9 +41,7 @@ __all__ = [
     "TractionField",
     "energy_ledger",
     "kkt_report",
-    "weak_residual",
     "traction_extraction",
-    "regularity_norms",
 ]
 
 
@@ -103,26 +101,6 @@ def kkt_report(traj: TrajectoryRecord) -> KKTReport:
     return KKTReport(traj.steps)
 
 
-def _bulk_residual(prev: EvolutionState, state: EvolutionState,
-                   M, A_eta, A_mu, f: np.ndarray) -> np.ndarray:
-    """``M a + A_eta v + A_mu u - f`` on the rows that ``M``, ``A_eta``,
-    ``A_mu`` and ``f`` hold."""
-    tau = state.t - prev.t
-    if tau <= 0.0:
-        raise ValueError("states must be consecutive in time")
-    accel = (state.v - prev.v) / tau
-    return M @ accel + A_eta @ state.v + A_mu @ state.u - f
-
-
-def weak_residual(prev: EvolutionState, state: EvolutionState,
-                  ops: DiscreteOperators, law: CohesiveLaw,
-                  f_k: np.ndarray) -> float:
-    """Sup-norm of the discrete Euler-Lagrange defect at ``(u_k, v_k, xi_k)``."""
-    r = _bulk_residual(prev, state, ops.M, ops.A_eta, ops.A_mu, f_k)
-    r += ops.B.T @ (ops.weights * law.dpsi_dw(ops.B @ state.u, state.xi))
-    return float(np.abs(r[ops.free_dofs]).max(initial=0.0))
-
-
 @dataclass
 class TractionField:
     """Nodal interface tractions recovered from the bulk residual."""
@@ -141,28 +119,18 @@ class TractionField:
         return float(np.abs(values[self.interior]).max())
 
 
-def traction_extraction(prev: EvolutionState, state: EvolutionState,
-                        ops: DiscreteOperators, law: CohesiveLaw,
-                        f_k: np.ndarray, cohesive: np.ndarray | None = None,
-                        residual: np.ndarray | None = None) -> TractionField:
+def traction_extraction(ops: DiscreteOperators, law: CohesiveLaw, residual: tuple,
+                        cohesive: np.ndarray) -> TractionField:
     """Discrete Neumann extraction of ``sigma nu`` on both sides of K.
 
     ``residual`` is the bulk residual at the pairs' plus and minus nodes
-    (:attr:`~cohesim.assembly.DiscreteOperators.pairs`) when the caller has it (the step's
-    :attr:`~cohesim.step.StepResult.residual`, equal to the one formed here
-    up to rounding); otherwise it is read from the full residual of
-    ``prev``, ``state`` and ``f_k``.  ``cohesive`` is ``dpsi_dw([u_k], xi_k)``
-    when the caller has it (the step's
-    :attr:`~cohesim.step.StepResult.traction`); it is computed here when None.
+    (:attr:`~cohesim.assembly.DiscreteOperators.pairs`), the step's
+    :attr:`~cohesim.step.StepResult.residual`; ``cohesive`` is
+    ``dpsi_dw([u_k], xi_k)``, the step's :attr:`~cohesim.step.StepResult.traction`.
     """
-    if residual is None:
-        r = _bulk_residual(prev, state, ops.M, ops.A_eta, ops.A_mu, f_k)
-        residual = tuple(r[nodes] for nodes in ops.pairs)
     w = ops.weights
     sigma_plus = -residual[0] / w
     sigma_minus = residual[1] / w
-    if cohesive is None:
-        cohesive = law.dpsi_dw(ops.B @ state.u, state.xi)
     return TractionField(
         sigma_plus=sigma_plus,
         sigma_minus=sigma_minus,
@@ -172,8 +140,3 @@ def traction_extraction(prev: EvolutionState, state: EvolutionState,
         interior=~ops.mesh.interface_endpoint,
         bound=law.psi_prime_0,
     )
-
-
-def regularity_norms(traj: TrajectoryRecord) -> tuple:
-    """Sup over steps of ``|v_k|_H1`` and ``|(v_k - v_{k-1})/tau|_L2``."""
-    return float(traj.v_h1.max()), float(traj.a_l2.max())

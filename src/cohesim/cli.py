@@ -6,8 +6,14 @@
 
 Exit codes: 0 ok, 2 configuration, 3 solver, 4 I/O.  :func:`main` is the one
 place that maps a failure to its exit code and its one-line message
-(``config error: ...``, ``solver failure at step k: ...``,
-``I/O error: ...``); any other exception propagates.
+(``config error: ...``, ``solver failure at step k: ...`` or ``solver
+failure before step 1: ...``, ``I/O error: ...``); any other exception
+propagates.
+
+``run`` audits the tractions of every step from the step's own bulk residual
+and cohesive traction (:func:`~cohesim.audit.traction_extraction`), streamed
+through the time loop's callback, and writes one ``tractions.csv`` row per
+step.
 
 A study of any kind runs its levels one after another in the calling thread,
 each like ``cohesim run`` into ``<dir>/level_XX``, and compares consecutive
@@ -35,7 +41,7 @@ from .config import (
     load_study_file,
     parse_scenario,
 )
-from .evolution import EvolutionError, EvolutionState, run, trajectory_distance
+from .evolution import EvolutionError, run, trajectory_distance
 from .mesh import estimate_trace_constant
 from .output import (
     ensure_dir,
@@ -55,28 +61,14 @@ EXIT_SOLVER = 3
 EXIT_IO = 4
 
 
-class _TractionCollector:
-    """Streams per-step traction summaries through the on_step callback.
-
-    The extraction reads the step's own bulk residual and cohesive traction
-    (``step_result.residual`` and ``step_result.traction``), so it makes no
-    sparse product and no law pass.  The previous state it is handed starts
-    at ``t = 0`` and ``v0``, which the initial-data regularization leaves as
-    given.
-    """
-
-    def __init__(self, scenario, ops):
-        self.law = scenario.law
-        self.ops = ops
-        self.prev = EvolutionState(t=0.0, u=None, v=scenario.v0, xi=None, k=0)
-        self.rows = []
-
-    def __call__(self, state, step_result):
-        tf = traction_extraction(self.prev, state, self.ops, self.law, state.f,
-                                 cohesive=step_result.traction,
-                                 residual=step_result.residual)
-        self.rows.append((state.k, state.t, tf))
-        self.prev = state
+def _traction_audit(law, ops, rows: list):
+    """The time loop's callback that appends ``(k, t, TractionField)`` of each
+    step to ``rows``, from the step's own bulk residual and cohesive traction,
+    so it makes no sparse product and no law pass."""
+    def audit(state, step_result):
+        rows.append((state.k, state.t, traction_extraction(
+            ops, law, step_result.residual, step_result.traction)))
+    return audit
 
 
 def _execute_run(cfg: ScenarioConfig, out_dir: str):
@@ -88,15 +80,15 @@ def _execute_run(cfg: ScenarioConfig, out_dir: str):
     ensure_dir(out_dir)
     scenario = cfg.scenario
     ops = assemble(scenario.mesh, scenario.materials)
-    collector = _TractionCollector(scenario, ops)
-    record = run(scenario, callbacks=collector, ops=ops,
+    tractions = []
+    record = run(scenario, callbacks=_traction_audit(scenario.law, ops, tractions), ops=ops,
                  snapshot_stride=cfg.output.snapshot_stride)
 
     ledger = energy_ledger(record)
     report = kkt_report(record)
     write_energy_csv(os.path.join(out_dir, "energies.csv"), ledger)
     write_kkt_csv(os.path.join(out_dir, "kkt.csv"), report)
-    write_traction_csv(os.path.join(out_dir, "tractions.csv"), collector.rows)
+    write_traction_csv(os.path.join(out_dir, "tractions.csv"), tractions)
     if cfg.output.vtk:
         geometry = vtk_geometry(scenario.mesh)
         for frame, k in enumerate(record.snapshot_steps):
@@ -124,10 +116,11 @@ def cmd_run(args) -> int:
 
 
 def _solver_failure(exc) -> str:
-    """The message of a run that the convexity guard (before step 1) or the
-    step solver stopped."""
-    step = 1 if isinstance(exc, ConvexityError) else exc.step
-    return f"solver failure at step {step}: {exc}"
+    """The message of a run that the convexity guard or the initial data
+    (before step 1) or a step stopped."""
+    if isinstance(exc, EvolutionError) and exc.step:
+        return f"solver failure at step {exc.step}: {exc}"
+    return f"solver failure before step 1: {exc}"
 
 
 def _study_levels(spec):

@@ -29,8 +29,9 @@ sparse product beyond the two of its own state.  The columns that read only
 the table, the four KKT violations that ``kkt.csv`` writes and
 :class:`~cohesim.audit.KKTReport` reads, and the running sums ``D_cum`` and
 ``P_cum``, are filled in one blocked pass after the loop, also on the partial
-table of a failed run.  Each callback receives the state with the step's load
-vector ``f``, so no consumer forms these values again.
+table of a failed run.  Each callback receives the state and the step's
+:class:`~cohesim.step.StepResult`, whose residual and traction the CLI's
+traction audit reads, so no consumer forms these values again.
 """
 
 from __future__ import annotations
@@ -65,10 +66,11 @@ __all__ = [
 
 
 class EvolutionError(RuntimeError):
-    """Aborted run; carries the partial trajectory accumulated so far."""
+    """Aborted run; carries the partial trajectory accumulated so far and
+    the failed step (0 before step 1).  The message is the cause alone."""
 
     def __init__(self, message: str, partial: "TrajectoryRecord | None" = None,
-                 step: int = -1):
+                 step: int = 0):
         super().__init__(message)
         self.partial = partial
         self.step = step
@@ -146,7 +148,6 @@ class EvolutionState:
     v: np.ndarray
     xi: np.ndarray
     k: int
-    f: np.ndarray | None = None     # the load vector of step k (time loop only)
 
 
 KKT_COLUMNS = ("admissibility", "complementarity", "slope", "xi_monotone")   # as in kkt.csv
@@ -179,8 +180,9 @@ class TrajectoryRecord(StepColumns):
     ``steps`` holds one row of ``step_dtype`` per step ``0..n`` (fewer in the
     partial record of a failed run); its columns read as attributes, so
     ``rec.E`` is the elastic energy over the steps and ``rec.xis[k]`` the
-    history at step ``k``.  Row 0 carries the initial data; the increments and
-    solver columns of row 0 are zero.
+    history at step ``k``.  Row 0 and snapshot 0 carry the initial data
+    actually used, after the regularization; the increments and solver
+    columns of row 0 are zero.
     """
 
     steps: np.ndarray
@@ -191,8 +193,6 @@ class TrajectoryRecord(StepColumns):
     law: CohesiveLaw
     loads: LoadModel
     tau: float
-    final_state: EvolutionState | None = None
-    initial_data: tuple | None = None   # (u0_eff, v0_eff, xi0_eff) actually used
 
     @property
     def n_steps(self) -> int:
@@ -293,13 +293,13 @@ def run(scenario: Scenario, callbacks=None, tol: float = 1e-10,
     if not convexity_guard(StepProblem(tau, u_prev, u_prev2, xi, np.zeros_like(u_prev), ops,
                                        law, ws)):
         raise ConvexityError(
-            "incremental functional not strictly convex; reduce the time step tau")
+            f"incremental functional not strictly convex (step margin "
+            f"1 - beta*lambda_max = {ws.margin(law.beta)!r}); reduce the time step tau")
 
     steps = np.zeros(n + 1, dtype=step_dtype(scenario.mesh.n_pairs))
     steps["ts"] = np.arange(n + 1) * tau
     rec = TrajectoryRecord(steps=steps, snapshot_steps=[], us={}, vs={},
-                           ops=ops, law=law, loads=scenario.loads, tau=tau,
-                           initial_data=(u0, v0, xi0))
+                           ops=ops, law=law, loads=scenario.loads, tau=tau)
     # column views; D_cum and P_cum hold each step's increment until the loop ends
     col = {name: steps[name] for name in steps.dtype.names}
     weights = ops.weights
@@ -339,8 +339,7 @@ def run(scenario: Scenario, callbacks=None, tol: float = 1e-10,
                                          (products, products2)), tol=tol)
         except (LoadError, StepSolverError) as exc:
             rec.steps = _finish_step_table(steps[:k])
-            raise EvolutionError(f"step {k} failed: {exc}", partial=rec,
-                                 step=k) from exc
+            raise EvolutionError(str(exc), partial=rec, step=k) from exc
         u_k = res.u_new
         v_k = (u_k - u_prev) / tau
 
@@ -360,7 +359,7 @@ def run(scenario: Scenario, callbacks=None, tol: float = 1e-10,
             rec.snapshot_steps.append(k)
             rec.us[k], rec.vs[k] = u_k.copy(), v_k.copy()
 
-        state = EvolutionState(t=t_k, u=u_k, v=v_k, xi=res.xi_new, k=k, f=f_k)
+        state = EvolutionState(t=t_k, u=u_k, v=v_k, xi=res.xi_new, k=k)
         for cb in callbacks:
             cb(state, res)
 
@@ -370,7 +369,6 @@ def run(scenario: Scenario, callbacks=None, tol: float = 1e-10,
         xi, hist = res.xi_new, res.history
 
     _finish_step_table(steps)
-    rec.final_state = EvolutionState(t=n * tau, u=u_prev, v=v_prev, xi=xi, k=n)
     return rec
 
 

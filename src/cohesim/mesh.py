@@ -25,7 +25,6 @@ __all__ = [
     "InterfaceMesh",
     "build_rectangle_mesh",
     "load_mesh",
-    "save_mesh",
     "scaled",
     "estimate_trace_constant",
 ]
@@ -265,19 +264,6 @@ def scaled(mesh: InterfaceMesh, factor: float) -> InterfaceMesh:
         raise MeshError("scale factor must be positive")
     return InterfaceMesh(mesh.nodes * factor, mesh.triangles, mesh.tri_side,
                          mesh.interface_pairs, mesh.dirichlet_nodes, mesh.neumann_edges)
-
-
-def save_mesh(mesh: InterfaceMesh, path) -> None:
-    doc = {
-        "nodes": mesh.nodes.tolist(),
-        "triangles": [[int(a), int(b), int(c), int(s)]
-                      for (a, b, c), s in zip(mesh.triangles, mesh.tri_side)],
-        "interface_pairs": mesh.interface_pairs.tolist(),
-        "dirichlet": mesh.dirichlet_nodes.tolist(),
-        "neumann_edges": mesh.neumann_edges.tolist(),
-    }
-    with open(path, "w") as f:
-        json.dump(doc, f)
 
 
 def load_mesh(path) -> InterfaceMesh:

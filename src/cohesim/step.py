@@ -42,7 +42,9 @@ backtracking line search on ``phi`` guarantees monotone decrease.  A
 converged residual above the rounding floor of the multipliers
 (``_ROUNDING * max|lam|``) takes one polish step toward it; one at the floor,
 where a step that converges in one iteration usually lands, makes no further
-direction.  ``H0 = L D L'`` is factorized once per time step size, with the
+direction.  The solver records no iterates: a step stopped after ``max_iter``
+iterations raises :class:`StepSolverError` with the displacement of its last
+iterate.  ``H0 = L D L'`` is factorized once per time step size, with the
 interface nodes last (:class:`~cohesim.assembly.InterfaceSchur`).
 
 Per step, each quantity is formed once.  ``xi_prev`` is fixed for the whole
@@ -79,7 +81,8 @@ evaluates the law again; :attr:`StepResult.energy` reads its ``psi`` too.
 Each value is bit-identical to the corresponding
 :class:`~cohesim.law.CohesiveLaw` call.  The bulk part ``H0 u_k + b`` of the
 a-posteriori residual at the pairs' nodes (:attr:`StepResult.residual`) is
-the residual ``M a_k + A_eta v_k + A_mu u_k - f_k`` of the traction audit.
+the residual ``M a_k + A_eta v_k + A_mu u_k - f_k`` of the traction audit,
+which forms no other.
 
 The step is well posed when ``H0 - beta B' W B`` is positive definite, which
 makes the functional strictly convex for every history; :func:`convexity_guard`
@@ -255,14 +258,13 @@ class _Point(NamedTuple):
 
 
 def _minimize(ws: StepWorkspace, hist: FrozenHistory, beta: float, b: np.ndarray,
-              lam0: np.ndarray, tol_abs: float, max_iter: int, trace=None, energy=None):
+              lam0: np.ndarray, tol_abs: float, max_iter: int):
     """Damped Newton with Armijo backtracking on the interface functional
     ``phi(lam) = 1/2 lam' S lam + sum_j w_j psi(j_lin + S lam, xi_j)``.
 
     Returns ``(u, iters, residual_norm)`` with the minimizer's displacement
     ``u = H0^-1 (B' lam - b)``: the forward sweep of ``b`` gives ``j_lin`` and
-    the backward sweep from it ``u``.  ``trace`` receives the values of
-    ``energy`` (the full-space functional) along the iterates.
+    the backward sweep from it ``u``.
     """
     S, w = ws.schur.S, ws.weights
     y, j_lin = ws.schur.forward(b)
@@ -293,10 +295,6 @@ def _minimize(ws: StepWorkspace, hist: FrozenHistory, beta: float, b: np.ndarray
 
     cur = point(lam0)
     check_finite(cur)
-    if trace is not None:
-        zero = np.zeros_like(lam0)
-        offset = energy(ws.schur.backward(zero, y)) - point(zero).phi
-        trace.append(cur.phi + offset)
     iters = 0
     while not (cur.rnorm <= tol_abs) and iters < max_iter:
         delta = direction(cur)
@@ -319,8 +317,6 @@ def _minimize(ws: StepWorkspace, hist: FrozenHistory, beta: float, b: np.ndarray
                 if trial.phi <= cur.phi + _ARMIJO_C1 * alpha * slope:
                     break
         cur = trial
-        if trace is not None:
-            trace.append(cur.phi + offset)
         iters += 1
     check_finite(cur)
     if not (cur.rnorm <= tol_abs):
@@ -345,9 +341,12 @@ def _workspace(prob: StepProblem) -> StepWorkspace:
     return ws
 
 
-def solve_step(prob: StepProblem, tol: float = 1e-10, max_iter: int = 60,
-               trace=None) -> StepResult:
-    """Minimize the incremental functional and apply the history max-update."""
+def solve_step(prob: StepProblem, tol: float = 1e-10, max_iter: int = 60) -> StepResult:
+    """Minimize the incremental functional and apply the history max-update.
+
+    A step that has not converged after ``max_iter`` Newton iterations raises
+    :class:`StepSolverError`, whose ``u_last`` is the displacement of the
+    last iterate."""
     if tol <= 0.0:
         raise ValueError("tolerance must be positive")
     if np.any(prob.xi_prev <= 0.0):
@@ -367,8 +366,7 @@ def solve_step(prob: StepProblem, tol: float = 1e-10, max_iter: int = 60,
     tol_abs = tol * (1.0 + float(np.abs(prob.f_k).max(initial=0.0)))
     # warm start: the cohesive tractions at the second-order predicted jumps
     lam0 = -ws.weights * hist.evaluate(ops.jumps(u_pred))[1]
-    u_new, iters, rnorm = _minimize(ws, hist, prob.law.beta, b, lam0, tol_abs, max_iter,
-                                    trace, lambda u: incremental_energy(u, prob))
+    u_new, iters, rnorm = _minimize(ws, hist, prob.law.beta, b, lam0, tol_abs, max_iter)
     m, a = products_new = ops.products(u_new)
     jumps = ops.jumps(u_new)
     xi_new = np.maximum(prob.xi_prev, np.abs(jumps))

@@ -1,0 +1,64 @@
+"""Test oracles: what the package does not form.  The time loop reads the unit
+forms scaled by node and the step's own residual; these form the material
+operators, the bulk residual of two states and the Euler-Lagrange defect
+independently, so that a test can compare the two."""
+
+import json
+
+import numpy as np
+import scipy.sparse as sp
+
+from cohesim.assembly import _MASS, _form, _geometry
+from cohesim.audit import traction_extraction
+
+
+def node_scaled(ops) -> tuple:
+    """``(M, A_eta, A_mu)``: ``diag(rho) M_unit``, ``diag(eta) A_unit`` and
+    ``diag(mu) A_unit``, each on the pattern of its unit form."""
+    return tuple(sp.csr_matrix((np.repeat(c, np.diff(A.indptr)) * A.data, A.indices, A.indptr),
+                               shape=A.shape)
+                 for c, A in ((ops.rho, ops.M_unit), (ops.eta, ops.A_unit), (ops.mu, ops.A_unit)))
+
+
+def per_triangle(mesh, kind: str, coef=None) -> sp.csr_matrix:
+    """``sum_T coef_T int_T phi_i phi_j`` (``kind="mass"``) or
+    ``sum_T coef_T int_T grad phi_i . grad phi_j`` (``"stiffness"``), with a
+    coefficient per triangle (1 when None)."""
+    _, area, grads = _geometry(mesh)
+    unit = _MASS if kind == "mass" else np.einsum("tik,tjk->tij", grads, grads)
+    return _form(mesh, unit, area if coef is None else np.asarray(coef, float) * area)
+
+
+def bulk_residual(prev, state, ops, f) -> np.ndarray:
+    """``M a + A_eta v + A_mu u - f`` at ``state``, ``a = (v - v_prev) / tau``."""
+    M, A_eta, A_mu = node_scaled(ops)
+    accel = (state.v - prev.v) / (state.t - prev.t)
+    return M @ accel + A_eta @ state.v + A_mu @ state.u - f
+
+
+def weak_residual(prev, state, ops, law, f) -> float:
+    """Sup-norm over the free nodes of the Euler-Lagrange defect at ``state``."""
+    r = bulk_residual(prev, state, ops, f)
+    r += ops.B.T @ (ops.weights * law.dpsi_dw(ops.B @ state.u, state.xi))
+    return float(np.abs(r[ops.free_dofs]).max(initial=0.0))
+
+
+def state_tractions(prev, state, ops, law, f):
+    """The traction audit of ``state`` from :func:`bulk_residual` and the
+    cohesive traction ``dpsi_dw([u], xi)`` of the state."""
+    r = bulk_residual(prev, state, ops, f)
+    return traction_extraction(ops, law, tuple(r[nodes] for nodes in ops.pairs),
+                               law.dpsi_dw(ops.B @ state.u, state.xi))
+
+
+def save_mesh(mesh, path) -> None:
+    """Write ``mesh`` in the JSON format that ``load_mesh`` reads."""
+    doc = {
+        "nodes": mesh.nodes.tolist(),
+        "triangles": [[*map(int, tri), int(s)] for tri, s in zip(mesh.triangles, mesh.tri_side)],
+        "interface_pairs": mesh.interface_pairs.tolist(),
+        "dirichlet": mesh.dirichlet_nodes.tolist(),
+        "neumann_edges": mesh.neumann_edges.tolist(),
+    }
+    with open(path, "w") as f:
+        json.dump(doc, f)

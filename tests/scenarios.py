@@ -66,7 +66,7 @@ def rest_scenario(n=40, n_x=4, n_y=2, eps_bar=1e-3):
     mesh = build_rectangle_mesh(1.0, n_x, n_y)
     materials = Materials.constant(rho=1.0, mu=1.0, eta=1.0)
     law = CohesiveLaw(PrototypeEnvelope(g_c=1.0, xi_c=1.0))
-    loads = LoadModel.zero(mesh, 1.0)
+    loads = LoadModel.from_functions(mesh, [0.0, 1.0])
     return Scenario(mesh, materials, law, loads, 1.0, n,
                     u0=np.zeros(mesh.n_nodes), v0=np.zeros(mesh.n_nodes),
                     xi0=np.zeros(mesh.n_pairs), eps_bar=eps_bar)

@@ -13,11 +13,12 @@ from cohesim.assembly import (
     Materials,
     assemble,
     load_vector,
-    mass_matrix,
     stiffness_matrix,
 )
 from cohesim.expressions import compile_expression
 from cohesim.mesh import build_rectangle_mesh
+
+from oracles import node_scaled, per_triangle
 
 
 @pytest.fixture(scope="module")
@@ -55,25 +56,26 @@ def quadrature_stiffness_oracle(mesh, coef_plus, coef_minus, n_sub=5):
 
 class TestOperators:
     def test_exact_symmetry(self, ops):
-        for A in (ops.M, ops.A_mu, ops.A_eta):
+        for A in node_scaled(ops):
             assert (A - A.T).nnz == 0
 
     def test_constant_field_in_stiffness_kernel(self, ops):
         ones = np.ones(ops.n_nodes)
-        assert np.allclose(ops.A_mu @ ones, 0.0, atol=1e-14)
+        assert np.allclose(node_scaled(ops)[2] @ ones, 0.0, atol=1e-14)
 
     def test_energy_of_linear_field_is_area(self, ops, mesh):
         # u = x has unit gradient: u' A_mu u = mu * |Omega| = 2 * E(u)
         u = mesh.nodes[:, 0].copy()
-        assert u @ (ops.A_mu @ u) == pytest.approx(2.0, abs=1e-13)  # area of (0,1)x(-1,1)
+        A_mu = node_scaled(ops)[2]
+        assert u @ (A_mu @ u) == pytest.approx(2.0, abs=1e-13)  # area of (0,1)x(-1,1)
 
     def test_total_mass_is_area(self, ops):
         ones = np.ones(ops.n_nodes)
-        assert ones @ (ops.M @ ones) == pytest.approx(2.0, abs=1e-13)
+        assert ones @ (node_scaled(ops)[0] @ ones) == pytest.approx(2.0, abs=1e-13)
 
     def test_stiffness_matches_quadrature_oracle(self):
         mesh = build_rectangle_mesh(0.7, 2, 1)
-        A = stiffness_matrix(mesh, np.where(mesh.tri_side > 0, 1.3, 0.4)).toarray()
+        A = per_triangle(mesh, "stiffness", np.where(mesh.tri_side > 0, 1.3, 0.4)).toarray()
         oracle = quadrature_stiffness_oracle(mesh, 1.3, 0.4)
         assert np.allclose(A, oracle, atol=1e-12)
 
@@ -82,7 +84,8 @@ class TestOperators:
         # between its operators; each equals its own builder bit for bit
         materials = Materials(1.3, 0.7, 2.0, 3.0, 0.5, 1.5)
         ops = assemble(mesh, materials)
-        for op, ref in ((ops.M_unit, mass_matrix(mesh)), (ops.A_unit, stiffness_matrix(mesh))):
+        for op, ref in ((ops.M_unit, per_triangle(mesh, "mass")),
+                        (ops.A_unit, stiffness_matrix(mesh))):
             for name in ("indptr", "indices", "data"):
                 assert getattr(op, name).tobytes() == getattr(ref, name).tobytes()
 
@@ -93,11 +96,12 @@ class TestOperators:
         ops = assemble(mesh, materials)
         plus = mesh.tri_side > 0
         rho, mu, eta = (np.where(plus, a, b) for a, b in ((1.3, 0.7), (2.0, 3.0), (0.5, 1.5)))
-        M, A_mu, A_eta = (mass_matrix(mesh, rho), stiffness_matrix(mesh, mu),
-                          stiffness_matrix(mesh, eta))
+        M, A_mu, A_eta = (per_triangle(mesh, "mass", rho), per_triangle(mesh, "stiffness", mu),
+                          per_triangle(mesh, "stiffness", eta))
+        M_node, A_eta_node, A_mu_node = node_scaled(ops)
         tau = 0.01
         x = np.random.default_rng(7).normal(size=(ops.n_nodes, 5))
-        for op, ref in ((ops.M, M), (ops.A_mu, A_mu), (ops.A_eta, A_eta),
+        for op, ref in ((M_node, M), (A_mu_node, A_mu), (A_eta_node, A_eta),
                         (ops.combination(ops.rho / tau**2, ops.eta / tau + ops.mu),
                          M / tau**2 + A_eta / tau + A_mu)):
             y, y_ref = op @ x, ref @ x
@@ -109,10 +113,11 @@ class TestOperators:
         f = rng.normal(size=ops.n_nodes)
         free = ops.free_dofs
         u_elim = np.zeros(ops.n_nodes)
-        A_ff = ops.A_mu[np.ix_(free, free)].toarray()
+        A_mu = node_scaled(ops)[2]
+        A_ff = A_mu[np.ix_(free, free)].toarray()
         u_elim[free] = np.linalg.solve(A_ff, f[free])
 
-        A_pen = ops.A_mu.toarray().copy()
+        A_pen = A_mu.toarray().copy()
         f_pen = f.copy()
         for d in mesh.dirichlet_nodes:
             A_pen[d, d] += 1e14
@@ -139,11 +144,12 @@ class TestInterfaceSchur:
         free, dirichlet = ops.free_dofs, mesh.dirichlet_nodes
         ix = np.ix_(free, free)
         B_f = ops.B[:, free]
+        M, A_eta, A_mu = node_scaled(ops)
         if tau is None:
-            K, K_ff = ops.A_mu, ops.A_mu[ix]
+            K, K_ff = A_mu, A_mu[ix]
         else:
-            K = ops.M / tau**2 + ops.A_eta / tau + ops.A_mu
-            K_ff = ops.M[ix] / tau**2 + ops.A_eta[ix] / tau + ops.A_mu[ix]
+            K = M / tau**2 + A_eta / tau + A_mu
+            K_ff = M[ix] / tau**2 + A_eta[ix] / tau + A_mu[ix]
         lu = spla.splu(K_ff.tocsc(), permc_spec="MMD_AT_PLUS_A")
         S = B_f @ lu.solve(B_f.T.toarray())
         schur = InterfaceSchur(K, ops.B, free)
@@ -197,7 +203,7 @@ class TestPairIndices:
 
 class TestLoads:
     def test_zero_loads_give_zero_vector(self, mesh):
-        loads = LoadModel.zero(mesh, 1.0)
+        loads = LoadModel.from_functions(mesh, [0.0, 1.0])
         assert np.all(load_vector(loads, 0.3) == 0.0)
 
     def test_unit_bulk_load_sums_to_area(self, mesh):
@@ -231,7 +237,7 @@ class TestLoads:
         assert np.allclose(F_mid, F_avg, atol=1e-15)
 
     def test_out_of_range_time_rejected(self, mesh):
-        loads = LoadModel.zero(mesh, 1.0)
+        loads = LoadModel.from_functions(mesh, [0.0, 1.0])
         with pytest.raises(ValueError, match="outside"):
             load_vector(loads, 1.5)
 

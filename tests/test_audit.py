@@ -1,25 +1,25 @@
 """Audit tests: energy ledger identities, KKT report, weak residual and
-traction extraction."""
+traction extraction, the last two against the states' own bulk residual
+(``oracles``)."""
 
+import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cohesim.assembly import Materials
-from cohesim.audit import (
-    _bulk_residual,
-    energy_ledger,
-    kkt_report,
-    regularity_norms,
-    traction_extraction,
-    weak_residual,
-)
+from cohesim.audit import energy_ledger, kkt_report, traction_extraction
+from cohesim.cli import main
+from cohesim.config import parse_scenario
 from cohesim.evolution import run
 
+from oracles import bulk_residual, node_scaled, state_tractions, weak_residual
 from scenarios import rest_scenario, small_ramp, unloading_tent
 
 TOL = 1e-10
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 @pytest.fixture(scope="module")
@@ -114,7 +114,7 @@ class TestWeakResidual:
         pert = type(cur)(t=cur.t, u=u_pert, v=cur.v, xi=cur.xi, k=cur.k)
         res = weak_residual(prev, pert, ops, ramp_record.law, f)
         # dominant growth ~ |A_mu column| * delta (viscous/mass unchanged)
-        col = np.abs(ops.A_mu[:, dof].toarray()).max()
+        col = np.abs(node_scaled(ops)[2][:, dof].toarray()).max()
         assert res == pytest.approx(col * delta, rel=0.5)
 
 
@@ -122,7 +122,7 @@ class TestTractionExtraction:
     def test_rest_tractions_vanish(self, rest_record):
         s0, s1 = rest_record.state(0), rest_record.state(1)
         f = rest_record.loads.at(s1.t)
-        tf = traction_extraction(s0, s1, rest_record.ops, rest_record.law, f)
+        tf = state_tractions(s0, s1, rest_record.ops, rest_record.law, f)
         assert np.all(tf.sigma_plus == 0.0)
         assert np.all(tf.sigma_minus == 0.0)
 
@@ -130,7 +130,7 @@ class TestTractionExtraction:
         k = ramp_record.n_steps
         prev, cur = ramp_record.state(k - 1), ramp_record.state(k)
         f = ramp_record.loads.at(cur.t)
-        tf = traction_extraction(prev, cur, ramp_record.ops, ramp_record.law, f)
+        tf = state_tractions(prev, cur, ramp_record.ops, ramp_record.law, f)
         tol_abs = 10.0 * TOL * (1.0 + np.abs(f).max()) / ramp_record.ops.weights.min()
         assert tf.max_interior(tf.cohesive_defect) <= tol_abs
         assert tf.max_interior(tf.transmission_defect) <= tol_abs
@@ -140,7 +140,7 @@ class TestTractionExtraction:
         for k in range(1, ramp_record.n_steps + 1):
             prev, cur = ramp_record.state(k - 1), ramp_record.state(k)
             f = ramp_record.loads.at(cur.t)
-            tf = traction_extraction(prev, cur, ramp_record.ops, ramp_record.law, f)
+            tf = state_tractions(prev, cur, ramp_record.ops, ramp_record.law, f)
             assert tf.max_interior(tf.sigma_plus) <= bound
             assert tf.max_interior(tf.sigma_minus) <= bound
 
@@ -150,32 +150,36 @@ class TestTractionExtraction:
         for k in range(1, rec.n_steps + 1):
             prev, cur = rec.state(k - 1), rec.state(k)
             f = rec.loads.at(cur.t)
-            tf = traction_extraction(prev, cur, ops, rec.law, f)
-            r = _bulk_residual(prev, cur, ops.M, ops.A_eta, ops.A_mu, f)
+            tf = state_tractions(prev, cur, ops, rec.law, f)
+            r = bulk_residual(prev, cur, ops, f)
             assert np.array_equal(tf.sigma_plus, -r[pairs[:, 0]] / w)
             assert np.array_equal(tf.sigma_minus, r[pairs[:, 1]] / w)
             assert np.any(tf.sigma_plus != 0.0)
 
     def test_step_traction_and_load_match_recomputation_bitwise(self):
-        # the time loop hands the audit the step's own traction and load
+        # the step hands the audit its own cohesive traction, and its load is
+        # the one the record's work column reads
         steps = []
         rec = run(unloading_tent(n=40, n_x=8, n_y=4), tol=TOL,
                   callbacks=lambda state, res: steps.append((state, res)))
-        prev = rec.state(0)
+        ops, law, prev = rec.ops, rec.law, rec.state(0)
         fields = ("sigma_plus", "sigma_minus", "cohesive", "transmission_defect",
                   "cohesive_defect", "interior")
+        work = np.zeros(rec.n_steps + 1)
         for state, res in steps:
             f = rec.loads.at(state.t)
-            assert state.f.tobytes() == f.tobytes()
-            given = traction_extraction(prev, state, rec.ops, rec.law, state.f,
-                                        cohesive=res.traction)
-            own = traction_extraction(prev, state, rec.ops, rec.law, f)
+            work[state.k] = rec.tau * (f @ state.v)
+            assert res.traction.tobytes() == law.dpsi_dw(ops.B @ state.u, state.xi).tobytes()
+            r = bulk_residual(prev, state, ops, f)
+            given = traction_extraction(ops, law, tuple(r[nodes] for nodes in ops.pairs),
+                                        res.traction)
+            own = state_tractions(prev, state, ops, law, f)
             for name in fields:
                 assert getattr(given, name).tobytes() == getattr(own, name).tobytes()
             assert given.bound == own.bound
             prev = state
         assert len(steps) == 40
-
+        assert np.cumsum(work).tobytes() == rec.P_cum.tobytes()
 
     @pytest.mark.parametrize("scenario", [small_ramp(n=60), unloading_tent(n=40, n_x=8, n_y=4)],
                              ids=["ramp", "tent"])
@@ -188,17 +192,44 @@ class TestTractionExtraction:
         ops, law = rec.ops, rec.law
         prev = rec.state(0)
         for state, res in steps:
-            given = traction_extraction(prev, state, ops, law, state.f, cohesive=res.traction,
-                                        residual=res.residual)
-            own = traction_extraction(prev, state, ops, law, state.f)
+            f = rec.loads.at(state.t)
+            given = traction_extraction(ops, law, res.residual, res.traction)
+            own = state_tractions(prev, state, ops, law, f)
             scale = 1.0 + max(np.abs(own.sigma_plus).max(), np.abs(own.sigma_minus).max())
             for name in ("sigma_plus", "sigma_minus"):
                 assert np.abs(getattr(given, name) - getattr(own, name)).max() <= 1e-10 * scale
-            tol_abs = 10.0 * TOL * (1.0 + np.abs(state.f).max()) / ops.weights.min()
+            tol_abs = 10.0 * TOL * (1.0 + np.abs(f).max()) / ops.weights.min()
             for tf in (given, own):
                 assert tf.max_interior(tf.transmission_defect) <= tol_abs
             prev = state
         assert len(steps) == rec.n_steps and np.any(rec.xis[-1] > rec.xis[0])
+
+    @pytest.mark.parametrize("name", ["standard_ramp", "unloading_tent"],
+                             ids=["ramp", "tent"])
+    def test_cli_tractions_match_the_states_bulk_residual(self, name, tmp_path):
+        # the CLI audits the step's own residual; each row of tractions.csv
+        # equals the maxima of the tractions formed from the recorded states
+        doc = json.loads((SCENARIOS / f"{name}.json").read_text())
+        doc["mesh"].update(n_x=8, n_y=4)
+        doc["output"] = {"vtk": False}
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+        table = np.loadtxt(tmp_path / "out" / "tractions.csv", delimiter=",", skiprows=1)
+
+        rec = run(parse_scenario(doc).scenario, snapshot_stride=1)
+        ops, law = rec.ops, rec.law
+        assert table.shape == (rec.n_steps, 7)
+        for k, row in zip(range(1, rec.n_steps + 1), table):
+            cur = rec.state(k)
+            tf = state_tractions(rec.state(k - 1), cur, ops, law,
+                                 rec.loads.at(min(cur.t, rec.loads.t_final)))
+            maxima = [tf.max_interior(getattr(tf, field)) for field in
+                      ("sigma_plus", "sigma_minus", "transmission_defect", "cohesive_defect")]
+            assert row[0] == k and row[1] == cur.t and row[6] == tf.bound
+            scale = 1.0 + max(maxima[:2])
+            assert np.abs(row[2:6] - maxima).max() <= 1e-10 * scale, k
+        assert np.any(rec.xis[-1] > 2.0 * rec.xis[0])     # the interface opened
 
 
 class TestElasticUnloading:
@@ -216,7 +247,7 @@ class TestElasticUnloading:
         for k in window:
             prev, cur = rec.state(k - 1), rec.state(k)
             f = rec.loads.at(cur.t)
-            tf = traction_extraction(prev, cur, ops, law, f)
+            tf = state_tractions(prev, cur, ops, law, f)
             sel = opened & tf.interior & (np.abs(rec.jumps[k]) < rec.xis[k])
             if not sel.any():
                 continue
@@ -241,8 +272,10 @@ class TestTwoMaterials:
             maxima.append(led.max_residual)
             prev, law, ops = rec.state(0), rec.law, rec.ops
             for state, res in states:
-                tf = traction_extraction(prev, state, ops, law, state.f, cohesive=res.traction)
-                tol_abs = 10.0 * TOL * (1.0 + np.abs(state.f).max()) / ops.weights.min()
+                f = rec.loads.at(state.t)
+                tf = state_tractions(prev, state, ops, law, f)
+                assert tf.cohesive.tobytes() == res.traction.tobytes()
+                tol_abs = 10.0 * TOL * (1.0 + np.abs(f).max()) / ops.weights.min()
                 assert tf.max_interior(tf.cohesive_defect) <= tol_abs
                 assert tf.max_interior(tf.transmission_defect) <= tol_abs
                 bound = law.psi_prime_0 * (1.0 + 1e-8)
@@ -256,13 +289,13 @@ class TestTwoMaterials:
 
 class TestRegularityNorms:
     def test_rest_norms_vanish(self, rest_record):
-        assert regularity_norms(rest_record) == (0.0, 0.0)
+        assert (rest_record.v_h1.max(), rest_record.a_l2.max()) == (0.0, 0.0)
 
     def test_stable_under_tau_halving(self):
         vals = []
         for n in (120, 240):
             rec = run(small_ramp(n=n, n_x=4, n_y=2, regularity_mode=True),
                       snapshot_stride=n)
-            vals.append(regularity_norms(rec))
+            vals.append((rec.v_h1.max(), rec.a_l2.max()))
         for a, b in zip(vals[0], vals[1]):
             assert b == pytest.approx(a, rel=0.2)

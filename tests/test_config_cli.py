@@ -245,7 +245,31 @@ class TestCli:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(doc))
         assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 3
-        assert "step 1" in capsys.readouterr().err
+        # the guard refuses before any step runs, and names the step margin
+        from cohesim.assembly import assemble
+        from cohesim.step import StepWorkspace
+
+        scenario = parse_scenario(doc).scenario
+        ops = assemble(scenario.mesh, scenario.materials)
+        margin = StepWorkspace(ops, scenario.tau).margin(scenario.law.beta)
+        assert margin <= 0.0
+        assert capsys.readouterr().err == (
+            "solver failure before step 1: incremental functional not strictly convex "
+            f"(step margin 1 - beta*lambda_max = {margin!r}); reduce the time step tau\n")
+
+    def test_initial_data_failure_exits_3_before_step_1(self, tmp_path, capsys, monkeypatch):
+        # an EvolutionError raised before the time loop carries no step
+        from cohesim.evolution import EvolutionError
+
+        def failing(scenario, **kwargs):
+            raise EvolutionError("recomputed initial data are not stationary")
+
+        monkeypatch.setattr(cohesim.cli, "run", failing)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(base_doc()))
+        assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err == (
+            "solver failure before step 1: recomputed initial data are not stationary\n")
 
     @pytest.mark.parametrize("command", ["run", "check-law"])
     def test_study_document_exits_2_naming_the_study_command(self, command, tmp_path, capsys):
@@ -395,7 +419,7 @@ class TestCli:
             err = err[len("level_00: "):]
         else:
             assert out == ""
-        assert err.startswith(f"solver failure at step {step}: step {step} failed: {cause}")
+        assert err.startswith(f"solver failure at step {step}: {cause}")
         assert err.count("\n") == 1
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
@@ -687,19 +711,19 @@ class TestCsvWriters:
     def test_bytes_equal_cell_by_cell_reference(self, tmp_path):
         from cohesim.assembly import assemble
         from cohesim.audit import TractionField, energy_ledger, kkt_report
-        from cohesim.cli import _TractionCollector
+        from cohesim.cli import _traction_audit
         from cohesim.evolution import run
         from cohesim.output import (ENERGY_HEADER, KKT_HEADER, TRACTION_HEADER,
                                     write_energy_csv, write_kkt_csv, write_traction_csv)
 
         scenario = parse_scenario(base_doc()).scenario
         ops = assemble(scenario.mesh, scenario.materials)
-        collector = _TractionCollector(scenario, ops)
-        rec = run(scenario, callbacks=collector, ops=ops)
+        collected = []
+        rec = run(scenario, callbacks=_traction_audit(scenario.law, ops, collected), ops=ops)
         # a row without interior nodes reads 0 in every maximum
         n_pairs = scenario.mesh.n_pairs
         spikes = np.full(n_pairs, -7.5)
-        rows = collector.rows + [(99, 9.5, TractionField(
+        rows = collected + [(99, 9.5, TractionField(
             spikes, spikes, spikes, spikes, spikes, np.zeros(n_pairs, dtype=bool), 1.0))]
         write_traction_csv(tmp_path / "t.csv", rows)
         expected = reference_csv(TRACTION_HEADER, [

@@ -13,7 +13,7 @@ from scipy.sparse._compressed import _cs_matrix
 import cohesim.cli
 import cohesim.evolution as evolution
 import cohesim.step as step_module
-from cohesim.assembly import LoadModel, mass_matrix, stiffness_matrix
+from cohesim.assembly import LoadModel
 from cohesim.cli import _node_injection, main
 from cohesim.audit import energy_ledger, kkt_report
 from cohesim.evolution import (
@@ -27,6 +27,7 @@ from cohesim.law import CohesiveLaw, FrozenHistory, PrototypeEnvelope
 from cohesim.mesh import build_rectangle_mesh
 from cohesim.step import ConvexityError, StepSolverError
 
+from oracles import per_triangle
 from scenarios import mild_ramp, rest_scenario, small_ramp, standard_ramp, unloading_tent
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
@@ -49,7 +50,7 @@ class TestRun:
         assert np.all(rec.Psi_s == 0.0)
         assert np.all(rec.D_cum == 0.0)
         assert np.all(rec.P_cum == 0.0)
-        assert np.allclose(rec.final_state.u, 0.0)
+        assert np.allclose(rec.us[rec.n_steps], 0.0)
         # history stays at the regularization floor
         assert np.all(rec.xis == rec.xis[0])
 
@@ -185,13 +186,15 @@ class TestRun:
         # the post-step pass stands in for law.split and B @ u, bit for bit;
         # the bulk columns are nodal scalings of the products of u_k, equal to
         # the per-triangle forms up to rounding
-        rec = run(unloading_tent(n=40, n_x=8, n_y=4), snapshot_stride=1)
+        scenario = unloading_tent(n=40, n_x=8, n_y=4)
+        rec = run(scenario, snapshot_stride=1)
         ops, law, w, tau = rec.ops, rec.law, rec.ops.weights, rec.tau
-        mesh, mat = ops.mesh, ops.materials
-        A_mu = stiffness_matrix(mesh, np.where(mesh.tri_side > 0, mat.mu_plus, mat.mu_minus))
-        A_eta = stiffness_matrix(mesh, np.where(mesh.tri_side > 0, mat.eta_plus, mat.eta_minus))
-        M = mass_matrix(mesh, np.where(mesh.tri_side > 0, mat.rho_plus, mat.rho_minus))
-        A_unit, M_unit = stiffness_matrix(mesh), mass_matrix(mesh)
+        mesh, mat = ops.mesh, scenario.materials
+        plus = mesh.tri_side > 0
+        A_mu = per_triangle(mesh, "stiffness", np.where(plus, mat.mu_plus, mat.mu_minus))
+        A_eta = per_triangle(mesh, "stiffness", np.where(plus, mat.eta_plus, mat.eta_minus))
+        M = per_triangle(mesh, "mass", np.where(plus, mat.rho_plus, mat.rho_minus))
+        A_unit, M_unit = per_triangle(mesh, "stiffness"), per_triangle(mesh, "mass")
         # pairs unload along the elastic branch above the history floor
         assert np.any((np.abs(rec.jumps) < rec.xis) & (rec.xis > 2e-3))
         bulk = {name: np.zeros(rec.n_steps + 1) for name in ("E", "K", "v_h1", "D_cum", "a_l2")}
@@ -352,7 +355,7 @@ class TestRun:
 
     def test_rounding_on_dirichlet_nodes_of_the_initial_data_is_not_recorded(self):
         from cohesim.assembly import assemble
-        from cohesim.cli import _TractionCollector
+        from cohesim.cli import _traction_audit
 
         sc = mild_ramp(n=10)
         dnodes = sc.mesh.dirichlet_nodes
@@ -361,13 +364,12 @@ class TestRun:
         rounded = Scenario(sc.mesh, sc.materials, sc.law, sc.loads, sc.T, sc.n, u0=u0,
                            v0=v0, xi0=sc.xi0, eps_bar=sc.eps_bar)
         ops = assemble(sc.mesh, sc.materials)
-        (ref, ref_rows), (rec, rows) = [
-            (run(s, callbacks=c, ops=ops), c.rows)
-            for s, c in ((sc, _TractionCollector(sc, ops)),
-                         (rounded, _TractionCollector(rounded, ops)))]
+        ref_rows, rows = [], []
+        ref, rec = [run(s, callbacks=_traction_audit(s.law, ops, r), ops=ops)
+                    for s, r in ((sc, ref_rows), (rounded, rows))]
         assert len(rows) == sc.n and not rec.vs[1][dnodes].any()
         assert rec.steps.tobytes() == ref.steps.tobytes()
-        for a, b in zip(rec.initial_data, ref.initial_data):
+        for a, b in ((rec.us[0], ref.us[0]), (rec.vs[0], ref.vs[0]), (rec.xis[0], ref.xis[0])):
             assert same_bits(a, b)
         for (_, _, tf), (_, _, tf_ref) in zip(rows, ref_rows):
             assert same_bits(tf.sigma_plus, tf_ref.sigma_plus)
@@ -434,7 +436,7 @@ class TestSelfConvergence:
         for n in (50, 100, 200, 400):
             sc = mild_ramp(n=n, amplitude=10.0)
             rec = run(sc, snapshot_stride=n)
-            sols[n] = (rec.final_state.u, rec.ops)
+            sols[n] = (rec.us[n], rec.ops)
         diffs = []
         for n in (50, 100, 200):
             u_c, ops = sols[n]
@@ -521,7 +523,8 @@ class TestEpsContinuation:
 
         monkeypatch.setattr(cohesim.cli, "run", run_failing_first)
         assert main(self.eps_study(tmp_path, [1e-1, 1e-2, 1e-3])) == 3
-        assert "level_00: solver failure at step 1" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "level_00: solver failure before step 1: not strictly convex" in err
         rows = [line.split(",") for line in
                 (tmp_path / "out" / "study.csv").read_text().splitlines()[1:]]
         assert [row[2] for row in rows] == ["failed", "ok", "ok"]

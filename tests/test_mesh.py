@@ -11,9 +11,10 @@ from cohesim.mesh import (
     build_rectangle_mesh,
     estimate_trace_constant,
     load_mesh,
-    save_mesh,
     scaled,
 )
+
+from oracles import save_mesh
 
 
 class TestRectangleGenerator:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from oracles import node_scaled
 from scenarios import unloading_tent
 
 from cohesim.assembly import DiscreteOperators, LoadModel, Materials, assemble
@@ -15,6 +16,7 @@ from cohesim.mesh import build_rectangle_mesh, estimate_trace_constant, scaled
 from cohesim.evolution import run
 from cohesim.step import (
     StepProblem,
+    StepSolverError,
     StepWorkspace,
     convexity_guard,
     incremental_energy,
@@ -33,7 +35,7 @@ def toy_ops(weight=PAIR_WEIGHT):
     diagonals above, as unit forms (identities) scaled by node."""
     B = sp.csr_matrix(np.array([[1.0, -1.0]]))
     eye = sp.identity(2, format="csr")
-    return DiscreteOperators(mesh=None, materials=None, M_unit=eye, A_unit=eye, B=B,
+    return DiscreteOperators(mesh=None, M_unit=eye, A_unit=eye, B=B,
                              weights=np.array([weight]), free_dofs=np.arange(2),
                              rho=np.array(M_DIAG), mu=np.array(MU_DIAG),
                              eta=np.array(ETA_DIAG))
@@ -92,6 +94,16 @@ def golden_scalar(f, a, b, tol=1e-13):
             x2 = a + invphi * (b - a)
             f2 = f(x2)
     return 0.5 * (a + b)
+
+
+def iterate(prob, k):
+    """Newton iterate ``k`` of ``solve_step(prob)`` and whether the loop
+    converged there: a step stopped after ``k`` iterations raises with the
+    iterate's displacement."""
+    try:
+        return solve_step(prob, max_iter=k).u_new, True
+    except StepSolverError as exc:
+        return exc.u_last, False
 
 
 def oracle_minimize(prob, span=6.0, sweeps=200):
@@ -180,8 +192,10 @@ class TestSolveStep:
 
     def test_energy_decreases_along_iterations(self):
         prob = toy_problem(0.1, f=(5.0, -4.0), xi_prev=0.1)
-        trail = []
-        solve_step(prob, trace=trail)
+        trail, converged = [], False
+        while not converged:
+            u, converged = iterate(prob, len(trail))
+            trail.append(incremental_energy(u, prob))
         assert len(trail) >= 2
         # monotone descent; strict until the energy rounding floor is reached
         floor = 1e-13 * max(1.0, abs(trail[-1]))
@@ -231,7 +245,8 @@ class TestSolveStep:
                           rng.uniform(0.1, 100.0, mesh.n_pairs))
         # push-through: (H0 + B'DB)^-1 B' = H0^-1 B' (I + DS)^-1, with H0
         # the workspace's (Dirichlet rows and columns replaced by identity)
-        H0 = (ops.M / 0.05**2 + ops.A_eta / 0.05 + ops.A_mu).toarray()
+        M, A_eta, A_mu = node_scaled(ops)
+        H0 = (M / 0.05**2 + A_eta / 0.05 + A_mu).toarray()
         dirichlet = mesh.dirichlet_nodes
         H0[dirichlet, :] = H0[:, dirichlet] = 0.0
         H0[dirichlet, dirichlet] = 1.0
@@ -265,6 +280,7 @@ class TestSolveStep:
             * np.sin(np.pi * x) * y)
         ws = StepWorkspace(ops, tau)
         free = ops.free_dofs
+        M, A_eta, A_mu = node_scaled(ops)
         u1 = u2 = np.zeros(ops.n_nodes)
         xi = np.full(mesh.n_pairs, floor)
         phases = []
@@ -274,8 +290,8 @@ class TestSolveStep:
             res = solve_step(prob, tol=tol)
             u = res.u_new
             # Euler-Lagrange gradient of the full-space functional, old history
-            g = (ops.M @ (u - 2.0 * u1 + u2) / tau**2 + ops.A_eta @ (u - u1) / tau
-                 + ops.A_mu @ u - f
+            g = (M @ (u - 2.0 * u1 + u2) / tau**2 + A_eta @ (u - u1) / tau
+                 + A_mu @ u - f
                  + ops.B.T @ (ops.weights * law.dpsi_dw(ops.B @ u, xi)))
             assert np.abs(g[free]).max() <= tol * (1.0 + np.abs(f).max())
             assert res.energy == incremental_energy(u, prob)
@@ -336,10 +352,11 @@ class TestSolveStep:
         w = np.linspace(0.0, 1.0, 5)
         tabulated = CohesiveLaw(TabulatedEnvelope(w, 1.0 - (1.0 - w)**3, 3.0 * (1.0 - w)**2))
         for law, polished in ((tabulated, True), (None, False)):
+            prob = toy_problem(0.1, (30.0, -30.0), 0.01, law=law)
+            # the loop's iterations: the first max_iter at which it converges
+            loop = next(k for k in itertools.count() if iterate(prob, k)[1])
             residuals.clear()
-            trace = []     # phi at the loop's iterates
-            res = solve_step(toy_problem(0.1, (30.0, -30.0), 0.01, law=law), trace=trace)
-            loop = len(trace) - 1
+            res = solve_step(prob)
             assert loop >= 1 and len(residuals) == res.newton_iters == loop + polished
             if polished:
                 assert residuals[-1] > 1e-13 and res.grad_norm < 1e-15
@@ -426,7 +443,7 @@ class TestSolveStatic:
         xi = np.array([0.4])
         u = solve_static(ops, law, xi, f, tol=1e-12)
         jumps = ops.B @ u
-        g = ops.A_mu @ u - f + ops.B.T @ (ops.weights * law.dpsi_dw(jumps, xi))
+        g = node_scaled(ops)[2] @ u - f + ops.B.T @ (ops.weights * law.dpsi_dw(jumps, xi))
         assert np.abs(g).max() <= 1e-11
 
 
@@ -450,9 +467,10 @@ class TestConvexityGuard:
 
     def test_large_tau_with_violated_coercivity(self):
         mesh = build_rectangle_mesh(1.0, 4, 4)
-        ops = assemble(mesh, Materials.constant(1.0, 1.0, 1.0))
+        materials = Materials.constant(1.0, 1.0, 1.0)
+        ops = assemble(mesh, materials)
         law = CohesiveLaw(PrototypeEnvelope(1.0, 0.2))  # beta = 50
-        assert ops.materials.mu_min * estimate_trace_constant(mesh) < law.beta
+        assert materials.mu_min * estimate_trace_constant(mesh) < law.beta
         tau = 1e3
         prob = StepProblem(tau, np.zeros(ops.n_nodes), np.zeros(ops.n_nodes),
                            np.full(mesh.n_pairs, 0.1), np.zeros(ops.n_nodes), ops, law)
@@ -461,16 +479,18 @@ class TestConvexityGuard:
         free = ops.free_dofs
         ix = np.ix_(free, free)
         B_f = ops.B[:, free]
-        C = (ops.M[ix] / tau**2 + ops.A_eta[ix] / tau + ops.A_mu[ix]
+        M, A_eta, A_mu = node_scaled(ops)
+        C = (M[ix] / tau**2 + A_eta[ix] / tau + A_mu[ix]
              - law.beta * (B_f.T @ sp.diags(ops.weights) @ B_f))
         lam_min = np.linalg.eigvalsh(C.toarray())[0]
         assert lam_min < 0.0
 
     def test_coercivity_route_on_small_domain(self):
         mesh = scaled(build_rectangle_mesh(1.0, 4, 4), 0.05)
-        ops = assemble(mesh, Materials.constant(1.0, 1.0, 1.0))
+        materials = Materials.constant(1.0, 1.0, 1.0)
+        ops = assemble(mesh, materials)
         law = CohesiveLaw(PrototypeEnvelope(1.0, 1.0))  # beta = 2
-        assert ops.materials.mu_min * estimate_trace_constant(mesh) > law.beta
+        assert materials.mu_min * estimate_trace_constant(mesh) > law.beta
         prob = StepProblem(1e6, np.zeros(ops.n_nodes), np.zeros(ops.n_nodes),
                            np.full(mesh.n_pairs, 0.1), np.zeros(ops.n_nodes), ops, law)
         assert convexity_guard(prob)
@@ -488,9 +508,10 @@ class TestConvexityGuard:
         B_f = ops.B[:, free]
         BWB = (B_f.T @ sp.diags(ops.weights) @ B_f).toarray()
         c_hat = estimate_trace_constant(mesh)
+        M, A_eta, A_mu = node_scaled(ops)
 
         def oracle(tau):
-            H0 = ops.M[ix] / tau**2 + ops.A_eta[ix] / tau + ops.A_mu[ix]
+            H0 = M[ix] / tau**2 + A_eta[ix] / tau + A_mu[ix]
             return bool(np.linalg.eigvalsh(H0.toarray() - law.beta * BWB)[0] > 0.0)
 
         # H0 decreases with tau: bisect the oracle's threshold, then test
