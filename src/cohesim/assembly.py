@@ -9,7 +9,9 @@ Only the unit forms ``M_unit`` and ``A_unit`` are assembled: ``M``, ``A_mu``
 and ``A_eta`` are nodal scalings of them that a run reads through products,
 never as matrices (:class:`DiscreteOperators`).  Dirichlet conditions are
 homogeneous and handled by elimination, in :class:`InterfaceSchur` only (no
-penalty terms).
+penalty terms).  The interface enters as the pairs ``(plus, minus)`` of the
+mesh: jumps and the scatters ``B' lam`` are read and written by index, and
+the jump operator ``B`` is notation, never assembled.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .mesh import InterfaceMesh, MeshError
+from .mesh import InterfaceMesh, _triangle_areas, jumps
 
 __all__ = [
     "Materials",
@@ -72,21 +74,17 @@ class Materials:
 
 
 def _geometry(mesh: InterfaceMesh):
+    """Areas of the triangles (positive: the mesh holds them counterclockwise and
+    rejects degenerate ones) and the gradients of their barycentric functions."""
     p = mesh.nodes[mesh.triangles]            # (M, 3, 2)
-    v1 = p[:, 1] - p[:, 0]
-    v2 = p[:, 2] - p[:, 0]
-    area = 0.5 * (v1[:, 0] * v2[:, 1] - v2[:, 0] * v1[:, 1])
-    bad = np.flatnonzero(area <= 0.0)
-    if bad.size:
-        raise MeshError(f"degenerate (zero-area) triangle {int(bad[0])}")
-    # gradients of the three barycentric shape functions
+    area = _triangle_areas(p)
     grads = np.empty((p.shape[0], 3, 2))
     for i in range(3):
         e = p[:, (i + 2) % 3] - p[:, (i + 1) % 3]
         grads[:, i, 0] = -e[:, 1]
         grads[:, i, 1] = e[:, 0]
     grads /= (2.0 * area)[:, None, None]
-    return p, area, grads
+    return area, grads
 
 
 def _form(mesh: InterfaceMesh, unit, area: np.ndarray) -> sp.csr_matrix:
@@ -102,16 +100,9 @@ def _form(mesh: InterfaceMesh, unit, area: np.ndarray) -> sp.csr_matrix:
     return A
 
 
-def _node_values(mesh: InterfaceMesh, pair) -> np.ndarray:
-    """Per-node value of a Materials field pair; the bodies share no node."""
-    c = np.full(mesh.n_nodes, float(pair[1]))
-    c[mesh.triangles[mesh.tri_side > 0]] = pair[0]
-    return c
-
-
 def stiffness_matrix(mesh: InterfaceMesh) -> sp.csr_matrix:
     """Assemble ``sum_T int_T grad phi_i . grad phi_j``."""
-    _, area, grads = _geometry(mesh)
+    area, grads = _geometry(mesh)
     return _form(mesh, np.einsum("tik,tjk->tij", grads, grads), area)
 
 
@@ -122,7 +113,9 @@ class DiscreteOperators:
     M_unit       unit-density consistent mass (SPD), for L2 norms and loads
     A_unit       unit-coefficient stiffness (symmetric PSD, kernel = constants
                  per body), on the sparsity pattern of ``M_unit``
-    B            jump operator (n_pairs x n_nodes)
+    pairs        ``(plus, minus)``: the nodes of each interface pair, where ``B``
+                 is ``+1`` and ``-1``; the time loop reads jumps, ``B' r`` and
+                 the traction audit's bulk residual there
     weights      interface quadrature weights w_j
     free_dofs    non-Dirichlet node indices
     rho, mu, eta nodal density, shear modulus and Kelvin-Voigt viscosity
@@ -139,7 +132,7 @@ class DiscreteOperators:
     mesh: InterfaceMesh
     M_unit: sp.csr_matrix
     A_unit: sp.csr_matrix
-    B: sp.csr_matrix
+    pairs: tuple
     weights: np.ndarray
     free_dofs: np.ndarray
     rho: np.ndarray
@@ -166,19 +159,9 @@ class DiscreteOperators:
         """``(M_unit u, A_unit u)``, the only full-size products a state needs."""
         return self.M_unit @ u, self.A_unit @ u
 
-    @cached_property
-    def pairs(self) -> tuple:
-        """``(plus, minus)``: the nodes where each row of ``B`` is ``+1`` and
-        ``-1``; the time loop reads jumps, ``B' r`` and the bulk residual of
-        the traction audit there, not by products."""
-        cols, plus = self.B.indices.reshape(-1, 2), self.B.data.reshape(-1, 2) > 0.0
-        return cols[plus], cols[~plus]
-
     def jumps(self, u: np.ndarray) -> np.ndarray:
-        """``B @ u`` bit for bit: a row of ``B`` sums from ``+0.0``, so no
-        jump is ``-0.0``."""
-        plus, minus = self.pairs
-        return (0.0 + u[plus]) - u[minus]
+        """``B @ u`` bit for bit (:func:`~cohesim.mesh.jumps`)."""
+        return jumps(u, self.pairs)
 
     def l2_norm(self, u: np.ndarray) -> float:
         return float(np.sqrt(max(u @ (self.M_unit @ u), 0.0)))
@@ -186,19 +169,20 @@ class DiscreteOperators:
 
 def assemble(mesh: InterfaceMesh, materials: Materials) -> DiscreteOperators:
     """Build the unit forms, from one geometry pass, and the nodal materials."""
-    _, area, grads = _geometry(mesh)
+    area, grads = _geometry(mesh)
     stiffness = np.einsum("tik,tjk->tij", grads, grads)
-    m = materials
+    plus = mesh.node_side() > 0
+    nodal = {name: np.where(plus, float(getattr(materials, name + "_plus")),
+                            float(getattr(materials, name + "_minus")))
+             for name in ("rho", "mu", "eta")}
     return DiscreteOperators(
         mesh=mesh,
         M_unit=_form(mesh, _MASS, area),
         A_unit=_form(mesh, stiffness, area),
-        B=mesh.jump_operator(),
+        pairs=tuple(mesh.interface_pairs.T),
         weights=mesh.interface_weights.copy(),
         free_dofs=mesh.free_nodes,
-        rho=_node_values(mesh, (m.rho_plus, m.rho_minus)),
-        mu=_node_values(mesh, (m.mu_plus, m.mu_minus)),
-        eta=_node_values(mesh, (m.eta_plus, m.eta_minus)),
+        **nodal,
     )
 
 
@@ -228,14 +212,16 @@ class InterfaceSchur:
     on the nodes ``free``, from one factorization ``K = L D L'`` with the
     interface nodes last; the only code that eliminates the Dirichlet nodes.
 
-    ``K`` and ``B`` act on all nodes; ``B`` vanishes off ``free``.  The other
+    ``K`` acts on all nodes and ``B`` is given by the ``pairs``
+    ``(plus, minus)`` it reads, which are all in ``free``.  The other
     rows and columns of ``K`` become identity rows, so a right-hand side that
     vanishes there gives a solution that vanishes there exactly (``+0.0``).
     The order is: Dirichlet nodes, interior nodes by SuperLU's symmetric
     minimum-degree order of their block (``MMD_AT_PLUS_A``, Liu, ACM TOMS 11,
-    1985), then the ``m`` nodes that ``B`` reads (its columns there are
-    ``B_G``); the factorization does not pivot.  Only ``U = D L'`` is kept,
-    refactorized as a triangle so that one ``solve`` sweeps it alone:
+    1985), then the ``m`` nodes that ``B`` reads, in index order (its columns
+    there are ``B_G``, applied as in FETI as a signed Boolean map of the pairs'
+    positions in that block); the factorization does not pivot.  Only
+    ``U = D L'`` is kept, refactorized as a triangle so that one ``solve`` sweeps it alone:
     ``U^-1`` is the backward sweep and ``L^-1 = D U'^-1`` the forward one.
     ``L^-1`` maps a vector on the trailing rows, such as ``B' lam``, through
     the trailing block ``L_S`` alone, so with the dense ``Z = L_S^-1 B_G'``
@@ -257,12 +243,12 @@ class InterfaceSchur:
     :mod:`cohesim.step`).  The trace constant uses it for ``K = A``.
     """
 
-    def __init__(self, K: sp.spmatrix, B: sp.spmatrix, free):
+    def __init__(self, K: sp.spmatrix, pairs, free):
         n = K.shape[0]
         self._free = np.zeros(n, dtype=bool)
         self._free[free] = True
-        B = B.tocsc()
-        G = np.flatnonzero(np.diff(B.indptr))
+        plus, minus = pairs
+        G = np.sort(np.concatenate([plus, minus]))
         self._G = slice(n - G.size, n)
         K = K.tocoo()     # entrywise, so the free block keeps its explicit zeros
         keep = self._free[K.row] & self._free[K.col]
@@ -289,9 +275,14 @@ class InterfaceSchur:
         self._D = self._U.diagonal()
         D_S = self._D[self._G]
         U_S = spla.splu(self._U[self._G, self._G], **_NO_PIVOT)
-        B_G = B[:, G]
-        self._Z = D_S[:, None] * U_S.solve(B_G.T.toarray(), trans="T")
-        S = B_G @ U_S.solve(self._Z)      # Z' D_S^-1 = B_G U_S^-1
+        # the positions of the pairs' nodes in the trailing block
+        pos_plus, pos_minus = np.searchsorted(G, plus), np.searchsorted(G, minus)
+        B_Gt = np.zeros((G.size, plus.size))
+        B_Gt[pos_plus, np.arange(plus.size)] = 1.0
+        B_Gt[pos_minus, np.arange(plus.size)] = -1.0
+        self._Z = D_S[:, None] * U_S.solve(B_Gt, trans="T")
+        X = U_S.solve(self._Z)      # Z' D_S^-1 = B_G U_S^-1
+        S = (0.0 + X[pos_plus]) - X[pos_minus]
         self.S = 0.5 * (S + S.T)
 
     @cached_property
@@ -371,7 +362,8 @@ def _load_rules(mesh: InterfaceMesh) -> tuple:
     surface points by Gauss point, then edge end, then edge (each Gauss point
     once per end), so every node sums its contributions in loop order.
     """
-    p, area, _ = _geometry(mesh)
+    p = mesh.nodes[mesh.triangles]
+    area = _triangle_areas(p)
     lam = np.column_stack([1.0 - _TRI_QP[:, 0] - _TRI_QP[:, 1], _TRI_QP])
     bulk = _LoadRule(mesh.n_nodes,
                      np.concatenate([np.einsum("i,tij->tj", l, p) for l in lam]),

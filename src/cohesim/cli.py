@@ -161,13 +161,7 @@ def _node_injection(coarse_mesh, fine_mesh) -> np.ndarray:
     """Index of the fine node coincident (same body) with each coarse node."""
     from scipy.spatial import cKDTree
 
-    def side_of_nodes(mesh):
-        side = np.zeros(mesh.n_nodes, dtype=int)
-        for s in (1, -1):
-            side[np.unique(mesh.triangles[mesh.tri_side == s])] = s
-        return side
-
-    cs, fs = side_of_nodes(coarse_mesh), side_of_nodes(fine_mesh)
+    cs, fs = coarse_mesh.node_side(), fine_mesh.node_side()
     out = np.zeros(coarse_mesh.n_nodes, dtype=int)
     tol = 1e-9 * max(1.0, np.abs(fine_mesh.nodes).max())
     for s in (1, -1):

@@ -10,6 +10,9 @@ at least one node per body) and a Neumann part (edge list).  Interface
 quadrature uses trapezoidal nodal weights ``w_j``; these equal the integral
 of the interface hat functions, which keeps the cohesive energy separable
 per interface node and makes discrete tractions recoverable nodewise.
+The pairs are the one interface representation: :func:`jumps` and every
+``B'`` scatter read them by index; the jump operator ``B`` is notation and a
+test oracle, and no module builds it.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 __all__ = [
     "MeshError",
@@ -26,6 +28,7 @@ __all__ = [
     "build_rectangle_mesh",
     "load_mesh",
     "scaled",
+    "jumps",
     "estimate_trace_constant",
 ]
 
@@ -34,8 +37,8 @@ class MeshError(ValueError):
     """Invalid mesh topology, tagging, or geometry."""
 
 
-def _triangle_areas(nodes, triangles):
-    p = nodes[triangles]
+def _triangle_areas(p: np.ndarray) -> np.ndarray:
+    """Signed areas of the triangles with vertices ``p`` (``(M, 3, 2)``)."""
     return 0.5 * ((p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
                   - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1]))
 
@@ -84,13 +87,11 @@ class InterfaceMesh:
         mask[self.dirichlet_nodes] = False
         return np.flatnonzero(mask)
 
-    def jump_operator(self) -> sp.csr_matrix:
-        """Sparse map from nodal fields to per-pair jumps ``u[plus] - u[minus]``."""
-        P = self.n_pairs
-        rows = np.repeat(np.arange(P), 2)
-        cols = self.interface_pairs.ravel()
-        vals = np.tile([1.0, -1.0], P)
-        return sp.csr_matrix((vals, (rows, cols)), shape=(P, self.n_nodes))
+    def node_side(self) -> np.ndarray:
+        """``+1`` or ``-1`` per node, the body that holds it; computed on each call."""
+        side = np.full(self.n_nodes, -1)
+        side[self.triangles[self.tri_side > 0]] = 1
+        return side
 
     def interface_arclength(self) -> float:
         e = self.interface_edges
@@ -103,7 +104,7 @@ class InterfaceMesh:
         N = self.n_nodes
         if tris.size and (tris.min() < 0 or tris.max() >= N):
             raise MeshError("triangle vertex index out of range")
-        areas = _triangle_areas(nodes, tris)
+        areas = _triangle_areas(nodes[tris])
         flip = areas < 0.0
         if np.any(flip):  # normalize to CCW
             self.triangles = tris = tris.copy()
@@ -284,6 +285,13 @@ def load_mesh(path) -> InterfaceMesh:
         raise MeshError(f"mesh file missing section {exc}") from exc
 
 
+def jumps(u: np.ndarray, pairs) -> np.ndarray:
+    """``u[plus] - u[minus]`` for the pairs ``(plus, minus)``, bit for bit the
+    product ``B @ u``: a row of ``B`` sums from ``+0.0``, so no jump is ``-0.0``."""
+    plus, minus = pairs
+    return (0.0 + u[plus]) - u[minus]
+
+
 def estimate_trace_constant(mesh: InterfaceMesh) -> float:
     """Smallest discrete Rayleigh quotient ``|grad u|^2 / |[u]|^2`` over the mesh.
 
@@ -299,7 +307,7 @@ def estimate_trace_constant(mesh: InterfaceMesh) -> float:
 
     if mesh.n_pairs == 0:
         raise MeshError("trace constant requires interface pairs")
-    lam_max = InterfaceSchur(stiffness_matrix(mesh), mesh.jump_operator(),
+    lam_max = InterfaceSchur(stiffness_matrix(mesh), mesh.interface_pairs.T,
                              mesh.free_nodes).lambda_max(mesh.interface_weights)
     if lam_max <= 0.0:
         raise MeshError("interface Schur complement is singular")

@@ -57,19 +57,19 @@ so every bulk quantity of the step (``b``, the a-posteriori residual
 ``H0 u_new``, the incremental energy) is a nodal scaling of the products
 ``(M_unit u, A_unit u)`` of ``u_new``, ``u_prev`` and ``u_prev2``; a run forms
 those of ``u_new`` once and hands them on (:attr:`StepProblem.products`,
-:attr:`StepResult.products`).  Jumps and ``B' r`` are read at the pairs'
-nodes (:attr:`~cohesim.assembly.DiscreteOperators.pairs`), not by sparse
-products.  A step then costs one forward sweep ``y = L^-1 b``, which gives
-``j_lin`` from its interface rows, the Newton iterations in the ``n_pairs``
-unknowns, one backward sweep from ``y`` to recover ``u`` and two full-size
-sparse products.  A trial point costs one ``S @ lam`` and one law pass with
-one envelope pass (``value_slope``), giving ``phi``, ``r``, ``|r|_inf`` and
-the branch masks; an accepted point reuses them for its residual test and its
-curvature ``D``, so a point is never evaluated twice, and a direction forms
-``I + D S`` in place for one dense solve.  The workspace keeps the nodal
-coefficients of ``H0``, the triangular factor ``U = D L'`` and ``S``; vectors
-are nodal and ``b`` vanishes on the Dirichlet nodes; no dense nodes x pairs
-array is kept.
+:attr:`StepResult.products`).  Jumps and ``B' r`` are read and scattered
+by index (:attr:`~cohesim.assembly.DiscreteOperators.pairs`); ``B`` is
+notation and a test oracle, never formed.  A step then costs one forward
+sweep ``y = L^-1 b``, which gives ``j_lin`` from its interface rows, the
+Newton iterations in the ``n_pairs`` unknowns, one backward sweep from ``y``
+to recover ``u`` and two full-size sparse products.  A trial point costs one
+``S @ lam`` and one law pass with one envelope pass (``value_slope``), giving
+``phi``, ``r``, ``|r|_inf`` and the branch masks; an accepted point reuses
+them for its residual test and its curvature ``D``, so a point is never
+evaluated twice, and a direction forms ``I + D S`` in place for one dense
+solve.  The workspace keeps the nodal coefficients of ``H0``, the triangular
+factor ``U = D L'`` and ``S``; vectors are nodal and ``b`` vanishes on the
+Dirichlet nodes; no dense nodes x pairs array is kept.
 
 After the solve, one post-step pass forms the jumps ``[u_k]`` once and makes
 one law pass at the updated history ``xi_k``.  :class:`StepResult` carries
@@ -82,7 +82,8 @@ Each value is bit-identical to the corresponding
 :class:`~cohesim.law.CohesiveLaw` call.  The bulk part ``H0 u_k + b`` of the
 a-posteriori residual at the pairs' nodes (:attr:`StepResult.residual`) is
 the residual ``M a_k + A_eta v_k + A_mu u_k - f_k`` of the traction audit,
-which forms no other.
+which forms no other.  :func:`solve_static` makes the same pass, whose
+residual gates the recomputed initial data.
 
 The step is well posed when ``H0 - beta B' W B`` is positive definite, which
 makes the functional strictly convex for every history; :func:`convexity_guard`
@@ -147,7 +148,7 @@ class StepWorkspace:
             self.mass, self.stiffness = np.zeros(ops.n_nodes), ops.mu
         else:
             self.mass, self.stiffness = ops.rho / tau**2, ops.eta / tau + ops.mu
-        self.schur = InterfaceSchur(ops.combination(self.mass, self.stiffness), ops.B,
+        self.schur = InterfaceSchur(ops.combination(self.mass, self.stiffness), ops.pairs,
                                     ops.free_dofs)
 
     @cached_property
@@ -353,7 +354,6 @@ def solve_step(prob: StepProblem, tol: float = 1e-10, max_iter: int = 60) -> Ste
         raise ValueError("xi_prev must be strictly positive (regularized regime)")
     ops, tau = prob.ops, prob.tau
     ws = _workspace(prob)
-    constrained = ws.schur.constrained
 
     prob = _at_hand(prob)
     hist = prob.history
@@ -361,42 +361,51 @@ def solve_step(prob: StepProblem, tol: float = 1e-10, max_iter: int = 60) -> Ste
     # tau - f_k from the products; load entries on Dirichlet nodes count as 0
     (m1, a1), (m2, _) = prob.products
     u_pred = 2.0 * prob.u_prev - prob.u_prev2
-    b = constrained(-ws.mass * (2.0 * m1 - m2) - (ops.eta * a1) / tau - prob.f_k)
+    b = ws.schur.constrained(-ws.mass * (2.0 * m1 - m2) - (ops.eta * a1) / tau - prob.f_k)
 
     tol_abs = tol * (1.0 + float(np.abs(prob.f_k).max(initial=0.0)))
     # warm start: the cohesive tractions at the second-order predicted jumps
     lam0 = -ws.weights * hist.evaluate(ops.jumps(u_pred))[1]
-    u_new, iters, rnorm = _minimize(ws, hist, prob.law.beta, b, lam0, tol_abs, max_iter)
-    m, a = products_new = ops.products(u_new)
-    jumps = ops.jumps(u_new)
-    xi_new = np.maximum(prob.xi_prev, np.abs(jumps))
-    # the post-step pass: one law evaluation at the updated history
-    hist_new = prob.law.frozen(xi_new)
+    return _solve(ops, ws, prob.law, hist, b, lam0, tol_abs, max_iter,
+                  lambda u, products, psi: incremental_energy(u, prob, products, psi))
+
+
+def _solve(ops: DiscreteOperators, ws: StepWorkspace, law: CohesiveLaw, hist: FrozenHistory,
+           b: np.ndarray, lam0: np.ndarray, tol_abs: float, max_iter: int, energy) -> StepResult:
+    """Minimize (:func:`_minimize`) and make the post-step pass at the
+    minimizer ``u``: its products, the jumps, the max-update, one law
+    evaluation at the updated history and the a-posteriori residual.
+    ``energy(u, products, psi)`` is the minimized functional at ``u``."""
+    u, iters, rnorm = _minimize(ws, hist, law.beta, b, lam0, tol_abs, max_iter)
+    m, a = products = ops.products(u)
+    jumps = ops.jumps(u)
+    xi_new = np.maximum(hist.xi, np.abs(jumps))
+    hist_new = law.frozen(xi_new)
     psi, traction = hist_new.evaluate(jumps)[:2]
 
     # a-posteriori form: the Euler-Lagrange residual with the updated history
-    # (H0 u_new on the free rows, as u_new vanishes on the Dirichlet nodes),
+    # (H0 u on the free rows, as u vanishes on the Dirichlet nodes),
     # B' (w traction) added at the pairs' nodes after the audit's bulk part
-    g_post = constrained(ws.mass * m + ws.stiffness * a) + b
+    g_post = ws.schur.constrained(ws.mass * m + ws.stiffness * a) + b
     plus, minus = ops.pairs
     residual = g_post[plus], g_post[minus]
     cohesive = ws.weights * traction
     g_post[plus] = residual[0] + cohesive
     g_post[minus] = residual[1] - cohesive
-    el_residual = float(np.abs(g_post).max(initial=0.0))
 
-    # psi([u_k], xi_k) is psi([u_k], xi_{k-1}) bit for bit: the history grows
+    # psi([u], xi_new) is psi([u], xi_prev) bit for bit: the history grows
     # only on the loading branch, which reads no history
-    return StepResult(u_new=u_new, xi_new=xi_new, newton_iters=iters,
-                      grad_norm=rnorm, el_residual=el_residual,
-                      energy=incremental_energy(u_new, prob, products_new, psi), jumps=jumps,
-                      psi=psi, traction=traction, residual=residual, history=hist_new,
-                      products=products_new)
+    return StepResult(u_new=u, xi_new=xi_new, newton_iters=iters, grad_norm=rnorm,
+                      el_residual=float(np.abs(g_post).max(initial=0.0)),
+                      energy=energy(u, products, psi), jumps=jumps, psi=psi,
+                      traction=traction, residual=residual, history=hist_new,
+                      products=products)
 
 
 def solve_static(ops: DiscreteOperators, law: CohesiveLaw, xi: np.ndarray,
-                 f_eff: np.ndarray, tol: float = 1e-10, max_iter: int = 60) -> np.ndarray:
-    """Minimize ``1/2 u' A_mu u - f_eff . u + sum_j w_j psi([u]_j, xi_j)``.
+                 f_eff: np.ndarray, tol: float = 1e-10, max_iter: int = 60) -> StepResult:
+    """Minimize ``1/2 u' A_mu u - f_eff . u + sum_j w_j psi([u]_j, xi_j)``,
+    the result's ``energy``, with the post-step pass of :func:`solve_step`.
 
     Used for the equilibrium recomputation of initial data; ``f_eff`` already
     collects the load and any fixed linear terms.
@@ -404,10 +413,11 @@ def solve_static(ops: DiscreteOperators, law: CohesiveLaw, xi: np.ndarray,
     if np.any(xi <= 0.0):
         raise ValueError("xi must be strictly positive (regularized regime)")
     ws = StepWorkspace(ops, None)
-    b = ws.schur.constrained(-f_eff)
     tol_abs = tol * (1.0 + float(np.abs(f_eff).max(initial=0.0)))
-    return _minimize(ws, law.frozen(xi), law.beta, b, np.zeros(ws.weights.size), tol_abs,
-                     max_iter)[0]
+    return _solve(ops, ws, law, law.frozen(xi), ws.schur.constrained(-f_eff),
+                  np.zeros(ws.weights.size), tol_abs, max_iter,
+                  lambda u, products, psi: (0.5 * (u @ (ops.mu * products[1])) - f_eff @ u
+                                            + float(ops.weights @ psi)))
 
 
 def convexity_guard(prob: StepProblem) -> bool:

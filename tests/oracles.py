@@ -1,7 +1,8 @@
 """Test oracles: what the package does not form.  The time loop reads the unit
-forms scaled by node and the step's own residual; these form the material
-operators, the bulk residual of two states and the Euler-Lagrange defect
-independently, so that a test can compare the two."""
+forms scaled by node, the step's own residual and jumps by pair index; these
+form the material operators, the sparse jump operator ``B``, the bulk residual
+of two states and the Euler-Lagrange defect independently, so that a test can
+compare the two."""
 
 import json
 
@@ -10,6 +11,17 @@ import scipy.sparse as sp
 
 from cohesim.assembly import _MASS, _form, _geometry
 from cohesim.audit import traction_extraction
+
+
+def jump_operator(pairs, n_nodes: int) -> sp.csr_matrix:
+    """The jump operator ``B`` (n_pairs x n_nodes) of the pairs
+    ``(plus, minus)``: row ``j`` is ``+1`` at ``plus_j`` and ``-1`` at
+    ``minus_j``, so ``B @ u`` is ``u[plus] - u[minus]``."""
+    plus, minus = pairs
+    P = plus.size
+    rows = np.repeat(np.arange(P), 2)
+    cols = np.column_stack([plus, minus]).ravel()
+    return sp.csr_matrix((np.tile([1.0, -1.0], P), (rows, cols)), shape=(P, n_nodes))
 
 
 def node_scaled(ops) -> tuple:
@@ -24,7 +36,7 @@ def per_triangle(mesh, kind: str, coef=None) -> sp.csr_matrix:
     """``sum_T coef_T int_T phi_i phi_j`` (``kind="mass"``) or
     ``sum_T coef_T int_T grad phi_i . grad phi_j`` (``"stiffness"``), with a
     coefficient per triangle (1 when None)."""
-    _, area, grads = _geometry(mesh)
+    area, grads = _geometry(mesh)
     unit = _MASS if kind == "mass" else np.einsum("tik,tjk->tij", grads, grads)
     return _form(mesh, unit, area if coef is None else np.asarray(coef, float) * area)
 
@@ -39,7 +51,8 @@ def bulk_residual(prev, state, ops, f) -> np.ndarray:
 def weak_residual(prev, state, ops, law, f) -> float:
     """Sup-norm over the free nodes of the Euler-Lagrange defect at ``state``."""
     r = bulk_residual(prev, state, ops, f)
-    r += ops.B.T @ (ops.weights * law.dpsi_dw(ops.B @ state.u, state.xi))
+    B = jump_operator(ops.pairs, ops.n_nodes)
+    r += B.T @ (ops.weights * law.dpsi_dw(B @ state.u, state.xi))
     return float(np.abs(r[ops.free_dofs]).max(initial=0.0))
 
 
@@ -48,7 +61,8 @@ def state_tractions(prev, state, ops, law, f):
     cohesive traction ``dpsi_dw([u], xi)`` of the state."""
     r = bulk_residual(prev, state, ops, f)
     return traction_extraction(ops, law, tuple(r[nodes] for nodes in ops.pairs),
-                               law.dpsi_dw(ops.B @ state.u, state.xi))
+                               law.dpsi_dw(jump_operator(ops.pairs, ops.n_nodes) @ state.u,
+                                           state.xi))
 
 
 def save_mesh(mesh, path) -> None:

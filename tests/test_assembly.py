@@ -18,7 +18,7 @@ from cohesim.assembly import (
 from cohesim.expressions import compile_expression
 from cohesim.mesh import build_rectangle_mesh
 
-from oracles import node_scaled, per_triangle
+from oracles import jump_operator, node_scaled, per_triangle
 
 
 @pytest.fixture(scope="module")
@@ -143,7 +143,8 @@ class TestInterfaceSchur:
         ops = assemble(mesh, Materials(1.0, 2.0, 1.0, 3.0, 0.5, 2.0))
         free, dirichlet = ops.free_dofs, mesh.dirichlet_nodes
         ix = np.ix_(free, free)
-        B_f = ops.B[:, free]
+        B = jump_operator(ops.pairs, ops.n_nodes)
+        B_f = B[:, free]
         M, A_eta, A_mu = node_scaled(ops)
         if tau is None:
             K, K_ff = A_mu, A_mu[ix]
@@ -152,7 +153,7 @@ class TestInterfaceSchur:
             K_ff = M[ix] / tau**2 + A_eta[ix] / tau + A_mu[ix]
         lu = spla.splu(K_ff.tocsc(), permc_spec="MMD_AT_PLUS_A")
         S = B_f @ lu.solve(B_f.T.toarray())
-        schur = InterfaceSchur(K, ops.B, free)
+        schur = InterfaceSchur(K, ops.pairs, free)
         assert np.array_equal(schur.S, schur.S.T)
         assert np.abs(schur.S - S).max() <= 1e-13 * np.abs(S).max()
 
@@ -174,7 +175,7 @@ class TestInterfaceSchur:
         K_elim = K.toarray()
         K_elim[dirichlet, :] = K_elim[:, dirichlet] = 0.0
         K_elim[dirichlet, dirichlet] = 1.0
-        rhs_u = ops.B.T @ lam - rhs
+        rhs_u = B.T @ lam - rhs
         assert np.abs(K_elim @ u - rhs_u).max() <= 1e-12 * np.abs(rhs_u).max()
         assert not hasattr(schur, "K")
         shifted = schur.constrained(rhs + 1.0)
@@ -184,8 +185,13 @@ class TestInterfaceSchur:
 
 class TestPairIndices:
     def test_pairs_are_the_signed_columns_of_B(self, ops, mesh):
+        B = jump_operator(ops.pairs, ops.n_nodes)
+        cols, signs = B.indices.reshape(-1, 2), B.data.reshape(-1, 2) > 0.0
         plus, minus = ops.pairs
+        assert np.array_equal(cols[signs], plus) and np.array_equal(cols[~signs], minus)
         assert np.array_equal(np.column_stack([plus, minus]), mesh.interface_pairs)
+        # views of the mesh's pairs, not copies
+        assert all(np.shares_memory(nodes, mesh.interface_pairs) for nodes in ops.pairs)
 
     def test_jumps_equal_B_products_bit_for_bit(self):
         # signed zeros included: a row of B sums from +0.0, so -0.0 - +0.0
@@ -193,11 +199,12 @@ class TestPairIndices:
         ops = assemble(build_rectangle_mesh(1.0, 8, 4), Materials.constant(1.0, 1.0, 1.0))
         rng = np.random.default_rng(5)
         plus, minus = ops.pairs
+        B = jump_operator(ops.pairs, ops.n_nodes)
         for _ in range(5):
             u = rng.normal(size=ops.n_nodes)
             u[plus[:4]], u[minus[:4]] = [-0.0, -0.0, 0.0, 0.0], [0.0, -0.0, -0.0, 0.0]
             u[plus[4]] = u[minus[4]]
-            assert ops.jumps(u).tobytes() == (ops.B @ u).tobytes()
+            assert ops.jumps(u).tobytes() == (B @ u).tobytes()
             assert not np.signbit(ops.jumps(u)[:5]).any()
 
 

@@ -15,7 +15,7 @@ from cohesim.cli import main
 from cohesim.config import parse_scenario
 from cohesim.evolution import run
 
-from oracles import bulk_residual, node_scaled, state_tractions, weak_residual
+from oracles import bulk_residual, jump_operator, node_scaled, state_tractions, weak_residual
 from scenarios import rest_scenario, small_ramp, unloading_tent
 
 TOL = 1e-10
@@ -163,13 +163,14 @@ class TestTractionExtraction:
         rec = run(unloading_tent(n=40, n_x=8, n_y=4), tol=TOL,
                   callbacks=lambda state, res: steps.append((state, res)))
         ops, law, prev = rec.ops, rec.law, rec.state(0)
+        B = jump_operator(ops.pairs, ops.n_nodes)
         fields = ("sigma_plus", "sigma_minus", "cohesive", "transmission_defect",
                   "cohesive_defect", "interior")
         work = np.zeros(rec.n_steps + 1)
         for state, res in steps:
             f = rec.loads.at(state.t)
             work[state.k] = rec.tau * (f @ state.v)
-            assert res.traction.tobytes() == law.dpsi_dw(ops.B @ state.u, state.xi).tobytes()
+            assert res.traction.tobytes() == law.dpsi_dw(B @ state.u, state.xi).tobytes()
             r = bulk_residual(prev, state, ops, f)
             given = traction_extraction(ops, law, tuple(r[nodes] for nodes in ops.pairs),
                                         res.traction)

@@ -15,6 +15,7 @@ import cohesim.evolution as evolution
 import cohesim.step as step_module
 from cohesim.assembly import LoadModel
 from cohesim.cli import _node_injection, main
+from cohesim.config import load_scenario_file
 from cohesim.audit import energy_ledger, kkt_report
 from cohesim.evolution import (
     EvolutionError,
@@ -27,7 +28,7 @@ from cohesim.law import CohesiveLaw, FrozenHistory, PrototypeEnvelope
 from cohesim.mesh import build_rectangle_mesh
 from cohesim.step import ConvexityError, StepSolverError
 
-from oracles import per_triangle
+from oracles import jump_operator, per_triangle
 from scenarios import mild_ramp, rest_scenario, small_ramp, standard_ramp, unloading_tent
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
@@ -200,7 +201,7 @@ class TestRun:
         bulk = {name: np.zeros(rec.n_steps + 1) for name in ("E", "K", "v_h1", "D_cum", "a_l2")}
         for k in range(rec.n_steps + 1):
             u, v, xi, row = rec.us[k], rec.vs[k], rec.xis[k], rec.steps[k]
-            jumps = ops.B @ u
+            jumps = jump_operator(ops.pairs, ops.n_nodes) @ u
             psi_s, psi_d = law.split(jumps, xi)
             expected = {"jumps": jumps,
                         "Psi": w @ (psi_s + psi_d),
@@ -464,6 +465,24 @@ class TestRegularizeInitialData:
         assert np.allclose(u0_eff, 0.0, atol=1e-12)
         assert np.all(v0_eff == 0.0)
         assert np.all(xi_eff == sc.eps_bar)
+
+    def test_stationarity_gate_rejects_a_displaced_static_minimizer(self, monkeypatch):
+        # f(0) != 0 and w0 != 0, so the gate weighs a nonzero residual
+        sc = load_scenario_file(SCENARIOS / "regularity_ramp.json").scenario
+        u0_eff, _, _ = regularize_initial_data(sc)
+        assert np.abs(u0_eff).max() > 0.0
+        node = sc.mesh.free_nodes[0]
+        minimize = step_module._minimize
+
+        def displaced(*args, **kwargs):
+            u, iters, rnorm = minimize(*args, **kwargs)
+            u = u.copy()
+            u[node] += 1e-6
+            return u, iters, rnorm
+
+        monkeypatch.setattr(step_module, "_minimize", displaced)
+        with pytest.raises(EvolutionError, match="not stationary"):
+            regularize_initial_data(sc)
 
     def test_missing_w0_rejected(self):
         sc = small_ramp(n=4, n_x=4, n_y=2)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from oracles import node_scaled
+from oracles import jump_operator, node_scaled
 from scenarios import unloading_tent
 
 from cohesim.assembly import DiscreteOperators, LoadModel, Materials, assemble
@@ -33,9 +33,9 @@ PAIR_WEIGHT = 0.6
 def toy_ops(weight=PAIR_WEIGHT):
     """Two free DOFs joined by a single interface pair; the operators are the
     diagonals above, as unit forms (identities) scaled by node."""
-    B = sp.csr_matrix(np.array([[1.0, -1.0]]))
     eye = sp.identity(2, format="csr")
-    return DiscreteOperators(mesh=None, M_unit=eye, A_unit=eye, B=B,
+    return DiscreteOperators(mesh=None, M_unit=eye, A_unit=eye,
+                             pairs=(np.array([0]), np.array([1])),
                              weights=np.array([weight]), free_dofs=np.arange(2),
                              rho=np.array(M_DIAG), mu=np.array(MU_DIAG),
                              eta=np.array(ETA_DIAG))
@@ -250,8 +250,9 @@ class TestSolveStep:
         dirichlet = mesh.dirichlet_nodes
         H0[dirichlet, :] = H0[:, dirichlet] = 0.0
         H0[dirichlet, dirichlet] = 1.0
-        H = sp.csr_matrix(H0) + ops.B.T @ sp.diags(d_curv) @ ops.B
-        ref = spla.spsolve(H.tocsc(), -(ops.B.T @ r))
+        B = jump_operator(ops.pairs, ops.n_nodes)
+        H = sp.csr_matrix(H0) + B.T @ sp.diags(d_curv) @ B
+        ref = spla.spsolve(H.tocsc(), -(B.T @ r))
         d = ws.schur.backward(ws.newton_direction(r, d_curv), np.zeros(ops.n_nodes))
         assert np.abs(d - ref).max() <= 1e-12 * np.abs(ref).max()
 
@@ -281,6 +282,7 @@ class TestSolveStep:
         ws = StepWorkspace(ops, tau)
         free = ops.free_dofs
         M, A_eta, A_mu = node_scaled(ops)
+        B = jump_operator(ops.pairs, ops.n_nodes)
         u1 = u2 = np.zeros(ops.n_nodes)
         xi = np.full(mesh.n_pairs, floor)
         phases = []
@@ -292,7 +294,7 @@ class TestSolveStep:
             # Euler-Lagrange gradient of the full-space functional, old history
             g = (M @ (u - 2.0 * u1 + u2) / tau**2 + A_eta @ (u - u1) / tau
                  + A_mu @ u - f
-                 + ops.B.T @ (ops.weights * law.dpsi_dw(ops.B @ u, xi)))
+                 + B.T @ (ops.weights * law.dpsi_dw(B @ u, xi)))
             assert np.abs(g[free]).max() <= tol * (1.0 + np.abs(f).max())
             assert res.energy == incremental_energy(u, prob)
             phases.append("load" if np.any(res.xi_new > xi)
@@ -433,7 +435,7 @@ class TestSolveStatic:
     def test_zero_load_gives_zero(self):
         ops = toy_ops()
         law = CohesiveLaw(PrototypeEnvelope(1.0, 1.0))
-        u = solve_static(ops, law, np.array([0.2]), np.zeros(2))
+        u = solve_static(ops, law, np.array([0.2]), np.zeros(2)).u_new
         assert np.allclose(u, 0.0, atol=1e-14)
 
     def test_stationarity_of_static_minimizer(self):
@@ -441,10 +443,19 @@ class TestSolveStatic:
         law = CohesiveLaw(PrototypeEnvelope(1.0, 1.0))
         f = np.array([1.5, -0.5])
         xi = np.array([0.4])
-        u = solve_static(ops, law, xi, f, tol=1e-12)
-        jumps = ops.B @ u
-        g = node_scaled(ops)[2] @ u - f + ops.B.T @ (ops.weights * law.dpsi_dw(jumps, xi))
+        res = solve_static(ops, law, xi, f, tol=1e-12)
+        u = res.u_new
+        B = jump_operator(ops.pairs, ops.n_nodes)
+        g = node_scaled(ops)[2] @ u - f + B.T @ (ops.weights * law.dpsi_dw(B @ u, xi))
         assert np.abs(g).max() <= 1e-11
+        # the post-step pass: the max-update and the residual with it
+        assert res.xi_new.tobytes() == np.maximum(xi, np.abs(B @ u)).tobytes()
+        g = node_scaled(ops)[2] @ u - f + B.T @ (ops.weights * law.dpsi_dw(B @ u, res.xi_new))
+        assert res.el_residual == pytest.approx(np.abs(g).max(), rel=0.0, abs=1e-15)
+        # the static functional at u
+        A_mu = node_scaled(ops)[2]
+        static = 0.5 * u @ (A_mu @ u) - f @ u + ops.weights @ law.psi(B @ u, xi)
+        assert res.energy == pytest.approx(static, rel=1e-14)
 
 
 class TestConvexityGuard:
@@ -478,7 +489,7 @@ class TestConvexityGuard:
         # eigenvalue oracle on H0 - beta B'WB confirms indefiniteness
         free = ops.free_dofs
         ix = np.ix_(free, free)
-        B_f = ops.B[:, free]
+        B_f = jump_operator(ops.pairs, ops.n_nodes)[:, free]
         M, A_eta, A_mu = node_scaled(ops)
         C = (M[ix] / tau**2 + A_eta[ix] / tau + A_mu[ix]
              - law.beta * (B_f.T @ sp.diags(ops.weights) @ B_f))
@@ -505,7 +516,7 @@ class TestConvexityGuard:
         law = CohesiveLaw(PrototypeEnvelope(1.0, 0.2))  # beta = 50
         free = ops.free_dofs
         ix = np.ix_(free, free)
-        B_f = ops.B[:, free]
+        B_f = jump_operator(ops.pairs, ops.n_nodes)[:, free]
         BWB = (B_f.T @ sp.diags(ops.weights) @ B_f).toarray()
         c_hat = estimate_trace_constant(mesh)
         M, A_eta, A_mu = node_scaled(ops)
