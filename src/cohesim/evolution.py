@@ -319,19 +319,24 @@ def run(scenario: Scenario, callbacks=None, tol: float = 1e-10,
     hist = law.frozen(xi)
     products, products2 = ops.products(u0), ops.products(u_prev2)
     v_products = ops.products(v0)
-    record_state(0, u0, v0, products, v_products, jumps0, hist.evaluate(jumps0)[0], hist)
+    psi0, dpsi0 = hist.evaluate(jumps0)[:2]
+    record_state(0, u0, v0, products, v_products, jumps0, psi0, hist)
     if scenario.regularity_mode:
         col["a_l2"][0] = ops.l2_norm(scenario.w0)
     rec.snapshot_steps.append(0)
     rec.us[0], rec.vs[0] = u0.copy(), v0.copy()
 
     v_prev = v0.copy()
+    # the multipliers of steps k-1 and k-2, extrapolated to warm-start step k;
+    # step 1 starts from those of the initial data, -w psi'([u_0], xi_0)
+    lam_prev = lam_prev2 = -weights * dpsi0
     for k in range(1, n + 1):
         t_k = k * tau
         try:
             f_k = load_vector(scenario.loads, min(t_k, scenario.loads.t_final))
             res = solve_step(StepProblem(tau, u_prev, u_prev2, xi, f_k, ops, law, ws, hist,
-                                         (products, products2)), tol=tol)
+                                         (products, products2), 2.0 * lam_prev - lam_prev2),
+                             tol=tol)
         except (LoadError, StepSolverError) as exc:
             rec.steps = _finish_step_table(steps[:k])
             raise EvolutionError(str(exc), partial=rec, step=k) from exc
@@ -362,6 +367,7 @@ def run(scenario: Scenario, callbacks=None, tol: float = 1e-10,
         products2, products = products, res.products
         v_prev, v_products = v_k, v_products_k
         xi, hist = res.xi_new, res.history
+        lam_prev2, lam_prev = lam_prev, res.lam
 
     _finish_step_table(steps)
     return rec

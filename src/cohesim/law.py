@@ -369,7 +369,8 @@ class FrozenHistory:
 
     The history terms ``psi_hat(xi)``, ``psi_hat'(xi)``, ``xi**2``, ``2 xi``
     and ``c_xi = psi_hat'(xi) / xi`` are computed once, so :meth:`evaluate`
-    costs one envelope pass (``value_slope``) over the openings.  An entry
+    costs one envelope pass (``value_slope``) over the openings and
+    :meth:`evaluate_on_cone` none.  An entry
     ``xi = 0`` is on the loading branch for every opening; its terms divide
     by 1 instead.
     """
@@ -397,6 +398,17 @@ class FrozenHistory:
         psi = np.where(aw >= self.xi, value, unload)
         dpsi = np.where(elastic, self.c_xi * w, slope * np.sign(w))
         return psi, dpsi, aw, elastic
+
+    def evaluate_on_cone(self, w):
+        """``(psi, dpsi_dw)`` at openings on the history's own cone ``|w| <= xi``,
+        as the max-update leaves them: ``psi_hat(xi)`` where ``|w| = xi``, the
+        unloading branch elsewhere, and ``dpsi_dw = c_xi w``.  It makes no
+        envelope pass over the openings and is bit-identical to
+        :meth:`evaluate` on the cone."""
+        unload = self.psi_xi - self.slope_xi * (self.xi_sq - w**2) / self.two_xi
+        # on |w| = xi the unloading branch is psi_hat(xi) too, but for an
+        # infinite opening, where it reads inf - inf
+        return np.where(np.abs(w) == self.xi, self.psi_xi, unload), self.c_xi * w
 
     def psi_at_zero(self):
         """``psi(0, xi)``, the dissipated part ``psi_d(xi)``, from the history

@@ -134,7 +134,7 @@ def write_vtk_frame(path, mesh, point_fields: dict, geometry: str | None = None)
     parts = [geometry if geometry is not None else vtk_geometry(mesh)]
     for name, values in point_fields.items():
         parts += [f"SCALARS {name} double\nLOOKUP_TABLE default\n",
-                  "".join([f"{v!r}\n" for v in np.asarray(values, dtype=float).tolist()])]
+                  "\n".join(map(repr, np.asarray(values, dtype=float).tolist())) + "\n"]
     with open(path, "w") as f:
         f.write("".join(parts))
 

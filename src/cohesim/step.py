@@ -30,8 +30,13 @@ nodes and each node lies in at most one pair, so ``|B' r|_inf = |r|_inf``
 and the convergence test on ``r`` is the full-space one.
 
 A damped Newton method (the history floor ``xi_prev > 0`` keeps ``psi`` C1)
-solves ``(I + D S) delta = -r``, where ``D`` is ``w`` times the secant
-stiffness ``c_xi`` on the elastic branch and the softening curvature
+starts from the multipliers :attr:`StepProblem.lam0`: in a run, the
+second-order extrapolation ``2 lam_{k-1} - lam_{k-2}`` of the multipliers
+the two previous steps accepted (step 1 starts from those of the initial
+data, ``-w psi'([u_0], xi_0)``), which costs no law pass; a standalone step
+starts from zeros, as :func:`solve_static` does.  It solves
+``(I + D S) delta = -r``, where ``D`` is ``w`` times the secant stiffness
+``c_xi`` on the elastic branch and the softening curvature
 ``psi_hat''(|w|) >= -beta`` elsewhere.  When the step's margin
 ``1 - beta * lambda_max(W^1/2 S W^1/2)`` is positive, as the convexity guard
 certifies before every run, ``I + D S`` is nonsingular for ``D >= -beta W``,
@@ -67,22 +72,30 @@ to recover ``u`` and two full-size sparse products.  A trial point costs one
 ``phi``, ``r``, ``|r|_inf`` and the branch masks; an accepted point reuses
 them for its residual test and its curvature ``D``, so a point is never
 evaluated twice, and a direction forms ``I + D S`` in place for one dense
-solve.  The workspace keeps the nodal coefficients of ``H0``, the triangular
-factor ``U = D L'`` and ``S``; vectors are nodal and ``b`` vanishes on the
-Dirichlet nodes; no dense nodes x pairs array is kept.
+solve.  A step that converges in one Newton direction thus makes two law
+passes, at its start and at the Newton point, and one envelope pass over the
+history when the post-step pass freezes ``xi_k``.  The workspace keeps the
+nodal coefficients of ``H0``, the triangular factor ``U = D L'`` and ``S``;
+vectors are nodal and ``b`` vanishes on the Dirichlet nodes; no dense
+nodes x pairs array is kept.
 
-After the solve, one post-step pass forms the jumps ``[u_k]`` once and makes
-one law pass at the updated history ``xi_k``.  :class:`StepResult` carries
-its values ``psi([u_k], xi_k)`` and ``psi'([u_k], xi_k)`` (the cohesive
-traction) and the frozen history at ``xi_k``, with ``psi(0, xi_k)``, the
-dissipated part; the a-posteriori residual, the time loop's energy and jump
-columns, the traction audit and the next step read them, so none of them
-evaluates the law again; :attr:`StepResult.energy` reads its ``psi`` too.
-Each value is bit-identical to the corresponding
-:class:`~cohesim.law.CohesiveLaw` call.  The bulk part ``H0 u_k + b`` of the
-a-posteriori residual at the pairs' nodes (:attr:`StepResult.residual`) is
-the residual ``M a_k + A_eta v_k + A_mu u_k - f_k`` of the traction audit,
-which forms no other.  :func:`solve_static` makes the same pass, whose
+After the solve, one post-step pass forms the jumps ``[u_k]`` once and
+evaluates the law on the updated history's own cone ``|[u_k]| <= xi_k``,
+where the max-update leaves every pair
+(:meth:`~cohesim.law.FrozenHistory.evaluate_on_cone`: ``psi_hat(xi_k)`` where
+``|[u_k]| = xi_k``, the unloading branch elsewhere and the traction
+``c_xi [u_k]``), with no envelope pass over the openings.
+:class:`StepResult` carries its values ``psi([u_k], xi_k)`` and
+``psi'([u_k], xi_k)`` (the cohesive traction) and the frozen history at
+``xi_k``, with ``psi(0, xi_k)``, the dissipated part; the a-posteriori
+residual, the time loop's energy and jump columns, the traction audit and
+the next step read them, so none of them evaluates the law again;
+:attr:`StepResult.energy` reads its ``psi`` too.  Each value is
+bit-identical to the corresponding :class:`~cohesim.law.CohesiveLaw` call.
+The bulk part ``H0 u_k + b`` of the a-posteriori residual at the pairs'
+nodes (:attr:`StepResult.residual`) is the residual
+``M a_k + A_eta v_k + A_mu u_k - f_k`` of the traction audit, which forms no
+other.  :func:`solve_static` makes the same pass, whose
 residual gates the recomputed initial data.
 
 The step is well posed when ``H0 - beta B' W B`` is positive definite, which
@@ -187,6 +200,9 @@ class StepProblem:
     workspace: StepWorkspace | None = None
     history: FrozenHistory | None = None     # law.frozen(xi_prev), if at hand
     products: tuple | None = None   # (ops.products(u_prev), ops.products(u_prev2)), if at hand
+    # where Newton starts, one multiplier per pair (zeros when None); run() passes
+    # 2 lam_{k-1} - lam_{k-2}, from the lam of the two previous StepResults
+    lam0: np.ndarray | None = None
 
 
 @dataclass
@@ -202,6 +218,9 @@ class StepResult:
     jumps: np.ndarray        # [u_new]
     psi: np.ndarray          # psi([u_new], xi_new)
     traction: np.ndarray     # psi'([u_new], xi_new), the cohesive traction
+    # the accepted interface multipliers, minus the cohesive forces w psi'([u_new],
+    # xi_prev) up to the residual grad_norm; the run extrapolates the next lam0
+    lam: np.ndarray
     residual: tuple          # H0 u_new + b at each of ops.pairs, for the traction audit
     history: FrozenHistory   # law.frozen(xi_new), for psi(0, xi_new) and the next step
     products: tuple          # ops.products(u_new), for the record and the next step
@@ -263,9 +282,9 @@ def _minimize(ws: StepWorkspace, hist: FrozenHistory, beta: float, b: np.ndarray
     """Damped Newton with Armijo backtracking on the interface functional
     ``phi(lam) = 1/2 lam' S lam + sum_j w_j psi(j_lin + S lam, xi_j)``.
 
-    Returns ``(u, iters, residual_norm)`` with the minimizer's displacement
-    ``u = H0^-1 (B' lam - b)``: the forward sweep of ``b`` gives ``j_lin`` and
-    the backward sweep from it ``u``.
+    Returns ``(u, lam, iters, residual_norm)`` with the accepted multipliers
+    ``lam`` and the minimizer's displacement ``u = H0^-1 (B' lam - b)``: the
+    forward sweep of ``b`` gives ``j_lin`` and the backward sweep from it ``u``.
     """
     S, w = ws.schur.S, ws.weights
     y, j_lin = ws.schur.forward(b)
@@ -332,7 +351,7 @@ def _minimize(ws: StepWorkspace, hist: FrozenHistory, beta: float, b: np.ndarray
         if trial.rnorm < cur.rnorm:
             cur = trial
             iters += 1
-    return ws.schur.backward(cur.lam, y), iters, cur.rnorm
+    return ws.schur.backward(cur.lam, y), cur.lam, iters, cur.rnorm
 
 
 def _workspace(prob: StepProblem) -> StepWorkspace:
@@ -356,17 +375,15 @@ def solve_step(prob: StepProblem, tol: float = 1e-10, max_iter: int = 60) -> Ste
     ws = _workspace(prob)
 
     prob = _at_hand(prob)
-    hist = prob.history
-    # constant part of the quadratic gradient, M u_pred / tau^2 + A_eta u_prev /
-    # tau - f_k from the products; load entries on Dirichlet nodes count as 0
+    # constant part of the quadratic gradient, M (2 u_prev - u_prev2) / tau^2 +
+    # A_eta u_prev / tau - f_k from the products; load entries on Dirichlet
+    # nodes count as 0
     (m1, a1), (m2, _) = prob.products
-    u_pred = 2.0 * prob.u_prev - prob.u_prev2
     b = ws.schur.constrained(-ws.mass * (2.0 * m1 - m2) - (ops.eta * a1) / tau - prob.f_k)
 
     tol_abs = tol * (1.0 + float(np.abs(prob.f_k).max(initial=0.0)))
-    # warm start: the cohesive tractions at the second-order predicted jumps
-    lam0 = -ws.weights * hist.evaluate(ops.jumps(u_pred))[1]
-    return _solve(ops, ws, prob.law, hist, b, lam0, tol_abs, max_iter,
+    lam0 = np.zeros(ws.weights.size) if prob.lam0 is None else prob.lam0
+    return _solve(ops, ws, prob.law, prob.history, b, lam0, tol_abs, max_iter,
                   lambda u, products, psi: incremental_energy(u, prob, products, psi))
 
 
@@ -374,14 +391,14 @@ def _solve(ops: DiscreteOperators, ws: StepWorkspace, law: CohesiveLaw, hist: Fr
            b: np.ndarray, lam0: np.ndarray, tol_abs: float, max_iter: int, energy) -> StepResult:
     """Minimize (:func:`_minimize`) and make the post-step pass at the
     minimizer ``u``: its products, the jumps, the max-update, one law
-    evaluation at the updated history and the a-posteriori residual.
+    evaluation on the updated history's cone and the a-posteriori residual.
     ``energy(u, products, psi)`` is the minimized functional at ``u``."""
-    u, iters, rnorm = _minimize(ws, hist, law.beta, b, lam0, tol_abs, max_iter)
+    u, lam, iters, rnorm = _minimize(ws, hist, law.beta, b, lam0, tol_abs, max_iter)
     m, a = products = ops.products(u)
     jumps = ops.jumps(u)
     xi_new = np.maximum(hist.xi, np.abs(jumps))
     hist_new = law.frozen(xi_new)
-    psi, traction = hist_new.evaluate(jumps)[:2]
+    psi, traction = hist_new.evaluate_on_cone(jumps)
 
     # a-posteriori form: the Euler-Lagrange residual with the updated history
     # (H0 u on the free rows, as u vanishes on the Dirichlet nodes),
@@ -398,7 +415,7 @@ def _solve(ops: DiscreteOperators, ws: StepWorkspace, law: CohesiveLaw, hist: Fr
     return StepResult(u_new=u, xi_new=xi_new, newton_iters=iters, grad_norm=rnorm,
                       el_residual=float(np.abs(g_post).max(initial=0.0)),
                       energy=energy(u, products, psi), jumps=jumps, psi=psi,
-                      traction=traction, residual=residual, history=hist_new,
+                      traction=traction, lam=lam, residual=residual, history=hist_new,
                       products=products)
 
 

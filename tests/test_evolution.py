@@ -14,8 +14,8 @@ import cohesim.cli
 import cohesim.evolution as evolution
 import cohesim.step as step_module
 from cohesim.assembly import LoadModel
-from cohesim.cli import _node_injection, main
-from cohesim.config import load_scenario_file
+from cohesim.cli import _node_injection, _study_levels, main
+from cohesim.config import load_scenario_file, load_study_file
 from cohesim.audit import energy_ledger, kkt_report
 from cohesim.evolution import (
     EvolutionError,
@@ -269,10 +269,10 @@ class TestRun:
     def test_cli_run_evaluates_law_and_load_once_after_newton(self, monkeypatch,
                                                               tmp_path):
         # between the end of a step's Newton loop and the start of the next
-        # step's solve: one frozen history and one evaluate() (the post-step
-        # pass, whose psi StepResult.energy and the record read), one
-        # envelope pass in each of the two and no other law call, the traction
-        # audit included; one load lookup per step in the whole run
+        # step's solve: one frozen history, whose envelope pass is the only
+        # law call, the traction audit included; the post-step pass evaluates
+        # on the updated history's cone, with no evaluate() and no envelope
+        # pass of its own; one load lookup per step in the whole run
         post = []          # per step, the counts after its Newton loop
         loads_at = []
 
@@ -323,9 +323,61 @@ class TestRun:
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
         assert len(post) == 20
         for counts in post:
-            assert counts["frozen"] == 1 and counts["evaluate"] == 1
-            assert counts["value_slope"] == 2 and counts["value"] + counts["slope"] == 0
+            assert counts["frozen"] == 1 and counts["evaluate"] == 0
+            assert counts["value_slope"] == 1 and counts["value"] + counts["slope"] == 0
         assert len(loads_at) == 20
+
+    def test_cli_step_with_one_newton_direction_evaluates_the_law_twice(self, monkeypatch,
+                                                                        tmp_path):
+        # warm-started from the extrapolated multipliers, a step that converges
+        # in one Newton direction evaluates its start and the Newton point
+        per_step = []          # per step, (evaluate() calls, directions, iterations)
+        counts = {"evaluate": 0, "direction": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        real_solve = evolution.solve_step
+
+        def solve_step(*args, **kwargs):
+            counts.update(evaluate=0, direction=0)
+            res = real_solve(*args, **kwargs)
+            per_step.append((counts["evaluate"], counts["direction"], res.newton_iters))
+            return res
+
+        monkeypatch.setattr(evolution, "solve_step", solve_step)
+        monkeypatch.setattr(FrozenHistory, "evaluate",
+                            counting("evaluate", FrozenHistory.evaluate))
+        monkeypatch.setattr(step_module.StepWorkspace, "newton_direction",
+                            counting("direction", step_module.StepWorkspace.newton_direction))
+        assert main(["run", str(SCENARIOS / "standard_ramp.json"), "--out",
+                     str(tmp_path / "out")]) == 0
+        assert len(per_step) == 200
+        one = [evaluations for evaluations, directions, iters in per_step
+               if directions == iters == 1]
+        assert len(one) >= 0.9 * len(per_step)
+        assert one == [2] * len(one)
+        # every direction makes one more trial point at least
+        assert all(evaluations >= 1 + directions for evaluations, directions, _ in per_step)
+
+    def test_newton_work_of_the_shipped_scenarios(self):
+        # the warm start from the extrapolated multipliers makes no scenario
+        # take more Newton iterations than the start from the tractions at the
+        # second-order predicted jumps did (those counts are the bounds)
+        bounds = {"standard_ramp": 202, "unloading_tent": 200, "study_tau": 842,
+                  "study_eps": 470, "regularity_ramp": 20, "rest": 0}
+        for name, bound in bounds.items():
+            path = SCENARIOS / f"{name}.json"
+            if name.startswith("study"):
+                configs = [cfg for _, _, cfg in _study_levels(load_study_file(path))]
+            else:
+                configs = [load_scenario_file(path)]
+            iters = sum(int(run(cfg.scenario, snapshot_stride=cfg.output.snapshot_stride)
+                            .newton_iters.sum()) for cfg in configs)
+            assert iters <= bound, name
 
     def test_each_step_freezes_the_history_once(self, monkeypatch):
         # a step starts from the frozen history its predecessor's post-step
@@ -475,10 +527,10 @@ class TestRegularizeInitialData:
         minimize = step_module._minimize
 
         def displaced(*args, **kwargs):
-            u, iters, rnorm = minimize(*args, **kwargs)
+            u, lam, iters, rnorm = minimize(*args, **kwargs)
             u = u.copy()
             u[node] += 1e-6
-            return u, iters, rnorm
+            return u, lam, iters, rnorm
 
         monkeypatch.setattr(step_module, "_minimize", displaced)
         with pytest.raises(EvolutionError, match="not stationary"):

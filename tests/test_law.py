@@ -332,6 +332,31 @@ class TestFrozenHistory:
                                   self.exact_curvature(law, w, xi))
             assert np.array_equal(hist.c_xi, law.secant_stiffness(xi))
 
+    def test_cone_evaluation_is_evaluate_bit_for_bit(self):
+        # max-updated histories xi = max(xi_prev, |w|): grown pairs on |w| = xi,
+        # on both signs and beyond the cap, interior pairs, signed zeros, and a
+        # NaN and an infinite opening, whose histories the max-update makes
+        # NaN and infinite
+        rng = np.random.default_rng(23)
+        for law in self.laws():
+            xi_prev = rng.uniform(1e-4, 1.5 * law.xi_c, 300)
+            w = rng.uniform(-1.0, 1.0, xi_prev.size) * xi_prev
+            w[:50] *= rng.uniform(1.0, 3.0, 50) / np.abs(w[:50]) * xi_prev[:50]
+            w[50:60], w[60:70], w[70], w[71] = 0.0, -0.0, np.nan, -np.inf
+            xi = np.maximum(xi_prev, np.abs(w))
+            grown = np.abs(w) == xi
+            assert grown[:50].all() and grown[71] and not grown[72:].any()
+            assert (np.sign(w[:50]) < 0).any() and (w[:50] > law.xi_c).any()
+            hist = law.frozen(xi)
+            with np.errstate(invalid="ignore"):
+                psi, dpsi = hist.evaluate_on_cone(w)
+                ref_psi, ref_dpsi = hist.evaluate(w)[:2]
+            assert psi.tobytes() == ref_psi.tobytes()
+            assert dpsi.tobytes() == ref_dpsi.tobytes()
+            assert np.isnan(psi[70]) and np.isnan(dpsi[70])
+            assert psi[71] == law.env.psi_at_cap
+            assert np.signbit(dpsi[60:70]).all() and not np.signbit(dpsi[50:60]).any()
+
     def test_value_slope_is_value_and_slope_bit_for_bit(self):
         # one envelope pass gives both, signed zeros included, at the origin,
         # at the cap and beyond it
