@@ -407,9 +407,8 @@ class LoadModel:
     Samples are formed on demand and the last two kept, so a time loop forms
     each once and no (samples x nodes) table is stored; one that is not
     finite raises :class:`LoadError`.  :meth:`at` returns the sample at a
-    sample time, found through an index of the sample times, and interpolates
-    affinely between samples, which commutes with the (linear) assembly.
-    Concurrent reads are safe: the cache is
+    sample time and interpolates affinely between samples, which commutes
+    with the (linear) assembly.  Concurrent reads are safe: the cache is
     replaced, never modified, so a race costs at most a repeated evaluation.
     """
 
@@ -418,7 +417,6 @@ class LoadModel:
         if times.ndim != 1 or times.size < 1 or np.any(np.diff(times) <= 0.0):
             raise ValueError("load sample times must be strictly increasing")
         self.times = times
-        self._index = {t: i for i, t in enumerate(times.tolist())}
         self.n_nodes = n_nodes
         self.loads = loads     # name -> function t -> nodal load, summed in order
         self._cache = ()      # up to two (sample index, vector) pairs
@@ -459,9 +457,6 @@ class LoadModel:
         return F
 
     def at(self, t: float) -> np.ndarray:
-        i = self._index.get(t)
-        if i is not None:
-            return self._sample(i).copy()
         ts = self.times
         eps = 1e-12 * max(1.0, abs(self.t_final))
         if t < ts[0] - eps or t > ts[-1] + eps:

@@ -366,7 +366,8 @@ class TestRun:
     def test_newton_work_of_the_shipped_scenarios(self):
         # the warm start from the extrapolated multipliers makes no scenario
         # take more Newton iterations than the start from the tractions at the
-        # second-order predicted jumps did (those counts are the bounds)
+        # second-order predicted jumps did (those counts are the bounds; four
+        # scenarios sit exactly on theirs)
         bounds = {"standard_ramp": 202, "unloading_tent": 200, "study_tau": 842,
                   "study_eps": 470, "regularity_ramp": 20, "rest": 0}
         for name, bound in bounds.items():

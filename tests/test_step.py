@@ -332,9 +332,9 @@ class TestSolveStep:
                             counted("trial", FrozenHistory.evaluate))
         res = solve_step(prob)
         assert calls["trial"] > res.newton_iters >= 5
-        # one envelope pass per evaluate(): the trial points, the warm start
-        # and the post-step pass, whose psi StepResult.energy reads; two more
-        # for the history terms at xi_prev and at xi_new
+        # one envelope pass per trial point, the only evaluate() calls; two
+        # more for the history terms at xi_prev and at xi_new.  The post-step
+        # pass on the updated cone makes none
         assert calls["value_slope"] == calls["trial"] + 2
         assert calls["value"] + calls["slope"] == 0
 
