@@ -315,19 +315,17 @@ def parse_study(doc: dict) -> StudySpec:
     return spec
 
 
-def load_scenario_file(path) -> ScenarioConfig:
+def _read_json(path):
     with open(path) as f:
         try:
-            doc = json.load(f)
+            return json.load(f)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}")
-    return parse_scenario(doc)
+
+
+def load_scenario_file(path) -> ScenarioConfig:
+    return parse_scenario(_read_json(path))
 
 
 def load_study_file(path) -> StudySpec:
-    with open(path) as f:
-        try:
-            doc = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}")
-    return parse_study(doc)
+    return parse_study(_read_json(path))

@@ -28,8 +28,8 @@ work, as nodal scalings of these products and their differences
 sparse product beyond the two of its own state.  The columns that read only
 the table, the four KKT violations that ``kkt.csv`` writes and
 :class:`~cohesim.audit.KKTReport` reads, and the running sums ``D_cum`` and
-``P_cum``, are filled in one blocked pass after the loop, also on the partial
-table of a failed run.  Each callback receives the state and the step's
+``P_cum``, are filled in one vectorized pass after the loop, also on the
+partial table of a failed run.  Each callback receives the state and the step's
 :class:`~cohesim.step.StepResult`, whose residual and traction the CLI's
 traction audit reads, so no consumer forms these values again.
 """
@@ -234,29 +234,21 @@ def regularize_initial_data(scenario: Scenario, ops: DiscreteOperators | None = 
     return res.u_new, scenario.v0.copy(), res.xi_new
 
 
-# entries per block of rows in _finish_step_table: temporaries the size of the
-# table's xis column raised a study's peak RSS by about 0.2 MB
-_BLOCK = 1024
-
-
 def _finish_step_table(steps: np.ndarray) -> np.ndarray:
     """Fill the columns that read only the step table and return it: the four
-    KKT violations from ``xis`` and ``jumps``, vectorized over blocks of rows,
-    and ``D_cum`` and ``P_cum`` as running sums of the per-step increments
-    they hold.  ``np.cumsum`` adds in row order, as a step-by-step sum would."""
+    KKT violations from ``xis`` and ``jumps``, in one vectorized pass over
+    rows ``1..n``, and ``D_cum`` and ``P_cum`` as running sums of the per-step
+    increments they hold.  ``np.cumsum`` adds in row order, as a step-by-step
+    sum would."""
     xis, jumps = steps["xis"], steps["jumps"]
-    rows = max(1, _BLOCK // xis.shape[1])
-    for lo in range(1, steps.size, rows):
-        hi = min(lo + rows, steps.size)
-        k, prev = slice(lo, hi), slice(lo - 1, hi - 1)
-        gap = np.abs(jumps[k]) - xis[k]           # |[u_k]| - xi_k
-        growth = xis[k] - xis[prev]
-        steps["admissibility"][k] = np.maximum(0.0, gap.max(axis=1))
-        steps["complementarity"][k] = np.abs(growth * gap).max(axis=1)
-        steps["slope"][k] = np.maximum(
-            0.0, (np.abs(growth) - np.abs(jumps[k] - jumps[prev])).max(axis=1))
-        # not -growth, whose +0.0 entries would turn -0.0
-        steps["xi_monotone"][k] = np.maximum(0.0, (xis[prev] - xis[k]).max(axis=1))
+    gap = np.abs(jumps[1:]) - xis[1:]           # |[u_k]| - xi_k
+    growth = xis[1:] - xis[:-1]
+    steps["admissibility"][1:] = np.maximum(0.0, gap.max(axis=1))
+    steps["complementarity"][1:] = np.abs(growth * gap).max(axis=1)
+    steps["slope"][1:] = np.maximum(
+        0.0, (np.abs(growth) - np.abs(jumps[1:] - jumps[:-1])).max(axis=1))
+    # not -growth, whose +0.0 entries would turn -0.0
+    steps["xi_monotone"][1:] = np.maximum(0.0, (xis[:-1] - xis[1:]).max(axis=1))
     for name in ("D_cum", "P_cum"):
         np.cumsum(steps[name], out=steps[name])
     return steps
@@ -279,14 +271,12 @@ def run(scenario: Scenario, callbacks=None, tol: float = 1e-10,
     u0, v0, xi0 = regularize_initial_data(scenario, ops, tol=tol)
     u_prev = u0.copy()
     u_prev2 = u0 - tau * v0
-    xi = xi0.copy()
 
     callbacks = () if callbacks is None else tuple(np.atleast_1d(callbacks))
 
-    # the guard reads the step's own factorization of H0, and no load
+    # the guard reads the step's own factorization of H0
     ws = StepWorkspace(ops, tau)
-    if not convexity_guard(StepProblem(tau, u_prev, u_prev2, xi, np.zeros_like(u_prev), ops,
-                                       law, ws)):
+    if not convexity_guard(ws, law.beta):
         raise ConvexityError(
             f"incremental functional not strictly convex (step margin "
             f"1 - beta*lambda_max = {ws.margin(law.beta)!r}); reduce the time step tau")
@@ -316,7 +306,7 @@ def run(scenario: Scenario, callbacks=None, tol: float = 1e-10,
         return v @ (ops.eta * a_v)
 
     jumps0 = ops.jumps(u0)
-    hist = law.frozen(xi)
+    hist = law.frozen(xi0)
     products, products2 = ops.products(u0), ops.products(u_prev2)
     v_products = ops.products(v0)
     psi0, dpsi0 = hist.evaluate(jumps0)[:2]
@@ -334,7 +324,7 @@ def run(scenario: Scenario, callbacks=None, tol: float = 1e-10,
         t_k = k * tau
         try:
             f_k = load_vector(scenario.loads, min(t_k, scenario.loads.t_final))
-            res = solve_step(StepProblem(tau, u_prev, u_prev2, xi, f_k, ops, law, ws, hist,
+            res = solve_step(StepProblem(tau, u_prev, u_prev2, f_k, ops, law, ws, hist,
                                          (products, products2), 2.0 * lam_prev - lam_prev2),
                              tol=tol)
         except (LoadError, StepSolverError) as exc:
@@ -366,7 +356,7 @@ def run(scenario: Scenario, callbacks=None, tol: float = 1e-10,
         u_prev2, u_prev = u_prev, u_k
         products2, products = products, res.products
         v_prev, v_products = v_k, v_products_k
-        xi, hist = res.xi_new, res.history
+        hist = res.history
         lam_prev2, lam_prev = lam_prev, res.lam
 
     _finish_step_table(steps)

@@ -33,8 +33,8 @@ A damped Newton method (the history floor ``xi_prev > 0`` keeps ``psi`` C1)
 starts from the multipliers :attr:`StepProblem.lam0`: in a run, the
 second-order extrapolation ``2 lam_{k-1} - lam_{k-2}`` of the multipliers
 the two previous steps accepted (step 1 starts from those of the initial
-data, ``-w psi'([u_0], xi_0)``), which costs no law pass; a standalone step
-starts from zeros, as :func:`solve_static` does.  It solves
+data, ``-w psi'([u_0], xi_0)``), which costs no law pass; :func:`solve_static`
+starts from zeros.  It solves
 ``(I + D S) delta = -r``, where ``D`` is ``w`` times the secant stiffness
 ``c_xi`` on the elastic branch and the softening curvature
 ``psi_hat''(|w|) >= -beta`` elsewhere.  When the step's margin
@@ -55,13 +55,14 @@ interface nodes last (:class:`~cohesim.assembly.InterfaceSchur`).
 Per step, each quantity is formed once.  ``xi_prev`` is fixed for the whole
 step, so its terms (``psi_hat(xi)``, ``psi_hat'(xi)``, ``xi^2``, ``2 xi`` and
 ``c_xi``) come from the previous step's post-step pass
-(:class:`~cohesim.law.FrozenHistory`).  The bulk operators are unit forms
-scaled by node (``M = diag(rho) M_unit``, ``A_eta = diag(eta) A_unit``,
-``A_mu = diag(mu) A_unit``; see :class:`~cohesim.assembly.DiscreteOperators`),
-so every bulk quantity of the step (``b``, the a-posteriori residual
-``H0 u_new``, the incremental energy) is a nodal scaling of the products
-``(M_unit u, A_unit u)`` of ``u_new``, ``u_prev`` and ``u_prev2``; a run forms
-those of ``u_new`` once and hands them on (:attr:`StepProblem.products`,
+(:attr:`StepProblem.history`, a :class:`~cohesim.law.FrozenHistory`).  The
+bulk operators are unit forms scaled by node (``M = diag(rho) M_unit``,
+``A_eta = diag(eta) A_unit``, ``A_mu = diag(mu) A_unit``; see
+:class:`~cohesim.assembly.DiscreteOperators`), so every bulk quantity of
+the step (``b``, the a-posteriori residual ``H0 u_new``, the incremental
+energy) is a nodal scaling of the products ``(M_unit u, A_unit u)`` of
+``u_new``, ``u_prev`` and ``u_prev2``; a run forms those of ``u_new`` once
+and hands them on (:attr:`StepProblem.products`,
 :attr:`StepResult.products`).  Jumps and ``B' r`` are read and scattered
 by index (:attr:`~cohesim.assembly.DiscreteOperators.pairs`); ``B`` is
 notation and a test oracle, never formed.  A step then costs one forward
@@ -100,12 +101,13 @@ residual gates the recomputed initial data.
 
 The step is well posed when ``H0 - beta B' W B`` is positive definite, which
 makes the functional strictly convex for every history; :func:`convexity_guard`
-decides this exactly from the same ``S``, so a run factorizes ``H0`` once.
+decides this exactly from the workspace's own ``S``, so a run factorizes
+``H0`` once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -129,6 +131,7 @@ __all__ = [
 _ARMIJO_C1 = 1e-4
 _MIN_STEP = 1e-14
 _ROUNDING = 64.0 * np.finfo(float).eps
+_MAX_ITER = 60
 
 
 class StepSolverError(RuntimeError):
@@ -183,26 +186,30 @@ class StepWorkspace:
 
 @dataclass
 class StepProblem:
-    """Data of one incremental minimization.
+    """Data of one incremental minimization, as the time loop hands it on.
 
-    ``xi_prev`` must be strictly positive everywhere (regularized regime);
-    the cohesive term is then continuously differentiable.  ``u_prev`` and
-    ``u_prev2`` vanish on the Dirichlet nodes, as every state of a run does.
+    ``history`` is ``law.frozen(xi_prev)``, whose history ``xi_prev`` must be
+    strictly positive everywhere (regularized regime); the cohesive term is
+    then continuously differentiable.  ``u_prev`` and ``u_prev2`` vanish on the
+    Dirichlet nodes, as every state of a run does.
     """
 
     tau: float
     u_prev: np.ndarray
     u_prev2: np.ndarray
-    xi_prev: np.ndarray
     f_k: np.ndarray
     ops: DiscreteOperators
     law: CohesiveLaw
-    workspace: StepWorkspace | None = None
-    history: FrozenHistory | None = None     # law.frozen(xi_prev), if at hand
-    products: tuple | None = None   # (ops.products(u_prev), ops.products(u_prev2)), if at hand
-    # where Newton starts, one multiplier per pair (zeros when None); run() passes
+    workspace: StepWorkspace   # StepWorkspace(ops, tau)
+    history: FrozenHistory
+    products: tuple            # (ops.products(u_prev), ops.products(u_prev2))
+    # where Newton starts, one multiplier per pair; run() passes
     # 2 lam_{k-1} - lam_{k-2}, from the lam of the two previous StepResults
-    lam0: np.ndarray | None = None
+    lam0: np.ndarray
+
+    @property
+    def xi_prev(self) -> np.ndarray:
+        return self.history.xi
 
 
 @dataclass
@@ -226,19 +233,6 @@ class StepResult:
     products: tuple          # ops.products(u_new), for the record and the next step
 
 
-def _at_hand(prob: StepProblem) -> StepProblem:
-    """``prob`` with the products of its previous states and the frozen
-    history at ``xi_prev``, each formed when not at hand."""
-    hist = prob.history
-    if hist is None or hist.xi is not prob.xi_prev or hist.env is not prob.law.env:
-        hist = prob.law.frozen(prob.xi_prev)
-    if prob.products is None or hist is not prob.history:
-        ops = prob.ops
-        prob = replace(prob, history=hist, products=prob.products
-                       or (ops.products(prob.u_prev), ops.products(prob.u_prev2)))
-    return prob
-
-
 def incremental_energy(u, prob: StepProblem, products: tuple | None = None,
                        psi: np.ndarray | None = None) -> float:
     """Value of the incremental functional at the nodal vector ``u``.
@@ -246,12 +240,11 @@ def incremental_energy(u, prob: StepProblem, products: tuple | None = None,
     ``products`` is ``prob.ops.products(u)`` when the caller has it; with the
     products of ``prob`` it makes every bulk term a nodal scaling.  ``psi``
     is ``psi([u], xi_prev)`` when the caller has it; otherwise the cohesive
-    term is a law pass at the frozen history of ``prob``."""
+    term is a law pass at ``prob.history``."""
     u = np.asarray(u, dtype=float)
     n = prob.ops.n_nodes
     if u.shape != (n,):
         raise ValueError(f"displacement vector has size {u.size}, expected {n}")
-    prob = _at_hand(prob)
     ops, tau = prob.ops, prob.tau
     m, a = ops.products(u) if products is None else products
     (m1, a1), (m2, _) = prob.products
@@ -354,14 +347,7 @@ def _minimize(ws: StepWorkspace, hist: FrozenHistory, beta: float, b: np.ndarray
     return ws.schur.backward(cur.lam, y), cur.lam, iters, cur.rnorm
 
 
-def _workspace(prob: StepProblem) -> StepWorkspace:
-    ws = prob.workspace if prob.workspace is not None else StepWorkspace(prob.ops, prob.tau)
-    if ws.tau != prob.tau:
-        raise ValueError("workspace was built for a different time step")
-    return ws
-
-
-def solve_step(prob: StepProblem, tol: float = 1e-10, max_iter: int = 60) -> StepResult:
+def solve_step(prob: StepProblem, tol: float = 1e-10, max_iter: int = _MAX_ITER) -> StepResult:
     """Minimize the incremental functional and apply the history max-update.
 
     A step that has not converged after ``max_iter`` Newton iterations raises
@@ -371,10 +357,11 @@ def solve_step(prob: StepProblem, tol: float = 1e-10, max_iter: int = 60) -> Ste
         raise ValueError("tolerance must be positive")
     if np.any(prob.xi_prev <= 0.0):
         raise ValueError("xi_prev must be strictly positive (regularized regime)")
-    ops, tau = prob.ops, prob.tau
-    ws = _workspace(prob)
-
-    prob = _at_hand(prob)
+    ops, tau, ws = prob.ops, prob.tau, prob.workspace
+    if ws.tau != tau:
+        raise ValueError("workspace was built for a different time step")
+    if prob.history.env is not prob.law.env:
+        raise ValueError("history was frozen with a different envelope")
     # constant part of the quadratic gradient, M (2 u_prev - u_prev2) / tau^2 +
     # A_eta u_prev / tau - f_k from the products; load entries on Dirichlet
     # nodes count as 0
@@ -382,8 +369,7 @@ def solve_step(prob: StepProblem, tol: float = 1e-10, max_iter: int = 60) -> Ste
     b = ws.schur.constrained(-ws.mass * (2.0 * m1 - m2) - (ops.eta * a1) / tau - prob.f_k)
 
     tol_abs = tol * (1.0 + float(np.abs(prob.f_k).max(initial=0.0)))
-    lam0 = np.zeros(ws.weights.size) if prob.lam0 is None else prob.lam0
-    return _solve(ops, ws, prob.law, prob.history, b, lam0, tol_abs, max_iter,
+    return _solve(ops, ws, prob.law, prob.history, b, prob.lam0, tol_abs, max_iter,
                   lambda u, products, psi: incremental_energy(u, prob, products, psi))
 
 
@@ -420,7 +406,7 @@ def _solve(ops: DiscreteOperators, ws: StepWorkspace, law: CohesiveLaw, hist: Fr
 
 
 def solve_static(ops: DiscreteOperators, law: CohesiveLaw, xi: np.ndarray,
-                 f_eff: np.ndarray, tol: float = 1e-10, max_iter: int = 60) -> StepResult:
+                 f_eff: np.ndarray, tol: float = 1e-10) -> StepResult:
     """Minimize ``1/2 u' A_mu u - f_eff . u + sum_j w_j psi([u]_j, xi_j)``,
     the result's ``energy``, with the post-step pass of :func:`solve_step`.
 
@@ -432,12 +418,12 @@ def solve_static(ops: DiscreteOperators, law: CohesiveLaw, xi: np.ndarray,
     ws = StepWorkspace(ops, None)
     tol_abs = tol * (1.0 + float(np.abs(f_eff).max(initial=0.0)))
     return _solve(ops, ws, law, law.frozen(xi), ws.schur.constrained(-f_eff),
-                  np.zeros(ws.weights.size), tol_abs, max_iter,
+                  np.zeros(ws.weights.size), tol_abs, _MAX_ITER,
                   lambda u, products, psi: (0.5 * (u @ (ops.mu * products[1])) - f_eff @ u
                                             + float(ops.weights @ psi)))
 
 
-def convexity_guard(prob: StepProblem) -> bool:
+def convexity_guard(ws: StepWorkspace, beta: float) -> bool:
     """Exact test of the step's convexity condition.
 
     True when ``H0 - beta B' W B`` is positive definite on the free DOFs, with
@@ -445,7 +431,6 @@ def convexity_guard(prob: StepProblem) -> bool:
     incremental functional and ``beta`` the law's curvature bound; the
     functional is then strictly convex for every history.  As ``H0`` is SPD,
     the condition holds exactly when :meth:`StepWorkspace.margin` is positive
-    for the step's own interface Schur complement ``S = B H0^-1 B'``, read
-    from ``prob.workspace`` (built here when it is None).
+    for the workspace's interface Schur complement ``S = B H0^-1 B'``.
     """
-    return bool(_workspace(prob).margin(prob.law.beta) > 0.0)
+    return bool(ws.margin(beta) > 0.0)

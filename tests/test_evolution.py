@@ -482,6 +482,35 @@ class TestRun:
             assert partial[name].tobytes() == ref.steps[name][:5].tobytes(), name
         assert np.any(ref.steps["D_cum"][1:5] > 0.0) and np.any(ref.steps["P_cum"][1:5] != 0.0)
 
+    def test_step_table_columns_equal_a_row_by_row_reference(self):
+        # a table with violations of every kind, signed zeros and a partial
+        # table of row 0 alone, against one row at a time
+        rng = np.random.default_rng(4)
+        steps = np.zeros(40, dtype=evolution.step_dtype(7))
+        xis = np.abs(rng.normal(size=(40, 7))).cumsum(axis=0)
+        xis[rng.random((40, 7)) < 0.2] = 0.0
+        steps["xis"] = xis
+        steps["jumps"] = xis * rng.choice([-1.01, -1.0, -0.5, 0.5, 1.0, 1.01], size=(40, 7))
+        steps["D_cum"], steps["P_cum"] = rng.normal(size=(2, 40))
+        for table in (steps, steps[:1]):
+            out = evolution._finish_step_table(table.copy())
+            ref = table.copy()
+            for k in range(1, ref.size):
+                xi, xi_prev, w, w_prev = (ref["xis"][k], ref["xis"][k - 1], ref["jumps"][k],
+                                          ref["jumps"][k - 1])
+                gap, growth = np.abs(w) - xi, xi - xi_prev
+                ref["admissibility"][k] = max(0.0, gap.max())
+                ref["complementarity"][k] = np.abs(growth * gap).max()
+                ref["slope"][k] = max(0.0, (np.abs(growth) - np.abs(w - w_prev)).max())
+                ref["xi_monotone"][k] = max(0.0, (xi_prev - xi).max())
+                ref["D_cum"][k] += ref["D_cum"][k - 1]
+                ref["P_cum"][k] += ref["P_cum"][k - 1]
+            for name in ref.dtype.names:
+                assert out[name].tobytes() == ref[name].tobytes(), name
+        assert out.size == 1
+        assert all(evolution._finish_step_table(steps.copy())[name][1:].max() > 0.0
+                   for name in evolution.KKT_COLUMNS)
+
 
 class TestSelfConvergence:
     def test_final_state_is_first_order_in_tau(self):

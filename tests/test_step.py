@@ -1,6 +1,7 @@
 """Step-solver tests: 2-DOF oracle equivalence, KKT exactness, energy
 monotonicity, convexity guard."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -41,12 +42,22 @@ def toy_ops(weight=PAIR_WEIGHT):
                              eta=np.array(ETA_DIAG))
 
 
+def step_problem(ops, law, tau, xi_prev, f, u_prev=None, u_prev2=None, workspace=None):
+    """The step as the time loop builds it, from rest unless ``u_prev`` and
+    ``u_prev2`` are given, with Newton starting from zero multipliers."""
+    zero = np.zeros(ops.n_nodes)
+    u_prev = zero if u_prev is None else np.asarray(u_prev, float)
+    u_prev2 = zero if u_prev2 is None else np.asarray(u_prev2, float)
+    return StepProblem(tau=tau, u_prev=u_prev, u_prev2=u_prev2, f_k=np.asarray(f, float),
+                       ops=ops, law=law, workspace=workspace or StepWorkspace(ops, tau),
+                       history=law.frozen(xi_prev),
+                       products=(ops.products(u_prev), ops.products(u_prev2)),
+                       lam0=np.zeros(ops.weights.size))
+
+
 def toy_problem(tau, f, xi_prev, u_prev=(0.0, 0.0), u_prev2=(0.0, 0.0), law=None):
     law = law or CohesiveLaw(PrototypeEnvelope(1.0, 1.0))
-    return StepProblem(tau=tau, u_prev=np.asarray(u_prev, float),
-                       u_prev2=np.asarray(u_prev2, float),
-                       xi_prev=np.array([xi_prev]), f_k=np.asarray(f, float),
-                       ops=toy_ops(), law=law)
+    return step_problem(toy_ops(), law, tau, np.array([xi_prev]), f, u_prev, u_prev2)
 
 
 # --- independent scalar oracle of the incremental functional ---------------
@@ -221,15 +232,30 @@ class TestSolveStep:
         assert res.el_residual <= 10.0 * 1e-10 * (1.0 + np.abs(prob.f_k).max())
 
     def test_nonpositive_history_rejected(self):
-        prob = toy_problem(0.1, f=(0.0, 0.0), xi_prev=0.0)
+        prob = toy_problem(0.1, f=(0.0, 0.0), xi_prev=0.3)
+        # law.frozen refuses xi = 0 itself
+        prob.history = FrozenHistory(prob.law.env, np.array([0.0]))
         with pytest.raises(ValueError, match="positive"):
             solve_step(prob)
+
+    def test_mismatched_workspace_or_history_rejected(self):
+        prob = toy_problem(0.1, f=(1.0, -2.0), xi_prev=0.3)
+        other_tau = dataclasses.replace(prob, workspace=StepWorkspace(prob.ops, 0.2))
+        with pytest.raises(ValueError, match="different time step"):
+            solve_step(other_tau)
+        # a history frozen with another envelope, even an equal one
+        other_env = dataclasses.replace(
+            prob, history=CohesiveLaw(PrototypeEnvelope(1.0, 1.0)).frozen(prob.xi_prev))
+        with pytest.raises(ValueError, match="different envelope"):
+            solve_step(other_env)
 
     def test_workspace_reuse_matches_fresh_solve(self):
         prob_a = toy_problem(0.1, f=(1.0, -2.0), xi_prev=0.3)
         ws = StepWorkspace(prob_a.ops, prob_a.tau)
-        prob_b = toy_problem(0.1, f=(1.0, -2.0), xi_prev=0.3)
-        prob_b.workspace = ws
+        solve_step(dataclasses.replace(toy_problem(0.1, f=(-3.0, 0.5), xi_prev=0.1),
+                                       workspace=ws))
+        prob_b = dataclasses.replace(toy_problem(0.1, f=(1.0, -2.0), xi_prev=0.3),
+                                     workspace=ws)
         res_a = solve_step(prob_a, tol=1e-12)
         res_b = solve_step(prob_b, tol=1e-12)
         assert np.allclose(res_a.u_new, res_b.u_new, atol=1e-14)
@@ -260,11 +286,9 @@ class TestSolveStep:
         mesh = build_rectangle_mesh(1.0, 8, 4)
         ops = assemble(mesh, Materials.constant(rho=1.0, mu=1.0, eta=1.0))
         law = CohesiveLaw(PrototypeEnvelope(g_c=1.0, xi_c=0.2))
-        zero = np.zeros(ops.n_nodes)
         # a load that is nonzero on the Dirichlet rows too
         f = 10.0 * np.random.default_rng(3).normal(size=ops.n_nodes)
-        res = solve_step(StepProblem(1.0 / 40, zero, zero, np.full(mesh.n_pairs, 0.05), f,
-                                     ops, law))
+        res = solve_step(step_problem(ops, law, 1.0 / 40, np.full(mesh.n_pairs, 0.05), f))
         assert np.all(res.u_new[mesh.dirichlet_nodes] == 0.0)
         assert not np.signbit(res.u_new[mesh.dirichlet_nodes]).any()     # +0.0, never -0.0
 
@@ -288,7 +312,7 @@ class TestSolveStep:
         phases = []
         for k in range(1, n + 1):
             f = loads.at(k * tau)
-            prob = StepProblem(tau, u1, u2, xi, f, ops, law, ws)
+            prob = step_problem(ops, law, tau, xi, f, u1, u2, ws)
             res = solve_step(prob, tol=tol)
             u = res.u_new
             # Euler-Lagrange gradient of the full-space functional, old history
@@ -311,9 +335,7 @@ class TestSolveStep:
         tau = 1.0 / 40
         loads = LoadModel.from_functions(
             mesh, [0.0, 1.0], bulk=lambda x, y, t: 400.0 * t * np.sin(np.pi * x) * y)
-        zero = np.zeros(ops.n_nodes)
-        return StepProblem(tau, zero, zero, np.full(mesh.n_pairs, 1e-3), loads.at(0.25),
-                           ops, law, StepWorkspace(ops, tau))
+        return step_problem(ops, law, tau, np.full(mesh.n_pairs, 1e-3), loads.at(0.25))
 
     def test_one_law_pass_per_trial_point(self, monkeypatch):
         prob = self.softening_step()
@@ -332,10 +354,10 @@ class TestSolveStep:
                             counted("trial", FrozenHistory.evaluate))
         res = solve_step(prob)
         assert calls["trial"] > res.newton_iters >= 5
-        # one envelope pass per trial point, the only evaluate() calls; two
-        # more for the history terms at xi_prev and at xi_new.  The post-step
-        # pass on the updated cone makes none
-        assert calls["value_slope"] == calls["trial"] + 2
+        # one envelope pass per trial point, the only evaluate() calls; one
+        # more for the history terms at xi_new (those at xi_prev come with the
+        # problem).  The post-step pass on the updated cone makes none
+        assert calls["value_slope"] == calls["trial"] + 1
         assert calls["value"] + calls["slope"] == 0
 
     def test_polish_runs_only_above_the_rounding_floor(self, monkeypatch):
@@ -465,16 +487,13 @@ class TestConvexityGuard:
         law = CohesiveLaw(TabulatedEnvelope(grid, grid - 0.5 * eps * grid**2,
                                             1.0 - eps * grid))
         for tau in (1e-3, 1.0, 1e6):
-            prob = toy_problem(tau, f=(0.0, 0.0), xi_prev=0.5, law=law)
-            assert convexity_guard(prob)
+            assert convexity_guard(StepWorkspace(toy_ops(), tau), law.beta)
 
     def test_rectangle_prototype_small_tau(self):
         mesh = build_rectangle_mesh(1.0, 4, 4)
         ops = assemble(mesh, Materials.constant(1.0, 1.0, 1.0))
         law = CohesiveLaw(PrototypeEnvelope(1.0, 1.0))
-        prob = StepProblem(1e-3, np.zeros(ops.n_nodes), np.zeros(ops.n_nodes),
-                           np.full(mesh.n_pairs, 0.1), np.zeros(ops.n_nodes), ops, law)
-        assert convexity_guard(prob)
+        assert convexity_guard(StepWorkspace(ops, 1e-3), law.beta)
 
     def test_large_tau_with_violated_coercivity(self):
         mesh = build_rectangle_mesh(1.0, 4, 4)
@@ -483,9 +502,7 @@ class TestConvexityGuard:
         law = CohesiveLaw(PrototypeEnvelope(1.0, 0.2))  # beta = 50
         assert materials.mu_min * estimate_trace_constant(mesh) < law.beta
         tau = 1e3
-        prob = StepProblem(tau, np.zeros(ops.n_nodes), np.zeros(ops.n_nodes),
-                           np.full(mesh.n_pairs, 0.1), np.zeros(ops.n_nodes), ops, law)
-        assert not convexity_guard(prob)
+        assert not convexity_guard(StepWorkspace(ops, tau), law.beta)
         # eigenvalue oracle on H0 - beta B'WB confirms indefiniteness
         free = ops.free_dofs
         ix = np.ix_(free, free)
@@ -502,9 +519,7 @@ class TestConvexityGuard:
         ops = assemble(mesh, materials)
         law = CohesiveLaw(PrototypeEnvelope(1.0, 1.0))  # beta = 2
         assert materials.mu_min * estimate_trace_constant(mesh) > law.beta
-        prob = StepProblem(1e6, np.zeros(ops.n_nodes), np.zeros(ops.n_nodes),
-                           np.full(mesh.n_pairs, 0.1), np.zeros(ops.n_nodes), ops, law)
-        assert convexity_guard(prob)
+        assert convexity_guard(StepWorkspace(ops, 1e6), law.beta)
 
     @pytest.mark.parametrize("materials", [
         Materials.constant(1.0, 1.0, 1.0),
@@ -535,10 +550,7 @@ class TestConvexityGuard:
         taus = [*np.geomspace(1e-4, 1e2, 13), 0.999 * lo, 1.001 * hi]
         only_h0 = 0
         for tau in taus:
-            prob = StepProblem(tau, np.zeros(ops.n_nodes), np.zeros(ops.n_nodes),
-                               np.full(mesh.n_pairs, 0.1), np.zeros(ops.n_nodes),
-                               ops, law)
-            accepted = convexity_guard(prob)
+            accepted = convexity_guard(StepWorkspace(ops, tau), law.beta)
             assert accepted == oracle(tau)
             if materials.mu_plus == materials.mu_minus:
                 # equal coefficients on both bodies: the (H4)-type criterion
