@@ -11,7 +11,8 @@ never as matrices (:class:`DiscreteOperators`).  Dirichlet conditions are
 homogeneous and handled by elimination, in :class:`InterfaceSchur` only (no
 penalty terms).  The interface enters as the pairs ``(plus, minus)`` of the
 mesh: jumps and the scatters ``B' lam`` are read and written by index, and
-the jump operator ``B`` is notation, never assembled.
+the jump operator ``B`` is notation, never assembled.  So is the load
+operator ``P``: loads scatter by index, and only a given load builds a rule.
 """
 
 from __future__ import annotations
@@ -317,23 +318,23 @@ class InterfaceSchur:
 
 
 class _LoadRule:
-    """Points ``xq``, weights ``c`` and sparse shape values ``P`` of one rule.
+    """Points ``(x, y)``, weights ``c`` and P1 shape values of one rule.
 
-    ``P @ (c * f(xq, t))`` is the consistent load of ``f``.  Entry ``k`` maps
-    point ``cols[k]`` to node ``rows[k]`` with value ``vals[k]``; each row
-    keeps its entries, zeros included, in the given order and sums them so.
+    ``P (c * f(x, y, t))`` is the consistent load of ``f``; ``P`` is never
+    assembled: row ``q`` of ``nodes`` and ``vals`` holds point ``q``'s nodes and
+    shape values, and ``vals * (c * f)[q]`` scatters to them by index, so each
+    node sums its entries, zeros included, from ``+0.0`` in the rule's order.
     """
 
-    def __init__(self, n_nodes: int, xq, c, rows, cols, vals):
-        self.x, self.y = xq[:, 0], xq[:, 1]
-        self.c = c
-        order = np.argsort(rows, kind="stable")
-        indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n_nodes))])
-        self.P = sp.csr_matrix((vals[order], cols[order], indptr), shape=(n_nodes, c.size))
+    def __init__(self, n_nodes: int, xq, c, nodes, vals):
+        self.x, self.y, self.c = xq[:, 0], xq[:, 1], c
+        self.nodes, self.vals, self.n_nodes = nodes.ravel(), vals, n_nodes
 
     def assemble(self, fv) -> np.ndarray:
         """The consistent load of the point values ``fv`` (broadcast)."""
-        return self.P @ (self.c * np.broadcast_to(np.asarray(fv, dtype=float), self.c.shape))
+        cf = self.c * np.broadcast_to(np.asarray(fv, dtype=float), self.c.shape)
+        return np.bincount(self.nodes, weights=(self.vals * cf[:, None]).ravel(),
+                           minlength=self.n_nodes)
 
     def load(self, fn):
         """The function of ``t`` that gives the consistent load of ``fn``.
@@ -342,12 +343,11 @@ class _LoadRule:
         (see :func:`~cohesim.expressions.compile_expression`), each ``F_i`` is
         assembled here into ``V_i`` and a sample is ``sum_i g_i(t) V_i``, added
         in place from the first term on, so the returned function keeps
-        neither the points nor ``P``."""
+        nothing of the rule."""
         terms = getattr(fn, "terms", None)
         if terms is None:
             return lambda t: self.assemble(fn(self.x, self.y, t))
-        fields = [(g, self.assemble(F(x=self.x, y=self.y))) for g, F in terms]
-        (g0, V0), *rest = fields
+        (g0, V0), *rest = [(g, self.assemble(F(x=self.x, y=self.y))) for g, F in terms]
 
         def sample(t):
             F = float(g0(t=t)) * V0
@@ -357,29 +357,27 @@ class _LoadRule:
         return sample
 
 
-def _load_rules(mesh: InterfaceMesh) -> tuple:
-    """Bulk and surface rules.  Bulk points run by rule point, then triangle;
-    surface points by Gauss point, then edge end, then edge (each Gauss point
-    once per end), so every node sums its contributions in loop order.
-    """
+def _bulk_rule(mesh: InterfaceMesh) -> _LoadRule:
+    """3 points per triangle; entries by rule point, triangle, vertex."""
     p = mesh.nodes[mesh.triangles]
     area = _triangle_areas(p)
     lam = np.column_stack([1.0 - _TRI_QP[:, 0] - _TRI_QP[:, 1], _TRI_QP])
-    bulk = _LoadRule(mesh.n_nodes,
+    return _LoadRule(mesh.n_nodes,
                      np.concatenate([np.einsum("i,tij->tj", l, p) for l in lam]),
                      np.concatenate([wq * area for wq in _TRI_QW]),
-                     np.tile(mesh.triangles.ravel(), 3), np.repeat(np.arange(3 * area.size), 3),
-                     np.repeat(lam, area.size, axis=0).ravel())
+                     np.tile(mesh.triangles, (3, 1)), np.repeat(lam, area.size, axis=0))
+
+
+def _surface_rule(mesh: InterfaceMesh) -> _LoadRule:
+    """2-point Gauss per Neumann edge; entries by Gauss point, edge end, edge."""
     e = mesh.neumann_edges
     a, b = mesh.nodes[e[:, 0]], mesh.nodes[e[:, 1]]
     lengths = np.linalg.norm(b - a, axis=1)
     s = np.repeat(_EDGE_QP, 2)[:, None, None]           # (Gauss point, end)
     phi = np.column_stack([1.0 - _EDGE_QP, _EDGE_QP]).ravel()
-    surface = _LoadRule(mesh.n_nodes, ((1.0 - s) * a + s * b).reshape(-1, 2),
-                        (np.repeat(_EDGE_QW, 2)[:, None] * lengths).ravel(),
-                        np.tile(e.T, (2, 1)).ravel(), np.arange(4 * len(e)),
-                        np.repeat(phi, len(e)))
-    return bulk, surface
+    return _LoadRule(mesh.n_nodes, ((1.0 - s) * a + s * b).reshape(-1, 2),
+                     (np.repeat(_EDGE_QW, 2)[:, None] * lengths).ravel(),
+                     np.tile(e.T, (2, 1)).reshape(-1, 1), np.repeat(phi, len(e))[:, None])
 
 
 class LoadError(FloatingPointError):
@@ -393,16 +391,16 @@ class LoadError(FloatingPointError):
 class LoadModel:
     """External load sampled in time with piecewise-affine reconstruction.
 
-    One :class:`_LoadRule` per load is built once (bulk: 3-point rule per
-    triangle, surface: 2-point Gauss per Neumann edge; both exact against the
-    P1 test space for affine data).  A load that is a compiled expression
-    with separable ``terms`` ``g_i(t) * F_i(x, y)`` is assembled once, one
-    nodal vector ``V_i`` per term, and its rule is then dropped; a sample is
-    ``sum_i g_i(t) V_i``, equal to assembly triangle by triangle up to
-    rounding.  Any other load (a Python callable, or an expression such as
-    ``sin(x * t)``) is evaluated at the rule's points and assembled per
-    sample; such a sample is bit-identical to assembly triangle by triangle,
-    as every node sums its contributions in the same order.
+    A :class:`_LoadRule` is built for each given load, none for a ``None``
+    one (bulk: 3-point rule per triangle, surface: 2-point Gauss per Neumann
+    edge; both exact against the P1 test space for affine data).  A load that
+    is a compiled expression with separable ``terms`` ``g_i(t) * F_i(x, y)``
+    is assembled once, one nodal vector ``V_i`` per term, and its rule is
+    then dropped; a sample is ``sum_i g_i(t) V_i``, equal to assembly
+    triangle by triangle up to rounding.  Any other load (a Python callable,
+    or an expression such as ``sin(x * t)``) keeps its rule and is scattered
+    per sample, bit-identical to assembly triangle by triangle, as every node
+    sums its contributions in the same order.
 
     Samples are formed on demand and the last two kept, so a time loop forms
     each once and no (samples x nodes) table is stored; one that is not
@@ -427,8 +425,8 @@ class LoadModel:
 
         Sample 0 is formed here, so a malformed load fails at once.
         """
-        loads = {name: rule.load(fn) for name, rule, fn
-                 in zip(("bulk", "surface"), _load_rules(mesh), (bulk, surface))
+        loads = {name: rule(mesh).load(fn) for name, rule, fn
+                 in (("bulk", _bulk_rule, bulk), ("surface", _surface_rule, surface))
                  if fn is not None}
         model = cls(times, mesh.n_nodes, loads)
         model._sample(0)

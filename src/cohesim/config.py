@@ -221,10 +221,11 @@ def parse_scenario(doc: dict) -> ScenarioConfig:
                           "which tau^2, rho / tau^2 or eta / tau is out of the float range")
 
     lsec = _section(doc, "loads", required=(), optional=("bulk", "surface", "samples"))
-    bulk = _expr(lsec, "loads", "bulk", ("x", "y", "t"), default=0.0)
-    surface = _expr(lsec, "loads", "surface", ("x", "y", "t"), default=0.0)
+    # compile every given load, so a malformed one fails; a zero one then builds no rule
+    fns = {key: _expr(lsec, "loads", key, ("x", "y", "t")) for key in ("bulk", "surface")
+           if key in lsec}
+    fns = {key: fn for key, fn in fns.items() if lsec[key] != 0}
     samples = _integer(lsec.get("samples", n + 1), "loads.samples", 2)
-    surface_zero = "surface" not in lsec or lsec["surface"] == 0
     try:
         times = np.linspace(0.0, T, samples)
     except MemoryError as exc:
@@ -237,8 +238,7 @@ def parse_scenario(doc: dict) -> ScenarioConfig:
         raise ConfigError(f"'time.n' asks for a step table of {n + 1} rows, which does not "
                           "fit in memory") from exc
     try:
-        loads = LoadModel.from_functions(mesh, times, bulk=bulk if "bulk" in lsec else None,
-                                         surface=None if surface_zero else surface)
+        loads = LoadModel.from_functions(mesh, times, **fns)
     except LoadError as exc:
         raise ConfigError("'loads.{}' is not finite at t = {!r}".format(*exc.args)) from exc
 

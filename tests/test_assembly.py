@@ -15,6 +15,7 @@ from cohesim.assembly import (
     load_vector,
     stiffness_matrix,
 )
+from cohesim.config import ConfigError, parse_scenario
 from cohesim.expressions import compile_expression
 from cohesim.mesh import build_rectangle_mesh
 
@@ -470,20 +471,26 @@ class TestSeparableLoads:
         for t in times:
             assert np.array_equal(loads.at(float(t)), reference_sample(mesh, float(t), bulk=bulk))
 
-    def test_separable_rules_are_released(self, mesh, monkeypatch):
+    @pytest.fixture
+    def built_rules(self, monkeypatch):
+        """``(points, weak references)`` of every load rule built: to the rule,
+        its points, its weights and its node indices."""
         import weakref
 
         import cohesim.assembly as assembly
 
         made = []
-        real = assembly._load_rules
+        init = assembly._LoadRule.__init__
 
-        def recorded(mesh):
-            rules = real(mesh)
-            made.append([weakref.ref(obj) for r in rules for obj in (r, r.P, r.x, r.c)])
-            return rules
+        def recorded(rule, *args):
+            init(rule, *args)
+            made.append((rule.c.size, [weakref.ref(obj)
+                                       for obj in (rule, rule.x, rule.c, rule.nodes)]))
 
-        monkeypatch.setattr(assembly, "_load_rules", recorded)
+        monkeypatch.setattr(assembly._LoadRule, "__init__", recorded)
+        return made
+
+    def test_separable_rules_are_released(self, mesh, built_rules):
         separable = LoadModel.from_functions(mesh, [0.0, 1.0],
                                              bulk=compile_expression("t * sin(pi * x) * y"),
                                              surface=compile_expression("2 * t - x"))
@@ -491,9 +498,32 @@ class TestSeparableLoads:
                                               bulk=compile_expression("sin(x * t)"))
         gc.collect()
         assert separable.at(0.5).any() and per_sample.at(0.5).any()
-        assert all(ref() is None for ref in made[0])
-        bulk_rule = made[1][0]()
-        assert bulk_rule is not None and made[1][1]() is bulk_rule.P
+        assert len(built_rules) == 3
+        assert all(ref() is None for _, refs in built_rules[:2] for ref in refs)
+        refs = built_rules[2][1]
+        rule = refs[0]()
+        assert rule is not None
+        assert all(ref() is obj for ref, obj in zip(refs[1:], (rule.x, rule.c, rule.nodes)))
+
+    def test_rules_are_built_for_given_loads_only(self, mesh, built_rules):
+        LoadModel.from_functions(mesh, [0.0, 1.0])
+        assert built_rules == []
+        LoadModel.from_functions(mesh, [0.0, 1.0], bulk=compile_expression("t * x"))
+        assert [points for points, _ in built_rules] == [3 * len(mesh.triangles)]
+        built_rules.clear()
+        doc = {"mesh": {"kind": "rectangle", "L": 1.0, "n_x": 3, "n_y": 2},
+               "materials": {"rho": 1.0, "mu": 1.0, "eta": 1.0},
+               "law": {"kind": "prototype", "g_c": 1.0, "xi_c": 1.0},
+               "loads": {"bulk": 0}, "time": {"T": 1.0, "n": 4}, "initial": {},
+               "regularization": {"eps_bar": 0.001}}
+        loads = parse_scenario(doc).scenario.loads
+        assert built_rules == [] and loads.loads == {}
+        F = loads.at(0.3)
+        assert np.all(F == 0.0) and not np.signbit(F).any()
+        # a zero load is dropped only once it compiles
+        doc["loads"] = {"bulk": False}
+        with pytest.raises(ConfigError, match="'loads.bulk'"):
+            parse_scenario(doc)
 
     def test_construction_evaluates_every_term(self, mesh):
         # the time factor 1 / t and the field 1 / (x - x) divide by zero
