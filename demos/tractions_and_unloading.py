@@ -60,7 +60,7 @@ print(f"{'t':>6} {'load':>6} {'jump':>9} {'xi':>9} {'sigma+':>9} "
 for k in range(20, n + 1, 20):
     cur = record.state(k)
     tf = traction_extraction(record.ops, law, *steps[k - 1])
-    line = law.secant_stiffness(cur.xi[mid]) * record.jumps[k][mid]
+    line = law.frozen(cur.xi[mid]).c_xi * record.jumps[k][mid]
     print(f"{cur.t:6.2f} {profile(cur.t):6.2f} {record.jumps[k][mid]:9.5f} "
           f"{cur.xi[mid]:9.5f} {tf.sigma_plus[mid]:9.5f} {line:10.5f} "
           f"{tf.transmission_defect[mid]:13.2e}")

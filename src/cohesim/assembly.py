@@ -33,7 +33,6 @@ __all__ = [
     "LoadError",
     "LoadModel",
     "assemble",
-    "stiffness_matrix",
     "load_vector",
 ]
 
@@ -99,12 +98,6 @@ def _form(mesh: InterfaceMesh, unit, area: np.ndarray) -> sp.csr_matrix:
                       shape=(mesh.n_nodes, mesh.n_nodes)).tocsr()
     A.sum_duplicates()
     return A
-
-
-def stiffness_matrix(mesh: InterfaceMesh) -> sp.csr_matrix:
-    """Assemble ``sum_T int_T grad phi_i . grad phi_j``."""
-    area, grads = _geometry(mesh)
-    return _form(mesh, np.einsum("tik,tjk->tij", grads, grads), area)
 
 
 @dataclass

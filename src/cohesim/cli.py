@@ -106,11 +106,7 @@ def _execute_run(cfg: ScenarioConfig, out_dir: str):
 
 
 def cmd_run(args) -> int:
-    cfg = load_scenario_file(args.config)
-    out_dir = args.out or cfg.output.directory
-    if not out_dir:
-        raise ConfigError("no output directory (use --out or output.dir)")
-    *_, summary = _execute_run(cfg, out_dir)
+    *_, summary = _execute_run(load_scenario_file(args.config), args.out)
     print(f"ok: {summary}")
     return EXIT_OK
 
@@ -253,7 +249,7 @@ def main(argv=None) -> int:
 
     p_run = sub.add_parser("run", help="run one scenario and write CSV/VTK artifacts")
     p_run.add_argument("config")
-    p_run.add_argument("--out", default=None)
+    p_run.add_argument("--out", required=True)
     p_run.set_defaults(fn=cmd_run)
 
     p_study = sub.add_parser("study", help="run a refinement or continuation study")

@@ -9,11 +9,11 @@ Unknown keys are rejected everywhere; every diagnostic names the offending
                     ("rho_plus", "rho_minus", ...)
     law             {"kind": "prototype", "g_c", "xi_c"} or
                     {"kind": "tabulated", "w": [...], "psi": [...], "dpsi": [...]}
-    loads           {"bulk": expr|number, "surface": expr|number, ["samples"]}
+    loads           {"bulk": expr|number, "surface": expr|number}
     time            {"T", "n"}
     initial         {"u0", "v0", "xi0", ["w0"]}   (expressions in x, y)
     regularization  {"eps_bar", "regularity_mode"}
-    output          {["dir"], ["snapshot_stride"], ["vtk"]}
+    output          {["snapshot_stride"], ["vtk"]}
 
 and a study document is {"kind": ..., "base": <scenario>, ...} with kinds
 ``single``, ``tau_refinement``/``h_refinement`` (+ ``levels``) and
@@ -97,7 +97,6 @@ def _expr(sec: dict, section: str, key: str, variables, default=None):
 
 @dataclass
 class OutputOptions:
-    directory: str | None
     snapshot_stride: int
     vtk: bool
 
@@ -220,25 +219,20 @@ def parse_scenario(doc: dict) -> ScenarioConfig:
         raise ConfigError(f"'time.T' over 'time.n' gives the time step tau = {tau:.3g}, for "
                           "which tau^2, rho / tau^2 or eta / tau is out of the float range")
 
-    lsec = _section(doc, "loads", required=(), optional=("bulk", "surface", "samples"))
+    lsec = _section(doc, "loads", required=(), optional=("bulk", "surface"))
     # compile every given load, so a malformed one fails; a zero one then builds no rule
     fns = {key: _expr(lsec, "loads", key, ("x", "y", "t")) for key in ("bulk", "surface")
            if key in lsec}
     fns = {key: fn for key, fn in fns.items() if lsec[key] != 0}
-    samples = _integer(lsec.get("samples", n + 1), "loads.samples", 2)
+    # run()'s step table; a row is wider than a load sample time, so the n + 1
+    # times fit once it does
     try:
-        times = np.linspace(0.0, T, samples)
-    except MemoryError as exc:
-        key = "loads.samples" if "samples" in lsec else "time.n"
-        raise ConfigError(f"'{key}' asks for {samples} load samples, which do not fit "
-                          "in memory") from exc
-    try:
-        np.empty(n + 1, dtype=step_dtype(mesh.n_pairs))     # run()'s step table
+        np.empty(n + 1, dtype=step_dtype(mesh.n_pairs))
     except MemoryError as exc:
         raise ConfigError(f"'time.n' asks for a step table of {n + 1} rows, which does not "
                           "fit in memory") from exc
     try:
-        loads = LoadModel.from_functions(mesh, times, **fns)
+        loads = LoadModel.from_functions(mesh, np.linspace(0.0, T, n + 1), **fns)
     except LoadError as exc:
         raise ConfigError("'loads.{}' is not finite at t = {!r}".format(*exc.args)) from exc
 
@@ -258,12 +252,12 @@ def parse_scenario(doc: dict) -> ScenarioConfig:
         raise ConfigError("'regularization.regularity_mode' must be a boolean")
 
     osec = _section(doc, "output", required=(),
-                    optional=("dir", "snapshot_stride", "vtk")) if "output" in doc else {}
+                    optional=("snapshot_stride", "vtk")) if "output" in doc else {}
     stride = _integer(osec.get("snapshot_stride", 1), "output.snapshot_stride", 1)
     vtk = osec.get("vtk", False)
     if not isinstance(vtk, bool):
         raise ConfigError("'output.vtk' must be a boolean")
-    out = OutputOptions(directory=osec.get("dir"), snapshot_stride=stride, vtk=vtk)
+    out = OutputOptions(snapshot_stride=stride, vtk=vtk)
 
     try:
         scenario = Scenario(mesh, materials, law, loads, T, n, u0, v0, xi0,

@@ -30,6 +30,14 @@ and ``w -> psi(w, xi) + (beta/2) w^2`` is convex for every ``xi``.  The only
 point of non-differentiability is the origin ``(w, xi) = (0, 0)``, where only
 directional derivatives exist; they are handled by
 :meth:`CohesiveLaw.dpsi_dw_directional`.
+
+An envelope is where a law plugs in.  It has a ``kind``, the critical
+opening ``xi_c``, the cap value ``psi_at_cap`` and ``beta()``, and two
+evaluations, arrays in and out: ``value_slope(w)`` gives ``psi_hat(w)`` and
+``psi_hat'(w)`` from one pass, and ``curvature(w)`` gives ``psi_hat''(w)``.
+At ``xi_c`` the slope and curvature are the left limits; beyond it the value
+is ``psi_at_cap`` and both are ``+0.0``.  The density and its derivative in
+the opening are evaluated in :class:`FrozenHistory` alone.
 """
 
 from __future__ import annotations
@@ -83,28 +91,15 @@ class PrototypeEnvelope:
     def psi_at_cap(self) -> float:
         return self.g_c
 
-    def value(self, w):
-        w, scalar = _as_array(w)
-        x = np.minimum(w, self.xi_c) / self.xi_c
-        v = self.g_c * x * (2.0 - x)
-        return float(v) if scalar else v
-
-    def slope(self, w):
-        w, scalar = _as_array(w)
-        s = np.where(w <= self.xi_c, 2.0 * (self.g_c / self.xi_c) * (1.0 - w / self.xi_c), 0.0)
-        return float(s) if scalar else s
-
     def value_slope(self, w: np.ndarray) -> tuple:
-        """``(value(w), slope(w))`` from one pass over the array ``w``; equal
-        to them bit for bit (a NaN opening gives a NaN slope)."""
+        """``(psi_hat(w), psi_hat'(w))`` from one pass over the array ``w``; the
+        slope is ``+0.0`` beyond the cap and NaN at a NaN opening."""
         x = np.minimum(w, self.xi_c) / self.xi_c
         # beyond the cap x = 1 exactly, so the slope is +0.0 there
         return self.g_c * x * (2.0 - x), 2.0 * (self.g_c / self.xi_c) * (1.0 - x)
 
-    def curvature(self, w):
-        w, scalar = _as_array(w)
-        c = np.where(w <= self.xi_c, -2.0 * self.g_c / self.xi_c**2, 0.0)
-        return float(c) if scalar else c
+    def curvature(self, w: np.ndarray) -> np.ndarray:
+        return np.where(w <= self.xi_c, -2.0 * self.g_c / self.xi_c**2, 0.0)
 
     def beta(self) -> float:
         return 2.0 * self.g_c / self.xi_c**2
@@ -146,26 +141,15 @@ class TabulatedEnvelope:
     def psi_at_cap(self) -> float:
         return float(self._spline(self.xi_c))
 
-    def value(self, w):
-        w, scalar = _as_array(w)
-        v = self._spline(np.minimum(w, self.xi_c))
-        return float(v) if scalar else v
-
-    def slope(self, w):
-        # Left-limit convention at the cap: slope(xi_c) is the interpolant
-        # slope, zero strictly beyond, so branch agreement at |w| = xi holds.
-        w, scalar = _as_array(w)
-        s = np.where(w <= self.xi_c, self._d1(np.minimum(w, self.xi_c)), 0.0)
-        return float(s) if scalar else s
-
     def value_slope(self, w: np.ndarray) -> tuple:
-        """``(value(w), slope(w))``."""
-        return self.value(w), self.slope(w)
+        """``(psi_hat(w), psi_hat'(w))`` for the array ``w``.  Left-limit
+        convention at the cap: the slope at ``xi_c`` is the interpolant's,
+        ``+0.0`` strictly beyond, so the branches agree at ``|w| = xi``."""
+        x = np.minimum(w, self.xi_c)
+        return self._spline(x), np.where(w <= self.xi_c, self._d1(x), 0.0)
 
-    def curvature(self, w):
-        w, scalar = _as_array(w)
-        c = np.where(w <= self.xi_c, self._d2(np.minimum(w, self.xi_c)), 0.0)
-        return float(c) if scalar else c
+    def curvature(self, w: np.ndarray) -> np.ndarray:
+        return np.where(w <= self.xi_c, self._d2(np.minimum(w, self.xi_c)), 0.0)
 
     def beta(self) -> float:
         """``-min psi_hat''``, exactly: ``psi_hat''`` is linear on each piece, so
@@ -201,22 +185,21 @@ def validate_envelope(env) -> None:
     if xi_c <= 0.0:
         raise HypothesisError("(H1) violated: critical opening xi_c must be positive")
     tol = 1e-10 * max(1.0, abs(env.psi_at_cap))
-    if abs(env.value(0.0)) > tol:
+    # the grid starts at 0: vals[0] is psi_hat(0), slopes[0] the threshold psi_hat'(0)
+    vals, slopes = env.value_slope(np.linspace(0.0, xi_c, _N_SAMPLES))
+    if abs(vals[0]) > tol:
         raise HypothesisError("(H1) violated: psi_hat(0) != 0")
-    ws = np.linspace(0.0, xi_c, _N_SAMPLES)
-    vals = env.value(ws)
     if np.any(vals[1:] <= 0.0):
         raise HypothesisError("(H1) violated: psi_hat must be positive for w > 0")
-    slopes = env.slope(ws)
     if np.any(slopes < -tol):
         raise HypothesisError("(H1) violated: psi_hat' must be nonnegative on [0, xi_c]")
     if np.any(np.diff(slopes) > tol):
         raise HypothesisError("(H1) violated: psi_hat not concave (psi_hat' increases)")
-    if env.slope(0.0) <= 0.0:
+    if slopes[0] <= 0.0:
         raise HypothesisError("(H1) violated: activation threshold psi_hat'(0) must be positive")
-    for w_far in (1.5 * xi_c, 3.0 * xi_c):
-        if abs(env.value(w_far) - env.psi_at_cap) > tol or env.slope(w_far) != 0.0:
-            raise HypothesisError("(H1) violated: psi_hat must be constant beyond xi_c")
+    far_vals, far_slopes = env.value_slope(np.array([1.5 * xi_c, 3.0 * xi_c]))
+    if np.any(np.abs(far_vals - env.psi_at_cap) > tol) or np.any(far_slopes != 0.0):
+        raise HypothesisError("(H1) violated: psi_hat must be constant beyond xi_c")
     if env.beta() <= 0.0:
         raise HypothesisError(
             "(H2) violated: beta = -min psi_hat'' must be positive (linear envelope)"
@@ -227,11 +210,12 @@ def law_constants(env) -> LawConstants:
     """Validate ``env`` and compute its derived constants."""
     validate_envelope(env)
     beta = env.beta()
-    psi_prime_0 = float(env.slope(0.0))
-    # h3: discrete midpoint concavity of psi_hat' on [0, xi_c]
+    # h3: discrete midpoint concavity of psi_hat' on [0, xi_c], from the
+    # slopes at the knots ws (ws[0] = 0 gives the threshold) and midpoints
     ws = np.linspace(0.0, env.xi_c, 257)
-    mid = env.slope(0.5 * (ws[:-1] + ws[1:]))
-    chord = 0.5 * (env.slope(ws[:-1]) + env.slope(ws[1:]))
+    slopes = env.value_slope(np.concatenate([ws, 0.5 * (ws[:-1] + ws[1:])]))[1]
+    psi_prime_0 = float(slopes[0])
+    mid, chord = slopes[ws.size:], 0.5 * (slopes[:ws.size - 1] + slopes[1:ws.size])
     h3 = bool(np.all(mid >= chord - 1e-10 * max(1.0, psi_prime_0)))
     return LawConstants(beta=float(beta), psi_prime_0=psi_prime_0,
                         lambda_conv=-0.5 * float(beta), h3_holds=h3)
@@ -312,7 +296,7 @@ class CohesiveLaw:
         w, xi, phi = np.broadcast_arrays(w, xi, phi)
         origin = (w == 0.0) & (xi == 0.0)
         smooth = self.dpsi_dw(np.where(origin, 1.0, w), np.where(origin, 1.0, xi)) * phi
-        out = np.where(origin, self.env.slope(0.0) * np.abs(phi), smooth)
+        out = np.where(origin, self.psi_prime_0 * np.abs(phi), smooth)
         return float(out) if (scalar and sp) else out
 
     def dpsi_dxi(self, w, xi):
@@ -328,30 +312,18 @@ class CohesiveLaw:
         aw = np.abs(w)
         inside = (aw < xi) & (xi < self.env.xi_c)
         xi_safe = np.where(inside, np.maximum(xi, 1e-300), 1.0)
-        val = 0.5 * (self.env.slope(xi) - self.env.curvature(xi) * xi) \
+        val = 0.5 * (self.env.value_slope(xi)[1] - self.env.curvature(xi) * xi) \
             * (xi**2 - w**2) / xi_safe**2
         out = np.where(inside, val, 0.0)
-        out = np.where(origin, 0.5 * self.env.slope(0.0), out)
+        out = np.where(origin, 0.5 * self.psi_prime_0, out)
         return float(out) if scalar else out
-
-    def psi_d(self, xi):
-        """Dissipated part ``psi_d(xi) = psi(0, xi)`` (nondecreasing)."""
-        # evaluated through psi so the stored part cancels exactly at w = 0
-        return self.psi(0.0, xi)
 
     def split(self, w, xi):
         """Stored/dissipated split ``psi = psi_s + psi_d`` with ``psi_d = psi(0, xi)``."""
         total = self.psi(w, xi)
-        diss = self.psi_d(xi)
+        # evaluated through psi so the stored part cancels exactly at w = 0
+        diss = self.psi(0.0, xi)
         return total - diss, diss
-
-    def secant_stiffness(self, xi):
-        """Unloading stiffness ``c_xi = psi_hat'(xi) / xi`` (requires ``xi > 0``)."""
-        xi, sx = _as_array(xi)
-        if np.any(xi <= 0.0):
-            raise ValueError("secant stiffness requires xi > 0")
-        out = self.env.slope(xi) / xi
-        return float(out) if sx else out
 
     def frozen(self, xi) -> "FrozenHistory":
         """The density and its derivatives at a fixed history ``xi > 0``."""
@@ -412,7 +384,7 @@ class FrozenHistory:
 
     def psi_at_zero(self):
         """``psi(0, xi)``, the dissipated part ``psi_d(xi)``, from the history
-        terms alone; bit-identical to :meth:`CohesiveLaw.psi_d`."""
+        terms alone; bit-identical to ``CohesiveLaw.psi(0, xi)``."""
         return self.psi_xi - self.slope_xi * self.xi_sq / self.two_xi
 
     def curvature(self, aw, elastic):

@@ -58,9 +58,7 @@ class InterfaceMesh:
     dirichlet_nodes: np.ndarray  # (D,)
     neumann_edges: np.ndarray    # (E, 2)
     interface_weights: np.ndarray = field(init=False)   # (P,) trapezoid weights
-    interface_edges: np.ndarray = field(init=False)     # (Q, 2) plus-side edges along K
     interface_endpoint: np.ndarray = field(init=False)  # (P,) bool, polyline endpoints
-    h_max: float = field(init=False)
 
     def __post_init__(self):
         self.nodes = np.asarray(self.nodes, dtype=float)
@@ -92,10 +90,6 @@ class InterfaceMesh:
         side = np.full(self.n_nodes, -1)
         side[self.triangles[self.tri_side > 0]] = 1
         return side
-
-    def interface_arclength(self) -> float:
-        e = self.interface_edges
-        return float(np.linalg.norm(self.nodes[e[:, 0]] - self.nodes[e[:, 1]], axis=1).sum())
 
     # ------------------------------------------------------------------
 
@@ -180,7 +174,6 @@ class InterfaceMesh:
                 iface_edges.append((a, b))
         if not iface_edges:
             raise MeshError("no boundary edges along the interface polyline")
-        self.interface_edges = np.asarray(iface_edges, dtype=np.int64)
 
         # the minus side must mirror every plus-side interface edge
         pair_of = dict(zip(plus.tolist(), minus.tolist()))
@@ -201,14 +194,6 @@ class InterfaceMesh:
             raise MeshError("interface pair not connected to any interface edge")
         self.interface_weights = w
         self.interface_endpoint = adjacency == 1
-
-        total = float(w.sum())
-        arclen = self.interface_arclength()
-        if abs(total - arclen) > 1e-12 * max(arclen, 1.0):
-            raise MeshError("interface weights do not sum to the interface arclength")
-
-        lengths = np.linalg.norm(nodes[edges[:, 0]] - nodes[edges[:, 1]], axis=1)
-        self.h_max = float(lengths.max())
 
 
 def build_rectangle_mesh(L: float, n_x: int, n_y: int) -> InterfaceMesh:
@@ -303,11 +288,12 @@ def estimate_trace_constant(mesh: InterfaceMesh) -> float:
     The result is a purely geometric constant (scales like ``1/l`` under
     domain scaling by ``l``).
     """
-    from .assembly import InterfaceSchur, stiffness_matrix
+    from .assembly import InterfaceSchur, Materials, assemble
 
     if mesh.n_pairs == 0:
         raise MeshError("trace constant requires interface pairs")
-    lam_max = InterfaceSchur(stiffness_matrix(mesh), mesh.interface_pairs.T,
+    A_unit = assemble(mesh, Materials.constant(1.0, 1.0, 1.0)).A_unit
+    lam_max = InterfaceSchur(A_unit, mesh.interface_pairs.T,
                              mesh.free_nodes).lambda_max(mesh.interface_weights)
     if lam_max <= 0.0:
         raise MeshError("interface Schur complement is singular")

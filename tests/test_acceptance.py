@@ -168,7 +168,7 @@ class TestCriterion6ElasticUnloading:
             sel = opened & tf.interior & (np.abs(rec.jumps[k]) < rec.xis[k])
             if not sel.any():
                 continue
-            line = law.secant_stiffness(rec.xis[k][sel]) * rec.jumps[k][sel]
+            line = law.frozen(rec.xis[k][sel]).c_xi * rec.jumps[k][sel]
             defect = float(np.abs(tf.sigma_plus[sel] - line).max())
             tol_k = 10.0 * SOLVER_TOL * (1.0 + np.abs(f).max())
             assert defect <= tol_k

@@ -13,7 +13,6 @@ from cohesim.assembly import (
     Materials,
     assemble,
     load_vector,
-    stiffness_matrix,
 )
 from cohesim.config import ConfigError, parse_scenario
 from cohesim.expressions import compile_expression
@@ -86,7 +85,7 @@ class TestOperators:
         materials = Materials(1.3, 0.7, 2.0, 3.0, 0.5, 1.5)
         ops = assemble(mesh, materials)
         for op, ref in ((ops.M_unit, per_triangle(mesh, "mass")),
-                        (ops.A_unit, stiffness_matrix(mesh))):
+                        (ops.A_unit, per_triangle(mesh, "stiffness"))):
             for name in ("indptr", "indices", "data"):
                 assert getattr(op, name).tobytes() == getattr(ref, name).tobytes()
 

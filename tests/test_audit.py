@@ -252,7 +252,7 @@ class TestElasticUnloading:
             sel = opened & tf.interior & (np.abs(rec.jumps[k]) < rec.xis[k])
             if not sel.any():
                 continue
-            line = law.secant_stiffness(rec.xis[k][sel]) * rec.jumps[k][sel]
+            line = law.frozen(rec.xis[k][sel]).c_xi * rec.jumps[k][sel]
             defect = np.abs(tf.sigma_plus[sel] - line).max()
             assert defect <= 10.0 * TOL * (1.0 + np.abs(f).max()) / ops.weights.min()
 

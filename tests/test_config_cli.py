@@ -210,12 +210,17 @@ class TestCli:
             assert float(cols[2]) == 0.0 and float(cols[3]) == 0.0
 
     def test_run_is_deterministic(self, tmp_path):
+        # a loaded run with VTK frames, repeated in one process, writes the
+        # same files byte for byte
         out_a, out_b = tmp_path / "a", tmp_path / "b"
-        cfg = str(SCENARIOS / "rest.json")
+        cfg = str(SCENARIOS / "standard_ramp.json")
         assert main(["run", cfg, "--out", str(out_a)]) == 0
         assert main(["run", cfg, "--out", str(out_b)]) == 0
-        for name in ("energies.csv", "kkt.csv", "tractions.csv"):
-            assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+        names = sorted(p.name for p in out_a.iterdir())
+        assert sorted(p.name for p in out_b.iterdir()) == names
+        assert len(names) == 24 and "fields_0020.vtk" in names     # 3 CSVs, 21 frames
+        for name in names:
+            assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
 
     def test_run_writes_vtk_frames(self, tmp_path):
         doc = base_doc(output={"snapshot_stride": 5, "vtk": True})
@@ -279,7 +284,7 @@ class TestCli:
         assert "study document" in err and "cohesim study" in err
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("key", ["mesh.n_x", "mesh.n_y", "time.n", "loads.samples",
+    @pytest.mark.parametrize("key", ["mesh.n_x", "mesh.n_y", "time.n",
                                      "output.snapshot_stride", "levels", "eps_list"])
     def test_json_true_is_not_an_integer(self, key, tmp_path, capsys):
         # Python reads JSON true as a bool, which is an int equal to 1
@@ -318,16 +323,14 @@ class TestCli:
         assert err.startswith("I/O error: ") and str(tmp_path / "nope.json") in err
 
     @staticmethod
-    def probe(command, tmp_path, key, value, *more):
+    def probe(command, tmp_path, key, value):
         """``command`` on the standard ramp at 8x4 cells with ``key`` set to
-        ``value``, and each further ``(key, value)`` of ``more``; a study runs
-        it as its one level.  Returns the exit code."""
+        ``value``; a study runs it as its one level.  Returns the exit code."""
         doc = json.loads((SCENARIOS / "standard_ramp.json").read_text())
         doc["mesh"].update(n_x=8, n_y=4)
         doc["output"] = {}
-        for key, value in ((key, value), *more):
-            section, field = key.split(".")
-            doc[section][field] = value
+        section, field = key.split(".")
+        doc[section][field] = value
         if command == "study":
             doc = {"kind": "single", "base": doc}
         path = tmp_path / "probe.json"
@@ -346,10 +349,9 @@ class TestCli:
                           "tau^2, rho / tau^2 or eta / tau is out of the float range"),
         ("initial.u0", "1e400 * x", "must be finite at every node"),
         ("initial.xi0", "0 * x + 1e400", "must be finite at every node"),
-        # numpy refuses a time grid this size at once, without touching memory
-        ("time.n", 10**12, "asks for 1000000000001 load samples, which do not fit in memory"),
-        ("loads.samples", 10**12,
-         "asks for 1000000000000 load samples, which do not fit in memory"),
+        # numpy refuses a step table this size at once, without touching memory
+        ("time.n", 10**12, "asks for a step table of 1000000000001 rows, which does not "
+                           "fit in memory"),
     ]
 
     @pytest.mark.parametrize("command", ["run", "study", "check-law"])
@@ -363,10 +365,15 @@ class TestCli:
         assert err == f"config error: '{key}' {message}\n"
 
     @pytest.mark.parametrize("command", ["run", "study", "check-law"])
-    def test_step_table_beyond_memory_exits_2_naming_time_n(self, command, tmp_path, capsys):
-        # 3 load samples fit; numpy refuses the step table of 10**12 + 1 rows
-        # at once, without touching memory
-        code = self.probe(command, tmp_path, "loads.samples", 3, ("time.n", 10**12))
+    def test_step_table_beyond_memory_exits_2_naming_time_n(self, command, tmp_path, capsys,
+                                                           monkeypatch):
+        # numpy refuses the step table of 10**12 + 1 rows at once, without
+        # touching memory, before the load is sampled at the step times
+        sampled = []
+        monkeypatch.setattr(cohesim.config.LoadModel, "from_functions",
+                            lambda *args, **kwargs: sampled.append(args))
+        code = self.probe(command, tmp_path, "time.n", 10**12)
+        assert sampled == []
         out, err = capsys.readouterr()
         assert code == 2 and out == ""
         assert err == ("config error: 'time.n' asks for a step table of 1000000000001 rows, "

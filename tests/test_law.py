@@ -181,7 +181,7 @@ class TestSplit:
         s, d = proto.split(0.0, 0.5)
         assert s == pytest.approx(0.0, abs=1e-15)
         assert d == pytest.approx(0.5, abs=1e-15)
-        assert proto.psi_d(1.7) == pytest.approx(1.0)  # capped at g_c
+        assert proto.split(0.0, 1.7)[1] == pytest.approx(1.0)  # capped at g_c
 
     def test_stored_is_quadratic(self, proto):
         s, d = proto.split(0.3, 0.5)
@@ -220,7 +220,7 @@ class TestLawConstants:
     def test_tabulated_prototype_recovers_constants(self):
         ref = PrototypeEnvelope(1.0, 1.0)
         grid = np.linspace(0.0, 1.0, 21)
-        env = TabulatedEnvelope(grid, ref.value(grid), ref.slope(grid))
+        env = TabulatedEnvelope(grid, *ref.value_slope(grid))
         c = law_constants(env)
         # the Hermite interpolant of a parabola is exact
         assert c.beta == pytest.approx(2.0, rel=1e-8)
@@ -294,20 +294,19 @@ class TestFrozenHistory:
     def exact_curvature(law, w, xi):
         # the secant stiffness on the elastic branch, psi_hat''(|w|) elsewhere
         aw = np.abs(w)
-        c_el = law.env.slope(xi) / xi
+        c_el = law.env.value_slope(xi)[1] / xi
         return np.where(aw <= xi, c_el, law.env.curvature(aw))
 
     @staticmethod
     def branch_formulas(law, w, xi):
         """``psi`` and ``dpsi_dw`` entry by entry, from the envelope's value
         and slope at ``|w|`` and ``xi``."""
-        env, psi, dpsi = law.env, [], []
-        for wj, xj in zip(w, xi):
+        psi, dpsi = [], []
+        at_w, at_xi = law.env.value_slope(np.abs(w)), law.env.value_slope(xi)
+        for wj, xj, vw, sw, vx, sx in zip(w, xi, *at_w, *at_xi):
             aw = abs(wj)
-            psi.append(env.value(aw) if aw >= xj
-                       else env.value(xj) - env.slope(xj) * (xj * xj - wj * wj) / (2.0 * xj))
-            dpsi.append(env.slope(xj) / xj * wj if aw <= xj
-                        else env.slope(aw) * np.sign(wj))
+            psi.append(vw if aw >= xj else vx - sx * (xj * xj - wj * wj) / (2.0 * xj))
+            dpsi.append(sx / xj * wj if aw <= xj else sw * np.sign(wj))
         return np.array(psi), np.array(dpsi)
 
     def test_bit_identical_to_law(self):
@@ -330,7 +329,7 @@ class TestFrozenHistory:
             assert np.array_equal(elastic, np.abs(w) <= xi)
             assert np.array_equal(hist.curvature(aw, elastic),
                                   self.exact_curvature(law, w, xi))
-            assert np.array_equal(hist.c_xi, law.secant_stiffness(xi))
+            assert np.array_equal(hist.c_xi, law.env.value_slope(xi)[1] / xi)
 
     def test_cone_evaluation_is_evaluate_bit_for_bit(self):
         # max-updated histories xi = max(xi_prev, |w|): grown pairs on |w| = xi,
@@ -357,17 +356,30 @@ class TestFrozenHistory:
             assert psi[71] == law.env.psi_at_cap
             assert np.signbit(dpsi[60:70]).all() and not np.signbit(dpsi[50:60]).any()
 
-    def test_value_slope_is_value_and_slope_bit_for_bit(self):
-        # one envelope pass gives both, signed zeros included, at the origin,
-        # at the cap and beyond it
+    def test_value_slope_matches_the_closed_forms(self):
+        # psi_hat and psi_hat' from one envelope pass: the prototype's
+        # g_c x (2 - x) and 2 (g_c / xi_c) (1 - x) with x = w / xi_c, and the
+        # cubic 1 - (1 - w)^3, which its Hermite interpolant reproduces; at
+        # the origin, at the cap and beyond it the slope is the left limit,
+        # then +0.0, and the value the cap's
         rng = np.random.default_rng(7)
-        for law in self.laws():
-            env = law.env
-            w = np.concatenate([[0.0, env.xi_c, 2.0 * env.xi_c, np.inf],
-                                rng.uniform(0.0, 1.5 * env.xi_c, 200)])
-            value, slope = env.value_slope(w)
-            assert value.tobytes() == env.value(w).tobytes()
-            assert slope.tobytes() == env.slope(w).tobytes()
+        proto, cubic = (law.env for law in self.laws())
+        w = np.concatenate([[0.0, 0.2, 0.4, np.inf], rng.uniform(0.0, 0.2, 200)])
+        value, slope = proto.value_slope(w)
+        x = np.minimum(w / 0.2, 1.0)
+        assert np.allclose(value, x * (2.0 - x), rtol=1e-15, atol=0.0)
+        assert np.allclose(slope, 10.0 * (1.0 - x), rtol=1e-15, atol=1e-15)
+        assert value[:4].tolist() == [0.0, 1.0, 1.0, 1.0]
+        assert slope[:4].tolist() == [10.0, 0.0, 0.0, 0.0]
+        w = np.concatenate([[0.0, 1.0, 2.0, np.inf], rng.uniform(0.0, 1.0, 200)])
+        value, slope = cubic.value_slope(w)
+        x = np.minimum(w, 1.0)
+        assert np.allclose(value, 1.0 - (1.0 - x) ** 3, rtol=1e-14, atol=1e-15)
+        assert np.allclose(slope, 3.0 * (1.0 - x) ** 2, rtol=1e-13, atol=1e-14)
+        assert value[0] == 0.0 and slope[0] == 3.0
+        assert value[1] == value[2] == value[3] == cubic.psi_at_cap == 1.0
+        assert slope[1] == 0.0 and slope[2:4].tolist() == [0.0, 0.0]
+        assert not np.signbit(slope[1:4]).any()
 
     def test_nonpositive_history_rejected(self, proto):
         with pytest.raises(ValueError, match="xi > 0"):

@@ -15,7 +15,7 @@ from cohesim.mesh import (
     scaled,
 )
 
-from oracles import jump_operator, save_mesh
+from oracles import jump_operator, per_triangle, save_mesh
 
 
 class TestRectangleGenerator:
@@ -52,11 +52,6 @@ class TestRectangleGenerator:
         rhs = 2.5 * jumps(u, pairs) - 0.5 * jumps(w, pairs)
         # linear by construction; only float re-association separates the two
         assert np.allclose(lhs, rhs, rtol=0.0, atol=1e-14 * np.abs(rhs).max())
-
-    def test_h_max_halves_under_refinement(self):
-        coarse = build_rectangle_mesh(1.0, 2, 2)
-        fine = build_rectangle_mesh(1.0, 4, 4)
-        assert fine.h_max == pytest.approx(coarse.h_max / 2.0, rel=1e-12)
 
     def test_bodies_do_not_share_nodes(self):
         mesh = build_rectangle_mesh(1.0, 3, 1)
@@ -128,9 +123,6 @@ class TestVectorizedBuild:
         for name, ref in loop_rectangle_arrays(1.7, n_x, n_y).items():
             got = getattr(mesh, name)
             assert got.dtype == ref.dtype and np.array_equal(got, ref), name
-        edges = np.array(list(loop_edge_counts(mesh.triangles)))
-        lengths = np.linalg.norm(mesh.nodes[edges[:, 0]] - mesh.nodes[edges[:, 1]], axis=1)
-        assert mesh.h_max == lengths.max()
 
     def test_first_untagged_edge_is_named(self):
         mesh = build_rectangle_mesh(1.0, 3, 2)
@@ -205,7 +197,6 @@ class TestTraceConstant:
         assert estimate_trace_constant(mesh) > 0.0
 
     def test_matches_dense_generalized_eigensolve(self):
-        from cohesim.assembly import stiffness_matrix
         from scipy.linalg import eigh
 
         mesh = build_rectangle_mesh(1.0, 8, 8)
@@ -213,7 +204,7 @@ class TestTraceConstant:
 
         # oracle: largest eigenvalue of the pencil (B' W B, A) on free DOFs
         free = mesh.free_nodes
-        A = stiffness_matrix(mesh)[np.ix_(free, free)].toarray()
+        A = per_triangle(mesh, "stiffness")[np.ix_(free, free)].toarray()
         B = jump_operator(mesh.interface_pairs.T, mesh.n_nodes)[:, free].toarray()
         BtWB = B.T @ np.diag(mesh.interface_weights) @ B
         lam = eigh(BtWB, A, eigvals_only=True)
@@ -223,13 +214,11 @@ class TestTraceConstant:
     def test_equals_the_free_dof_reference(self, n_x, n_y):
         import scipy.sparse.linalg as spla
 
-        from cohesim.assembly import stiffness_matrix
-
         # reference: the free-DOF stiffness block and the free columns of B
         mesh = build_rectangle_mesh(1.0, n_x, n_y)
         free = mesh.free_nodes
         B_f = jump_operator(mesh.interface_pairs.T, mesh.n_nodes)[:, free]
-        lu = spla.splu(stiffness_matrix(mesh)[np.ix_(free, free)].tocsc(),
+        lu = spla.splu(per_triangle(mesh, "stiffness")[np.ix_(free, free)].tocsc(),
                        permc_spec="MMD_AT_PLUS_A")
         S = B_f @ lu.solve(B_f.T.toarray())
         sqrt_w = np.sqrt(mesh.interface_weights)
