@@ -19,6 +19,7 @@ from cohesim import (
     Materials,
     PrototypeEnvelope,
     Scenario,
+    assemble,
     build_rectangle_mesh,
     estimate_trace_constant,
     run,
@@ -29,7 +30,8 @@ mesh = build_rectangle_mesh(1.0, 16, 8)
 materials = Materials.constant(rho=0.1, mu=2.0, eta=4.0)
 law = CohesiveLaw(PrototypeEnvelope(g_c=1.0, xi_c=2.0))
 
-c_hat = estimate_trace_constant(mesh)
+ops = assemble(mesh, materials)
+c_hat = estimate_trace_constant(mesh, ops.A_unit)
 print(f"coercivity: mu * c_hat = {materials.mu_min * c_hat:.3f} > beta = {law.beta}")
 
 
@@ -50,7 +52,8 @@ scenario = Scenario(mesh, materials, law, loads, T, n,
                     u0=np.zeros(mesh.n_nodes), v0=np.zeros(mesh.n_nodes),
                     xi0=np.zeros(mesh.n_pairs), eps_bar=1e-3)
 steps = []     # per step: its bulk residual at the pairs and its cohesive traction
-record = run(scenario, callbacks=lambda state, res: steps.append((res.residual, res.traction)))
+record = run(scenario, callbacks=lambda state, res: steps.append((res.residual, res.traction)),
+             ops=ops)
 
 mid = mesh.n_pairs // 2  # node nearest the center of the interface
 print()

@@ -13,7 +13,8 @@ propagates.
 ``run`` audits the tractions of every step from the step's own bulk residual
 and cohesive traction (:func:`~cohesim.audit.traction_extraction`), streamed
 through the time loop's callback, and writes one ``tractions.csv`` row per
-step.
+step.  A run that a step stops writes the VTK frames of the snapshot steps it
+completed, and no CSV.
 
 A study of any kind runs its levels one after another in the calling thread,
 each like ``cohesim run`` into ``<dir>/level_XX``, and compares consecutive
@@ -71,6 +72,23 @@ def _traction_audit(law, ops, rows: list):
     return audit
 
 
+def _write_frames(cfg: ScenarioConfig, out_dir: str, record) -> None:
+    """One VTK frame per snapshot step of ``record``, if the scenario asks
+    for VTK: ``u``, ``v`` and ``xi`` on both nodes of each interface pair."""
+    if not cfg.output.vtk:
+        return
+    mesh = cfg.scenario.mesh
+    geometry = vtk_geometry(mesh)
+    for frame, k in enumerate(record.snapshot_steps):
+        fields = {
+            "u": record.us[k],
+            "v": record.vs[k],
+            "xi": interface_field_on_nodes(mesh, record.xis[k]),
+        }
+        write_vtk_frame(os.path.join(out_dir, f"fields_{frame:04d}.vtk"), mesh, fields,
+                        geometry)
+
+
 def _execute_run(cfg: ScenarioConfig, out_dir: str):
     """Run one scenario and write its artifacts.
 
@@ -81,24 +99,20 @@ def _execute_run(cfg: ScenarioConfig, out_dir: str):
     scenario = cfg.scenario
     ops = assemble(scenario.mesh, scenario.materials)
     tractions = []
-    record = run(scenario, callbacks=_traction_audit(scenario.law, ops, tractions), ops=ops,
-                 snapshot_stride=cfg.output.snapshot_stride)
+    try:
+        record = run(scenario, callbacks=_traction_audit(scenario.law, ops, tractions),
+                     ops=ops, snapshot_stride=cfg.output.snapshot_stride)
+    except EvolutionError as exc:
+        if exc.partial is not None:
+            _write_frames(cfg, out_dir, exc.partial)
+        raise
 
     ledger = energy_ledger(record)
     report = kkt_report(record)
     write_energy_csv(os.path.join(out_dir, "energies.csv"), ledger)
     write_kkt_csv(os.path.join(out_dir, "kkt.csv"), report)
     write_traction_csv(os.path.join(out_dir, "tractions.csv"), tractions)
-    if cfg.output.vtk:
-        geometry = vtk_geometry(scenario.mesh)
-        for frame, k in enumerate(record.snapshot_steps):
-            fields = {
-                "u": record.us[k],
-                "v": record.vs[k],
-                "xi": interface_field_on_nodes(scenario.mesh, record.xis[k]),
-            }
-            write_vtk_frame(os.path.join(out_dir, f"fields_{frame:04d}.vtk"),
-                            scenario.mesh, fields, geometry)
+    _write_frames(cfg, out_dir, record)
     summary = (f"steps={record.n_steps} "
                f"max_energy_residual={ledger.max_residual:.6e} "
                f"max_kkt_violation={report.max_violation:.6e}")
@@ -224,9 +238,9 @@ def cmd_check_law(args) -> int:
 
     scenario = load_scenario_file(args.config).scenario
     c = scenario.law.constants
-    c_hat = estimate_trace_constant(scenario.mesh)
-    margin = scenario.materials.mu_min * c_hat - c.beta
     ops = assemble(scenario.mesh, scenario.materials)
+    c_hat = estimate_trace_constant(scenario.mesh, ops.A_unit)
+    margin = scenario.materials.mu_min * c_hat - c.beta
     step_margin = StepWorkspace(ops, scenario.tau).margin(c.beta)
     print(f"law kind: {scenario.law.env.kind}")
     print(f"beta = {c.beta!r}")

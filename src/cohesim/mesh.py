@@ -277,22 +277,22 @@ def jumps(u: np.ndarray, pairs) -> np.ndarray:
     return (0.0 + u[plus]) - u[minus]
 
 
-def estimate_trace_constant(mesh: InterfaceMesh) -> float:
+def estimate_trace_constant(mesh: InterfaceMesh, A_unit) -> float:
     """Smallest discrete Rayleigh quotient ``|grad u|^2 / |[u]|^2`` over the mesh.
 
     Computed as ``1 / lambda_max(W^1/2 B A^-1 B^T W^1/2)`` where ``A`` is the
-    unit-coefficient stiffness, Dirichlet nodes eliminated by
+    unit-coefficient stiffness ``A_unit`` of ``mesh`` (``assemble(mesh,
+    materials).A_unit`` for any materials), Dirichlet nodes eliminated by
     :class:`~cohesim.assembly.InterfaceSchur`, ``B`` the jump operator and
     ``W`` the interface weights: minimizing ``u' A u`` subject to prescribed
     jumps reduces the quotient to the Schur complement on the interface.
     The result is a purely geometric constant (scales like ``1/l`` under
     domain scaling by ``l``).
     """
-    from .assembly import InterfaceSchur, Materials, assemble
+    from .assembly import InterfaceSchur
 
     if mesh.n_pairs == 0:
         raise MeshError("trace constant requires interface pairs")
-    A_unit = assemble(mesh, Materials.constant(1.0, 1.0, 1.0)).A_unit
     lam_max = InterfaceSchur(A_unit, mesh.interface_pairs.T,
                              mesh.free_nodes).lambda_max(mesh.interface_weights)
     if lam_max <= 0.0:

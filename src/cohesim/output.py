@@ -1,11 +1,15 @@
-"""CSV ledgers and legacy-ASCII VTK frames.
+"""CSV ledgers and binary legacy VTK frames.
 
-All numbers are written with shortest round-trip ``repr``, so identical runs
-produce bit-identical files with the same numpy/scipy/BLAS build and BLAS
-thread count.  A multithreaded BLAS may sum a long dot product in another
-order: with OpenBLAS 0.3.31, the 64x32 unloading tent's ``energies.csv``
-differs by up to 6.2e-14 and its ``tractions.csv`` by up to 6.0e-12 between
-one and two BLAS threads.  Headers are part of the public contract:
+CSV numbers are written with shortest round-trip ``repr``.  A VTK frame keeps
+its header lines in ASCII under a ``BINARY`` third line, writes ``POINTS`` and
+the nodal scalars as big-endian float64 and ``CELLS`` and ``CELL_TYPES`` as
+big-endian int32, and ends each binary block with a newline; float64 stores
+each value exactly, as ``repr`` does.  So identical runs produce bit-identical
+files with the same numpy/scipy/BLAS build and BLAS thread count.  A
+multithreaded BLAS may sum a long dot product in another order: with OpenBLAS
+0.3.31, the 64x32 unloading tent's ``energies.csv`` differs by up to 6.2e-14
+and its ``tractions.csv`` by up to 6.0e-12 between one and two BLAS threads.
+CSV headers are part of the public contract:
 
 energies.csv   step,t,E,K,Psi,Psi_s,Psi_d,D_cum,P_cum,R,R_split
 kkt.csv        step,t,admissibility,complementarity,slope,xi_monotone
@@ -110,33 +114,35 @@ def write_study_csv(path, rows) -> None:
     _write_rows(path, STUDY_HEADER, rows)
 
 
-def vtk_geometry(mesh) -> str:
+def vtk_geometry(mesh) -> bytes:
     """The part of a VTK frame set by the mesh alone: header, ``POINTS``,
     ``CELLS``, ``CELL_TYPES`` and the ``POINT_DATA`` line."""
-    tris = mesh.triangles
-    m = tris.shape[0]
-    return "".join([
-        "# vtk DataFile Version 2.0\ncohesim fields\nASCII\nDATASET UNSTRUCTURED_GRID\n"
-        f"POINTS {mesh.n_nodes} double\n",
-        "".join([f"{x!r} {y!r} 0\n" for x, y in mesh.nodes.tolist()]),
-        f"CELLS {m} {4 * m}\n",
-        "".join([f"3 {a} {b} {c}\n" for a, b, c in tris.tolist()]),
-        f"CELL_TYPES {m}\n", "5\n" * m,
-        f"POINT_DATA {mesh.n_nodes}\n"])
+    n, m = mesh.n_nodes, mesh.triangles.shape[0]
+    points = np.zeros((n, 3), dtype=">f8")
+    points[:, :2] = mesh.nodes
+    cells = np.empty((m, 4), dtype=">i4")
+    cells[:, 0] = 3
+    cells[:, 1:] = mesh.triangles
+    return b"".join([
+        b"# vtk DataFile Version 2.0\ncohesim fields\nBINARY\nDATASET UNSTRUCTURED_GRID\n",
+        f"POINTS {n} double\n".encode(), points.tobytes(), b"\n",
+        f"CELLS {m} {4 * m}\n".encode(), cells.tobytes(), b"\n",
+        f"CELL_TYPES {m}\n".encode(), np.full(m, 5, dtype=">i4").tobytes(), b"\n",
+        f"POINT_DATA {n}\n".encode()])
 
 
-def write_vtk_frame(path, mesh, point_fields: dict, geometry: str | None = None) -> None:
-    """Legacy ASCII unstructured-grid frame with nodal scalar fields.
+def write_vtk_frame(path, mesh, point_fields: dict, geometry: bytes | None = None) -> None:
+    """Binary legacy unstructured-grid frame with nodal scalar fields.
 
     ``geometry`` is ``vtk_geometry(mesh)``; a caller writing several frames
-    of one mesh formats it once and passes it to each.
+    of one mesh builds it once and passes it to each.
     """
     parts = [geometry if geometry is not None else vtk_geometry(mesh)]
     for name, values in point_fields.items():
-        parts += [f"SCALARS {name} double\nLOOKUP_TABLE default\n",
-                  "\n".join(map(repr, np.asarray(values, dtype=float).tolist())) + "\n"]
-    with open(path, "w") as f:
-        f.write("".join(parts))
+        parts += [f"SCALARS {name} double\nLOOKUP_TABLE default\n".encode(),
+                  np.asarray(values, dtype=">f8").tobytes(), b"\n"]
+    with open(path, "wb") as f:
+        f.writelines(parts)
 
 
 def interface_field_on_nodes(mesh, values: np.ndarray) -> np.ndarray:

@@ -9,7 +9,7 @@ import json
 import numpy as np
 import scipy.sparse as sp
 
-from cohesim.assembly import _MASS, _form, _geometry
+from cohesim.assembly import _MASS, Materials, _form, _geometry, assemble
 from cohesim.audit import traction_extraction
 
 
@@ -76,3 +76,56 @@ def save_mesh(mesh, path) -> None:
     }
     with open(path, "w") as f:
         json.dump(doc, f)
+
+
+def unit_stiffness(mesh) -> sp.csr_matrix:
+    """The package's unit-coefficient stiffness ``A_unit`` of ``mesh``, which
+    :func:`cohesim.mesh.estimate_trace_constant` takes."""
+    return assemble(mesh, Materials.constant(1.0, 1.0, 1.0)).A_unit
+
+
+def read_vtk_frame(path) -> dict:
+    """Parse a binary legacy VTK unstructured grid with nodal scalars.
+
+    Returns the four header lines (``"header"``), the ``(n, 3)`` points, the
+    ``(m, 4)`` cells (count, then node indices), the cell types, and a dict
+    of the scalars by name, all in native byte order.  Fails on a section,
+    size or binary-block terminator other than the format's.
+    """
+    with open(path, "rb") as f:
+        data = f.read()
+    pos = 0
+
+    def line() -> list:
+        nonlocal pos
+        end = data.index(b"\n", pos)
+        words = data[pos:end].decode("ascii").split()
+        pos = end + 1
+        return words
+
+    def block(dtype: str, count: int) -> np.ndarray:
+        nonlocal pos
+        values = np.frombuffer(data, dtype, count, pos)
+        pos += values.nbytes
+        assert data[pos:pos + 1] == b"\n", f"binary block ends at byte {pos} without a newline"
+        pos += 1
+        return values.astype(dtype.replace(">", "="))
+
+    frame = {"header": [" ".join(line()) for _ in range(4)]}
+    assert frame["header"][2] == "BINARY" and frame["header"][3] == "DATASET UNSTRUCTURED_GRID"
+    kind, n, dtype = line()
+    assert (kind, dtype) == ("POINTS", "double")
+    frame["points"] = block(">f8", 3 * int(n)).reshape(-1, 3)
+    kind, m, size = line()
+    assert kind == "CELLS"
+    frame["cells"] = block(">i4", int(size)).reshape(int(m), -1)
+    kind, m_types = line()
+    assert (kind, m_types) == ("CELL_TYPES", m)
+    frame["cell_types"] = block(">i4", int(m))
+    assert line() == ["POINT_DATA", n]
+    frame["fields"] = {}
+    while pos < len(data):
+        kind, name, dtype = line()
+        assert (kind, dtype) == ("SCALARS", "double") and line() == ["LOOKUP_TABLE", "default"]
+        frame["fields"][name] = block(">f8", int(n))
+    return frame

@@ -16,7 +16,7 @@ from cohesim.evolution import run, trajectory_distance
 from cohesim.law import CohesiveLaw, PrototypeEnvelope
 from cohesim.mesh import build_rectangle_mesh, estimate_trace_constant, scaled
 
-from oracles import state_tractions
+from oracles import state_tractions, unit_stiffness
 from scenarios import standard_ramp, unloading_tent
 from test_step import oracle_minimize, toy_problem
 
@@ -237,9 +237,10 @@ class TestCriterion9RegularityBoundedness:
 class TestCriterion10TraceScaling:
     def test_scaling_and_margin_sign_flip(self, capsys):
         mesh = build_rectangle_mesh(1.0, 8, 4)
-        c_base = estimate_trace_constant(mesh)
+        c_base = estimate_trace_constant(mesh, unit_stiffness(mesh))
         for factor in (0.5, 2.0):
-            c = estimate_trace_constant(scaled(mesh, factor))
+            resized = scaled(mesh, factor)
+            c = estimate_trace_constant(resized, unit_stiffness(resized))
             assert c == pytest.approx(c_base / factor, rel=0.05)
 
         # check-law margin flips sign between the small and large domain

@@ -17,6 +17,8 @@ from cohesim.cli import main
 from cohesim.config import ConfigError, parse_scenario, parse_study
 from cohesim.expressions import ExpressionError, compile_expression
 
+from oracles import read_vtk_frame
+
 REPO = Path(__file__).resolve().parents[1]
 SCENARIOS = REPO / "scenarios"
 
@@ -230,9 +232,53 @@ class TestCli:
         assert main(["run", str(cfg), "--out", str(out)]) == 0
         frames = sorted(out.glob("fields_*.vtk"))
         assert len(frames) == 3  # steps 0, 5, 10
-        head = frames[0].read_text().splitlines()
-        assert head[0] == "# vtk DataFile Version 2.0"
-        assert "DATASET UNSTRUCTURED_GRID" in head
+        head = frames[0].read_bytes().split(b"\n", 4)[:4]
+        assert head == [b"# vtk DataFile Version 2.0", b"cohesim fields", b"BINARY",
+                        b"DATASET UNSTRUCTURED_GRID"]
+
+    def test_failed_run_keeps_the_frames_it_reached(self, tmp_path, capsys, monkeypatch):
+        # the standard ramp (stride 10) stopped at step 142 writes the frames
+        # of steps 0, 10, ..., 140 from its partial record, and no CSV
+        import cohesim.evolution
+        from cohesim.evolution import EvolutionError
+        from cohesim.step import StepSolverError
+
+        solve_step, steps = cohesim.evolution.solve_step, []
+
+        def failing_at_142(problem, **kwargs):
+            steps.append(None)
+            if len(steps) == 142:
+                raise StepSolverError("Newton stalled")
+            return solve_step(problem, **kwargs)
+
+        run, partials = cohesim.cli.run, []
+
+        def keeping_partial(*args, **kwargs):
+            try:
+                return run(*args, **kwargs)
+            except EvolutionError as exc:
+                partials.append(exc.partial)
+                raise
+
+        monkeypatch.setattr(cohesim.evolution, "solve_step", failing_at_142)
+        monkeypatch.setattr(cohesim.cli, "run", keeping_partial)
+        out = tmp_path / "out"
+        assert main(["run", str(SCENARIOS / "standard_ramp.json"), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == "solver failure at step 142: Newton stalled\n"
+        (partial,) = partials
+        assert partial.snapshot_steps == list(range(0, 141, 10))
+        assert sorted(p.name for p in out.iterdir()) == [f"fields_{i:04d}.vtk"
+                                                         for i in range(15)]
+        pairs = partial.ops.mesh.interface_pairs
+        others = np.setdiff1d(np.arange(partial.ops.n_nodes), pairs)
+        for i, k in enumerate(partial.snapshot_steps):
+            fields = read_vtk_frame(out / f"fields_{i:04d}.vtk")["fields"]
+            assert list(fields) == ["u", "v", "xi"]
+            assert bits(fields["u"]) == bits(partial.us[k])
+            assert bits(fields["v"]) == bits(partial.vs[k])
+            for side in (0, 1):
+                assert bits(fields["xi"][pairs[:, side]]) == bits(partial.xis[k])
+            assert not fields["xi"][others].any()
 
     def test_invalid_law_exits_2_naming_hypothesis(self, tmp_path, capsys):
         doc = base_doc()
@@ -446,6 +492,20 @@ class TestCli:
         assert "beta = 0.5" in out
         assert "psi_prime_0 = 1.0" in out
         assert "H4 margin" in out and "holds" in out
+
+    def test_check_law_assembles_once(self, capsys, monkeypatch):
+        # the trace constant reads the A_unit of the step margin's operators
+        import cohesim.assembly
+
+        assemble, calls = cohesim.assembly.assemble, []
+
+        def counting(*args):
+            calls.append(args)
+            return assemble(*args)
+
+        monkeypatch.setattr(cohesim.assembly, "assemble", counting)
+        assert main(["check-law", str(SCENARIOS / "standard_ramp.json")]) == 0
+        assert len(calls) == 1
 
     def test_check_law_margin_flips_with_domain_size(self, capsys):
         main(["check-law", str(SCENARIOS / "check_law_small_domain.json")])
@@ -661,37 +721,14 @@ class TestStudyCli:
         assert not out.exists()
 
 
-def reference_vtk_frame(path, mesh, point_fields):
-    """The line-by-line VTK writer that write_vtk_frame replaced."""
-    def fmt(x):
-        return str(int(x)) if isinstance(x, (int, np.integer)) else repr(float(x))
-
-    tris = mesh.triangles
-    with open(path, "w") as f:
-        f.write("# vtk DataFile Version 2.0\n")
-        f.write("cohesim fields\n")
-        f.write("ASCII\n")
-        f.write("DATASET UNSTRUCTURED_GRID\n")
-        f.write(f"POINTS {mesh.n_nodes} double\n")
-        for x, y in mesh.nodes:
-            f.write(f"{fmt(x)} {fmt(y)} 0\n")
-        f.write(f"CELLS {tris.shape[0]} {4 * tris.shape[0]}\n")
-        for a, b, c in tris:
-            f.write(f"3 {a} {b} {c}\n")
-        f.write(f"CELL_TYPES {tris.shape[0]}\n")
-        for _ in range(tris.shape[0]):
-            f.write("5\n")
-        f.write(f"POINT_DATA {mesh.n_nodes}\n")
-        for name, values in point_fields.items():
-            f.write(f"SCALARS {name} double\n")
-            f.write("LOOKUP_TABLE default\n")
-            for v in values:
-                f.write(fmt(v) + "\n")
+def bits(values) -> bytes:
+    """The float64 bit patterns of ``values``, so that ``-0.0 != 0.0``."""
+    return np.ascontiguousarray(values, dtype=float).tobytes()
 
 
 class TestVtkWriter:
     @pytest.mark.parametrize("n_x, n_y", [(1, 1), (5, 3)])
-    def test_bytes_equal_reference_writer(self, tmp_path, n_x, n_y):
+    def test_frame_decodes_to_the_mesh_and_fields_bit_for_bit(self, tmp_path, n_x, n_y):
         from cohesim.mesh import build_rectangle_mesh
         from cohesim.output import write_vtk_frame
 
@@ -701,9 +738,18 @@ class TestVtkWriter:
         special = np.array([0.0, -0.0, -1.5, 1e-300, -1e-300, 1e300, -1e300, 0.1, 5e-324])
         v = np.resize(special, mesh.n_nodes)
         fields = {"u": u, "v": v, "xi": np.zeros(mesh.n_nodes)}
-        write_vtk_frame(tmp_path / "new.vtk", mesh, fields)
-        reference_vtk_frame(tmp_path / "ref.vtk", mesh, fields)
-        assert (tmp_path / "new.vtk").read_bytes() == (tmp_path / "ref.vtk").read_bytes()
+        write_vtk_frame(tmp_path / "frame.vtk", mesh, fields)
+        frame = read_vtk_frame(tmp_path / "frame.vtk")
+        assert frame["header"] == ["# vtk DataFile Version 2.0", "cohesim fields", "BINARY",
+                                   "DATASET UNSTRUCTURED_GRID"]
+        assert bits(frame["points"][:, :2]) == bits(mesh.nodes)
+        assert bits(frame["points"][:, 2]) == bits(np.zeros(mesh.n_nodes))
+        m = mesh.triangles.shape[0]
+        assert np.array_equal(frame["cells"], np.column_stack([np.full(m, 3), mesh.triangles]))
+        assert np.array_equal(frame["cell_types"], np.full(m, 5))
+        assert list(frame["fields"]) == ["u", "v", "xi"]
+        for name, values in fields.items():
+            assert bits(frame["fields"][name]) == bits(values), name
 
 
 def reference_csv(header, rows):

@@ -498,7 +498,7 @@ class TestConvexityGuard:
         materials = Materials.constant(1.0, 1.0, 1.0)
         ops = assemble(mesh, materials)
         law = CohesiveLaw(PrototypeEnvelope(1.0, 0.2))  # beta = 50
-        assert materials.mu_min * estimate_trace_constant(mesh) < law.beta
+        assert materials.mu_min * estimate_trace_constant(mesh, ops.A_unit) < law.beta
         tau = 1e3
         assert not convexity_guard(StepWorkspace(ops, tau), law.beta)
         # eigenvalue oracle on H0 - beta B'WB confirms indefiniteness
@@ -516,7 +516,7 @@ class TestConvexityGuard:
         materials = Materials.constant(1.0, 1.0, 1.0)
         ops = assemble(mesh, materials)
         law = CohesiveLaw(PrototypeEnvelope(1.0, 1.0))  # beta = 2
-        assert materials.mu_min * estimate_trace_constant(mesh) > law.beta
+        assert materials.mu_min * estimate_trace_constant(mesh, ops.A_unit) > law.beta
         assert convexity_guard(StepWorkspace(ops, 1e6), law.beta)
 
     @pytest.mark.parametrize("materials", [
@@ -531,7 +531,7 @@ class TestConvexityGuard:
         ix = np.ix_(free, free)
         B_f = jump_operator(ops.pairs, ops.n_nodes)[:, free]
         BWB = (B_f.T @ sp.diags(ops.weights) @ B_f).toarray()
-        c_hat = estimate_trace_constant(mesh)
+        c_hat = estimate_trace_constant(mesh, ops.A_unit)
         M, A_eta, A_mu = node_scaled(ops)
 
         def oracle(tau):
