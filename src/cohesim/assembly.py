@@ -39,6 +39,7 @@ __all__ = [
 # degree-2 exact triangle rule (edge midpoints)
 _TRI_QP = np.array([[0.5, 0.0], [0.5, 0.5], [0.0, 0.5]])
 _TRI_QW = np.array([1.0, 1.0, 1.0]) / 3.0
+_TRI_LAMBDA = np.column_stack([1.0 - _TRI_QP[:, 0] - _TRI_QP[:, 1], _TRI_QP])  # shape values
 # 2-point Gauss on [0, 1]
 _EDGE_QP = np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)])
 _EDGE_QW = np.array([0.5, 0.5])
@@ -310,6 +311,24 @@ class InterfaceSchur:
         return float(np.linalg.eigvalsh(sqrt_w[:, None] * self.S * sqrt_w[None, :])[-1])
 
 
+def _weighted(c: np.ndarray, fv) -> np.ndarray:
+    """The rule weights ``c`` times the point values ``fv`` (broadcast)."""
+    return c * np.broadcast_to(np.asarray(fv, dtype=float), c.shape)
+
+
+def _sum_of_terms(terms):
+    """The function of ``t`` that gives ``sum_i g_i(t) V_i`` of the ``terms``
+    ``(g_i, V_i)``, added in place from the first term on."""
+    (g0, V0), *rest = terms
+
+    def sample(t):
+        F = float(g0(t=t)) * V0
+        for g, V in rest:
+            F += float(g(t=t)) * V
+        return F
+    return sample
+
+
 class _LoadRule:
     """Points ``(x, y)``, weights ``c`` and P1 shape values of one rule.
 
@@ -325,7 +344,7 @@ class _LoadRule:
 
     def assemble(self, fv) -> np.ndarray:
         """The consistent load of the point values ``fv`` (broadcast)."""
-        cf = self.c * np.broadcast_to(np.asarray(fv, dtype=float), self.c.shape)
+        cf = _weighted(self.c, fv)
         return np.bincount(self.nodes, weights=(self.vals * cf[:, None]).ravel(),
                            minlength=self.n_nodes)
 
@@ -334,31 +353,48 @@ class _LoadRule:
 
         When ``fn`` carries the ``terms`` ``(g_i, F_i)`` of a sum of products
         (see :func:`~cohesim.expressions.compile_expression`), each ``F_i`` is
-        assembled here into ``V_i`` and a sample is ``sum_i g_i(t) V_i``, added
-        in place from the first term on, so the returned function keeps
-        nothing of the rule."""
+        assembled here into ``V_i`` and a sample is ``sum_i g_i(t) V_i``, so
+        the returned function keeps nothing of the rule."""
         terms = getattr(fn, "terms", None)
         if terms is None:
             return lambda t: self.assemble(fn(self.x, self.y, t))
-        (g0, V0), *rest = [(g, self.assemble(F(x=self.x, y=self.y))) for g, F in terms]
+        return _sum_of_terms([(g, self.assemble(F(x=self.x, y=self.y))) for g, F in terms])
 
-        def sample(t):
-            F = float(g0(t=t)) * V0
-            for g, V in rest:
-                F += float(g(t=t)) * V
-            return F
-        return sample
+
+def _bulk_points(mesh: InterfaceMesh):
+    """The bulk rule one rule point at a time: for each of its 3 points, the
+    point on every triangle, its weights and its 3 shape values."""
+    p = mesh.nodes[mesh.triangles]
+    area = _triangle_areas(p)
+    for l, wq in zip(_TRI_LAMBDA, _TRI_QW):
+        yield np.einsum("i,tij->tj", l, p), wq * area, l
 
 
 def _bulk_rule(mesh: InterfaceMesh) -> _LoadRule:
     """3 points per triangle; entries by rule point, triangle, vertex."""
-    p = mesh.nodes[mesh.triangles]
-    area = _triangle_areas(p)
-    lam = np.column_stack([1.0 - _TRI_QP[:, 0] - _TRI_QP[:, 1], _TRI_QP])
-    return _LoadRule(mesh.n_nodes,
-                     np.concatenate([np.einsum("i,tij->tj", l, p) for l in lam]),
-                     np.concatenate([wq * area for wq in _TRI_QW]),
-                     np.tile(mesh.triangles, (3, 1)), np.repeat(lam, area.size, axis=0))
+    xq, c, lam = zip(*_bulk_points(mesh))
+    return _LoadRule(mesh.n_nodes, np.concatenate(xq), np.concatenate(c),
+                     np.tile(mesh.triangles, (3, 1)),
+                     np.repeat(np.array(lam), len(mesh.triangles), axis=0))
+
+
+def _bulk_load(mesh: InterfaceMesh, fn):
+    """The function of ``t`` that gives the consistent bulk load of ``fn``.
+
+    A separable ``fn`` builds no rule: each ``V_i`` is assembled one rule
+    point at a time, scattered into in the rule's order (point, triangle,
+    vertex), so every node sums the entries of :meth:`_LoadRule.assemble` in
+    the same order from ``+0.0``."""
+    terms = getattr(fn, "terms", None)
+    if terms is None:
+        return _bulk_rule(mesh).load(fn)
+    Vs = [np.zeros(mesh.n_nodes) for _ in terms]
+    tris = mesh.triangles.ravel()
+    for xq, c, l in _bulk_points(mesh):
+        for V, (_, F) in zip(Vs, terms):
+            cf = _weighted(c, F(x=xq[:, 0], y=xq[:, 1]))
+            np.add.at(V, tris, (l * cf[:, None]).ravel())
+    return _sum_of_terms([(g, V) for (g, _), V in zip(terms, Vs)])
 
 
 def _surface_rule(mesh: InterfaceMesh) -> _LoadRule:
@@ -384,22 +420,25 @@ class LoadError(FloatingPointError):
 class LoadModel:
     """External load sampled in time with piecewise-affine reconstruction.
 
-    A :class:`_LoadRule` is built for each given load, none for a ``None``
-    one (bulk: 3-point rule per triangle, surface: 2-point Gauss per Neumann
+    Each given load is integrated by its rule, nothing for a ``None`` one
+    (bulk: 3-point rule per triangle, surface: 2-point Gauss per Neumann
     edge; both exact against the P1 test space for affine data).  A load that
     is a compiled expression with separable ``terms`` ``g_i(t) * F_i(x, y)``
-    is assembled once, one nodal vector ``V_i`` per term, and its rule is
-    then dropped; a sample is ``sum_i g_i(t) V_i``, equal to assembly
-    triangle by triangle up to rounding.  Any other load (a Python callable,
-    or an expression such as ``sin(x * t)``) keeps its rule and is scattered
-    per sample, bit-identical to assembly triangle by triangle, as every node
-    sums its contributions in the same order.
+    is assembled once, one nodal vector ``V_i`` per term, and keeps no rule
+    (a bulk one builds none, see :func:`_bulk_load`); a sample is
+    ``sum_i g_i(t) V_i``, equal to assembly triangle by triangle up to
+    rounding.  Any other load (a Python callable, or an expression such as
+    ``sin(x * t)``) keeps its :class:`_LoadRule` and is scattered per sample,
+    bit-identical to assembly triangle by triangle, as every node sums its
+    contributions in the same order.
 
     Samples are formed on demand and the last two kept, so a time loop forms
-    each once and no (samples x nodes) table is stored; one that is not
-    finite raises :class:`LoadError`.  :meth:`at` returns the sample at a
-    sample time and interpolates affinely between samples, which commutes
-    with the (linear) assembly.  Concurrent reads are safe: the cache is
+    each once and no (samples x nodes) table is stored; a sample starts from
+    the first load plus ``0.0``, the same bits as a sum from zeros, and one
+    that is not finite raises :class:`LoadError`.  ``loads`` maps each name to
+    its function of ``t``, so models of other sample times can share them.
+    :meth:`at` returns the sample at a sample time and interpolates affinely
+    between samples, which commutes with the (linear) assembly.  Concurrent reads are safe: the cache is
     replaced, never modified, so a race costs at most a repeated evaluation.
     """
 
@@ -418,9 +457,11 @@ class LoadModel:
 
         Sample 0 is formed here, so a malformed load fails at once.
         """
-        loads = {name: rule(mesh).load(fn) for name, rule, fn
-                 in (("bulk", _bulk_rule, bulk), ("surface", _surface_rule, surface))
-                 if fn is not None}
+        loads = {}
+        if bulk is not None:
+            loads["bulk"] = _bulk_load(mesh, bulk)
+        if surface is not None:
+            loads["surface"] = _surface_rule(mesh).load(surface)
         model = cls(times, mesh.n_nodes, loads)
         model._sample(0)
         return model
@@ -438,12 +479,17 @@ class LoadModel:
         F = dict(cache).get(i)
         if F is None:
             t = float(self.times[i])
-            F = np.zeros(self.n_nodes)
+            F = None
             with np.errstate(all="ignore"):
                 for name, load in self.loads.items():
-                    F += load(t)
+                    if F is None:
+                        F = load(t) + 0.0   # its sum from np.zeros: -0.0 becomes +0.0
+                    else:
+                        F += load(t)
                     if not np.isfinite(F).all():
                         raise LoadError(name, t)
+            if F is None:
+                F = np.zeros(self.n_nodes)
             self._cache = cache[-1:] + ((i, F),)
         return F
 

@@ -20,8 +20,12 @@ A study of any kind runs its levels one after another in the calling thread,
 each like ``cohesim run`` into ``<dir>/level_XX``, and compares consecutive
 levels with :func:`~cohesim.evolution.trajectory_distance`.  This level loop
 is the only study sweep: a library caller writes the same loop with
-``run(scenario.with_eps(eps))`` and ``trajectory_distance``.  ``--jobs`` is
-accepted so that existing command lines keep working, and has no effect.
+``run(scenario.with_eps(eps))`` and ``trajectory_distance``.  The levels of a
+tau or eps study share the base's mesh, load functions and assembled
+operators: the study document is parsed once, a tau level samples the same
+loads at its own step times, and a level hands its operators to the next.
+Every tau level's step count is checked before any level runs.  ``--jobs``
+is accepted so that existing command lines keep working, and has no effect.
 """
 
 from __future__ import annotations
@@ -35,9 +39,11 @@ from dataclasses import replace
 import numpy as np
 
 from .audit import energy_ledger, kkt_report, traction_extraction
+from .assembly import LoadModel
 from .config import (
     ConfigError,
     ScenarioConfig,
+    check_time_steps,
     load_scenario_file,
     load_study_file,
     parse_scenario,
@@ -89,15 +95,18 @@ def _write_frames(cfg: ScenarioConfig, out_dir: str, record) -> None:
                         geometry)
 
 
-def _execute_run(cfg: ScenarioConfig, out_dir: str):
-    """Run one scenario and write its artifacts.
+def _execute_run(cfg: ScenarioConfig, out_dir: str, ops=None):
+    """Run one scenario and write its artifacts.  ``ops`` are the scenario's
+    assembled operators, when a caller holds them for its mesh and materials;
+    otherwise they are assembled here.
 
     Returns (record, energy ledger, KKT report, one-line summary)."""
     from .assembly import assemble
 
     ensure_dir(out_dir)
     scenario = cfg.scenario
-    ops = assemble(scenario.mesh, scenario.materials)
+    if ops is None:
+        ops = assemble(scenario.mesh, scenario.materials)
     tractions = []
     try:
         record = run(scenario, callbacks=_traction_audit(scenario.law, ops, tractions),
@@ -133,13 +142,25 @@ def _solver_failure(exc) -> str:
     return f"solver failure before step 1: {exc}"
 
 
+def _with_steps(base: ScenarioConfig, n: int) -> ScenarioConfig:
+    """The base scenario with ``n`` time steps, which ``check_time_steps``
+    has accepted: the same mesh, materials, law, initial data and load
+    functions, the loads sampled at the ``n + 1`` step times, as parsing the
+    base document with ``time.n = n`` would give."""
+    scenario = base.scenario
+    loads = LoadModel(np.linspace(0.0, scenario.T, n + 1), scenario.mesh.n_nodes,
+                      scenario.loads.loads)
+    return replace(base, scenario=replace(scenario, n=n, loads=loads))
+
+
 def _study_levels(spec):
     """Expand a study into per-level (label, parameter, ScenarioConfig).
 
-    Level 0 of a refinement study is the base scenario, which is parsed once;
-    the levels of an eps study share the base's mesh and loads.  Each level
-    gets the snapshot stride that aligns its comparison times with the next
-    level's: ``2**i`` for tau level ``i``, 1 otherwise.
+    The base scenario is parsed once, and it is level 0 of a refinement
+    study; the levels of a tau or eps study are built from it and share its
+    mesh and load functions, and only an h study parses a document per
+    level.  Each level gets the snapshot stride that aligns its comparison
+    times with the next level's: ``2**i`` for tau level ``i``, 1 otherwise.
     """
     base = spec.base
     if spec.kind == "h_refinement" and "path" in base.raw.get("mesh", {}):
@@ -149,18 +170,19 @@ def _study_levels(spec):
     elif spec.eps_list:
         configs = [(eps, replace(base, scenario=base.scenario.with_eps(eps)))
                    for eps in map(float, spec.eps_list)]
+    elif spec.kind == "tau_refinement":
+        scenario = base.scenario
+        ns = [scenario.n * 2**i for i in range(spec.levels)]
+        for n in ns[1:]:    # every level, before any is built
+            check_time_steps(scenario.T, n, scenario.materials, scenario.mesh.n_pairs)
+        configs = [(n, _with_steps(base, n) if i else base) for i, n in enumerate(ns)]
     else:
         configs = []
         for i in range(spec.levels):
             doc = json.loads(json.dumps(base.raw))
-            if spec.kind == "tau_refinement":
-                doc["time"]["n"] *= 2**i
-                param = doc["time"]["n"]
-            else:
-                doc["mesh"]["n_x"] *= 2**i
-                doc["mesh"]["n_y"] *= 2**i
-                param = doc["mesh"]["n_x"]
-            configs.append((param, parse_scenario(doc) if i else base))
+            doc["mesh"]["n_x"] *= 2**i
+            doc["mesh"]["n_y"] *= 2**i
+            configs.append((doc["mesh"]["n_x"], parse_scenario(doc) if i else base))
     tau = spec.kind == "tau_refinement"
     return [(f"level_{i:02d}", param,
              replace(cfg, output=replace(cfg.output, snapshot_stride=2**i if tau else 1)))
@@ -196,17 +218,24 @@ def _run_study(spec, levels, out) -> int:
     the guard or the solver stops is reported on stderr and recorded as
     failed; every other exception, output errors included, propagates.
 
-    Each level runs like ``cohesim run`` into its own directory.  Once level
-    ``i + 1`` has run, its distance ``d_i`` to level ``i`` is computed and
-    level ``i``'s record is dropped, so a study holds at most two
-    trajectories.  ``d_i`` is None when either level failed; the order of
-    level ``i`` is ``log2(d_i / d_{i+1})``.
+    Each level runs like ``cohesim run`` into its own directory, with the
+    operators of the level before when both hold the same mesh and materials
+    objects (a tau or eps study assembles once).  Once level ``i + 1`` has
+    run, its distance ``d_i`` to level ``i`` is computed and level ``i``'s
+    record is dropped, so a study holds at most two trajectories.  ``d_i`` is
+    None when either level failed; the order of level ``i`` is
+    ``log2(d_i / d_{i+1})``.
     """
     out_root = ensure_dir(out)
-    rows, prev = [], None
+    rows, prev, ops = [], None, None
     for i, (label, param, cfg) in enumerate(levels):
+        scenario = cfg.scenario
+        if ops is not None and not (ops.mesh is scenario.mesh and scenario.materials
+                                    is levels[i - 1][2].scenario.materials):
+            ops = None
         try:
-            record, ledger, report, _ = _execute_run(cfg, os.path.join(out_root, label))
+            record, ledger, report, _ = _execute_run(cfg, os.path.join(out_root, label), ops)
+            ops = record.ops
             rows.append([i, param, "ok", ledger.max_residual, report.max_violation,
                          None, None])
         except (ConvexityError, EvolutionError) as exc:

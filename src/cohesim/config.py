@@ -33,7 +33,7 @@ from .expressions import ExpressionError, compile_expression
 from .law import CohesiveLaw, HypothesisError, PrototypeEnvelope, TabulatedEnvelope
 from .mesh import InterfaceMesh, MeshError, build_rectangle_mesh, load_mesh, scaled
 
-__all__ = ["ConfigError", "OutputOptions", "ScenarioConfig", "StudySpec",
+__all__ = ["ConfigError", "OutputOptions", "ScenarioConfig", "StudySpec", "check_time_steps",
            "load_scenario_file", "load_study_file", "parse_scenario", "parse_study"]
 
 
@@ -187,6 +187,25 @@ def build_law(doc: dict) -> CohesiveLaw:
     return CohesiveLaw(env)
 
 
+def check_time_steps(T: float, n: int, materials: Materials, n_pairs: int) -> None:
+    """Raise :class:`ConfigError` unless ``n`` steps over ``(0, T]`` can run:
+    the step's coefficients ``tau^2``, ``rho / tau^2`` and ``eta / tau`` must
+    be floats, and ``run()``'s step table must fit in memory (a row is wider
+    than a load sample time, so the ``n + 1`` sample times fit once it does)."""
+    tau = T / n
+    rho = max(materials.rho_plus, materials.rho_minus)
+    eta = max(materials.eta_plus, materials.eta_minus)
+    if not (0.0 < tau * tau <= _FLOAT_MAX and rho / (tau * tau) <= _FLOAT_MAX
+            and eta / tau <= _FLOAT_MAX):
+        raise ConfigError(f"'time.T' over 'time.n' gives the time step tau = {tau:.3g}, for "
+                          "which tau^2, rho / tau^2 or eta / tau is out of the float range")
+    try:
+        np.empty(n + 1, dtype=step_dtype(n_pairs))
+    except MemoryError as exc:
+        raise ConfigError(f"'time.n' asks for a step table of {n + 1} rows, which does not "
+                          "fit in memory") from exc
+
+
 def parse_scenario(doc: dict) -> ScenarioConfig:
     """Validate a scenario document and construct the runnable Scenario."""
     if not isinstance(doc, dict):
@@ -210,27 +229,13 @@ def parse_scenario(doc: dict) -> ScenarioConfig:
     tsec = _section(doc, "time", required=("T", "n"))
     T = _positive(tsec, "time", "T")
     n = _integer(tsec["n"], "time.n", 1)
-    # the step's coefficients tau^2, rho / tau^2 and eta / tau must be floats too
-    tau = T / n
-    rho = max(materials.rho_plus, materials.rho_minus)
-    eta = max(materials.eta_plus, materials.eta_minus)
-    if not (0.0 < tau * tau <= _FLOAT_MAX and rho / (tau * tau) <= _FLOAT_MAX
-            and eta / tau <= _FLOAT_MAX):
-        raise ConfigError(f"'time.T' over 'time.n' gives the time step tau = {tau:.3g}, for "
-                          "which tau^2, rho / tau^2 or eta / tau is out of the float range")
+    check_time_steps(T, n, materials, mesh.n_pairs)
 
     lsec = _section(doc, "loads", required=(), optional=("bulk", "surface"))
     # compile every given load, so a malformed one fails; a zero one then builds no rule
     fns = {key: _expr(lsec, "loads", key, ("x", "y", "t")) for key in ("bulk", "surface")
            if key in lsec}
     fns = {key: fn for key, fn in fns.items() if lsec[key] != 0}
-    # run()'s step table; a row is wider than a load sample time, so the n + 1
-    # times fit once it does
-    try:
-        np.empty(n + 1, dtype=step_dtype(mesh.n_pairs))
-    except MemoryError as exc:
-        raise ConfigError(f"'time.n' asks for a step table of {n + 1} rows, which does not "
-                          "fit in memory") from exc
     try:
         loads = LoadModel.from_functions(mesh, np.linspace(0.0, T, n + 1), **fns)
     except LoadError as exc:

@@ -334,7 +334,8 @@ def run(scenario: Scenario, callbacks=None, tol: float = 1e-10,
         v_k = (u_k - u_prev) / tau
 
         # M_unit v_k and A_unit v_k, from the products of u_k and u_{k-1}
-        v_products_k = tuple((p_k - p) / tau for p_k, p in zip(res.products, products))
+        v_products_k = ((res.products[0] - products[0]) / tau,
+                        (res.products[1] - products[1]) / tau)
         vAv = record_state(k, u_k, v_k, res.products, v_products_k, res.jumps, res.psi,
                            res.history)
         col["D_cum"][k] = tau * vAv

@@ -72,8 +72,9 @@ to recover ``u`` and two full-size sparse products.  A trial point costs one
 ``S @ lam`` and one law pass with one envelope pass (``value_slope``), giving
 ``phi``, ``r``, ``|r|_inf`` and the branch masks; an accepted point reuses
 them for its residual test and its curvature ``D``, so a point is never
-evaluated twice, and a direction forms ``I + D S`` in place for one dense
-solve.  A step that converges in one Newton direction thus makes two law
+evaluated twice, and a direction forms ``I + D S`` in place, in Fortran
+order, for one LAPACK ``dgesv`` solve, whose ``info`` is checked so that a
+singular system raises ``LinAlgError``.  A step that converges in one Newton direction thus makes two law
 passes, at its start and at the Newton point, and one envelope pass over the
 history when the post-step pass freezes ``xi_k``.  The workspace keeps the
 nodal coefficients of ``H0``, the triangular factor ``U = D L'`` and ``S``;
@@ -107,11 +108,13 @@ decides this exactly from the workspace's own ``S``, so a run factorizes
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
+from scipy.linalg.lapack import dgesv
 
 from .assembly import DiscreteOperators, InterfaceSchur
 from .law import CohesiveLaw, FrozenHistory
@@ -178,10 +181,18 @@ class StepWorkspace:
         return 1.0 - beta * self.lambda_max
 
     def newton_direction(self, r: np.ndarray, d_curv: np.ndarray) -> np.ndarray:
-        """Interface Newton direction: solve ``(I + diag(d_curv) S) delta = -r``."""
-        A = d_curv[:, None] * self.schur.S
+        """Interface Newton direction: solve ``(I + diag(d_curv) S) delta = -r``
+        with LAPACK ``dgesv``; a singular system raises ``LinAlgError``.
+
+        ``S`` is exactly symmetric, so the C-order ``S diag(d_curv) + I`` is
+        ``(I + diag(d_curv) S)'`` and its transpose hands LAPACK the system in
+        Fortran order without a copy."""
+        A = self.schur.S * d_curv
         A.flat[::d_curv.size + 1] += 1.0
-        return np.linalg.solve(A, -r)
+        delta, info = dgesv(A.T, -r, overwrite_a=True, overwrite_b=True)[2:]
+        if info != 0:
+            raise np.linalg.LinAlgError(f"Newton system is singular (dgesv info {info})")
+        return delta
 
 
 @dataclass
@@ -302,7 +313,7 @@ def _minimize(ws: StepWorkspace, hist: FrozenHistory, beta: float, b: np.ndarray
     def check_finite(p: _Point):
         # an overflowed load or state is no minimizer, though an infinite
         # tol_abs would accept its residual
-        if not (np.isfinite(p.phi) and np.isfinite(p.rnorm)):
+        if not (math.isfinite(p.phi) and math.isfinite(p.rnorm)):
             raise stagnation(f"non-finite state (phi {p.phi:.3e}, residual {p.rnorm:.3e})",
                              p)
 

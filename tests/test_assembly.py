@@ -381,6 +381,32 @@ class TestLoadOperator:
             first[:] = np.nan
             assert np.array_equal(loads.at(t), expected)
 
+    SPECIAL = np.array([-0.0, 0.0, -1.5, 1e-300, -1e-300, 5e-324, -5e-324, 1e300, 0.1])
+
+    def test_negative_zero_entries_sample_positive_zero(self):
+        loads = LoadModel([0.0, 1.0], self.SPECIAL.size,
+                          {"bulk": lambda t: self.SPECIAL * (1.0 + t)})
+        for t in (0.0, 1.0):
+            F = loads.at(t)
+            zero = F == 0.0
+            assert zero.sum() == 2 and not np.signbit(F[zero]).any()
+
+    @pytest.mark.parametrize("n_loads", [1, 2])
+    def test_sample_equals_a_sum_from_zeros_bit_for_bit(self, n_loads):
+        rng = np.random.default_rng(5)
+        vectors = [np.concatenate([self.SPECIAL, -self.SPECIAL,
+                                   rng.normal(size=20) * 10.0 ** rng.integers(-30, 30, 20)])
+                   for _ in range(n_loads)]
+        fns = {name: (lambda V: lambda t: t * V)(V) for name, V in zip(("bulk", "surface"),
+                                                                      vectors)}
+        times = [0.0, 0.5, 1.0]
+        loads = LoadModel(times, vectors[0].size, fns)
+        for t in times:
+            F = np.zeros(vectors[0].size)
+            for fn in fns.values():
+                F += fn(t)
+            assert loads.at(t).tobytes() == F.tobytes()
+
     def test_malformed_callable_fails_at_construction(self, mesh):
         with pytest.raises(ValueError):
             LoadModel.from_functions(mesh, np.linspace(0.0, 1.0, 5),
@@ -497,9 +523,11 @@ class TestSeparableLoads:
                                               bulk=compile_expression("sin(x * t)"))
         gc.collect()
         assert separable.at(0.5).any() and per_sample.at(0.5).any()
-        assert len(built_rules) == 3
-        assert all(ref() is None for _, refs in built_rules[:2] for ref in refs)
-        refs = built_rules[2][1]
+        # the separable bulk load builds no rule, the surface one is released
+        assert [points for points, _ in built_rules] == [4 * len(mesh.neumann_edges),
+                                                         3 * len(mesh.triangles)]
+        assert all(ref() is None for ref in built_rules[0][1])
+        refs = built_rules[1][1]
         rule = refs[0]()
         assert rule is not None
         assert all(ref() is obj for ref, obj in zip(refs[1:], (rule.x, rule.c, rule.nodes)))
@@ -508,6 +536,8 @@ class TestSeparableLoads:
         LoadModel.from_functions(mesh, [0.0, 1.0])
         assert built_rules == []
         LoadModel.from_functions(mesh, [0.0, 1.0], bulk=compile_expression("t * x"))
+        assert built_rules == []
+        LoadModel.from_functions(mesh, [0.0, 1.0], bulk=compile_expression("sin(x * t)"))
         assert [points for points, _ in built_rules] == [3 * len(mesh.triangles)]
         built_rules.clear()
         doc = {"mesh": {"kind": "rectangle", "L": 1.0, "n_x": 3, "n_y": 2},
@@ -523,6 +553,25 @@ class TestSeparableLoads:
         doc["loads"] = {"bulk": False}
         with pytest.raises(ConfigError, match="'loads.bulk'"):
             parse_scenario(doc)
+
+    @pytest.mark.parametrize("source", ["100 * t * sin(pi * x) * y",
+                                        "exp(-t) * cos(x * y) - (1 + t) ** 2 * x / (2 + y) + 3",
+                                        "-1.5 * t"])
+    def test_bulk_terms_equal_the_rule_bit_for_bit(self, source):
+        # assembled one rule point at a time, each V_i sums the rule's entries
+        # in the rule's order
+        import cohesim.assembly as assembly
+
+        mesh = build_rectangle_mesh(1.3, 16, 8)
+        fn = compile_expression(source)
+        rule = assembly._bulk_rule(mesh)
+        Vs = [rule.assemble(F(x=rule.x, y=rule.y)) for _, F in fn.terms]
+        loads = LoadModel.from_functions(mesh, np.linspace(0.0, 2.0, 5), bulk=fn)
+        for t in loads.times:
+            F = float(fn.terms[0][0](t=t)) * Vs[0]
+            for (g, _), V in zip(fn.terms[1:], Vs[1:]):
+                F += float(g(t=t)) * V
+            assert loads.at(float(t)).tobytes() == (F + 0.0).tobytes()
 
     def test_construction_evaluates_every_term(self, mesh):
         # the time factor 1 / t and the field 1 / (x - x) divide by zero

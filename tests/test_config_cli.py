@@ -711,7 +711,93 @@ class TestStudyCli:
             monkeypatch.setattr(module, "parse_scenario", counting_parse)
         study = str(SCENARIOS / "study_tau.json")
         assert main(["study", study, "--out", str(tmp_path / "out")]) == 0
-        assert parses == [120, 240, 480]  # base (level 0), then levels 1 and 2
+        assert parses == [120]  # the base; levels 1 and 2 are built from it
+
+    @pytest.mark.parametrize("name", ["study_tau.json", "study_eps.json"])
+    def test_study_assembles_once(self, name, tmp_path, monkeypatch):
+        import cohesim.assembly
+
+        meshes = []
+        real_assemble = cohesim.assembly.assemble
+
+        def counting_assemble(mesh, materials):
+            meshes.append(mesh)
+            return real_assemble(mesh, materials)
+
+        monkeypatch.setattr(cohesim.assembly, "assemble", counting_assemble)
+        out = tmp_path / "out"
+        assert main(["study", str(SCENARIOS / name), "--out", str(out)]) == 0
+        assert len(list(out.glob("level_*"))) >= 3
+        assert len(meshes) == 1
+
+    def test_h_study_assembles_each_level(self, tmp_path, monkeypatch, capsys):
+        import dataclasses
+
+        import cohesim.assembly
+
+        sizes = []
+        real_assemble = cohesim.assembly.assemble
+
+        def counting_assemble(mesh, materials):
+            sizes.append(mesh.n_nodes)
+            return real_assemble(mesh, materials)
+
+        monkeypatch.setattr(cohesim.assembly, "assemble", counting_assemble)
+        spec = parse_study({"kind": "h_refinement", "levels": 2, "base": base_doc()})
+        levels = cohesim.cli._study_levels(spec)
+        # one materials object for both levels, so that only the mesh differs
+        materials = levels[0][2].scenario.materials
+        levels = [(label, param, dataclasses.replace(cfg, scenario=dataclasses.replace(
+                      cfg.scenario, materials=materials)))
+                  for label, param, cfg in levels]
+        assert cohesim.cli._run_study(spec, levels, str(tmp_path / "out")) == 0
+        assert len(sizes) == 2 and sizes[0] < sizes[1]
+
+    def test_tau_levels_equal_standalone_runs_byte_for_byte(self, tmp_path):
+        path = SCENARIOS / "study_tau.json"
+        doc = json.loads(path.read_text())
+        out = tmp_path / "study"
+        assert main(["study", str(path), "--out", str(out)]) == 0
+        for i in range(doc["levels"]):
+            level = json.loads(json.dumps(doc["base"]))
+            level["time"]["n"] *= 2**i
+            config = tmp_path / f"level_{i}.json"
+            config.write_text(json.dumps(level))
+            alone = tmp_path / f"alone_{i}"
+            assert main(["run", str(config), "--out", str(alone)]) == 0
+            for name in ("energies.csv", "kkt.csv", "tractions.csv"):
+                assert ((out / f"level_{i:02d}" / name).read_bytes()
+                        == (alone / name).read_bytes()), (i, name)
+
+    def test_tau_level_beyond_memory_exits_2_before_any_level(self, tmp_path, capsys,
+                                                              monkeypatch):
+        # numpy refuses a step table beyond memory at once, without touching
+        # memory; by 1000 * 2**30 + 1 rows it is beyond any address space
+        from cohesim.evolution import step_dtype
+
+        n = 1000
+        n_pairs = parse_scenario(base_doc()).scenario.mesh.n_pairs
+
+        def fits(steps):
+            try:
+                np.empty(steps + 1, dtype=step_dtype(n_pairs))
+            except MemoryError:
+                return False
+            return True
+
+        # the last level is the first whose table does not fit
+        last = next(i for i in range(31) if not fits(n * 2**i))
+        assert last >= 1
+        first_refused = n * 2**last
+        study = self.write_study(tmp_path, levels=last + 1, time={"T": 1.0, "n": n})
+        built = []
+        monkeypatch.setattr(cohesim.cli, "LoadModel", lambda *args: built.append(args))
+        out = tmp_path / "out"
+        assert main(["study", study, "--out", str(out)]) == 2
+        assert built == [] and not out.exists()
+        assert capsys.readouterr().err == (
+            f"config error: 'time.n' asks for a step table of {first_refused + 1} rows, "
+            "which does not fit in memory\n")
 
     def test_missing_study_exits_4(self, tmp_path, capsys):
         out = tmp_path / "out"

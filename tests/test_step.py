@@ -409,6 +409,36 @@ class TestCertifiedNewton:
         # the softening curvature was used as it is, negative
         assert min(d.min() for d in calls) < 0.0
 
+    @pytest.mark.parametrize("n_x", [8, 64, 256])
+    def test_direction_agrees_with_numpy_solve(self, n_x):
+        # the direction is scipy's LAPACK dgesv, and numpy's solve may link
+        # another LAPACK build, so the two may differ in the last bits (seen
+        # from 33 pairs on); on certified systems (margin 0.07 here, condition
+        # numbers up to 10) they agree to 1e-14 of the direction's largest entry
+        mesh = build_rectangle_mesh(1.0, n_x, 2)
+        ops = assemble(mesh, Materials.constant(rho=1.0, mu=1.0, eta=1.0))
+        law = CohesiveLaw(PrototypeEnvelope(g_c=1.0, xi_c=0.2))
+        ws = StepWorkspace(ops, 0.05)
+        assert mesh.n_pairs == n_x + 1 and ws.margin(law.beta) > 0.0
+        rng = np.random.default_rng(n_x)
+        for _ in range(10):
+            # softening curvatures down to -beta, elastic secants above
+            d_curv = ws.weights * rng.uniform(-law.beta, 10.0 * law.beta, mesh.n_pairs)
+            r = rng.normal(size=mesh.n_pairs)
+            A = d_curv[:, None] * ws.schur.S
+            A.flat[::mesh.n_pairs + 1] += 1.0
+            ref = np.linalg.solve(A, -r)
+            delta = ws.newton_direction(r, d_curv)
+            assert np.abs(delta - ref).max() <= 1e-14 * np.abs(ref).max()
+
+    def test_singular_direction_system_raises(self):
+        ws = StepWorkspace(toy_ops(), 0.5)
+        s = ws.schur.S[0, 0]
+        d_curv = np.array([-1.0 / s])
+        assert 1.0 + s * d_curv[0] == 0.0    # I + D S is exactly 0
+        with pytest.raises(np.linalg.LinAlgError, match="singular"):
+            ws.newton_direction(np.array([1.0]), d_curv)
+
     def test_uncertified_solve_clips_the_softening_curvature(self, monkeypatch):
         # beta * lambda_max >= 1: I + D S may be singular with D < 0
         mesh = build_rectangle_mesh(1.0, 4, 2)
