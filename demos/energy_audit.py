@@ -30,9 +30,8 @@ mesh = build_rectangle_mesh(1.0, 16, 8)
 materials = Materials.constant(rho=1.0, mu=1.0, eta=1.0)
 law = CohesiveLaw(PrototypeEnvelope(g_c=1.0, xi_c=0.2))
 T, n = 1.0, 200
-times = np.linspace(0.0, T, n + 1)
 loads = LoadModel.from_functions(
-    mesh, times, bulk=lambda x, y, t: 100.0 * t * np.sin(np.pi * x) * y)
+    mesh, T, bulk=lambda x, y, t: 100.0 * t * np.sin(np.pi * x) * y)
 
 scenario = Scenario(mesh, materials, law, loads, T, n,
                     u0=np.zeros(mesh.n_nodes), v0=np.zeros(mesh.n_nodes),

@@ -29,9 +29,8 @@ law = CohesiveLaw(PrototypeEnvelope(g_c=1.0, xi_c=0.2))
 
 
 def scenario(n, eps=1e-3, T=1.0):
-    times = np.linspace(0.0, T, n + 1)
     loads = LoadModel.from_functions(
-        mesh, times, bulk=lambda x, y, t: 100.0 * t * np.sin(np.pi * x) * y)
+        mesh, T, bulk=lambda x, y, t: 100.0 * t * np.sin(np.pi * x) * y)
     return Scenario(mesh, materials, law, loads, T, n,
                     u0=np.zeros(mesh.n_nodes), v0=np.zeros(mesh.n_nodes),
                     xi0=np.zeros(mesh.n_pairs), eps_bar=eps)

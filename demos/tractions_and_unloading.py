@@ -44,9 +44,8 @@ def profile(s):
 
 
 T, n = 1.0, 200
-times = np.linspace(0.0, T, n + 1)
 loads = LoadModel.from_functions(
-    mesh, times,
+    mesh, T,
     bulk=lambda x, y, t: 25.0 * profile(t / T) * np.sin(np.pi * x) * y)
 scenario = Scenario(mesh, materials, law, loads, T, n,
                     u0=np.zeros(mesh.n_nodes), v0=np.zeros(mesh.n_nodes),

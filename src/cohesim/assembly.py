@@ -12,7 +12,8 @@ homogeneous and handled by elimination, in :class:`InterfaceSchur` only (no
 penalty terms).  The interface enters as the pairs ``(plus, minus)`` of the
 mesh: jumps and the scatters ``B' lam`` are read and written by index, and
 the jump operator ``B`` is notation, never assembled.  So is the load
-operator ``P``: loads scatter by index, and only a given load builds a rule.
+operator ``P``: a load scatters its quadrature rule by index, one rule point
+at a time.
 """
 
 from __future__ import annotations
@@ -311,15 +312,62 @@ class InterfaceSchur:
         return float(np.linalg.eigvalsh(sqrt_w[:, None] * self.S * sqrt_w[None, :])[-1])
 
 
-def _weighted(c: np.ndarray, fv) -> np.ndarray:
-    """The rule weights ``c`` times the point values ``fv`` (broadcast)."""
-    return c * np.broadcast_to(np.asarray(fv, dtype=float), c.shape)
+def _bulk_points(mesh: InterfaceMesh):
+    """The bulk rule (3 points per triangle) one rule point at a time: the
+    point on every triangle, its weights, the triangles' nodes and the 3
+    shape values there."""
+    p = mesh.nodes[mesh.triangles]
+    area = _triangle_areas(p)
+    for l, wq in zip(_TRI_LAMBDA, _TRI_QW):
+        yield np.einsum("i,tij->tj", l, p), wq * area, mesh.triangles, l
 
 
-def _sum_of_terms(terms):
-    """The function of ``t`` that gives ``sum_i g_i(t) V_i`` of the ``terms``
-    ``(g_i, V_i)``, added in place from the first term on."""
-    (g0, V0), *rest = terms
+def _surface_points(mesh: InterfaceMesh):
+    """The surface rule (2-point Gauss per Neumann edge) one Gauss point and
+    edge end at a time: the point on every edge, its weights, that end's
+    nodes and its shape value."""
+    e = mesh.neumann_edges
+    a, b = mesh.nodes[e[:, 0]], mesh.nodes[e[:, 1]]
+    lengths = np.linalg.norm(b - a, axis=1)
+    for s, wq in zip(_EDGE_QP, _EDGE_QW):
+        xq = (1.0 - s) * a + s * b
+        for end, phi in enumerate((1.0 - s, s)):
+            yield xq, wq * lengths, e[:, end], phi
+
+
+def _scatter(V: np.ndarray, c, nodes, vals, fv) -> None:
+    """Add ``vals * (c * fv)`` of one rule point to ``V`` by node index
+    (``fv`` broadcast to the points), so each node sums its entries, zeros
+    included, in the rule's order."""
+    cf = c * np.broadcast_to(np.asarray(fv, dtype=float), c.shape)
+    np.add.at(V, nodes.ravel(), (vals * cf[:, None]).ravel())
+
+
+def _load(n_nodes: int, points, fn):
+    """The function of ``t`` that gives the consistent load ``P (c * fn)`` of
+    the rule whose ``points`` ``(xq, c, nodes, vals)`` come one rule point at a
+    time; ``P`` is never assembled.
+
+    When ``fn`` carries the ``terms`` ``(g_i, F_i)`` of a sum of products
+    (see :func:`~cohesim.expressions.compile_expression`), each ``F_i`` is
+    scattered here into ``V_i``, nothing of the rule is kept, and a sample is
+    ``sum_i g_i(t) V_i``.  Any other ``fn`` keeps the points and scatters
+    them at each sample."""
+    terms = getattr(fn, "terms", None)
+    if terms is None:
+        points = list(points)
+
+        def sample(t):
+            F = np.zeros(n_nodes)
+            for xq, c, nodes, vals in points:
+                _scatter(F, c, nodes, vals, fn(xq[:, 0], xq[:, 1], t))
+            return F
+        return sample
+    Vs = [np.zeros(n_nodes) for _ in terms]
+    for xq, c, nodes, vals in points:
+        for V, (_, F) in zip(Vs, terms):
+            _scatter(V, c, nodes, vals, F(x=xq[:, 0], y=xq[:, 1]))
+    (g0, V0), *rest = [(g, V) for (g, _), V in zip(terms, Vs)]
 
     def sample(t):
         F = float(g0(t=t)) * V0
@@ -327,86 +375,6 @@ def _sum_of_terms(terms):
             F += float(g(t=t)) * V
         return F
     return sample
-
-
-class _LoadRule:
-    """Points ``(x, y)``, weights ``c`` and P1 shape values of one rule.
-
-    ``P (c * f(x, y, t))`` is the consistent load of ``f``; ``P`` is never
-    assembled: row ``q`` of ``nodes`` and ``vals`` holds point ``q``'s nodes and
-    shape values, and ``vals * (c * f)[q]`` scatters to them by index, so each
-    node sums its entries, zeros included, from ``+0.0`` in the rule's order.
-    """
-
-    def __init__(self, n_nodes: int, xq, c, nodes, vals):
-        self.x, self.y, self.c = xq[:, 0], xq[:, 1], c
-        self.nodes, self.vals, self.n_nodes = nodes.ravel(), vals, n_nodes
-
-    def assemble(self, fv) -> np.ndarray:
-        """The consistent load of the point values ``fv`` (broadcast)."""
-        cf = _weighted(self.c, fv)
-        return np.bincount(self.nodes, weights=(self.vals * cf[:, None]).ravel(),
-                           minlength=self.n_nodes)
-
-    def load(self, fn):
-        """The function of ``t`` that gives the consistent load of ``fn``.
-
-        When ``fn`` carries the ``terms`` ``(g_i, F_i)`` of a sum of products
-        (see :func:`~cohesim.expressions.compile_expression`), each ``F_i`` is
-        assembled here into ``V_i`` and a sample is ``sum_i g_i(t) V_i``, so
-        the returned function keeps nothing of the rule."""
-        terms = getattr(fn, "terms", None)
-        if terms is None:
-            return lambda t: self.assemble(fn(self.x, self.y, t))
-        return _sum_of_terms([(g, self.assemble(F(x=self.x, y=self.y))) for g, F in terms])
-
-
-def _bulk_points(mesh: InterfaceMesh):
-    """The bulk rule one rule point at a time: for each of its 3 points, the
-    point on every triangle, its weights and its 3 shape values."""
-    p = mesh.nodes[mesh.triangles]
-    area = _triangle_areas(p)
-    for l, wq in zip(_TRI_LAMBDA, _TRI_QW):
-        yield np.einsum("i,tij->tj", l, p), wq * area, l
-
-
-def _bulk_rule(mesh: InterfaceMesh) -> _LoadRule:
-    """3 points per triangle; entries by rule point, triangle, vertex."""
-    xq, c, lam = zip(*_bulk_points(mesh))
-    return _LoadRule(mesh.n_nodes, np.concatenate(xq), np.concatenate(c),
-                     np.tile(mesh.triangles, (3, 1)),
-                     np.repeat(np.array(lam), len(mesh.triangles), axis=0))
-
-
-def _bulk_load(mesh: InterfaceMesh, fn):
-    """The function of ``t`` that gives the consistent bulk load of ``fn``.
-
-    A separable ``fn`` builds no rule: each ``V_i`` is assembled one rule
-    point at a time, scattered into in the rule's order (point, triangle,
-    vertex), so every node sums the entries of :meth:`_LoadRule.assemble` in
-    the same order from ``+0.0``."""
-    terms = getattr(fn, "terms", None)
-    if terms is None:
-        return _bulk_rule(mesh).load(fn)
-    Vs = [np.zeros(mesh.n_nodes) for _ in terms]
-    tris = mesh.triangles.ravel()
-    for xq, c, l in _bulk_points(mesh):
-        for V, (_, F) in zip(Vs, terms):
-            cf = _weighted(c, F(x=xq[:, 0], y=xq[:, 1]))
-            np.add.at(V, tris, (l * cf[:, None]).ravel())
-    return _sum_of_terms([(g, V) for (g, _), V in zip(terms, Vs)])
-
-
-def _surface_rule(mesh: InterfaceMesh) -> _LoadRule:
-    """2-point Gauss per Neumann edge; entries by Gauss point, edge end, edge."""
-    e = mesh.neumann_edges
-    a, b = mesh.nodes[e[:, 0]], mesh.nodes[e[:, 1]]
-    lengths = np.linalg.norm(b - a, axis=1)
-    s = np.repeat(_EDGE_QP, 2)[:, None, None]           # (Gauss point, end)
-    phi = np.column_stack([1.0 - _EDGE_QP, _EDGE_QP]).ravel()
-    return _LoadRule(mesh.n_nodes, ((1.0 - s) * a + s * b).reshape(-1, 2),
-                     (np.repeat(_EDGE_QW, 2)[:, None] * lengths).ravel(),
-                     np.tile(e.T, (2, 1)).reshape(-1, 1), np.repeat(phi, len(e))[:, None])
 
 
 class LoadError(FloatingPointError):
@@ -418,94 +386,69 @@ class LoadError(FloatingPointError):
 
 
 class LoadModel:
-    """External load sampled in time with piecewise-affine reconstruction.
+    """External load on ``[0, T]``: its functions of ``t``, evaluated at the
+    time asked.
 
     Each given load is integrated by its rule, nothing for a ``None`` one
     (bulk: 3-point rule per triangle, surface: 2-point Gauss per Neumann
-    edge; both exact against the P1 test space for affine data).  A load that
-    is a compiled expression with separable ``terms`` ``g_i(t) * F_i(x, y)``
-    is assembled once, one nodal vector ``V_i`` per term, and keeps no rule
-    (a bulk one builds none, see :func:`_bulk_load`); a sample is
-    ``sum_i g_i(t) V_i``, equal to assembly triangle by triangle up to
-    rounding.  Any other load (a Python callable, or an expression such as
-    ``sin(x * t)``) keeps its :class:`_LoadRule` and is scattered per sample,
-    bit-identical to assembly triangle by triangle, as every node sums its
-    contributions in the same order.
+    edge; both exact against the P1 test space for affine data), scattered
+    one rule point at a time by :func:`_load`.  A compiled expression with
+    separable ``terms`` ``g_i(t) * F_i(x, y)`` is scattered once, into one
+    ``V_i`` per term, equal to assembly triangle by triangle up to rounding.
+    Any other load (a Python callable, or an expression such as
+    ``sin(x * t)``) keeps the rule points, whose node indices are
+    ``mesh.triangles`` itself or views of ``mesh.neumann_edges``, and is
+    scattered at each sample, bit-identical to assembly triangle by triangle.
 
-    Samples are formed on demand and the last two kept, so a time loop forms
-    each once and no (samples x nodes) table is stored; a sample starts from
-    the first load plus ``0.0``, the same bits as a sum from zeros, and one
-    that is not finite raises :class:`LoadError`.  ``loads`` maps each name to
-    its function of ``t``, so models of other sample times can share them.
-    :meth:`at` returns the sample at a sample time and interpolates affinely
-    between samples, which commutes with the (linear) assembly.  Concurrent reads are safe: the cache is
-    replaced, never modified, so a race costs at most a repeated evaluation.
+    :meth:`at` evaluates the loads at ``t``, clamped into ``[0, T]``, and
+    returns a fresh vector: the sum from the first load plus ``0.0``, the
+    same bits as a sum from zeros; one that is not finite raises
+    :class:`LoadError`.  ``loads`` maps each name to its function of ``t``.
     """
 
-    def __init__(self, times, n_nodes: int, loads: dict):
-        times = np.asarray(times, dtype=float)
-        if times.ndim != 1 or times.size < 1 or np.any(np.diff(times) <= 0.0):
-            raise ValueError("load sample times must be strictly increasing")
-        self.times = times
+    def __init__(self, T: float, n_nodes: int, loads: dict):
+        self.t_final = float(T)
         self.n_nodes = n_nodes
         self.loads = loads     # name -> function t -> nodal load, summed in order
-        self._cache = ()      # up to two (sample index, vector) pairs
 
     @classmethod
-    def from_functions(cls, mesh: InterfaceMesh, times, bulk=None, surface=None) -> "LoadModel":
-        """Loads ``bulk(x, y, t)`` and ``surface(x, y, t)`` sampled on the given times.
+    def from_functions(cls, mesh: InterfaceMesh, T: float, bulk=None,
+                       surface=None) -> "LoadModel":
+        """Loads ``bulk(x, y, t)`` and ``surface(x, y, t)`` on ``[0, T]``.
 
-        Sample 0 is formed here, so a malformed load fails at once.
+        The load at ``t = 0`` is formed here, so a malformed load fails at once.
         """
         loads = {}
         if bulk is not None:
-            loads["bulk"] = _bulk_load(mesh, bulk)
+            loads["bulk"] = _load(mesh.n_nodes, _bulk_points(mesh), bulk)
         if surface is not None:
-            loads["surface"] = _surface_rule(mesh).load(surface)
-        model = cls(times, mesh.n_nodes, loads)
-        model._sample(0)
+            loads["surface"] = _load(mesh.n_nodes, _surface_points(mesh), surface)
+        model = cls(T, mesh.n_nodes, loads)
+        model.at(0.0)
         return model
 
     @property
     def surface_is_zero(self) -> bool:
         return "surface" not in self.loads
 
-    @property
-    def t_final(self) -> float:
-        return float(self.times[-1])
-
-    def _sample(self, i: int) -> np.ndarray:
-        cache = self._cache
-        F = dict(cache).get(i)
-        if F is None:
-            t = float(self.times[i])
-            F = None
-            with np.errstate(all="ignore"):
-                for name, load in self.loads.items():
-                    if F is None:
-                        F = load(t) + 0.0   # its sum from np.zeros: -0.0 becomes +0.0
-                    else:
-                        F += load(t)
-                    if not np.isfinite(F).all():
-                        raise LoadError(name, t)
-            if F is None:
-                F = np.zeros(self.n_nodes)
-            self._cache = cache[-1:] + ((i, F),)
-        return F
-
     def at(self, t: float) -> np.ndarray:
-        ts = self.times
-        eps = 1e-12 * max(1.0, abs(self.t_final))
-        if t < ts[0] - eps or t > ts[-1] + eps:
-            raise ValueError(f"load requested at t={t} outside [{ts[0]}, {ts[-1]}]")
-        t = min(max(t, ts[0]), ts[-1])
-        k = int(np.searchsorted(ts, t, side="right") - 1)
-        if k == ts.size - 1 or t == ts[k]:
-            return self._sample(k).copy()
-        theta = (t - ts[k]) / (ts[k + 1] - ts[k])
-        return (1.0 - theta) * self._sample(k) + theta * self._sample(k + 1)
+        T = self.t_final
+        eps = 1e-12 * max(1.0, abs(T))
+        if not -eps <= t <= T + eps:
+            raise ValueError(f"load requested at t={t} outside [0.0, {T}]")
+        t = min(max(0.0, t), T)
+        F = None
+        with np.errstate(all="ignore"):
+            for name, load in self.loads.items():
+                if F is None:
+                    F = load(t) + 0.0   # its sum from np.zeros: -0.0 becomes +0.0
+                else:
+                    F += load(t)
+                if not np.isfinite(F).all():
+                    raise LoadError(name, t)
+        return np.zeros(self.n_nodes) if F is None else F
 
 
 def load_vector(loads: LoadModel, t: float) -> np.ndarray:
-    """Consistent nodal load at time ``t`` (affine between samples)."""
+    """Consistent nodal load at time ``t``: ``loads.at(t)``."""
     return loads.at(t)

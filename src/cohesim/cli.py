@@ -21,9 +21,9 @@ each like ``cohesim run`` into ``<dir>/level_XX``, and compares consecutive
 levels with :func:`~cohesim.evolution.trajectory_distance`.  This level loop
 is the only study sweep: a library caller writes the same loop with
 ``run(scenario.with_eps(eps))`` and ``trajectory_distance``.  The levels of a
-tau or eps study share the base's mesh, load functions and assembled
-operators: the study document is parsed once, a tau level samples the same
-loads at its own step times, and a level hands its operators to the next.
+tau or eps study share the base's mesh, loads and assembled operators: the
+study document is parsed once, a tau level is the base with another step
+count, and a level hands its operators to the next.
 Every tau level's step count is checked before any level runs.  ``--jobs``
 is accepted so that existing command lines keep working, and has no effect.
 """
@@ -39,7 +39,6 @@ from dataclasses import replace
 import numpy as np
 
 from .audit import energy_ledger, kkt_report, traction_extraction
-from .assembly import LoadModel
 from .config import (
     ConfigError,
     ScenarioConfig,
@@ -142,25 +141,15 @@ def _solver_failure(exc) -> str:
     return f"solver failure before step 1: {exc}"
 
 
-def _with_steps(base: ScenarioConfig, n: int) -> ScenarioConfig:
-    """The base scenario with ``n`` time steps, which ``check_time_steps``
-    has accepted: the same mesh, materials, law, initial data and load
-    functions, the loads sampled at the ``n + 1`` step times, as parsing the
-    base document with ``time.n = n`` would give."""
-    scenario = base.scenario
-    loads = LoadModel(np.linspace(0.0, scenario.T, n + 1), scenario.mesh.n_nodes,
-                      scenario.loads.loads)
-    return replace(base, scenario=replace(scenario, n=n, loads=loads))
-
-
 def _study_levels(spec):
     """Expand a study into per-level (label, parameter, ScenarioConfig).
 
     The base scenario is parsed once, and it is level 0 of a refinement
     study; the levels of a tau or eps study are built from it and share its
-    mesh and load functions, and only an h study parses a document per
-    level.  Each level gets the snapshot stride that aligns its comparison
-    times with the next level's: ``2**i`` for tau level ``i``, 1 otherwise.
+    mesh and :class:`~cohesim.assembly.LoadModel`, and only an h study
+    parses a document per level.  Each level gets the snapshot stride that
+    aligns its comparison times with the next level's: ``2**i`` for tau
+    level ``i``, 1 otherwise.
     """
     base = spec.base
     if spec.kind == "h_refinement" and "path" in base.raw.get("mesh", {}):
@@ -175,7 +164,8 @@ def _study_levels(spec):
         ns = [scenario.n * 2**i for i in range(spec.levels)]
         for n in ns[1:]:    # every level, before any is built
             check_time_steps(scenario.T, n, scenario.materials, scenario.mesh.n_pairs)
-        configs = [(n, _with_steps(base, n) if i else base) for i, n in enumerate(ns)]
+        configs = [(n, replace(base, scenario=replace(scenario, n=n)) if i else base)
+                   for i, n in enumerate(ns)]
     else:
         configs = []
         for i in range(spec.levels):

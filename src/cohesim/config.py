@@ -190,8 +190,7 @@ def build_law(doc: dict) -> CohesiveLaw:
 def check_time_steps(T: float, n: int, materials: Materials, n_pairs: int) -> None:
     """Raise :class:`ConfigError` unless ``n`` steps over ``(0, T]`` can run:
     the step's coefficients ``tau^2``, ``rho / tau^2`` and ``eta / tau`` must
-    be floats, and ``run()``'s step table must fit in memory (a row is wider
-    than a load sample time, so the ``n + 1`` sample times fit once it does)."""
+    be floats, and ``run()``'s step table must fit in memory."""
     tau = T / n
     rho = max(materials.rho_plus, materials.rho_minus)
     eta = max(materials.eta_plus, materials.eta_minus)
@@ -237,7 +236,7 @@ def parse_scenario(doc: dict) -> ScenarioConfig:
            if key in lsec}
     fns = {key: fn for key, fn in fns.items() if lsec[key] != 0}
     try:
-        loads = LoadModel.from_functions(mesh, np.linspace(0.0, T, n + 1), **fns)
+        loads = LoadModel.from_functions(mesh, T, **fns)
     except LoadError as exc:
         raise ConfigError("'loads.{}' is not finite at t = {!r}".format(*exc.args)) from exc
 

@@ -98,6 +98,9 @@ class Scenario:
             raise ValueError("time horizon T must be positive and finite with n >= 1 steps")
         if not (0.0 < self.eps_bar < np.inf):
             raise ValueError("history floor eps_bar must be positive and finite")
+        if not self.loads.t_final >= self.T:
+            raise ValueError(f"the loads end at t = {self.loads.t_final!r}, before the "
+                             f"time horizon T = {self.T!r}")
         N, P = self.mesh.n_nodes, self.mesh.n_pairs
         self.u0 = np.asarray(self.u0, dtype=float)
         self.v0 = np.asarray(self.v0, dtype=float)
@@ -323,7 +326,7 @@ def run(scenario: Scenario, callbacks=None, tol: float = 1e-10,
     for k in range(1, n + 1):
         t_k = k * tau
         try:
-            f_k = load_vector(scenario.loads, min(t_k, scenario.loads.t_final))
+            f_k = load_vector(scenario.loads, t_k)
             res = solve_step(StepProblem(tau, u_prev, u_prev2, f_k, ops, law, ws, hist,
                                          (products, products2), 2.0 * lam_prev - lam_prev2),
                              tol=tol)

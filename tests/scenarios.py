@@ -27,9 +27,8 @@ def standard_ramp(n=200, n_x=16, n_y=8, eps_bar=1e-3, T=1.0, xi0=0.0,
     mesh = build_rectangle_mesh(1.0, n_x, n_y)
     materials = Materials.constant(rho=1.0, mu=1.0, eta=1.0)
     law = CohesiveLaw(PrototypeEnvelope(g_c=1.0, xi_c=0.2))
-    times = np.linspace(0.0, T, n + 1)
     loads = LoadModel.from_functions(
-        mesh, times, bulk=lambda x, y, t: ramp_bulk(x, y, t, amplitude))
+        mesh, T, bulk=lambda x, y, t: ramp_bulk(x, y, t, amplitude))
     w0 = np.zeros(mesh.n_nodes) if regularity_mode else None
     return Scenario(mesh, materials, law, loads, T, n,
                     u0=np.zeros(mesh.n_nodes), v0=np.zeros(mesh.n_nodes),
@@ -52,9 +51,8 @@ def unloading_tent(n=200, n_x=16, n_y=8, eps_bar=1e-3, amplitude=25.0):
     materials = Materials.constant(rho=0.1, mu=2.0, eta=4.0)
     law = CohesiveLaw(PrototypeEnvelope(g_c=1.0, xi_c=2.0))  # beta = 0.5
     T = 1.0
-    times = np.linspace(0.0, T, n + 1)
     loads = LoadModel.from_functions(
-        mesh, times,
+        mesh, T,
         bulk=lambda x, y, t: amplitude * tent_profile(t / T) * np.sin(np.pi * x) * y)
     return Scenario(mesh, materials, law, loads, T, n,
                     u0=np.zeros(mesh.n_nodes), v0=np.zeros(mesh.n_nodes),
@@ -66,7 +64,7 @@ def rest_scenario(n=40, n_x=4, n_y=2, eps_bar=1e-3):
     mesh = build_rectangle_mesh(1.0, n_x, n_y)
     materials = Materials.constant(rho=1.0, mu=1.0, eta=1.0)
     law = CohesiveLaw(PrototypeEnvelope(g_c=1.0, xi_c=1.0))
-    loads = LoadModel.from_functions(mesh, [0.0, 1.0])
+    loads = LoadModel.from_functions(mesh, 1.0)
     return Scenario(mesh, materials, law, loads, 1.0, n,
                     u0=np.zeros(mesh.n_nodes), v0=np.zeros(mesh.n_nodes),
                     xi0=np.zeros(mesh.n_pairs), eps_bar=eps_bar)
@@ -91,9 +89,8 @@ def mild_ramp(n=20, n_x=4, n_y=2, eps_bar=1e-3, amplitude=20.0, xi0=0.0,
     materials = Materials.constant(rho=1.0, mu=1.0, eta=1.0)
     law = CohesiveLaw(PrototypeEnvelope(g_c=1.0, xi_c=1.0))
     T = 1.0
-    times = np.linspace(0.0, T, n + 1)
     loads = LoadModel.from_functions(
-        mesh, times, bulk=lambda x, y, t: ramp_bulk(x, y, t, amplitude))
+        mesh, T, bulk=lambda x, y, t: ramp_bulk(x, y, t, amplitude))
     w0 = np.zeros(mesh.n_nodes) if regularity_mode else None
     return Scenario(mesh, materials, law, loads, T, n,
                     u0=np.zeros(mesh.n_nodes), v0=np.zeros(mesh.n_nodes),

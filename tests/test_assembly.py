@@ -1,7 +1,8 @@
 """Operator assembly against quadrature oracles, symmetry/kernel invariants
-and time interpolation of loads."""
+and load vectors."""
 
-import gc
+import inspect
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,10 +16,12 @@ from cohesim.assembly import (
     load_vector,
 )
 from cohesim.config import ConfigError, parse_scenario
+from cohesim.evolution import run
 from cohesim.expressions import compile_expression
 from cohesim.mesh import build_rectangle_mesh
 
 from oracles import jump_operator, node_scaled, per_triangle
+from scenarios import mild_ramp, ramp_bulk
 
 
 @pytest.fixture(scope="module")
@@ -210,48 +213,45 @@ class TestPairIndices:
 
 class TestLoads:
     def test_zero_loads_give_zero_vector(self, mesh):
-        loads = LoadModel.from_functions(mesh, [0.0, 1.0])
+        loads = LoadModel.from_functions(mesh, 1.0)
         assert np.all(load_vector(loads, 0.3) == 0.0)
 
     def test_unit_bulk_load_sums_to_area(self, mesh):
-        loads = LoadModel.from_functions(mesh, [0.0, 1.0], bulk=lambda x, y, t: 1.0)
+        loads = LoadModel.from_functions(mesh, 1.0, bulk=lambda x, y, t: 1.0)
         F = load_vector(loads, 0.5)
         assert F.sum() == pytest.approx(2.0, abs=1e-13)
 
     def test_at_a_sample_time_returns_that_sample_alone(self, mesh):
-        # bit for bit, and without forming the next sample, which here
-        # overflows: 0 * inf would turn the finite sample into NaN
+        # any t is a sample time: the load is evaluated at t itself, once per
+        # rule point, bit for bit; here it overflows only at T
         times = []
 
         def load(x, y, t):
             times.append(t)
             return np.exp(1000.0 * t) * (x + 0.5 * y - 0.25)
 
-        ts = np.linspace(0.0, 0.71, 3)
-        loads = LoadModel.from_functions(mesh, ts, bulk=load)
-        alone = LoadModel.from_functions(mesh, [ts[1], 1.0], bulk=load)
+        loads = LoadModel.from_functions(mesh, 0.71, bulk=load)
         times.clear()
-        assert loads.at(ts[1]).tobytes() == alone.at(ts[1]).tobytes()
-        assert times == [ts[1]]
+        F = loads.at(0.3)
+        assert times == [0.3] * 3
+        assert F.tobytes() == reference_sample(mesh, 0.3, bulk=load).tobytes()
         with pytest.raises(FloatingPointError, match="bulk load is not finite at t = 0.71"):
-            loads.at(ts[2])
-
-    def test_affine_time_interpolation(self, mesh):
-        g = lambda x, y, t: t * (x + 0.5 * y)
-        loads = LoadModel.from_functions(mesh, [0.0, 0.4, 1.0], bulk=g)
-        F_mid = load_vector(loads, 0.7)
-        F_avg = 0.5 * (load_vector(loads, 0.4) + load_vector(loads, 1.0))
-        assert np.allclose(F_mid, F_avg, atol=1e-15)
+            loads.at(0.71)
 
     def test_out_of_range_time_rejected(self, mesh):
-        loads = LoadModel.from_functions(mesh, [0.0, 1.0])
-        with pytest.raises(ValueError, match="outside"):
-            load_vector(loads, 1.5)
+        loads = LoadModel.from_functions(mesh, 1.0, bulk=lambda x, y, t: t * x - y)
+        for t in (1.5, -0.1, np.nan):
+            with pytest.raises(ValueError, match="outside"):
+                load_vector(loads, t)
+        # within the slack, t is clamped into [0, T]
+        assert loads.at(1.0 + 1e-13).tobytes() == loads.at(1.0).tobytes()
+        assert loads.at(-1e-13).tobytes() == loads.at(0.0).tobytes()
+        assert loads.at(-0.0).tobytes() == loads.at(0.0).tobytes()
 
     def test_power_pairing_against_quadrature(self, mesh, ops):
         # (F, v) must equal the integral of f * v_h for nodal v
         f = lambda x, y, t: 1.0 + 2.0 * x - y
-        loads = LoadModel.from_functions(mesh, [0.0, 1.0], bulk=f)
+        loads = LoadModel.from_functions(mesh, 1.0, bulk=f)
         F = load_vector(loads, 0.0)
         rng = np.random.default_rng(9)
         v = rng.normal(size=ops.n_nodes)
@@ -268,7 +268,7 @@ class TestLoads:
         assert F @ v == pytest.approx(total, rel=1e-12)
 
     def test_surface_load_on_neumann_edges(self, mesh):
-        loads = LoadModel.from_functions(mesh, [0.0, 1.0], surface=lambda x, y, t: 1.0)
+        loads = LoadModel.from_functions(mesh, 1.0, surface=lambda x, y, t: 1.0)
         F = load_vector(loads, 0.0)
         # total = length of the Neumann boundary: four lateral edges of length 1
         assert F.sum() == pytest.approx(4.0, abs=1e-13)
@@ -281,6 +281,8 @@ TRI_QP = np.array([[0.5, 0.0], [0.5, 0.5], [0.0, 0.5]])
 TRI_QW = np.array([1.0, 1.0, 1.0]) / 3.0
 EDGE_QP = np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)])
 EDGE_QW = np.array([0.5, 0.5])
+# times on no step grid of [0, 2], and its ends
+OFF_GRID = (0.0, 0.3, 1.0 / 3.0, 0.7071067811865476, 1.7, 2.0)
 
 
 def reference_bulk_load(mesh, fn, t):
@@ -328,6 +330,18 @@ def counted(fn, calls):
     return wrapped
 
 
+def held_arrays(sample):
+    """The arrays that a load's function of ``t`` holds, through lists and tuples."""
+    arrays, todo = [], list(inspect.getclosurevars(sample).nonlocals.values())
+    while todo:
+        obj = todo.pop()
+        if isinstance(obj, np.ndarray):
+            arrays.append(obj)
+        elif isinstance(obj, (list, tuple)):
+            todo.extend(obj)
+    return arrays
+
+
 class TestLoadOperator:
     BULK = staticmethod(lambda x, y, t: np.exp(x * y) * np.cos(3.0 * t + y) - x ** 2 / (1.0 + t))
     SURFACE = staticmethod(lambda x, y, t: np.sin(7.0 * y - t) * (1.0 + x * x) - 0.3)
@@ -339,42 +353,33 @@ class TestLoadOperator:
         fns = {"bulk": dict(bulk=self.BULK), "surface": dict(surface=self.SURFACE),
                "both": dict(bulk=self.BULK, surface=self.SURFACE),
                "scalar": dict(bulk=lambda x, y, t: -2.5 * t, surface=lambda x, y, t: t)}[which]
-        times = np.linspace(0.0, 2.0, 9)
-        loads = LoadModel.from_functions(mesh, times, **fns)
-        ref = [reference_sample(mesh, float(t), **fns) for t in times]
-        for k, t in enumerate(times):
-            assert np.array_equal(loads.at(float(t)), ref[k])
-        for k, theta in [(0, 0.5), (3, 0.125), (7, 0.9)]:
-            t = times[k] + theta * (times[k + 1] - times[k])
-            th = (t - times[k]) / (times[k + 1] - times[k])
-            assert np.array_equal(loads.at(t), (1.0 - th) * ref[k] + th * ref[k + 1])
+        loads = LoadModel.from_functions(mesh, 2.0, **fns)
+        for t in OFF_GRID:
+            assert loads.at(t).tobytes() == reference_sample(mesh, t, **fns).tobytes()
 
     def test_samples_are_evaluated_on_demand(self, mesh):
+        # construction forms t = 0; each call then forms t alone, no table
         bulk_calls, surface_calls = [], []
-        loads = LoadModel.from_functions(mesh, np.linspace(0.0, 1.0, 10001),
-                                         bulk=counted(self.BULK, bulk_calls),
+        loads = LoadModel.from_functions(mesh, 1.0, bulk=counted(self.BULK, bulk_calls),
                                          surface=counted(self.SURFACE, surface_calls))
-        assert bulk_calls == [0.0] and surface_calls == [0.0]
+        assert bulk_calls == [0.0] * 3 and surface_calls == [0.0] * 4
         for t in (0.5, 0.50005, 0.25, 1.0, 1e-5):
-            before = len(bulk_calls)
+            bulk_calls.clear()
+            surface_calls.clear()
             loads.at(t)
-            assert len(bulk_calls) - before <= 2
-            after = len(bulk_calls)
-            loads.at(t)
-            assert len(bulk_calls) == after
-        assert len(surface_calls) == len(bulk_calls)
+            assert bulk_calls == [t] * 3 and surface_calls == [t] * 4
 
-    def test_time_loop_evaluates_each_sample_once(self, mesh):
+    def test_time_loop_evaluates_each_sample_once(self):
+        # one load per step, at the step's time k * tau, after construction's t = 0
+        sc = mild_ramp(n=10)
         calls = []
-        times = np.linspace(0.0, 1.0, 11)
-        loads = LoadModel.from_functions(mesh, times, bulk=counted(self.BULK, calls))
-        for t in times:
-            loads.at(float(t))
-            loads.at(float(t))
-        assert calls == times.tolist()
+        loads = LoadModel.from_functions(
+            sc.mesh, sc.T, bulk=counted(lambda x, y, t: ramp_bulk(x, y, t, 20.0), calls))
+        run(replace(sc, loads=loads))
+        assert calls == [k * sc.tau for k in range(sc.n + 1) for _ in range(3)]
 
     def test_mutating_a_result_leaves_later_results_unchanged(self, mesh):
-        loads = LoadModel.from_functions(mesh, [0.0, 0.5, 1.0], bulk=self.BULK)
+        loads = LoadModel.from_functions(mesh, 1.0, bulk=self.BULK)
         for t in (0.0, 0.25, 1.0):
             first = loads.at(t)
             expected = first.copy()
@@ -384,8 +389,7 @@ class TestLoadOperator:
     SPECIAL = np.array([-0.0, 0.0, -1.5, 1e-300, -1e-300, 5e-324, -5e-324, 1e300, 0.1])
 
     def test_negative_zero_entries_sample_positive_zero(self):
-        loads = LoadModel([0.0, 1.0], self.SPECIAL.size,
-                          {"bulk": lambda t: self.SPECIAL * (1.0 + t)})
+        loads = LoadModel(1.0, self.SPECIAL.size, {"bulk": lambda t: self.SPECIAL * (1.0 + t)})
         for t in (0.0, 1.0):
             F = loads.at(t)
             zero = F == 0.0
@@ -399,9 +403,8 @@ class TestLoadOperator:
                    for _ in range(n_loads)]
         fns = {name: (lambda V: lambda t: t * V)(V) for name, V in zip(("bulk", "surface"),
                                                                       vectors)}
-        times = [0.0, 0.5, 1.0]
-        loads = LoadModel(times, vectors[0].size, fns)
-        for t in times:
+        loads = LoadModel(1.0, vectors[0].size, fns)
+        for t in (0.0, 0.5, 0.7071067811865476, 1.0):
             F = np.zeros(vectors[0].size)
             for fn in fns.values():
                 F += fn(t)
@@ -409,18 +412,16 @@ class TestLoadOperator:
 
     def test_malformed_callable_fails_at_construction(self, mesh):
         with pytest.raises(ValueError):
-            LoadModel.from_functions(mesh, np.linspace(0.0, 1.0, 5),
-                                     bulk=lambda x, y, t: np.ones(7))
+            LoadModel.from_functions(mesh, 1.0, bulk=lambda x, y, t: np.ones(7))
 
     def test_concurrent_reads_agree_with_serial(self, mesh):
         import sys
         import threading
 
-        times = np.linspace(0.0, 1.0, 41)
-        serial = LoadModel.from_functions(mesh, times, bulk=self.BULK)
+        serial = LoadModel.from_functions(mesh, 1.0, bulk=self.BULK)
         query = np.random.default_rng(3).uniform(0.0, 1.0, size=200)
         expected = [serial.at(t) for t in query]
-        shared = LoadModel.from_functions(mesh, times, bulk=self.BULK)
+        shared = LoadModel.from_functions(mesh, 1.0, bulk=self.BULK)
         mismatches = []
 
         def reader(offset):
@@ -469,17 +470,11 @@ class TestSeparableLoads:
         mesh = build_rectangle_mesh(1.3, 16, 8)
         fns = self.compiled(bulk, surface)
         assert all(fn.terms is not None for fn in fns.values())
-        times = np.linspace(0.0, 2.0, 9)
-        loads = LoadModel.from_functions(mesh, times, **fns)
-        ref = [reference_sample(mesh, float(t), **fns) for t in times]
+        loads = LoadModel.from_functions(mesh, 2.0, **fns)
         bound = 8.0 * np.finfo(float).eps
-        for k, t in enumerate(times):
-            assert np.abs(loads.at(float(t)) - ref[k]).max() <= bound * np.abs(ref[k]).max()
-        for k, theta in [(0, 0.5), (3, 0.125), (7, 0.9)]:
-            t = times[k] + theta * (times[k + 1] - times[k])
-            th = (t - times[k]) / (times[k + 1] - times[k])
-            expected = (1.0 - th) * ref[k] + th * ref[k + 1]
-            assert np.abs(loads.at(t) - expected).max() <= bound * np.abs(expected).max()
+        for t in OFF_GRID:
+            ref = reference_sample(mesh, t, **fns)
+            assert np.abs(loads.at(t) - ref).max() <= bound * np.abs(ref).max()
 
     def test_term_counts(self):
         counts = [[len(fn.terms) for fn in self.compiled(*case).values()] for case in self.CASES]
@@ -489,64 +484,62 @@ class TestSeparableLoads:
                                         "max(t, x) * y"])
     def test_non_separable_expression_assembles_per_sample(self, source):
         mesh = build_rectangle_mesh(1.3, 3, 2)
-        bulk = compile_expression(source)
-        assert bulk.terms is None
-        times = np.linspace(0.0, 2.0, 5)
-        loads = LoadModel.from_functions(mesh, times, bulk=bulk)
-        for t in times:
-            assert np.array_equal(loads.at(float(t)), reference_sample(mesh, float(t), bulk=bulk))
+        fn = compile_expression(source)
+        assert fn.terms is None
+        for which in ("bulk", "surface"):
+            loads = LoadModel.from_functions(mesh, 2.0, **{which: fn})
+            for t in OFF_GRID:
+                assert loads.at(t).tobytes() == reference_sample(mesh, t, **{which: fn}).tobytes()
 
-    @pytest.fixture
-    def built_rules(self, monkeypatch):
-        """``(points, weak references)`` of every load rule built: to the rule,
-        its points, its weights and its node indices."""
-        import weakref
+    def test_separable_rules_are_released(self, mesh):
+        # a separable load holds its term vectors alone, no rule point
+        loads = LoadModel.from_functions(mesh, 1.0,
+                                         bulk=compile_expression("t * sin(pi * x) * y + t * t"),
+                                         surface=compile_expression("2 * t - x"))
+        for sample in loads.loads.values():
+            arrays = held_arrays(sample)
+            assert len(arrays) == 2 and all(a.shape == (mesh.n_nodes,) for a in arrays)
 
+    def test_a_non_separable_load_keeps_the_mesh_indices(self, mesh):
+        fn = compile_expression("sin(x * t)")
+        loads = LoadModel.from_functions(mesh, 1.0, bulk=fn, surface=fn)
+        bulk, surface = ([a for a in held_arrays(loads.loads[name]) if a.dtype.kind in "iu"]
+                         for name in ("bulk", "surface"))
+        # no int64 copy: the triangles themselves, 3 rule points
+        assert len(bulk) == 3 and all(nodes is mesh.triangles for nodes in bulk)
+        # one column of the Neumann edges per Gauss point and edge end
+        assert len(surface) == 4
+        for nodes in surface:
+            assert nodes.shape == (len(mesh.neumann_edges),)
+            assert np.shares_memory(nodes, mesh.neumann_edges)
+
+    def test_rules_are_built_for_given_loads_only(self, mesh, monkeypatch):
         import cohesim.assembly as assembly
 
-        made = []
-        init = assembly._LoadRule.__init__
+        built = []
 
-        def recorded(rule, *args):
-            init(rule, *args)
-            made.append((rule.c.size, [weakref.ref(obj)
-                                       for obj in (rule, rule.x, rule.c, rule.nodes)]))
+        def recorded(name):
+            rule = getattr(assembly, name)
 
-        monkeypatch.setattr(assembly._LoadRule, "__init__", recorded)
-        return made
+            def points(mesh):
+                built.append(name)
+                return rule(mesh)
+            return points
 
-    def test_separable_rules_are_released(self, mesh, built_rules):
-        separable = LoadModel.from_functions(mesh, [0.0, 1.0],
-                                             bulk=compile_expression("t * sin(pi * x) * y"),
-                                             surface=compile_expression("2 * t - x"))
-        per_sample = LoadModel.from_functions(mesh, [0.0, 1.0],
-                                              bulk=compile_expression("sin(x * t)"))
-        gc.collect()
-        assert separable.at(0.5).any() and per_sample.at(0.5).any()
-        # the separable bulk load builds no rule, the surface one is released
-        assert [points for points, _ in built_rules] == [4 * len(mesh.neumann_edges),
-                                                         3 * len(mesh.triangles)]
-        assert all(ref() is None for ref in built_rules[0][1])
-        refs = built_rules[1][1]
-        rule = refs[0]()
-        assert rule is not None
-        assert all(ref() is obj for ref, obj in zip(refs[1:], (rule.x, rule.c, rule.nodes)))
-
-    def test_rules_are_built_for_given_loads_only(self, mesh, built_rules):
-        LoadModel.from_functions(mesh, [0.0, 1.0])
-        assert built_rules == []
-        LoadModel.from_functions(mesh, [0.0, 1.0], bulk=compile_expression("t * x"))
-        assert built_rules == []
-        LoadModel.from_functions(mesh, [0.0, 1.0], bulk=compile_expression("sin(x * t)"))
-        assert [points for points, _ in built_rules] == [3 * len(mesh.triangles)]
-        built_rules.clear()
+        for name in ("_bulk_points", "_surface_points"):
+            monkeypatch.setattr(assembly, name, recorded(name))
+        assert LoadModel.from_functions(mesh, 1.0).loads == {}
+        assert built == []
+        LoadModel.from_functions(mesh, 1.0, bulk=compile_expression("t * x"))
+        assert built == ["_bulk_points"]
+        built.clear()
         doc = {"mesh": {"kind": "rectangle", "L": 1.0, "n_x": 3, "n_y": 2},
                "materials": {"rho": 1.0, "mu": 1.0, "eta": 1.0},
                "law": {"kind": "prototype", "g_c": 1.0, "xi_c": 1.0},
                "loads": {"bulk": 0}, "time": {"T": 1.0, "n": 4}, "initial": {},
                "regularization": {"eps_bar": 0.001}}
         loads = parse_scenario(doc).scenario.loads
-        assert built_rules == [] and loads.loads == {}
+        assert built == [] and loads.loads == {}
         F = loads.at(0.3)
         assert np.all(F == 0.0) and not np.signbit(F).any()
         # a zero load is dropped only once it compiles
@@ -554,29 +547,35 @@ class TestSeparableLoads:
         with pytest.raises(ConfigError, match="'loads.bulk'"):
             parse_scenario(doc)
 
-    @pytest.mark.parametrize("source", ["100 * t * sin(pi * x) * y",
-                                        "exp(-t) * cos(x * y) - (1 + t) ** 2 * x / (2 + y) + 3",
-                                        "-1.5 * t"])
-    def test_bulk_terms_equal_the_rule_bit_for_bit(self, source):
-        # assembled one rule point at a time, each V_i sums the rule's entries
-        # in the rule's order
-        import cohesim.assembly as assembly
+    TERMS = ["100 * t * sin(pi * x) * y",
+             "exp(-t) * cos(x * y) - (1 + t) ** 2 * x / (2 + y) + 3", "-1.5 * t"]
 
+    @pytest.mark.parametrize("source", TERMS)
+    def test_bulk_terms_equal_the_rule_bit_for_bit(self, source):
+        self.check_terms("bulk", source)
+
+    @pytest.mark.parametrize("source", TERMS)
+    def test_surface_terms_equal_the_rule_bit_for_bit(self, source):
+        self.check_terms("surface", source)
+
+    @staticmethod
+    def check_terms(which, source):
+        # each V_i sums the rule's entries, assembled by the reference, in
+        # the rule's order
         mesh = build_rectangle_mesh(1.3, 16, 8)
         fn = compile_expression(source)
-        rule = assembly._bulk_rule(mesh)
-        Vs = [rule.assemble(F(x=rule.x, y=rule.y)) for _, F in fn.terms]
-        loads = LoadModel.from_functions(mesh, np.linspace(0.0, 2.0, 5), bulk=fn)
-        for t in loads.times:
+        Vs = [reference_sample(mesh, 0.0, **{which: lambda x, y, t, F=F: F(x=x, y=y)})
+              for _, F in fn.terms]
+        loads = LoadModel.from_functions(mesh, 2.0, **{which: fn})
+        for t in OFF_GRID:
             F = float(fn.terms[0][0](t=t)) * Vs[0]
             for (g, _), V in zip(fn.terms[1:], Vs[1:]):
                 F += float(g(t=t)) * V
-            assert loads.at(float(t)).tobytes() == (F + 0.0).tobytes()
+            assert loads.at(t).tobytes() == (F + 0.0).tobytes()
 
     def test_construction_evaluates_every_term(self, mesh):
         # the time factor 1 / t and the field 1 / (x - x) divide by zero
         for source in ("x / t", "t / (x - x)"):
             with np.errstate(divide="raise"):
                 with pytest.raises(FloatingPointError):
-                    LoadModel.from_functions(mesh, np.linspace(0.0, 1.0, 5),
-                                             bulk=compile_expression(source))
+                    LoadModel.from_functions(mesh, 1.0, bulk=compile_expression(source))

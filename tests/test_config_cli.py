@@ -713,6 +713,12 @@ class TestStudyCli:
         assert main(["study", study, "--out", str(tmp_path / "out")]) == 0
         assert parses == [120]  # the base; levels 1 and 2 are built from it
 
+    def test_tau_levels_share_the_base_loads(self):
+        spec = parse_study(json.loads((SCENARIOS / "study_tau.json").read_text()))
+        scenarios = [cfg.scenario for _, _, cfg in cohesim.cli._study_levels(spec)]
+        assert [sc.n for sc in scenarios] == [120, 240, 480]
+        assert all(sc.loads is spec.base.scenario.loads for sc in scenarios)
+
     @pytest.mark.parametrize("name", ["study_tau.json", "study_eps.json"])
     def test_study_assembles_once(self, name, tmp_path, monkeypatch):
         import cohesim.assembly
@@ -769,8 +775,7 @@ class TestStudyCli:
                 assert ((out / f"level_{i:02d}" / name).read_bytes()
                         == (alone / name).read_bytes()), (i, name)
 
-    def test_tau_level_beyond_memory_exits_2_before_any_level(self, tmp_path, capsys,
-                                                              monkeypatch):
+    def test_tau_level_beyond_memory_exits_2_before_any_level(self, tmp_path, capsys):
         # numpy refuses a step table beyond memory at once, without touching
         # memory; by 1000 * 2**30 + 1 rows it is beyond any address space
         from cohesim.evolution import step_dtype
@@ -790,11 +795,9 @@ class TestStudyCli:
         assert last >= 1
         first_refused = n * 2**last
         study = self.write_study(tmp_path, levels=last + 1, time={"T": 1.0, "n": n})
-        built = []
-        monkeypatch.setattr(cohesim.cli, "LoadModel", lambda *args: built.append(args))
         out = tmp_path / "out"
         assert main(["study", study, "--out", str(out)]) == 2
-        assert built == [] and not out.exists()
+        assert not out.exists()
         assert capsys.readouterr().err == (
             f"config error: 'time.n' asks for a step table of {first_refused + 1} rows, "
             "which does not fit in memory\n")

@@ -272,7 +272,8 @@ class TestRun:
         # step's solve: one frozen history, whose envelope pass is the only
         # law call, the traction audit included; the post-step pass evaluates
         # on the updated history's cone, with no evaluate() and no envelope
-        # pass of its own; one load lookup per step in the whole run
+        # pass of its own; one load lookup per step in the whole run, after
+        # the one that parsing makes at t = 0
         post = []          # per step, the counts after its Newton loop
         loads_at = []
 
@@ -324,7 +325,7 @@ class TestRun:
         for counts in post:
             assert counts["frozen"] == 1 and counts["evaluate"] == 0
             assert counts["value_slope"] == 1
-        assert len(loads_at) == 20
+        assert loads_at == [0.0] + [k * (0.5 / 20) for k in range(1, 21)]
 
     def test_cli_step_with_one_newton_direction_evaluates_the_law_twice(self, monkeypatch,
                                                                         tmp_path):
@@ -588,6 +589,14 @@ class TestRegularizeInitialData:
         with pytest.raises(ValueError, match=r"\[u0\]"):
             Scenario(sc.mesh, sc.materials, sc.law, sc.loads, sc.T, sc.n,
                      u0, sc.v0, sc.xi0, sc.eps_bar)
+
+    def test_loads_that_end_before_the_horizon_rejected(self):
+        # a run would otherwise hold the last load for the remaining steps
+        sc = small_ramp(n=4, n_x=4, n_y=2)
+        loads = LoadModel.from_functions(sc.mesh, 0.5 * sc.T, bulk=lambda x, y, t: t * y)
+        with pytest.raises(ValueError, match=r"loads end at t = 0\.5, before the time horizon"):
+            Scenario(sc.mesh, sc.materials, sc.law, loads, sc.T, sc.n,
+                     sc.u0, sc.v0, sc.xi0, sc.eps_bar)
 
 
 class TestEpsContinuation:

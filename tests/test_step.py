@@ -299,7 +299,7 @@ class TestSolveStep:
         n, tol, floor = 60, 1e-10, 1e-3
         tau = 1.0 / n
         loads = LoadModel.from_functions(
-            mesh, np.linspace(0.0, 1.0, n + 1),
+            mesh, 1.0,
             bulk=lambda x, y, t: 25.0 * np.interp(t, [0.0, 0.3, 0.5, 1.0],
                                                   [0.0, 1.0, 0.2, 1.6])
             * np.sin(np.pi * x) * y)
@@ -334,7 +334,7 @@ class TestSolveStep:
         law = CohesiveLaw(PrototypeEnvelope(g_c=1.0, xi_c=0.2))
         tau = 1.0 / 40
         loads = LoadModel.from_functions(
-            mesh, [0.0, 1.0], bulk=lambda x, y, t: 400.0 * t * np.sin(np.pi * x) * y)
+            mesh, 1.0, bulk=lambda x, y, t: 400.0 * t * np.sin(np.pi * x) * y)
         return step_problem(ops, law, tau, np.full(mesh.n_pairs, 1e-3), loads.at(0.25))
 
     def test_one_law_pass_per_trial_point(self, monkeypatch):
