@@ -147,6 +147,100 @@ class TestVectorizedBuild:
                           mesh.dirichlet_nodes, np.vstack([mesh.neumann_edges, extra]))
 
 
+def put(name, index, value):
+    def edit(a):
+        a[name][index] = value
+    return edit
+
+
+def replaced(name, fn):
+    def edit(a):
+        a[name] = fn(a[name])
+    return edit
+
+
+def neumann_added(*edges):
+    return replaced("neumann_edges", lambda e: np.vstack([e, edges]))
+
+
+def edits(*fns):
+    def edit(a):
+        for fn in fns:
+            fn(a)
+    return edit
+
+
+# one corruption of the 3x1 rectangle mesh of length 3 per MeshError of
+# _validate_and_build.  Its nodes: plus corners 0-3 at y = 0 and 4-7 at y = 1,
+# centres 8-10; minus corners 11-14 at y = -1 and 15-18 at y = 0, centres
+# 19-21; pairs (0, 15) ... (3, 18); Neumann (0, 4), (3, 7), (11, 15), (14, 18)
+MESH_ERRORS = {
+    "triangle_index": (put("triangles", (0, 0), 22), r"triangle vertex index out of range"),
+    "degenerate": (put("nodes", 8, [0.5, 0.0]), r"degenerate \(zero-area\) triangle 0$"),
+    "side_tag": (put("tri_side", 0, 0), r"triangle side tag must be \+1 or -1"),
+    "side_length": (replaced("tri_side", lambda s: s[:-1]),
+                    r"tri_side length must match triangle count"),
+    "no_pairs": (replaced("interface_pairs", lambda p: p[:0]), r"mesh has no interface pairs"),
+    "pair_repeat": (put("interface_pairs", (1, 0), 0), r"interface pair lists repeat a node"),
+    "both_sides": (put("interface_pairs", (3, 1), 0),
+                   r"a node appears on both sides of an interface pair"),
+    "not_coincident": (put("nodes", (0, 1), 1e-3),
+                       r"interface pair 0 not coincident \(distance 1\.000e-03\)"),
+    "pair_dirichlet": (replaced("dirichlet_nodes", lambda d: np.append(d, 0)),
+                       r"interface node tagged Dirichlet \(tags must partition the boundary\)"),
+    "unreferenced": (replaced("nodes", lambda n: np.vstack([n, [[1.5, 0.5]]])),
+                     r"mesh contains nodes not referenced by any triangle"),
+    "shared_node": (put("tri_side", 0, -1),
+                    r"a node is shared between the two bodies \(must be duplicated\)"),
+    "plus_off_body": (put("tri_side", slice(None), -1),
+                      r"plus interface node not on the plus body"),
+    "minus_off_body": (put("tri_side", slice(None), 1),
+                       r"minus interface node not on the minus body"),
+    "dirichlet_one_body": (replaced("dirichlet_nodes", lambda d: d[:4]),
+                           r"empty Dirichlet set on one body"),
+    "neumann_repeat": (neumann_added([4, 0]), r"duplicate Neumann edge"),
+    "neumann_interior": (neumann_added([8, 0]), r"Neumann edge \(0, 8\) is not a boundary edge"),
+    "untagged": (replaced("neumann_edges", lambda e: e[1:]), r"untagged boundary edge \(0, 4\)$"),
+    "two_tags": (neumann_added([5, 4]), r"boundary edge \(4, 5\) carries multiple tags"),
+    "no_interface_edge": (
+        edits(replaced("interface_pairs", lambda p: p[[0, 3]]),
+              neumann_added([0, 1], [1, 2], [2, 3], [15, 16], [16, 17], [17, 18])),
+        r"no boundary edges along the interface polyline"),
+    # a minus triangle over the minus interface edge (15, 16), which then is
+    # no boundary edge; its two other edges are tagged Neumann
+    "no_counterpart": (
+        edits(replaced("nodes", lambda n: np.vstack([n, [[0.5, 0.5]]])),
+              replaced("triangles", lambda t: np.vstack([t, [[15, 16, 22]]])),
+              replaced("tri_side", lambda s: np.append(s, -1)),
+              neumann_added([15, 22], [16, 22])),
+        r"interface edge \(0, 1\) has no minus-side counterpart"),
+    "pair_off_polyline": (
+        edits(replaced("interface_pairs", lambda p: p[[0, 1, 3]]),
+              neumann_added([1, 2], [2, 3], [16, 17], [17, 18])),
+        r"interface pair not connected to any interface edge"),
+}
+
+
+class TestMeshErrors:
+    FIELDS = ("nodes", "triangles", "tri_side", "interface_pairs", "dirichlet_nodes",
+              "neumann_edges")
+
+    def test_the_base_mesh_is_valid(self):
+        mesh = build_rectangle_mesh(3.0, 3, 1)
+        assert mesh.n_nodes == 22 and mesh.interface_pairs[:, 1].tolist() == [15, 16, 17, 18]
+        assert mesh.neumann_edges.tolist() == [[0, 4], [3, 7], [11, 15], [14, 18]]
+        InterfaceMesh(*(getattr(mesh, name) for name in self.FIELDS))
+
+    @pytest.mark.parametrize("case", list(MESH_ERRORS))
+    def test_each_error_is_raised_with_its_message(self, case):
+        mesh = build_rectangle_mesh(3.0, 3, 1)
+        arrays = {name: getattr(mesh, name).copy() for name in self.FIELDS}
+        corrupt, message = MESH_ERRORS[case]
+        corrupt(arrays)
+        with pytest.raises(MeshError, match=message):
+            InterfaceMesh(**arrays)
+
+
 class TestMeshFile:
     def test_round_trip(self, tmp_path):
         mesh = build_rectangle_mesh(1.0, 2, 2)
