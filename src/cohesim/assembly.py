@@ -25,7 +25,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .mesh import InterfaceMesh, _triangle_areas, jumps
+from .mesh import _BLOCK, InterfaceMesh, _triangle_areas, _vertex_blocks, jumps
 
 __all__ = [
     "Materials",
@@ -75,31 +75,25 @@ class Materials:
         return min(self.mu_plus, self.mu_minus)
 
 
-def _geometry(mesh: InterfaceMesh):
-    """Areas of the triangles (positive: the mesh holds them counterclockwise and
-    rejects degenerate ones) and the gradients of their barycentric functions."""
-    p = mesh.nodes[mesh.triangles]            # (M, 3, 2)
-    area = _triangle_areas(p)
-    grads = np.empty((p.shape[0], 3, 2))
-    for i in range(3):
-        e = p[:, (i + 2) % 3] - p[:, (i + 1) % 3]
-        grads[:, i, 0] = -e[:, 1]
-        grads[:, i, 1] = e[:, 0]
-    grads /= (2.0 * area)[:, None, None]
-    return area, grads
-
-
-def _form(mesh: InterfaceMesh, unit, area: np.ndarray) -> sp.csr_matrix:
-    """Assemble the element matrices ``unit`` scaled by ``area_T``."""
-    local = unit * area[:, None, None]
-    # int32, the index type the sparse constructors convert to anyway
-    tris = mesh.triangles.astype(np.int32)
-    rows = np.repeat(tris, 3, axis=1).ravel()
-    cols = np.tile(tris, (1, 3)).ravel()
-    A = sp.coo_matrix((local.ravel(), (rows, cols)),
-                      shape=(mesh.n_nodes, mesh.n_nodes)).tocsr()
-    A.sum_duplicates()
-    return A
+def _stiffness(mesh: InterfaceMesh, area: np.ndarray) -> np.ndarray:
+    """The element matrices ``area_T grad phi_i . grad phi_j`` (``(M, 3, 3)``)
+    of the triangles of area ``area`` (positive: the mesh holds them
+    counterclockwise and rejects degenerate ones), a block at a time.  An
+    entry sums its two products from ``+0.0``, so it is bit for bit
+    ``np.einsum("tik,tjk->tij", grads, grads) * area_T``."""
+    local = np.empty((len(area), 3, 3))
+    for b, x, y in _vertex_blocks(mesh.nodes, mesh.triangles):
+        # the gradients of the barycentric functions: the opposite edges, turned
+        two_area = 2.0 * area[b]
+        gx = [-(y[(i + 2) % 3] - y[(i + 1) % 3]) / two_area for i in range(3)]
+        gy = [(x[(i + 2) % 3] - x[(i + 1) % 3]) / two_area for i in range(3)]
+        for i, j in ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)):
+            k = gx[i] * gx[j]
+            k += gy[i] * gy[j]
+            k += 0.0      # -0.0 + -0.0 would stay -0.0
+            k *= area[b]
+            local[b, i, j] = local[b, j, i] = k
+    return local
 
 
 @dataclass
@@ -164,17 +158,32 @@ class DiscreteOperators:
 
 
 def assemble(mesh: InterfaceMesh, materials: Materials) -> DiscreteOperators:
-    """Build the unit forms, from one geometry pass, and the nodal materials."""
-    area, grads = _geometry(mesh)
-    stiffness = np.einsum("tik,tjk->tij", grads, grads)
+    """Build the unit forms on one COO index pair, and the nodal materials.
+
+    The entry ``(t, i, j)`` of the element matrices goes to row
+    ``triangles[t, i]`` and column ``triangles[t, j]``, and scipy's COO to CSR
+    conversion sums the entries of each position.  The forms share one
+    pattern, so ``A_unit`` keeps the index arrays of ``M_unit``."""
+    n = mesh.n_nodes
+    area = _triangle_areas(mesh.nodes, mesh.triangles)
+    tris = mesh.triangles.astype(np.int32)   # the index type scipy converts to anyway
+    index = (np.repeat(tris, 3, axis=1).ravel(), np.tile(tris, (1, 3)).ravel())
+    del tris
+
+    def form(local):
+        return sp.coo_matrix((local.ravel(), index), shape=(n, n)).tocsr()
+
+    M_unit = form(_MASS * area[:, None, None])
+    A_unit = sp.csr_matrix((form(_stiffness(mesh, area)).data, M_unit.indices, M_unit.indptr),
+                           shape=(n, n))
     plus = mesh.node_side() > 0
     nodal = {name: np.where(plus, float(getattr(materials, name + "_plus")),
                             float(getattr(materials, name + "_minus")))
              for name in ("rho", "mu", "eta")}
     return DiscreteOperators(
         mesh=mesh,
-        M_unit=_form(mesh, _MASS, area),
-        A_unit=_form(mesh, stiffness, area),
+        M_unit=M_unit,
+        A_unit=A_unit,
         pairs=tuple(mesh.interface_pairs.T),
         weights=mesh.interface_weights.copy(),
         free_dofs=mesh.free_nodes,
@@ -190,8 +199,8 @@ def _minimum_degree(nodes: np.ndarray, row, col, data, n: int) -> np.ndarray:
     of its time and memory; its ``perm_c`` maps an index to its position."""
     if nodes.size == 0:
         return nodes
-    rank = np.full(n, -1)
-    rank[nodes] = np.arange(nodes.size)
+    rank = np.full(n, -1, dtype=np.int32)
+    rank[nodes] = np.arange(nodes.size, dtype=np.int32)
     r, c = rank[row], rank[col]
     block = (r >= 0) & (c >= 0)
     perm_c = spla.spilu(sp.csc_matrix((data[block], (r[block], c[block])),
@@ -257,9 +266,9 @@ class InterfaceSchur:
         self._order = np.concatenate([d, inner, G])
         pos = np.empty(n, dtype=np.int32)
         pos[self._order] = np.arange(n, dtype=np.int32)
+        at = np.arange(d.size, dtype=np.int32)     # the Dirichlet diagonal
         K = sp.csc_matrix((np.r_[data, np.ones(d.size)],
-                           (np.r_[pos[row], np.arange(d.size)],
-                            np.r_[pos[col], np.arange(d.size)])), shape=(n, n))
+                           (np.r_[pos[row], at], np.r_[pos[col], at])), shape=(n, n))
         del row, col, data
         lu = spla.splu(K, options={"SymmetricMode": True}, **_NO_PIVOT)
         del K
@@ -316,10 +325,13 @@ def _bulk_points(mesh: InterfaceMesh):
     """The bulk rule (3 points per triangle) one rule point at a time: the
     point on every triangle, its weights, the triangles' nodes and the 3
     shape values there."""
-    p = mesh.nodes[mesh.triangles]
-    area = _triangle_areas(p)
+    area = _triangle_areas(mesh.nodes, mesh.triangles)
     for l, wq in zip(_TRI_LAMBDA, _TRI_QW):
-        yield np.einsum("i,tij->tj", l, p), wq * area, mesh.triangles, l
+        # the point sum_k l_k p_k, from +0.0: bit for bit np.einsum's
+        xq = np.zeros((area.size, 2))
+        for k in range(3):
+            xq += mesh.nodes[mesh.triangles[:, k]] * l[k]
+        yield xq, wq * area, mesh.triangles, l
 
 
 def _surface_points(mesh: InterfaceMesh):
@@ -338,9 +350,10 @@ def _surface_points(mesh: InterfaceMesh):
 def _scatter(V: np.ndarray, c, nodes, vals, fv) -> None:
     """Add ``vals * (c * fv)`` of one rule point to ``V`` by node index
     (``fv`` broadcast to the points), so each node sums its entries, zeros
-    included, in the rule's order."""
+    included, in the rule's order; a block of points at a time."""
     cf = c * np.broadcast_to(np.asarray(fv, dtype=float), c.shape)
-    np.add.at(V, nodes.ravel(), (vals * cf[:, None]).ravel())
+    for s in range(0, cf.size, _BLOCK):
+        np.add.at(V, nodes[s:s + _BLOCK].ravel(), (vals * cf[s:s + _BLOCK, None]).ravel())
 
 
 def _load(n_nodes: int, points, fn):
@@ -367,6 +380,7 @@ def _load(n_nodes: int, points, fn):
     for xq, c, nodes, vals in points:
         for V, (_, F) in zip(Vs, terms):
             _scatter(V, c, nodes, vals, F(x=xq[:, 0], y=xq[:, 1]))
+        del xq, c     # before the next point is formed
     (g0, V0), *rest = [(g, V) for (g, _), V in zip(terms, Vs)]
 
     def sample(t):

@@ -22,25 +22,31 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = [
-    "MeshError",
-    "InterfaceMesh",
-    "build_rectangle_mesh",
-    "load_mesh",
-    "scaled",
-    "jumps",
-    "estimate_trace_constant",
-]
+__all__ = ["MeshError", "InterfaceMesh", "build_rectangle_mesh", "load_mesh", "scaled", "jumps",
+           "estimate_trace_constant"]
 
 
 class MeshError(ValueError):
     """Invalid mesh topology, tagging, or geometry."""
 
 
-def _triangle_areas(p: np.ndarray) -> np.ndarray:
-    """Signed areas of the triangles with vertices ``p`` (``(M, 3, 2)``)."""
-    return 0.5 * ((p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
-                  - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1]))
+# triangles per block of a pass over their vertex coordinates: no (M, 3, 2) array
+_BLOCK = 8192
+
+
+def _vertex_blocks(nodes: np.ndarray, triangles: np.ndarray):
+    """Per block of ``_BLOCK`` triangles: its slice, its vertices' ``x`` and ``y`` (3, b)."""
+    for s in range(0, len(triangles), _BLOCK):
+        t = triangles[s:s + _BLOCK].T
+        yield slice(s, s + _BLOCK), nodes[:, 0][t], nodes[:, 1][t]
+
+
+def _triangle_areas(nodes: np.ndarray, triangles: np.ndarray) -> np.ndarray:
+    """Signed areas of the triangles ``(M, 3)`` of ``nodes``."""
+    area = np.empty(len(triangles))
+    for b, (x0, x1, x2), (y0, y1, y2) in _vertex_blocks(nodes, triangles):
+        area[b] = 0.5 * ((x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0))
+    return area
 
 
 @dataclass
@@ -62,14 +68,12 @@ class InterfaceMesh:
 
     def __post_init__(self):
         self.nodes = np.asarray(self.nodes, dtype=float)
-        self.triangles = np.asarray(self.triangles, dtype=np.int64)
-        self.tri_side = np.asarray(self.tri_side, dtype=np.int64)
-        self.interface_pairs = np.asarray(self.interface_pairs, dtype=np.int64)
-        self.dirichlet_nodes = np.unique(np.asarray(self.dirichlet_nodes, dtype=np.int64))
+        self.triangles = np.ascontiguousarray(self.triangles, dtype=np.int64)
+        self.tri_side = np.ascontiguousarray(self.tri_side, dtype=np.int64)
+        self.interface_pairs = np.asarray(self.interface_pairs, dtype=np.int64).reshape(-1, 2)
+        self.dirichlet_nodes = np.asarray(self.dirichlet_nodes, dtype=np.int64)
         self.neumann_edges = np.asarray(self.neumann_edges, dtype=np.int64).reshape(-1, 2)
         self._validate_and_build()
-
-    # ------------------------------------------------------------------
 
     @property
     def n_nodes(self) -> int:
@@ -91,109 +95,119 @@ class InterfaceMesh:
         side[self.triangles[self.tri_side > 0]] = 1
         return side
 
-    # ------------------------------------------------------------------
-
     def _validate_and_build(self):
-        nodes, tris = self.nodes, self.triangles
-        N = self.n_nodes
-        if tris.size and (tris.min() < 0 or tris.max() >= N):
-            raise MeshError("triangle vertex index out of range")
-        areas = _triangle_areas(nodes[tris])
-        flip = areas < 0.0
-        if np.any(flip):  # normalize to CCW
+        nodes, tris, side, N = self.nodes, self.triangles, self.tri_side, self.n_nodes
+        for name, index in (("triangle vertex", tris), ("interface_pairs", self.interface_pairs),
+                            ("dirichlet_nodes", self.dirichlet_nodes),
+                            ("neumann_edges", self.neumann_edges)):
+            if index.size and (index.min() < 0 or index.max() >= N):
+                raise MeshError(f"{name} index out of range")
+        areas = _triangle_areas(nodes, tris)
+        if np.any(areas < 0.0):  # normalize to CCW
             self.triangles = tris = tris.copy()
-            tris[flip] = tris[flip][:, ::-1]
-            areas = np.abs(areas)
+            tris[areas < 0.0] = tris[areas < 0.0][:, ::-1]
         diam = float(np.linalg.norm(nodes.max(axis=0) - nodes.min(axis=0)))
-        degenerate = np.flatnonzero(areas <= 1e-14 * max(diam, 1.0) ** 2)
+        degenerate = np.flatnonzero(np.abs(areas) <= 1e-14 * max(diam, 1.0) ** 2)
         if degenerate.size:
             raise MeshError(f"degenerate (zero-area) triangle {int(degenerate[0])}")
-        if not np.all(np.isin(self.tri_side, (-1, 1))):
+        del areas
+        if not np.all((side == 1) | (side == -1)):
             raise MeshError("triangle side tag must be +1 or -1")
-        if self.tri_side.shape[0] != tris.shape[0]:
+        if side.shape[0] != tris.shape[0]:
             raise MeshError("tri_side length must match triangle count")
 
+        # node sets as masks over the nodes
         if self.n_pairs == 0:
             raise MeshError("mesh has no interface pairs")
         plus, minus = self.interface_pairs[:, 0], self.interface_pairs[:, 1]
-        if np.unique(plus).size != plus.size or np.unique(minus).size != minus.size:
+        is_plus, is_minus, is_dir = (np.zeros(N, dtype=bool) for _ in range(3))
+        is_plus[plus], is_minus[minus], is_dir[self.dirichlet_nodes] = True, True, True
+        self.dirichlet_nodes = d = np.flatnonzero(is_dir)     # sorted, each node once
+        if np.count_nonzero(is_plus) < plus.size or np.count_nonzero(is_minus) < minus.size:
             raise MeshError("interface pair lists repeat a node")
-        if np.intersect1d(plus, minus).size:
+        if np.any(is_plus[minus]):
             raise MeshError("a node appears on both sides of an interface pair")
         gap = np.linalg.norm(nodes[plus] - nodes[minus], axis=1)
         bad = np.flatnonzero(gap > 1e-12 * max(diam, 1.0))
         if bad.size:
-            raise MeshError(
-                f"interface pair {int(bad[0])} not coincident (distance {gap[bad[0]]:.3e})"
-            )
-        if np.intersect1d(self.interface_pairs.ravel(), self.dirichlet_nodes).size:
+            raise MeshError(f"interface pair {int(bad[0])} not coincident "
+                            f"(distance {gap[bad[0]]:.3e})")
+        if np.any(is_dir[self.interface_pairs]):
             raise MeshError("interface node tagged Dirichlet (tags must partition the boundary)")
 
-        # node sets per subdomain
-        side_nodes = {s: np.unique(tris[self.tri_side == s]) for s in (1, -1)}
-        used = np.unique(tris)
-        if used.size != N:
+        # triangles at each node, and plus ones minus minus ones: +-count on one body
+        count = np.bincount(tris.ravel(), minlength=N)
+        balance = sum(np.bincount(tris[:, k], weights=side, minlength=N) for k in range(3))
+        if not np.all(count):
             raise MeshError("mesh contains nodes not referenced by any triangle")
-        if np.intersect1d(side_nodes[1], side_nodes[-1]).size:
+        if np.any(np.abs(balance) != count):
             raise MeshError("a node is shared between the two bodies (must be duplicated)")
-        if not np.all(np.isin(plus, side_nodes[1])):
+        if not np.all(balance[plus] > 0):
             raise MeshError("plus interface node not on the plus body")
-        if not np.all(np.isin(minus, side_nodes[-1])):
+        if not np.all(balance[minus] < 0):
             raise MeshError("minus interface node not on the minus body")
-        for s in (1, -1):
-            if not np.intersect1d(self.dirichlet_nodes, side_nodes[s]).size:
-                raise MeshError("empty Dirichlet set on one body")
+        if not (np.any(balance[d] > 0) and np.any(balance[d] < 0)):
+            raise MeshError("empty Dirichlet set on one body")
+        del count, balance
 
-        # boundary edges = edges adjacent to exactly one triangle
-        ends = np.sort(tris[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
-        keys, counts = np.unique(ends[:, 0] * N + ends[:, 1], return_counts=True)
-        edges = np.column_stack(np.divmod(keys, N))     # sorted (a, b), a < b
-        boundary_sorted = [tuple(k) for k in edges[counts == 1].tolist()]
-        boundary = set(boundary_sorted)
+        # boundary edges = edges adjacent to exactly one triangle, as sorted keys
+        # a * N + b of their ends a < b
+        def key(a, b, out=None):     # a + b + min(a, b) * (N - 1), with no temporary
+            out = np.multiply(np.minimum(a, b, out=out), N - 1, out=out)
+            out += a
+            out += b
+            return out
 
-        neumann_set = set(map(tuple, np.sort(self.neumann_edges, axis=1).tolist()))
-        if len(neumann_set) != self.neumann_edges.shape[0]:
+        def where(k):   # positions of the keys k in boundary, -1 for one not there
+            at = np.searchsorted(boundary, k)
+            return np.where(np.append(boundary, -1)[at] == k, at, -1)
+
+        keys = np.empty((3, len(tris)), dtype=np.int32 if N * N < 2**31 else np.int64)
+        for k in range(3):
+            key(tris[:, k], tris[:, (k + 1) % 3], out=keys[k])
+        keys = keys.ravel()
+        keys.sort()
+        starts = np.r_[True, keys[1:] != keys[:-1], True]     # where a run of equal keys starts
+        boundary = keys[starts[:-1] & starts[1:]]
+
+        neumann = np.sort(key(self.neumann_edges[:, 0], self.neumann_edges[:, 1]))
+        if np.any(neumann[1:] == neumann[:-1]):
             raise MeshError("duplicate Neumann edge")
-        missing = neumann_set - boundary
-        if missing:
-            raise MeshError(f"Neumann edge {sorted(missing)[0]} is not a boundary edge")
-
-        plus_set, minus_set = set(plus.tolist()), set(minus.tolist())
-        dir_set = set(self.dirichlet_nodes.tolist())
-        iface_edges = []
-        for a, b in boundary_sorted:
-            on_iface = (a in plus_set and b in plus_set) or (a in minus_set and b in minus_set)
-            on_dir = a in dir_set and b in dir_set
-            on_neu = (a, b) in neumann_set
-            tags = int(on_iface) + int(on_dir) + int(on_neu)
-            if tags == 0:
-                raise MeshError(f"untagged boundary edge ({a}, {b})")
-            if tags > 1:
-                raise MeshError(f"boundary edge ({a}, {b}) carries multiple tags")
-            if on_iface and a in plus_set:
-                iface_edges.append((a, b))
-        if not iface_edges:
+        at = where(neumann)
+        if np.any(at < 0):
+            raise MeshError(f"Neumann edge {divmod(int(neumann[at < 0][0]), N)} "
+                            "is not a boundary edge")
+        # a boundary edge carries one tag: interface, Dirichlet or Neumann
+        a, b = np.divmod(boundary, N)
+        on_plus = is_plus[a] & is_plus[b]
+        tags = (on_plus | (is_minus[a] & is_minus[b])).astype(int) + (is_dir[a] & is_dir[b])
+        tags[at] += 1
+        if np.any(tags != 1):
+            j = np.flatnonzero(tags != 1)[0]
+            edge = (int(a[j]), int(b[j]))
+            raise MeshError(f"untagged boundary edge {edge}" if tags[j] == 0
+                            else f"boundary edge {edge} carries multiple tags")
+        a, b = a[on_plus], b[on_plus]
+        if a.size == 0:
             raise MeshError("no boundary edges along the interface polyline")
 
         # the minus side must mirror every plus-side interface edge
-        pair_of = dict(zip(plus.tolist(), minus.tolist()))
-        for a, b in iface_edges:
-            if tuple(sorted((pair_of[a], pair_of[b]))) not in boundary:
-                raise MeshError(f"interface edge ({a}, {b}) has no minus-side counterpart")
+        pair_of = np.zeros(N, dtype=np.int64)
+        pair_of[plus] = np.arange(plus.size)
+        missing = np.flatnonzero(where(key(minus[pair_of[a]], minus[pair_of[b]])) < 0)
+        if missing.size:
+            j = missing[0]
+            raise MeshError(f"interface edge ({a[j]}, {b[j]}) has no minus-side counterpart")
 
-        # trapezoid weights: half the length of the adjacent interface edges
-        w = np.zeros(self.n_pairs)
-        idx_of = {int(p): j for j, p in enumerate(plus)}
-        adjacency = np.zeros(self.n_pairs, dtype=np.int64)
-        for a, b in iface_edges:
-            length = float(np.linalg.norm(nodes[a] - nodes[b]))
-            for n_ in (int(a), int(b)):
-                w[idx_of[n_]] += 0.5 * length
-                adjacency[idx_of[n_]] += 1
+        # trapezoid weights: half the length of the adjacent interface edges,
+        # summed edge by edge in key order
+        ends = pair_of[np.column_stack([a, b]).ravel()]
+        half = [0.5 * float(np.linalg.norm(d)) for d in nodes[a] - nodes[b]]
+        w = np.bincount(ends, weights=np.repeat(half, 2), minlength=self.n_pairs)
         if np.any(w <= 0.0):
             raise MeshError("interface pair not connected to any interface edge")
         self.interface_weights = w
-        self.interface_endpoint = adjacency == 1
+        self.interface_endpoint = np.bincount(ends, minlength=self.n_pairs) == 1
 
 
 def build_rectangle_mesh(L: float, n_x: int, n_y: int) -> InterfaceMesh:
@@ -211,37 +225,29 @@ def build_rectangle_mesh(L: float, n_x: int, n_y: int) -> InterfaceMesh:
     hx, hy = L / n_x, 1.0 / n_y
     xi, yj = np.arange(n_x + 1), np.arange(n_y + 1)
     cj, ci = np.divmod(np.arange(n_x * n_y), n_x)      # cell (i, j), row by row
+    n_corners = (n_x + 1) * (n_y + 1)
+    n_body = n_corners + n_x * n_y
 
-    def body(y0: float, offset: int):
-        corners = np.column_stack([np.tile(xi * hx, n_y + 1),
-                                   np.repeat(y0 + yj * hy, n_x + 1)])
-        centers = np.column_stack([(ci + 0.5) * hx, y0 + (cj + 0.5) * hy])
+    def cid(i, j, body=0):   # corner (i, j) of the plus (0) or the minus (1) body
+        return body * n_body + j * (n_x + 1) + i
 
-        def cid(i, j):
-            return offset + j * (n_x + 1) + i
+    # the plus body; the minus body is the plus body one lower
+    nodes = np.vstack([np.column_stack([np.tile(xi * hx, n_y + 1), np.repeat(yj * hy, n_x + 1)]),
+                       np.column_stack([(ci + 0.5) * hx, (cj + 0.5) * hy])])
+    nodes = np.vstack([nodes, nodes - [0.0, 1.0]])
+    c0, c1, c2, c3 = cid(ci, cj), cid(ci + 1, cj), cid(ci + 1, cj + 1), cid(ci, cj + 1)
+    m = n_corners + np.arange(n_x * n_y)
+    tris = np.column_stack([c0, c1, m, c1, c2, m, c2, c3, m, c3, c0, m]).reshape(-1, 3)
+    tris = np.vstack([tris, tris + n_body])
+    tri_side = np.repeat(np.array([1, -1], dtype=np.int64), len(tris) // 2)
+    del ci, cj, c0, c1, c2, c3, m
 
-        c0, c1 = cid(ci, cj), cid(ci + 1, cj)
-        c2, c3 = cid(ci + 1, cj + 1), cid(ci, cj + 1)
-        m = offset + corners.shape[0] + np.arange(n_x * n_y)
-        tris = np.column_stack([c0, c1, m, c1, c2, m, c2, c3, m, c3, c0, m]).reshape(-1, 3)
-        return np.vstack([corners, centers]), tris, cid
-
-    plus_nodes, plus_tris, plus_cid = body(0.0, 0)
-    off = plus_nodes.shape[0]
-    minus_nodes, minus_tris, minus_cid = body(-1.0, off)
-
-    nodes = np.vstack([plus_nodes, minus_nodes])
-    triangles = np.vstack([plus_tris, minus_tris])
-    tri_side = np.concatenate([np.ones(len(plus_tris), dtype=np.int64),
-                               -np.ones(len(minus_tris), dtype=np.int64)])
-
-    pairs = np.column_stack([plus_cid(xi, 0), minus_cid(xi, n_y)])
-    dirichlet = np.concatenate([plus_cid(xi, n_y), minus_cid(xi, 0)])
+    pairs = np.column_stack([cid(xi, 0), cid(xi, n_y, 1)])
+    dirichlet = np.concatenate([cid(xi, n_y), cid(xi, 0, 1)])
     # per row j: left and right edge of the plus body, then of the minus body
-    neumann = np.stack([np.column_stack([body_cid(i, yj[:-1]), body_cid(i, yj[1:])])
-                        for body_cid in (plus_cid, minus_cid) for i in (0, n_x)], axis=1)
-
-    return InterfaceMesh(nodes, triangles, tri_side, pairs, dirichlet, neumann.reshape(-1, 2))
+    neumann = np.stack([np.column_stack([cid(i, yj[:-1], body), cid(i, yj[1:], body)])
+                        for body in (0, 1) for i in (0, n_x)], axis=1)
+    return InterfaceMesh(nodes, tris, tri_side, pairs, dirichlet, neumann.reshape(-1, 2))
 
 
 def scaled(mesh: InterfaceMesh, factor: float) -> InterfaceMesh:
@@ -258,14 +264,8 @@ def load_mesh(path) -> InterfaceMesh:
         doc = json.load(f)
     try:
         tri = np.asarray(doc["triangles"], dtype=np.int64).reshape(-1, 4)
-        return InterfaceMesh(
-            np.asarray(doc["nodes"], dtype=float),
-            tri[:, :3],
-            tri[:, 3],
-            np.asarray(doc["interface_pairs"], dtype=np.int64).reshape(-1, 2),
-            np.asarray(doc["dirichlet"], dtype=np.int64),
-            np.asarray(doc["neumann_edges"], dtype=np.int64).reshape(-1, 2),
-        )
+        return InterfaceMesh(doc["nodes"], tri[:, :3], tri[:, 3], doc["interface_pairs"],
+                             doc["dirichlet"], doc["neumann_edges"])
     except KeyError as exc:
         raise MeshError(f"mesh file missing section {exc}") from exc
 

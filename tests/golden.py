@@ -3,8 +3,10 @@ with a fresh run.
 
 ``tests/golden/<document>/`` holds the CSVs that ``cohesim run`` or ``cohesim
 study`` writes for each document of ``DOCUMENTS`` (a study's under
-``level_XX/``), and ``tests/golden/frames.sha256`` one SHA-256 digest per VTK
-frame.  A fresh output passes when
+``level_XX/``), ``tests/golden/frames.sha256`` one SHA-256 digest per VTK
+frame, and ``tests/golden/check_law/<document>.txt`` what ``cohesim
+check-law`` prints for each document of ``CHECK_LAW``.  A fresh output passes
+when
 
 * it has the references' files;
 * ``kkt.csv`` and every CSV header are byte-identical: KKT is exactly 0 on
@@ -13,7 +15,10 @@ frame.  A fresh output passes when
   row, and the labels (``step``, ``level``, ``parameter``, ``status`` and
   empty fields) are equal.  ``RTOL`` is the smallest power of ten that admits
   what a second BLAS thread moved: 6.0e-12 in the 64x32 unloading tent's
-  ``tractions.csv``, whose rows hold the traction bound 1 (``cohesim.output``).
+  ``tractions.csv``, whose rows hold the traction bound 1 (``cohesim.output``);
+* a check-law report has the reference's lines, the text between the numbers
+  of a line is byte-identical, and each number is within ``RTOL`` times the
+  largest magnitude in its line.
 
 Byte differences within the tolerance, and frames whose digest differs, are
 reported, not failed: another BLAS build or thread count may sum a long dot
@@ -32,6 +37,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import re
 import shutil
 import sys
 import tempfile
@@ -43,8 +49,10 @@ GOLDEN = REPO / "tests" / "golden"
 DIGESTS = GOLDEN / "frames.sha256"
 DOCUMENTS = {"standard_ramp": "run", "unloading_tent": "run", "rest": "run",
              "regularity_ramp": "run", "study_tau": "study", "study_eps": "study"}
+CHECK_LAW = ("standard_ramp", "check_law_small_domain", "check_law_large_domain")
 RTOL = 1e-11
 LABELS = {"step", "level", "parameter", "status"}
+NUMBER = re.compile(r"(?<![\w.])[-+]?\d+(?:\.\d*)?(?:[eE][-+]?\d+)?(?![\w.])")
 
 
 @dataclass
@@ -64,6 +72,18 @@ def produce(name: str, out_dir: Path) -> None:
                      "--out", str(out_dir)])
     if code != 0:
         raise RuntimeError(f"cohesim {DOCUMENTS[name]} {name}.json exited {code}")
+
+
+def check_law(name: str) -> str:
+    """What ``cohesim check-law`` prints for document ``name``."""
+    from cohesim.cli import main
+
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["check-law", str(REPO / "scenarios" / f"{name}.json")])
+    if code != 0:
+        raise RuntimeError(f"cohesim check-law {name}.json exited {code}")
+    return out.getvalue()
 
 
 def _files(root: Path, pattern: str) -> list:
@@ -98,19 +118,55 @@ def compare_csv(path: str, ref: str, new: str) -> FileDiff:
         if len(b_row) != len(a_row):
             failure = failure or f"line {line} has {len(b_row)} fields, expected {len(a_row)}"
             continue
-        values = [(key, a, b) for key, a, b in zip(header, a_row, b_row)
-                  if key not in LABELS and a and b]
-        scale = max((abs(float(a)) for _, a, _ in values), default=0.0)
         for key, a, b in zip(header, a_row, b_row):
             if (key in LABELS or not a or not b) and a != b:
                 failure = failure or f"line {line} {key}: {b!r}, expected {a!r}"
-        for key, a, b in values:
-            d = abs(float(b) - float(a))
-            max_abs = max(max_abs, d)
-            if not d <= RTOL * scale:
-                failure = failure or (f"line {line} {key}: {b} differs from {a} by {d:.3g}, "
-                                      f"more than {RTOL:g} x {scale:.6g}")
+        row_max, row_failure = _compare_values(line, [(key, a, b) for key, a, b
+                                                      in zip(header, a_row, b_row)
+                                                      if key not in LABELS and a and b])
+        max_abs, failure = max(max_abs, row_max), failure or row_failure
     return FileDiff(path, False, max_abs, failure)
+
+
+def _compare_values(line: int, values: list) -> tuple:
+    """The largest absolute difference of the ``(name, reference, new)`` values
+    of one row, and the failure of the first that differs from its reference
+    by more than ``RTOL`` times the row's largest reference magnitude (None)."""
+    scale = max((abs(float(a)) for _, a, _ in values), default=0.0)
+    max_abs, failure = 0.0, None
+    for key, a, b in values:
+        d = abs(float(b) - float(a))
+        max_abs = max(max_abs, d)
+        if not d <= RTOL * scale:
+            failure = failure or (f"line {line} {key}: {b} differs from {a} by {d:.3g}, "
+                                  f"more than {RTOL:g} x {scale:.6g}")
+    return max_abs, failure
+
+
+def compare_report(path: str, ref: str, new: str) -> FileDiff:
+    """Compare the text ``new`` of a check-law report with its reference ``ref``."""
+    if new == ref:
+        return FileDiff(path, True, 0.0, None)
+    ref_lines, new_lines = ref.splitlines(), new.splitlines()
+    failure = None
+    if len(new_lines) != len(ref_lines):
+        failure = f"{len(new_lines)} lines, expected {len(ref_lines)}"
+    max_abs = 0.0
+    for line, (a, b) in enumerate(zip(ref_lines, new_lines), start=1):
+        a_values, b_values = NUMBER.findall(a), NUMBER.findall(b)
+        if NUMBER.split(a) != NUMBER.split(b) or len(a_values) != len(b_values):
+            failure = failure or f"line {line}: {b!r}, expected {a!r}"
+            continue
+        line_max, line_failure = _compare_values(
+            line, [(f"number {k}", x, y) for k, (x, y) in enumerate(zip(a_values, b_values), 1)])
+        max_abs, failure = max(max_abs, line_max), failure or line_failure
+    return FileDiff(path, False, max_abs, failure)
+
+
+def compare_check_law(name: str) -> FileDiff:
+    """:func:`compare_report` of the check-law report of document ``name``."""
+    path = f"check_law/{name}.txt"
+    return compare_report(path, (GOLDEN / path).read_text(), check_law(name))
 
 
 def compare(name: str, out_dir: Path) -> list:
@@ -150,6 +206,9 @@ def update(root: Path) -> None:
         lines += [f"{_digest(root / name / rel)}  {name}/{rel}"
                   for rel in _files(root / name, "*.vtk")]
     DIGESTS.write_text("".join(line + "\n" for line in lines))
+    (GOLDEN / "check_law").mkdir(exist_ok=True)
+    for name in CHECK_LAW:
+        (GOLDEN / "check_law" / f"{name}.txt").write_text(check_law(name))
 
 
 def main(argv=None) -> int:
@@ -169,6 +228,7 @@ def main(argv=None) -> int:
             print(f"references rewritten under {GOLDEN}")
             return 0
         diffs = [d for name in DOCUMENTS for d in compare(name, root / name)]
+        diffs += [compare_check_law(name) for name in CHECK_LAW]
     for d in diffs:
         if d.identical:
             status = "byte-identical"

@@ -9,7 +9,7 @@ import json
 import numpy as np
 import scipy.sparse as sp
 
-from cohesim.assembly import _MASS, Materials, _form, _geometry, assemble
+from cohesim.assembly import _MASS, Materials, assemble
 from cohesim.audit import traction_extraction
 
 
@@ -35,10 +35,24 @@ def node_scaled(ops) -> tuple:
 def per_triangle(mesh, kind: str, coef=None) -> sp.csr_matrix:
     """``sum_T coef_T int_T phi_i phi_j`` (``kind="mass"``) or
     ``sum_T coef_T int_T grad phi_i . grad phi_j`` (``"stiffness"``), with a
-    coefficient per triangle (1 when None)."""
-    area, grads = _geometry(mesh)
+    coefficient per triangle (1 when None): the element matrices of all
+    triangles at once, ``np.einsum`` for the stiffness, and one COO matrix
+    for each form."""
+    p = mesh.nodes[mesh.triangles]            # (M, 3, 2)
+    area = 0.5 * ((p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
+                  - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1]))
+    grads = np.empty((p.shape[0], 3, 2))
+    for i in range(3):
+        e = p[:, (i + 2) % 3] - p[:, (i + 1) % 3]
+        grads[:, i, 0] = -e[:, 1]
+        grads[:, i, 1] = e[:, 0]
+    grads /= (2.0 * area)[:, None, None]
     unit = _MASS if kind == "mass" else np.einsum("tik,tjk->tij", grads, grads)
-    return _form(mesh, unit, area if coef is None else np.asarray(coef, float) * area)
+    local = unit * (area if coef is None else np.asarray(coef, float) * area)[:, None, None]
+    tris = mesh.triangles
+    rows, cols = np.repeat(tris, 3, axis=1).ravel(), np.tile(tris, (1, 3)).ravel()
+    return sp.coo_matrix((local.ravel(), (rows, cols)),
+                         shape=(mesh.n_nodes, mesh.n_nodes)).tocsr()
 
 
 def bulk_residual(prev, state, ops, f) -> np.ndarray:

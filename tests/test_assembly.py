@@ -18,7 +18,7 @@ from cohesim.assembly import (
 from cohesim.config import ConfigError, parse_scenario
 from cohesim.evolution import run
 from cohesim.expressions import compile_expression
-from cohesim.mesh import build_rectangle_mesh
+from cohesim.mesh import InterfaceMesh, build_rectangle_mesh
 
 from oracles import jump_operator, node_scaled, per_triangle
 from scenarios import mild_ramp, ramp_bulk
@@ -32,6 +32,18 @@ def mesh():
 @pytest.fixture(scope="module")
 def ops(mesh):
     return assemble(mesh, Materials.constant(rho=1.0, mu=1.0, eta=1.0))
+
+
+def moved_centres(L, n_x, n_y, seed):
+    """The rectangle mesh with each cell centre (the third vertex of each
+    triangle) moved by a seeded random offset of up to 0.2 h per axis."""
+    mesh = build_rectangle_mesh(L, n_x, n_y)
+    centre = np.unique(mesh.triangles[:, 2])
+    offset = np.random.default_rng(seed).uniform(-0.2, 0.2, (centre.size, 2))
+    nodes = mesh.nodes.copy()
+    nodes[centre] += offset * [L / n_x, 1.0 / n_y]
+    return InterfaceMesh(nodes, mesh.triangles, mesh.tri_side, mesh.interface_pairs,
+                         mesh.dirichlet_nodes, mesh.neumann_edges)
 
 
 def quadrature_stiffness_oracle(mesh, coef_plus, coef_minus, n_sub=5):
@@ -83,14 +95,17 @@ class TestOperators:
         assert np.allclose(A, oracle, atol=1e-12)
 
     def test_assemble_equals_the_single_operator_builders(self, mesh):
-        # assemble shares the geometry and the unit element stiffness
-        # between its operators; each equals its own builder bit for bit
+        # assemble builds both forms on one COO index pair, a block of
+        # triangles at a time; each equals its own builder bit for bit, also
+        # where moved cell centres make the node stars asymmetric, so that
+        # another order of summing an entry's terms shows in its bytes
         materials = Materials(1.3, 0.7, 2.0, 3.0, 0.5, 1.5)
-        ops = assemble(mesh, materials)
-        for op, ref in ((ops.M_unit, per_triangle(mesh, "mass")),
-                        (ops.A_unit, per_triangle(mesh, "stiffness"))):
-            for name in ("indptr", "indices", "data"):
-                assert getattr(op, name).tobytes() == getattr(ref, name).tobytes()
+        for m in (mesh, moved_centres(1.0, 12, 6, seed=11)):
+            ops = assemble(m, materials)
+            for op, ref in ((ops.M_unit, per_triangle(m, "mass")),
+                            (ops.A_unit, per_triangle(m, "stiffness"))):
+                for name in ("indptr", "indices", "data"):
+                    assert getattr(op, name).tobytes() == getattr(ref, name).tobytes()
 
     def test_node_scaled_operators_match_the_per_triangle_builders(self, mesh):
         # the bodies share no node, so diag(c) times a unit form is the form

@@ -289,6 +289,34 @@ class TestCli:
         assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert "(H1) violated" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section, at, value, array", [
+        ("interface_pairs", (0, 1), 1000000, "interface_pairs"),
+        ("interface_pairs", (1, 0), -1, "interface_pairs"),
+        ("dirichlet", (0,), -1, "dirichlet_nodes"),
+        ("dirichlet", (2,), 22, "dirichlet_nodes"),
+        ("neumann_edges", (1, 1), 22, "neumann_edges"),
+        ("neumann_edges", (0, 0), -3, "neumann_edges"),
+    ])
+    def test_mesh_index_out_of_range_exits_2_naming_the_array(self, section, at, value, array,
+                                                             tmp_path, capsys):
+        from cohesim.mesh import build_rectangle_mesh
+        from oracles import save_mesh
+
+        # 22 nodes: each value is out of range for the index array it is put in
+        path = tmp_path / "mesh.json"
+        save_mesh(build_rectangle_mesh(3.0, 3, 1), path)
+        mesh = json.loads(path.read_text())
+        entry = mesh[section]
+        for i in at[:-1]:
+            entry = entry[i]
+        entry[at[-1]] = value
+        path.write_text(json.dumps(mesh))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(base_doc(mesh={"path": str(path)})))
+        assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"config error: 'mesh.path': {array} index out of range\n"
+
     def test_solver_failure_exits_3_with_step(self, tmp_path, capsys):
         doc = base_doc()
         doc["law"] = {"kind": "prototype", "g_c": 1.0, "xi_c": 0.2}  # beta = 50

@@ -1,4 +1,4 @@
-"""The shipped documents' outputs against their committed references
+"""The shipped documents' outputs, and check-law reports, against their committed references
 (``tests/golden.py``): KKT and headers byte for byte, every other value
 within ``golden.RTOL`` of its row's scale; byte differences are reported."""
 
@@ -18,6 +18,14 @@ def test_outputs_match_the_references(name, tmp_path):
         warnings.warn(f"{name}: within tolerance but not byte-identical: {', '.join(moved)}")
     assert [f"{d.path}: {d.failure}" for d in diffs if d.failure] == []
     assert sum(d.path.endswith(".csv") for d in diffs) >= 3
+
+
+@pytest.mark.parametrize("name", golden.CHECK_LAW)
+def test_check_law_report_matches_the_reference(name):
+    diff = golden.compare_check_law(name)
+    if not diff.identical and diff.failure is None:
+        warnings.warn(f"{diff.path}: within tolerance but not byte-identical")
+    assert diff.failure is None
 
 
 def moved(path, line, column, delta):
@@ -63,3 +71,16 @@ class TestComparison:
         failures = [(d.path, d.failure) for d in golden.compare("standard_ramp", tmp_path)
                     if d.failure]
         assert failures == [("standard_ramp/fields_0020.vtk", "missing")]
+
+    def test_a_report_number_moved_by_1e_9_or_its_text_changed_fails(self):
+        path = "check_law/check_law_small_domain.txt"
+        ref = (golden.GOLDEN / path).read_text()
+        c_hat = "c_hat = 1.000000000000002"
+        assert c_hat in ref
+        diff = golden.compare_report(path, ref, ref.replace(c_hat, "c_hat = 1.000000001000002"))
+        assert diff.failure.startswith("line 6 number 1: 1.000000001000002 differs")
+        diff = golden.compare_report(path, ref, ref.replace(c_hat, "c_hat = 1.0000000000000022"))
+        assert diff.failure is None and not diff.identical
+        assert golden.compare_report(path, ref, ref.replace("(holds)", "(fails)")).failure == (
+            "line 7: 'H4 margin (mu*c_hat - beta) = 0.500000000000002 (fails)', expected "
+            "'H4 margin (mu*c_hat - beta) = 0.500000000000002 (holds)'")

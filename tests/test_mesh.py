@@ -171,11 +171,15 @@ def edits(*fns):
 
 
 # one corruption of the 3x1 rectangle mesh of length 3 per MeshError of
-# _validate_and_build.  Its nodes: plus corners 0-3 at y = 0 and 4-7 at y = 1,
-# centres 8-10; minus corners 11-14 at y = -1 and 15-18 at y = 0, centres
-# 19-21; pairs (0, 15) ... (3, 18); Neumann (0, 4), (3, 7), (11, 15), (14, 18)
+# _validate_and_build (an index out of range: one per array).  Its nodes: plus
+# corners 0-3 at y = 0 and 4-7 at y = 1, centres 8-10; minus corners 11-14 at
+# y = -1 and 15-18 at y = 0, centres 19-21; pairs (0, 15) ... (3, 18);
+# Neumann (0, 4), (3, 7), (11, 15), (14, 18)
 MESH_ERRORS = {
     "triangle_index": (put("triangles", (0, 0), 22), r"triangle vertex index out of range"),
+    "pair_index": (put("interface_pairs", (0, 1), 22), r"interface_pairs index out of range"),
+    "dirichlet_index": (put("dirichlet_nodes", 0, -1), r"dirichlet_nodes index out of range"),
+    "neumann_index": (put("neumann_edges", (0, 0), -1), r"neumann_edges index out of range"),
     "degenerate": (put("nodes", 8, [0.5, 0.0]), r"degenerate \(zero-area\) triangle 0$"),
     "side_tag": (put("tri_side", 0, 0), r"triangle side tag must be \+1 or -1"),
     "side_length": (replaced("tri_side", lambda s: s[:-1]),
