@@ -80,7 +80,7 @@ def _traction_audit(law, ops, rows: list):
 def _write_frames(cfg: ScenarioConfig, out_dir: str, record) -> None:
     """One VTK frame per snapshot step of ``record``, if the scenario asks
     for VTK: ``u``, ``v`` and ``xi`` on both nodes of each interface pair."""
-    if not cfg.output.vtk:
+    if not cfg.vtk:
         return
     mesh = cfg.scenario.mesh
     geometry = vtk_geometry(mesh)
@@ -109,7 +109,7 @@ def _execute_run(cfg: ScenarioConfig, out_dir: str, ops=None):
     tractions = []
     try:
         record = run(scenario, callbacks=_traction_audit(scenario.law, ops, tractions),
-                     ops=ops, snapshot_stride=cfg.output.snapshot_stride)
+                     ops=ops, snapshot_stride=cfg.snapshot_stride)
     except EvolutionError as exc:
         if exc.partial is not None:
             _write_frames(cfg, out_dir, exc.partial)
@@ -152,7 +152,7 @@ def _study_levels(spec):
     level ``i``, 1 otherwise.
     """
     base = spec.base
-    if spec.kind == "h_refinement" and "path" in base.raw.get("mesh", {}):
+    if spec.kind == "h_refinement" and "path" in base.raw["mesh"]:
         raise ConfigError("h_refinement requires an inline rectangle mesh")
     if spec.kind == "single":
         configs = [(base.scenario.n, base)]
@@ -174,8 +174,7 @@ def _study_levels(spec):
             doc["mesh"]["n_y"] *= 2**i
             configs.append((doc["mesh"]["n_x"], parse_scenario(doc) if i else base))
     tau = spec.kind == "tau_refinement"
-    return [(f"level_{i:02d}", param,
-             replace(cfg, output=replace(cfg.output, snapshot_stride=2**i if tau else 1)))
+    return [(f"level_{i:02d}", param, replace(cfg, snapshot_stride=2**i if tau else 1))
             for i, (param, cfg) in enumerate(configs)]
 
 

@@ -33,8 +33,8 @@ from .expressions import ExpressionError, compile_expression
 from .law import CohesiveLaw, HypothesisError, PrototypeEnvelope, TabulatedEnvelope
 from .mesh import InterfaceMesh, MeshError, build_rectangle_mesh, load_mesh, scaled
 
-__all__ = ["ConfigError", "OutputOptions", "ScenarioConfig", "StudySpec", "check_time_steps",
-           "load_scenario_file", "load_study_file", "parse_scenario", "parse_study"]
+__all__ = ["ConfigError", "ScenarioConfig", "StudySpec", "check_time_steps", "load_scenario_file",
+           "load_study_file", "parse_scenario", "parse_study"]
 
 
 class ConfigError(ValueError):
@@ -44,12 +44,19 @@ class ConfigError(ValueError):
 _FLOAT_MAX = np.finfo(float).max
 
 
-def _section(doc: dict, name: str, required=(), optional=()) -> dict:
+def _object(doc: dict, name: str) -> dict:
+    """The section ``doc[name]``, which must be there and be an object."""
     if name not in doc:
         raise ConfigError(f"missing section '{name}'")
-    sec = doc[name]
-    if not isinstance(sec, dict):
+    if not isinstance(doc[name], dict):
         raise ConfigError(f"section '{name}' must be an object")
+    return doc[name]
+
+
+def _section(doc: dict, name: str, required=(), optional=()) -> dict:
+    """The section ``name`` with every key in ``required`` and none outside
+    ``required`` and ``optional``."""
+    sec = _object(doc, name)
     allowed = set(required) | set(optional)
     for key in sec:
         if key not in allowed:
@@ -84,44 +91,33 @@ def _integer(val, name: str, minimum: int) -> int:
     return val
 
 
-def _expr(sec: dict, section: str, key: str, variables, default=None):
-    if key not in sec:
-        if default is None:
-            raise ConfigError(f"missing key '{section}.{key}'")
-        return compile_expression(default, variables)
+def _expr(sec: dict, section: str, key: str, variables):
+    """The expression ``sec[key]`` compiled, 0 when absent."""
     try:
-        return compile_expression(sec[key], variables)
+        return compile_expression(sec.get(key, 0.0), variables)
     except ExpressionError as exc:
         raise ConfigError(f"'{section}.{key}': {exc}") from exc
 
 
 @dataclass
-class OutputOptions:
-    snapshot_stride: int
-    vtk: bool
-
-
-@dataclass
 class ScenarioConfig:
-    """Parsed scenario: a built :class:`Scenario` plus output options."""
+    """Parsed scenario: a built :class:`Scenario` plus its output options."""
 
     scenario: Scenario
-    output: OutputOptions
+    snapshot_stride: int
+    vtk: bool
     raw: dict
 
 
 def _build_mesh(doc: dict) -> InterfaceMesh:
-    sec = doc["mesh"]
-    if not isinstance(sec, dict):
-        raise ConfigError("section 'mesh' must be an object")
-    if "path" in sec:
-        extra = set(sec) - {"path"}
-        if extra:
-            raise ConfigError(f"unknown key 'mesh.{sorted(extra)[0]}'")
+    if "path" in _object(doc, "mesh"):
+        path = _section(doc, "mesh", required=("path",))["path"]
+        if not isinstance(path, str):
+            raise ConfigError("'mesh.path' must be a string")
         try:
-            return load_mesh(sec["path"])
+            return load_mesh(path)
         except FileNotFoundError as exc:
-            raise ConfigError(f"'mesh.path': cannot read {sec['path']}") from exc
+            raise ConfigError(f"'mesh.path': cannot read {path}") from exc
         except MeshError as exc:
             raise ConfigError(f"'mesh.path': {exc}") from exc
     sec = _section(doc, "mesh", required=("kind", "L", "n_x", "n_y"), optional=("scale",))
@@ -130,27 +126,21 @@ def _build_mesh(doc: dict) -> InterfaceMesh:
     L = _positive(sec, "mesh", "L")
     n_x = _integer(sec["n_x"], "mesh.n_x", 1)
     n_y = _integer(sec["n_y"], "mesh.n_y", 1)
+    scale = _positive(sec, "mesh", "scale") if "scale" in sec else None
     try:
         mesh = build_rectangle_mesh(L, n_x, n_y)
+        return mesh if scale is None else scaled(mesh, scale)
     except MeshError as exc:
         raise ConfigError(f"mesh: {exc}") from exc
-    if "scale" in sec:
-        mesh = scaled(mesh, _positive(sec, "mesh", "scale"))
-    return mesh
 
 
 def _build_materials(doc: dict) -> Materials:
-    sec = doc.get("materials")
-    if not isinstance(sec, dict):
-        raise ConfigError("missing section 'materials'")
-    if "rho" in sec or "mu" in sec or "eta" in sec:
-        sec = _section(doc, "materials", required=("rho", "mu", "eta"))
-        return Materials.constant(_positive(sec, "materials", "rho"),
-                                  _positive(sec, "materials", "mu"),
-                                  _positive(sec, "materials", "eta"))
-    keys = ("rho_plus", "rho_minus", "mu_plus", "mu_minus", "eta_plus", "eta_minus")
+    keys = ("rho", "mu", "eta")
+    if not _object(doc, "materials").keys() & set(keys):
+        keys = ("rho_plus", "rho_minus", "mu_plus", "mu_minus", "eta_plus", "eta_minus")
     sec = _section(doc, "materials", required=keys)
-    return Materials(*[_positive(sec, "materials", k) for k in keys])
+    values = [_positive(sec, "materials", k) for k in keys]
+    return Materials.constant(*values) if len(keys) == 3 else Materials(*values)
 
 
 def _table(sec: dict, key: str) -> np.ndarray:
@@ -163,8 +153,7 @@ def _table(sec: dict, key: str) -> np.ndarray:
 def _initial(sec: dict, key: str, x, y) -> np.ndarray:
     """The ``initial`` field ``key`` at the points ``(x, y)`` (0 when absent)."""
     with np.errstate(all="ignore"):     # the finiteness test below names the field
-        val = np.asarray(_expr(sec, "initial", key, ("x", "y"), default=0.0)(x=x, y=y),
-                         dtype=float)
+        val = np.asarray(_expr(sec, "initial", key, ("x", "y"))(x=x, y=y), dtype=float)
     if not np.all(np.isfinite(val)):
         raise ConfigError(f"'initial.{key}' must be finite at every node")
     return val
@@ -172,14 +161,11 @@ def _initial(sec: dict, key: str, x, y) -> np.ndarray:
 
 def build_law(doc: dict) -> CohesiveLaw:
     """Build and validate the cohesive law from the 'law' section."""
-    sec = doc.get("law")
-    if not isinstance(sec, dict) or "kind" not in sec:
-        raise ConfigError("missing section 'law' with a 'kind'")
-    if sec["kind"] == "prototype":
+    kind = _object(doc, "law").get("kind")
+    if kind == "prototype":
         sec = _section(doc, "law", required=("kind", "g_c", "xi_c"))
-        env = PrototypeEnvelope(_positive(sec, "law", "g_c"),
-                                _positive(sec, "law", "xi_c"))
-    elif sec["kind"] == "tabulated":
+        env = PrototypeEnvelope(_positive(sec, "law", "g_c"), _positive(sec, "law", "xi_c"))
+    elif kind == "tabulated":
         sec = _section(doc, "law", required=("kind", "w", "psi", "dpsi"))
         env = TabulatedEnvelope(*[_table(sec, key) for key in ("w", "psi", "dpsi")])
     else:
@@ -230,17 +216,16 @@ def parse_scenario(doc: dict) -> ScenarioConfig:
     n = _integer(tsec["n"], "time.n", 1)
     check_time_steps(T, n, materials, mesh.n_pairs)
 
-    lsec = _section(doc, "loads", required=(), optional=("bulk", "surface"))
+    lsec = _section(doc, "loads", optional=("bulk", "surface"))
     # compile every given load, so a malformed one fails; a zero one then builds no rule
-    fns = {key: _expr(lsec, "loads", key, ("x", "y", "t")) for key in ("bulk", "surface")
-           if key in lsec}
+    fns = {key: _expr(lsec, "loads", key, ("x", "y", "t")) for key in lsec}
     fns = {key: fn for key, fn in fns.items() if lsec[key] != 0}
     try:
         loads = LoadModel.from_functions(mesh, T, **fns)
     except LoadError as exc:
         raise ConfigError("'loads.{}' is not finite at t = {!r}".format(*exc.args)) from exc
 
-    isec = _section(doc, "initial", required=(), optional=("u0", "v0", "xi0", "w0"))
+    isec = _section(doc, "initial", optional=("u0", "v0", "xi0", "w0"))
     xs, ys = mesh.nodes[:, 0], mesh.nodes[:, 1]
     u0 = _initial(isec, "u0", xs, ys)
     v0 = _initial(isec, "v0", xs, ys)
@@ -255,20 +240,18 @@ def parse_scenario(doc: dict) -> ScenarioConfig:
     if not isinstance(reg_mode, bool):
         raise ConfigError("'regularization.regularity_mode' must be a boolean")
 
-    osec = _section(doc, "output", required=(),
-                    optional=("snapshot_stride", "vtk")) if "output" in doc else {}
+    osec = _section(doc, "output", optional=("snapshot_stride", "vtk")) if "output" in doc else {}
     stride = _integer(osec.get("snapshot_stride", 1), "output.snapshot_stride", 1)
     vtk = osec.get("vtk", False)
     if not isinstance(vtk, bool):
         raise ConfigError("'output.vtk' must be a boolean")
-    out = OutputOptions(snapshot_stride=stride, vtk=vtk)
 
     try:
         scenario = Scenario(mesh, materials, law, loads, T, n, u0, v0, xi0,
                             eps_bar, regularity_mode=reg_mode, w0=w0)
     except ValueError as exc:
         raise ConfigError(f"initial data: {exc}") from exc
-    return ScenarioConfig(scenario=scenario, output=out, raw=doc)
+    return ScenarioConfig(scenario, snapshot_stride=stride, vtk=vtk, raw=doc)
 
 
 @dataclass
@@ -314,7 +297,7 @@ def parse_study(doc: dict) -> StudySpec:
 
 
 def _read_json(path):
-    with open(path) as f:
+    with open(path, encoding="utf-8", errors="replace") as f:   # a non-UTF-8 byte is U+FFFD
         try:
             return json.load(f)
         except json.JSONDecodeError as exc:

@@ -86,8 +86,6 @@ def _terms(node, variables):
 
 
 def _compile_node(node, variables):
-    if isinstance(node, ast.Expression):
-        return _compile_node(node.body, variables)
     if isinstance(node, ast.Constant):
         if isinstance(node.value, (int, float)):
             val = float(node.value)
@@ -135,7 +133,8 @@ def _compile_node(node, variables):
 
 
 def compile_expression(source, variables=("x", "y", "t")):
-    """Compile ``source`` into ``f(*vars) -> array``; numbers pass through.
+    """Compile ``source``, a string or a number (the constant expression),
+    into ``f(*vars) -> array``.
 
     The returned callable broadcasts over array-valued variables and accepts
     them positionally, in the order of ``variables``, or by name.  Each call
@@ -150,24 +149,16 @@ def compile_expression(source, variables=("x", "y", "t")):
     """
     variables = tuple(variables)
     if isinstance(source, (int, float)) and not isinstance(source, bool):
-        val = float(source)
-
-        def constant(*args, **env):
-            env.update(zip(variables, args))
-            if env:
-                shape = np.broadcast(*[np.asarray(v) for v in env.values()]).shape
-                return np.full(shape, val)
-            return val
-
-        constant.terms = ((lambda **env: val, _factor(None, ())),) if "t" in variables else None
-        return constant
-    if not isinstance(source, str):
-        raise ExpressionError(f"expected a number or expression string, got {type(source).__name__}")
-    try:
-        tree = ast.parse(source, mode="eval")
-    except SyntaxError as exc:
-        raise ExpressionError(f"invalid expression {source!r}: {exc.msg}") from exc
-    fn = _compile_node(tree, frozenset(variables))
+        body = ast.Constant(source)
+    elif isinstance(source, str):
+        try:
+            body = ast.parse(source, mode="eval").body
+        except SyntaxError as exc:
+            raise ExpressionError(f"invalid expression {source!r}: {exc.msg}") from exc
+    else:
+        raise ExpressionError("expected a number or expression string, got "
+                              f"{type(source).__name__}")
+    fn = _compile_node(body, frozenset(variables))
 
     def evaluate(*args, **env):
         env.update(zip(variables, args))
@@ -179,7 +170,7 @@ def compile_expression(source, variables=("x", "y", "t")):
             out = np.broadcast_arrays(*(list(env.values()) + [np.asarray(out, float)]))[-1]
         return out
 
-    terms = _terms(tree.body, frozenset(variables)) if "t" in variables else None
+    terms = _terms(body, frozenset(variables)) if "t" in variables else None
     space = tuple(v for v in variables if v != "t")
     evaluate.terms = None if terms is None else tuple(
         (_factor(g, ("t",)), _factor(F, space)) for g, F in terms)

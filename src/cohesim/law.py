@@ -175,12 +175,14 @@ class LawConstants:
     h3_holds: bool
 
 
-_N_SAMPLES = 513     # openings at which validate_envelope samples (H1)
+_N_SAMPLES = 513     # openings on [0, xi_c] at which law_constants samples the envelope
 
 
-def validate_envelope(env) -> None:
-    """Check (H1) on a sample grid and (H2) through ``env.beta()``; raise
-    :class:`HypothesisError` naming the violated hypothesis."""
+def law_constants(env) -> LawConstants:
+    """Check (H1) and (H2) of ``env``, raising :class:`HypothesisError` naming
+    the violated one, and compute its derived constants.  One ``value_slope``
+    pass samples ``[0, xi_c]``, and (H3) is midpoint concavity of ``psi_hat'``
+    on it: the odd samples are the midpoints of the even ones."""
     xi_c = env.xi_c
     if xi_c <= 0.0:
         raise HypothesisError("(H1) violated: critical opening xi_c must be positive")
@@ -200,25 +202,17 @@ def validate_envelope(env) -> None:
     far_vals, far_slopes = env.value_slope(np.array([1.5 * xi_c, 3.0 * xi_c]))
     if np.any(np.abs(far_vals - env.psi_at_cap) > tol) or np.any(far_slopes != 0.0):
         raise HypothesisError("(H1) violated: psi_hat must be constant beyond xi_c")
-    if env.beta() <= 0.0:
+    beta = float(env.beta())
+    if beta <= 0.0:
         raise HypothesisError(
             "(H2) violated: beta = -min psi_hat'' must be positive (linear envelope)"
         )
-
-
-def law_constants(env) -> LawConstants:
-    """Validate ``env`` and compute its derived constants."""
-    validate_envelope(env)
-    beta = env.beta()
-    # h3: discrete midpoint concavity of psi_hat' on [0, xi_c], from the
-    # slopes at the knots ws (ws[0] = 0 gives the threshold) and midpoints
-    ws = np.linspace(0.0, env.xi_c, 257)
-    slopes = env.value_slope(np.concatenate([ws, 0.5 * (ws[:-1] + ws[1:])]))[1]
     psi_prime_0 = float(slopes[0])
-    mid, chord = slopes[ws.size:], 0.5 * (slopes[:ws.size - 1] + slopes[1:ws.size])
-    h3 = bool(np.all(mid >= chord - 1e-10 * max(1.0, psi_prime_0)))
-    return LawConstants(beta=float(beta), psi_prime_0=psi_prime_0,
-                        lambda_conv=-0.5 * float(beta), h3_holds=h3)
+    knots = slopes[::2]
+    h3 = bool(np.all(slopes[1::2] >= 0.5 * (knots[:-1] + knots[1:])
+                     - 1e-10 * max(1.0, psi_prime_0)))
+    return LawConstants(beta=beta, psi_prime_0=psi_prime_0, lambda_conv=-0.5 * beta,
+                        h3_holds=h3)
 
 
 class CohesiveLaw:

@@ -41,6 +41,28 @@ def _vertex_blocks(nodes: np.ndarray, triangles: np.ndarray):
         yield slice(s, s + _BLOCK), nodes[:, 0][t], nodes[:, 1][t]
 
 
+def _array(name: str, val, dtype, width=None) -> np.ndarray:
+    """``val`` as a C-contiguous ``dtype`` array, 1-D or of rows of ``width``,
+    not copied if it is one; else a :class:`MeshError` naming ``name``: for
+    another shape, or an entry that is not a number (a whole one for ints)."""
+    shape = "(n,)" if width is None else f"(n, {width})"
+    try:
+        a = np.asarray(val)
+    except ValueError:      # ragged rows
+        raise MeshError(f"{name} must be an array of shape {shape}") from None
+    if width is not None and a.size == 0:
+        a = a.reshape(0, width)     # an empty list has no columns
+    if a.shape[1:] != (() if width is None else (width,)) or a.ndim == 0:
+        raise MeshError(f"{name} must be an array of shape {shape}")
+    if a.dtype.kind in "iuf":
+        with np.errstate(invalid="ignore"):     # a NaN or one out of range casts to garbage
+            cast = a.astype(dtype, copy=False)
+        if cast is a or np.array_equal(cast, a):
+            return np.ascontiguousarray(cast)
+    whole = np.issubdtype(dtype, np.integer)
+    raise MeshError(f"{name} must hold {'whole ' if whole else ''}numbers")
+
+
 def _triangle_areas(nodes: np.ndarray, triangles: np.ndarray) -> np.ndarray:
     """Signed areas of the triangles ``(M, 3)`` of ``nodes``."""
     area = np.empty(len(triangles))
@@ -67,12 +89,12 @@ class InterfaceMesh:
     interface_endpoint: np.ndarray = field(init=False)  # (P,) bool, polyline endpoints
 
     def __post_init__(self):
-        self.nodes = np.asarray(self.nodes, dtype=float)
-        self.triangles = np.ascontiguousarray(self.triangles, dtype=np.int64)
-        self.tri_side = np.ascontiguousarray(self.tri_side, dtype=np.int64)
-        self.interface_pairs = np.asarray(self.interface_pairs, dtype=np.int64).reshape(-1, 2)
-        self.dirichlet_nodes = np.asarray(self.dirichlet_nodes, dtype=np.int64)
-        self.neumann_edges = np.asarray(self.neumann_edges, dtype=np.int64).reshape(-1, 2)
+        self.nodes = _array("nodes", self.nodes, np.float64, 2)
+        self.triangles = _array("triangles", self.triangles, np.int64, 3)
+        self.tri_side = _array("tri_side", self.tri_side, np.int64)
+        self.interface_pairs = _array("interface_pairs", self.interface_pairs, np.int64, 2)
+        self.dirichlet_nodes = _array("dirichlet_nodes", self.dirichlet_nodes, np.int64)
+        self.neumann_edges = _array("neumann_edges", self.neumann_edges, np.int64, 2)
         self._validate_and_build()
 
     @property
@@ -97,6 +119,8 @@ class InterfaceMesh:
 
     def _validate_and_build(self):
         nodes, tris, side, N = self.nodes, self.triangles, self.tri_side, self.n_nodes
+        if not np.isfinite(nodes).all():
+            raise MeshError("node coordinates must be finite")
         for name, index in (("triangle vertex", tris), ("interface_pairs", self.interface_pairs),
                             ("dirichlet_nodes", self.dirichlet_nodes),
                             ("neumann_edges", self.neumann_edges)):
@@ -260,10 +284,15 @@ def scaled(mesh: InterfaceMesh, factor: float) -> InterfaceMesh:
 
 def load_mesh(path) -> InterfaceMesh:
     """Read the JSON mesh format (all indices 0-based) and validate it."""
-    with open(path) as f:
-        doc = json.load(f)
+    with open(path, encoding="utf-8", errors="replace") as f:   # a non-UTF-8 byte is U+FFFD
+        try:
+            doc = json.load(f)
+        except json.JSONDecodeError as exc:
+            raise MeshError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    if not isinstance(doc, dict):
+        raise MeshError("a mesh file must hold a JSON object")
     try:
-        tri = np.asarray(doc["triangles"], dtype=np.int64).reshape(-1, 4)
+        tri = _array("triangles", doc["triangles"], np.int64, 4)
         return InterfaceMesh(doc["nodes"], tri[:, :3], tri[:, 3], doc["interface_pairs"],
                              doc["dirichlet"], doc["neumann_edges"])
     except KeyError as exc:

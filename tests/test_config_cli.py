@@ -317,6 +317,81 @@ class TestCli:
         out, err = capsys.readouterr()
         assert out == "" and err == f"config error: 'mesh.path': {array} index out of range\n"
 
+    @staticmethod
+    def run_mesh_file(tmp_path, capsys, edit):
+        """``cohesim run`` on a scenario whose mesh file is the 3x1 rectangle's
+        as ``edit`` leaves its document, or the text ``edit`` returns; gives
+        the exit code and the standard error."""
+        from cohesim.mesh import build_rectangle_mesh
+        from oracles import save_mesh
+
+        path = tmp_path / "mesh.json"
+        save_mesh(build_rectangle_mesh(3.0, 3, 1), path)
+        mesh = json.loads(path.read_text())
+        text = edit(mesh)
+        path.write_text(json.dumps(mesh) if text is None else text)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(base_doc(mesh={"path": str(path)})))
+        code = main(["run", str(cfg), "--out", str(tmp_path / "o")])
+        out, err = capsys.readouterr()
+        assert out == "" and "Traceback" not in err
+        return code, err
+
+    @pytest.mark.parametrize("section, at, value, array", [
+        ("interface_pairs", (0, 0), 0.9, "interface_pairs"),
+        ("dirichlet", (0,), 4.7, "dirichlet_nodes"),
+        ("triangles", (0, 1), 1.5, "triangles"),
+        ("triangles", (0, 3), 0.5, "triangles"),
+    ])
+    def test_fractional_mesh_index_exits_2_naming_the_array(self, section, at, value, array,
+                                                            tmp_path, capsys):
+        def edit(mesh):
+            entry = mesh[section]
+            for i in at[:-1]:
+                entry = entry[i]
+            entry[at[-1]] = value
+
+        code, err = self.run_mesh_file(tmp_path, capsys, edit)
+        assert (code, err) == (2, f"config error: 'mesh.path': {array} must hold whole numbers\n")
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda mesh: json.dumps(mesh)[:-1], "invalid JSON at line 1: "),
+        (lambda mesh: json.dumps(list(mesh)), "a mesh file must hold a JSON object"),
+        (lambda mesh: mesh["nodes"][2].__setitem__(1, "0.5"), "nodes must hold numbers"),
+        (lambda mesh: mesh.update(interface_pairs=sum(mesh["interface_pairs"], [])),
+         "interface_pairs must be an array of shape (n, 2)"),
+        (lambda mesh: mesh["neumann_edges"].append([4]),
+         "neumann_edges must be an array of shape (n, 2)"),
+        (lambda mesh: mesh.update(triangles=[row[:3] for row in mesh["triangles"]]),
+         "triangles must be an array of shape (n, 4)"),
+        (lambda mesh: mesh["nodes"][8].__setitem__(0, float("nan")),
+         "node coordinates must be finite"),
+    ], ids=["truncated", "list", "text_coordinate", "flat_pairs", "short_neumann_row",
+            "three_column_triangles", "nan_coordinate"])
+    def test_malformed_mesh_file_exits_2_with_one_line(self, edit, message, tmp_path, capsys):
+        code, err = self.run_mesh_file(tmp_path, capsys, edit)
+        assert code == 2 and err.startswith(f"config error: 'mesh.path': {message}")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("section, value, message", [
+        ("mesh", None, "missing section 'mesh'"),
+        ("materials", [1.0, 1.0, 1.0], "section 'materials' must be an object"),
+        ("law", {"g_c": 1.0, "xi_c": 1.0}, "'law.kind' must be 'prototype' or 'tabulated'"),
+        ("law", "prototype", "section 'law' must be an object"),
+        ("mesh", {"path": 3}, "'mesh.path' must be a string"),
+    ])
+    def test_missing_or_malformed_section_exits_2(self, section, value, message, tmp_path,
+                                                  capsys):
+        doc = base_doc()
+        if value is None:
+            del doc[section]
+        else:
+            doc[section] = value
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
     def test_solver_failure_exits_3_with_step(self, tmp_path, capsys):
         doc = base_doc()
         doc["law"] = {"kind": "prototype", "g_c": 1.0, "xi_c": 0.2}  # beta = 50
@@ -386,6 +461,13 @@ class TestCli:
         study.write_text(json.dumps({**doc, "base": base_doc()}))
         assert main(["study", str(study), "--out", str(tmp_path / "o")]) == 2
         assert f"'{key}'" in capsys.readouterr().err
+
+    def test_config_file_not_utf8_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b"\xff\xfe" + json.dumps(base_doc()).encode())
+        assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (f"config error: {cfg}: invalid JSON at line 1: "
+                                           "Expecting value\n")
 
     def test_missing_config_exits_4(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "nope.json"),

@@ -376,7 +376,7 @@ class TestRun:
                 configs = [cfg for _, _, cfg in _study_levels(load_study_file(path))]
             else:
                 configs = [load_scenario_file(path)]
-            iters = sum(int(run(cfg.scenario, snapshot_stride=cfg.output.snapshot_stride)
+            iters = sum(int(run(cfg.scenario, snapshot_stride=cfg.snapshot_stride)
                             .newton_iters.sum()) for cfg in configs)
             assert iters <= bound, name
 

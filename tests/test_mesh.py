@@ -153,6 +153,14 @@ def put(name, index, value):
     return edit
 
 
+def put_float(name, index, value):
+    """``put`` into the array made float first, so a fractional value stays."""
+    def edit(a):
+        a[name] = a[name].astype(float)
+        a[name][index] = value
+    return edit
+
+
 def replaced(name, fn):
     def edit(a):
         a[name] = fn(a[name])
@@ -170,12 +178,46 @@ def edits(*fns):
     return edit
 
 
-# one corruption of the 3x1 rectangle mesh of length 3 per MeshError of
-# _validate_and_build (an index out of range: one per array).  Its nodes: plus
+# one corruption of the 3x1 rectangle mesh of length 3 per MeshError of the
+# array conversion and of _validate_and_build (a wrong shape, a non-number, a
+# fractional and an out-of-range index: one per array).  Its nodes: plus
 # corners 0-3 at y = 0 and 4-7 at y = 1, centres 8-10; minus corners 11-14 at
 # y = -1 and 15-18 at y = 0, centres 19-21; pairs (0, 15) ... (3, 18);
 # Neumann (0, 4), (3, 7), (11, 15), (14, 18)
 MESH_ERRORS = {
+    "nodes_columns": (replaced("nodes", lambda n: np.column_stack([n, n[:, 0]])),
+                      r"nodes must be an array of shape \(n, 2\)$"),
+    "triangle_columns": (replaced("triangles", lambda t: t[:, :2]),
+                         r"triangles must be an array of shape \(n, 3\)$"),
+    "side_rows": (replaced("tri_side", lambda s: s[:, None]),
+                  r"tri_side must be an array of shape \(n,\)$"),
+    "pairs_flat": (replaced("interface_pairs", np.ravel),
+                   r"interface_pairs must be an array of shape \(n, 2\)$"),
+    "pairs_odd": (replaced("interface_pairs", lambda p: p.tolist() + [[1]]),
+                  r"interface_pairs must be an array of shape \(n, 2\)$"),
+    "dirichlet_rows": (replaced("dirichlet_nodes", lambda d: d.reshape(2, -1)),
+                       r"dirichlet_nodes must be an array of shape \(n,\)$"),
+    "neumann_flat": (replaced("neumann_edges", np.ravel),
+                     r"neumann_edges must be an array of shape \(n, 2\)$"),
+    "node_text": (replaced("nodes", lambda n: n.astype(str)), r"nodes must hold numbers$"),
+    "pair_none": (replaced("interface_pairs", lambda p: [[None, 15]] + p[1:].tolist()),
+                  r"interface_pairs must hold whole numbers$"),
+    "side_bool": (replaced("tri_side", lambda s: s > 0), r"tri_side must hold whole numbers$"),
+    "node_nan": (put("nodes", (8, 0), np.nan), r"node coordinates must be finite$"),
+    "node_inf": (put("nodes", (5, 1), np.inf), r"node coordinates must be finite$"),
+    "triangle_fraction": (put_float("triangles", (0, 1), 1.5),
+                          r"triangles must hold whole numbers$"),
+    "side_fraction": (put_float("tri_side", 0, 0.5), r"tri_side must hold whole numbers$"),
+    "pair_fraction": (put_float("interface_pairs", (0, 0), 0.9),
+                      r"interface_pairs must hold whole numbers$"),
+    "pair_nan": (put_float("interface_pairs", (2, 1), np.nan),
+                 r"interface_pairs must hold whole numbers$"),
+    "pair_beyond_int64": (put_float("interface_pairs", (2, 1), 1e30),
+                          r"interface_pairs must hold whole numbers$"),
+    "dirichlet_fraction": (put_float("dirichlet_nodes", 0, 4.7),
+                           r"dirichlet_nodes must hold whole numbers$"),
+    "neumann_fraction": (put_float("neumann_edges", (1, 1), 7.25),
+                         r"neumann_edges must hold whole numbers$"),
     "triangle_index": (put("triangles", (0, 0), 22), r"triangle vertex index out of range"),
     "pair_index": (put("interface_pairs", (0, 1), 22), r"interface_pairs index out of range"),
     "dirichlet_index": (put("dirichlet_nodes", 0, -1), r"dirichlet_nodes index out of range"),
@@ -245,6 +287,22 @@ class TestMeshErrors:
             InterfaceMesh(**arrays)
 
 
+    def test_integer_arrays_are_taken_without_a_copy(self):
+        mesh = build_rectangle_mesh(3.0, 3, 1)
+        again = InterfaceMesh(*(getattr(mesh, name) for name in self.FIELDS))
+        for name in ("nodes", "triangles", "tri_side", "interface_pairs", "neumann_edges"):
+            assert getattr(again, name) is getattr(mesh, name), name
+
+    def test_whole_floats_are_taken_as_indices(self):
+        mesh = build_rectangle_mesh(3.0, 3, 1)
+        arrays = {name: getattr(mesh, name).astype(float) for name in self.FIELDS}
+        again = InterfaceMesh(**arrays)
+        for name in self.FIELDS:
+            got, ref = getattr(again, name), getattr(mesh, name)
+            assert got.dtype == ref.dtype and np.array_equal(got, ref), name
+        assert np.array_equal(again.interface_weights, mesh.interface_weights)
+
+
 class TestMeshFile:
     def test_round_trip(self, tmp_path):
         mesh = build_rectangle_mesh(1.0, 2, 2)
@@ -276,6 +334,29 @@ class TestMeshFile:
         doc["nodes"][p][1] += 1e-3
         path.write_text(json.dumps(doc))
         with pytest.raises(MeshError, match="not coincident"):
+            load_mesh(path)
+
+    @pytest.mark.parametrize("text, message", [
+        (b'{"nodes": [[0.0, 0.0],', r"invalid JSON at line 1: Expecting value$"),
+        (b'{"nodes": []}\n}', r"invalid JSON at line 2: Extra data$"),
+        (b'\xff\xfe{"nodes": []}', r"invalid JSON at line 1: Expecting value$"),
+        (b"[]", r"a mesh file must hold a JSON object$"),
+        (b'"mesh"', r"a mesh file must hold a JSON object$"),
+    ])
+    def test_a_file_that_is_no_json_object_rejected(self, text, message, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_bytes(text)
+        with pytest.raises(MeshError, match=message):
+            load_mesh(path)
+
+    def test_three_column_triangle_rows_rejected(self, tmp_path):
+        # they used to be read as rows of 4: [i, j, k, side] of a different triangle
+        path = tmp_path / "bad.json"
+        save_mesh(build_rectangle_mesh(3.0, 3, 1), path)
+        doc = json.loads(path.read_text())
+        doc["triangles"] = [row[:3] for row in doc["triangles"]]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(MeshError, match=r"triangles must be an array of shape \(n, 4\)$"):
             load_mesh(path)
 
     def test_untagged_boundary_edge_rejected(self, tmp_path):
