@@ -250,19 +250,18 @@ class InterfaceSchur:
 
     def __init__(self, K: sp.spmatrix, pairs, free):
         n = K.shape[0]
-        self._free = np.zeros(n, dtype=bool)
-        self._free[free] = True
+        is_free = np.zeros(n, dtype=bool)
+        is_free[free] = True
         plus, minus = pairs
         G = np.sort(np.concatenate([plus, minus]))
         self._G = slice(n - G.size, n)
         K = K.tocoo()     # entrywise, so the free block keeps its explicit zeros
-        keep = self._free[K.row] & self._free[K.col]
+        keep = is_free[K.row] & is_free[K.col]
         row, col, data = K.row[keep], K.col[keep], K.data[keep]
         del K, keep
-        inner = self._free.copy()
-        inner[G] = False
-        d = np.flatnonzero(~self._free)
-        inner = _minimum_degree(np.flatnonzero(inner), row, col, data, n)
+        self._dirichlet = d = np.flatnonzero(~is_free)     # the rows constrained zeroes
+        is_free[G] = False      # now the interior nodes
+        inner = _minimum_degree(np.flatnonzero(is_free), row, col, data, n)
         self._order = np.concatenate([d, inner, G])
         pos = np.empty(n, dtype=np.int32)
         pos[self._order] = np.arange(n, dtype=np.int32)
@@ -312,8 +311,10 @@ class InterfaceSchur:
         return u
 
     def constrained(self, v: np.ndarray) -> np.ndarray:
-        """The nodal vector ``v`` with zeros on the Dirichlet nodes (a copy)."""
-        return np.where(self._free, v, 0.0)
+        """Zero (``+0.0``) the Dirichlet rows of the nodal vector ``v`` in
+        place and return ``v`` itself, no copy; the other rows are untouched."""
+        v[self._dirichlet] = 0.0
+        return v
 
     def lambda_max(self, weights: np.ndarray) -> float:
         """Largest eigenvalue of ``W^1/2 S W^1/2`` with ``W = diag(weights)``."""

@@ -110,7 +110,7 @@ class TractionField:
     cohesive: np.ndarray             # dpsi_dw([u]_j, xi_j)
     transmission_defect: np.ndarray  # |sigma_plus - sigma_minus|
     cohesive_defect: np.ndarray      # |sigma_plus - cohesive|
-    interior: np.ndarray             # mask; endpoints of K excluded from checks
+    interior: np.ndarray             # the mesh's mask; endpoints of K excluded from checks
     bound: float                     # activation threshold psi_hat'(0)
 
     def max_interior(self, values: np.ndarray) -> float:
@@ -137,6 +137,6 @@ def traction_extraction(ops: DiscreteOperators, law: CohesiveLaw, residual: tupl
         cohesive=cohesive,
         transmission_defect=np.abs(sigma_plus - sigma_minus),
         cohesive_defect=np.abs(sigma_plus - cohesive),
-        interior=~ops.mesh.interface_endpoint,
+        interior=ops.mesh.interface_interior,
         bound=law.psi_prime_0,
     )

@@ -87,7 +87,8 @@ def _terms(node, variables):
 
 def _compile_node(node, variables):
     if isinstance(node, ast.Constant):
-        if isinstance(node.value, (int, float)):
+        # True and False are ints to Python, but no numbers here
+        if isinstance(node.value, (int, float)) and not isinstance(node.value, bool):
             val = float(node.value)
             return lambda env: val
         raise ExpressionError(f"literal {node.value!r} is not a number")

@@ -334,11 +334,11 @@ class FrozenHistory:
     :meth:`CohesiveLaw.psi` and :meth:`CohesiveLaw.dpsi_dw` evaluate too.
 
     The history terms ``psi_hat(xi)``, ``psi_hat'(xi)``, ``xi**2``, ``2 xi``
-    and ``c_xi = psi_hat'(xi) / xi`` are computed once, so :meth:`evaluate`
-    costs one envelope pass (``value_slope``) over the openings and
-    :meth:`evaluate_on_cone` none.  An entry
-    ``xi = 0`` is on the loading branch for every opening; its terms divide
-    by 1 instead.
+    and ``c_xi = psi_hat'(xi) / xi`` are computed once, and ``psi(0, xi)``
+    once on first use, so :meth:`evaluate` costs one envelope pass
+    (``value_slope``) over the openings and :meth:`evaluate_on_cone` none.
+    An entry ``xi = 0`` is on the loading branch for every opening; its
+    terms divide by 1 instead.
     """
 
     def __init__(self, env, xi: np.ndarray):
@@ -349,6 +349,7 @@ class FrozenHistory:
         xi_div = np.where(xi > 0.0, xi, 1.0)
         self.two_xi = 2.0 * xi_div
         self.c_xi = self.slope_xi / xi_div
+        self._psi_at_zero = None
 
     def evaluate(self, w):
         """``(psi, dpsi_dw, |w|, elastic)`` at the openings ``w``.
@@ -378,8 +379,12 @@ class FrozenHistory:
 
     def psi_at_zero(self):
         """``psi(0, xi)``, the dissipated part ``psi_d(xi)``, from the history
-        terms alone; bit-identical to ``CohesiveLaw.psi(0, xi)``."""
-        return self.psi_xi - self.slope_xi * self.xi_sq / self.two_xi
+        terms alone; bit-identical to ``CohesiveLaw.psi(0, xi)``.  Formed on
+        the first call and returned by every later one, so a history that
+        several steps share costs it once."""
+        if self._psi_at_zero is None:
+            self._psi_at_zero = self.psi_xi - self.slope_xi * self.xi_sq / self.two_xi
+        return self._psi_at_zero
 
     def curvature(self, aw, elastic):
         """Newton curvature: the secant stiffness ``c_xi`` on the elastic

@@ -17,6 +17,7 @@ test oracle, and no module builds it.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 
@@ -44,7 +45,9 @@ def _vertex_blocks(nodes: np.ndarray, triangles: np.ndarray):
 def _array(name: str, val, dtype, width=None) -> np.ndarray:
     """``val`` as a C-contiguous ``dtype`` array, 1-D or of rows of ``width``,
     not copied if it is one; else a :class:`MeshError` naming ``name``: for
-    another shape, or an entry that is not a number (a whole one for ints)."""
+    another shape, or an entry that is not a number (a whole one for ints).
+    A boolean entry is no number either, also in a list that numpy reads as
+    numbers."""
     shape = "(n,)" if width is None else f"(n, {width})"
     try:
         a = np.asarray(val)
@@ -54,7 +57,10 @@ def _array(name: str, val, dtype, width=None) -> np.ndarray:
         a = a.reshape(0, width)     # an empty list has no columns
     if a.shape[1:] != (() if width is None else (width,)) or a.ndim == 0:
         raise MeshError(f"{name} must be an array of shape {shape}")
-    if a.dtype.kind in "iuf":
+    # numpy reads a boolean among numbers as 0 or 1: only the list still shows it
+    listed_bool = isinstance(val, (list, tuple)) and any(
+        isinstance(x, (bool, np.bool_)) for x in (itertools.chain(*val) if width else val))
+    if a.dtype.kind in "iuf" and not listed_bool:
         with np.errstate(invalid="ignore"):     # a NaN or one out of range casts to garbage
             cast = a.astype(dtype, copy=False)
         if cast is a or np.array_equal(cast, a):
@@ -87,6 +93,7 @@ class InterfaceMesh:
     neumann_edges: np.ndarray    # (E, 2)
     interface_weights: np.ndarray = field(init=False)   # (P,) trapezoid weights
     interface_endpoint: np.ndarray = field(init=False)  # (P,) bool, polyline endpoints
+    interface_interior: np.ndarray = field(init=False)  # (P,) bool, ~interface_endpoint
 
     def __post_init__(self):
         self.nodes = _array("nodes", self.nodes, np.float64, 2)
@@ -126,11 +133,16 @@ class InterfaceMesh:
                             ("neumann_edges", self.neumann_edges)):
             if index.size and (index.min() < 0 or index.max() >= N):
                 raise MeshError(f"{name} index out of range")
-        areas = _triangle_areas(nodes, tris)
+        with np.errstate(over="ignore", invalid="ignore"):     # an overflow is named below
+            areas = _triangle_areas(nodes, tris)
+            extent = nodes.max(axis=0) - nodes.min(axis=0)
+            diam_sq = float(extent @ extent)
+        if not (np.isfinite(diam_sq) and np.isfinite(areas).all()):
+            raise MeshError("node coordinates overflow the mesh diameter or a triangle area")
         if np.any(areas < 0.0):  # normalize to CCW
             self.triangles = tris = tris.copy()
             tris[areas < 0.0] = tris[areas < 0.0][:, ::-1]
-        diam = float(np.linalg.norm(nodes.max(axis=0) - nodes.min(axis=0)))
+        diam = float(np.sqrt(diam_sq))       # np.linalg.norm(extent), bit for bit
         degenerate = np.flatnonzero(np.abs(areas) <= 1e-14 * max(diam, 1.0) ** 2)
         if degenerate.size:
             raise MeshError(f"degenerate (zero-area) triangle {int(degenerate[0])}")
@@ -232,6 +244,7 @@ class InterfaceMesh:
             raise MeshError("interface pair not connected to any interface edge")
         self.interface_weights = w
         self.interface_endpoint = np.bincount(ends, minlength=self.n_pairs) == 1
+        self.interface_interior = ~self.interface_endpoint
 
 
 def build_rectangle_mesh(L: float, n_x: int, n_y: int) -> InterfaceMesh:
@@ -278,8 +291,13 @@ def scaled(mesh: InterfaceMesh, factor: float) -> InterfaceMesh:
     """Geometrically similar mesh with all coordinates multiplied by ``factor``."""
     if factor <= 0.0:
         raise MeshError("scale factor must be positive")
-    return InterfaceMesh(mesh.nodes * factor, mesh.triangles, mesh.tri_side,
-                         mesh.interface_pairs, mesh.dirichlet_nodes, mesh.neumann_edges)
+    with np.errstate(over="ignore"):      # an infinite coordinate fails the validation
+        nodes = mesh.nodes * factor
+    try:
+        return InterfaceMesh(nodes, mesh.triangles, mesh.tri_side,
+                             mesh.interface_pairs, mesh.dirichlet_nodes, mesh.neumann_edges)
+    except MeshError as exc:      # the mesh was valid: the scale is at fault
+        raise MeshError(f"scale factor {factor!r}: {exc}") from exc
 
 
 def load_mesh(path) -> InterfaceMesh:

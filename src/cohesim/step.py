@@ -74,9 +74,12 @@ to recover ``u`` and two full-size sparse products.  A trial point costs one
 them for its residual test and its curvature ``D``, so a point is never
 evaluated twice, and a direction forms ``I + D S`` in place, in Fortran
 order, for one LAPACK ``dgesv`` solve, whose ``info`` is checked so that a
-singular system raises ``LinAlgError``.  A step that converges in one Newton direction thus makes two law
-passes, at its start and at the Newton point, and one envelope pass over the
-history when the post-step pass freezes ``xi_k``.  The workspace keeps the
+singular system raises ``LinAlgError``.  A step that converges in one Newton
+direction thus makes two law passes, at its start and at the Newton point.
+The post-step pass makes one envelope pass over the history, to freeze
+``xi_k``, only when the max-update grew a pair; on an elastic or unloading
+step ``xi_k`` is ``xi_{k-1}`` bit for bit and the step hands its own frozen
+history on, with the ``psi(0, xi)`` it already holds.  The workspace keeps the
 nodal coefficients of ``H0``, the triangular factor ``U = D L'`` and ``S``;
 vectors are nodal and ``b`` vanishes on the Dirichlet nodes; no dense
 nodes x pairs array is kept.
@@ -89,7 +92,8 @@ where the max-update leaves every pair
 ``c_xi [u_k]``), with no envelope pass over the openings.
 :class:`StepResult` carries its values ``psi([u_k], xi_k)`` and
 ``psi'([u_k], xi_k)`` (the cohesive traction) and the frozen history at
-``xi_k``, with ``psi(0, xi_k)``, the dissipated part; the a-posteriori
+``xi_k`` (the step's own when no pair grew), with ``psi(0, xi_k)``, the
+dissipated part, formed once per history; the a-posteriori
 residual, the time loop's energy and jump columns, the traction audit and
 the next step read them, so none of them evaluates the law again;
 :attr:`StepResult.energy` reads its ``psi`` too.  Each value is
@@ -240,7 +244,9 @@ class StepResult:
     # xi_prev) up to the residual grad_norm; the run extrapolates the next lam0
     lam: np.ndarray
     residual: tuple          # H0 u_new + b at each of ops.pairs, for the traction audit
-    history: FrozenHistory   # law.frozen(xi_new), for psi(0, xi_new) and the next step
+    # law.frozen(xi_new), or the step's own history when no pair grew, for
+    # psi(0, xi_new) and the next step
+    history: FrozenHistory
     products: tuple          # ops.products(u_new), for the record and the next step
 
 
@@ -387,14 +393,16 @@ def solve_step(prob: StepProblem, tol: float = 1e-10, max_iter: int = _MAX_ITER)
 def _solve(ops: DiscreteOperators, ws: StepWorkspace, law: CohesiveLaw, hist: FrozenHistory,
            b: np.ndarray, lam0: np.ndarray, tol_abs: float, max_iter: int, energy) -> StepResult:
     """Minimize (:func:`_minimize`) and make the post-step pass at the
-    minimizer ``u``: its products, the jumps, the max-update, one law
-    evaluation on the updated history's cone and the a-posteriori residual.
+    minimizer ``u``: its products, the jumps, the max-update (a new frozen
+    history only when it grew a pair), one law evaluation on the updated
+    history's cone and the a-posteriori residual.
     ``energy(u, products, psi)`` is the minimized functional at ``u``."""
     u, lam, iters, rnorm = _minimize(ws, hist, law.beta, b, lam0, tol_abs, max_iter)
     m, a = products = ops.products(u)
     jumps = ops.jumps(u)
     xi_new = np.maximum(hist.xi, np.abs(jumps))
-    hist_new = law.frozen(xi_new)
+    # a step that grows no pair keeps its history, and the terms frozen with it
+    hist_new = hist if np.array_equal(xi_new, hist.xi) else law.frozen(xi_new)
     psi, traction = hist_new.evaluate_on_cone(jumps)
 
     # a-posteriori form: the Euler-Lagrange residual with the updated history

@@ -201,6 +201,22 @@ class TestInterfaceSchur:
         assert np.array_equal(shifted[free], rhs[free] + 1.0)
 
 
+    def test_constrained_zeroes_the_dirichlet_rows_in_place(self):
+        mesh = build_rectangle_mesh(1.0, 4, 2)
+        ops = assemble(mesh, Materials.constant(rho=1.0, mu=1.0, eta=1.0))
+        schur = InterfaceSchur(ops.A_unit, ops.pairs, ops.free_dofs)
+        free, dirichlet = ops.free_dofs, mesh.dirichlet_nodes
+        v = np.random.default_rng(3).normal(size=ops.n_nodes)
+        # signed zeros and NaNs on both kinds of row
+        v[free[:2]] = v[dirichlet[:2]] = -0.0
+        v[free[2:4]] = v[dirichlet[2:4]] = np.nan
+        before = v.copy()
+        out = schur.constrained(v)
+        assert out is v
+        assert v[dirichlet].tobytes() == np.zeros(dirichlet.size).tobytes()
+        assert v[free].tobytes() == before[free].tobytes()
+
+
 class TestPairIndices:
     def test_pairs_are_the_signed_columns_of_B(self, ops, mesh):
         B = jump_operator(ops.pairs, ops.n_nodes)

@@ -63,6 +63,12 @@ class TestExpressions:
         with pytest.raises(ExpressionError):
             compile_expression("sqrt(x)")
 
+    @pytest.mark.parametrize("literal", ["True", "False"])
+    def test_boolean_literals_rejected(self, literal):
+        # Python's bool is an int, but True * x is no load
+        with pytest.raises(ExpressionError, match=f"literal {literal} is not a number"):
+            compile_expression(f"{literal} * x")
+
     def test_attribute_access_rejected(self):
         with pytest.raises(ExpressionError):
             compile_expression("x.real")
@@ -354,6 +360,25 @@ class TestCli:
         code, err = self.run_mesh_file(tmp_path, capsys, edit)
         assert (code, err) == (2, f"config error: 'mesh.path': {array} must hold whole numbers\n")
 
+    @pytest.mark.parametrize("section, at, array", [
+        ("interface_pairs", (0, 0), "interface_pairs"),
+        ("dirichlet", (0,), "dirichlet_nodes"),
+        ("triangles", (0, 1), "triangles"),
+        ("triangles", (0, 3), "triangles"),
+        ("neumann_edges", (1, 1), "neumann_edges"),
+    ])
+    def test_boolean_mesh_index_exits_2_naming_the_array(self, section, at, array, tmp_path,
+                                                         capsys):
+        # a JSON true among the integers is no index 1
+        def edit(mesh):
+            entry = mesh[section]
+            for i in at[:-1]:
+                entry = entry[i]
+            entry[at[-1]] = True
+
+        code, err = self.run_mesh_file(tmp_path, capsys, edit)
+        assert (code, err) == (2, f"config error: 'mesh.path': {array} must hold whole numbers\n")
+
     @pytest.mark.parametrize("edit, message", [
         (lambda mesh: json.dumps(mesh)[:-1], "invalid JSON at line 1: "),
         (lambda mesh: json.dumps(list(mesh)), "a mesh file must hold a JSON object"),
@@ -366,8 +391,10 @@ class TestCli:
          "triangles must be an array of shape (n, 4)"),
         (lambda mesh: mesh["nodes"][8].__setitem__(0, float("nan")),
          "node coordinates must be finite"),
+        (lambda mesh: mesh["nodes"][8].__setitem__(0, 1e200),
+         "node coordinates overflow the mesh diameter or a triangle area"),
     ], ids=["truncated", "list", "text_coordinate", "flat_pairs", "short_neumann_row",
-            "three_column_triangles", "nan_coordinate"])
+            "three_column_triangles", "nan_coordinate", "huge_coordinate"])
     def test_malformed_mesh_file_exits_2_with_one_line(self, edit, message, tmp_path, capsys):
         code, err = self.run_mesh_file(tmp_path, capsys, edit)
         assert code == 2 and err.startswith(f"config error: 'mesh.path': {message}")
@@ -552,6 +579,21 @@ class TestCli:
         assert main(argv) == 2
         out, err = capsys.readouterr()
         assert out == "" and err == f"config error: 'law.{key}' must be a list of finite numbers\n"
+
+    def test_overflowing_mesh_scale_exits_2_naming_it(self, tmp_path, capsys, recwarn):
+        code = self.probe("run", tmp_path, "mesh.scale", 1e308)
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == ("config error: mesh: scale factor 1e+308: node coordinates overflow the "
+                       "mesh diameter or a triangle area\n")
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+    @pytest.mark.parametrize("literal", ["True", "False"])
+    def test_boolean_literal_in_a_load_exits_2(self, literal, tmp_path, capsys):
+        code = self.probe("run", tmp_path, "loads.bulk", f"{literal} * x")
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == f"config error: 'loads.bulk': literal {literal} is not a number\n"
 
     @pytest.mark.parametrize("command", ["run", "study"])
     def test_non_finite_load_at_sample_0_exits_2_naming_it(self, command, tmp_path, capsys,

@@ -269,13 +269,15 @@ class TestRun:
     def test_cli_run_evaluates_law_and_load_once_after_newton(self, monkeypatch,
                                                               tmp_path):
         # between the end of a step's Newton loop and the start of the next
-        # step's solve: one frozen history, whose envelope pass is the only
-        # law call, the traction audit included; the post-step pass evaluates
-        # on the updated history's cone, with no evaluate() and no envelope
-        # pass of its own; one load lookup per step in the whole run, after
-        # the one that parsing makes at t = 0
+        # step's solve: a frozen history only when the max-update grew a pair,
+        # whose envelope pass is then the only law call, the traction audit
+        # included; a step that grows no pair makes none.  The post-step pass
+        # evaluates on the updated history's cone, with no evaluate() and no
+        # envelope pass of its own; one load lookup per step in the whole run,
+        # after the one that parsing makes at t = 0
         post = []          # per step, the counts after its Newton loop
         loads_at = []
+        records = []
 
         def counting(name, fn):
             def wrapper(*args, **kwargs):
@@ -285,7 +287,7 @@ class TestRun:
             return wrapper
 
         real_minimize, real_solve = step_module._minimize, evolution.solve_step
-        real_at = LoadModel.at
+        real_at, real_run = LoadModel.at, cohesim.cli.run
 
         def minimize(*args, **kwargs):
             out = real_minimize(*args, **kwargs)
@@ -301,6 +303,11 @@ class TestRun:
             loads_at.append(t)
             return real_at(loads, t)
 
+        def run_(*args, **kwargs):
+            records.append(real_run(*args, **kwargs))
+            return records[-1]
+
+        monkeypatch.setattr(cohesim.cli, "run", run_)
         monkeypatch.setattr(step_module, "_minimize", minimize)
         monkeypatch.setattr(evolution, "solve_step", solve_step)
         monkeypatch.setattr(LoadModel, "at", at)
@@ -313,7 +320,7 @@ class TestRun:
             "materials": {"rho": 1.0, "mu": 1.0, "eta": 1.0},
             "law": {"kind": "prototype", "g_c": 1.0, "xi_c": 0.2},
             "loads": {"bulk": "100 * t * sin(pi * x) * y"},
-            "time": {"T": 0.5, "n": 20},
+            "time": {"T": 1.0, "n": 40},
             "initial": {},
             "regularization": {"eps_bar": 0.001},
             "output": {"snapshot_stride": 10, "vtk": False},
@@ -321,11 +328,14 @@ class TestRun:
         path = tmp_path / "ramp.json"
         path.write_text(json.dumps(doc))
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
-        assert len(post) == 20
-        for counts in post:
-            assert counts["frozen"] == 1 and counts["evaluate"] == 0
-            assert counts["value_slope"] == 1
-        assert loads_at == [0.0] + [k * (0.5 / 20) for k in range(1, 21)]
+        xis = records[0].xis
+        grown = [int(not same_bits(xis[k], xis[k - 1])) for k in range(1, 41)]
+        assert 0 < sum(grown) < 40       # both kinds of step occur
+        assert len(post) == 40
+        for counts, new in zip(post, grown):
+            assert counts["frozen"] == counts["value_slope"] == new
+            assert counts["evaluate"] == 0
+        assert loads_at == [0.0] + [k * (1.0 / 40) for k in range(1, 41)]
 
     def test_cli_step_with_one_newton_direction_evaluates_the_law_twice(self, monkeypatch,
                                                                         tmp_path):
@@ -382,8 +392,9 @@ class TestRun:
 
     def test_each_step_freezes_the_history_once(self, monkeypatch):
         # a step starts from the frozen history its predecessor's post-step
-        # pass built, so a run of n steps freezes n + 1 histories: row 0's
-        # and one per step
+        # pass handed on, which is a new one only when the max-update grew a
+        # pair, so each history is frozen once: a run freezes row 0's and one
+        # at exactly the steps whose xis row differs from the previous one
         frozen = []
         real = CohesiveLaw.frozen
 
@@ -393,8 +404,10 @@ class TestRun:
 
         monkeypatch.setattr(CohesiveLaw, "frozen", counted)
         ref = run(unloading_tent(n=20, n_x=8, n_y=4))
-        assert len(frozen) == 21
-        assert all(same_bits(xi, ref.xis[k]) for k, xi in enumerate(frozen))
+        rows = [0] + [k for k in range(1, 21) if not same_bits(ref.xis[k], ref.xis[k - 1])]
+        assert 1 < len(rows) < 21        # the tent loads, then unloads
+        assert len(frozen) == len(rows)
+        assert all(same_bits(xi, ref.xis[k]) for k, xi in zip(rows, frozen))
 
     def test_rounding_on_dirichlet_nodes_of_u0_leaves_the_steps_unchanged(self):
         sc = mild_ramp(n=10)

@@ -1,6 +1,7 @@
 """Mesh generator, file round-trip, validation diagnostics and trace constant."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -161,6 +162,18 @@ def put_float(name, index, value):
     return edit
 
 
+def put_true(name, index):
+    """``put`` a ``True`` into the array made a list first, where numpy would
+    read it as 1 among the numbers, as a JSON ``true`` in a mesh file is."""
+    def edit(a):
+        a[name] = a[name].tolist()
+        row = a[name]
+        for i in index[:-1]:
+            row = row[i]
+        row[index[-1]] = True
+    return edit
+
+
 def replaced(name, fn):
     def edit(a):
         a[name] = fn(a[name])
@@ -180,7 +193,8 @@ def edits(*fns):
 
 # one corruption of the 3x1 rectangle mesh of length 3 per MeshError of the
 # array conversion and of _validate_and_build (a wrong shape, a non-number, a
-# fractional and an out-of-range index: one per array).  Its nodes: plus
+# boolean among the numbers, a fractional and an out-of-range index: one per
+# array).  Its nodes: plus
 # corners 0-3 at y = 0 and 4-7 at y = 1, centres 8-10; minus corners 11-14 at
 # y = -1 and 15-18 at y = 0, centres 19-21; pairs (0, 15) ... (3, 18);
 # Neumann (0, 4), (3, 7), (11, 15), (14, 18)
@@ -203,7 +217,17 @@ MESH_ERRORS = {
     "pair_none": (replaced("interface_pairs", lambda p: [[None, 15]] + p[1:].tolist()),
                   r"interface_pairs must hold whole numbers$"),
     "side_bool": (replaced("tri_side", lambda s: s > 0), r"tri_side must hold whole numbers$"),
+    "node_true": (put_true("nodes", (8, 0)), r"nodes must hold numbers$"),
+    "triangle_true": (put_true("triangles", (0, 1)), r"triangles must hold whole numbers$"),
+    "side_true": (put_true("tri_side", (0,)), r"tri_side must hold whole numbers$"),
+    "pair_true": (put_true("interface_pairs", (0, 0)),
+                  r"interface_pairs must hold whole numbers$"),
+    "dirichlet_true": (put_true("dirichlet_nodes", (0,)),
+                       r"dirichlet_nodes must hold whole numbers$"),
+    "neumann_true": (put_true("neumann_edges", (1, 1)), r"neumann_edges must hold whole numbers$"),
     "node_nan": (put("nodes", (8, 0), np.nan), r"node coordinates must be finite$"),
+    "node_overflow": (put("nodes", (8, 0), 1e200),
+                      r"node coordinates overflow the mesh diameter or a triangle area$"),
     "node_inf": (put("nodes", (5, 1), np.inf), r"node coordinates must be finite$"),
     "triangle_fraction": (put_float("triangles", (0, 1), 1.5),
                           r"triangles must hold whole numbers$"),
@@ -407,6 +431,19 @@ class TestTraceConstant:
         sqrt_w = np.sqrt(mesh.interface_weights)
         lam = np.linalg.eigvalsh(sqrt_w[:, None] * (0.5 * (S + S.T)) * sqrt_w[None, :])
         assert trace_constant(mesh) == pytest.approx(1.0 / float(lam[-1]), rel=1e-13)
+
+    def test_a_scale_that_overflows_the_mesh_is_named(self):
+        mesh = build_rectangle_mesh(1.0, 4, 4)
+        overflow = "node coordinates overflow the mesh diameter or a triangle area"
+        # 1e200: the coordinates are finite, the areas and the squared
+        # diameter are not; 1e308: the y extent 2e308 is not; at length 3,
+        # 1e308 takes x to inf
+        for length, factor, cause in ((1.0, 1e200, overflow), (1.0, 1e308, overflow),
+                                      (3.0, 1e308, "node coordinates must be finite")):
+            with pytest.raises(MeshError, match=re.escape(f"scale factor {factor!r}: {cause}")):
+                scaled(build_rectangle_mesh(length, 4, 4), factor)
+        big = scaled(mesh, 1e100)
+        assert big.nodes.tobytes() == (mesh.nodes * 1e100).tobytes()
 
     def test_scaling_inverse_in_domain_size(self):
         mesh = build_rectangle_mesh(1.0, 4, 4)

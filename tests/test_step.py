@@ -338,8 +338,10 @@ class TestSolveStep:
         return step_problem(ops, law, tau, np.full(mesh.n_pairs, 1e-3), loads.at(0.25))
 
     def test_one_law_pass_per_trial_point(self, monkeypatch):
-        prob = self.softening_step()
-        law = prob.law
+        # one envelope pass per trial point, the only evaluate() calls; one
+        # more for the history terms at xi_new when a pair grew (those at
+        # xi_prev come with the problem), none when the step keeps its
+        # history.  The post-step pass on the updated cone makes none
         calls = {"value_slope": 0, "trial": 0}
 
         def counted(name, fn):
@@ -348,15 +350,45 @@ class TestSolveStep:
                 return fn(*args)
             return wrapper
 
-        monkeypatch.setattr(law.env, "value_slope", counted("value_slope", law.env.value_slope))
         monkeypatch.setattr(FrozenHistory, "evaluate",
                             counted("trial", FrozenHistory.evaluate))
+        # the softening step backtracks and ends on the elastic branch; the
+        # toy step opens its pair far past the history
+        for prob, grown in ((self.softening_step(), False),
+                            (toy_problem(0.1, (30.0, -30.0), 0.01), True)):
+            env = prob.law.env
+            monkeypatch.setattr(env, "value_slope", counted("value_slope", env.value_slope))
+            calls.update(value_slope=0, trial=0)
+            res = solve_step(prob)
+            assert calls["trial"] > res.newton_iters >= (5 if not grown else 1)
+            assert (res.xi_new.tobytes() != prob.xi_prev.tobytes()) == grown
+            assert calls["value_slope"] == calls["trial"] + grown
+
+    def test_a_step_that_grows_no_pair_hands_its_history_on(self):
+        prob = self.softening_step()
         res = solve_step(prob)
-        assert calls["trial"] > res.newton_iters >= 5
-        # one envelope pass per trial point, the only evaluate() calls; one
-        # more for the history terms at xi_new (those at xi_prev come with the
-        # problem).  The post-step pass on the updated cone makes none
-        assert calls["value_slope"] == calls["trial"] + 1
+        assert res.xi_new.tobytes() == prob.xi_prev.tobytes()
+        assert res.history is prob.history
+        # the kept history reads as a fresh freeze at xi_new, bit for bit
+        fresh = prob.law.frozen(res.xi_new)
+        assert res.history.psi_at_zero().tobytes() == fresh.psi_at_zero().tobytes()
+        for kept, new in zip(res.history.evaluate_on_cone(res.jumps),
+                             fresh.evaluate_on_cone(res.jumps)):
+            assert kept.tobytes() == new.tobytes()
+        # psi(0, xi) is formed once per history
+        assert res.history.psi_at_zero() is res.history.psi_at_zero()
+
+    def test_one_grown_pair_gives_a_new_history(self):
+        # 4.8 times the softening step's load opens the middle pair alone past
+        # the activation threshold
+        prob = self.softening_step()
+        prob = step_problem(prob.ops, prob.law, prob.tau, prob.xi_prev, 4.8 * prob.f_k)
+        res = solve_step(prob)
+        assert np.flatnonzero(res.xi_new != prob.xi_prev).tolist() == [4]
+        assert res.history is not prob.history
+        assert res.history.xi.tobytes() == res.xi_new.tobytes()
+        assert (res.history.psi_at_zero().tobytes()
+                == prob.law.psi(0.0, res.xi_new).tobytes())
 
     def test_polish_runs_only_above_the_rounding_floor(self, monkeypatch):
         # on the cubic-Hermite softening of a tabulated law Newton converges
