@@ -13,12 +13,17 @@ propagates.
 ``run`` audits the tractions of every step from the step's own bulk residual
 and cohesive traction (:func:`~cohesim.audit.traction_extraction`), streamed
 through the time loop's callback, and writes one ``tractions.csv`` row per
-step.  A run that a step stops writes the VTK frames of the snapshot steps it
+step.  Its snapshot stride is the document's ``output.snapshot_stride`` when
+the document asks for VTK frames, and ``time.n`` otherwise: no output reads
+the fields of the steps in between, so the record keeps steps 0 and n only.
+A run that a step stops writes the VTK frames of the snapshot steps it
 completed, and no CSV.
 
 A study of any kind runs its levels one after another in the calling thread,
 each like ``cohesim run`` into ``<dir>/level_XX``, and compares consecutive
-levels with :func:`~cohesim.evolution.trajectory_distance`.  This level loop
+levels with :func:`~cohesim.evolution.trajectory_distance` at the snapshot
+times they share, so the study sets each level's stride, not the document
+(:func:`_study_levels`).  This level loop
 is the only study sweep: a library caller writes the same loop with
 ``run(scenario.with_eps(eps))`` and ``trajectory_distance``.  The levels of a
 tau or eps study share the base's mesh, loads and assembled operators: the
@@ -128,7 +133,10 @@ def _execute_run(cfg: ScenarioConfig, out_dir: str, ops=None):
 
 
 def cmd_run(args) -> int:
-    *_, summary = _execute_run(load_scenario_file(args.config), args.out)
+    cfg = load_scenario_file(args.config)
+    if not cfg.vtk:     # nothing reads the fields between steps 0 and n
+        cfg = replace(cfg, snapshot_stride=cfg.scenario.n)
+    *_, summary = _execute_run(cfg, args.out)
     print(f"ok: {summary}")
     return EXIT_OK
 
@@ -149,14 +157,17 @@ def _study_levels(spec):
     mesh and :class:`~cohesim.assembly.LoadModel`, and only an h study
     parses a document per level.  Each level gets the snapshot stride that
     aligns its comparison times with the next level's: ``2**i`` for tau
-    level ``i``, 1 otherwise.
+    level ``i``, 1 otherwise.  The one level of a ``single`` study is
+    compared with nothing, so it keeps only steps 0 and n unless it writes
+    VTK frames.
     """
     base = spec.base
     if spec.kind == "h_refinement" and "path" in base.raw["mesh"]:
         raise ConfigError("h_refinement requires an inline rectangle mesh")
     if spec.kind == "single":
-        configs = [(base.scenario.n, base)]
-    elif spec.eps_list:
+        stride = 1 if base.vtk else base.scenario.n
+        return [("level_00", base.scenario.n, replace(base, snapshot_stride=stride))]
+    if spec.eps_list:
         configs = [(eps, replace(base, scenario=base.scenario.with_eps(eps)))
                    for eps in map(float, spec.eps_list)]
     elif spec.kind == "tau_refinement":

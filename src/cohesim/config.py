@@ -101,7 +101,9 @@ def _expr(sec: dict, section: str, key: str, variables):
 
 @dataclass
 class ScenarioConfig:
-    """Parsed scenario: a built :class:`Scenario` plus its output options."""
+    """Parsed scenario: a built :class:`Scenario` plus its output options.
+    ``snapshot_stride`` sets the VTK frames of ``cohesim run``; a run without
+    VTK and each study level get their strides from :mod:`cohesim.cli`."""
 
     scenario: Scenario
     snapshot_stride: int

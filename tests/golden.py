@@ -5,8 +5,10 @@ with a fresh run.
 study`` writes for each document of ``DOCUMENTS`` (a study's under
 ``level_XX/``), ``tests/golden/frames.sha256`` one SHA-256 digest per VTK
 frame, and ``tests/golden/check_law/<document>.txt`` what ``cohesim
-check-law`` prints for each document of ``CHECK_LAW``.  A fresh output passes
-when
+check-law`` prints for each document of ``CHECK_LAW``.  A document is
+``scenarios/<document>.json`` or, for a name of ``WORKLOADS``, the seed-0
+document of that benchmark workload (``perfbench/workloads.py``).  A fresh
+output passes when
 
 * it has the references' files;
 * ``kkt.csv`` and every CSV header are byte-identical: KKT is exactly 0 on
@@ -37,6 +39,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import json
 import re
 import shutil
 import sys
@@ -48,7 +51,9 @@ REPO = Path(__file__).resolve().parents[1]
 GOLDEN = REPO / "tests" / "golden"
 DIGESTS = GOLDEN / "frames.sha256"
 DOCUMENTS = {"standard_ramp": "run", "unloading_tent": "run", "rest": "run",
-             "regularity_ramp": "run", "study_tau": "study", "study_eps": "study"}
+             "regularity_ramp": "run", "study_tau": "study", "study_eps": "study",
+             "tent_64x32": "run"}
+WORKLOADS = ("tent_64x32",)
 CHECK_LAW = ("standard_ramp", "check_law_small_domain", "check_law_large_domain")
 RTOL = 1e-11
 LABELS = {"step", "level", "parameter", "status"}
@@ -67,9 +72,17 @@ def produce(name: str, out_dir: Path) -> None:
     """Write the outputs of document ``name`` into ``out_dir`` with ``cohesim``."""
     from cohesim.cli import main
 
-    with contextlib.redirect_stdout(io.StringIO()):
-        code = main([DOCUMENTS[name], str(REPO / "scenarios" / f"{name}.json"),
-                     "--out", str(out_dir)])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = REPO / "scenarios" / f"{name}.json"
+        if name in WORKLOADS:
+            if str(REPO / "perfbench") not in sys.path:
+                sys.path.append(str(REPO / "perfbench"))
+            from workloads import WORKLOADS as BENCHMARK
+
+            path = Path(tmp) / f"{name}.json"
+            path.write_text(json.dumps(BENCHMARK[name].document(0)))
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main([DOCUMENTS[name], str(path), "--out", str(out_dir)])
     if code != 0:
         raise RuntimeError(f"cohesim {DOCUMENTS[name]} {name}.json exited {code}")
 

@@ -23,6 +23,19 @@ REPO = Path(__file__).resolve().parents[1]
 SCENARIOS = REPO / "scenarios"
 
 
+@pytest.fixture
+def records(monkeypatch):
+    """The records that ``cohesim.cli.run`` returns, in order."""
+    records, real_run = [], cohesim.cli.run
+
+    def recording_run(*args, **kwargs):
+        records.append(real_run(*args, **kwargs))
+        return records[-1]
+
+    monkeypatch.setattr(cohesim.cli, "run", recording_run)
+    return records
+
+
 def base_doc(**overrides):
     doc = {
         "mesh": {"kind": "rectangle", "L": 1.0, "n_x": 4, "n_y": 2},
@@ -230,14 +243,19 @@ class TestCli:
         for name in names:
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
 
-    def test_run_writes_vtk_frames(self, tmp_path):
-        doc = base_doc(output={"snapshot_stride": 5, "vtk": True})
+    def test_run_writes_vtk_frames(self, tmp_path, records):
+        doc = base_doc(output={"snapshot_stride": 3, "vtk": True})
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(doc))
         out = tmp_path / "out"
         assert main(["run", str(cfg), "--out", str(out)]) == 0
+        # the document's stride, and one frame per snapshot step
+        (record,) = records
+        assert record.snapshot_steps == [0, 3, 6, 9, 10]
         frames = sorted(out.glob("fields_*.vtk"))
-        assert len(frames) == 3  # steps 0, 5, 10
+        assert len(frames) == 5
+        for frame, k in zip(frames, record.snapshot_steps):
+            assert bits(read_vtk_frame(frame)["fields"]["u"]) == bits(record.us[k])
         head = frames[0].read_bytes().split(b"\n", 4)[:4]
         assert head == [b"# vtk DataFile Version 2.0", b"cohesim fields", b"BINARY",
                         b"DATASET UNSTRUCTURED_GRID"]
@@ -960,6 +978,73 @@ class TestStudyCli:
         err = capsys.readouterr().err
         assert err.startswith("I/O error: ") and str(tmp_path / "nope.json") in err
         assert not out.exists()
+
+
+class TestSnapshotStride:
+    """``cohesim run`` keeps the snapshots of steps 0 and n only when it
+    writes no VTK frame; study levels set their own strides."""
+
+    @staticmethod
+    def write(tmp_path, name, doc):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    def test_run_without_vtk_keeps_steps_0_and_n_and_the_same_csvs(self, tmp_path, records):
+        doc = json.loads((SCENARIOS / "unloading_tent.json").read_text())
+        del doc["output"]
+        out = tmp_path / "no_output"
+        assert main(["run", self.write(tmp_path, "no_output", doc), "--out", str(out)]) == 0
+        doc["output"] = {"snapshot_stride": 1, "vtk": True}
+        every = tmp_path / "every_step"
+        assert main(["run", self.write(tmp_path, "every_step", doc), "--out", str(every)]) == 0
+        n = doc["time"]["n"]
+        assert [rec.snapshot_steps for rec in records] == [[0, n], list(range(n + 1))]
+        assert sorted(records[0].us) == sorted(records[0].vs) == [0, n]
+        assert sorted(p.name for p in out.iterdir()) == ["energies.csv", "kkt.csv",
+                                                         "tractions.csv"]
+        for name in ("energies.csv", "kkt.csv", "tractions.csv"):
+            assert (out / name).read_bytes() == (every / name).read_bytes(), name
+
+    def test_single_study_without_vtk_keeps_steps_0_and_n(self, tmp_path, records):
+        doc = {"kind": "single", "base": base_doc(output={"snapshot_stride": 2})}
+        out = tmp_path / "out"
+        assert main(["study", self.write(tmp_path, "single", doc), "--out", str(out)]) == 0
+        assert [rec.snapshot_steps for rec in records] == [[0, 10]]
+        assert (out / "level_00" / "energies.csv").exists()
+
+    def test_tau_levels_keep_their_comparison_strides(self, tmp_path, records):
+        import golden
+
+        out = tmp_path / "out"
+        assert main(["study", str(SCENARIOS / "study_tau.json"), "--out", str(out)]) == 0
+        assert [rec.snapshot_steps for rec in records] == [
+            list(range(0, 120 * 2**i + 1, 2**i)) for i in range(3)]
+        diff = golden.compare_csv("study_tau/study.csv",
+                                  (golden.GOLDEN / "study_tau" / "study.csv").read_text(),
+                                  (out / "study.csv").read_text())
+        assert diff.failure is None
+
+    def test_run_without_vtk_holds_no_per_step_snapshots(self, tmp_path):
+        # a 32x16 tent with n = 400 and no output section: its snapshots at
+        # stride 1 would hold (n + 1) * 2 * n_nodes float64 values
+        import tracemalloc
+
+        from cohesim.mesh import build_rectangle_mesh
+
+        doc = json.loads((SCENARIOS / "unloading_tent.json").read_text())
+        del doc["output"]
+        doc["mesh"].update(n_x=32, n_y=16)
+        doc["time"]["n"] = 400
+        config = self.write(tmp_path, "tent", doc)
+        snapshots = (400 + 1) * 2 * build_rectangle_mesh(1.0, 32, 16).n_nodes * 8
+        tracemalloc.start()
+        try:
+            assert main(["run", config, "--out", str(tmp_path / "out")]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < snapshots / 2, (peak, snapshots)
 
 
 def bits(values) -> bytes:
