@@ -24,6 +24,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse._sparsetools import csr_matvec
 
 from .mesh import _BLOCK, InterfaceMesh, _triangle_areas, _vertex_blocks, jumps
 
@@ -146,8 +147,22 @@ class DiscreteOperators:
         return sp.csr_matrix((data, M.indices, M.indptr), shape=M.shape)
 
     def products(self, u: np.ndarray) -> tuple:
-        """``(M_unit u, A_unit u)``, the only full-size products a state needs."""
-        return self.M_unit @ u, self.A_unit @ u
+        """``(M_unit u, A_unit u)``, the only full-size products a state needs,
+        bit for bit ``(M_unit @ u, A_unit @ u)``.
+
+        Each calls scipy's CSR kernel ``csr_matvec``, in which ``@`` ends,
+        directly on the shared pattern: on a small mesh scipy's Python
+        dispatch around it costs more than the products.  The kernel checks
+        no bounds, so ``u`` must have one float entry per node."""
+        u = np.ascontiguousarray(u, dtype=float)
+        n = self.n_nodes
+        if u.shape != (n,):
+            raise ValueError(f"vector has shape {u.shape}, expected ({n},)")
+        M, A = self.M_unit, self.A_unit
+        m, a = np.zeros(n), np.zeros(n)
+        csr_matvec(n, n, M.indptr, M.indices, M.data, u, m)
+        csr_matvec(n, n, M.indptr, M.indices, A.data, u, a)
+        return m, a
 
     def jumps(self, u: np.ndarray) -> np.ndarray:
         """``B @ u`` bit for bit (:func:`~cohesim.mesh.jumps`)."""

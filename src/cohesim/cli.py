@@ -22,8 +22,9 @@ completed, and no CSV.
 A study of any kind runs its levels one after another in the calling thread,
 each like ``cohesim run`` into ``<dir>/level_XX``, and compares consecutive
 levels with :func:`~cohesim.evolution.trajectory_distance` at the snapshot
-times they share, so the study sets each level's stride, not the document
-(:func:`_study_levels`).  This level loop
+times they share, so the study sets each level's snapshot stride, not the
+document (:func:`_study_levels`); a level's VTK frames are still those of
+the document's output times.  This level loop
 is the only study sweep: a library caller writes the same loop with
 ``run(scenario.with_eps(eps))`` and ``trajectory_distance``.  The levels of a
 tau or eps study share the base's mesh, loads and assembled operators: the
@@ -82,14 +83,16 @@ def _traction_audit(law, ops, rows: list):
     return audit
 
 
-def _write_frames(cfg: ScenarioConfig, out_dir: str, record) -> None:
-    """One VTK frame per snapshot step of ``record``, if the scenario asks
-    for VTK: ``u``, ``v`` and ``xi`` on both nodes of each interface pair."""
+def _write_frames(cfg: ScenarioConfig, out_dir: str, record, stride: int) -> None:
+    """One VTK frame per snapshot step of ``record`` that is a multiple of
+    ``stride`` or the last step ``n``, if the scenario asks for VTK: ``u``,
+    ``v`` and ``xi`` on both nodes of each interface pair."""
     if not cfg.vtk:
         return
     mesh = cfg.scenario.mesh
     geometry = vtk_geometry(mesh)
-    for frame, k in enumerate(record.snapshot_steps):
+    steps = [k for k in record.snapshot_steps if k % stride == 0 or k == cfg.scenario.n]
+    for frame, k in enumerate(steps):
         fields = {
             "u": record.us[k],
             "v": record.vs[k],
@@ -99,10 +102,12 @@ def _write_frames(cfg: ScenarioConfig, out_dir: str, record) -> None:
                         geometry)
 
 
-def _execute_run(cfg: ScenarioConfig, out_dir: str, ops=None):
+def _execute_run(cfg: ScenarioConfig, out_dir: str, ops=None, frame_stride=None):
     """Run one scenario and write its artifacts.  ``ops`` are the scenario's
     assembled operators, when a caller holds them for its mesh and materials;
-    otherwise they are assembled here.
+    otherwise they are assembled here.  The VTK frames are those of the
+    record's steps that are multiples of ``frame_stride`` (by default
+    ``cfg.snapshot_stride``) and of the last.
 
     Returns (record, energy ledger, KKT report, one-line summary)."""
     from .assembly import assemble
@@ -112,12 +117,13 @@ def _execute_run(cfg: ScenarioConfig, out_dir: str, ops=None):
     if ops is None:
         ops = assemble(scenario.mesh, scenario.materials)
     tractions = []
+    frame_stride = frame_stride or cfg.snapshot_stride
     try:
         record = run(scenario, callbacks=_traction_audit(scenario.law, ops, tractions),
                      ops=ops, snapshot_stride=cfg.snapshot_stride)
     except EvolutionError as exc:
         if exc.partial is not None:
-            _write_frames(cfg, out_dir, exc.partial)
+            _write_frames(cfg, out_dir, exc.partial, frame_stride)
         raise
 
     ledger = energy_ledger(record)
@@ -125,7 +131,7 @@ def _execute_run(cfg: ScenarioConfig, out_dir: str, ops=None):
     write_energy_csv(os.path.join(out_dir, "energies.csv"), ledger)
     write_kkt_csv(os.path.join(out_dir, "kkt.csv"), report)
     write_traction_csv(os.path.join(out_dir, "tractions.csv"), tractions)
-    _write_frames(cfg, out_dir, record)
+    _write_frames(cfg, out_dir, record, frame_stride)
     summary = (f"steps={record.n_steps} "
                f"max_energy_residual={ledger.max_residual:.6e} "
                f"max_kkt_violation={report.max_violation:.6e}")
@@ -158,14 +164,14 @@ def _study_levels(spec):
     parses a document per level.  Each level gets the snapshot stride that
     aligns its comparison times with the next level's: ``2**i`` for tau
     level ``i``, 1 otherwise.  The one level of a ``single`` study is
-    compared with nothing, so it keeps only steps 0 and n unless it writes
-    VTK frames.
+    compared with nothing, so it keeps the document's stride when it writes
+    VTK frames and only steps 0 and n otherwise.
     """
     base = spec.base
     if spec.kind == "h_refinement" and "path" in base.raw["mesh"]:
         raise ConfigError("h_refinement requires an inline rectangle mesh")
     if spec.kind == "single":
-        stride = 1 if base.vtk else base.scenario.n
+        stride = base.snapshot_stride if base.vtk else base.scenario.n
         return [("level_00", base.scenario.n, replace(base, snapshot_stride=stride))]
     if spec.eps_list:
         configs = [(eps, replace(base, scenario=base.scenario.with_eps(eps)))
@@ -222,7 +228,11 @@ def _run_study(spec, levels, out) -> int:
     operators of the level before when both hold the same mesh and materials
     objects (a tau or eps study assembles once).  Once level ``i + 1`` has
     run, its distance ``d_i`` to level ``i`` is computed and level ``i``'s
-    record is dropped, so a study holds at most two trajectories.  ``d_i`` is
+    record is dropped, so a study holds at most two trajectories.  A level
+    that writes VTK frames writes those of the document's output times, every
+    ``output.snapshot_stride * 2**i`` steps of tau level ``i`` and every
+    ``output.snapshot_stride`` steps of any other level, and of its last
+    step.  ``d_i`` is
     None when either level failed; the order of level ``i`` is
     ``log2(d_i / d_{i+1})``.
     """
@@ -230,11 +240,14 @@ def _run_study(spec, levels, out) -> int:
     rows, prev, ops = [], None, None
     for i, (label, param, cfg) in enumerate(levels):
         scenario = cfg.scenario
+        frame_stride = spec.base.snapshot_stride * (2**i if spec.kind == "tau_refinement"
+                                                    else 1)
         if ops is not None and not (ops.mesh is scenario.mesh and scenario.materials
                                     is levels[i - 1][2].scenario.materials):
             ops = None
         try:
-            record, ledger, report, _ = _execute_run(cfg, os.path.join(out_root, label), ops)
+            record, ledger, report, _ = _execute_run(cfg, os.path.join(out_root, label),
+                                                     ops, frame_stride)
             ops = record.ops
             rows.append([i, param, "ok", ledger.max_residual, report.max_violation,
                          None, None])

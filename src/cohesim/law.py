@@ -37,7 +37,9 @@ evaluations, arrays in and out: ``value_slope(w)`` gives ``psi_hat(w)`` and
 ``psi_hat'(w)`` from one pass, and ``curvature(w)`` gives ``psi_hat''(w)``.
 At ``xi_c`` the slope and curvature are the left limits; beyond it the value
 is ``psi_at_cap`` and both are ``+0.0``.  The density and its derivative in
-the opening are evaluated in :class:`FrozenHistory` alone.
+the opening are evaluated in :class:`FrozenHistory` alone, which reads the
+envelope at the openings only when one of them is on or beyond its
+history's cone ``|w| = xi``.
 """
 
 from __future__ import annotations
@@ -335,8 +337,9 @@ class FrozenHistory:
 
     The history terms ``psi_hat(xi)``, ``psi_hat'(xi)``, ``xi**2``, ``2 xi``
     and ``c_xi = psi_hat'(xi) / xi`` are computed once, and ``psi(0, xi)``
-    once on first use, so :meth:`evaluate` costs one envelope pass
-    (``value_slope``) over the openings and :meth:`evaluate_on_cone` none.
+    once on first use, so :meth:`evaluate` costs at most one envelope pass
+    (``value_slope``) over the openings, none when every opening is strictly
+    inside its cone, and :meth:`evaluate_on_cone` none.
     An entry ``xi = 0`` is on the loading branch for every opening; its
     terms divide by 1 instead.
     """
@@ -356,12 +359,20 @@ class FrozenHistory:
 
         ``elastic`` is ``|w| <= xi``.  On the tie ``|w| = xi``, where both
         branches agree, ``psi`` takes the loading branch and ``dpsi_dw`` the
-        elastic one, as in :class:`CohesiveLaw`.
+        elastic one, as in :class:`CohesiveLaw`.  When every opening lies
+        strictly inside its cone, ``|w| < xi``, both are the unloading
+        branch's and no envelope pass is made; otherwise one ``value_slope``
+        pass covers the openings.
         """
         aw = np.abs(w)
+        unload = self.psi_xi - self.slope_xi * (self.xi_sq - w**2) / self.two_xi
+        inside = aw < self.xi
+        if inside.all():
+            # every opening is on the unloading branch (NaN, inf and xi = 0
+            # fail the strict test), so the envelope is not read
+            return unload, self.c_xi * w, aw, inside
         elastic = aw <= self.xi
         value, slope = self.env.value_slope(aw)
-        unload = self.psi_xi - self.slope_xi * (self.xi_sq - w**2) / self.two_xi
         psi = np.where(aw >= self.xi, value, unload)
         dpsi = np.where(elastic, self.c_xi * w, slope * np.sign(w))
         return psi, dpsi, aw, elastic
@@ -389,5 +400,9 @@ class FrozenHistory:
     def curvature(self, aw, elastic):
         """Newton curvature: the secant stiffness ``c_xi`` on the elastic
         branch and the envelope's own curvature ``psi_hat''(|w|)`` elsewhere,
-        which is at least ``-beta`` (exact), as the certified step requires."""
+        which is at least ``-beta`` (exact), as the certified step requires.
+        When every pair is elastic it is the history's own ``c_xi`` array,
+        with no envelope pass; a caller must not write into it."""
+        if elastic.all():
+            return self.c_xi
         return np.where(elastic, self.c_xi, self.env.curvature(aw))

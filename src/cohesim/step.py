@@ -68,10 +68,14 @@ by index (:attr:`~cohesim.assembly.DiscreteOperators.pairs`); ``B`` is
 notation and a test oracle, never formed.  A step then costs one forward
 sweep ``y = L^-1 b``, which gives ``j_lin`` from its interface rows, the
 Newton iterations in the ``n_pairs`` unknowns, one backward sweep from ``y``
-to recover ``u`` and two full-size sparse products.  A trial point costs one
-``S @ lam`` and one law pass with one envelope pass (``value_slope``), giving
-``phi``, ``r``, ``|r|_inf`` and the branch masks; an accepted point reuses
-them for its residual test and its curvature ``D``, so a point is never
+to recover ``u`` and two full-size sparse products, one CSR kernel call each
+(:meth:`~cohesim.assembly.DiscreteOperators.products`).  A trial point costs
+one ``S @ lam`` and one law pass, giving ``phi``, ``r``, ``|r|_inf`` and the
+branch masks; the pass is the unloading branch alone when every pair is
+strictly inside its cone ``|[u]| < xi``, as on most steps, and makes one
+envelope pass (``value_slope``) otherwise.  An accepted point reuses them
+for its residual test and its curvature ``D``, which reads the envelope's
+curvature only when a pair is off the elastic branch, so a point is never
 evaluated twice, and a direction forms ``I + D S`` in place, in Fortran
 order, for one LAPACK ``dgesv`` solve, whose ``info`` is checked so that a
 singular system raises ``LinAlgError``.  A step that converges in one Newton
@@ -402,7 +406,7 @@ def _solve(ops: DiscreteOperators, ws: StepWorkspace, law: CohesiveLaw, hist: Fr
     jumps = ops.jumps(u)
     xi_new = np.maximum(hist.xi, np.abs(jumps))
     # a step that grows no pair keeps its history, and the terms frozen with it
-    hist_new = hist if np.array_equal(xi_new, hist.xi) else law.frozen(xi_new)
+    hist_new = hist if (xi_new == hist.xi).all() else law.frozen(xi_new)
     psi, traction = hist_new.evaluate_on_cone(jumps)
 
     # a-posteriori form: the Euler-Lagrange residual with the updated history

@@ -1047,6 +1047,47 @@ class TestSnapshotStride:
         assert peak < snapshots / 2, (peak, snapshots)
 
 
+class TestStudyFrames:
+    """A study level that writes VTK frames writes those of the document's
+    output times and of its last step, whatever stride it records at."""
+
+    STRIDE, N = 3, 10
+
+    @pytest.mark.parametrize("study, frame_steps", [
+        ({"kind": "single"}, [[0, 3, 6, 9, 10]]),
+        ({"kind": "tau_refinement", "levels": 2}, [[0, 3, 6, 9, 10], [0, 6, 12, 18, 20]]),
+        ({"kind": "eps_continuation", "eps_list": [0.01, 0.001]}, [[0, 3, 6, 9, 10]] * 2),
+        ({"kind": "h_refinement", "levels": 2}, [[0, 3, 6, 9, 10]] * 2),
+    ])
+    def test_frames_at_the_document_output_times(self, tmp_path, records, study,
+                                                 frame_steps):
+        base = base_doc(output={"snapshot_stride": self.STRIDE, "vtk": True})
+        path = tmp_path / "study.json"
+        path.write_text(json.dumps({**study, "base": base}))
+        out = tmp_path / "out"
+        assert main(["study", str(path), "--out", str(out)]) == 0
+        assert len(records) == len(frame_steps)
+        for i, (record, steps) in enumerate(zip(records, frame_steps)):
+            frames = sorted((out / f"level_{i:02d}").glob("fields_*.vtk"))
+            assert len(frames) == len(steps)
+            for frame, k in zip(frames, steps):
+                assert bits(read_vtk_frame(frame)["fields"]["u"]) == bits(record.us[k])
+
+    def test_single_study_writes_the_frames_of_cohesim_run(self, tmp_path):
+        base = base_doc(output={"snapshot_stride": self.STRIDE, "vtk": True})
+        config, study = tmp_path / "run.json", tmp_path / "study.json"
+        config.write_text(json.dumps(base))
+        study.write_text(json.dumps({"kind": "single", "base": base}))
+        assert main(["run", str(config), "--out", str(tmp_path / "run")]) == 0
+        assert main(["study", str(study), "--out", str(tmp_path / "study")]) == 0
+        ran = sorted((tmp_path / "run").iterdir())
+        studied = sorted((tmp_path / "study" / "level_00").iterdir())
+        assert [p.name for p in ran] == [p.name for p in studied]
+        assert sum(p.suffix == ".vtk" for p in ran) == 5
+        for a, b in zip(ran, studied):
+            assert a.read_bytes() == b.read_bytes(), a.name
+
+
 def bits(values) -> bytes:
     """The float64 bit patterns of ``values``, so that ``-0.0 != 0.0``."""
     return np.ascontiguousarray(values, dtype=float).tobytes()

@@ -10,6 +10,7 @@ import pytest
 import scipy.sparse.linalg as spla
 from scipy.sparse._compressed import _cs_matrix
 
+import cohesim.assembly
 import cohesim.cli
 import cohesim.evolution as evolution
 import cohesim.step as step_module
@@ -221,31 +222,36 @@ class TestRun:
             assert np.abs(value).max() > 0.0, name
 
     def test_two_full_size_sparse_products_per_step(self, monkeypatch, tmp_path):
-        # a step forms M_unit u_k and A_unit u_k; every other bulk quantity of
-        # the step and its record is a nodal scaling of stored products, and
-        # the jumps and B' r are read at the pairs' nodes, with no product
-        # with B or B'; a CLI run's traction audit reads the step's own bulk
-        # residual, so the step's two are the only sparse products of any shape
+        # a step forms M_unit u_k and A_unit u_k, one call of the CSR kernel
+        # each; every other bulk quantity of the step and its record is a
+        # nodal scaling of stored products, and the jumps and B' r are read at
+        # the pairs' nodes, with no product with B or B'; a CLI run's traction
+        # audit reads the step's own bulk residual, so the step's two kernel
+        # calls are its only sparse products of any shape, and none goes
+        # through scipy's sparse matmul
         scenario = unloading_tent(n=20, n_x=8, n_y=4)
-        n_nodes, n_pairs = scenario.mesh.n_nodes, scenario.mesh.n_pairs
-        count = {"full": 0, "B": 0, "any": 0}
+        n_nodes = scenario.mesh.n_nodes
+        count = {"kernel": 0, "scipy": 0}
+        real_kernel = cohesim.assembly.csr_matvec
+
+        def kernel(n_row, n_col, *args):
+            assert n_row == n_col == n_nodes
+            count["kernel"] += 1
+            return real_kernel(n_row, n_col, *args)
 
         def counted(real):
             def wrapper(self, other):
-                count["any"] += 1
-                if self.shape == (n_nodes, n_nodes):
-                    count["full"] += 1
-                elif self.shape in ((n_pairs, n_nodes), (n_nodes, n_pairs)):
-                    count["B"] += 1
+                count["scipy"] += 1
                 return real(self, other)
             return wrapper
 
+        monkeypatch.setattr(cohesim.assembly, "csr_matvec", kernel)
         for name in ("_matmul_vector", "_matmul_multivector"):
             monkeypatch.setattr(_cs_matrix, name, counted(getattr(_cs_matrix, name)))
         ends = []
         run(scenario, callbacks=lambda state, res: ends.append(dict(count)))
-        assert np.diff([e["full"] for e in ends]).tolist() == [2] * 19
-        assert np.diff([e["B"] for e in ends]).tolist() == [0] * 19
+        assert np.diff([e["kernel"] for e in ends]).tolist() == [2] * 19
+        assert np.diff([e["scipy"] for e in ends]).tolist() == [0] * 19
 
         # the CLI: one step is its load lookup, solve, record and audit
         audits = []
@@ -253,7 +259,7 @@ class TestRun:
 
         def audit(*args, **kwargs):
             out = real_audit(*args, **kwargs)
-            audits.append(count["any"])
+            audits.append((count["kernel"], count["scipy"]))
             return out
 
         monkeypatch.setattr(cohesim.cli, "traction_extraction", audit)
@@ -264,7 +270,7 @@ class TestRun:
         doc["output"] = {"vtk": False}
         path.write_text(json.dumps(doc))
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
-        assert np.diff(audits).tolist() == [2] * 19
+        assert np.diff(audits, axis=0).tolist() == [[2, 0]] * 19
 
     def test_cli_run_evaluates_law_and_load_once_after_newton(self, monkeypatch,
                                                               tmp_path):

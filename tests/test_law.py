@@ -6,6 +6,7 @@ import pytest
 
 from cohesim.law import (
     CohesiveLaw,
+    FrozenHistory,
     HypothesisError,
     PrototypeEnvelope,
     TabulatedEnvelope,
@@ -330,6 +331,54 @@ class TestFrozenHistory:
             assert np.array_equal(hist.curvature(aw, elastic),
                                   self.exact_curvature(law, w, xi))
             assert np.array_equal(hist.c_xi, law.env.value_slope(xi)[1] / xi)
+
+    @staticmethod
+    def full_branch(hist, w):
+        """``evaluate`` and ``curvature`` through the envelope at every
+        opening, as a step with a pair on or beyond its cone makes them."""
+        aw = np.abs(w)
+        elastic = aw <= hist.xi
+        value, slope = hist.env.value_slope(aw)
+        unload = hist.psi_xi - hist.slope_xi * (hist.xi_sq - w**2) / hist.two_xi
+        return (np.where(aw >= hist.xi, value, unload),
+                np.where(elastic, hist.c_xi * w, slope * np.sign(w)), aw, elastic,
+                np.where(elastic, hist.c_xi, hist.env.curvature(aw)))
+
+    def test_inside_the_cone_is_the_full_branch_bit_for_bit(self, monkeypatch):
+        # openings strictly inside their cones, signed zeros among them, read
+        # no envelope; one opening on the tie |w| = xi, infinite or NaN, or
+        # one history xi = 0, makes the envelope pass, and the curvature
+        # reads the envelope only off the elastic branch.  Every output is
+        # the full branch's bit for bit
+        rng = np.random.default_rng(35)
+        for law in self.laws():
+            env = law.env
+            xi = rng.uniform(1e-4, 1.5 * law.xi_c, 200)
+            inside = rng.uniform(-1.0, 1.0, xi.size) * xi
+            inside[:2] = 0.0, -0.0
+            no_history = xi.copy()
+            no_history[7] = 0.0
+            cases = [(inside, xi, False, False), (inside, no_history, True, True)]
+            for special, elastic in ((xi[7], True), (-xi[7], True), (np.inf, False),
+                                     (-np.inf, False), (np.nan, False)):
+                w = inside.copy()
+                w[7] = special
+                cases.append((w, xi, True, not elastic))
+            for w, hist_xi, envelope, loading in cases:
+                hist = FrozenHistory(env, hist_xi)
+                with np.errstate(invalid="ignore", divide="ignore"):
+                    ref = self.full_branch(hist, w)
+                    calls = []
+                    for name in ("value_slope", "curvature"):
+                        real = getattr(env, name)
+                        monkeypatch.setattr(env, name, lambda x, real=real, name=name:
+                                            calls.append(name) or real(x))
+                    out = hist.evaluate(w)
+                    curvature = hist.curvature(*out[2:])
+                    monkeypatch.undo()
+                assert calls == ["value_slope"] * envelope + ["curvature"] * loading
+                for got, want in zip((*out, curvature), ref):
+                    assert got.tobytes() == want.tobytes()
 
     def test_cone_evaluation_is_evaluate_bit_for_bit(self):
         # max-updated histories xi = max(xi_prev, |w|): grown pairs on |w| = xi,

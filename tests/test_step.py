@@ -338,11 +338,24 @@ class TestSolveStep:
         return step_problem(ops, law, tau, np.full(mesh.n_pairs, 1e-3), loads.at(0.25))
 
     def test_one_law_pass_per_trial_point(self, monkeypatch):
-        # one envelope pass per trial point, the only evaluate() calls; one
-        # more for the history terms at xi_new when a pair grew (those at
-        # xi_prev come with the problem), none when the step keeps its
-        # history.  The post-step pass on the updated cone makes none
-        calls = {"value_slope": 0, "trial": 0}
+        # one evaluate() per trial point, the only ones; it makes an envelope
+        # pass only at a point with a pair on or beyond its cone, and a
+        # direction reads the envelope's curvature only from a point with a
+        # pair off the elastic branch.  One more envelope pass for the history
+        # terms at xi_new when a pair grew (those at xi_prev come with the
+        # problem), none when the step keeps its history.  The post-step pass
+        # on the updated cone makes none
+        calls = dict.fromkeys(("trial", "off_cone", "value_slope", "loading", "curvature"), 0)
+        real_evaluate, real_curvature = FrozenHistory.evaluate, FrozenHistory.curvature
+
+        def evaluate(self, w):
+            calls["trial"] += 1
+            calls["off_cone"] += not (np.abs(w) < self.xi).all()
+            return real_evaluate(self, w)
+
+        def curvature(self, aw, elastic):
+            calls["loading"] += not elastic.all()
+            return real_curvature(self, aw, elastic)
 
         def counted(name, fn):
             def wrapper(*args):
@@ -350,19 +363,23 @@ class TestSolveStep:
                 return fn(*args)
             return wrapper
 
-        monkeypatch.setattr(FrozenHistory, "evaluate",
-                            counted("trial", FrozenHistory.evaluate))
+        monkeypatch.setattr(FrozenHistory, "evaluate", evaluate)
+        monkeypatch.setattr(FrozenHistory, "curvature", curvature)
         # the softening step backtracks and ends on the elastic branch; the
         # toy step opens its pair far past the history
         for prob, grown in ((self.softening_step(), False),
                             (toy_problem(0.1, (30.0, -30.0), 0.01), True)):
             env = prob.law.env
-            monkeypatch.setattr(env, "value_slope", counted("value_slope", env.value_slope))
-            calls.update(value_slope=0, trial=0)
+            for name in ("value_slope", "curvature"):
+                monkeypatch.setattr(env, name, counted(name, getattr(env, name)))
+            calls.update(dict.fromkeys(calls, 0))
             res = solve_step(prob)
             assert calls["trial"] > res.newton_iters >= (5 if not grown else 1)
             assert (res.xi_new.tobytes() != prob.xi_prev.tobytes()) == grown
-            assert calls["value_slope"] == calls["trial"] + grown
+            assert calls["value_slope"] == calls["off_cone"] + grown
+            assert calls["curvature"] == calls["loading"] > 0
+            # the softening step's last points are strictly inside their cones
+            assert (calls["off_cone"] < calls["trial"]) == (not grown)
 
     def test_a_step_that_grows_no_pair_hands_its_history_on(self):
         prob = self.softening_step()
