@@ -4,8 +4,8 @@ The scenario is chosen in the coercive regime (mu * c_hat > beta), so the
 response is stable: nodes open and soften while the load rises, then the
 history freezes and the traction moves up and down the same secant line
 through the origin.  Tractions are recovered from each step's own bulk
-residual (discrete Neumann extraction), collected through the time loop's
-callback as ``cohesim run`` does, and compared against the cohesive law; the
+residual (discrete Neumann extraction), which the record's step table keeps,
+as ``cohesim run`` does, and compared against the cohesive law; the
 transmission defect between the two bodies is machine-small.
 
 Run:  python3 demos/tractions_and_unloading.py
@@ -50,9 +50,7 @@ loads = LoadModel.from_functions(
 scenario = Scenario(mesh, materials, law, loads, T, n,
                     u0=np.zeros(mesh.n_nodes), v0=np.zeros(mesh.n_nodes),
                     xi0=np.zeros(mesh.n_pairs), eps_bar=1e-3)
-steps = []     # per step: its bulk residual at the pairs and its cohesive traction
-record = run(scenario, callbacks=lambda state, res: steps.append((res.residual, res.traction)),
-             ops=ops)
+record = run(scenario, ops=ops)
 
 mid = mesh.n_pairs // 2  # node nearest the center of the interface
 print()
@@ -61,7 +59,7 @@ print(f"{'t':>6} {'load':>6} {'jump':>9} {'xi':>9} {'sigma+':>9} "
       f"{'c_xi*jump':>10} {'transmission':>13}")
 for k in range(20, n + 1, 20):
     cur = record.state(k)
-    tf = traction_extraction(record.ops, law, *steps[k - 1])
+    tf = traction_extraction(record.ops, law, record.residual[k], record.traction[k])
     line = law.frozen(cur.xi[mid]).c_xi * record.jumps[k][mid]
     print(f"{cur.t:6.2f} {profile(cur.t):6.2f} {record.jumps[k][mid]:9.5f} "
           f"{cur.xi[mid]:9.5f} {tf.sigma_plus[mid]:9.5f} {line:10.5f} "

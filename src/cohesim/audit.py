@@ -21,8 +21,9 @@ sides (transmission) and magnitude below the activation threshold.  Both come
 from the step itself: the bulk residual at the interface nodes is the bulk
 part ``H0 u_k + b`` of the step's a-posteriori residual
 (:attr:`cohesim.step.StepResult.residual`) and the cohesive traction is
-:attr:`cohesim.step.StepResult.traction`, so an audit of every step makes no
-law pass, samples no load and makes no sparse product.
+:attr:`cohesim.step.StepResult.traction`, both kept in the step table, so an
+audit of every step makes no law pass, samples no load and makes no sparse
+product.
 """
 
 from __future__ import annotations
@@ -113,11 +114,6 @@ class TractionField:
     interior: np.ndarray             # the mesh's mask; endpoints of K excluded from checks
     bound: float                     # activation threshold psi_hat'(0)
 
-    def max_interior(self, values: np.ndarray) -> float:
-        if not np.any(self.interior):
-            return 0.0
-        return float(np.abs(values[self.interior]).max())
-
 
 def traction_extraction(ops: DiscreteOperators, law: CohesiveLaw, residual: tuple,
                         cohesive: np.ndarray) -> TractionField:
@@ -127,6 +123,9 @@ def traction_extraction(ops: DiscreteOperators, law: CohesiveLaw, residual: tupl
     (:attr:`~cohesim.assembly.DiscreteOperators.pairs`), the step's
     :attr:`~cohesim.step.StepResult.residual`; ``cohesive`` is
     ``dpsi_dw([u_k], xi_k)``, the step's :attr:`~cohesim.step.StepResult.traction`.
+    Stacked over steps, ``residual[0]``, ``residual[1]`` and ``cohesive`` have
+    one row per step, and so have the fields returned; ``interior`` stays the
+    mesh's mask.
     """
     w = ops.weights
     sigma_plus = -residual[0] / w

@@ -11,13 +11,15 @@ failure before step 1: ...``, ``I/O error: ...``); any other exception
 propagates.
 
 ``run`` audits the tractions of every step from the step's own bulk residual
-and cohesive traction (:func:`~cohesim.audit.traction_extraction`), streamed
-through the time loop's callback, and writes one ``tractions.csv`` row per
-step.  Its snapshot stride is the document's ``output.snapshot_stride`` when
-the document asks for VTK frames, and ``time.n`` otherwise: no output reads
-the fields of the steps in between, so the record keeps steps 0 and n only.
-A run that a step stops writes the VTK frames of the snapshot steps it
-completed, and no CSV.
+and cohesive traction, which the step table keeps, in one
+:func:`~cohesim.audit.traction_extraction` after the time loop, and writes one
+``tractions.csv`` row per step.  Its snapshot stride is the document's
+``output.snapshot_stride`` when the document asks for VTK frames, and
+``time.n`` otherwise: no output reads the fields of the steps in between, so
+the record keeps steps 0 and n only.  A run that a step stops writes the CSVs
+of the steps it completed, from the partial record, and the VTK frames of the
+snapshot steps among them; a run that the convexity guard or the initial data
+stop writes nothing.
 
 A study of any kind runs its levels one after another in the calling thread,
 each like ``cohesim run`` into ``<dir>/level_XX``, and compares consecutive
@@ -73,41 +75,45 @@ EXIT_SOLVER = 3
 EXIT_IO = 4
 
 
-def _traction_audit(law, ops, rows: list):
-    """The time loop's callback that appends ``(k, t, TractionField)`` of each
-    step to ``rows``, from the step's own bulk residual and cohesive traction,
-    so it makes no sparse product and no law pass."""
-    def audit(state, step_result):
-        rows.append((state.k, state.t, traction_extraction(
-            ops, law, step_result.residual, step_result.traction)))
-    return audit
-
-
-def _write_frames(cfg: ScenarioConfig, out_dir: str, record, stride: int) -> None:
-    """One VTK frame per snapshot step of ``record`` that is a multiple of
-    ``stride`` or the last step ``n``, if the scenario asks for VTK: ``u``,
-    ``v`` and ``xi`` on both nodes of each interface pair."""
-    if not cfg.vtk:
-        return
-    mesh = cfg.scenario.mesh
-    geometry = vtk_geometry(mesh)
-    steps = [k for k in record.snapshot_steps if k % stride == 0 or k == cfg.scenario.n]
-    for frame, k in enumerate(steps):
-        fields = {
-            "u": record.us[k],
-            "v": record.vs[k],
-            "xi": interface_field_on_nodes(mesh, record.xis[k]),
-        }
-        write_vtk_frame(os.path.join(out_dir, f"fields_{frame:04d}.vtk"), mesh, fields,
-                        geometry)
+@np.errstate(over="ignore", invalid="ignore")
+def _write_outputs(cfg: ScenarioConfig, out_dir: str, record, frame_stride: int):
+    """Write the CSVs of ``record``, a whole or a partial one, and, if the
+    scenario asks for VTK, one frame per snapshot step that is a multiple of
+    ``frame_stride`` or the last step ``n``: ``u``, ``v`` and ``xi`` on both
+    nodes of each interface pair.  Returns (energy ledger, KKT report).  The
+    partial record of a run that overflowed holds the overflowed steps, whose
+    rows the CSVs write as they are, so numpy's warnings are off."""
+    ledger = energy_ledger(record)
+    report = kkt_report(record)
+    write_energy_csv(os.path.join(out_dir, "energies.csv"), ledger)
+    write_kkt_csv(os.path.join(out_dir, "kkt.csv"), report)
+    steps = record.steps[1:]
+    tractions = traction_extraction(record.ops, record.law, steps["residual"].swapaxes(0, 1),
+                                    steps["traction"])
+    write_traction_csv(os.path.join(out_dir, "tractions.csv"), steps["ts"], tractions)
+    if cfg.vtk:
+        mesh = cfg.scenario.mesh
+        geometry = vtk_geometry(mesh)
+        frames = [k for k in record.snapshot_steps
+                  if k % frame_stride == 0 or k == cfg.scenario.n]
+        for frame, k in enumerate(frames):
+            fields = {
+                "u": record.us[k],
+                "v": record.vs[k],
+                "xi": interface_field_on_nodes(mesh, record.xis[k]),
+            }
+            write_vtk_frame(os.path.join(out_dir, f"fields_{frame:04d}.vtk"), mesh, fields,
+                            geometry)
+    return ledger, report
 
 
 def _execute_run(cfg: ScenarioConfig, out_dir: str, ops=None, frame_stride=None):
-    """Run one scenario and write its artifacts.  ``ops`` are the scenario's
-    assembled operators, when a caller holds them for its mesh and materials;
-    otherwise they are assembled here.  The VTK frames are those of the
-    record's steps that are multiples of ``frame_stride`` (by default
-    ``cfg.snapshot_stride``) and of the last.
+    """Run one scenario and write its artifacts, also those of the steps a
+    failed run completed.  ``ops`` are the scenario's assembled operators,
+    when a caller holds them for its mesh and materials; otherwise they are
+    assembled here.  The VTK frames are those of the record's steps that are
+    multiples of ``frame_stride`` (by default ``cfg.snapshot_stride``) and of
+    the last.
 
     Returns (record, energy ledger, KKT report, one-line summary)."""
     from .assembly import assemble
@@ -116,22 +122,15 @@ def _execute_run(cfg: ScenarioConfig, out_dir: str, ops=None, frame_stride=None)
     scenario = cfg.scenario
     if ops is None:
         ops = assemble(scenario.mesh, scenario.materials)
-    tractions = []
     frame_stride = frame_stride or cfg.snapshot_stride
     try:
-        record = run(scenario, callbacks=_traction_audit(scenario.law, ops, tractions),
-                     ops=ops, snapshot_stride=cfg.snapshot_stride)
+        record = run(scenario, ops=ops, snapshot_stride=cfg.snapshot_stride)
     except EvolutionError as exc:
         if exc.partial is not None:
-            _write_frames(cfg, out_dir, exc.partial, frame_stride)
+            _write_outputs(cfg, out_dir, exc.partial, frame_stride)
         raise
 
-    ledger = energy_ledger(record)
-    report = kkt_report(record)
-    write_energy_csv(os.path.join(out_dir, "energies.csv"), ledger)
-    write_kkt_csv(os.path.join(out_dir, "kkt.csv"), report)
-    write_traction_csv(os.path.join(out_dir, "tractions.csv"), tractions)
-    _write_frames(cfg, out_dir, record, frame_stride)
+    ledger, report = _write_outputs(cfg, out_dir, record, frame_stride)
     summary = (f"steps={record.n_steps} "
                f"max_energy_residual={ledger.max_residual:.6e} "
                f"max_kkt_violation={report.max_violation:.6e}")

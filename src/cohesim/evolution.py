@@ -29,9 +29,11 @@ sparse product beyond the two of its own state.  The columns that read only
 the table, the four KKT violations that ``kkt.csv`` writes and
 :class:`~cohesim.audit.KKTReport` reads, and the running sums ``D_cum`` and
 ``P_cum``, are filled in one vectorized pass after the loop, also on the
-partial table of a failed run.  Each callback receives the state and the step's
-:class:`~cohesim.step.StepResult`, whose residual and traction the CLI's
-traction audit reads, so no consumer forms these values again.
+partial table of a failed run.  The table also keeps each step's bulk
+residual at the pairs' nodes and its cohesive traction (the ``residual`` and
+``traction`` of its :class:`~cohesim.step.StepResult`), from which the
+traction audit (:func:`~cohesim.audit.traction_extraction`) reads the
+tractions of all steps at once, so no consumer forms these values again.
 """
 
 from __future__ import annotations
@@ -159,11 +161,14 @@ _FLOAT_COLUMNS = ("ts", "E", "K", "Psi", "Psi_s", "Psi_d", "D_cum", "P_cum", *KK
 
 
 def step_dtype(n_pairs: int) -> np.dtype:
-    """Row type of ``TrajectoryRecord.steps``: scalars, Newton iterations, and
-    the history ``xis`` and jump ``jumps`` of each interface pair."""
+    """Row type of ``TrajectoryRecord.steps``: scalars, Newton iterations, the
+    history ``xis`` and jump ``jumps`` of each interface pair, and the step's
+    bulk residual at the pairs' plus and minus nodes (``residual``, two rows)
+    and cohesive traction (``traction``)."""
     return np.dtype([(name, float) for name in _FLOAT_COLUMNS]
                     + [("newton_iters", int), ("xis", float, (n_pairs,)),
-                       ("jumps", float, (n_pairs,))])
+                       ("jumps", float, (n_pairs,)), ("residual", float, (2, n_pairs)),
+                       ("traction", float, (n_pairs,))])
 
 
 class StepColumns:
@@ -184,8 +189,8 @@ class TrajectoryRecord(StepColumns):
     partial record of a failed run); its columns read as attributes, so
     ``rec.E`` is the elastic energy over the steps and ``rec.xis[k]`` the
     history at step ``k``.  Row 0 and snapshot 0 carry the initial data
-    actually used, after the regularization; the increments and solver
-    columns of row 0 are zero.
+    actually used, after the regularization; the increments, solver columns,
+    residual and traction of row 0 are zero.
     """
 
     steps: np.ndarray
@@ -258,7 +263,7 @@ def _finish_step_table(steps: np.ndarray) -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def run(scenario: Scenario, callbacks=None, tol: float = 1e-10,
+def run(scenario: Scenario, tol: float = 1e-10,
         snapshot_stride: int = 1, ops: DiscreteOperators | None = None) -> TrajectoryRecord:
     """Execute the full time loop and return the trajectory record.  A load
     that is not finite fails its step (:class:`~cohesim.assembly.LoadError`)
@@ -274,8 +279,6 @@ def run(scenario: Scenario, callbacks=None, tol: float = 1e-10,
     u0, v0, xi0 = regularize_initial_data(scenario, ops, tol=tol)
     u_prev = u0.copy()
     u_prev2 = u0 - tau * v0
-
-    callbacks = () if callbacks is None else tuple(np.atleast_1d(callbacks))
 
     # the guard reads the step's own factorization of H0
     ws = StepWorkspace(ops, tau)
@@ -324,9 +327,8 @@ def run(scenario: Scenario, callbacks=None, tol: float = 1e-10,
     # step 1 starts from those of the initial data, -w psi'([u_0], xi_0)
     lam_prev = lam_prev2 = -weights * dpsi0
     for k in range(1, n + 1):
-        t_k = k * tau
         try:
-            f_k = load_vector(scenario.loads, t_k)
+            f_k = load_vector(scenario.loads, k * tau)
             res = solve_step(StepProblem(tau, u_prev, u_prev2, f_k, ops, law, ws, hist,
                                          (products, products2), 2.0 * lam_prev - lam_prev2),
                              tol=tol)
@@ -346,16 +348,14 @@ def run(scenario: Scenario, callbacks=None, tol: float = 1e-10,
         col["newton_iters"][k] = res.newton_iters
         col["grad_norms"][k] = res.grad_norm
         col["el_residuals"][k] = res.el_residual
+        col["residual"][k] = res.residual
+        col["traction"][k] = res.traction
         accel = (v_k - v_prev) / tau
         col["a_l2"][k] = np.sqrt(max(accel @ ((v_products_k[0] - v_products[0]) / tau), 0.0))
 
         if k % snapshot_stride == 0 or k == n:
             rec.snapshot_steps.append(k)
             rec.us[k], rec.vs[k] = u_k.copy(), v_k.copy()
-
-        state = EvolutionState(t=t_k, u=u_k, v=v_k, xi=res.xi_new, k=k)
-        for cb in callbacks:
-            cb(state, res)
 
         u_prev2, u_prev = u_prev, u_k
         products2, products = products, res.products

@@ -92,21 +92,19 @@ def write_kkt_csv(path, report: KKTReport) -> None:
     _write_steps(path, KKT_HEADER, report)
 
 
-def write_traction_csv(path, rows) -> None:
-    """``rows``: sequence of (step, t, TractionField).
+def write_traction_csv(path, ts, field: TractionField) -> None:
+    """One row per step ``1..len(ts)`` at the times ``ts``, from ``field``,
+    the tractions of those steps stacked one row per step.
 
-    Each maximum is :meth:`TractionField.max_interior`, reduced once per
-    column over all rows: zero where a row has no interior node.
+    Each maximum is that of the absolute values over the interior interface
+    pairs, reduced once per column over all rows: zero where no pair is
+    interior.
     """
-    fields = [tf for _, _, tf in rows]
-    if not fields:
-        return _write_columns(path, TRACTION_HEADER, [[]])
-    columns = [[step for step, _, _ in rows], [t for _, t, _ in rows]]
-    interior = np.array([tf.interior for tf in fields], dtype=bool)
+    columns = [np.arange(1, len(ts) + 1), ts]
     for name in ("sigma_plus", "sigma_minus", "transmission_defect", "cohesive_defect"):
-        values = np.abs(np.array([getattr(tf, name) for tf in fields], dtype=float))
-        columns.append(np.where(interior, values, 0.0).max(axis=-1, initial=0.0))
-    columns.append([tf.bound for tf in fields])
+        columns.append(np.where(field.interior, np.abs(getattr(field, name)), 0.0)
+                       .max(axis=-1, initial=0.0))
+    columns.append(np.full(len(ts), field.bound))
     _write_columns(path, TRACTION_HEADER, columns)
 
 

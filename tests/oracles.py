@@ -2,7 +2,7 @@
 forms scaled by node, the step's own residual and jumps by pair index; these
 form the material operators, the sparse jump operator ``B``, the bulk residual
 of two states and the Euler-Lagrange defect independently, so that a test can
-compare the two."""
+compare the two, and reduce one step's tractions cell by cell."""
 
 import json
 
@@ -77,6 +77,14 @@ def state_tractions(prev, state, ops, law, f):
     return traction_extraction(ops, law, tuple(r[nodes] for nodes in ops.pairs),
                                law.dpsi_dw(jump_operator(ops.pairs, ops.n_nodes) @ state.u,
                                            state.xi))
+
+
+def max_interior(tf, values) -> float:
+    """``max |values|`` over the interior pairs of the traction field ``tf``
+    (one step's), 0 where no pair is interior."""
+    if not np.any(tf.interior):
+        return 0.0
+    return float(np.abs(values[tf.interior]).max())
 
 
 def save_mesh(mesh, path) -> None:

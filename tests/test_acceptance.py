@@ -16,7 +16,7 @@ from cohesim.evolution import run, trajectory_distance
 from cohesim.law import CohesiveLaw, PrototypeEnvelope
 from cohesim.mesh import build_rectangle_mesh, estimate_trace_constant, scaled
 
-from oracles import state_tractions, unit_stiffness
+from oracles import max_interior, state_tractions, unit_stiffness
 from scenarios import standard_ramp, unloading_tent
 from test_step import oracle_minimize, toy_problem
 
@@ -191,10 +191,10 @@ class TestCriterion7TractionBounds:
             prev, cur = rec.state(k - 1), rec.state(k)
             f = rec.loads.at(cur.t)
             tf = state_tractions(prev, cur, ops, law, f)
-            s = max(tf.max_interior(tf.sigma_plus), tf.max_interior(tf.sigma_minus))
+            s = max(max_interior(tf, tf.sigma_plus), max_interior(tf, tf.sigma_minus))
             worst_sigma = max(worst_sigma, s)
             assert s <= bound
-            d = tf.max_interior(tf.transmission_defect)
+            d = max_interior(tf, tf.transmission_defect)
             worst_trans = max(worst_trans, d)
             assert d <= 10.0 * SOLVER_TOL * (1.0 + np.abs(f).max())
         _report(7, f"max interior |sigma nu| {worst_sigma:.4f} <= {bound:.4f}; "

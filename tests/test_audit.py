@@ -15,7 +15,8 @@ from cohesim.cli import main
 from cohesim.config import parse_scenario
 from cohesim.evolution import run
 
-from oracles import bulk_residual, jump_operator, node_scaled, state_tractions, weak_residual
+from oracles import (bulk_residual, jump_operator, max_interior, node_scaled, state_tractions,
+                     weak_residual)
 from scenarios import rest_scenario, small_ramp, unloading_tent
 
 TOL = 1e-10
@@ -132,8 +133,8 @@ class TestTractionExtraction:
         f = ramp_record.loads.at(cur.t)
         tf = state_tractions(prev, cur, ramp_record.ops, ramp_record.law, f)
         tol_abs = 10.0 * TOL * (1.0 + np.abs(f).max()) / ramp_record.ops.weights.min()
-        assert tf.max_interior(tf.cohesive_defect) <= tol_abs
-        assert tf.max_interior(tf.transmission_defect) <= tol_abs
+        assert max_interior(tf, tf.cohesive_defect) <= tol_abs
+        assert max_interior(tf, tf.transmission_defect) <= tol_abs
 
     def test_threshold_bound_every_snapshot(self, ramp_record):
         bound = ramp_record.law.psi_prime_0 * (1.0 + 1e-8)
@@ -141,8 +142,8 @@ class TestTractionExtraction:
             prev, cur = ramp_record.state(k - 1), ramp_record.state(k)
             f = ramp_record.loads.at(cur.t)
             tf = state_tractions(prev, cur, ramp_record.ops, ramp_record.law, f)
-            assert tf.max_interior(tf.sigma_plus) <= bound
-            assert tf.max_interior(tf.sigma_minus) <= bound
+            assert max_interior(tf, tf.sigma_plus) <= bound
+            assert max_interior(tf, tf.sigma_minus) <= bound
 
     def test_interface_rows_match_full_residual_bitwise(self):
         rec = run(unloading_tent(n=40, n_x=8, n_y=4), snapshot_stride=1, tol=TOL)
@@ -157,53 +158,52 @@ class TestTractionExtraction:
             assert np.any(tf.sigma_plus != 0.0)
 
     def test_step_traction_and_load_match_recomputation_bitwise(self):
-        # the step hands the audit its own cohesive traction, and its load is
-        # the one the record's work column reads
-        steps = []
-        rec = run(unloading_tent(n=40, n_x=8, n_y=4), tol=TOL,
-                  callbacks=lambda state, res: steps.append((state, res)))
+        # the step table keeps the step's own cohesive traction for the audit,
+        # and the step's load is the one the record's work column reads
+        rec = run(unloading_tent(n=40, n_x=8, n_y=4), tol=TOL, snapshot_stride=1)
         ops, law, prev = rec.ops, rec.law, rec.state(0)
         B = jump_operator(ops.pairs, ops.n_nodes)
         fields = ("sigma_plus", "sigma_minus", "cohesive", "transmission_defect",
                   "cohesive_defect", "interior")
         work = np.zeros(rec.n_steps + 1)
-        for state, res in steps:
+        for k in range(1, rec.n_steps + 1):
+            state = rec.state(k)
             f = rec.loads.at(state.t)
-            work[state.k] = rec.tau * (f @ state.v)
-            assert res.traction.tobytes() == law.dpsi_dw(B @ state.u, state.xi).tobytes()
+            work[k] = rec.tau * (f @ state.v)
+            assert rec.traction[k].tobytes() == law.dpsi_dw(B @ state.u, state.xi).tobytes()
             r = bulk_residual(prev, state, ops, f)
             given = traction_extraction(ops, law, tuple(r[nodes] for nodes in ops.pairs),
-                                        res.traction)
+                                        rec.traction[k])
             own = state_tractions(prev, state, ops, law, f)
             for name in fields:
                 assert getattr(given, name).tobytes() == getattr(own, name).tobytes()
             assert given.bound == own.bound
             prev = state
-        assert len(steps) == 40
+        assert rec.n_steps == 40
         assert np.cumsum(work).tobytes() == rec.P_cum.tobytes()
 
     @pytest.mark.parametrize("scenario", [small_ramp(n=60), unloading_tent(n=40, n_x=8, n_y=4)],
                              ids=["ramp", "tent"])
     def test_step_residual_matches_recomputation(self, scenario):
-        # the step's bulk residual H0 u_k + b and the one formed from the
-        # states, M a + A_eta v + A_mu u - f, agree up to rounding, and both
-        # pass the transmission gate
-        steps = []
-        rec = run(scenario, tol=TOL, callbacks=lambda state, res: steps.append((state, res)))
+        # the step's bulk residual H0 u_k + b, kept in the step table, and the
+        # one formed from the states, M a + A_eta v + A_mu u - f, agree up to
+        # rounding, and both pass the transmission gate
+        rec = run(scenario, tol=TOL, snapshot_stride=1)
         ops, law = rec.ops, rec.law
         prev = rec.state(0)
-        for state, res in steps:
+        for k in range(1, rec.n_steps + 1):
+            state = rec.state(k)
             f = rec.loads.at(state.t)
-            given = traction_extraction(ops, law, res.residual, res.traction)
+            given = traction_extraction(ops, law, rec.residual[k], rec.traction[k])
             own = state_tractions(prev, state, ops, law, f)
             scale = 1.0 + max(np.abs(own.sigma_plus).max(), np.abs(own.sigma_minus).max())
             for name in ("sigma_plus", "sigma_minus"):
                 assert np.abs(getattr(given, name) - getattr(own, name)).max() <= 1e-10 * scale
             tol_abs = 10.0 * TOL * (1.0 + np.abs(f).max()) / ops.weights.min()
             for tf in (given, own):
-                assert tf.max_interior(tf.transmission_defect) <= tol_abs
+                assert max_interior(tf, tf.transmission_defect) <= tol_abs
             prev = state
-        assert len(steps) == rec.n_steps and np.any(rec.xis[-1] > rec.xis[0])
+        assert np.any(rec.xis[-1] > rec.xis[0])
 
     @pytest.mark.parametrize("name", ["standard_ramp", "unloading_tent"],
                              ids=["ramp", "tent"])
@@ -225,7 +225,7 @@ class TestTractionExtraction:
             cur = rec.state(k)
             tf = state_tractions(rec.state(k - 1), cur, ops, law,
                                  rec.loads.at(min(cur.t, rec.loads.t_final)))
-            maxima = [tf.max_interior(getattr(tf, field)) for field in
+            maxima = [max_interior(tf, getattr(tf, field)) for field in
                       ("sigma_plus", "sigma_minus", "transmission_defect", "cohesive_defect")]
             assert row[0] == k and row[1] == cur.t and row[6] == tf.bound
             scale = 1.0 + max(maxima[:2])
@@ -264,24 +264,24 @@ class TestTwoMaterials:
         materials = Materials(1.3, 0.7, 2.0, 3.0, 0.5, 1.5)
         maxima = []
         for n in (120, 240, 480):
-            states = []
             rec = run(replace(small_ramp(n=n, n_x=4, n_y=2), materials=materials), tol=TOL,
-                      snapshot_stride=n, callbacks=lambda state, res: states.append((state, res)))
+                      snapshot_stride=1)
             assert kkt_report(rec).max_violation == 0.0
             led = energy_ledger(rec)
             assert led.max_split_gap <= 1e-12 * max(1.0, np.abs(led.E + led.K + led.Psi).max())
             maxima.append(led.max_residual)
             prev, law, ops = rec.state(0), rec.law, rec.ops
-            for state, res in states:
+            for k in range(1, n + 1):
+                state = rec.state(k)
                 f = rec.loads.at(state.t)
                 tf = state_tractions(prev, state, ops, law, f)
-                assert tf.cohesive.tobytes() == res.traction.tobytes()
+                assert tf.cohesive.tobytes() == rec.traction[k].tobytes()
                 tol_abs = 10.0 * TOL * (1.0 + np.abs(f).max()) / ops.weights.min()
-                assert tf.max_interior(tf.cohesive_defect) <= tol_abs
-                assert tf.max_interior(tf.transmission_defect) <= tol_abs
+                assert max_interior(tf, tf.cohesive_defect) <= tol_abs
+                assert max_interior(tf, tf.transmission_defect) <= tol_abs
                 bound = law.psi_prime_0 * (1.0 + 1e-8)
-                assert tf.max_interior(tf.sigma_plus) <= bound
-                assert tf.max_interior(tf.sigma_minus) <= bound
+                assert max_interior(tf, tf.sigma_plus) <= bound
+                assert max_interior(tf, tf.sigma_minus) <= bound
                 prev = state
             assert np.any(rec.xis[-1] > rec.xis[0])     # the interface opened
         orders = [np.log2(a / b) for a, b in zip(maxima, maxima[1:])]

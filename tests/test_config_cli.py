@@ -17,7 +17,7 @@ from cohesim.cli import main
 from cohesim.config import ConfigError, parse_scenario, parse_study
 from cohesim.expressions import ExpressionError, compile_expression
 
-from oracles import read_vtk_frame
+from oracles import max_interior, read_vtk_frame
 
 REPO = Path(__file__).resolve().parents[1]
 SCENARIOS = REPO / "scenarios"
@@ -261,17 +261,19 @@ class TestCli:
                         b"DATASET UNSTRUCTURED_GRID"]
 
     def test_failed_run_keeps_the_frames_it_reached(self, tmp_path, capsys, monkeypatch):
-        # the standard ramp (stride 10) stopped at step 142 writes the frames
-        # of steps 0, 10, ..., 140 from its partial record, and no CSV
+        # the standard ramp (stride 10) stopped at step 142 writes, from its
+        # partial record, the frames of steps 0, 10, ..., 140 and the CSVs of
+        # steps 0..141 (tractions.csv of steps 1..141), as the whole run
+        # writes their rows; stopped at step 1, it writes the CSVs of step 0
         import cohesim.evolution
         from cohesim.evolution import EvolutionError
         from cohesim.step import StepSolverError
 
-        solve_step, steps = cohesim.evolution.solve_step, []
+        solve_step, steps, fail_at = cohesim.evolution.solve_step, [], None
 
-        def failing_at_142(problem, **kwargs):
+        def failing_at(problem, **kwargs):
             steps.append(None)
-            if len(steps) == 142:
+            if len(steps) == fail_at:
                 raise StepSolverError("Newton stalled")
             return solve_step(problem, **kwargs)
 
@@ -284,17 +286,29 @@ class TestCli:
                 partials.append(exc.partial)
                 raise
 
-        monkeypatch.setattr(cohesim.evolution, "solve_step", failing_at_142)
+        assert main(["run", str(SCENARIOS / "standard_ramp.json"), "--out",
+                     str(tmp_path / "whole")]) == 0
+        monkeypatch.setattr(cohesim.evolution, "solve_step", failing_at)
         monkeypatch.setattr(cohesim.cli, "run", keeping_partial)
-        out = tmp_path / "out"
-        assert main(["run", str(SCENARIOS / "standard_ramp.json"), "--out", str(out)]) == 3
-        assert capsys.readouterr().err == "solver failure at step 142: Newton stalled\n"
-        (partial,) = partials
-        assert partial.snapshot_steps == list(range(0, 141, 10))
-        assert sorted(p.name for p in out.iterdir()) == [f"fields_{i:04d}.vtk"
-                                                         for i in range(15)]
+        csvs = ["energies.csv", "kkt.csv", "tractions.csv"]
+        for fail_at, frames in ((142, 15), (1, 1)):
+            steps.clear()
+            out = tmp_path / f"failed_at_{fail_at}"
+            assert main(["run", str(SCENARIOS / "standard_ramp.json"), "--out", str(out)]) == 3
+            assert capsys.readouterr().err == f"solver failure at step {fail_at}: Newton stalled\n"
+            partial = partials[-1]
+            assert partial.snapshot_steps == list(range(0, fail_at, 10))
+            assert sorted(p.name for p in out.iterdir()) == sorted(
+                csvs + [f"fields_{i:04d}.vtk" for i in range(frames)])
+            for name, rows in zip(csvs, (fail_at, fail_at, fail_at - 1)):
+                lines = (out / name).read_text().splitlines()
+                assert lines == (tmp_path / "whole" / name).read_text().splitlines()[:rows + 1]
+            kkt = np.loadtxt(out / "kkt.csv", delimiter=",", skiprows=1, ndmin=2)
+            assert kkt.shape == (fail_at, 6) and not kkt[:, 2:].any()
+        partial = partials[0]
         pairs = partial.ops.mesh.interface_pairs
         others = np.setdiff1d(np.arange(partial.ops.n_nodes), pairs)
+        out = tmp_path / "failed_at_142"
         for i, k in enumerate(partial.snapshot_steps):
             fields = read_vtk_frame(out / f"fields_{i:04d}.vtk")["fields"]
             assert list(fields) == ["u", "v", "xi"]
@@ -1129,29 +1143,29 @@ def reference_csv(header, rows):
 
 class TestCsvWriters:
     def test_bytes_equal_cell_by_cell_reference(self, tmp_path):
-        from cohesim.assembly import assemble
-        from cohesim.audit import TractionField, energy_ledger, kkt_report
-        from cohesim.cli import _traction_audit
+        from cohesim.audit import TractionField, energy_ledger, kkt_report, traction_extraction
         from cohesim.evolution import run
         from cohesim.output import (ENERGY_HEADER, KKT_HEADER, TRACTION_HEADER,
                                     write_energy_csv, write_kkt_csv, write_traction_csv)
 
-        scenario = parse_scenario(base_doc()).scenario
-        ops = assemble(scenario.mesh, scenario.materials)
-        collected = []
-        rec = run(scenario, callbacks=_traction_audit(scenario.law, ops, collected), ops=ops)
-        # a row without interior nodes reads 0 in every maximum
-        n_pairs = scenario.mesh.n_pairs
-        spikes = np.full(n_pairs, -7.5)
-        rows = collected + [(99, 9.5, TractionField(
-            spikes, spikes, spikes, spikes, spikes, np.zeros(n_pairs, dtype=bool), 1.0))]
-        write_traction_csv(tmp_path / "t.csv", rows)
-        expected = reference_csv(TRACTION_HEADER, [
-            (k, t, tf.max_interior(tf.sigma_plus), tf.max_interior(tf.sigma_minus),
-             tf.max_interior(tf.transmission_defect), tf.max_interior(tf.cohesive_defect),
-             tf.bound) for k, t, tf in rows])
-        assert (tmp_path / "t.csv").read_text() == expected
-        assert expected.splitlines()[-1] == "99,9.5,0.0,0.0,0.0,0.0,1.0"
+        rec = run(parse_scenario(base_doc()).scenario)
+        ops, law, steps = rec.ops, rec.law, rec.steps[1:]
+        write_traction_csv(tmp_path / "t.csv", steps["ts"], traction_extraction(
+            ops, law, steps["residual"].swapaxes(0, 1), steps["traction"]))
+        rows = []
+        for k in range(1, rec.n_steps + 1):
+            tf = traction_extraction(ops, law, rec.residual[k], rec.traction[k])
+            rows.append((k, rec.ts[k], *(max_interior(tf, getattr(tf, name)) for name in (
+                "sigma_plus", "sigma_minus", "transmission_defect", "cohesive_defect")),
+                tf.bound))
+        assert (tmp_path / "t.csv").read_text() == reference_csv(TRACTION_HEADER, rows)
+        # a field without interior pairs reads 0 in every maximum
+        n_pairs = ops.mesh.n_pairs
+        spikes = np.full((2, n_pairs), -7.5)
+        write_traction_csv(tmp_path / "t.csv", [0.5, 9.5], TractionField(
+            spikes, spikes, spikes, spikes, spikes, np.zeros(n_pairs, dtype=bool), 1.0))
+        assert (tmp_path / "t.csv").read_text().splitlines()[1:] == [
+            "1,0.5,0.0,0.0,0.0,0.0,1.0", "2,9.5,0.0,0.0,0.0,0.0,1.0"]
 
         for header, table, writer in ((ENERGY_HEADER, energy_ledger(rec), write_energy_csv),
                                       (KKT_HEADER, kkt_report(rec), write_kkt_csv)):

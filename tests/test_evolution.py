@@ -83,10 +83,34 @@ class TestRun:
         assert set(rec.us) == {0, 5, 10, 15, 20}
         assert rec.E.shape[0] == 21  # scalars recorded every step
 
-    def test_callback_sees_every_step(self):
-        seen = []
-        run(rest_scenario(n=7), callbacks=lambda state, res: seen.append(state.k))
-        assert seen == list(range(1, 8))
+    def test_record_keeps_each_steps_residual_and_traction(self, monkeypatch):
+        # rows 1..n of the residual and traction columns hold each step's
+        # StepResult bit for bit, row 0 holds zeros, and a partial record
+        # holds them for the rows before the failed step
+        real, results, fail_at = evolution.solve_step, [], None
+
+        def solve_step(prob, tol=1e-10):
+            if len(results) + 1 == fail_at:
+                raise StepSolverError("forced failure", u_last=prob.u_prev, grad_norm=1.0)
+            results.append(real(prob, tol=tol))
+            return results[-1]
+
+        def same_as_steps(rec):
+            assert not rec.residual[0].any() and not rec.traction[0].any()
+            assert rec.steps.size == len(results) + 1
+            for k, res in enumerate(results, start=1):
+                assert rec.residual[k].tobytes() == np.array(res.residual).tobytes()
+                assert rec.traction[k].tobytes() == res.traction.tobytes()
+
+        monkeypatch.setattr(evolution, "solve_step", solve_step)
+        same_as_steps(run(unloading_tent(n=10, n_x=8, n_y=4)))
+        assert len(results) == 10
+        results.clear()
+        fail_at = 7
+        with pytest.raises(EvolutionError) as err:
+            run(unloading_tent(n=10, n_x=8, n_y=4))
+        assert err.value.step == 7
+        same_as_steps(err.value.partial)
 
     def test_convexity_guard_failure_raises(self):
         sc = standard_ramp(n=2, n_x=4, n_y=2, T=2e6)  # tau = 1e6
@@ -248,19 +272,27 @@ class TestRun:
         monkeypatch.setattr(cohesim.assembly, "csr_matvec", kernel)
         for name in ("_matmul_vector", "_matmul_multivector"):
             monkeypatch.setattr(_cs_matrix, name, counted(getattr(_cs_matrix, name)))
-        ends = []
-        run(scenario, callbacks=lambda state, res: ends.append(dict(count)))
-        assert np.diff([e["kernel"] for e in ends]).tolist() == [2] * 19
-        assert np.diff([e["scipy"] for e in ends]).tolist() == [0] * 19
+        ends = []       # the counts at each step's return
+        real_solve = evolution.solve_step
 
-        # the CLI: one step is its load lookup, solve, record and audit
+        def solve_step(*args, **kwargs):
+            out = real_solve(*args, **kwargs)
+            ends.append((count["kernel"], count["scipy"]))
+            return out
+
+        monkeypatch.setattr(evolution, "solve_step", solve_step)
+        run(scenario)
+        assert np.diff(ends, axis=0).tolist() == [[2, 0]] * 19
+
+        # the CLI: one step is its load lookup, solve and record, and the
+        # audit of all steps after the loop makes no product
+        ends.clear()
         audits = []
         real_audit = cohesim.cli.traction_extraction
 
         def audit(*args, **kwargs):
-            out = real_audit(*args, **kwargs)
             audits.append((count["kernel"], count["scipy"]))
-            return out
+            return real_audit(*args, **kwargs)
 
         monkeypatch.setattr(cohesim.cli, "traction_extraction", audit)
         path = tmp_path / "tent.json"
@@ -270,7 +302,8 @@ class TestRun:
         doc["output"] = {"vtk": False}
         path.write_text(json.dumps(doc))
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
-        assert np.diff(audits, axis=0).tolist() == [[2, 0]] * 19
+        assert np.diff(ends, axis=0).tolist() == [[2, 0]] * 19
+        assert audits == ends[-1:]
 
     def test_cli_run_evaluates_law_and_load_once_after_newton(self, monkeypatch,
                                                               tmp_path):
@@ -427,26 +460,19 @@ class TestRun:
             assert not rec.us[k][sc.mesh.dirichlet_nodes].any()
 
     def test_rounding_on_dirichlet_nodes_of_the_initial_data_is_not_recorded(self):
-        from cohesim.assembly import assemble
-        from cohesim.cli import _traction_audit
-
+        # the step table includes the residual and traction columns that the
+        # traction audit reads
         sc = mild_ramp(n=10)
         dnodes = sc.mesh.dirichlet_nodes
         u0, v0 = sc.u0.copy(), sc.v0.copy()
         u0[dnodes[::3]] = v0[dnodes[::3]] = 1e-13
         rounded = Scenario(sc.mesh, sc.materials, sc.law, sc.loads, sc.T, sc.n, u0=u0,
                            v0=v0, xi0=sc.xi0, eps_bar=sc.eps_bar)
-        ops = assemble(sc.mesh, sc.materials)
-        ref_rows, rows = [], []
-        ref, rec = [run(s, callbacks=_traction_audit(s.law, ops, r), ops=ops)
-                    for s, r in ((sc, ref_rows), (rounded, rows))]
-        assert len(rows) == sc.n and not rec.vs[1][dnodes].any()
+        ref, rec = run(sc), run(rounded)
+        assert not rec.vs[1][dnodes].any() and rec.residual[1:].any()
         assert rec.steps.tobytes() == ref.steps.tobytes()
         for a, b in ((rec.us[0], ref.us[0]), (rec.vs[0], ref.vs[0]), (rec.xis[0], ref.xis[0])):
             assert same_bits(a, b)
-        for (_, _, tf), (_, _, tf_ref) in zip(rows, ref_rows):
-            assert same_bits(tf.sigma_plus, tf_ref.sigma_plus)
-            assert same_bits(tf.sigma_minus, tf_ref.sigma_minus)
 
     def test_step_failure_attaches_partial_trajectory(self, monkeypatch):
         calls = {"k": 0}

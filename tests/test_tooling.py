@@ -60,10 +60,12 @@ def test_traced_config_run_counts_load_spans():
     assert lookups >= 3
 
 
-def test_traced_cli_run_counts_one_audit_lookup_and_energy_per_step(tmp_path):
-    # audit.traction_s, evolution.load_lookup_s and step.iters_per_eval read
-    # one span of each per step; a converged step makes no polish direction,
-    # so the step.newton_direction spans are the Newton iterations
+def test_traced_cli_run_counts_one_audit_per_run_and_a_lookup_and_energy_per_step(tmp_path):
+    # audit.traction_s reads one span per run, since the traction audit reads
+    # the step table once after the time loop; evolution.load_lookup_s and
+    # step.iters_per_eval read one span of each per step; a converged step
+    # makes no polish direction, so the step.newton_direction spans are the
+    # Newton iterations
     out = run_python(
         "import json, os, sys; sys.path[:0] = sys.argv[1:]\n"
         "import tracing\n"
@@ -82,6 +84,6 @@ def test_traced_cli_run_counts_one_audit_lookup_and_energy_per_step(tmp_path):
         "print(*(names.count(name) for name in ("
         "'audit.traction', 'evolution.load_lookup', 'step.incremental_energy',"
         "'step.newton_direction')), records[0].newton_iters.sum())\n")
-    *per_step, directions, iters = map(int, out.splitlines()[-1].split())
-    assert per_step == [3, 3, 3]
+    audits, *per_step, directions, iters = map(int, out.splitlines()[-1].split())
+    assert audits == 1 and per_step == [3, 3]
     assert directions == iters >= 3
