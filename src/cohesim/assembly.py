@@ -26,7 +26,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse._sparsetools import csr_matvec
 
-from .mesh import _BLOCK, InterfaceMesh, _triangle_areas, _vertex_blocks, jumps
+from .mesh import _BLOCK, InterfaceMesh, _triangle_areas, _vertex_blocks
 
 __all__ = [
     "Materials",
@@ -106,7 +106,8 @@ class DiscreteOperators:
                  per body), on the sparsity pattern of ``M_unit``
     pairs        ``(plus, minus)``: the nodes of each interface pair, where ``B``
                  is ``+1`` and ``-1``; the time loop reads jumps, ``B' r`` and
-                 the traction audit's bulk residual there
+                 the traction audit's bulk residual there, the reads through
+                 ``pair_index``, the two stacked as one ``(2, n_pairs)`` index
     weights      interface quadrature weights w_j
     free_dofs    non-Dirichlet node indices
     rho, mu, eta nodal density, shear modulus and Kelvin-Voigt viscosity
@@ -134,10 +135,9 @@ class DiscreteOperators:
         M, A = self.M_unit, self.A_unit
         if not (np.array_equal(M.indptr, A.indptr) and np.array_equal(M.indices, A.indices)):
             raise ValueError("M_unit and A_unit must share one sparsity pattern")
-
-    @property
-    def n_nodes(self) -> int:
-        return self.M_unit.shape[0]
+        self.n_nodes = M.shape[0]
+        # the pairs as one (2, n_pairs) index, so that a read at them is one gather
+        self.pair_index = np.stack(self.pairs)
 
     def combination(self, mass: np.ndarray, stiffness: np.ndarray) -> sp.csr_matrix:
         """``diag(mass) M_unit + diag(stiffness) A_unit`` for nodal coefficients."""
@@ -146,30 +146,45 @@ class DiscreteOperators:
         data = np.repeat(mass, counts) * M.data + np.repeat(stiffness, counts) * A.data
         return sp.csr_matrix((data, M.indices, M.indptr), shape=M.shape)
 
+    def _vector(self, u) -> np.ndarray:
+        """``u`` as a contiguous float vector with one entry per node, which
+        the CSR kernel needs: it checks no bounds."""
+        u = np.ascontiguousarray(u, dtype=float)
+        n = self.n_nodes
+        if u.shape != (n,):
+            raise ValueError(f"vector has shape {u.shape}, expected ({n},)")
+        return u
+
+    def _matvec(self, data: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """The product of the form with entries ``data`` on the shared pattern
+        and the checked vector ``u``."""
+        n, M = self.n_nodes, self.M_unit
+        out = np.zeros(n)
+        csr_matvec(n, n, M.indptr, M.indices, data, u, out)
+        return out
+
     def products(self, u: np.ndarray) -> tuple:
         """``(M_unit u, A_unit u)``, the only full-size products a state needs,
         bit for bit ``(M_unit @ u, A_unit @ u)``.
 
         Each calls scipy's CSR kernel ``csr_matvec``, in which ``@`` ends,
         directly on the shared pattern: on a small mesh scipy's Python
-        dispatch around it costs more than the products.  The kernel checks
-        no bounds, so ``u`` must have one float entry per node."""
-        u = np.ascontiguousarray(u, dtype=float)
-        n = self.n_nodes
-        if u.shape != (n,):
-            raise ValueError(f"vector has shape {u.shape}, expected ({n},)")
-        M, A = self.M_unit, self.A_unit
-        m, a = np.zeros(n), np.zeros(n)
-        csr_matvec(n, n, M.indptr, M.indices, M.data, u, m)
-        csr_matvec(n, n, M.indptr, M.indices, A.data, u, a)
-        return m, a
+        dispatch around it costs more than the products.  ``u`` must have one
+        entry per node."""
+        u = self._vector(u)
+        return self._matvec(self.M_unit.data, u), self._matvec(self.A_unit.data, u)
 
     def jumps(self, u: np.ndarray) -> np.ndarray:
-        """``B @ u`` bit for bit (:func:`~cohesim.mesh.jumps`)."""
-        return jumps(u, self.pairs)
+        """``B @ u`` bit for bit (:func:`~cohesim.mesh.jumps`), from one
+        gather at :attr:`pair_index`."""
+        g = u[self.pair_index]
+        return (0.0 + g[0]) - g[1]
 
     def l2_norm(self, u: np.ndarray) -> float:
-        return float(np.sqrt(max(u @ (self.M_unit @ u), 0.0)))
+        """``sqrt(u' M_unit u)``, with ``M_unit u`` bit for bit ``M_unit @ u``
+        from one call of the CSR kernel, as in :meth:`products`."""
+        u = self._vector(u)
+        return float(np.sqrt(max(u @ self._matvec(self.M_unit.data, u), 0.0)))
 
 
 def assemble(mesh: InterfaceMesh, materials: Materials) -> DiscreteOperators:

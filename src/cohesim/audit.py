@@ -115,17 +115,18 @@ class TractionField:
     bound: float                     # activation threshold psi_hat'(0)
 
 
-def traction_extraction(ops: DiscreteOperators, law: CohesiveLaw, residual: tuple,
+def traction_extraction(ops: DiscreteOperators, law: CohesiveLaw, residual: np.ndarray,
                         cohesive: np.ndarray) -> TractionField:
     """Discrete Neumann extraction of ``sigma nu`` on both sides of K.
 
     ``residual`` is the bulk residual at the pairs' plus and minus nodes
-    (:attr:`~cohesim.assembly.DiscreteOperators.pairs`), the step's
-    :attr:`~cohesim.step.StepResult.residual`; ``cohesive`` is
-    ``dpsi_dw([u_k], xi_k)``, the step's :attr:`~cohesim.step.StepResult.traction`.
-    Stacked over steps, ``residual[0]``, ``residual[1]`` and ``cohesive`` have
-    one row per step, and so have the fields returned; ``interior`` stays the
-    mesh's mask.
+    (:attr:`~cohesim.assembly.DiscreteOperators.pair_index`), the step's
+    :attr:`~cohesim.step.StepResult.residual`, a ``(2, n_pairs)`` array;
+    ``cohesive`` is ``dpsi_dw([u_k], xi_k)``, the step's
+    :attr:`~cohesim.step.StepResult.traction`.  Stacked over steps, as a
+    ``(2, n_steps, n_pairs)`` array, ``residual[0]``, ``residual[1]`` and
+    ``cohesive`` have one row per step, and so have the fields returned;
+    ``interior`` stays the mesh's mask.
     """
     w = ops.weights
     sigma_plus = -residual[0] / w

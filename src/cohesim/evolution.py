@@ -19,11 +19,14 @@ stats, velocity/acceleration norms, per-pair history and jumps) go into one
 table, a structured array with one row per step whose dtype ``step_dtype``
 declares every column; full field snapshots are kept every
 ``snapshot_stride`` steps.  Inside the loop a step writes, through column
-views, only what needs its full-size vectors: the jumps, ``psi``,
-``psi(0, xi_k)`` and the products ``(M_unit u_k, A_unit u_k)`` of the step
-(:class:`~cohesim.step.StepResult`) give the energies, the history and
-jumps, ``|v|_H1``, ``|a|_L2`` and the step's viscous dissipation and load
-work, as nodal scalings of these products and their differences
+views, only what needs its full-size vectors, and reads every value the step
+formed rather than forming it again (:class:`~cohesim.step.StepResult`): the
+elastic energy ``E``, the jumps, ``psi`` and the frozen history with its
+``psi(0, xi_k)``, whose dissipated energy ``Psi_d = w @ psi(0, xi_k)`` is
+summed once per history, on the steps that grew a pair.  The products
+``(M_unit u_k, A_unit u_k)`` of the step give ``K``, ``|v|_H1``, ``|a|_L2``
+and the step's viscous dissipation and load work, as nodal scalings of these
+products and their differences
 (``M v_k = rho (M_unit u_k - M_unit u_{k-1}) / tau``), so a step makes no
 sparse product beyond the two of its own state.  The columns that read only
 the table, the four KKT violations that ``kkt.csv`` writes and
@@ -277,8 +280,6 @@ def run(scenario: Scenario, tol: float = 1e-10,
     n = scenario.n
 
     u0, v0, xi0 = regularize_initial_data(scenario, ops, tol=tol)
-    u_prev = u0.copy()
-    u_prev2 = u0 - tau * v0
 
     # the guard reads the step's own factorization of H0
     ws = StepWorkspace(ops, tau)
@@ -286,6 +287,10 @@ def run(scenario: Scenario, tol: float = 1e-10,
         raise ConvexityError(
             f"incremental functional not strictly convex (step margin "
             f"1 - beta*lambda_max = {ws.margin(law.beta)!r}); reduce the time step tau")
+    # formed after the factorization, whose peak they would raise; u0 and v0
+    # are fresh arrays that the loop reads and never writes, so the states of
+    # steps 0 and -1 need no copy of their own (the snapshots keep copies)
+    u_prev, u_prev2 = u0, u0 - tau * v0
 
     steps = np.zeros(n + 1, dtype=step_dtype(scenario.mesh.n_pairs))
     steps["ts"] = np.arange(n + 1) * tau
@@ -295,17 +300,19 @@ def run(scenario: Scenario, tol: float = 1e-10,
     col = {name: steps[name] for name in steps.dtype.names}
     weights = ops.weights
 
-    def record_state(k, u, v, products, v_products, jumps, psi, hist):
-        """Write the state columns of row ``k`` at history ``hist`` from the
-        products of ``u`` and ``v`` (``ops.products``); return ``v' A_eta v``."""
+    def record_state(k, elastic, v, v_products, jumps, psi, hist, dissipated):
+        """Write the state columns of row ``k`` at history ``hist``, whose
+        ``dissipated`` energy is ``w @ psi(0, xi)``, from the elastic energy
+        of the state and the products of ``v`` (``ops.products``); return
+        ``v' A_eta v``."""
         m_v, a_v = v_products
-        col["E"][k] = 0.5 * (u @ (ops.mu * products[1]))
+        col["E"][k] = elastic
         col["K"][k] = 0.5 * (v @ (ops.rho * m_v))
         psi_d = hist.psi_at_zero()
         psi_s = psi - psi_d
         col["Psi"][k] = weights @ (psi_s + psi_d)
         col["Psi_s"][k] = weights @ psi_s
-        col["Psi_d"][k] = weights @ psi_d
+        col["Psi_d"][k] = dissipated
         col["xis"][k] = hist.xi
         col["jumps"][k] = jumps
         col["v_h1"][k] = np.sqrt(max(v @ a_v + v @ m_v, 0.0))
@@ -316,13 +323,16 @@ def run(scenario: Scenario, tol: float = 1e-10,
     products, products2 = ops.products(u0), ops.products(u_prev2)
     v_products = ops.products(v0)
     psi0, dpsi0 = hist.evaluate(jumps0)[:2]
-    record_state(0, u0, v0, products, v_products, jumps0, psi0, hist)
+    # formed once per frozen history, which most steps hand on unchanged
+    dissipated = weights @ hist.psi_at_zero()
+    record_state(0, 0.5 * (u0 @ (ops.mu * products[1])), v0, v_products, jumps0, psi0, hist,
+                 dissipated)
     if scenario.regularity_mode:
         col["a_l2"][0] = ops.l2_norm(scenario.w0)
     rec.snapshot_steps.append(0)
     rec.us[0], rec.vs[0] = u0.copy(), v0.copy()
 
-    v_prev = v0.copy()
+    v_prev = v0
     # the multipliers of steps k-1 and k-2, extrapolated to warm-start step k;
     # step 1 starts from those of the initial data, -w psi'([u_0], xi_0)
     lam_prev = lam_prev2 = -weights * dpsi0
@@ -341,8 +351,10 @@ def run(scenario: Scenario, tol: float = 1e-10,
         # M_unit v_k and A_unit v_k, from the products of u_k and u_{k-1}
         v_products_k = ((res.products[0] - products[0]) / tau,
                         (res.products[1] - products[1]) / tau)
-        vAv = record_state(k, u_k, v_k, res.products, v_products_k, res.jumps, res.psi,
-                           res.history)
+        if res.history is not hist:
+            dissipated = weights @ res.history.psi_at_zero()
+        vAv = record_state(k, res.elastic, v_k, v_products_k, res.jumps, res.psi, res.history,
+                           dissipated)
         col["D_cum"][k] = tau * vAv
         col["P_cum"][k] = tau * (f_k @ v_k)
         col["newton_iters"][k] = res.newton_iters

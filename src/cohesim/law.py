@@ -364,29 +364,38 @@ class FrozenHistory:
         branch's and no envelope pass is made; otherwise one ``value_slope``
         pass covers the openings.
         """
+        return self.branches(w)[:4]
+
+    def branches(self, w):
+        """:meth:`evaluate`'s four outputs and ``inside``, True when every
+        opening lies strictly inside its cone: the test that decides the
+        branch, which :meth:`curvature` takes instead of testing again."""
         aw = np.abs(w)
         unload = self.psi_xi - self.slope_xi * (self.xi_sq - w**2) / self.two_xi
         inside = aw < self.xi
         if inside.all():
             # every opening is on the unloading branch (NaN, inf and xi = 0
             # fail the strict test), so the envelope is not read
-            return unload, self.c_xi * w, aw, inside
+            return unload, self.c_xi * w, aw, inside, True
         elastic = aw <= self.xi
         value, slope = self.env.value_slope(aw)
         psi = np.where(aw >= self.xi, value, unload)
         dpsi = np.where(elastic, self.c_xi * w, slope * np.sign(w))
-        return psi, dpsi, aw, elastic
+        return psi, dpsi, aw, elastic, False
 
-    def evaluate_on_cone(self, w):
+    def evaluate_on_cone(self, w, aw=None):
         """``(psi, dpsi_dw)`` at openings on the history's own cone ``|w| <= xi``,
         as the max-update leaves them: ``psi_hat(xi)`` where ``|w| = xi``, the
         unloading branch elsewhere, and ``dpsi_dw = c_xi w``.  It makes no
         envelope pass over the openings and is bit-identical to
-        :meth:`evaluate` on the cone."""
+        :meth:`evaluate` on the cone.  ``aw`` is ``|w|`` when the caller
+        has it."""
         unload = self.psi_xi - self.slope_xi * (self.xi_sq - w**2) / self.two_xi
+        if aw is None:
+            aw = np.abs(w)
         # on |w| = xi the unloading branch is psi_hat(xi) too, but for an
         # infinite opening, where it reads inf - inf
-        return np.where(np.abs(w) == self.xi, self.psi_xi, unload), self.c_xi * w
+        return np.where(aw == self.xi, self.psi_xi, unload), self.c_xi * w
 
     def psi_at_zero(self):
         """``psi(0, xi)``, the dissipated part ``psi_d(xi)``, from the history
@@ -397,12 +406,14 @@ class FrozenHistory:
             self._psi_at_zero = self.psi_xi - self.slope_xi * self.xi_sq / self.two_xi
         return self._psi_at_zero
 
-    def curvature(self, aw, elastic):
+    def curvature(self, aw, elastic, inside=False):
         """Newton curvature: the secant stiffness ``c_xi`` on the elastic
         branch and the envelope's own curvature ``psi_hat''(|w|)`` elsewhere,
         which is at least ``-beta`` (exact), as the certified step requires.
         When every pair is elastic it is the history's own ``c_xi`` array,
-        with no envelope pass; a caller must not write into it."""
-        if elastic.all():
+        with no envelope pass; a caller must not write into it.  ``inside``
+        is :meth:`branches`' flag of the same point: when it is True every
+        pair is elastic, and ``elastic`` is not tested again."""
+        if inside or elastic.all():
             return self.c_xi
         return np.where(elastic, self.c_xi, self.env.curvature(aw))

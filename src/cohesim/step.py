@@ -63,23 +63,29 @@ the step (``b``, the a-posteriori residual ``H0 u_new``, the incremental
 energy) is a nodal scaling of the products ``(M_unit u, A_unit u)`` of
 ``u_new``, ``u_prev`` and ``u_prev2``; a run forms those of ``u_new`` once
 and hands them on (:attr:`StepProblem.products`,
-:attr:`StepResult.products`).  Jumps and ``B' r`` are read and scattered
-by index (:attr:`~cohesim.assembly.DiscreteOperators.pairs`); ``B`` is
-notation and a test oracle, never formed.  A step then costs one forward
-sweep ``y = L^-1 b``, which gives ``j_lin`` from its interface rows, the
-Newton iterations in the ``n_pairs`` unknowns, one backward sweep from ``y``
-to recover ``u`` and two full-size sparse products, one CSR kernel call each
+:attr:`StepResult.products`); the workspace keeps the coefficients
+``rho / tau^2`` negated, as ``b`` reads them.  Jumps and the bulk residual at the pairs
+are read by one gather each at the ``(2, n_pairs)`` index
+(:attr:`~cohesim.assembly.DiscreteOperators.pair_index`) and ``B' r`` is
+scattered by index; ``B`` is notation and a test oracle, never formed.  A
+step then costs one forward sweep ``y = L^-1 b``, which gives ``j_lin`` from
+its interface rows, the Newton iterations in the ``n_pairs`` unknowns, one
+backward sweep from ``y`` to recover ``u`` and two full-size sparse
+products, one CSR kernel call each
 (:meth:`~cohesim.assembly.DiscreteOperators.products`).  A trial point costs
-one ``S @ lam`` and one law pass, giving ``phi``, ``r``, ``|r|_inf`` and the
-branch masks; the pass is the unloading branch alone when every pair is
-strictly inside its cone ``|[u]| < xi``, as on most steps, and makes one
-envelope pass (``value_slope``) otherwise.  An accepted point reuses them
-for its residual test and its curvature ``D``, which reads the envelope's
-curvature only when a pair is off the elastic branch, so a point is never
-evaluated twice, and a direction forms ``I + D S`` in place, in Fortran
-order, for one LAPACK ``dgesv`` solve, whose ``info`` is checked so that a
-singular system raises ``LinAlgError``.  A step that converges in one Newton
-direction thus makes two law passes, at its start and at the Newton point.
+one ``S @ lam`` and one law pass
+(:meth:`~cohesim.law.FrozenHistory.branches`), giving ``phi``, ``r``,
+``|r|_inf``, the branch masks and whether every pair is strictly inside its
+cone ``|[u]| < xi``: then, as on most steps, the pass is the unloading branch
+alone, and otherwise it makes one envelope pass (``value_slope``).  An
+accepted point reuses them for its residual test and its curvature ``D``,
+which takes the history's ``c_xi`` on that flag without testing the mask
+again and reads the envelope's curvature only when a pair is off the
+elastic branch, so a point is never evaluated twice, and a direction forms
+``I + D S`` in place, in Fortran order, for one LAPACK ``dgesv`` solve,
+whose ``info`` is checked so that a singular system raises
+``LinAlgError``.  A step that converges in one Newton direction thus makes
+two law passes, at its start and at the Newton point.
 The post-step pass makes one envelope pass over the history, to freeze
 ``xi_k``, only when the max-update grew a pair; on an elastic or unloading
 step ``xi_k`` is ``xi_{k-1}`` bit for bit and the step hands its own frozen
@@ -88,9 +94,11 @@ nodal coefficients of ``H0``, the triangular factor ``U = D L'`` and ``S``;
 vectors are nodal and ``b`` vanishes on the Dirichlet nodes; no dense
 nodes x pairs array is kept.
 
-After the solve, one post-step pass forms the jumps ``[u_k]`` once and
-evaluates the law on the updated history's own cone ``|[u_k]| <= xi_k``,
-where the max-update leaves every pair
+After the solve, one post-step pass forms the products of ``u_k``, its
+elastic energy ``1/2 u_k' A_mu u_k`` and the jumps ``[u_k]`` and their
+magnitudes once, which the max-update shares with the law, and evaluates
+the law on the updated history's own cone ``|[u_k]| <= xi_k``, where the
+max-update leaves every pair
 (:meth:`~cohesim.law.FrozenHistory.evaluate_on_cone`: ``psi_hat(xi_k)`` where
 ``|[u_k]| = xi_k``, the unloading branch elsewhere and the traction
 ``c_xi [u_k]``), with no envelope pass over the openings.
@@ -100,13 +108,16 @@ where the max-update leaves every pair
 dissipated part, formed once per history; the a-posteriori
 residual, the time loop's energy and jump columns, the traction audit and
 the next step read them, so none of them evaluates the law again;
-:attr:`StepResult.energy` reads its ``psi`` too.  Each value is
-bit-identical to the corresponding :class:`~cohesim.law.CohesiveLaw` call.
+:attr:`StepResult.energy` reads its ``psi`` and the elastic energy
+(:attr:`StepResult.elastic`) too, which the time loop records as ``E``.
+Each value is bit-identical to the corresponding
+:class:`~cohesim.law.CohesiveLaw` call.
 The bulk part ``H0 u_k + b`` of the a-posteriori residual at the pairs'
-nodes (:attr:`StepResult.residual`) is the residual
-``M a_k + A_eta v_k + A_mu u_k - f_k`` of the traction audit, which forms no
-other.  :func:`solve_static` makes the same pass, whose
-residual gates the recomputed initial data.
+nodes (:attr:`StepResult.residual`, a ``(2, n_pairs)`` array of the plus
+and minus rows) is the residual ``M a_k + A_eta v_k + A_mu u_k - f_k`` of the
+traction audit, which forms no other.  :func:`solve_static` makes the same
+pass, whose residual gates the recomputed initial data and whose energy
+reads the same elastic energy.
 
 The step is well posed when ``H0 - beta B' W B`` is positive definite, which
 makes the functional strictly convex for every history; :func:`convexity_guard`
@@ -162,7 +173,9 @@ class StepWorkspace:
     """Reusable interface-last factorization of the history-independent SPD
     block ``H0 = diag(mass) M_unit + diag(stiffness) A_unit``, with the nodal
     coefficients ``mass = rho / tau^2`` and ``stiffness = eta / tau + mu``:
-    ``schur`` holds ``S`` and sweeps the factor forward and backward.
+    ``schur`` holds ``S`` and sweeps the factor forward and backward.  The
+    mass coefficients are kept negated (``minus_mass``), as the step's ``b``
+    reads them, so no step negates them again.
 
     ``tau=None`` builds the static variant (elastic stiffness only), used for
     the equilibrium recomputation of initial data.
@@ -172,11 +185,13 @@ class StepWorkspace:
         self.weights = ops.weights
         self.tau = tau
         if tau is None:
-            self.mass, self.stiffness = np.zeros(ops.n_nodes), ops.mu
+            mass, self.stiffness = np.zeros(ops.n_nodes), ops.mu
         else:
-            self.mass, self.stiffness = ops.rho / tau**2, ops.eta / tau + ops.mu
-        self.schur = InterfaceSchur(ops.combination(self.mass, self.stiffness), ops.pairs,
+            mass, self.stiffness = ops.rho / tau**2, ops.eta / tau + ops.mu
+        self.schur = InterfaceSchur(ops.combination(mass, self.stiffness), ops.pairs,
                                     ops.free_dofs)
+        # negated in place once H0 is factorized, so that no array is added
+        self.minus_mass = np.negative(mass, out=mass)
 
     @cached_property
     def lambda_max(self) -> float:
@@ -196,7 +211,7 @@ class StepWorkspace:
         ``(I + diag(d_curv) S)'`` and its transpose hands LAPACK the system in
         Fortran order without a copy."""
         A = self.schur.S * d_curv
-        A.flat[::d_curv.size + 1] += 1.0
+        A.reshape(-1)[::d_curv.size + 1] += 1.0     # the diagonal, through a view
         delta, info = dgesv(A.T, -r, overwrite_a=True, overwrite_b=True)[2:]
         if info != 0:
             raise np.linalg.LinAlgError(f"Newton system is singular (dgesv info {info})")
@@ -241,13 +256,16 @@ class StepResult:
     grad_norm: float
     el_residual: float
     energy: float            # incremental functional at u_new
+    elastic: float           # its elastic part 1/2 u_new' A_mu u_new, the record's E
     jumps: np.ndarray        # [u_new]
     psi: np.ndarray          # psi([u_new], xi_new)
     traction: np.ndarray     # psi'([u_new], xi_new), the cohesive traction
     # the accepted interface multipliers, minus the cohesive forces w psi'([u_new],
     # xi_prev) up to the residual grad_norm; the run extrapolates the next lam0
     lam: np.ndarray
-    residual: tuple          # H0 u_new + b at each of ops.pairs, for the traction audit
+    # H0 u_new + b at ops.pair_index, a (2, n_pairs) array of the plus and
+    # minus nodes' rows, for the traction audit
+    residual: np.ndarray
     # law.frozen(xi_new), or the step's own history when no pair grew, for
     # psi(0, xi_new) and the next step
     history: FrozenHistory
@@ -255,13 +273,14 @@ class StepResult:
 
 
 def incremental_energy(u, prob: StepProblem, products: tuple | None = None,
-                       psi: np.ndarray | None = None) -> float:
+                       psi: np.ndarray | None = None, elastic: float | None = None) -> float:
     """Value of the incremental functional at the nodal vector ``u``.
 
     ``products`` is ``prob.ops.products(u)`` when the caller has it; with the
     products of ``prob`` it makes every bulk term a nodal scaling.  ``psi``
     is ``psi([u], xi_prev)`` when the caller has it; otherwise the cohesive
-    term is a law pass at ``prob.history``."""
+    term is a law pass at ``prob.history``.  ``elastic`` is the elastic part
+    ``0.5 * (u @ (mu * A_unit u))`` when the caller has it."""
     u = np.asarray(u, dtype=float)
     n = prob.ops.n_nodes
     if u.shape != (n,):
@@ -273,7 +292,9 @@ def incremental_energy(u, prob: StepProblem, products: tuple | None = None,
     d1 = u - prob.u_prev
     val = 0.5 / tau**2 * (d2 @ (ops.rho * (m - 2.0 * m1 + m2)))
     val += 0.5 / tau * (d1 @ (ops.eta * (a - a1)))
-    val += 0.5 * (u @ (ops.mu * a)) - prob.f_k @ u
+    if elastic is None:
+        elastic = 0.5 * (u @ (ops.mu * a))
+    val += elastic - prob.f_k @ u
     if psi is None:
         psi = prob.history.evaluate(ops.jumps(u))[0]
     val += float(ops.weights @ psi)
@@ -289,6 +310,7 @@ class _Point(NamedTuple):
     rnorm: float
     aw: np.ndarray            # |jumps|
     elastic: np.ndarray       # |jumps| <= xi
+    inside: bool              # |jumps| < xi for every pair, so every pair is elastic
 
 
 def _minimize(ws: StepWorkspace, hist: FrozenHistory, beta: float, b: np.ndarray,
@@ -306,14 +328,14 @@ def _minimize(ws: StepWorkspace, hist: FrozenHistory, beta: float, b: np.ndarray
 
     def point(lam) -> _Point:
         S_lam = S @ lam
-        psi, dpsi, aw, elastic = hist.evaluate(j_lin + S_lam)
+        psi, dpsi, aw, elastic, inside = hist.branches(j_lin + S_lam)
         # the full-space gradient at u(lam) is B' r, and |B' r|_inf = |r|_inf
         r = lam + w * dpsi
         phi = 0.5 * float(lam @ S_lam) + float(w @ psi)
-        return _Point(lam, phi, r, float(np.abs(r).max(initial=0.0)), aw, elastic)
+        return _Point(lam, phi, r, float(np.abs(r).max(initial=0.0)), aw, elastic, inside)
 
     def direction(p: _Point) -> np.ndarray:
-        d = hist.curvature(p.aw, p.elastic)
+        d = hist.curvature(p.aw, p.elastic, p.inside)
         # without the margin, I + D S may be singular for a softening D < 0
         return ws.newton_direction(p.r, w * (d if certified else np.maximum(d, 0.0)))
 
@@ -376,7 +398,7 @@ def solve_step(prob: StepProblem, tol: float = 1e-10, max_iter: int = _MAX_ITER)
     last iterate."""
     if tol <= 0.0:
         raise ValueError("tolerance must be positive")
-    if np.any(prob.xi_prev <= 0.0):
+    if (prob.xi_prev <= 0.0).any():
         raise ValueError("xi_prev must be strictly positive (regularized regime)")
     ops, tau, ws = prob.ops, prob.tau, prob.workspace
     if ws.tau != tau:
@@ -387,34 +409,39 @@ def solve_step(prob: StepProblem, tol: float = 1e-10, max_iter: int = _MAX_ITER)
     # A_eta u_prev / tau - f_k from the products; load entries on Dirichlet
     # nodes count as 0
     (m1, a1), (m2, _) = prob.products
-    b = ws.schur.constrained(-ws.mass * (2.0 * m1 - m2) - (ops.eta * a1) / tau - prob.f_k)
+    b = ws.schur.constrained(ws.minus_mass * (2.0 * m1 - m2) - (ops.eta * a1) / tau - prob.f_k)
 
     tol_abs = tol * (1.0 + float(np.abs(prob.f_k).max(initial=0.0)))
     return _solve(ops, ws, prob.law, prob.history, b, prob.lam0, tol_abs, max_iter,
-                  lambda u, products, psi: incremental_energy(u, prob, products, psi))
+                  lambda u, products, psi, elastic:
+                  incremental_energy(u, prob, products, psi, elastic))
 
 
 def _solve(ops: DiscreteOperators, ws: StepWorkspace, law: CohesiveLaw, hist: FrozenHistory,
            b: np.ndarray, lam0: np.ndarray, tol_abs: float, max_iter: int, energy) -> StepResult:
     """Minimize (:func:`_minimize`) and make the post-step pass at the
-    minimizer ``u``: its products, the jumps, the max-update (a new frozen
-    history only when it grew a pair), one law evaluation on the updated
-    history's cone and the a-posteriori residual.
-    ``energy(u, products, psi)`` is the minimized functional at ``u``."""
+    minimizer ``u``: its products and elastic energy, the jumps and their
+    magnitudes, the max-update (a new frozen history only when it grew a
+    pair), one law evaluation on the updated history's cone and the
+    a-posteriori residual.  ``energy(u, products, psi, elastic)`` is the
+    minimized functional at ``u``."""
     u, lam, iters, rnorm = _minimize(ws, hist, law.beta, b, lam0, tol_abs, max_iter)
     m, a = products = ops.products(u)
+    elastic = 0.5 * (u @ (ops.mu * a))
     jumps = ops.jumps(u)
-    xi_new = np.maximum(hist.xi, np.abs(jumps))
+    aw = np.abs(jumps)
+    xi_new = np.maximum(hist.xi, aw)
     # a step that grows no pair keeps its history, and the terms frozen with it
     hist_new = hist if (xi_new == hist.xi).all() else law.frozen(xi_new)
-    psi, traction = hist_new.evaluate_on_cone(jumps)
+    psi, traction = hist_new.evaluate_on_cone(jumps, aw)
 
     # a-posteriori form: the Euler-Lagrange residual with the updated history
     # (H0 u on the free rows, as u vanishes on the Dirichlet nodes),
-    # B' (w traction) added at the pairs' nodes after the audit's bulk part
-    g_post = ws.schur.constrained(ws.mass * m + ws.stiffness * a) + b
+    # B' (w traction) added at the pairs' nodes after the audit's bulk part;
+    # y - (-x) is y + x, so H0 u is mass * m + stiffness * a bit for bit
+    g_post = ws.schur.constrained(ws.stiffness * a - ws.minus_mass * m) + b
     plus, minus = ops.pairs
-    residual = g_post[plus], g_post[minus]
+    residual = g_post[ops.pair_index]
     cohesive = ws.weights * traction
     g_post[plus] = residual[0] + cohesive
     g_post[minus] = residual[1] - cohesive
@@ -423,7 +450,8 @@ def _solve(ops: DiscreteOperators, ws: StepWorkspace, law: CohesiveLaw, hist: Fr
     # only on the loading branch, which reads no history
     return StepResult(u_new=u, xi_new=xi_new, newton_iters=iters, grad_norm=rnorm,
                       el_residual=float(np.abs(g_post).max(initial=0.0)),
-                      energy=energy(u, products, psi), jumps=jumps, psi=psi,
+                      energy=energy(u, products, psi, elastic), elastic=elastic,
+                      jumps=jumps, psi=psi,
                       traction=traction, lam=lam, residual=residual, history=hist_new,
                       products=products)
 
@@ -442,8 +470,8 @@ def solve_static(ops: DiscreteOperators, law: CohesiveLaw, xi: np.ndarray,
     tol_abs = tol * (1.0 + float(np.abs(f_eff).max(initial=0.0)))
     return _solve(ops, ws, law, law.frozen(xi), ws.schur.constrained(-f_eff),
                   np.zeros(ws.weights.size), tol_abs, _MAX_ITER,
-                  lambda u, products, psi: (0.5 * (u @ (ops.mu * products[1])) - f_eff @ u
-                                            + float(ops.weights @ psi)))
+                  lambda u, products, psi, elastic: (elastic - f_eff @ u
+                                                     + float(ops.weights @ psi)))
 
 
 def convexity_guard(ws: StepWorkspace, beta: float) -> bool:

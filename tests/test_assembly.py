@@ -19,6 +19,7 @@ from cohesim.config import ConfigError, parse_scenario
 from cohesim.evolution import run
 from cohesim.expressions import compile_expression
 from cohesim.mesh import InterfaceMesh, build_rectangle_mesh
+from cohesim.mesh import jumps as mesh_jumps
 
 from oracles import jump_operator, node_scaled, per_triangle
 from scenarios import mild_ramp, ramp_bulk
@@ -166,6 +167,32 @@ class TestOperators:
             with pytest.raises(ValueError, match="expected"):
                 ops.products(bad)
 
+    def test_l2_norm_is_the_scipy_product_bit_for_bit(self, monkeypatch):
+        # one call of the CSR kernel, with the shape check of products
+        import cohesim.assembly as assembly
+
+        ops = assemble(build_rectangle_mesh(1.0, 5, 3),
+                       Materials(1.0, 2.0, 3.0, 0.5, 0.7, 1.3))
+        n = ops.n_nodes
+        rng = np.random.default_rng(37)
+        u = rng.normal(size=n) * 10.0 ** rng.integers(-20, 20, n)
+        u[:4] = 0.0, -0.0, 1e-300, -5e-324
+        ints = rng.integers(-1000, 1000, n)
+        strided = rng.normal(size=2 * n)[::2]
+        calls, real = [], assembly.csr_matvec
+        monkeypatch.setattr(assembly, "csr_matvec",
+                            lambda *args: calls.append(1) or real(*args))
+        for v in (u, ints, strided, list(u)):
+            ref = np.asarray(v)
+            want = float(np.sqrt(max(ref @ (ops.M_unit @ ref), 0.0)))
+            calls.clear()
+            assert np.float64(ops.l2_norm(v)).tobytes() == np.float64(want).tobytes()
+            assert len(calls) == 1
+        for bad in (np.zeros(n - 1), np.zeros(n + 1), np.zeros((n, 1)), np.zeros((1, n)),
+                    np.zeros(()), [0.0] * (n - 1), [[0.0] * n]):
+            with pytest.raises(ValueError, match="expected"):
+                ops.l2_norm(bad)
+
     def test_material_positivity_enforced(self):
         for bad in (-2.0, np.nan, np.inf):
             with pytest.raises(ValueError, match="mu_minus"):
@@ -262,6 +289,21 @@ class TestPairIndices:
             u[plus[4]] = u[minus[4]]
             assert ops.jumps(u).tobytes() == (B @ u).tobytes()
             assert not np.signbit(ops.jumps(u)[:5]).any()
+
+
+    def test_one_gather_is_mesh_jumps_bit_for_bit(self):
+        # the (2, n_pairs) index is the pairs stacked, and one read there gives
+        # the jumps of mesh.jumps, signed zeros included
+        ops = assemble(build_rectangle_mesh(1.0, 8, 4), Materials.constant(1.0, 1.0, 1.0))
+        plus, minus = ops.pairs
+        assert ops.pair_index.shape == (2, plus.size)
+        assert np.array_equal(ops.pair_index, np.stack(ops.pairs))
+        rng = np.random.default_rng(37)
+        for _ in range(5):
+            u = rng.normal(size=ops.n_nodes)
+            u[plus[:4]], u[minus[:4]] = [-0.0, -0.0, 0.0, 0.0], [0.0, -0.0, -0.0, 0.0]
+            u[plus[4]] = u[minus[4]]
+            assert ops.jumps(u).tobytes() == mesh_jumps(u, ops.pairs).tobytes()
 
 
 class TestLoads:

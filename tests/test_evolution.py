@@ -245,6 +245,30 @@ class TestRun:
             assert np.abs(rec.steps[name] - value).max() <= 1e-13 * np.abs(value).max(), name
             assert np.abs(value).max() > 0.0, name
 
+    def test_dissipated_energy_is_formed_once_per_history(self, monkeypatch):
+        # Psi_d is w @ psi(0, xi_k) bit for bit on every row of the unloading
+        # tent, and the record sums it only for a history it has not seen:
+        # row 0's and each new one a step hands on
+        sums = []
+        real = FrozenHistory.psi_at_zero
+
+        def psi_at_zero(hist):
+            sums.append(hist)
+            return real(hist)
+
+        monkeypatch.setattr(FrozenHistory, "psi_at_zero", psi_at_zero)
+        rec = run(unloading_tent(n=40, n_x=8, n_y=4))
+        monkeypatch.undo()
+        w = rec.ops.weights
+        for k in range(rec.n_steps + 1):
+            assert same_bits(rec.Psi_d[k], w @ rec.law.psi(0.0, rec.xis[k])), k
+        new = [0] + [k for k in range(1, rec.n_steps + 1)
+                     if not same_bits(rec.xis[k], rec.xis[k - 1])]
+        assert 1 < len(new) < rec.n_steps
+        # the record's psi_s reads psi(0, xi_k) once a row; the sum adds one
+        # read per new history
+        assert len(sums) == rec.n_steps + 1 + len(new)
+
     def test_two_full_size_sparse_products_per_step(self, monkeypatch, tmp_path):
         # a step forms M_unit u_k and A_unit u_k, one call of the CSR kernel
         # each; every other bulk quantity of the step and its record is a
@@ -311,9 +335,10 @@ class TestRun:
         # step's solve: a frozen history only when the max-update grew a pair,
         # whose envelope pass is then the only law call, the traction audit
         # included; a step that grows no pair makes none.  The post-step pass
-        # evaluates on the updated history's cone, with no evaluate() and no
-        # envelope pass of its own; one load lookup per step in the whole run,
-        # after the one that parsing makes at t = 0
+        # evaluates on the updated history's cone, with no law pass
+        # (branches(), which evaluate() makes too) and no envelope pass of its
+        # own; one load lookup per step in the whole run, after the one that
+        # parsing makes at t = 0
         post = []          # per step, the counts after its Newton loop
         loads_at = []
         records = []
@@ -330,7 +355,7 @@ class TestRun:
 
         def minimize(*args, **kwargs):
             out = real_minimize(*args, **kwargs)
-            post.append({"frozen": 0, "evaluate": 0, "value_slope": 0, "open": True})
+            post.append({"frozen": 0, "branches": 0, "value_slope": 0, "open": True})
             return out
 
         def solve_step(*args, **kwargs):
@@ -351,8 +376,8 @@ class TestRun:
         monkeypatch.setattr(evolution, "solve_step", solve_step)
         monkeypatch.setattr(LoadModel, "at", at)
         monkeypatch.setattr(CohesiveLaw, "frozen", counting("frozen", CohesiveLaw.frozen))
-        for name in ("evaluate", "value_slope"):
-            owner = FrozenHistory if name == "evaluate" else PrototypeEnvelope
+        for name in ("branches", "value_slope"):
+            owner = FrozenHistory if name == "branches" else PrototypeEnvelope
             monkeypatch.setattr(owner, name, counting(name, getattr(owner, name)))
         doc = {
             "mesh": {"kind": "rectangle", "L": 1.0, "n_x": 8, "n_y": 4},
@@ -373,15 +398,16 @@ class TestRun:
         assert len(post) == 40
         for counts, new in zip(post, grown):
             assert counts["frozen"] == counts["value_slope"] == new
-            assert counts["evaluate"] == 0
+            assert counts["branches"] == 0
         assert loads_at == [0.0] + [k * (1.0 / 40) for k in range(1, 41)]
 
     def test_cli_step_with_one_newton_direction_evaluates_the_law_twice(self, monkeypatch,
                                                                         tmp_path):
         # warm-started from the extrapolated multipliers, a step that converges
-        # in one Newton direction evaluates its start and the Newton point
-        per_step = []          # per step, (evaluate() calls, directions, iterations)
-        counts = {"evaluate": 0, "direction": 0}
+        # in one Newton direction evaluates its start and the Newton point, one
+        # law pass (branches(), which evaluate() makes too) each
+        per_step = []          # per step, (law passes, directions, iterations)
+        counts = {"branches": 0, "direction": 0}
 
         def counting(name, fn):
             def wrapper(*args, **kwargs):
@@ -392,14 +418,14 @@ class TestRun:
         real_solve = evolution.solve_step
 
         def solve_step(*args, **kwargs):
-            counts.update(evaluate=0, direction=0)
+            counts.update(branches=0, direction=0)
             res = real_solve(*args, **kwargs)
-            per_step.append((counts["evaluate"], counts["direction"], res.newton_iters))
+            per_step.append((counts["branches"], counts["direction"], res.newton_iters))
             return res
 
         monkeypatch.setattr(evolution, "solve_step", solve_step)
-        monkeypatch.setattr(FrozenHistory, "evaluate",
-                            counting("evaluate", FrozenHistory.evaluate))
+        monkeypatch.setattr(FrozenHistory, "branches",
+                            counting("branches", FrozenHistory.branches))
         monkeypatch.setattr(step_module.StepWorkspace, "newton_direction",
                             counting("direction", step_module.StepWorkspace.newton_direction))
         assert main(["run", str(SCENARIOS / "standard_ramp.json"), "--out",

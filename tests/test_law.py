@@ -379,6 +379,14 @@ class TestFrozenHistory:
                 assert calls == ["value_slope"] * envelope + ["curvature"] * loading
                 for got, want in zip((*out, curvature), ref):
                     assert got.tobytes() == want.tobytes()
+                # branches() flags the strictly-inside point it decided, and
+                # the curvature that takes the flag is the same
+                with np.errstate(invalid="ignore", divide="ignore"):
+                    *flagged, inside = hist.branches(w)
+                    flagged_curvature = hist.curvature(*flagged[2:], inside)
+                assert inside is (not envelope)
+                for got, want in zip((*flagged, flagged_curvature), ref):
+                    assert got.tobytes() == want.tobytes()
 
     def test_cone_evaluation_is_evaluate_bit_for_bit(self):
         # max-updated histories xi = max(xi_prev, |w|): grown pairs on |w| = xi,
@@ -399,8 +407,11 @@ class TestFrozenHistory:
             with np.errstate(invalid="ignore"):
                 psi, dpsi = hist.evaluate_on_cone(w)
                 ref_psi, ref_dpsi = hist.evaluate(w)[:2]
+                # with |w| passed in, as the step's max-update forms it
+                given = hist.evaluate_on_cone(w, np.abs(w))
             assert psi.tobytes() == ref_psi.tobytes()
             assert dpsi.tobytes() == ref_dpsi.tobytes()
+            assert given[0].tobytes() == psi.tobytes() and given[1].tobytes() == dpsi.tobytes()
             assert np.isnan(psi[70]) and np.isnan(dpsi[70])
             assert psi[71] == law.env.psi_at_cap
             assert np.signbit(dpsi[60:70]).all() and not np.signbit(dpsi[50:60]).any()

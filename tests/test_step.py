@@ -158,6 +158,67 @@ class TestIncrementalEnergy:
             incremental_energy(np.zeros(3), prob)
 
 
+class TestValuesFormedOnce:
+    """A step forms its elastic energy once and hands it on; each handed-on
+    value is the standalone formula's, bit for bit."""
+
+    @staticmethod
+    def tent_steps(monkeypatch, n=20):
+        """The record of a short unloading tent and each step's problem and
+        result."""
+        steps, real = [], evolution.solve_step
+
+        def solve_step(prob, tol=1e-10):
+            steps.append((prob, real(prob, tol=tol)))
+            return steps[-1][1]
+
+        monkeypatch.setattr(evolution, "solve_step", solve_step)
+        return run(unloading_tent(n=n, n_x=8, n_y=4)), steps
+
+    @staticmethod
+    def elastic(ops, u):
+        return 0.5 * (u @ (ops.mu * (ops.A_unit @ u)))
+
+    def test_step_result_carries_the_elastic_energy_the_record_reads(self, monkeypatch):
+        rec, steps = self.tent_steps(monkeypatch)
+        assert len(steps) == rec.n_steps == 20
+        ops = rec.ops
+        assert rec.E[0].tobytes() == self.elastic(ops, rec.us[0]).tobytes()
+        for k, (prob, res) in enumerate(steps, start=1):
+            u = res.u_new
+            assert res.elastic.tobytes() == self.elastic(ops, u).tobytes()
+            assert rec.E[k].tobytes() == res.elastic.tobytes()
+            # the step's energy is a standalone evaluation's, which forms
+            # every term itself
+            assert np.float64(res.energy).tobytes() == \
+                np.float64(incremental_energy(u, prob)).tobytes()
+            assert res.residual.shape == (2, ops.weights.size)
+
+    def test_incremental_energy_with_and_without_the_elastic_term(self):
+        prob = TestSolveStep.softening_step()
+        ops = prob.ops
+        rng = np.random.default_rng(37)
+        for _ in range(5):
+            u = rng.normal(size=ops.n_nodes) * 1e-2
+            u[:2] = 0.0, -0.0
+            with_term = incremental_energy(u, prob, elastic=self.elastic(ops, u))
+            assert np.float64(with_term).tobytes() == \
+                np.float64(incremental_energy(u, prob)).tobytes()
+
+    def test_static_energy_reads_the_elastic_term(self):
+        mesh = build_rectangle_mesh(1.0, 8, 4)
+        ops = assemble(mesh, Materials.constant(rho=1.0, mu=1.0, eta=1.0))
+        law = CohesiveLaw(PrototypeEnvelope(g_c=1.0, xi_c=0.2))
+        f = LoadModel.from_functions(
+            mesh, 1.0, bulk=lambda x, y, t: 40.0 * np.sin(np.pi * x) * y).at(1.0)
+        res = solve_static(ops, law, np.full(mesh.n_pairs, 1e-3), f)
+        u = res.u_new
+        assert res.elastic.tobytes() == self.elastic(ops, u).tobytes()
+        psi = law.psi(ops.jumps(u), res.xi_new)
+        expected = self.elastic(ops, u) - f @ u + float(ops.weights @ psi)
+        assert np.float64(res.energy).tobytes() == np.float64(expected).tobytes()
+
+
 class TestSolveStep:
     def test_rest_state_is_fixed_point(self):
         prob = toy_problem(0.1, f=(0.0, 0.0), xi_prev=0.3)
@@ -339,24 +400,31 @@ class TestSolveStep:
         return step_problem(ops, law, tau, np.full(mesh.n_pairs, 1e-3), loads.at(0.25))
 
     def test_one_law_pass_per_trial_point(self, monkeypatch):
-        # one evaluate() per trial point, the only ones; it makes an envelope
-        # pass only at a point with a pair on or beyond its cone, and a
-        # direction reads the envelope's curvature only from a point with a
-        # pair off the elastic branch.  One more envelope pass for the history
-        # terms at xi_new when a pair grew (those at xi_prev come with the
-        # problem), none when the step keeps its history.  The post-step pass
-        # on the updated cone makes none
-        calls = dict.fromkeys(("trial", "off_cone", "value_slope", "loading", "curvature"), 0)
-        real_evaluate, real_curvature = FrozenHistory.evaluate, FrozenHistory.curvature
+        # one law pass (branches(), which evaluate() makes too) per trial
+        # point, the only ones; it makes an envelope pass only at a point with
+        # a pair on or beyond its cone, and a direction reads the envelope's
+        # curvature only from a point with a pair off the elastic branch, and
+        # tests the elastic mask only at a point the law pass did not find
+        # strictly inside.  One more envelope pass for the history terms at
+        # xi_new when a pair grew (those at xi_prev come with the problem),
+        # none when the step keeps its history.  The post-step pass on the
+        # updated cone makes none
+        calls = dict.fromkeys(("trial", "off_cone", "value_slope", "loading", "curvature",
+                               "direction", "inside"), 0)
+        real_branches, real_curvature = FrozenHistory.branches, FrozenHistory.curvature
 
-        def evaluate(self, w):
+        def branches(self, w):
             calls["trial"] += 1
-            calls["off_cone"] += not (np.abs(w) < self.xi).all()
-            return real_evaluate(self, w)
+            out = real_branches(self, w)
+            assert out[4] == (np.abs(w) < self.xi).all()
+            calls["off_cone"] += not out[4]
+            return out
 
-        def curvature(self, aw, elastic):
+        def curvature(self, aw, elastic, inside=False):
+            calls["direction"] += 1
+            calls["inside"] += inside
             calls["loading"] += not elastic.all()
-            return real_curvature(self, aw, elastic)
+            return real_curvature(self, aw, elastic, inside)
 
         def counted(name, fn):
             def wrapper(*args):
@@ -364,7 +432,7 @@ class TestSolveStep:
                 return fn(*args)
             return wrapper
 
-        monkeypatch.setattr(FrozenHistory, "evaluate", evaluate)
+        monkeypatch.setattr(FrozenHistory, "branches", branches)
         monkeypatch.setattr(FrozenHistory, "curvature", curvature)
         # the softening step backtracks and ends on the elastic branch; the
         # toy step opens its pair far past the history
@@ -381,6 +449,8 @@ class TestSolveStep:
             assert calls["curvature"] == calls["loading"] > 0
             # the softening step's last points are strictly inside their cones
             assert (calls["off_cone"] < calls["trial"]) == (not grown)
+            assert (calls["inside"] > 0) == (not grown)
+            assert calls["inside"] + calls["loading"] <= calls["direction"]
 
     def test_a_step_that_grows_no_pair_hands_its_history_on(self):
         prob = self.softening_step()
@@ -507,8 +577,8 @@ class TestCertifiedNewton:
         real_curvature = FrozenHistory.curvature
         real_direction = StepWorkspace.newton_direction
 
-        def curvature(self, aw, elastic):
-            raw.append(real_curvature(self, aw, elastic))
+        def curvature(self, aw, elastic, inside=False):
+            raw.append(real_curvature(self, aw, elastic, inside))
             return raw[-1]
 
         def direction(self, r, d_curv):
