@@ -26,7 +26,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse._sparsetools import csr_matvec
 
-from .mesh import _BLOCK, InterfaceMesh, _triangle_areas, _vertex_blocks
+from .mesh import _BLOCK, InterfaceMesh, _triangle_areas, _vertex_blocks, jumps
 
 __all__ = [
     "Materials",
@@ -175,10 +175,8 @@ class DiscreteOperators:
         return self._matvec(self.M_unit.data, u), self._matvec(self.A_unit.data, u)
 
     def jumps(self, u: np.ndarray) -> np.ndarray:
-        """``B @ u`` bit for bit (:func:`~cohesim.mesh.jumps`), from one
-        gather at :attr:`pair_index`."""
-        g = u[self.pair_index]
-        return (0.0 + g[0]) - g[1]
+        """``B @ u`` bit for bit: :func:`~cohesim.mesh.jumps` at :attr:`pair_index`."""
+        return jumps(u, self.pair_index)
 
     def l2_norm(self, u: np.ndarray) -> float:
         """``sqrt(u' M_unit u)``, with ``M_unit u`` bit for bit ``M_unit @ u``

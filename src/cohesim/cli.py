@@ -13,20 +13,25 @@ propagates.
 ``run`` audits the tractions of every step from the step's own bulk residual
 and cohesive traction, which the step table keeps, in one
 :func:`~cohesim.audit.traction_extraction` after the time loop, and writes one
-``tractions.csv`` row per step.  Its snapshot stride is the document's
-``output.snapshot_stride`` when the document asks for VTK frames, and
-``time.n`` otherwise: no output reads the fields of the steps in between, so
-the record keeps steps 0 and n only.  A run that a step stops writes the CSVs
-of the steps it completed, from the partial record, and the VTK frames of the
+``tractions.csv`` row per step.  A run that a step stops writes the CSVs of
+the steps it completed, from the partial record, and the VTK frames of the
 snapshot steps among them; a run that the convexity guard or the initial data
 stop writes nothing.
+
+:func:`_execute_run` alone decides which steps' fields a run keeps and which
+frames it writes, from the document's ``output`` options and ``per = n //
+n_base``, the run's step count over that of the study base (1 for ``cohesim
+run``, a ``single`` study and every eps or h level).  The frames are those of
+the document's output times, every ``snapshot_stride * per`` steps, and of the
+last step.  A level that a study compares with another keeps the fields of
+every ``per``-th step, so consecutive levels share their comparison times;
+any other run keeps those of its frames, or of steps 0 and n only when it
+writes no VTK, since nothing else reads them.
 
 A study of any kind runs its levels one after another in the calling thread,
 each like ``cohesim run`` into ``<dir>/level_XX``, and compares consecutive
 levels with :func:`~cohesim.evolution.trajectory_distance` at the snapshot
-times they share, so the study sets each level's snapshot stride, not the
-document (:func:`_study_levels`); a level's VTK frames are still those of
-the document's output times.  This level loop
+times they share.  This level loop
 is the only study sweep: a library caller writes the same loop with
 ``run(scenario.with_eps(eps))`` and ``trajectory_distance``.  The levels of a
 tau or eps study share the base's mesh, loads and assembled operators: the
@@ -107,42 +112,39 @@ def _write_outputs(cfg: ScenarioConfig, out_dir: str, record, frame_stride: int)
     return ledger, report
 
 
-def _execute_run(cfg: ScenarioConfig, out_dir: str, ops=None, frame_stride=None):
+def _execute_run(cfg: ScenarioConfig, out_dir: str, ops=None, base_n=None):
     """Run one scenario and write its artifacts, also those of the steps a
     failed run completed.  ``ops`` are the scenario's assembled operators,
     when a caller holds them for its mesh and materials; otherwise they are
-    assembled here.  The VTK frames are those of the record's steps that are
-    multiples of ``frame_stride`` (by default ``cfg.snapshot_stride``) and of
-    the last.
+    assembled here.  ``base_n`` is the step count of the study base when a
+    study compares this run with another level, None otherwise; it and the
+    document's output options set the steps whose fields the record keeps
+    and the VTK frames (the module docstring states the rule).
 
-    Returns (record, energy ledger, KKT report, one-line summary)."""
+    Returns (record, energy ledger, KKT report)."""
     from .assembly import assemble
 
     ensure_dir(out_dir)
     scenario = cfg.scenario
     if ops is None:
         ops = assemble(scenario.mesh, scenario.materials)
-    frame_stride = frame_stride or cfg.snapshot_stride
+    per = scenario.n // base_n if base_n else 1
+    frame_stride = cfg.snapshot_stride * per
+    stride = per if base_n else (frame_stride if cfg.vtk else scenario.n)
     try:
-        record = run(scenario, ops=ops, snapshot_stride=cfg.snapshot_stride)
+        record = run(scenario, ops=ops, snapshot_stride=stride)
     except EvolutionError as exc:
         if exc.partial is not None:
             _write_outputs(cfg, out_dir, exc.partial, frame_stride)
         raise
 
-    ledger, report = _write_outputs(cfg, out_dir, record, frame_stride)
-    summary = (f"steps={record.n_steps} "
-               f"max_energy_residual={ledger.max_residual:.6e} "
-               f"max_kkt_violation={report.max_violation:.6e}")
-    return record, ledger, report, summary
+    return (record, *_write_outputs(cfg, out_dir, record, frame_stride))
 
 
 def cmd_run(args) -> int:
-    cfg = load_scenario_file(args.config)
-    if not cfg.vtk:     # nothing reads the fields between steps 0 and n
-        cfg = replace(cfg, snapshot_stride=cfg.scenario.n)
-    *_, summary = _execute_run(cfg, args.out)
-    print(f"ok: {summary}")
+    record, ledger, report = _execute_run(load_scenario_file(args.config), args.out)
+    print(f"ok: steps={record.n_steps} max_energy_residual={ledger.max_residual:.6e} "
+          f"max_kkt_violation={report.max_violation:.6e}")
     return EXIT_OK
 
 
@@ -160,18 +162,14 @@ def _study_levels(spec):
     The base scenario is parsed once, and it is level 0 of a refinement
     study; the levels of a tau or eps study are built from it and share its
     mesh and :class:`~cohesim.assembly.LoadModel`, and only an h study
-    parses a document per level.  Each level gets the snapshot stride that
-    aligns its comparison times with the next level's: ``2**i`` for tau
-    level ``i``, 1 otherwise.  The one level of a ``single`` study is
-    compared with nothing, so it keeps the document's stride when it writes
-    VTK frames and only steps 0 and n otherwise.
+    parses a document per level.  Every level keeps the document's output
+    options; :func:`_execute_run` derives its strides from them.
     """
     base = spec.base
     if spec.kind == "h_refinement" and "path" in base.raw["mesh"]:
         raise ConfigError("h_refinement requires an inline rectangle mesh")
     if spec.kind == "single":
-        stride = base.snapshot_stride if base.vtk else base.scenario.n
-        return [("level_00", base.scenario.n, replace(base, snapshot_stride=stride))]
+        return [("level_00", base.scenario.n, base)]
     if spec.eps_list:
         configs = [(eps, replace(base, scenario=base.scenario.with_eps(eps)))
                    for eps in map(float, spec.eps_list)]
@@ -189,9 +187,7 @@ def _study_levels(spec):
             doc["mesh"]["n_x"] *= 2**i
             doc["mesh"]["n_y"] *= 2**i
             configs.append((doc["mesh"]["n_x"], parse_scenario(doc) if i else base))
-    tau = spec.kind == "tau_refinement"
-    return [(f"level_{i:02d}", param, replace(cfg, snapshot_stride=2**i if tau else 1))
-            for i, (param, cfg) in enumerate(configs)]
+    return [(f"level_{i:02d}", param, cfg) for i, (param, cfg) in enumerate(configs)]
 
 
 def _node_injection(coarse_mesh, fine_mesh) -> np.ndarray:
@@ -227,26 +223,23 @@ def _run_study(spec, levels, out) -> int:
     operators of the level before when both hold the same mesh and materials
     objects (a tau or eps study assembles once).  Once level ``i + 1`` has
     run, its distance ``d_i`` to level ``i`` is computed and level ``i``'s
-    record is dropped, so a study holds at most two trajectories.  A level
-    that writes VTK frames writes those of the document's output times, every
-    ``output.snapshot_stride * 2**i`` steps of tau level ``i`` and every
-    ``output.snapshot_stride`` steps of any other level, and of its last
-    step.  ``d_i`` is
-    None when either level failed; the order of level ``i`` is
-    ``log2(d_i / d_{i+1})``.
+    record is dropped, so a study holds at most two trajectories.  Every
+    level of a tau, eps or h study is compared, so :func:`_execute_run` gets
+    the base's step count; the one level of a ``single`` study runs as
+    ``cohesim run`` does.  ``d_i`` is None when either level failed; the
+    order of level ``i`` is ``log2(d_i / d_{i+1})``.
     """
     out_root = ensure_dir(out)
+    base_n = spec.base.scenario.n if spec.kind != "single" else None
     rows, prev, ops = [], None, None
     for i, (label, param, cfg) in enumerate(levels):
         scenario = cfg.scenario
-        frame_stride = spec.base.snapshot_stride * (2**i if spec.kind == "tau_refinement"
-                                                    else 1)
         if ops is not None and not (ops.mesh is scenario.mesh and scenario.materials
                                     is levels[i - 1][2].scenario.materials):
             ops = None
         try:
-            record, ledger, report, _ = _execute_run(cfg, os.path.join(out_root, label),
-                                                     ops, frame_stride)
+            record, ledger, report = _execute_run(cfg, os.path.join(out_root, label), ops,
+                                                  base_n)
             ops = record.ops
             rows.append([i, param, "ok", ledger.max_residual, report.max_violation,
                          None, None])

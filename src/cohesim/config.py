@@ -101,9 +101,9 @@ def _expr(sec: dict, section: str, key: str, variables):
 
 @dataclass
 class ScenarioConfig:
-    """Parsed scenario: a built :class:`Scenario` plus its output options.
-    ``snapshot_stride`` sets the VTK frames of ``cohesim run``; a run without
-    VTK and each study level get their strides from :mod:`cohesim.cli`."""
+    """Parsed scenario: a built :class:`Scenario` plus its output options,
+    the document's VTK frame stride and switch; :mod:`cohesim.cli` derives
+    the strides a run keeps its fields at from them."""
 
     scenario: Scenario
     snapshot_stride: int

@@ -197,7 +197,6 @@ class TrajectoryRecord(StepColumns):
     """
 
     steps: np.ndarray
-    snapshot_steps: list
     us: dict
     vs: dict
     ops: DiscreteOperators
@@ -208,6 +207,11 @@ class TrajectoryRecord(StepColumns):
     @property
     def n_steps(self) -> int:
         return self.steps.size - 1
+
+    @property
+    def snapshot_steps(self) -> list:
+        """The steps whose fields ``us`` and ``vs`` hold, in order."""
+        return list(self.us)
 
     def state(self, k: int) -> EvolutionState:
         """Reconstruct the state at a snapshot step."""
@@ -294,8 +298,8 @@ def run(scenario: Scenario, tol: float = 1e-10,
 
     steps = np.zeros(n + 1, dtype=step_dtype(scenario.mesh.n_pairs))
     steps["ts"] = np.arange(n + 1) * tau
-    rec = TrajectoryRecord(steps=steps, snapshot_steps=[], us={}, vs={},
-                           ops=ops, law=law, loads=scenario.loads, tau=tau)
+    rec = TrajectoryRecord(steps=steps, us={}, vs={}, ops=ops, law=law, loads=scenario.loads,
+                           tau=tau)
     # column views; D_cum and P_cum hold each step's increment until the loop ends
     col = {name: steps[name] for name in steps.dtype.names}
     weights = ops.weights
@@ -329,7 +333,6 @@ def run(scenario: Scenario, tol: float = 1e-10,
                  dissipated)
     if scenario.regularity_mode:
         col["a_l2"][0] = ops.l2_norm(scenario.w0)
-    rec.snapshot_steps.append(0)
     rec.us[0], rec.vs[0] = u0.copy(), v0.copy()
 
     v_prev = v0
@@ -366,7 +369,6 @@ def run(scenario: Scenario, tol: float = 1e-10,
         col["a_l2"][k] = np.sqrt(max(accel @ ((v_products_k[0] - v_products[0]) / tau), 0.0))
 
         if k % snapshot_stride == 0 or k == n:
-            rec.snapshot_steps.append(k)
             rec.us[k], rec.vs[k] = u_k.copy(), v_k.copy()
 
         u_prev2, u_prev = u_prev, u_k

@@ -319,9 +319,10 @@ def load_mesh(path) -> InterfaceMesh:
 
 def jumps(u: np.ndarray, pairs) -> np.ndarray:
     """``u[plus] - u[minus]`` for the pairs ``(plus, minus)``, bit for bit the
-    product ``B @ u``: a row of ``B`` sums from ``+0.0``, so no jump is ``-0.0``."""
-    plus, minus = pairs
-    return (0.0 + u[plus]) - u[minus]
+    product ``B @ u``: a row of ``B`` sums from ``+0.0``, so no jump is ``-0.0``.
+    ``u`` is read once, at ``pairs`` as a ``(2, n_pairs)`` index."""
+    g = u[np.asarray(pairs)]
+    return (0.0 + g[0]) - g[1]
 
 
 def estimate_trace_constant(mesh: InterfaceMesh, A_unit) -> float:

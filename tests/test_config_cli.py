@@ -994,9 +994,15 @@ class TestStudyCli:
         assert not out.exists()
 
 
+STUDY_KINDS = [{"kind": "single"}, {"kind": "tau_refinement", "levels": 2},
+               {"kind": "eps_continuation", "eps_list": [0.01, 0.001]},
+               {"kind": "h_refinement", "levels": 2}]
+
+
 class TestSnapshotStride:
     """``cohesim run`` keeps the snapshots of steps 0 and n only when it
-    writes no VTK frame; study levels set their own strides."""
+    writes no VTK frame; a compared study level keeps the steps it shares
+    with the next level."""
 
     @staticmethod
     def write(tmp_path, name, doc):
@@ -1027,17 +1033,35 @@ class TestSnapshotStride:
         assert [rec.snapshot_steps for rec in records] == [[0, 10]]
         assert (out / "level_00" / "energies.csv").exists()
 
-    def test_tau_levels_keep_their_comparison_strides(self, tmp_path, records):
+    @pytest.mark.parametrize("study, steps", [
+        (json.loads((SCENARIOS / "study_tau.json").read_text()),
+         [list(range(0, 120 * 2**i + 1, 2**i)) for i in range(3)]),
+        ({**STUDY_KINDS[2], "base": base_doc(output={"snapshot_stride": 3})}, [list(range(11))] * 2),
+        ({**STUDY_KINDS[3], "base": base_doc(output={"snapshot_stride": 3})}, [list(range(11))] * 2),
+    ], ids=["tau", "eps", "h"])
+    def test_compared_levels_keep_their_comparison_strides(self, tmp_path, records, study, steps):
+        # no level writes VTK frames: only the comparison reads the kept fields
         import golden
 
         out = tmp_path / "out"
-        assert main(["study", str(SCENARIOS / "study_tau.json"), "--out", str(out)]) == 0
-        assert [rec.snapshot_steps for rec in records] == [
-            list(range(0, 120 * 2**i + 1, 2**i)) for i in range(3)]
-        diff = golden.compare_csv("study_tau/study.csv",
-                                  (golden.GOLDEN / "study_tau" / "study.csv").read_text(),
-                                  (out / "study.csv").read_text())
-        assert diff.failure is None
+        assert main(["study", self.write(tmp_path, "study", study), "--out", str(out)]) == 0
+        assert [rec.snapshot_steps for rec in records] == steps
+        assert not list(out.glob("level_*/fields_*.vtk"))
+        if study["kind"] == "tau_refinement":
+            diff = golden.compare_csv("study_tau/study.csv",
+                                      (golden.GOLDEN / "study_tau" / "study.csv").read_text(),
+                                      (out / "study.csv").read_text())
+            assert diff.failure is None
+
+    @pytest.mark.parametrize("vtk", [False, True])
+    @pytest.mark.parametrize("study", STUDY_KINDS)
+    def test_levels_keep_the_document_output_options(self, study, vtk):
+        output = {"snapshot_stride": 3, "vtk": vtk}
+        spec = parse_study({**study, "base": base_doc(output=output)})
+        levels = cohesim.cli._study_levels(spec)
+        assert len(levels) == (1 if study["kind"] == "single" else 2)
+        for _, _, cfg in levels:
+            assert (cfg.snapshot_stride, cfg.vtk) == (3, vtk)
 
     def test_run_without_vtk_holds_no_per_step_snapshots(self, tmp_path):
         # a 32x16 tent with n = 400 and no output section: its snapshots at
